@@ -28,6 +28,14 @@ _REQUIRED_KEYS = {"seed", "protocol", "network", "topology", "sessions",
 _WAXMAN_KEYS = {"n_infra", "target_avg_degree", "area_side", "alpha"}
 
 
+def _convert(where, key: str, kind: type, value):
+    """``kind(value)``, or a ConfigError that names the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from exc
+
+
 def parse_config(path: str | FsPath) -> RunConfig:
     """Load and validate a run configuration from a JSON document."""
     try:
@@ -62,11 +70,14 @@ def parse_config(path: str | FsPath) -> RunConfig:
             raise ConfigError(f"{path}: unknown waxman keys {sorted(unknown)}")
         if "n_infra" not in spec:
             raise ConfigError(f"{path}: waxman topology needs n_infra")
+        where = f"{path}: waxman"
         topology = WaxmanSpec(
-            n_infra=int(spec["n_infra"]),
-            target_avg_degree=float(spec.get("target_avg_degree", 4.0)),
-            area_side=float(spec.get("area_side", 100.0)),
-            alpha=float(spec.get("alpha", 0.4)),
+            n_infra=_convert(where, "n_infra", int, spec["n_infra"]),
+            target_avg_degree=_convert(where, "target_avg_degree", float,
+                                       spec.get("target_avg_degree", 4.0)),
+            area_side=_convert(where, "area_side", float,
+                               spec.get("area_side", 100.0)),
+            alpha=_convert(where, "alpha", float, spec.get("alpha", 0.4)),
         )
     elif "inline" in topology_doc:
         try:
@@ -77,11 +88,13 @@ def parse_config(path: str | FsPath) -> RunConfig:
         raise ConfigError(f"{path}: topology must be 'waxman' or 'inline'")
 
     sessions_doc = doc["sessions"]
-    if isinstance(sessions_doc, int):
+    if isinstance(sessions_doc, int) and not isinstance(sessions_doc, bool):
         sessions: list[SessionSpec] | int = sessions_doc
     elif isinstance(sessions_doc, list):
         sessions = []
         for i, entry in enumerate(sessions_doc):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{path}: session {i} must be an object")
             unknown = set(entry) - _SESSION_KEYS
             if unknown:
                 raise ConfigError(
@@ -91,23 +104,26 @@ def parse_config(path: str | FsPath) -> RunConfig:
                 src=entry.get("src"),
                 dst=entry.get("dst"),
                 qubits=entry.get("qubits"),
-                start_slot=int(entry.get("start_slot", 0)),
+                start_slot=_convert(f"{path}: session {i}", "start_slot", int,
+                                    entry.get("start_slot", 0)),
                 initial_window=entry.get("initial_window"),
             ))
     else:
         raise ConfigError(f"{path}: sessions must be a count or a list")
 
     cfg = RunConfig(
-        seed=int(doc["seed"]),
+        seed=_convert(path, "seed", int, doc["seed"]),
         protocol=protocol,
         network=network,
         topology=topology,
         sessions=sessions,
-        n_slots=int(doc["n_slots"]),
-        p=float(doc.get("p", 1.0)),
-        slot_length=float(doc.get("slot_length", 1.0)),
-        capacity=int(doc.get("capacity", 1000)),
-        congestion_weight=float(doc.get("congestion_weight", 4.0)),
+        n_slots=_convert(path, "n_slots", int, doc["n_slots"]),
+        p=_convert(path, "p", float, doc.get("p", 1.0)),
+        slot_length=_convert(path, "slot_length", float,
+                             doc.get("slot_length", 1.0)),
+        capacity=_convert(path, "capacity", int, doc.get("capacity", 1000)),
+        congestion_weight=_convert(path, "congestion_weight", float,
+                                   doc.get("congestion_weight", 4.0)),
     )
     cfg.validate()
     return cfg

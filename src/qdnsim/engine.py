@@ -9,7 +9,6 @@ slot.  A run is a pure function of its configuration: identical configs
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -17,13 +16,12 @@ from typing import NamedTuple
 from .errors import ConfigError, DeadlockError
 from .memory import (
     Demand,
-    Grant,
     MemoryPool,
     TAG_SEND_COST,
     TAG_SPLIT,
     TELE_SPLIT,
-    assign_memory,
     partition,
+    reserve_two_pass,
 )
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from .routing import Path, compute_path
@@ -184,55 +182,33 @@ def build_pools(topology: Topology, network: NetworkKind) -> dict:
 
 
 def reserve_sharing(hops: list[HopSession], pools: dict) -> dict:
-    """Per-slot reservation for tell-and-go hops.
+    """Per-slot reservation for tell-and-go hops, by
+    ``memory.reserve_two_pass``; outcomes are keyed by (session, hop).
 
     Send pools price a window at 9/4 units per qubit (three sharings for
     at most three quarters of the window); receive pools at one unit.
     Stored first sharings and in-flight sender blocks cannot be evicted,
-    so they floor each demand.  A hop is halved iff either of its pools
-    marks it; final reservations honour the floors.
+    so they floor each demand.
     """
-    per_pool: dict[tuple[int, str], list[Demand]] = {}
-    floors: dict[tuple, tuple[int, int]] = {}
+    requests = []
+    stored: dict[int, int] = {}
     for hop in hops:
         key = (hop.session, hop.hop)
-        send_floor = 3 * len(hop.in_flight)
+        window = hop.announce()
         recv_floor = hop.stored_firsts
-        floors[key] = (send_floor, recv_floor)
-        window = hop.announce()
-        per_pool.setdefault((hop.sender, "send"), []).append(
-            Demand(key, window, TAG_SEND_COST, floor=send_floor)
-        )
-        per_pool.setdefault((hop.receiver, "receive"), []).append(
-            Demand(key, window, floor=recv_floor)
-        )
+        stored[hop.receiver] = stored.get(hop.receiver, 0) + recv_floor
+        requests.append([
+            ((hop.sender, "send"),
+             Demand(key, window, TAG_SEND_COST, floor=3 * len(hop.in_flight))),
+            ((hop.receiver, "receive"), Demand(key, window, floor=recv_floor)),
+        ])
 
-    for (node, kind), demands in sorted(per_pool.items()):
-        if kind == "receive":
-            stored = sum(d.floor for d in demands)
-            if stored > pools[(node, kind)].capacity:
-                raise DeadlockError(
-                    f"stored sharings ({stored}) exceed receive pool at node {node}"
-                )
-
-    marked: set = set()
-    for pool_key in sorted(per_pool):
-        grants = assign_memory(per_pool[pool_key], pools[pool_key].capacity)
-        marked.update(k for k, g in grants.items() if g.congested)
-
-    outcomes: dict = {}
-    for hop in hops:
-        key = (hop.session, hop.hop)
-        window = hop.announce()
-        congested = key in marked
-        granted = window // 2 if congested else window
-        outcomes[key] = Grant(granted, congested)
-        send_floor, recv_floor = floors[key]
-        pools[(hop.sender, "send")].require(
-            key, max(math.ceil(TAG_SEND_COST * granted), send_floor)
-        )
-        pools[(hop.receiver, "receive")].require(key, max(granted, recv_floor))
-    return outcomes
+    for node in sorted(stored):
+        if stored[node] > pools[(node, "receive")].capacity:
+            raise DeadlockError(
+                f"stored sharings ({stored[node]}) exceed receive pool at node {node}"
+            )
+    return reserve_two_pass(requests, pools)
 
 
 class Engine:
@@ -276,24 +252,19 @@ class Engine:
     def _resolve_sessions(self) -> list[SessionSpec]:
         cfg = self.cfg
         hosts = sorted(n.id for n in self.topology.hosts())
-        if len(hosts) < 2 and (
-            isinstance(cfg.sessions, int) and cfg.sessions > 0
-        ):
-            raise ConfigError("need at least two hosts to sample sessions")
-        if isinstance(cfg.sessions, int):
-            rng = stream(cfg.seed, SESSION_STREAM)
-            specs = []
-            for _ in range(cfg.sessions):
-                i = int(rng.integers(len(hosts)))
-                j = int(rng.integers(len(hosts) - 1))
-                if j >= i:
-                    j += 1
-                specs.append(SessionSpec(src=hosts[i], dst=hosts[j]))
-            return specs
+        host_ids = set(hosts)
+        requested = cfg.sessions
+        if isinstance(requested, int):
+            requested = [SessionSpec()] * requested
         specs = []
         rng = None
-        for spec in cfg.sessions:
+        for index, spec in enumerate(requested):
+            for end in (spec.src, spec.dst):
+                if end is not None and end not in host_ids:
+                    raise ConfigError(f"session {index}: endpoint {end} is not a host")
             if spec.src is None or spec.dst is None:
+                if len(hosts) < 2:
+                    raise ConfigError("need at least two hosts to sample sessions")
                 if rng is None:
                     rng = stream(cfg.seed, SESSION_STREAM)
                 i = int(rng.integers(len(hosts)))

@@ -6,6 +6,8 @@ total demand exceeds capacity, sessions are cut in descending-window order
 until the remainder fits.  Demands may carry a floor of units that cannot
 be evicted (stored sharings, in-flight sender blocks); a cut below the
 floor releases nothing but the assignment still never overcommits.
+Both transports reserve through ``reserve_two_pass``, which runs the
+assignment at every pool and halves a session at most once per slot.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ class Demand:
     floor: int = 0
 
     def cost(self, window: int) -> int:
-        return max(math.ceil(self.unit_cost * window), self.floor)
+        """Memory for ``window``: exact integer ceiling, at least the floor."""
+        unit = self.unit_cost
+        return max(-(-unit.numerator * window // unit.denominator), self.floor)
 
 
 @dataclass(frozen=True)
@@ -86,22 +90,51 @@ def assign_memory(demands: list[Demand], capacity: int) -> dict:
     return grants
 
 
+def reserve_two_pass(requests: list[list[tuple]], pools: dict) -> dict:
+    """Reserve one slot's memory; a session is halved at most once.
+
+    Each request is one session's ``(pool key, Demand)`` points, all with
+    the same session and announced window.  Pass 1: every pool, in sorted
+    key order, runs ``assign_memory`` over the demands crossing it and
+    marks the sessions it cuts.  Pass 2: a session is halved iff any pool
+    marked it, and each of its pools is set to exactly the cost of the
+    final window (floors honoured).  Returns session -> Grant.
+    """
+    per_pool: dict = {}
+    for points in requests:
+        for key, demand in points:
+            per_pool.setdefault(key, []).append(demand)
+
+    marked: set = set()
+    for key in sorted(per_pool):
+        grants = assign_memory(per_pool[key], pools[key].capacity)
+        marked.update(s for s, grant in grants.items() if grant.congested)
+
+    outcomes: dict = {}
+    for points in requests:
+        session, window = points[0][1].session, points[0][1].window
+        congested = session in marked
+        granted = window // 2 if congested else window
+        outcomes[session] = Grant(granted, congested)
+        for key, demand in points:
+            pools[key].require(session, demand.cost(granted))
+    return outcomes
+
+
 @dataclass
 class MemoryPool:
     """A node-side pool with per-session reservations.
 
-    The engine is the single writer within a slot; the sum of reservations
-    never exceeds capacity (reserve raises instead of overcommitting).
+    The engine is the single writer within a slot; ``reserved``, the
+    running sum of reservations, never exceeds capacity (reserve raises
+    instead of overcommitting).
     """
 
     node: int
     kind: str
     capacity: int
-    _held: dict = field(default_factory=dict)
-
-    @property
-    def reserved(self) -> int:
-        return sum(self._held.values())
+    reserved: int = field(default=0, init=False)
+    _held: dict = field(default_factory=dict, init=False)
 
     @property
     def free(self) -> int:
@@ -120,6 +153,7 @@ class MemoryPool:
             )
         if units:
             self._held[session] = self._held.get(session, 0) + units
+            self.reserved += units
 
     def release(self, session, units: int | None = None) -> None:
         held = self._held.get(session, 0)
@@ -132,6 +166,7 @@ class MemoryPool:
             self._held[session] = remaining
         else:
             self._held.pop(session, None)
+        self.reserved -= units
 
     def require(self, session, target: int) -> None:
         """Adjust a session's holding up or down to exactly ``target``."""
@@ -143,3 +178,4 @@ class MemoryPool:
 
     def clear(self) -> None:
         self._held.clear()
+        self.reserved = 0

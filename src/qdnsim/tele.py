@@ -10,17 +10,15 @@ keeps the halving dynamics (FRA).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .memory import (
     Demand,
     Grant,
     RECEIVE_COST,
     TELE_SEND_COST,
-    assign_memory,
+    reserve_two_pass,
 )
 from .routing import Path
 
@@ -58,7 +56,6 @@ class TeleSession:
     remaining: int | None  # None means an unbounded stream
     window: int = 1
     phase: Phase = Phase.SLOW_START
-    granted: int = 0
     delivered_total: int = 0
     start_slot: int = 0
 
@@ -95,56 +92,34 @@ class TeleSession:
 PoolMap = dict  # (node id, pool kind) -> MemoryPool
 
 
-def demand_points(path: Path) -> list[tuple[tuple[int, str], Fraction]]:
-    """Pools a session draws from, with per-window unit costs.
+def demand_points(session: TeleSession, window: int) -> list[tuple]:
+    """(pool key, Demand) for ``window`` at each pool a session draws from.
 
     The source reserves in its send pool and the destination in its receive
     pool; every intermediate node reserves transit memory for both the
     upstream and downstream entanglement links.
     """
-    points: list[tuple[tuple[int, str], Fraction]] = [
-        ((path.src, "send"), TELE_SEND_COST)
-    ]
+    path = session.path
+    points = [((path.src, "send"), Demand(session.id, window, TELE_SEND_COST))]
     for node in path.nodes[1:-1]:
-        points.append(((node, "transit"), TELE_SEND_COST))
-    points.append(((path.dst, "receive"), RECEIVE_COST))
+        points.append(((node, "transit"), Demand(session.id, window, TELE_SEND_COST)))
+    points.append(((path.dst, "receive"), Demand(session.id, window, RECEIVE_COST)))
     return points
 
 
 def reserve_teleport(sessions: list[TeleSession], pools: PoolMap) -> dict[int, Grant]:
-    """Two-pass reservation for one slot.
+    """Announced-window reservation, by ``memory.reserve_two_pass``."""
+    return reserve_two_pass(
+        [demand_points(session, session.announce()) for session in sessions],
+        pools,
+    )
 
-    Pass 1: every pool independently runs the halving assignment over the
-    announced windows of the sessions crossing it, collecting congestion
-    marks.  Pass 2: a session is halved iff any of its pools marked it, and
-    the final (possibly halved) reservation is placed at every pool on its
-    path.  A session is never halved more than once per slot.
-    """
-    per_pool: dict[tuple[int, str], list[Demand]] = {}
-    costs: dict[int, list[tuple[tuple[int, str], Fraction]]] = {}
-    for session in sessions:
-        points = demand_points(session.path)
-        costs[session.id] = points
-        window = session.announce()
-        for key, unit_cost in points:
-            per_pool.setdefault(key, []).append(
-                Demand(session.id, window, unit_cost)
-            )
 
-    marked: set[int] = set()
-    for key in sorted(per_pool):
-        grants = assign_memory(per_pool[key], pools[key].capacity)
-        marked.update(sid for sid, grant in grants.items() if grant.congested)
-
-    outcomes: dict[int, Grant] = {}
-    for session in sessions:
-        congested = session.id in marked
-        window = session.announce()
-        granted = window // 2 if congested else window
-        outcomes[session.id] = Grant(granted, congested)
-        for key, unit_cost in costs[session.id]:
-            pools[key].reserve(session.id, math.ceil(unit_cost * granted))
-    return outcomes
+def hold(session: TeleSession, window: int, pools: PoolMap) -> None:
+    """Set the session's holding at every pool on its path to the cost of
+    ``window`` there."""
+    for key, demand in demand_points(session, window):
+        pools[key].require(session.id, demand.cost(window))
 
 
 def node_window_capacity(node: int, pools: PoolMap) -> int | None:
@@ -194,8 +169,7 @@ def reserve_explicit(sessions: list[TeleSession], pools: PoolMap) -> dict[int, G
     for session in sessions:
         share = shares[session.id]
         outcomes[session.id] = Grant(share, False)
-        for key, unit_cost in demand_points(session.path):
-            pools[key].reserve(session.id, math.ceil(unit_cost * share))
+        hold(session, share, pools)
     return outcomes
 
 
@@ -208,8 +182,7 @@ def reserve_fair(sessions: list[TeleSession], pools: PoolMap) -> dict[int, Grant
         congested = window > shares[session.id]
         granted = window // 2 if congested else window
         outcomes[session.id] = Grant(granted, congested)
-        for key, unit_cost in demand_points(session.path):
-            pools[key].reserve(session.id, math.ceil(unit_cost * granted))
+        hold(session, granted, pools)
     return outcomes
 
 
@@ -217,7 +190,5 @@ def release_surplus(
     session: TeleSession, granted: int, delivered: int, pools: PoolMap
 ) -> None:
     """Return unused reservation when a session delivers less than granted."""
-    if delivered >= granted:
-        return
-    for key, unit_cost in demand_points(session.path):
-        pools[key].require(session.id, math.ceil(unit_cost * delivered))
+    if delivered < granted:
+        hold(session, delivered, pools)

@@ -74,6 +74,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bogus"):
             parse_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"seed": None}, "seed"),
+        ({"sessions": True}, "sessions"),
+        ({"sessions": [1]}, "session 0"),
+        ({"sessions": [{"start_slot": None}]}, "start_slot"),
+        ({"topology": {"waxman": {"n_infra": None}}}, "n_infra"),
+    ])
+    def test_malformed_value_rejected(self, tmp_path, overrides, match):
+        path = write_config(tmp_path, minimal_doc(**overrides))
+        with pytest.raises(ConfigError, match=match):
+            parse_config(path)
+
 
 class TestEmit:
     def result(self, tmp_path):

@@ -267,3 +267,25 @@ class TestConfigValidation:
         for nodes in result.paths.values():
             assert nodes[0] != nodes[-1]
             assert nodes[0] >= 8 and nodes[-1] >= 8  # hosts sit above infra
+
+    @pytest.mark.parametrize("sessions", [1, [SessionSpec()]])
+    def test_sampling_needs_two_hosts(self, sessions):
+        topology, _ = star_topology(0)
+        cfg = RunConfig(
+            seed=0, protocol=Protocol.TELE, network=NetworkKind.TELE,
+            topology=topology, sessions=sessions, n_slots=1,
+        )
+        with pytest.raises(ConfigError, match="two hosts"):
+            run(cfg)
+
+    @pytest.mark.parametrize("src", [999, 0])  # unknown node, repeater hub
+    def test_explicit_endpoint_must_be_host(self, src):
+        topology, egress = star_topology(1)
+        cfg = RunConfig(
+            seed=0, protocol=Protocol.TELE, network=NetworkKind.TELE,
+            topology=topology, n_slots=1,
+            sessions=[SessionSpec(src=1, dst=egress),
+                      SessionSpec(src=src, dst=egress)],
+        )
+        with pytest.raises(ConfigError, match="session 1"):
+            run(cfg)

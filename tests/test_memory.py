@@ -138,3 +138,30 @@ class TestMemoryPool:
         assert pool.held("s") == 12
         pool.require("s", 0)
         assert pool.reserved == 0
+
+    def test_running_total_tracks_holdings(self):
+        pool = MemoryPool(0, "send", 50)
+
+        def check():
+            assert pool.reserved == sum(pool.held(s) for s in ("a", "b"))
+            assert pool.free == pool.capacity - pool.reserved
+
+        pool.reserve("a", 20)
+        check()
+        pool.require("b", 15)
+        check()
+        pool.require("a", 5)
+        check()
+        pool.release("b", 10)
+        check()
+        with pytest.raises(CapacityExceededError):
+            pool.reserve("b", 41)
+        check()
+        pool.reserve("b", 40)
+        check()
+        assert pool.free == 0
+        pool.release("a")
+        check()
+        pool.clear()
+        check()
+        assert pool.reserved == 0

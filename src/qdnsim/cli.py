@@ -11,10 +11,12 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path as FsPath
 
 from . import presets as preset_mod
-from .engine import Protocol, RunConfig, RunResult, SessionSpec, WaxmanSpec, run
+from .engine import (PoolRow, Protocol, RunConfig, RunResult, SessionRow,
+                     SessionSpec, WaxmanSpec, run)
 from .errors import ConfigError, QdnError
 from .topology import NetworkKind, from_document
 
@@ -65,6 +67,8 @@ def parse_config(path: str | FsPath) -> RunConfig:
         )
     if "waxman" in topology_doc:
         spec = topology_doc["waxman"]
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{path}: waxman topology must be an object")
         unknown = set(spec) - _WAXMAN_KEYS
         if unknown:
             raise ConfigError(f"{path}: unknown waxman keys {sorted(unknown)}")
@@ -100,13 +104,16 @@ def parse_config(path: str | FsPath) -> RunConfig:
                 raise ConfigError(
                     f"{path}: session {i}: unknown keys {sorted(unknown)}"
                 )
+            where = f"{path}: session {i}"
+            optional = {
+                key: _convert(where, key, int, entry[key])
+                for key in ("src", "dst", "qubits", "initial_window")
+                if entry.get(key) is not None
+            }
             sessions.append(SessionSpec(
-                src=entry.get("src"),
-                dst=entry.get("dst"),
-                qubits=entry.get("qubits"),
-                start_slot=_convert(f"{path}: session {i}", "start_slot", int,
+                start_slot=_convert(where, "start_slot", int,
                                     entry.get("start_slot", 0)),
-                initial_window=entry.get("initial_window"),
+                **optional,
             ))
     else:
         raise ConfigError(f"{path}: sessions must be a count or a list")
@@ -140,7 +147,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: FsPath, header: list[str], rows) -> None:
+def _write_csv(path: FsPath, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -173,10 +180,6 @@ def emit(result: RunResult, out_dir: str | FsPath, name: str,
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    session_header = list(result.session_rows[0]._fields) if result.session_rows \
-        else ["slot", "session", "hop", "window", "congested", "granted",
-              "delivered", "phase", "firsts", "seconds", "losses", "stored"]
-    pool_header = ["slot", "node", "pool", "reserved", "capacity"]
     summary_header = ["session", "delivered", "mean_window", "hops", "path"]
 
     if "tabular" in formats:
@@ -185,8 +188,8 @@ def emit(result: RunResult, out_dir: str | FsPath, name: str,
             "pools": out / f"{name}_pools.csv",
             "summary": out / f"{name}_summary.csv",
         }
-        _write_csv(paths["sessions"], session_header, result.session_rows)
-        _write_csv(paths["pools"], pool_header, result.pool_rows)
+        _write_csv(paths["sessions"], SessionRow._fields, result.session_rows)
+        _write_csv(paths["pools"], PoolRow._fields, result.pool_rows)
         _write_csv(
             paths["summary"], summary_header,
             ([row[k] for k in summary_header] for row in _summary_rows(result)),

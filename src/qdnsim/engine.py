@@ -1,10 +1,10 @@
 """Slot-synchronous simulation loop.
 
-Each slot runs a fixed phase order: admit new sessions, announce windows,
-reserve memory, transfer, snapshot pool occupancy, release slot-scoped
-reservations, record the trace, and advance window state for the next
-slot.  A run is a pure function of its configuration: identical configs
-(including the seed) produce bit-identical results.
+Each slot runs a fixed phase order: admit new sessions; reserve memory
+for the announced windows; plan, send and record per session; snapshot
+pool occupancy; release slot-scoped reservations and advance window state
+for the next slot.  A run is a pure function of its configuration:
+identical configs (including the seed) produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .memory import (
     partition,
     reserve_two_pass,
 )
+from .metrics import jain
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from .routing import Path, compute_path
 from .tag import (
@@ -102,8 +103,17 @@ class RunConfig:
             raise ConfigError("per-sharing success probability must be in [0, 1]")
         if self.slot_length <= 0:
             raise ConfigError("slot_length must be positive")
-        if isinstance(self.sessions, int) and self.sessions < 0:
-            raise ConfigError("session count must be non-negative")
+        if isinstance(self.sessions, int):
+            if self.sessions < 0:
+                raise ConfigError("session count must be non-negative")
+        else:
+            for index, spec in enumerate(self.sessions):
+                if spec.qubits is not None and spec.qubits < 0:
+                    raise ConfigError(
+                        f"session {index}: qubits must be non-negative")
+                if spec.initial_window is not None and spec.initial_window < 1:
+                    raise ConfigError(
+                        f"session {index}: initial_window must be at least 1")
 
 
 class SessionRow(NamedTuple):
@@ -151,7 +161,6 @@ class TagFlow:
     hops: list[HopSession]
     remaining: int | None
     start_slot: int = 0
-    delivered_total: int = 0
 
     @property
     def finished(self) -> bool:
@@ -338,14 +347,15 @@ class Engine:
             self._step_tele()
         self.slot += 1
 
-    def _active_tele(self) -> list[TeleSession]:
+    def _active(self, records: dict) -> list:
+        """Sessions or flows that have started and are not finished."""
         return [
-            s for s in self.tele_sessions.values()
-            if s.start_slot <= self.slot and not s.finished
+            r for r in records.values()
+            if r.start_slot <= self.slot and not r.finished
         ]
 
     def _step_tele(self) -> None:
-        active = self._active_tele()
+        active = self._active(self.tele_sessions)
         reserve = {
             Protocol.TELE: reserve_teleport,
             Protocol.EW: reserve_explicit,
@@ -353,16 +363,10 @@ class Engine:
         }[self.cfg.protocol]
         outcomes = reserve(active, self.pools) if active else {}
 
-        delivered: dict[int, int] = {}
         for session in active:
             grant = outcomes[session.id]
-            delivered[session.id] = session.transfer(grant.window)
-            release_surplus(session, grant.window, delivered[session.id], self.pools)
-
-        self._snapshot_pools()
-
-        for session in active:
-            grant = outcomes[session.id]
+            delivered = session.transfer(grant.window)
+            release_surplus(session, grant.window, delivered, self.pools)
             if self.cfg.protocol is Protocol.EW:
                 window, phase = grant.window, "-"
             else:
@@ -370,9 +374,11 @@ class Engine:
             self.session_rows.append(SessionRow(
                 slot=self.slot, session=session.id, hop=0, window=window,
                 congested=int(grant.congested), granted=grant.window,
-                delivered=delivered[session.id], phase=phase,
+                delivered=delivered, phase=phase,
                 firsts=0, seconds=0, losses=0, stored=0,
             ))
+
+        self._snapshot_pools()
 
         for pool in self.pools.values():
             pool.clear()
@@ -380,43 +386,32 @@ class Engine:
             for session in active:
                 session.advance_window(outcomes[session.id].congested)
 
-    def _active_flows(self) -> list[TagFlow]:
-        return [
-            f for f in self.tag_flows.values()
-            if f.start_slot <= self.slot and not f.finished
-        ]
-
     def _step_tag(self) -> None:
-        flows = self._active_flows()
+        flows = self._active(self.tag_flows)
         hops = [hop for flow in flows for hop in flow.hops]
         outcomes = reserve_sharing(hops, self.pools) if hops else {}
 
-        plans = {}
+        # A hop's plan reads the next hop's free queue as it stood at the
+        # start of the slot, so handovers wait until every hop has sent.
+        forwards: list[tuple[HopSession, int]] = []
         for flow in flows:
             for index, hop in enumerate(flow.hops):
                 key = (hop.session, hop.hop)
-                granted = outcomes[key].window
-                recv_pool = self.pools[(hop.receiver, "receive")]
-                receiver_free = recv_pool.held(key) - hop.stored_firsts
-                send_pool = self.pools[(hop.sender, "send")]
-                blocks_free = send_pool.held(key) // 3 - len(hop.in_flight)
+                grant = outcomes[key]
                 downstream = (
-                    flow.hops[index + 1].queue_free
-                    if index + 1 < len(flow.hops) else None
+                    flow.hops[index + 1] if index + 1 < len(flow.hops) else None
                 )
-                plans[key] = plan_transfers(
-                    hop, granted, receiver_free, blocks_free, downstream
+                recv_pool = self.pools[(hop.receiver, "receive")]
+                send_pool = self.pools[(hop.sender, "send")]
+                plan = plan_transfers(
+                    hop, grant.window,
+                    recv_pool.held(key) - hop.stored_firsts,
+                    send_pool.held(key) // 3 - len(hop.in_flight),
+                    downstream.queue_free if downstream is not None else None,
                 )
-
-        forwards: list[tuple[TagFlow, int, int]] = []
-        stats: dict[tuple, tuple[int, int, int, int]] = {}
-        for flow in flows:
-            for index, hop in enumerate(flow.hops):
-                key = (hop.session, hop.hop)
-                plan = plans[key]
                 losses = 0
-                hop_delivered = 0
-                transfers = list(plan.seconds) + list(plan.firsts)
+                delivered = 0
+                transfers = plan.seconds + plan.firsts
                 transfers += [hop.encode_next() for _ in range(plan.encodes)]
                 for transfer in transfers:
                     success = self.channel.sample(self._channel_rng)
@@ -425,46 +420,32 @@ class Engine:
                     _, done = advance(transfer, success)
                     if done:
                         qubit = hop.complete(transfer)
-                        hop_delivered += 1
-                        if index + 1 < len(flow.hops):
-                            forwards.append((flow, index + 1, qubit))
-                        else:
-                            flow.delivered_total += 1
-                            if flow.remaining is not None:
-                                flow.remaining -= 1
-                stats[key] = (
-                    plan.first_count, plan.second_count, losses, hop_delivered
-                )
+                        delivered += 1
+                        if downstream is not None:
+                            forwards.append((downstream, qubit))
+                        elif flow.remaining is not None:
+                            flow.remaining -= 1
+                self.session_rows.append(SessionRow(
+                    slot=self.slot, session=flow.id, hop=hop.hop,
+                    window=hop.announce(), congested=int(grant.congested),
+                    granted=grant.window, delivered=delivered,
+                    phase=hop.phase.value, firsts=plan.first_count,
+                    seconds=plan.second_count, losses=losses,
+                    stored=hop.stored_firsts,
+                ))
 
-        for flow, hop_index, qubit in forwards:
-            flow.hops[hop_index].accept(qubit)
+        for hop, qubit in forwards:
+            hop.accept(qubit)
 
         self._snapshot_pools()
 
-        for flow in flows:
-            for hop in flow.hops:
-                key = (hop.session, hop.hop)
-                firsts, seconds, losses, hop_delivered = stats[key]
-                self.session_rows.append(SessionRow(
-                    slot=self.slot, session=flow.id, hop=hop.hop,
-                    window=hop.announce(), congested=int(outcomes[key].congested),
-                    granted=outcomes[key].window, delivered=hop_delivered,
-                    phase=hop.phase.value, firsts=firsts, seconds=seconds,
-                    losses=losses, stored=hop.stored_firsts,
-                ))
-
         # Slot-scoped reservations are released; stored first sharings and
         # in-flight sender blocks persist across slots.
-        for flow in flows:
-            for hop in flow.hops:
-                key = (hop.session, hop.hop)
-                self.pools[(hop.sender, "send")].require(
-                    key, 3 * len(hop.in_flight)
-                )
-                self.pools[(hop.receiver, "receive")].require(
-                    key, hop.stored_firsts
-                )
-                hop.apply_slot(outcomes[key].congested)
+        for hop in hops:
+            key = (hop.session, hop.hop)
+            self.pools[(hop.sender, "send")].require(key, 3 * len(hop.in_flight))
+            self.pools[(hop.receiver, "receive")].require(key, hop.stored_firsts)
+            hop.apply_slot(outcomes[key].congested)
 
     def _snapshot_pools(self) -> None:
         occupancy: dict[int, int] = {}
@@ -497,13 +478,9 @@ class Engine:
     def _summarize(self) -> dict:
         per_session_windows: dict[int, dict[int, int]] = {}
         delivered: dict[int, int] = {}
-        egress_hop: dict[int, int] = {}
-        for sid, path in self.paths.items():
-            if self.cfg.protocol is Protocol.TAG:
-                flow = self.tag_flows[sid]
-                egress_hop[sid] = len(flow.hops) - 1
-            else:
-                egress_hop[sid] = 0
+        egress_hop = {
+            sid: len(flow.hops) - 1 for sid, flow in self.tag_flows.items()
+        }
         for row in self.session_rows:
             if row.hop == egress_hop.get(row.session, 0):
                 delivered[row.session] = delivered.get(row.session, 0) + row.delivered
@@ -525,14 +502,14 @@ class Engine:
 
         total = sum(delivered.values())
         per_slot = total / self.cfg.n_slots if self.cfg.n_slots else 0.0
-        jain = None
+        fairness = None
         if means and any(m > 0 for m in means):
-            jain = (sum(means) ** 2) / (len(means) * sum(m * m for m in means))
+            fairness = jain(means)
         return {
             "delivered_total": total,
             "throughput_per_slot": per_slot,
             "throughput_per_time": per_slot / self.cfg.slot_length,
-            "jain_mean_window": jain,
+            "jain_mean_window": fairness,
             "sessions": sessions,
         }
 

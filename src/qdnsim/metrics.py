@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import MetricUndefinedError
-from .engine import RunResult
+
+if TYPE_CHECKING:
+    from .engine import RunResult
 
 #: Fraction of slots discarded before steady-state statistics by default.
 DEFAULT_WARMUP_FRACTION = 0.25
@@ -28,7 +31,7 @@ def jain(values: list[float], trim_top: float = 0.0) -> float:
     if all(v == 0 for v in values):
         raise MetricUndefinedError("fairness of all-zero windows is undefined")
     total = sum(values)
-    return (total * total) / (len(values) * sum(v * v for v in values))
+    return total ** 2 / (len(values) * sum(v * v for v in values))
 
 
 def utilization(result: RunResult, node: int, pool: str) -> list[float]:

@@ -178,26 +178,31 @@ def _summarize_micro(results: dict[str, RunResult]) -> dict[str, list[dict]]:
 # -- wide-area sweeps ----------------------------------------------------
 
 
-def _build_net_size(seeds: list[int]) -> list[PresetRun]:
+def _build_sweep(seeds: list[int], prefix: str, axis_name: str,
+                 values: list[int]) -> list[PresetRun]:
+    """Every protocol at every seed for each value of one size axis of
+    ``_sweep_config`` (``n_infra`` or ``n_sessions``)."""
     runs = []
-    for n_infra in NET_SIZES:
+    for value in values:
+        sizes = {"n_infra": SWEEP_INFRA, "n_sessions": SWEEP_SESSIONS,
+                 axis_name: value}
         for protocol in TELE_PROTOCOLS + [Protocol.TAG]:
             for seed in seeds:
                 runs.append(PresetRun(
-                    f"n{n_infra}_{protocol.value}_seed{seed}",
-                    _sweep_config(seed, protocol, n_infra, SWEEP_SESSIONS),
+                    f"{prefix}{value}_{protocol.value}_seed{seed}",
+                    _sweep_config(seed, protocol, **sizes),
                 ))
     return runs
 
 
-def _sweep_rows(results: dict[str, RunResult], axis_name: str,
-                axis_of: Callable[[str], int]) -> dict[str, list[dict]]:
+def _sweep_rows(results: dict[str, RunResult],
+                axis_name: str) -> dict[str, list[dict]]:
     rows = []
     for label in sorted(results):
         result = results[label]
         rows.append({
             "run": label,
-            axis_name: axis_of(label),
+            axis_name: int(label.split("_")[0][1:]),
             "protocol": result.protocol,
             "seed": result.seed,
             "delivered_total": result.summary["delivered_total"],
@@ -221,35 +226,26 @@ def _sweep_rows(results: dict[str, RunResult], axis_name: str,
     return {"runs": rows, "means": mean_rows}
 
 
-def _summarize_net_size(results):
-    return _sweep_rows(results, "n_infra", lambda label: int(label.split("_")[0][1:]))
-
-
-def _build_workload(seeds: list[int]) -> list[PresetRun]:
-    runs = []
-    for n_sessions in WORKLOADS:
-        for protocol in TELE_PROTOCOLS + [Protocol.TAG]:
-            for seed in seeds:
-                runs.append(PresetRun(
-                    f"s{n_sessions}_{protocol.value}_seed{seed}",
-                    _sweep_config(seed, protocol, SWEEP_INFRA, n_sessions),
-                ))
-    return runs
-
-
-def _summarize_workload(results):
-    return _sweep_rows(results, "n_sessions", lambda label: int(label.split("_")[0][1:]))
-
-
 # -- teleportation vs switched tell-and-go tradeoffs ---------------------
 
 
-def _build_tradeoff_prob(seeds: list[int]) -> list[PresetRun]:
-    runs = [
+def _tele_runs(seeds: list[int]) -> list[PresetRun]:
+    return [
         PresetRun(f"tele_seed{seed}",
                   _sweep_config(seed, Protocol.TELE, SWEEP_INFRA, SWEEP_SESSIONS))
         for seed in seeds
     ]
+
+
+def _mean_delivered(results: dict[str, RunResult], prefix: str) -> float:
+    """Mean delivered total over the runs whose label starts with ``prefix``."""
+    totals = [r.summary["delivered_total"] for label, r in results.items()
+              if label.startswith(prefix)]
+    return sum(totals) / len(totals)
+
+
+def _build_tradeoff_prob(seeds: list[int]) -> list[PresetRun]:
+    runs = _tele_runs(seeds)
     for p in PROB_GRID:
         for seed in seeds:
             runs.append(PresetRun(
@@ -272,17 +268,11 @@ def interpolate_crossover(xs: list[float], gaps: list[float]) -> float | None:
 
 
 def _summarize_tradeoff_prob(results):
-    tele = [r.summary["delivered_total"] for label, r in results.items()
-            if label.startswith("tele_")]
-    tele_mean = sum(tele) / len(tele)
+    tele_mean = _mean_delivered(results, "tele_")
     rows = []
     xs, gaps = [], []
     for p in PROB_GRID:
-        tag = [
-            r.summary["delivered_total"] for label, r in results.items()
-            if label.startswith(f"tag_p{int(round(p * 100)):03d}_")
-        ]
-        tag_mean = sum(tag) / len(tag)
+        tag_mean = _mean_delivered(results, f"tag_p{int(round(p * 100)):03d}_")
         rows.append({
             "p": p,
             "tag_mean_delivered": tag_mean,
@@ -302,25 +292,15 @@ def _summarize_tradeoff_prob(results):
 
 
 def _build_tradeoff_slot(seeds: list[int]) -> list[PresetRun]:
-    runs = [
-        PresetRun(f"tele_seed{seed}",
-                  _sweep_config(seed, Protocol.TELE, SWEEP_INFRA, SWEEP_SESSIONS))
-        for seed in seeds
-    ]
-    runs += [
+    return _tele_runs(seeds) + [
         PresetRun(f"tag_seed{seed}", _switch_config(seed, TRADEOFF_P))
         for seed in seeds
     ]
-    return runs
 
 
 def _summarize_tradeoff_slot(results):
-    tele = [r.summary["delivered_total"] for label, r in results.items()
-            if label.startswith("tele_")]
-    tag = [r.summary["delivered_total"] for label, r in results.items()
-           if label.startswith("tag_")]
-    tele_mean = sum(tele) / len(tele)
-    tag_mean = sum(tag) / len(tag)
+    tele_mean = _mean_delivered(results, "tele_")
+    tag_mean = _mean_delivered(results, "tag_")
     rows = []
     xs, gaps = [], []
     for ratio in RATIO_GRID:
@@ -348,10 +328,16 @@ def _summarize_tradeoff_slot(results):
 
 PRESETS: dict[str, Preset] = {
     "appendix_e": Preset("appendix_e", _build_micro, _summarize_micro),
-    "net_size_sweep": Preset("net_size_sweep", _build_net_size,
-                             _summarize_net_size),
-    "workload_sweep": Preset("workload_sweep", _build_workload,
-                             _summarize_workload),
+    "net_size_sweep": Preset(
+        "net_size_sweep",
+        lambda seeds: _build_sweep(seeds, "n", "n_infra", NET_SIZES),
+        lambda results: _sweep_rows(results, "n_infra"),
+    ),
+    "workload_sweep": Preset(
+        "workload_sweep",
+        lambda seeds: _build_sweep(seeds, "s", "n_sessions", WORKLOADS),
+        lambda results: _sweep_rows(results, "n_sessions"),
+    ),
     "tradeoff_prob": Preset("tradeoff_prob", _build_tradeoff_prob,
                             _summarize_tradeoff_prob),
     "tradeoff_slot": Preset("tradeoff_slot", _build_tradeoff_slot,

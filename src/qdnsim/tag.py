@@ -12,6 +12,7 @@ the sender never needs more than three memory units per in-flight qubit.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,15 +45,6 @@ class SharingTransfer:
             return self.round
         if self.stage is Stage.SECOND:
             return self.round + 1
-        return 0
-
-    @property
-    def sender_units(self) -> int:
-        """Memory units the sender's 3-unit block currently uses."""
-        if self.stage is Stage.FIRST:
-            return 3
-        if self.stage is Stage.SECOND:
-            return 2
         return 0
 
 
@@ -134,18 +126,17 @@ class HopSession:
     unminted: int | None = 0
     queue_bound: int | None = None
     next_qubit: int = 0
-    delivered_total: int = 0
 
     @property
     def stored_firsts(self) -> int:
         return sum(t.stored_at_receiver for t in self.in_flight.values())
 
     @property
-    def queued(self) -> int:
-        backlog = len(self.queue)
+    def queued(self) -> int | float:
+        """Qubits available to encode; ``math.inf`` for unbounded supply."""
         if self.unminted is None:
-            return backlog + 10**9
-        return backlog + self.unminted
+            return math.inf
+        return len(self.queue) + self.unminted
 
     @property
     def queue_free(self) -> int | None:
@@ -186,7 +177,6 @@ class HopSession:
     def complete(self, transfer: SharingTransfer) -> int:
         """Remove a delivered qubit from flight; returns its id."""
         del self.in_flight[transfer.qubit]
-        self.delivered_total += 1
         return transfer.qubit
 
 

@@ -56,16 +56,7 @@ class TeleSession:
     remaining: int | None  # None means an unbounded stream
     window: int = 1
     phase: Phase = Phase.SLOW_START
-    delivered_total: int = 0
     start_slot: int = 0
-
-    @property
-    def src(self) -> int:
-        return self.path.src
-
-    @property
-    def dst(self) -> int:
-        return self.path.dst
 
     @property
     def finished(self) -> bool:
@@ -81,11 +72,9 @@ class TeleSession:
     def transfer(self, granted: int) -> int:
         """Teleport up to the granted window; returns qubits delivered."""
         if self.remaining is None:
-            delivered = granted
-        else:
-            delivered = min(granted, self.remaining)
-            self.remaining -= delivered
-        self.delivered_total += delivered
+            return granted
+        delivered = min(granted, self.remaining)
+        self.remaining -= delivered
         return delivered
 
 

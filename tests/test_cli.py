@@ -69,6 +69,14 @@ class TestParseConfig:
         assert cfg.sessions[0].src == 4
         assert cfg.sessions[0].qubits == 5
 
+    def test_session_fields_become_integers(self, tmp_path):
+        doc = minimal_doc(sessions=[{"src": "9", "dst": 10, "qubits": "5",
+                                     "initial_window": "2"}, {}])
+        first, second = parse_config(write_config(tmp_path, doc)).sessions
+        assert (first.src, first.dst, first.qubits, first.initial_window) \
+            == (9, 10, 5, 2)
+        assert second.qubits is None and second.initial_window is None
+
     def test_session_list_unknown_key(self, tmp_path):
         doc = minimal_doc(sessions=[{"src": 1, "dst": 2, "bogus": 1}])
         with pytest.raises(ConfigError, match="bogus"):
@@ -80,6 +88,11 @@ class TestParseConfig:
         ({"sessions": [1]}, "session 0"),
         ({"sessions": [{"start_slot": None}]}, "start_slot"),
         ({"topology": {"waxman": {"n_infra": None}}}, "n_infra"),
+        ({"topology": {"waxman": 5}}, "waxman"),
+        ({"sessions": [{"qubits": "five"}]}, "session 0: qubits"),
+        ({"sessions": [{"src": [1]}]}, "session 0: src"),
+        ({"sessions": [{"initial_window": -4}]}, "session 0: initial_window"),
+        ({"sessions": [{"qubits": -3}]}, "session 0: qubits"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -137,6 +150,22 @@ class TestMain:
 
     def test_error_is_machine_readable(self, tmp_path, capsys):
         config = write_config(tmp_path, minimal_doc(protocol="nonsense"))
+        code = main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("overrides", [
+        {"sessions": [{"qubits": "five"}, {"qubits": 1}]},
+        {"topology": {"waxman": 5}},
+        {"sessions": [{"initial_window": -4}]},
+        {"protocol": "tag", "network": "tag_relay",
+         "sessions": [{"qubits": -3}]},
+    ])
+    def test_bad_session_or_waxman_is_an_error_record(self, tmp_path, capsys,
+                                                     overrides):
+        config = write_config(tmp_path, minimal_doc(**overrides))
         code = main(["run", "--config", str(config),
                      "--out", str(tmp_path / "out")])
         assert code == 2

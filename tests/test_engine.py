@@ -289,3 +289,14 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match="session 1"):
             run(cfg)
+
+    @pytest.mark.parametrize("protocol, network, qubits, window, field", [
+        (Protocol.TELE, NetworkKind.TELE, None, -4, "initial_window"),
+        (Protocol.TELE, NetworkKind.TELE, None, 0, "initial_window"),
+        (Protocol.TAG, NetworkKind.TAG_RELAY, -3, None, "qubits"),
+    ])
+    def test_listed_session_fields_in_range(self, protocol, network, qubits,
+                                            window, field):
+        cfg = star_config(protocol, network, [(10, None), (qubits, window)], 1)
+        with pytest.raises(ConfigError, match=f"session 1: {field}"):
+            run(cfg)

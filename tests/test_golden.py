@@ -1,7 +1,8 @@
 """Whole-run traces pinned byte for byte.
 
 Each config below is run end to end and written with ``cli.emit`` in both
-formats; the SHA-256 of every file must match the digest pinned here.  A
+formats; the SHA-256 of every file must match the digest pinned here.  The
+``appendix_e`` preset (seeds 0 and 1, both formats) is pinned the same way.  A
 refactor is checked against these pins, not against a rerun of itself, so
 a change that moves a digest must say why.  To print the digests of the
 current code (for instance after an intended trace change)::
@@ -16,7 +17,7 @@ import tempfile
 
 import pytest
 
-from qdnsim.cli import emit
+from qdnsim.cli import emit, run_preset
 from qdnsim.engine import Protocol, RunConfig, SessionSpec, WaxmanSpec, run
 from qdnsim.topology import NetworkKind
 
@@ -174,6 +175,63 @@ GOLDEN = {
 }
 
 
+#: Pinned from the code before the slot loop made one pass per session.
+APPENDIX_E_GOLDEN = {
+    "appendix_e/tag_seed0_pools.csv":
+        "d2f3d4d82fc460d059d99d93d300bacba4046bd7c89301babe98efcc5896e494",
+    "appendix_e/tag_seed0_pools.ndjson":
+        "c1b09e0f839e7c709a9e585120391d6e3c58ca5f9da9ca9471c06fb050e82909",
+    "appendix_e/tag_seed0_sessions.csv":
+        "10605995f8d002e736fbda2385feedbbdbc679662736beae00b55fe705f4f8c9",
+    "appendix_e/tag_seed0_sessions.ndjson":
+        "f27241b4a8df534bbbab6e43e3e7de6a63ab6bb04465569684615a3ba5038478",
+    "appendix_e/tag_seed0_summary.csv":
+        "9dfd01f7e94e991814af0e751f18f7f3852bf2113751e60b0ccf7302efb3464d",
+    "appendix_e/tag_seed0_summary.ndjson":
+        "0cd1ac6b494231dea2f6b45caad31721232c0291a5ef6c693324abc1a333baa7",
+    "appendix_e/tag_seed1_pools.csv":
+        "d2f3d4d82fc460d059d99d93d300bacba4046bd7c89301babe98efcc5896e494",
+    "appendix_e/tag_seed1_pools.ndjson":
+        "c1b09e0f839e7c709a9e585120391d6e3c58ca5f9da9ca9471c06fb050e82909",
+    "appendix_e/tag_seed1_sessions.csv":
+        "10605995f8d002e736fbda2385feedbbdbc679662736beae00b55fe705f4f8c9",
+    "appendix_e/tag_seed1_sessions.ndjson":
+        "f27241b4a8df534bbbab6e43e3e7de6a63ab6bb04465569684615a3ba5038478",
+    "appendix_e/tag_seed1_summary.csv":
+        "9dfd01f7e94e991814af0e751f18f7f3852bf2113751e60b0ccf7302efb3464d",
+    "appendix_e/tag_seed1_summary.ndjson":
+        "95608e6f4bb9d73790b8b17b1b5a53d666504b4957ca49f96889ebef6e43129e",
+    "appendix_e/tele_seed0_pools.csv":
+        "8ddaaad6d75212ff6eee03ede6899ad37d8f1478e508ef275fe84d1349e468bc",
+    "appendix_e/tele_seed0_pools.ndjson":
+        "eeca7beac82df7c4d930b912a674adfe25a1d88218695812407dc606a785a2c3",
+    "appendix_e/tele_seed0_sessions.csv":
+        "fc0d76b03d34ac1152d8b32dc27cb8453482f65eda3153b94977ef1ee69130f8",
+    "appendix_e/tele_seed0_sessions.ndjson":
+        "bec9f24bb5e8294c392216b1fdf748e0a7abb2ae51e5f61df525da197f7489cc",
+    "appendix_e/tele_seed0_summary.csv":
+        "a03edfd548b62a55e6878e68c6febbb38bcb6afb0b945ef04e0731ba2958198a",
+    "appendix_e/tele_seed0_summary.ndjson":
+        "4276ee51266eb5bc82e31058e49571e11fc809109dd5c4c77ef4774c1438b440",
+    "appendix_e/tele_seed1_pools.csv":
+        "8ddaaad6d75212ff6eee03ede6899ad37d8f1478e508ef275fe84d1349e468bc",
+    "appendix_e/tele_seed1_pools.ndjson":
+        "eeca7beac82df7c4d930b912a674adfe25a1d88218695812407dc606a785a2c3",
+    "appendix_e/tele_seed1_sessions.csv":
+        "fc0d76b03d34ac1152d8b32dc27cb8453482f65eda3153b94977ef1ee69130f8",
+    "appendix_e/tele_seed1_sessions.ndjson":
+        "bec9f24bb5e8294c392216b1fdf748e0a7abb2ae51e5f61df525da197f7489cc",
+    "appendix_e/tele_seed1_summary.csv":
+        "a03edfd548b62a55e6878e68c6febbb38bcb6afb0b945ef04e0731ba2958198a",
+    "appendix_e/tele_seed1_summary.ndjson":
+        "db1a2b1915ef35b7600790a38e190b6a436aa18284ac08e6d4d3f5fb66efeffb",
+    "appendix_e_summary.csv":
+        "e5737ac53b3501321b151aeb4c1b8a3e9b0702b28ca8e128577fc020e6884528",
+    "appendix_e_summary.ndjson":
+        "d36a915445f92110d4c32ee61380ab1643b158e0fe8721f5bb6cc780948b646f",
+}
+
+
 def digests(name):
     """SHA-256 of every file ``emit`` writes for one config."""
     result = run(CONFIGS[name]())
@@ -185,12 +243,29 @@ def digests(name):
         }
 
 
+def appendix_e_digests():
+    """SHA-256 of every file ``qdnsim preset appendix_e --seeds 0,1`` writes
+    in both formats, keyed by path under the output directory."""
+    with tempfile.TemporaryDirectory() as out:
+        paths = run_preset("appendix_e", [0, 1], out, ["tabular", "records"])
+        return {
+            path.relative_to(out).as_posix():
+                hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in paths
+        }
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trace_matches_pinned_digests(name):
     assert digests(name) == GOLDEN[name]
 
 
+def test_appendix_e_preset_matches_pinned_digests():
+    assert appendix_e_digests() == APPENDIX_E_GOLDEN
+
+
 if __name__ == "__main__":
-    json.dump({name: digests(name) for name in sorted(CONFIGS)},
-              sys.stdout, indent=4, sort_keys=True)
+    current = {name: digests(name) for name in sorted(CONFIGS)}
+    current["appendix_e"] = appendix_e_digests()
+    json.dump(current, sys.stdout, indent=4, sort_keys=True)
     print()

@@ -1,5 +1,6 @@
 """Threshold-sharing delivery state machine and per-slot scheduling."""
 
+import math
 import random
 
 import pytest
@@ -46,7 +47,6 @@ class TestAdvance:
         delta, done = advance(transfer, True)
         assert done
         assert delta == -1  # the single stored first is released
-        assert transfer.sender_units == 0
 
     def test_failed_second_deepens_recursion(self):
         transfer = SharingTransfer(qubit=0, round=2, stage=Stage.SECOND)
@@ -67,11 +67,6 @@ class TestAdvance:
         with pytest.raises(ValueError):
             advance(transfer, True)
 
-    def test_sender_units_by_stage(self):
-        assert SharingTransfer(0).sender_units == 3
-        assert SharingTransfer(0, stage=Stage.SECOND).sender_units == 2
-        assert SharingTransfer(0, stage=Stage.DELIVERED).sender_units == 0
-
     def test_adversarial_losses_then_successes_deliver(self):
         transfer = SharingTransfer(qubit=0)
         outcomes = [False, True, False, False, True, False, True, True]
@@ -89,7 +84,6 @@ class TestEncode:
         hop = hop_with(queued=1)
         transfer = hop.encode_next()
         assert transfer.round == 0 and transfer.stage is Stage.FIRST
-        assert transfer.sender_units == 3
         assert len(hop.in_flight) == 1
 
     def test_encode_exhausts_supply(self):
@@ -105,6 +99,7 @@ class TestEncode:
         for _ in range(5):
             hop.encode_next()
         assert len(hop.in_flight) == 5
+        assert hop.queued == math.inf
 
 
 class TestPlanTransfers:

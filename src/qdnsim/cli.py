@@ -12,30 +12,98 @@ import csv
 import json
 import sys
 from collections.abc import Sequence
+from itertools import chain
 from pathlib import Path as FsPath
 
 from . import presets as preset_mod
 from .engine import (PoolRow, Protocol, RunConfig, RunResult, SessionRow,
                      SessionSpec, WaxmanSpec, run)
 from .errors import ConfigError, QdnError
-from .topology import NetworkKind, from_document
+from .topology import NetworkKind, Topology, from_document
 
-_CONFIG_KEYS = {
-    "seed", "protocol", "network", "topology", "sessions", "n_slots",
-    "p", "slot_length", "capacity", "congestion_weight",
-}
-_SESSION_KEYS = {"src", "dst", "qubits", "start_slot", "initial_window"}
+#: Number fields of a run, a Waxman spec and a listed session, by type.
+#: Defaults for the fields a document leaves out come from the dataclasses.
+_RUN_NUMBERS = {"seed": int, "n_slots": int, "p": float, "slot_length": float,
+                "capacity": int, "congestion_weight": float}
+_WAXMAN_NUMBERS = {"n_infra": int, "target_avg_degree": float,
+                   "area_side": float, "alpha": float}
+_SESSION_NUMBERS = {"src": int, "dst": int, "qubits": int, "start_slot": int,
+                    "initial_window": int}
+#: Session fields where null means the same as leaving the key out.
+_NULLABLE = {"src", "dst", "qubits", "initial_window"}
+_CONFIG_KEYS = {*_RUN_NUMBERS, "protocol", "network", "topology", "sessions"}
 _REQUIRED_KEYS = {"seed", "protocol", "network", "topology", "sessions",
                   "n_slots"}
-_WAXMAN_KEYS = {"n_infra", "target_avg_degree", "area_side", "alpha"}
 
 
 def _convert(where, key: str, kind: type, value):
-    """``kind(value)``, or a ConfigError that names the key."""
+    """``kind(value)``, or a ConfigError that names the key.
+
+    Booleans are not numbers here, and an integer field takes a float
+    only when it has no fractional part.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: {key}: expected a number, got {value}")
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {key}: {exc}") from exc
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{where}: {key}: {value} is not an integer")
+    return number
+
+
+def _check_keys(where, doc: dict, allowed, required=()):
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = set(required) - doc.keys()
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _numbers(where, doc: dict, table: dict, nullable: set = frozenset()):
+    """Keyword arguments for the number fields ``doc`` sets, converted to
+    their ``table`` types; a null in a ``nullable`` field is left out."""
+    return {key: _convert(where, key, table[key], value)
+            for key, value in doc.items()
+            if key in table and not (value is None and key in nullable)}
+
+
+def _topology(path, doc) -> Topology | WaxmanSpec:
+    if not isinstance(doc, dict) or len(doc) != 1:
+        raise ConfigError(
+            f"{path}: topology must be {{'waxman': ...}} or {{'inline': ...}}"
+        )
+    if "waxman" in doc:
+        spec = doc["waxman"]
+        where = f"{path}: waxman"
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where} topology must be an object")
+        _check_keys(where, spec, _WAXMAN_NUMBERS, {"n_infra"})
+        return WaxmanSpec(**_numbers(where, spec, _WAXMAN_NUMBERS))
+    if "inline" in doc:
+        try:
+            return from_document(doc["inline"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad inline topology: {exc}") from exc
+    raise ConfigError(f"{path}: topology must be 'waxman' or 'inline'")
+
+
+def _sessions(path, doc) -> list[SessionSpec] | int:
+    if isinstance(doc, int) and not isinstance(doc, bool):
+        return doc
+    if not isinstance(doc, list):
+        raise ConfigError(f"{path}: sessions must be a count or a list")
+    sessions = []
+    for i, entry in enumerate(doc):
+        where = f"{path}: session {i}"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where} must be an object")
+        _check_keys(where, entry, _SESSION_NUMBERS)
+        sessions.append(SessionSpec(
+            **_numbers(where, entry, _SESSION_NUMBERS, _NULLABLE)))
+    return sessions
 
 
 def parse_config(path: str | FsPath) -> RunConfig:
@@ -47,90 +115,18 @@ def parse_config(path: str | FsPath) -> RunConfig:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(doc)
-    if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
-
+    _check_keys(path, doc, _CONFIG_KEYS, _REQUIRED_KEYS)
     try:
         protocol = Protocol(doc["protocol"])
         network = NetworkKind(doc["network"])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    topology_doc = doc["topology"]
-    if not isinstance(topology_doc, dict) or len(topology_doc) != 1:
-        raise ConfigError(
-            f"{path}: topology must be {{'waxman': ...}} or {{'inline': ...}}"
-        )
-    if "waxman" in topology_doc:
-        spec = topology_doc["waxman"]
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{path}: waxman topology must be an object")
-        unknown = set(spec) - _WAXMAN_KEYS
-        if unknown:
-            raise ConfigError(f"{path}: unknown waxman keys {sorted(unknown)}")
-        if "n_infra" not in spec:
-            raise ConfigError(f"{path}: waxman topology needs n_infra")
-        where = f"{path}: waxman"
-        topology = WaxmanSpec(
-            n_infra=_convert(where, "n_infra", int, spec["n_infra"]),
-            target_avg_degree=_convert(where, "target_avg_degree", float,
-                                       spec.get("target_avg_degree", 4.0)),
-            area_side=_convert(where, "area_side", float,
-                               spec.get("area_side", 100.0)),
-            alpha=_convert(where, "alpha", float, spec.get("alpha", 0.4)),
-        )
-    elif "inline" in topology_doc:
-        try:
-            topology = from_document(topology_doc["inline"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad inline topology: {exc}") from exc
-    else:
-        raise ConfigError(f"{path}: topology must be 'waxman' or 'inline'")
-
-    sessions_doc = doc["sessions"]
-    if isinstance(sessions_doc, int) and not isinstance(sessions_doc, bool):
-        sessions: list[SessionSpec] | int = sessions_doc
-    elif isinstance(sessions_doc, list):
-        sessions = []
-        for i, entry in enumerate(sessions_doc):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"{path}: session {i} must be an object")
-            unknown = set(entry) - _SESSION_KEYS
-            if unknown:
-                raise ConfigError(
-                    f"{path}: session {i}: unknown keys {sorted(unknown)}"
-                )
-            where = f"{path}: session {i}"
-            optional = {
-                key: _convert(where, key, int, entry[key])
-                for key in ("src", "dst", "qubits", "initial_window")
-                if entry.get(key) is not None
-            }
-            sessions.append(SessionSpec(
-                start_slot=_convert(where, "start_slot", int,
-                                    entry.get("start_slot", 0)),
-                **optional,
-            ))
-    else:
-        raise ConfigError(f"{path}: sessions must be a count or a list")
-
     cfg = RunConfig(
-        seed=_convert(path, "seed", int, doc["seed"]),
         protocol=protocol,
         network=network,
-        topology=topology,
-        sessions=sessions,
-        n_slots=_convert(path, "n_slots", int, doc["n_slots"]),
-        p=_convert(path, "p", float, doc.get("p", 1.0)),
-        slot_length=_convert(path, "slot_length", float,
-                             doc.get("slot_length", 1.0)),
-        capacity=_convert(path, "capacity", int, doc.get("capacity", 1000)),
-        congestion_weight=_convert(path, "congestion_weight", float,
-                                   doc.get("congestion_weight", 4.0)),
+        topology=_topology(path, doc["topology"]),
+        sessions=_sessions(path, doc["sessions"]),
+        **_numbers(path, doc, _RUN_NUMBERS),
     )
     cfg.validate()
     return cfg
@@ -162,79 +158,63 @@ def _write_records(path: FsPath, records) -> None:
             handle.write("\n")
 
 
-def _summary_rows(result: RunResult):
-    for sid in sorted(result.summary["sessions"]):
-        info = result.summary["sessions"][sid]
-        yield {
-            "session": sid,
-            "delivered": info["delivered"],
-            "mean_window": info["mean_window"],
-            "hops": info["hops"],
-            "path": "-".join(str(n) for n in result.paths[sid]),
-        }
+_SUMMARY_HEADER = ("session", "delivered", "mean_window", "hops", "path")
+
+
+def _summary_rows(result: RunResult) -> list[tuple]:
+    return [
+        (sid, info["delivered"], info["mean_window"], info["hops"],
+         "-".join(str(n) for n in result.paths[sid]))
+        for sid, info in sorted(result.summary["sessions"].items())
+    ]
+
+
+def _write_table(out: FsPath, name: str, header: Sequence[str], rows,
+                 formats: list[str], trailer: dict | None = None
+                 ) -> list[FsPath]:
+    """Write ``rows``, a sequence of value tuples in ``header`` order, as
+    ``name.csv`` and/or ``name.ndjson``; ``trailer`` is a last line of
+    records only.  Records are built one at a time as they are written."""
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    if "tabular" in formats:
+        written.append(out / f"{name}.csv")
+        _write_csv(written[-1], header, rows)
+    if "records" in formats:
+        written.append(out / f"{name}.ndjson")
+        records = (dict(zip(header, row)) for row in rows)
+        if trailer is not None:
+            records = chain(records, [trailer])
+        _write_records(written[-1], records)
+    return written
 
 
 def emit(result: RunResult, out_dir: str | FsPath, name: str,
          formats: list[str]) -> list[FsPath]:
-    """Write one run's trace and summary files; returns the paths."""
+    """Write one run's trace and summary files; returns the paths, every
+    tabular file before every records file."""
     out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    summary_header = ["session", "delivered", "mean_window", "hops", "path"]
-
-    if "tabular" in formats:
-        paths = {
-            "sessions": out / f"{name}_sessions.csv",
-            "pools": out / f"{name}_pools.csv",
-            "summary": out / f"{name}_summary.csv",
-        }
-        _write_csv(paths["sessions"], SessionRow._fields, result.session_rows)
-        _write_csv(paths["pools"], PoolRow._fields, result.pool_rows)
-        _write_csv(
-            paths["summary"], summary_header,
-            ([row[k] for k in summary_header] for row in _summary_rows(result)),
-        )
-        written.extend(paths.values())
-    if "records" in formats:
-        paths = {
-            "sessions": out / f"{name}_sessions.ndjson",
-            "pools": out / f"{name}_pools.ndjson",
-            "summary": out / f"{name}_summary.ndjson",
-        }
-        _write_records(paths["sessions"],
-                       (row._asdict() for row in result.session_rows))
-        _write_records(paths["pools"],
-                       (row._asdict() for row in result.pool_rows))
-        totals = {
-            "delivered_total": result.summary["delivered_total"],
-            "throughput_per_slot": result.summary["throughput_per_slot"],
-            "throughput_per_time": result.summary["throughput_per_time"],
-            "jain_mean_window": result.summary["jain_mean_window"],
-            "protocol": result.protocol,
-            "seed": result.seed,
-        }
-        _write_records(paths["summary"],
-                       list(_summary_rows(result)) + [totals])
-        written.extend(paths.values())
-    return written
+    totals = {key: result.summary[key] for key in (
+        "delivered_total", "throughput_per_slot", "throughput_per_time",
+        "jain_mean_window")}
+    totals.update(protocol=result.protocol, seed=result.seed)
+    written = [
+        *_write_table(out, f"{name}_sessions", SessionRow._fields,
+                      result.session_rows, formats),
+        *_write_table(out, f"{name}_pools", PoolRow._fields,
+                      result.pool_rows, formats),
+        *_write_table(out, f"{name}_summary", _SUMMARY_HEADER,
+                      _summary_rows(result), formats, totals),
+    ]
+    return sorted(written, key=lambda path: path.suffix == ".ndjson")
 
 
 def emit_table(rows: list[dict], out_dir: str | FsPath, name: str,
                formats: list[str]) -> list[FsPath]:
     """Write one flat table under both requested formats."""
-    out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    header = list(rows[0].keys()) if rows else []
-    if "tabular" in formats:
-        path = out / f"{name}.csv"
-        _write_csv(path, header, ([row[k] for k in header] for row in rows))
-        written.append(path)
-    if "records" in formats:
-        path = out / f"{name}.ndjson"
-        _write_records(path, rows)
-        written.append(path)
-    return written
+    header = list(rows[0]) if rows else []
+    return _write_table(FsPath(out_dir), name, header,
+                        [[row[k] for k in header] for row in rows], formats)
 
 
 def run_preset(name: str, seeds: list[int], out_dir: str | FsPath,
@@ -268,17 +248,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_cmd = sub.add_parser("run", help="execute one configured run")
     run_cmd.add_argument("--config", required=True, help="JSON run config")
-    run_cmd.add_argument("--out", required=True, help="output directory")
-    run_cmd.add_argument("--format", action="append",
-                         choices=["tabular", "records"], default=None)
 
     preset_cmd = sub.add_parser("preset", help="run a canned experiment")
     preset_cmd.add_argument("name", choices=sorted(preset_mod.PRESETS))
     preset_cmd.add_argument("--seeds", required=True,
                             help="comma-separated seed list")
-    preset_cmd.add_argument("--out", required=True, help="output directory")
-    preset_cmd.add_argument("--format", action="append",
-                            choices=["tabular", "records"], default=None)
+    for cmd in (run_cmd, preset_cmd):
+        cmd.add_argument("--out", required=True, help="output directory")
+        cmd.add_argument("--format", action="append",
+                         choices=["tabular", "records"], default=None)
     return parser
 
 

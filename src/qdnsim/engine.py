@@ -114,6 +114,9 @@ class RunConfig:
                 if spec.initial_window is not None and spec.initial_window < 1:
                     raise ConfigError(
                         f"session {index}: initial_window must be at least 1")
+                if spec.start_slot < 0:
+                    raise ConfigError(
+                        f"session {index}: start_slot must be non-negative")
 
 
 class SessionRow(NamedTuple):
@@ -160,7 +163,6 @@ class TagFlow:
     path: Path
     hops: list[HopSession]
     remaining: int | None
-    start_slot: int = 0
 
     @property
     def finished(self) -> bool:
@@ -311,7 +313,7 @@ class Engine:
             else:
                 self.tele_sessions[sid] = TeleSession(
                     id=sid, path=path, remaining=spec.qubits,
-                    window=spec.initial_window or 1, start_slot=spec.start_slot,
+                    window=spec.initial_window or 1,
                 )
 
     def _build_flow(self, sid: int, path: Path, spec: SessionSpec) -> TagFlow:
@@ -334,8 +336,7 @@ class Engine:
                     window=initial, unminted=unminted, queue_bound=bound,
                 )
             )
-        return TagFlow(id=sid, path=path, hops=hops, remaining=spec.qubits,
-                       start_slot=spec.start_slot)
+        return TagFlow(id=sid, path=path, hops=hops, remaining=spec.qubits)
 
     # -- per-slot phases ------------------------------------------------
 
@@ -347,12 +348,10 @@ class Engine:
             self._step_tele()
         self.slot += 1
 
-    def _active(self, records: dict) -> list:
-        """Sessions or flows that have started and are not finished."""
-        return [
-            r for r in records.values()
-            if r.start_slot <= self.slot and not r.finished
-        ]
+    @staticmethod
+    def _active(records: dict) -> list:
+        """Admitted sessions or flows that are not finished."""
+        return [r for r in records.values() if not r.finished]
 
     def _step_tele(self) -> None:
         active = self._active(self.tele_sessions)
@@ -361,7 +360,7 @@ class Engine:
             Protocol.EW: reserve_explicit,
             Protocol.FRA: reserve_fair,
         }[self.cfg.protocol]
-        outcomes = reserve(active, self.pools) if active else {}
+        outcomes = reserve(active, self.pools)
 
         for session in active:
             grant = outcomes[session.id]
@@ -389,7 +388,7 @@ class Engine:
     def _step_tag(self) -> None:
         flows = self._active(self.tag_flows)
         hops = [hop for flow in flows for hop in flow.hops]
-        outcomes = reserve_sharing(hops, self.pools) if hops else {}
+        outcomes = reserve_sharing(hops, self.pools)
 
         # A hop's plan reads the next hop's free queue as it stood at the
         # start of the slot, so handovers wait until every hop has sent.

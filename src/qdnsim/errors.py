@@ -1,8 +1,11 @@
 """Exception types raised by the simulator.
 
 Reservation errors (CapacityExceededError, InfeasibleReservationError,
-DeadlockError) indicate a broken protocol invariant: compliant runs must
-never raise them, and the engine aborts loudly if one fires.
+DeadlockError) abort a run loudly and name the pool or node they fired
+at.  CapacityExceededError and DeadlockError mean a broken protocol
+invariant.  InfeasibleReservationError can also mean that a pool is too
+small for the sessions crossing it, even with every window halved: no
+minimum tag capacity is checked up front.
 """
 
 

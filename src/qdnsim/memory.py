@@ -69,8 +69,8 @@ def assign_memory(demands: list[Demand], capacity: int) -> dict:
     are halved one by one, each cut releasing ``cost(W) - cost(floor(W/2))``
     units of remaining demand, until the remainder fits; sessions after the
     cut prefix keep full grants.  Raises InfeasibleReservationError if
-    demand still exceeds capacity after every session was cut once, which a
-    caller following the window-control discipline can never trigger.
+    demand still exceeds capacity after every session was cut once: floors,
+    or a pool too small for the sessions crossing it.
     """
     order = sorted(demands, key=lambda d: (-d.window, d.session))
     grants = {d.session: Grant(d.window, False) for d in order}
@@ -107,7 +107,12 @@ def reserve_two_pass(requests: list[list[tuple]], pools: dict) -> dict:
 
     marked: set = set()
     for key in sorted(per_pool):
-        grants = assign_memory(per_pool[key], pools[key].capacity)
+        pool = pools[key]
+        try:
+            grants = assign_memory(per_pool[key], pool.capacity)
+        except InfeasibleReservationError as exc:
+            raise InfeasibleReservationError(
+                f"pool {pool.kind}@{pool.node}: {exc}") from exc
         marked.update(s for s, grant in grants.items() if grant.congested)
 
     outcomes: dict = {}

@@ -149,7 +149,7 @@ class HopSession:
 
     def apply_slot(self, congested: bool) -> None:
         # The window grows every slot regardless of deliveries.
-        _, self.window, self.phase = next_window(self.window, self.phase, congested)
+        self.window, self.phase = next_window(self.window, self.phase, congested)
 
     def encode_next(self) -> SharingTransfer:
         """Encode one queued qubit into three sharings (3 sender units)."""

@@ -28,8 +28,8 @@ class Phase(Enum):
     AVOIDANCE = "CA"
 
 
-def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, int, Phase]:
-    """One window-control step: returns (granted, next window, next phase).
+def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, Phase]:
+    """One window-control step: returns (next window, next phase).
 
     A congestion signal halves the window before transfer and moves the
     session to avoidance; afterwards the window doubles in slow start or
@@ -44,7 +44,7 @@ def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, int, P
         upcoming = 2 * granted
     else:
         upcoming = granted + 1
-    return granted, max(1, upcoming), phase
+    return max(1, upcoming), phase
 
 
 @dataclass
@@ -56,7 +56,6 @@ class TeleSession:
     remaining: int | None  # None means an unbounded stream
     window: int = 1
     phase: Phase = Phase.SLOW_START
-    start_slot: int = 0
 
     @property
     def finished(self) -> bool:
@@ -67,7 +66,7 @@ class TeleSession:
 
     def advance_window(self, congested: bool) -> None:
         """Move window state to the next slot's announcement."""
-        _, self.window, self.phase = next_window(self.window, self.phase, congested)
+        self.window, self.phase = next_window(self.window, self.phase, congested)
 
     def transfer(self, granted: int) -> int:
         """Teleport up to the granted window; returns qubits delivered."""

@@ -77,6 +77,12 @@ class TestParseConfig:
             == (9, 10, 5, 2)
         assert second.qubits is None and second.initial_window is None
 
+    def test_whole_floats_read_as_integers(self, tmp_path):
+        doc = minimal_doc(n_slots=10.0, sessions=[{"qubits": 5.0}])
+        cfg = parse_config(write_config(tmp_path, doc))
+        assert type(cfg.n_slots) is int and cfg.n_slots == 10
+        assert type(cfg.sessions[0].qubits) is int and cfg.sessions[0].qubits == 5
+
     def test_session_list_unknown_key(self, tmp_path):
         doc = minimal_doc(sessions=[{"src": 1, "dst": 2, "bogus": 1}])
         with pytest.raises(ConfigError, match="bogus"):
@@ -93,6 +99,11 @@ class TestParseConfig:
         ({"sessions": [{"src": [1]}]}, "session 0: src"),
         ({"sessions": [{"initial_window": -4}]}, "session 0: initial_window"),
         ({"sessions": [{"qubits": -3}]}, "session 0: qubits"),
+        ({"sessions": [{"qubits": 5.9}]}, "session 0: qubits"),
+        ({"n_slots": True}, "n_slots"),
+        ({"seed": 1.5}, "seed"),
+        ({"n_slots": float("inf")}, "n_slots"),
+        ({"sessions": [{"start_slot": -1}]}, "session 0: start_slot"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))

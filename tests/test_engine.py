@@ -9,7 +9,7 @@ from qdnsim.engine import (
     WaxmanSpec,
     run,
 )
-from qdnsim.errors import ConfigError
+from qdnsim.errors import ConfigError, InfeasibleReservationError
 from qdnsim.rng import stream
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
 
@@ -299,4 +299,26 @@ class TestConfigValidation:
                                             window, field):
         cfg = star_config(protocol, network, [(10, None), (qubits, window)], 1)
         with pytest.raises(ConfigError, match=f"session 1: {field}"):
+            run(cfg)
+
+    def test_negative_start_slot_rejected(self):
+        topology, egress = star_topology(1)
+        cfg = RunConfig(
+            seed=0, protocol=Protocol.TELE, network=NetworkKind.TELE,
+            topology=topology, n_slots=1,
+            sessions=[SessionSpec(src=1, dst=egress),
+                      SessionSpec(src=1, dst=egress, start_slot=-1)],
+        )
+        with pytest.raises(ConfigError, match="session 1: start_slot"):
+            run(cfg)
+
+    def test_infeasible_reservation_names_its_pool(self):
+        # Three sessions cross a relay's 6-unit send pool; even halved to
+        # window 1 each costs 3 units there.
+        cfg = RunConfig(
+            seed=1, protocol=Protocol.TAG, network=NetworkKind.TAG_RELAY,
+            topology=WaxmanSpec(8, 3.0, 40.0), sessions=4, n_slots=1,
+            capacity=10,
+        )
+        with pytest.raises(InfeasibleReservationError, match=r"send@\d+"):
             run(cfg)

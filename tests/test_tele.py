@@ -37,18 +37,16 @@ def star_sessions(windows, egress, remaining=None):
 
 class TestNextWindow:
     def test_slow_start_doubles(self):
-        assert next_window(8, Phase.SLOW_START, False) == (8, 16, Phase.SLOW_START)
+        assert next_window(8, Phase.SLOW_START, False) == (16, Phase.SLOW_START)
 
     def test_congestion_halves_then_avoidance_increments(self):
-        granted, upcoming, phase = next_window(8, Phase.SLOW_START, True)
-        assert (granted, upcoming, phase) == (4, 5, Phase.AVOIDANCE)
+        assert next_window(8, Phase.SLOW_START, True) == (5, Phase.AVOIDANCE)
 
     def test_window_floor_of_one(self):
-        granted, upcoming, phase = next_window(1, Phase.AVOIDANCE, True)
-        assert (granted, upcoming, phase) == (0, 1, Phase.AVOIDANCE)
+        assert next_window(1, Phase.AVOIDANCE, True) == (1, Phase.AVOIDANCE)
 
     def test_avoidance_grows_by_one(self):
-        assert next_window(7, Phase.AVOIDANCE, False) == (7, 8, Phase.AVOIDANCE)
+        assert next_window(7, Phase.AVOIDANCE, False) == (8, Phase.AVOIDANCE)
 
 
 class TestTeleSession:

@@ -9,6 +9,7 @@ identical configs (including the seed) produce bit-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -26,12 +27,7 @@ from .memory import (
 from .metrics import jain
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from .routing import Path, compute_path
-from .tag import (
-    ChannelModel,
-    HopSession,
-    advance,
-    plan_transfers,
-)
+from .tag import ChannelModel, HopSession, plan_transfers
 from .tele import (
     TeleSession,
     release_surplus,
@@ -101,8 +97,13 @@ class RunConfig:
             raise ConfigError("n_slots must be non-negative")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("per-sharing success probability must be in [0, 1]")
-        if self.slot_length <= 0:
-            raise ConfigError("slot_length must be positive")
+        if not (math.isfinite(self.slot_length) and self.slot_length > 0):
+            raise ConfigError("slot_length must be positive and finite")
+        if self.capacity < 0:
+            raise ConfigError("capacity must be non-negative")
+        if not (math.isfinite(self.congestion_weight)
+                and self.congestion_weight >= 0):
+            raise ConfigError("congestion_weight must be non-negative and finite")
         if isinstance(self.sessions, int):
             if self.sessions < 0:
                 raise ConfigError("session count must be non-negative")
@@ -199,7 +200,8 @@ def reserve_sharing(hops: list[HopSession], pools: dict) -> dict:
     Send pools price a window at 9/4 units per qubit (three sharings for
     at most three quarters of the window); receive pools at one unit.
     Stored first sharings and in-flight sender blocks cannot be evicted,
-    so they floor each demand.
+    so they floor each demand: the hop's running ``stored_firsts`` and
+    three units for each qubit in its two stage buckets.
     """
     requests = []
     stored: dict[int, int] = {}
@@ -210,7 +212,8 @@ def reserve_sharing(hops: list[HopSession], pools: dict) -> dict:
         stored[hop.receiver] = stored.get(hop.receiver, 0) + recv_floor
         requests.append([
             ((hop.sender, "send"),
-             Demand(key, window, TAG_SEND_COST, floor=3 * len(hop.in_flight))),
+             Demand(key, window, TAG_SEND_COST,
+                    floor=3 * (len(hop.firsts) + len(hop.seconds)))),
             ((hop.receiver, "receive"), Demand(key, window, floor=recv_floor)),
         ])
 
@@ -405,23 +408,18 @@ class Engine:
                 plan = plan_transfers(
                     hop, grant.window,
                     recv_pool.held(key) - hop.stored_firsts,
-                    send_pool.held(key) // 3 - len(hop.in_flight),
+                    send_pool.held(key) // 3 - len(hop.firsts) - len(hop.seconds),
                     downstream.queue_free if downstream is not None else None,
                 )
-                losses = 0
                 delivered = 0
                 transfers = plan.seconds + plan.firsts
                 transfers += [hop.encode_next() for _ in range(plan.encodes)]
-                for transfer in transfers:
-                    success = self.channel.sample(self._channel_rng)
-                    if not success:
-                        losses += 1
-                    _, done = advance(transfer, success)
-                    if done:
-                        qubit = hop.complete(transfer)
+                successes = self.channel.draw(self._channel_rng, len(transfers))
+                for transfer, success in zip(transfers, successes):
+                    if hop.send(transfer, success):
                         delivered += 1
                         if downstream is not None:
-                            forwards.append((downstream, qubit))
+                            forwards.append((downstream, transfer.qubit))
                         elif flow.remaining is not None:
                             flow.remaining -= 1
                 self.session_rows.append(SessionRow(
@@ -429,7 +427,8 @@ class Engine:
                     window=hop.announce(), congested=int(grant.congested),
                     granted=grant.window, delivered=delivered,
                     phase=hop.phase.value, firsts=plan.first_count,
-                    seconds=plan.second_count, losses=losses,
+                    seconds=plan.second_count,
+                    losses=len(successes) - sum(successes),
                     stored=hop.stored_firsts,
                 ))
 
@@ -442,7 +441,8 @@ class Engine:
         # in-flight sender blocks persist across slots.
         for hop in hops:
             key = (hop.session, hop.hop)
-            self.pools[(hop.sender, "send")].require(key, 3 * len(hop.in_flight))
+            self.pools[(hop.sender, "send")].require(
+                key, 3 * (len(hop.firsts) + len(hop.seconds)))
             self.pools[(hop.receiver, "receive")].require(key, hop.stored_firsts)
             hop.apply_slot(outcomes[key].congested)
 

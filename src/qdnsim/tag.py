@@ -8,14 +8,22 @@ accepted until a matching second arrives, at which point the whole chain
 is released.  A per-slot scheduler bounds how many first and second
 sharings may be sent so that the receiver's window is never overrun and
 the sender never needs more than three memory units per in-flight qubit.
+
+Each hop keeps its in-flight qubits in two stage buckets (due a first
+sharing, due a second) and a running count of the first sharings its
+receiver stores.  ``HopSession.encode_next`` and ``HopSession.send`` keep
+both up to date, so the scheduler and the memory accounting never recount
+or re-filter the qubits in flight.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -84,8 +92,12 @@ class ChannelModel:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"success probability must be in [0, 1], got {self.p}")
 
+    def draw(self, rng: np.random.Generator, n: int) -> list[bool]:
+        """Outcomes of ``n`` sharings, in order; one uniform draw each."""
+        return (rng.random(n) < self.p).tolist()
+
     def sample(self, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.p)
+        return self.draw(rng, 1)[0]
 
 
 @dataclass
@@ -113,6 +125,12 @@ class HopSession:
     them from ``unminted`` supply, downstream hops receive them from the
     upstream relay.  ``queue_bound`` limits relay queues so memory pressure
     propagates backwards (None for the ingress hop's own application data).
+
+    In-flight qubits sit in one of two buckets keyed by qubit: ``firsts``
+    (stage FIRST) and ``seconds`` (stage SECOND).  ``stored_firsts`` counts
+    the first sharings the receiver holds for them.  ``encode_next`` and
+    ``send`` keep the buckets and the count up to date; ``in_flight`` is a
+    mapping view over both buckets.
     """
 
     session: int
@@ -121,15 +139,17 @@ class HopSession:
     receiver: int
     window: int = INITIAL_WINDOW
     phase: Phase = Phase.SLOW_START
-    in_flight: dict[int, SharingTransfer] = field(default_factory=dict)
     queue: deque = field(default_factory=deque)
     unminted: int | None = 0
     queue_bound: int | None = None
     next_qubit: int = 0
+    firsts: dict[int, SharingTransfer] = field(default_factory=dict, init=False)
+    seconds: dict[int, SharingTransfer] = field(default_factory=dict, init=False)
+    stored_firsts: int = field(default=0, init=False)
 
     @property
-    def stored_firsts(self) -> int:
-        return sum(t.stored_at_receiver for t in self.in_flight.values())
+    def in_flight(self) -> InFlight:
+        return InFlight(self)
 
     @property
     def queued(self) -> int | float:
@@ -163,8 +183,28 @@ class HopSession:
         else:
             raise ValueError("nothing queued to encode")
         transfer = SharingTransfer(qubit)
-        self.in_flight[qubit] = transfer
+        self.firsts[qubit] = transfer
         return transfer
+
+    def send(self, transfer: SharingTransfer, success: bool) -> bool:
+        """Transmit ``transfer``'s next sharing with the given outcome.
+
+        Applies ``advance``, adds its receiver delta to ``stored_firsts``,
+        moves the transfer to the bucket of its new stage and drops it from
+        flight once delivered.  Returns whether the qubit was delivered.
+        """
+        qubit = transfer.qubit
+        was_first = transfer.stage is Stage.FIRST
+        delta, done = advance(transfer, success)
+        self.stored_firsts += delta
+        if was_first:
+            if success:
+                self.seconds[qubit] = self.firsts.pop(qubit)
+        elif done:
+            del self.seconds[qubit]
+        else:
+            self.firsts[qubit] = self.seconds.pop(qubit)
+        return done
 
     def accept(self, qubit: int) -> None:
         """Enqueue a qubit handed over by the upstream hop."""
@@ -174,10 +214,41 @@ class HopSession:
             )
         self.queue.append(qubit)
 
-    def complete(self, transfer: SharingTransfer) -> int:
-        """Remove a delivered qubit from flight; returns its id."""
-        del self.in_flight[transfer.qubit]
-        return transfer.qubit
+
+class InFlight(MutableMapping):
+    """A hop's in-flight transfers by qubit, over its two stage buckets.
+
+    Writes place a transfer in the bucket of its stage and keep the hop's
+    ``stored_firsts`` exact.
+    """
+
+    def __init__(self, hop: HopSession):
+        self._hop = hop
+
+    def __getitem__(self, qubit: int) -> SharingTransfer:
+        hop = self._hop
+        return hop.firsts[qubit] if qubit in hop.firsts else hop.seconds[qubit]
+
+    def __setitem__(self, qubit: int, transfer: SharingTransfer) -> None:
+        if transfer.qubit != qubit or transfer.stage is Stage.DELIVERED:
+            raise ValueError(f"cannot hold {transfer} as in-flight qubit {qubit}")
+        if qubit in self:
+            del self[qubit]
+        hop = self._hop
+        bucket = hop.firsts if transfer.stage is Stage.FIRST else hop.seconds
+        bucket[qubit] = transfer
+        hop.stored_firsts += transfer.stored_at_receiver
+
+    def __delitem__(self, qubit: int) -> None:
+        hop = self._hop
+        bucket = hop.firsts if qubit in hop.firsts else hop.seconds
+        hop.stored_firsts -= bucket.pop(qubit).stored_at_receiver
+
+    def __iter__(self):
+        return chain(self._hop.firsts, self._hop.seconds)
+
+    def __len__(self) -> int:
+        return len(self._hop.firsts) + len(self._hop.seconds)
 
 
 def plan_transfers(
@@ -202,16 +273,12 @@ def plan_transfers(
     stored = hop.stored_firsts
     budget = (3 * granted) // 4
 
-    pending = sorted(
-        (t for t in hop.in_flight.values() if t.stage is Stage.SECOND),
-        key=lambda t: (-t.round, t.qubit),
-    )
     # One free unit admits any number of seconds: a lost second never
     # occupies memory and a successful one releases its whole chain.
-    second_cap = min(len(pending), budget) if receiver_free >= 1 else 0
+    second_cap = min(len(hop.seconds), budget) if receiver_free >= 1 else 0
     if downstream_free is not None:
         second_cap = min(second_cap, downstream_free)
-    seconds = pending[: max(0, second_cap)]
+    seconds = _highest_rounds(hop.seconds, second_cap)
     second_count = len(seconds)
 
     first_cap = min(
@@ -221,10 +288,14 @@ def plan_transfers(
         max(0, granted - stored - second_count),
     )
     first_cap = max(0, first_cap)
-    waiting = sorted(
-        (t for t in hop.in_flight.values() if t.stage is Stage.FIRST),
-        key=lambda t: (-t.round, t.qubit),
-    )
-    firsts = waiting[:first_cap]
+    firsts = _highest_rounds(hop.firsts, first_cap)
     encodes = min(first_cap - len(firsts), hop.queued, max(0, encode_blocks_free))
     return Plan(seconds=seconds, firsts=firsts, encodes=encodes)
+
+
+def _highest_rounds(bucket: dict[int, SharingTransfer], cap: int):
+    """Up to ``cap`` transfers of ``bucket``, highest round, then lowest
+    qubit, first."""
+    if cap <= 0:
+        return []
+    return sorted(bucket.values(), key=lambda t: (-t.round, t.qubit))[:cap]

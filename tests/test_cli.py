@@ -104,6 +104,12 @@ class TestParseConfig:
         ({"seed": 1.5}, "seed"),
         ({"n_slots": float("inf")}, "n_slots"),
         ({"sessions": [{"start_slot": -1}]}, "session 0: start_slot"),
+        ({"slot_length": float("nan")}, "slot_length"),
+        ({"slot_length": float("inf")}, "slot_length"),
+        ({"congestion_weight": -50}, "congestion_weight"),
+        ({"congestion_weight": float("nan")}, "congestion_weight"),
+        ({"congestion_weight": float("inf")}, "congestion_weight"),
+        ({"capacity": -5}, "capacity"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -182,6 +188,22 @@ class TestMain:
         assert code == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"slot_length": float("nan")}, "slot_length"),
+        ({"congestion_weight": -50}, "congestion_weight"),
+        ({"congestion_weight": float("nan")}, "congestion_weight"),
+        ({"capacity": -5}, "capacity"),
+    ])
+    def test_bad_run_number_is_an_error_record(self, tmp_path, capsys,
+                                               overrides, field):
+        config = write_config(tmp_path, minimal_doc(**overrides))
+        code = main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert field in record["message"]
 
     def test_preset_requires_seeds(self, tmp_path, capsys):
         code = main(["preset", "appendix_e", "--seeds", "",

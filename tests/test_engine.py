@@ -10,7 +10,8 @@ from qdnsim.engine import (
     run,
 )
 from qdnsim.errors import ConfigError, InfeasibleReservationError
-from qdnsim.rng import stream
+from qdnsim.rng import CHANNEL_STREAM, stream
+from qdnsim.tag import ChannelModel
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
 
 
@@ -226,6 +227,21 @@ class TestDeterminism:
         for label, expected in golden.items():
             g = stream(0, label)
             assert [g.random() for _ in range(4)] == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
+    def test_batched_draws_match_sequential_draws(self, seed, n):
+        # The engine draws each hop's outcomes in one call; traces stay put
+        # only while that equals one draw per sharing, in order.
+        batched = stream(seed, CHANNEL_STREAM)
+        sequential = stream(seed, CHANNEL_STREAM)
+        assert batched.random(n).tolist() == [
+            sequential.random() for _ in range(n)]
+        assert batched.random() == sequential.random()
+        channel = ChannelModel(0.7)
+        outcomes = channel.draw(batched, n)
+        assert outcomes == [channel.sample(sequential) for _ in range(n)]
+        assert all(type(success) is bool for success in outcomes)
 
 
 class TestConfigValidation:

@@ -18,11 +18,20 @@ from qdnsim.tele import Phase
 
 
 def hop_with(in_flight=(), queued=0, window=2):
+    """A hop holding one transfer per entry of ``in_flight`` (qubits 0, 1,
+    ... in order), each brought to the entry's round and stage by encoding
+    it and sending it the outcomes that lead there."""
     hop = HopSession(session=0, hop=0, sender=0, receiver=1, window=window,
-                     unminted=queued)
-    for transfer in in_flight:
-        hop.in_flight[transfer.qubit] = transfer
-    hop.next_qubit = 1 + max((t.qubit for t in in_flight), default=-1)
+                     unminted=None)
+    for target in in_flight:
+        transfer = hop.encode_next()
+        assert transfer.qubit == target.qubit
+        for _ in range(target.round):
+            hop.send(transfer, True)   # first stored
+            hop.send(transfer, False)  # second lost: one round deeper
+        if target.stage is Stage.SECOND:
+            hop.send(transfer, True)
+    hop.unminted = queued
     return hop
 
 
@@ -100,6 +109,53 @@ class TestEncode:
             hop.encode_next()
         assert len(hop.in_flight) == 5
         assert hop.queued == math.inf
+
+
+class TestIncrementalState:
+    @pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
+    def test_random_steps_keep_count_and_buckets_exact(self, p):
+        rng = random.Random(int(p * 10))
+        for _ in range(200):
+            hop = HopSession(session=0, hop=1, sender=0, receiver=1,
+                             unminted=rng.choice([None, 0, 5]),
+                             queue_bound=rng.choice([None, 3]))
+            live = {}  # every transfer encoded and not yet delivered
+            handed = 1000
+            for _ in range(rng.randint(0, 60)):
+                action = rng.random()
+                if action < 0.3 and hop.queued > 0:
+                    transfer = hop.encode_next()
+                    live[transfer.qubit] = transfer
+                elif action < 0.4 and hop.queue_free != 0:
+                    hop.accept(handed)
+                    handed += 1
+                elif live:
+                    transfer = rng.choice(list(live.values()))
+                    if hop.send(transfer, rng.random() < p):
+                        del live[transfer.qubit]
+                assert hop.stored_firsts == sum(
+                    t.stored_at_receiver
+                    for t in [*hop.firsts.values(), *hop.seconds.values()])
+                for stage, bucket in ((Stage.FIRST, hop.firsts),
+                                      (Stage.SECOND, hop.seconds)):
+                    expected = {q: t for q, t in live.items() if t.stage is stage}
+                    assert bucket.keys() == expected.keys()
+                    assert all(bucket[q] is t for q, t in expected.items())
+                assert len(hop.in_flight) == len(live)
+
+    def test_in_flight_writes_keep_count_exact(self):
+        hop = hop_with(queued=0)
+        hop.in_flight[0] = SharingTransfer(0, round=2, stage=Stage.SECOND)
+        hop.in_flight[1] = SharingTransfer(1, round=1)
+        assert hop.stored_firsts == 4
+        assert list(hop.seconds) == [0] and list(hop.firsts) == [1]
+        hop.in_flight[0] = SharingTransfer(0, round=0, stage=Stage.FIRST)
+        assert hop.stored_firsts == 1
+        assert not hop.seconds and sorted(hop.in_flight) == [0, 1]
+        del hop.in_flight[1]
+        assert hop.stored_firsts == 0 and list(hop.in_flight) == [0]
+        with pytest.raises(ValueError):
+            hop.in_flight[2] = SharingTransfer(3)
 
 
 class TestPlanTransfers:
@@ -216,9 +272,7 @@ class TestPipeline:
             transfers = list(plan.seconds) + list(plan.firsts)
             transfers += [hop.encode_next() for _ in range(plan.encodes)]
             for transfer in transfers:
-                _, done = advance(transfer, channel.sample(rng))
-                if done:
-                    hop.complete(transfer)
+                if hop.send(transfer, channel.sample(rng)):
                     delivered += 1
         return delivered
 
@@ -240,9 +294,7 @@ class TestPipeline:
             transfers = list(plan.seconds) + list(plan.firsts)
             transfers += [hop.encode_next() for _ in range(plan.encodes)]
             for transfer in transfers:
-                _, done = advance(transfer, channel.sample(rng))
-                if done:
-                    hop.complete(transfer)
+                if hop.send(transfer, channel.sample(rng)):
                     delivered += 1
             hop.apply_slot(congested=False)
         assert delivered == 3

@@ -56,9 +56,18 @@ CONFIGS = {
     "tag_relay_staggered": lambda: _config(Protocol.TAG,
                                            NetworkKind.TAG_RELAY,
                                            sessions=_staggered()),
+    "tag_relay_lossy": lambda: _config(Protocol.TAG, NetworkKind.TAG_RELAY,
+                                       n_slots=30, p=0.7),
+    # Small pools fill the relay queues, so back-pressure is exercised.
+    "tag_relay_staggered_lossy": lambda: _config(Protocol.TAG,
+                                                 NetworkKind.TAG_RELAY,
+                                                 sessions=_staggered(),
+                                                 p=0.6, capacity=150),
 }
 
-#: Pinned from the code before the two-pass reservation core was shared.
+#: Pinned from the code before the two-pass reservation core was shared; the
+#: two lossy relay cases from the code before hop state became counts per
+#: round.
 GOLDEN = {
     "ew": {
         "ew_pools.csv":
@@ -102,6 +111,20 @@ GOLDEN = {
         "tag_relay_summary.ndjson":
             "70e6d49c4e27698951c8c14fa4d7434a77e66fac9877f682faa65e46d3aa3227",
     },
+    "tag_relay_lossy": {
+        "tag_relay_lossy_pools.csv":
+            "586b770e9230e42f6e39a42e65c57a8e17f645cbfa0e906be7531073fab2325b",
+        "tag_relay_lossy_pools.ndjson":
+            "03d081b0facf33f3b7d479c759df0488857b0a0069cc7dc9300ac32e22e32869",
+        "tag_relay_lossy_sessions.csv":
+            "1608ffeab110d5d1dcbc0ada53d308123e0b5d39954ddae4f393e9b25ee9503d",
+        "tag_relay_lossy_sessions.ndjson":
+            "e72c7764dd6a4e8a0c271cf336dde2f30c7267a69712e392acb0d9695be592d3",
+        "tag_relay_lossy_summary.csv":
+            "50114bbbcc386c821bbf4573269b49e591b159550097429bfd10f61736507a6c",
+        "tag_relay_lossy_summary.ndjson":
+            "5e35abeffa5c93487af8e25fe59b6c4824dcec8d602876ca6f2f03f04a85a14e",
+    },
     "tag_relay_staggered": {
         "tag_relay_staggered_pools.csv":
             "f1b7f75f4052dfecea67ff5d6432a74c34f5a6078104f7301f484d572e850511",
@@ -115,6 +138,20 @@ GOLDEN = {
             "137f8119c9eabaee0fa5f0fc5c0c454dcc9f16f14ee89d82e04cfd91305a704c",
         "tag_relay_staggered_summary.ndjson":
             "4ba56a71903f94168f4a40e67e8dd71775fcc39f72a83fc0993f51e8f735a5f2",
+    },
+    "tag_relay_staggered_lossy": {
+        "tag_relay_staggered_lossy_pools.csv":
+            "82a32c5420cd952a3b1d014f7f8a68cd150eab7cfa3e46eda93c2cdccb2c0985",
+        "tag_relay_staggered_lossy_pools.ndjson":
+            "0a4fc8fe1ed827f71869a01c4674b022aad79a40a035d9be3d36ce19b6e325fa",
+        "tag_relay_staggered_lossy_sessions.csv":
+            "284d36528c6e549d6b609917c50d4966714cbb22afdaa7eb65fb229abe66d21b",
+        "tag_relay_staggered_lossy_sessions.ndjson":
+            "3b8d0414f69440879507b60ad2048a92bc88b5bbff40266650af9313128e054e",
+        "tag_relay_staggered_lossy_summary.csv":
+            "4ec2ca133c6237628f10ef13aaec13699a5be0aa82b12e9fc917fda0d061989f",
+        "tag_relay_staggered_lossy_summary.ndjson":
+            "b0ea38ee0215f33885cd46a98fbd93c27730cf3e20a9253b054e255fde728837",
     },
     "tag_switch_lossy": {
         "tag_switch_lossy_pools.csv":

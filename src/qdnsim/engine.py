@@ -201,19 +201,19 @@ def reserve_sharing(hops: list[HopSession], pools: dict) -> dict:
     at most three quarters of the window); receive pools at one unit.
     Stored first sharings and in-flight sender blocks cannot be evicted,
     so they floor each demand: the hop's running ``stored_firsts`` and
-    three units for each qubit in its two stage buckets.
+    three units for each qubit it has in flight.
     """
     requests = []
     stored: dict[int, int] = {}
     for hop in hops:
         key = (hop.session, hop.hop)
-        window = hop.announce()
+        window = hop.window
         recv_floor = hop.stored_firsts
         stored[hop.receiver] = stored.get(hop.receiver, 0) + recv_floor
         requests.append([
             ((hop.sender, "send"),
              Demand(key, window, TAG_SEND_COST,
-                    floor=3 * (len(hop.firsts) + len(hop.seconds)))),
+                    floor=3 * hop.in_flight_count)),
             ((hop.receiver, "receive"), Demand(key, window, floor=recv_floor)),
         ])
 
@@ -372,7 +372,7 @@ class Engine:
             if self.cfg.protocol is Protocol.EW:
                 window, phase = grant.window, "-"
             else:
-                window, phase = session.announce(), session.phase.value
+                window, phase = session.window, session.phase.value
             self.session_rows.append(SessionRow(
                 slot=self.slot, session=session.id, hop=0, window=window,
                 congested=int(grant.congested), granted=grant.window,
@@ -395,7 +395,7 @@ class Engine:
 
         # A hop's plan reads the next hop's free queue as it stood at the
         # start of the slot, so handovers wait until every hop has sent.
-        forwards: list[tuple[HopSession, int]] = []
+        forwards: list[tuple[HopSession, int]] = []  # (hop, qubits)
         for flow in flows:
             for index, hop in enumerate(flow.hops):
                 key = (hop.session, hop.hop)
@@ -408,32 +408,27 @@ class Engine:
                 plan = plan_transfers(
                     hop, grant.window,
                     recv_pool.held(key) - hop.stored_firsts,
-                    send_pool.held(key) // 3 - len(hop.firsts) - len(hop.seconds),
+                    send_pool.held(key) // 3 - hop.in_flight_count,
                     downstream.queue_free if downstream is not None else None,
                 )
-                delivered = 0
-                transfers = plan.seconds + plan.firsts
-                transfers += [hop.encode_next() for _ in range(plan.encodes)]
-                successes = self.channel.draw(self._channel_rng, len(transfers))
-                for transfer, success in zip(transfers, successes):
-                    if hop.send(transfer, success):
-                        delivered += 1
-                        if downstream is not None:
-                            forwards.append((downstream, transfer.qubit))
-                        elif flow.remaining is not None:
-                            flow.remaining -= 1
+                firsts, seconds = plan.first_count, plan.second_count
+                successes = self.channel.draw(self._channel_rng, seconds + firsts)
+                delivered = hop.send(plan, successes)
+                if downstream is not None:
+                    forwards.append((downstream, delivered))
+                elif flow.remaining is not None:
+                    flow.remaining -= delivered
                 self.session_rows.append(SessionRow(
                     slot=self.slot, session=flow.id, hop=hop.hop,
-                    window=hop.announce(), congested=int(grant.congested),
+                    window=hop.window, congested=int(grant.congested),
                     granted=grant.window, delivered=delivered,
-                    phase=hop.phase.value, firsts=plan.first_count,
-                    seconds=plan.second_count,
+                    phase=hop.phase.value, firsts=firsts, seconds=seconds,
                     losses=len(successes) - sum(successes),
                     stored=hop.stored_firsts,
                 ))
 
-        for hop, qubit in forwards:
-            hop.accept(qubit)
+        for hop, qubits in forwards:
+            hop.accept(qubits)
 
         self._snapshot_pools()
 
@@ -441,8 +436,7 @@ class Engine:
         # in-flight sender blocks persist across slots.
         for hop in hops:
             key = (hop.session, hop.hop)
-            self.pools[(hop.sender, "send")].require(
-                key, 3 * (len(hop.firsts) + len(hop.seconds)))
+            self.pools[(hop.sender, "send")].require(key, 3 * hop.in_flight_count)
             self.pools[(hop.receiver, "receive")].require(key, hop.stored_firsts)
             hop.apply_slot(outcomes[key].congested)
 

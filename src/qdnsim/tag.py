@@ -9,21 +9,21 @@ is released.  A per-slot scheduler bounds how many first and second
 sharings may be sent so that the receiver's window is never overrun and
 the sender never needs more than three memory units per in-flight qubit.
 
-Each hop keeps its in-flight qubits in two stage buckets (due a first
-sharing, due a second) and a running count of the first sharings its
-receiver stores.  ``HopSession.encode_next`` and ``HopSession.send`` keep
-both up to date, so the scheduler and the memory accounting never recount
-or re-filter the qubits in flight.
+A hop keeps counts, not qubits: how many of its in-flight qubits sit at
+each (stage, round), the first sharings its receiver stores, and its relay
+queue as a backlog count.  This is exact.  No trace field names a qubit and
+the scheduler picks by round alone, so qubits at the same stage and round
+are interchangeable and the per-qubit chain lumps into these counts
+(Kemeny & Snell, *Finite Markov Chains*, ch. 6): every trace is the same
+whichever qubit takes which outcome.  ``SharingTransfer`` and ``advance``
+remain the single-qubit state machine that the counts lump.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -96,41 +96,44 @@ class ChannelModel:
         """Outcomes of ``n`` sharings, in order; one uniform draw each."""
         return (rng.random(n) < self.p).tolist()
 
-    def sample(self, rng: np.random.Generator) -> bool:
-        return self.draw(rng, 1)[0]
-
 
 @dataclass
 class Plan:
-    """Sharings chosen for one slot, highest-round qubits first."""
+    """Sharings chosen for one slot, as ``(round, count)`` bins.
 
-    seconds: list[SharingTransfer]
-    firsts: list[SharingTransfer]
+    ``seconds`` and ``firsts`` each run from the highest round down;
+    ``encodes`` freshly encoded qubits send their first sharing after them.
+    A plan is fixed before ``HopSession.send`` applies any outcome to it.
+    """
+
+    seconds: list[tuple[int, int]]
+    firsts: list[tuple[int, int]]
     encodes: int  # queued qubits to encode and send a first sharing for
 
     @property
     def first_count(self) -> int:
-        return len(self.firsts) + self.encodes
+        return sum(n for _, n in self.firsts) + self.encodes
 
     @property
     def second_count(self) -> int:
-        return len(self.seconds)
+        return sum(n for _, n in self.seconds)
 
 
 @dataclass
 class HopSession:
     """One hop of a tell-and-go flow, with its own sending window.
 
-    ``queue`` holds data qubits awaiting encoding; the ingress hop mints
-    them from ``unminted`` supply, downstream hops receive them from the
-    upstream relay.  ``queue_bound`` limits relay queues so memory pressure
-    propagates backwards (None for the ingress hop's own application data).
+    ``backlog`` counts data qubits handed over by the upstream relay and
+    awaiting encoding; the ingress hop mints its qubits from ``unminted``
+    supply (None for an unbounded stream).  ``queue_bound`` limits the
+    backlog so memory pressure propagates backwards (None for the ingress
+    hop).
 
-    In-flight qubits sit in one of two buckets keyed by qubit: ``firsts``
-    (stage FIRST) and ``seconds`` (stage SECOND).  ``stored_firsts`` counts
-    the first sharings the receiver holds for them.  ``encode_next`` and
-    ``send`` keep the buckets and the count up to date; ``in_flight`` is a
-    mapping view over both buckets.
+    In-flight qubits are counts per stage and round: ``firsts[r]`` qubits
+    of round ``r`` are due a first sharing and ``seconds[r]`` a second.
+    ``first_total`` and ``second_total`` are their sums and
+    ``stored_firsts`` counts the first sharings the receiver holds for
+    them.  ``send`` keeps all of them up to date.
     """
 
     session: int
@@ -139,116 +142,114 @@ class HopSession:
     receiver: int
     window: int = INITIAL_WINDOW
     phase: Phase = Phase.SLOW_START
-    queue: deque = field(default_factory=deque)
+    backlog: int = 0
     unminted: int | None = 0
     queue_bound: int | None = None
-    next_qubit: int = 0
-    firsts: dict[int, SharingTransfer] = field(default_factory=dict, init=False)
-    seconds: dict[int, SharingTransfer] = field(default_factory=dict, init=False)
+    firsts: dict[int, int] = field(default_factory=dict, init=False)
+    seconds: dict[int, int] = field(default_factory=dict, init=False)
+    first_total: int = field(default=0, init=False)
+    second_total: int = field(default=0, init=False)
     stored_firsts: int = field(default=0, init=False)
 
     @property
-    def in_flight(self) -> InFlight:
-        return InFlight(self)
+    def in_flight_count(self) -> int:
+        return self.first_total + self.second_total
+
+    @property
+    def in_flight(self) -> _Seed:
+        """Write-only: ``in_flight[q] = transfer`` adds a qubit to its bin."""
+        return _Seed(self)
 
     @property
     def queued(self) -> int | float:
         """Qubits available to encode; ``math.inf`` for unbounded supply."""
         if self.unminted is None:
             return math.inf
-        return len(self.queue) + self.unminted
+        return self.backlog + self.unminted
 
     @property
     def queue_free(self) -> int | None:
         if self.queue_bound is None:
             return None
-        return self.queue_bound - len(self.queue)
-
-    def announce(self) -> int:
-        return self.window
+        return self.queue_bound - self.backlog
 
     def apply_slot(self, congested: bool) -> None:
         # The window grows every slot regardless of deliveries.
         self.window, self.phase = next_window(self.window, self.phase, congested)
 
-    def encode_next(self) -> SharingTransfer:
-        """Encode one queued qubit into three sharings (3 sender units)."""
-        if self.queue:
-            qubit = self.queue.popleft()
-        elif self.unminted is None or self.unminted > 0:
-            qubit = self.next_qubit
-            self.next_qubit += 1
-            if self.unminted is not None:
-                self.unminted -= 1
-        else:
-            raise ValueError("nothing queued to encode")
-        transfer = SharingTransfer(qubit)
-        self.firsts[qubit] = transfer
-        return transfer
+    def send(self, plan: Plan, outcomes: list[bool]) -> int:
+        """Apply one slot's outcomes to ``plan``; returns qubits delivered.
 
-    def send(self, transfer: SharingTransfer, success: bool) -> bool:
-        """Transmit ``transfer``'s next sharing with the given outcome.
-
-        Applies ``advance``, adds its receiver delta to ``stored_firsts``,
-        moves the transfer to the bucket of its new stage and drops it from
-        flight once delivered.  Returns whether the qubit was delivered.
+        ``outcomes`` has one entry per planned sharing, in plan order:
+        seconds, firsts, then the ``plan.encodes`` fresh qubits (3 sender
+        units each), taken from the backlog before the unminted supply.
+        Per bin of ``n`` with ``ok`` successes, a second at round ``r``
+        delivers ``ok`` qubits, releasing ``r + 1`` stored firsts each, and
+        re-encodes ``n - ok`` at round ``r + 1``; a first moves ``ok``
+        qubits to the seconds of round ``r``, storing one more first each.
         """
-        qubit = transfer.qubit
-        was_first = transfer.stage is Stage.FIRST
-        delta, done = advance(transfer, success)
-        self.stored_firsts += delta
-        if was_first:
-            if success:
-                self.seconds[qubit] = self.firsts.pop(qubit)
-        elif done:
-            del self.seconds[qubit]
-        else:
-            self.firsts[qubit] = self.seconds.pop(qubit)
-        return done
+        encodes = plan.encodes
+        if encodes > self.queued:
+            raise ValueError("nothing queued to encode")
+        from_backlog = min(encodes, self.backlog)
+        self.backlog -= from_backlog
+        if self.unminted is not None:
+            self.unminted -= encodes - from_backlog
 
-    def accept(self, qubit: int) -> None:
-        """Enqueue a qubit handed over by the upstream hop."""
-        if self.queue_free is not None and self.queue_free <= 0:
+        firsts, seconds = self.firsts, self.seconds
+        _add(firsts, 0, encodes)
+        at = delivered = released = 0
+        for round_, n in plan.seconds:
+            ok = outcomes[at:at + n].count(True)
+            at += n
+            delivered += ok
+            released += ok * (round_ + 1)
+            _add(seconds, round_, -n)
+            _add(firsts, round_ + 1, n - ok)
+        seconds_sent = at
+        for round_, n in (*plan.firsts, (0, encodes)):
+            ok = outcomes[at:at + n].count(True)
+            at += n
+            _add(firsts, round_, -ok)
+            _add(seconds, round_, ok)
+        stored = outcomes.count(True) - delivered  # firsts that landed
+        self.first_total += seconds_sent - delivered + encodes - stored
+        self.second_total += stored - seconds_sent
+        self.stored_firsts += stored - released
+        return delivered
+
+    def accept(self, n: int) -> None:
+        """Enqueue ``n`` qubits handed over by the upstream hop."""
+        if self.queue_free is not None and n > self.queue_free:
             raise OverflowError(
                 f"relay queue full on hop {self.hop} of session {self.session}"
             )
-        self.queue.append(qubit)
+        self.backlog += n
 
 
-class InFlight(MutableMapping):
-    """A hop's in-flight transfers by qubit, over its two stage buckets.
-
-    Writes place a transfer in the bucket of its stage and keep the hop's
-    ``stored_firsts`` exact.
-    """
-
-    def __init__(self, hop: HopSession):
-        self._hop = hop
-
-    def __getitem__(self, qubit: int) -> SharingTransfer:
-        hop = self._hop
-        return hop.firsts[qubit] if qubit in hop.firsts else hop.seconds[qubit]
+@dataclass
+class _Seed:
+    hop: HopSession
 
     def __setitem__(self, qubit: int, transfer: SharingTransfer) -> None:
-        if transfer.qubit != qubit or transfer.stage is Stage.DELIVERED:
-            raise ValueError(f"cannot hold {transfer} as in-flight qubit {qubit}")
-        if qubit in self:
-            del self[qubit]
-        hop = self._hop
-        bucket = hop.firsts if transfer.stage is Stage.FIRST else hop.seconds
-        bucket[qubit] = transfer
+        hop, first = self.hop, transfer.stage is Stage.FIRST
+        if transfer.stage is Stage.DELIVERED:
+            raise ValueError(f"cannot hold {transfer} in flight")
+        _add(hop.firsts if first else hop.seconds, transfer.round, 1)
+        hop.first_total += first
+        hop.second_total += not first
         hop.stored_firsts += transfer.stored_at_receiver
 
-    def __delitem__(self, qubit: int) -> None:
-        hop = self._hop
-        bucket = hop.firsts if qubit in hop.firsts else hop.seconds
-        hop.stored_firsts -= bucket.pop(qubit).stored_at_receiver
 
-    def __iter__(self):
-        return chain(self._hop.firsts, self._hop.seconds)
-
-    def __len__(self) -> int:
-        return len(self._hop.firsts) + len(self._hop.seconds)
+def _add(bins: dict[int, int], round_: int, n: int) -> None:
+    """Add ``n`` qubits (remove, if negative) to ``bins[round_]``; a bin
+    that empties is dropped."""
+    if n:
+        left = bins.get(round_, 0) + n
+        if left:
+            bins[round_] = left
+        else:
+            del bins[round_]
 
 
 def plan_transfers(
@@ -275,11 +276,11 @@ def plan_transfers(
 
     # One free unit admits any number of seconds: a lost second never
     # occupies memory and a successful one releases its whole chain.
-    second_cap = min(len(hop.seconds), budget) if receiver_free >= 1 else 0
+    second_cap = min(hop.second_total, budget) if receiver_free >= 1 else 0
     if downstream_free is not None:
         second_cap = min(second_cap, downstream_free)
-    seconds = _highest_rounds(hop.seconds, second_cap)
-    second_count = len(seconds)
+    second_count = max(0, second_cap)
+    seconds = _take(hop.seconds, second_count)
 
     first_cap = min(
         max(0, granted // 2 + second_count - stored),
@@ -288,14 +289,22 @@ def plan_transfers(
         max(0, granted - stored - second_count),
     )
     first_cap = max(0, first_cap)
-    firsts = _highest_rounds(hop.firsts, first_cap)
-    encodes = min(first_cap - len(firsts), hop.queued, max(0, encode_blocks_free))
+    firsts = _take(hop.firsts, first_cap)
+    sent = min(first_cap, hop.first_total)
+    encodes = min(first_cap - sent, hop.queued, max(0, encode_blocks_free))
     return Plan(seconds=seconds, firsts=firsts, encodes=encodes)
 
 
-def _highest_rounds(bucket: dict[int, SharingTransfer], cap: int):
-    """Up to ``cap`` transfers of ``bucket``, highest round, then lowest
-    qubit, first."""
-    if cap <= 0:
+def _take(bins: dict[int, int], count: int) -> list[tuple[int, int]]:
+    """Up to ``count`` qubits of ``bins`` as ``(round, n)`` pairs, highest
+    round first."""
+    if count <= 0:
         return []
-    return sorted(bucket.values(), key=lambda t: (-t.round, t.qubit))[:cap]
+    picked = []
+    for round_ in sorted(bins, reverse=True):
+        if count <= 0:
+            break
+        n = min(bins[round_], count)
+        picked.append((round_, n))
+        count -= n
+    return picked

@@ -61,9 +61,6 @@ class TeleSession:
     def finished(self) -> bool:
         return self.remaining == 0
 
-    def announce(self) -> int:
-        return self.window
-
     def advance_window(self, congested: bool) -> None:
         """Move window state to the next slot's announcement."""
         self.window, self.phase = next_window(self.window, self.phase, congested)
@@ -98,7 +95,7 @@ def demand_points(session: TeleSession, window: int) -> list[tuple]:
 def reserve_teleport(sessions: list[TeleSession], pools: PoolMap) -> dict[int, Grant]:
     """Announced-window reservation, by ``memory.reserve_two_pass``."""
     return reserve_two_pass(
-        [demand_points(session, session.announce()) for session in sessions],
+        [demand_points(session, session.window) for session in sessions],
         pools,
     )
 
@@ -166,7 +163,7 @@ def reserve_fair(sessions: list[TeleSession], pools: PoolMap) -> dict[int, Grant
     shares = _fair_shares(sessions, pools)
     outcomes: dict[int, Grant] = {}
     for session in sessions:
-        window = session.announce()
+        window = session.window
         congested = window > shares[session.id]
         granted = window // 2 if congested else window
         outcomes[session.id] = Grant(granted, congested)

@@ -240,7 +240,7 @@ class TestDeterminism:
         assert batched.random() == sequential.random()
         channel = ChannelModel(0.7)
         outcomes = channel.draw(batched, n)
-        assert outcomes == [channel.sample(sequential) for _ in range(n)]
+        assert outcomes == [channel.draw(sequential, 1)[0] for _ in range(n)]
         assert all(type(success) is bool for success in outcomes)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from qdnsim.rng import stream
 from qdnsim.tag import (
     ChannelModel,
     HopSession,
+    Plan,
     SharingTransfer,
     Stage,
     advance,
@@ -18,21 +20,84 @@ from qdnsim.tele import Phase
 
 
 def hop_with(in_flight=(), queued=0, window=2):
-    """A hop holding one transfer per entry of ``in_flight`` (qubits 0, 1,
-    ... in order), each brought to the entry's round and stage by encoding
-    it and sending it the outcomes that lead there."""
+    """A hop holding one qubit per entry of ``in_flight``, each brought to
+    the entry's round and stage by encoding it and sending it the outcomes
+    that lead there."""
     hop = HopSession(session=0, hop=0, sender=0, receiver=1, window=window,
                      unminted=None)
     for target in in_flight:
-        transfer = hop.encode_next()
-        assert transfer.qubit == target.qubit
-        for _ in range(target.round):
-            hop.send(transfer, True)   # first stored
-            hop.send(transfer, False)  # second lost: one round deeper
+        hop.send(Plan([], [], encodes=1), [False])  # encoded, first lost
+        for round_ in range(target.round):
+            hop.send(Plan([], [(round_, 1)], 0), [True])   # first stored
+            hop.send(Plan([(round_, 1)], [], 0), [False])  # second lost
         if target.stage is Stage.SECOND:
-            hop.send(transfer, True)
+            hop.send(Plan([], [(target.round, 1)], 0), [True])
     hop.unminted = queued
     return hop
+
+
+class ReferenceHop:
+    """The per-qubit hop that the counted ``HopSession`` lumps: one
+    ``SharingTransfer`` per in-flight qubit, advanced one outcome at a
+    time, picked by ``(-round, qubit)``."""
+
+    def __init__(self, unminted):
+        self.unminted = unminted
+        self.queue = []
+        self.flying = {}
+        self.next_qubit = 0
+        self.next_handed = 10**6  # ids of qubits handed over from upstream
+        self.stored_firsts = 0
+
+    def accept(self, n):
+        self.queue += range(self.next_handed, self.next_handed + n)
+        self.next_handed += n
+
+    def pick(self, stage, count):
+        return sorted((t for t in self.flying.values() if t.stage is stage),
+                      key=lambda t: (-t.round, t.qubit))[:count]
+
+    def encode(self):
+        if self.queue:
+            qubit = self.queue.pop(0)
+        else:
+            qubit = self.next_qubit
+            self.next_qubit += 1
+            if self.unminted is not None:
+                self.unminted -= 1
+        self.flying[qubit] = SharingTransfer(qubit)
+        return self.flying[qubit]
+
+    def step(self, plan, outcomes):
+        """Sends what ``plan`` counts; returns (seconds, firsts, delivered,
+        losses), the first two as the rounds picked."""
+        seconds = self.pick(Stage.SECOND, plan.second_count)
+        firsts = self.pick(Stage.FIRST, plan.first_count - plan.encodes)
+        picked = ([t.round for t in seconds], [t.round for t in firsts])
+        transfers = seconds + firsts
+        transfers += [self.encode() for _ in range(plan.encodes)]
+        assert len(transfers) == len(outcomes)
+        delivered = 0
+        for transfer, success in zip(transfers, outcomes):
+            delta, done = advance(transfer, success)
+            self.stored_firsts += delta
+            if done:
+                del self.flying[transfer.qubit]
+                delivered += 1
+        return (*picked, delivered, outcomes.count(False))
+
+    def census(self):
+        return Counter((t.stage, t.round) for t in self.flying.values())
+
+
+def census(hop):
+    """Qubits per (stage, round) of a counted hop."""
+    return Counter({**{(Stage.FIRST, r): n for r, n in hop.firsts.items()},
+                    **{(Stage.SECOND, r): n for r, n in hop.seconds.items()}})
+
+
+def rounds(bins):
+    return [round_ for round_, n in bins for _ in range(n)]
 
 
 class TestAdvance:
@@ -91,71 +156,77 @@ class TestAdvance:
 class TestEncode:
     def test_encode_initial_state(self):
         hop = hop_with(queued=1)
-        transfer = hop.encode_next()
-        assert transfer.round == 0 and transfer.stage is Stage.FIRST
-        assert len(hop.in_flight) == 1
+        hop.send(Plan([], [], encodes=1), [False])
+        assert hop.firsts == {0: 1} and not hop.seconds  # round 0, stage FIRST
+        assert hop.in_flight_count == 1
 
     def test_encode_exhausts_supply(self):
         hop = hop_with(queued=2)
-        hop.encode_next()
-        hop.encode_next()
+        hop.send(Plan([], [], encodes=1), [False])
+        hop.send(Plan([], [], encodes=1), [False])
         assert hop.queued == 0
         with pytest.raises(ValueError):
-            hop.encode_next()
+            hop.send(Plan([], [], encodes=1), [False])
 
     def test_infinite_supply(self):
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
-        for _ in range(5):
-            hop.encode_next()
-        assert len(hop.in_flight) == 5
+        hop.send(Plan([], [], encodes=5), [False] * 5)
+        assert hop.in_flight_count == 5
         assert hop.queued == math.inf
 
 
 class TestIncrementalState:
     @pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
     def test_random_steps_keep_count_and_buckets_exact(self, p):
+        # A counted hop and the per-qubit reference take the same plans and
+        # outcomes; after every slot they agree on everything a trace reads.
         rng = random.Random(int(p * 10))
         for _ in range(200):
+            unminted = rng.choice([None, 0, 5, 40])
+            bound = rng.choice([None, 3, 8])
             hop = HopSession(session=0, hop=1, sender=0, receiver=1,
-                             unminted=rng.choice([None, 0, 5]),
-                             queue_bound=rng.choice([None, 3]))
-            live = {}  # every transfer encoded and not yet delivered
-            handed = 1000
-            for _ in range(rng.randint(0, 60)):
-                action = rng.random()
-                if action < 0.3 and hop.queued > 0:
-                    transfer = hop.encode_next()
-                    live[transfer.qubit] = transfer
-                elif action < 0.4 and hop.queue_free != 0:
+                             unminted=unminted, queue_bound=bound)
+            reference = ReferenceHop(unminted)
+            for _ in range(rng.randint(0, 30)):
+                handed = rng.randint(0, 3)
+                if hop.queue_free is None or handed <= hop.queue_free:
                     hop.accept(handed)
-                    handed += 1
-                elif live:
-                    transfer = rng.choice(list(live.values()))
-                    if hop.send(transfer, rng.random() < p):
-                        del live[transfer.qubit]
-                assert hop.stored_firsts == sum(
-                    t.stored_at_receiver
-                    for t in [*hop.firsts.values(), *hop.seconds.values()])
-                for stage, bucket in ((Stage.FIRST, hop.firsts),
-                                      (Stage.SECOND, hop.seconds)):
-                    expected = {q: t for q, t in live.items() if t.stage is stage}
-                    assert bucket.keys() == expected.keys()
-                    assert all(bucket[q] is t for q, t in expected.items())
-                assert len(hop.in_flight) == len(live)
+                    reference.accept(handed)
+                else:
+                    with pytest.raises(OverflowError):
+                        hop.accept(handed)
+                window = rng.randint(0, 24)
+                plan = plan_transfers(
+                    hop, window, receiver_free=rng.randint(0, 24),
+                    encode_blocks_free=rng.randint(0, 12),
+                    downstream_free=rng.choice([None, rng.randint(0, 6)]))
+                outcomes = [rng.random() < p for _ in
+                            range(plan.first_count + plan.second_count)]
+                seconds, firsts, delivered, losses = reference.step(
+                    plan, outcomes)
+                assert rounds(plan.seconds) == seconds
+                assert rounds(plan.firsts) == firsts
+                assert hop.send(plan, outcomes) == delivered
+                assert outcomes.count(False) == losses
+                assert plan.second_count == len(seconds)
+                assert plan.first_count == len(firsts) + plan.encodes
+                assert hop.stored_firsts == reference.stored_firsts
+                assert census(hop) == reference.census()
+                assert hop.first_total == sum(hop.firsts.values())
+                assert hop.second_total == sum(hop.seconds.values())
+                assert hop.backlog == len(reference.queue)
+                assert hop.unminted == reference.unminted
 
     def test_in_flight_writes_keep_count_exact(self):
         hop = hop_with(queued=0)
         hop.in_flight[0] = SharingTransfer(0, round=2, stage=Stage.SECOND)
         hop.in_flight[1] = SharingTransfer(1, round=1)
-        assert hop.stored_firsts == 4
-        assert list(hop.seconds) == [0] and list(hop.firsts) == [1]
-        hop.in_flight[0] = SharingTransfer(0, round=0, stage=Stage.FIRST)
-        assert hop.stored_firsts == 1
-        assert not hop.seconds and sorted(hop.in_flight) == [0, 1]
-        del hop.in_flight[1]
-        assert hop.stored_firsts == 0 and list(hop.in_flight) == [0]
+        hop.in_flight[2] = SharingTransfer(2, round=1)
+        assert hop.stored_firsts == 5
+        assert hop.seconds == {2: 1} and hop.firsts == {1: 2}
+        assert hop.in_flight_count == 3
         with pytest.raises(ValueError):
-            hop.in_flight[2] = SharingTransfer(3)
+            hop.in_flight[3] = SharingTransfer(3, stage=Stage.DELIVERED)
 
 
 class TestPlanTransfers:
@@ -181,7 +252,7 @@ class TestPlanTransfers:
                               encode_blocks_free=10)
         assert plan.second_count == 3
         assert plan.first_count <= 2
-        assert plan.seconds[0].qubit == 0  # largest round first
+        assert plan.seconds == [(1, 2), (0, 1)]  # highest-round bin first
 
     def test_pause_when_stored_exceeds_half_window(self):
         in_flight = [
@@ -269,11 +340,8 @@ class TestPipeline:
             free = receiver_capacity - hop.stored_firsts
             blocks = 10**6
             plan = plan_transfers(hop, granted, free, blocks)
-            transfers = list(plan.seconds) + list(plan.firsts)
-            transfers += [hop.encode_next() for _ in range(plan.encodes)]
-            for transfer in transfers:
-                if hop.send(transfer, channel.sample(rng)):
-                    delivered += 1
+            sent = plan.first_count + plan.second_count
+            delivered += hop.send(plan, channel.draw(rng, sent))
         return delivered
 
     def test_lossless_pipeline_delivers_one_per_two_slots(self):
@@ -289,33 +357,30 @@ class TestPipeline:
         channel = ChannelModel(0.4)
         delivered = 0
         for _ in range(400):
-            granted = hop.announce()
+            granted = hop.window
             plan = plan_transfers(hop, granted, 10**6 - hop.stored_firsts, 10**6)
-            transfers = list(plan.seconds) + list(plan.firsts)
-            transfers += [hop.encode_next() for _ in range(plan.encodes)]
-            for transfer in transfers:
-                if hop.send(transfer, channel.sample(rng)):
-                    delivered += 1
+            sent = plan.first_count + plan.second_count
+            delivered += hop.send(plan, channel.draw(rng, sent))
             hop.apply_slot(congested=False)
         assert delivered == 3
-        assert not hop.in_flight
+        assert hop.in_flight_count == 0
 
 
 class TestChannelModel:
     def test_certain_success(self):
         rng = stream(0, "channel")
         channel = ChannelModel(1.0)
-        assert all(channel.sample(rng) for _ in range(100))
+        assert all(channel.draw(rng, 100))
 
     def test_certain_failure(self):
         rng = stream(0, "channel")
         channel = ChannelModel(0.0)
-        assert not any(channel.sample(rng) for _ in range(100))
+        assert not any(channel.draw(rng, 100))
 
     def test_half_probability_concentrates(self):
         rng = stream(0, "channel")
         channel = ChannelModel(0.5)
-        hits = sum(channel.sample(rng) for _ in range(100_000))
+        hits = sum(channel.draw(rng, 100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     def test_out_of_range_rejected(self):
@@ -326,7 +391,7 @@ class TestChannelModel:
 class TestWindowRules:
     def test_initial_window_is_two(self):
         hop = HopSession(session=0, hop=0, sender=0, receiver=1)
-        assert hop.announce() == 2
+        assert hop.window == 2
         assert hop.phase is Phase.SLOW_START
 
     def test_avoidance_grows_despite_zero_deliveries(self):

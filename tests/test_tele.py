@@ -52,7 +52,7 @@ class TestNextWindow:
 class TestTeleSession:
     def test_fresh_session_announces_one(self):
         session = TeleSession(id=0, path=Path((1, 0, 2)), remaining=10)
-        assert session.announce() == 1
+        assert session.window == 1
 
     def test_transfer_caps_at_remaining(self):
         session = TeleSession(id=0, path=Path((1, 0, 2)), remaining=2)
@@ -148,7 +148,7 @@ class TestReserveFair:
         session = star_sessions([1], egress)[0]
         announced = []
         for _ in range(50):
-            announced.append(session.announce())
+            announced.append(session.window)
             outcomes = reserve_fair([session], pools)
             session.advance_window(outcomes[session.id].congested)
             for pool in pools.values():
@@ -166,7 +166,7 @@ class TestWindowTrajectory:
         session = TeleSession(id=0, path=Path((1, 0, 2)), remaining=None)
         seen = []
         for _ in range(40):
-            window = session.announce()
+            window = session.window
             congested = window > 20
             seen.append(window)
             session.advance_window(congested)

@@ -7,8 +7,10 @@ repaired with the shortest joining edges.  Every infrastructure node gets
 one attached end host so any node can terminate a session.
 """
 
+import json
+
 from qdnsim import NetworkKind, generate_waxman, validate
-from qdnsim.topology import dumps, loads
+from qdnsim.topology import from_document, to_document
 
 topology = generate_waxman(
     n_infra=50, target_avg_degree=4.0, area_side=100.0, alpha=0.4, seed=7
@@ -29,9 +31,10 @@ print(f"regeneration identical: {again.edges == topology.edges}")
 
 # Topologies round-trip through a JSON document so experiments can pin
 # the exact graph they ran on.
-document = dumps(topology)
+document = json.dumps(to_document(topology), sort_keys=True)
+again = from_document(json.loads(document))
 print(f"serialized size: {len(document)} bytes, "
-      f"round-trip ok: {loads(document).edges == topology.edges}")
+      f"round-trip ok: {again.edges == topology.edges}")
 
 # All-optical switch networks carry no infrastructure memory.
 switched = generate_waxman(50, 4.0, 100.0, 0.4, seed=7,

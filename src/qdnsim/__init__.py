@@ -39,7 +39,7 @@ from .metrics import (
     utilization,
     window_series,
 )
-from .routing import Path, compute_path, nodes_between
+from .routing import Path, compute_path
 from .tag import ChannelModel, HopSession, SharingTransfer, Stage, advance, plan_transfers
 from .tele import Phase, TeleSession, next_window
 from .topology import (
@@ -93,7 +93,6 @@ __all__ = [
     "jain",
     "mean_windows",
     "next_window",
-    "nodes_between",
     "partition",
     "plan_transfers",
     "run",

@@ -84,10 +84,23 @@ def _topology(path, doc) -> Topology | WaxmanSpec:
         return WaxmanSpec(**_numbers(where, spec, _WAXMAN_NUMBERS))
     if "inline" in doc:
         try:
-            return from_document(doc["inline"])
+            return from_document(_inline_capacities(path, doc["inline"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad inline topology: {exc}") from exc
     raise ConfigError(f"{path}: topology must be 'waxman' or 'inline'")
+
+
+def _inline_capacities(path, doc: dict) -> dict:
+    """``doc`` with each node's capacity read by the number rule and
+    checked to be non-negative."""
+    nodes = []
+    for node in doc["nodes"]:
+        where = f"{path}: inline node {node['id']}"
+        capacity = _convert(where, "capacity", int, node["capacity"])
+        if capacity < 0:
+            raise ConfigError(f"{where}: capacity must be non-negative")
+        nodes.append({**node, "capacity": capacity})
+    return {**doc, "nodes": nodes}
 
 
 def _sessions(path, doc) -> list[SessionSpec] | int:
@@ -270,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
             result = run(cfg)
             written = emit(result, args.out, FsPath(args.config).stem, formats)
         else:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+            seeds = [_convert("preset", "--seeds", int, s)
+                     for s in args.seeds.split(",") if s.strip()]
             if not seeds:
                 raise ConfigError("at least one seed is required")
             written = run_preset(args.name, seeds, args.out, formats)

@@ -15,27 +15,18 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ConfigError, DeadlockError
-from .memory import (
-    Demand,
-    MemoryPool,
-    TAG_SEND_COST,
-    TAG_SPLIT,
-    TELE_SPLIT,
-    partition,
-    reserve_two_pass,
-)
+from .memory import (TAG_QUBIT_UNITS, TAG_SEND_COST, TAG_SPLIT, TELE_SPLIT,
+                     Demand, MemoryPool, partition, reserve_two_pass)
 from .metrics import jain
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
-from .routing import Path, compute_path
+from .routing import DEFAULT_CONGESTION_WEIGHT, Path, compute_path
+from .tag import INITIAL_WINDOW as TAG_INITIAL_WINDOW
 from .tag import ChannelModel, HopSession, plan_transfers
-from .tele import (
-    TeleSession,
-    release_surplus,
-    reserve_explicit,
-    reserve_fair,
-    reserve_teleport,
-)
-from .topology import NetworkKind, NodeKind, Topology, generate_waxman
+from .tele import INITIAL_WINDOW as TELE_INITIAL_WINDOW
+from .tele import (TeleSession, release_surplus, reserve_explicit, reserve_fair,
+                   reserve_teleport)
+from .topology import (DEFAULT_CAPACITY, INFRA_KIND, NetworkKind, NodeKind,
+                       Topology, generate_waxman)
 
 
 class Protocol(Enum):
@@ -82,8 +73,8 @@ class RunConfig:
     n_slots: int
     p: float = 1.0
     slot_length: float = 1.0
-    capacity: int = 1000
-    congestion_weight: float = 4.0
+    capacity: int = DEFAULT_CAPACITY
+    congestion_weight: float = DEFAULT_CONGESTION_WEIGHT
 
     def validate(self) -> None:
         if self.seed is None:
@@ -201,7 +192,7 @@ def reserve_sharing(hops: list[HopSession], pools: dict) -> dict:
     at most three quarters of the window); receive pools at one unit.
     Stored first sharings and in-flight sender blocks cannot be evicted,
     so they floor each demand: the hop's running ``stored_firsts`` and
-    three units for each qubit it has in flight.
+    ``TAG_QUBIT_UNITS`` for each qubit it has in flight.
     """
     requests = []
     stored: dict[int, int] = {}
@@ -213,7 +204,7 @@ def reserve_sharing(hops: list[HopSession], pools: dict) -> dict:
         requests.append([
             ((hop.sender, "send"),
              Demand(key, window, TAG_SEND_COST,
-                    floor=3 * hop.in_flight_count)),
+                    floor=TAG_QUBIT_UNITS * hop.in_flight_count)),
             ((hop.receiver, "receive"), Demand(key, window, floor=recv_floor)),
         ])
 
@@ -249,6 +240,12 @@ class Engine:
                 f"topology kind {self.topology.kind.value} does not match "
                 f"network {cfg.network.value}"
             )
+        infra_kind = INFRA_KIND[cfg.network]
+        for node in self.topology.infra():
+            if node.kind is not infra_kind:
+                raise ConfigError(f"node {node.id} is a {node.kind.value}; a "
+                                  f"{cfg.network.value} network needs "
+                                  f"{infra_kind.value}s")
         self.pools = build_pools(self.topology, cfg.network)
         self.channel = ChannelModel(cfg.p)
         self._channel_rng = stream(cfg.seed, CHANNEL_STREAM)
@@ -316,7 +313,7 @@ class Engine:
             else:
                 self.tele_sessions[sid] = TeleSession(
                     id=sid, path=path, remaining=spec.qubits,
-                    window=spec.initial_window or 1,
+                    window=spec.initial_window or TELE_INITIAL_WINDOW,
                 )
 
     def _build_flow(self, sid: int, path: Path, spec: SessionSpec) -> TagFlow:
@@ -325,14 +322,14 @@ class Engine:
         else:
             pairs = list(zip(path.nodes[:-1], path.nodes[1:]))
         hops = []
-        initial = spec.initial_window or 2
+        initial = spec.initial_window or TAG_INITIAL_WINDOW
         for index, (sender, receiver) in enumerate(pairs):
             if index == 0:
                 unminted = spec.qubits
                 bound = None
             else:
                 unminted = 0
-                bound = self.pools[(sender, "send")].capacity // 3
+                bound = self.pools[(sender, "send")].capacity // TAG_QUBIT_UNITS
             hops.append(
                 HopSession(
                     session=sid, hop=index, sender=sender, receiver=receiver,
@@ -408,7 +405,7 @@ class Engine:
                 plan = plan_transfers(
                     hop, grant.window,
                     recv_pool.held(key) - hop.stored_firsts,
-                    send_pool.held(key) // 3 - hop.in_flight_count,
+                    send_pool.held(key) // TAG_QUBIT_UNITS - hop.in_flight_count,
                     downstream.queue_free if downstream is not None else None,
                 )
                 firsts, seconds = plan.first_count, plan.second_count
@@ -436,7 +433,8 @@ class Engine:
         # in-flight sender blocks persist across slots.
         for hop in hops:
             key = (hop.session, hop.hop)
-            self.pools[(hop.sender, "send")].require(key, 3 * hop.in_flight_count)
+            self.pools[(hop.sender, "send")].require(
+                key, TAG_QUBIT_UNITS * hop.in_flight_count)
             self.pools[(hop.receiver, "receive")].require(key, hop.stored_firsts)
             hop.apply_slot(outcomes[key].congested)
 

@@ -7,7 +7,8 @@ until the remainder fits.  Demands may carry a floor of units that cannot
 be evicted (stored sharings, in-flight sender blocks); a cut below the
 floor releases nothing but the assignment still never overcommits.
 Both transports reserve through ``reserve_two_pass``, which runs the
-assignment at every pool and halves a session at most once per slot.
+assignment at every pool and halves a session at most once per slot, then
+sets each holding with ``MemoryPool.require``, the pools' one mutator.
 """
 
 from __future__ import annotations
@@ -22,10 +23,14 @@ from .errors import CapacityExceededError, InfeasibleReservationError
 TELE_SPLIT = Fraction(2, 3)
 TAG_SPLIT = Fraction(9, 13)
 
-#: Units of memory needed per window unit, by role.
-RECEIVE_COST = Fraction(1)
-TELE_SEND_COST = Fraction(2)   # also transit at repeaters
+#: Units of memory needed per window unit, by role.  Whole prices are ints:
+#: the fair-share variants floor-divide by them at every node every slot.
+RECEIVE_COST = 1
+TELE_SEND_COST = 2   # also transit at repeaters
 TAG_SEND_COST = Fraction(9, 4)
+
+#: Send units a tell-and-go sender holds per in-flight qubit: 3 sharings.
+TAG_QUBIT_UNITS = 3
 
 
 def partition(total: int, send_fraction: Fraction) -> tuple[int, int]:
@@ -46,7 +51,7 @@ class Demand:
 
     session: int | tuple
     window: int
-    unit_cost: Fraction = Fraction(1)
+    unit_cost: int | Fraction = RECEIVE_COST
     floor: int = 0
 
     def cost(self, window: int) -> int:
@@ -130,9 +135,9 @@ def reserve_two_pass(requests: list[list[tuple]], pools: dict) -> dict:
 class MemoryPool:
     """A node-side pool with per-session reservations.
 
-    The engine is the single writer within a slot; ``reserved``, the
-    running sum of reservations, never exceeds capacity (reserve raises
-    instead of overcommitting).
+    The engine is the single writer within a slot and ``require`` its one
+    mutator besides ``clear``.  ``reserved``, the running sum of holdings,
+    never exceeds capacity: ``require`` raises instead of overcommitting.
     """
 
     node: int
@@ -141,45 +146,25 @@ class MemoryPool:
     reserved: int = field(default=0, init=False)
     _held: dict = field(default_factory=dict, init=False)
 
-    @property
-    def free(self) -> int:
-        return self.capacity - self.reserved
-
     def held(self, session) -> int:
         return self._held.get(session, 0)
 
-    def reserve(self, session, units: int) -> None:
-        if units < 0:
-            raise ValueError("cannot reserve a negative amount")
-        if units > self.free:
+    def require(self, session, target: int) -> None:
+        """Set a session's holding, up or down, to exactly ``target``."""
+        if target < 0:
+            raise ValueError(f"session {session}: cannot hold {target} units")
+        grow = target - self._held.get(session, 0)
+        free = self.capacity - self.reserved
+        if grow > free:
             raise CapacityExceededError(
-                f"pool {self.kind}@{self.node}: reserving {units} with only "
-                f"{self.free} of {self.capacity} free"
+                f"pool {self.kind}@{self.node}: reserving {grow} with only "
+                f"{free} of {self.capacity} free"
             )
-        if units:
-            self._held[session] = self._held.get(session, 0) + units
-            self.reserved += units
-
-    def release(self, session, units: int | None = None) -> None:
-        held = self._held.get(session, 0)
-        if units is None:
-            units = held
-        if units > held:
-            raise ValueError(f"session {session} holds only {held} units")
-        remaining = held - units
-        if remaining:
-            self._held[session] = remaining
+        if target:
+            self._held[session] = target
         else:
             self._held.pop(session, None)
-        self.reserved -= units
-
-    def require(self, session, target: int) -> None:
-        """Adjust a session's holding up or down to exactly ``target``."""
-        held = self._held.get(session, 0)
-        if target > held:
-            self.reserve(session, target - held)
-        elif target < held:
-            self.release(session, held - target)
+        self.reserved += grow
 
     def clear(self) -> None:
         self._held.clear()

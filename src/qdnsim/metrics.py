@@ -10,24 +10,13 @@ from .errors import MetricUndefinedError
 if TYPE_CHECKING:
     from .engine import RunResult
 
-#: Fraction of slots discarded before steady-state statistics by default.
-DEFAULT_WARMUP_FRACTION = 0.25
 
-
-def jain(values: list[float], trim_top: float = 0.0) -> float:
-    """Jain's fairness index: (sum w)^2 / (N * sum w^2); 1 means equality.
-
-    ``trim_top`` optionally drops that fraction of the largest values first
-    (sessions routed onto lightly loaded paths would otherwise dominate).
-    """
+def jain(values: list[float]) -> float:
+    """Jain's fairness index: (sum w)^2 / (N * sum w^2); 1 means equality."""
     if not values:
         raise MetricUndefinedError("fairness of an empty list is undefined")
     if any(v < 0 for v in values):
         raise ValueError("window averages must be non-negative")
-    if trim_top:
-        drop = int(len(values) * trim_top)
-        if drop:
-            values = sorted(values)[:-drop]
     if all(v == 0 for v in values):
         raise MetricUndefinedError("fairness of all-zero windows is undefined")
     total = sum(values)

@@ -12,7 +12,7 @@ from typing import Callable
 from .engine import Protocol, RunConfig, RunResult, SessionSpec, WaxmanSpec
 from .errors import ConfigError
 from .metrics import idle_fraction, jain, utilization, window_series
-from .topology import NetworkKind, Node, NodeKind, Topology
+from .topology import INFRA_KIND, NetworkKind, Node, NodeKind, Topology
 
 MICRO_SESSIONS = 5
 MICRO_RECEIVE_POOL = 100
@@ -55,12 +55,9 @@ def many_to_one_topology(
     egress_capacity: int,
 ) -> Topology:
     """n ingress hosts feeding one egress host through a single hub."""
-    if network is NetworkKind.TAG_SWITCH:
-        hub_kind, hub_capacity = NodeKind.SWITCH, 0
-    elif network is NetworkKind.TAG_RELAY:
-        hub_kind = NodeKind.RELAY
-    else:
-        hub_kind = NodeKind.REPEATER
+    hub_kind = INFRA_KIND[network]
+    if hub_kind is NodeKind.SWITCH:
+        hub_capacity = 0
     nodes = [Node(0, hub_kind, 0.0, 0.0, hub_capacity)]
     edges = []
     for i in range(1, n_ingress + 1):
@@ -267,10 +264,24 @@ def interpolate_crossover(xs: list[float], gaps: list[float]) -> float | None:
     return None
 
 
+def _tradeoff_tables(rows: list[dict], axis: str, metric: str,
+                     column: str) -> dict[str, list[dict]]:
+    """The curve rows plus one record of where their ``gap`` first crosses
+    zero along ``axis``; NaN when it never does."""
+    crossover = interpolate_crossover([row[axis] for row in rows],
+                                      [row["gap"] for row in rows])
+    return {
+        "curve": rows,
+        "crossover": [{
+            "metric": metric,
+            column: crossover if crossover is not None else float("nan"),
+        }],
+    }
+
+
 def _summarize_tradeoff_prob(results):
     tele_mean = _mean_delivered(results, "tele_")
     rows = []
-    xs, gaps = [], []
     for p in PROB_GRID:
         tag_mean = _mean_delivered(results, f"tag_p{int(round(p * 100)):03d}_")
         rows.append({
@@ -279,16 +290,8 @@ def _summarize_tradeoff_prob(results):
             "tele_mean_delivered": tele_mean,
             "gap": tag_mean - tele_mean,
         })
-        xs.append(p)
-        gaps.append(tag_mean - tele_mean)
-    crossover = interpolate_crossover(xs, gaps)
-    return {
-        "curve": rows,
-        "crossover": [{
-            "metric": "equal_throughput_probability",
-            "crossover_p": crossover if crossover is not None else float("nan"),
-        }],
-    }
+    return _tradeoff_tables(rows, "p", "equal_throughput_probability",
+                            "crossover_p")
 
 
 def _build_tradeoff_slot(seeds: list[int]) -> list[PresetRun]:
@@ -302,7 +305,6 @@ def _summarize_tradeoff_slot(results):
     tele_mean = _mean_delivered(results, "tele_")
     tag_mean = _mean_delivered(results, "tag_")
     rows = []
-    xs, gaps = [], []
     for ratio in RATIO_GRID:
         # Teleportation slots are `ratio` times longer; throughputs are
         # compared per abstract time unit.
@@ -314,16 +316,8 @@ def _summarize_tradeoff_slot(results):
             "tag_per_time": tag_rate,
             "gap": tag_rate - tele_rate,
         })
-        xs.append(ratio)
-        gaps.append(tag_rate - tele_rate)
-    crossover = interpolate_crossover(xs, gaps)
-    return {
-        "curve": rows,
-        "crossover": [{
-            "metric": "equal_throughput_slot_ratio",
-            "crossover_ratio": crossover if crossover is not None else float("nan"),
-        }],
-    }
+    return _tradeoff_tables(rows, "slot_length_ratio",
+                            "equal_throughput_slot_ratio", "crossover_ratio")
 
 
 PRESETS: dict[str, Preset] = {

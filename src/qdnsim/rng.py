@@ -13,8 +13,6 @@ import hashlib
 
 import numpy as np
 
-GENERATOR_NAME = "philox4x64-10"
-
 TOPOLOGY_STREAM = "topology"
 SESSION_STREAM = "sessions"
 CHANNEL_STREAM = "channel"

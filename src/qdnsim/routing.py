@@ -70,8 +70,3 @@ def compute_path(
             step = 1.0 + congestion_weight * load.get(neighbour, 0.0)
             heapq.heappush(heap, (cost + step, hops + 1, nodes + (neighbour,)))
     raise NoRouteError(f"no route from {src} to {dst}")
-
-
-def nodes_between(path: Path) -> list[int]:
-    """Intermediate nodes of a path, order preserved."""
-    return list(path.nodes[1:-1])

@@ -22,6 +22,9 @@ from .memory import (
 )
 from .routing import Path
 
+#: Window a session announces in its first slot unless it asks otherwise.
+INITIAL_WINDOW = 1
+
 
 class Phase(Enum):
     SLOW_START = "SS"
@@ -54,7 +57,7 @@ class TeleSession:
     id: int
     path: Path
     remaining: int | None  # None means an unbounded stream
-    window: int = 1
+    window: int = INITIAL_WINDOW
     phase: Phase = Phase.SLOW_START
 
     @property
@@ -110,17 +113,17 @@ def hold(session: TeleSession, window: int, pools: PoolMap) -> None:
 def node_window_capacity(node: int, pools: PoolMap) -> int | None:
     """Largest window a node can support for one session, by its role.
 
-    A repeater backs a window with 2 transit units per circuit; an end
-    host must be able to play either role, so it is limited by the
-    smaller of its send (2 units each) and receive (1 unit each) pools.
+    A repeater backs a window with transit units at the send price; an
+    end host must be able to play either role, so it is limited by the
+    smaller of its send and receive pools, each at its own price.
     Returns None for nodes without memory pools (all-optical switches).
     """
     if (node, "transit") in pools:
-        return pools[(node, "transit")].capacity // 2
+        return pools[(node, "transit")].capacity // TELE_SEND_COST
     if (node, "send") in pools:
         return min(
-            pools[(node, "send")].capacity // 2,
-            pools[(node, "receive")].capacity,
+            pools[(node, "send")].capacity // TELE_SEND_COST,
+            pools[(node, "receive")].capacity // RECEIVE_COST,
         )
     return None
 

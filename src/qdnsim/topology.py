@@ -10,7 +10,6 @@ session.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +41,8 @@ class NetworkKind(Enum):
     TAG_SWITCH = "tag_switch"  # all-optical switches, no memory
 
 
-_INFRA_KIND = {
+#: The infrastructure node kind each network is built from.
+INFRA_KIND = {
     NetworkKind.TELE: NodeKind.REPEATER,
     NetworkKind.TAG_RELAY: NodeKind.RELAY,
     NetworkKind.TAG_SWITCH: NodeKind.SWITCH,
@@ -225,7 +225,7 @@ def generate_waxman(
     if abs(avg_degree(edges) - target_avg_degree) > _DEGREE_TOLERANCE:
         raise GenerationError("connectivity repair pushed degree out of range")
 
-    infra_kind = _INFRA_KIND[network]
+    infra_kind = INFRA_KIND[network]
     infra_capacity = 0 if infra_kind is NodeKind.SWITCH else capacity
     nodes = [
         Node(i, infra_kind, xs[i], ys[i], infra_capacity) for i in range(n_infra)
@@ -320,11 +320,3 @@ def from_document(doc: dict) -> Topology:
         if len(adj[node.id]) != 1:
             raise ValueError(f"host {node.id} must have degree exactly 1")
     return topology
-
-
-def dumps(topology: Topology) -> str:
-    return json.dumps(to_document(topology), sort_keys=True)
-
-
-def loads(text: str) -> Topology:
-    return from_document(json.loads(text))

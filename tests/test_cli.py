@@ -30,6 +30,15 @@ def minimal_doc(**overrides):
     return doc
 
 
+def inline_topology(network="tele", **node0):
+    """A small tele Waxman graph as an inline document, relabelled as a
+    ``network`` graph and with node 0's fields overridden."""
+    doc = to_document(generate_waxman(4, 2.0, 10.0, 0.4, seed=1))
+    doc["kind"] = network
+    doc["nodes"][0].update(node0)
+    return {"inline": doc}
+
+
 class TestParseConfig:
     def test_minimal_config_gets_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, minimal_doc()))
@@ -110,6 +119,9 @@ class TestParseConfig:
         ({"congestion_weight": float("nan")}, "congestion_weight"),
         ({"congestion_weight": float("inf")}, "congestion_weight"),
         ({"capacity": -5}, "capacity"),
+        ({"topology": inline_topology(capacity=True)}, "node 0: capacity"),
+        ({"topology": inline_topology(capacity=5.9)}, "node 0: capacity"),
+        ({"topology": inline_topology(capacity=-5)}, "node 0: capacity"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -205,10 +217,32 @@ class TestMain:
         assert record["error"] == "ConfigError"
         assert field in record["message"]
 
+    @pytest.mark.parametrize("overrides", [
+        {"protocol": "tag", "network": "tag_relay",
+         "topology": inline_topology("tag_relay")},
+        {"topology": inline_topology(kind="switch", capacity=0)},
+    ], ids=["repeaters_in_relay_network", "switch_in_tele_network"])
+    def test_node_kind_must_fit_network(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, minimal_doc(**overrides))
+        code = main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "node 0" in record["message"]
+
     def test_preset_requires_seeds(self, tmp_path, capsys):
         code = main(["preset", "appendix_e", "--seeds", "",
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_bad_seed_is_an_error_record(self, tmp_path, capsys):
+        code = main(["preset", "appendix_e", "--seeds", "1,x",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "--seeds" in record["message"]
 
     def test_appendix_preset_end_to_end(self, tmp_path):
         code = main(["preset", "appendix_e", "--seeds", "0",

@@ -117,19 +117,22 @@ class TestAssignMemory:
 class TestMemoryPool:
     def test_reserve_tracks_free_space(self):
         pool = MemoryPool(0, "receive", 100)
-        pool.reserve("s", 10)
-        assert pool.free == 90
+        pool.require("s", 10)
+        assert pool.held("s") == 10
+        assert pool.capacity - pool.reserved == 90
 
     def test_over_reservation_raises(self):
         pool = MemoryPool(0, "receive", 100)
-        with pytest.raises(CapacityExceededError):
-            pool.reserve("s", 101)
+        with pytest.raises(CapacityExceededError,
+                           match="receive@0: reserving 101 with only 100 "
+                                 "of 100 free"):
+            pool.require("s", 101)
 
     def test_release_restores_capacity(self):
         pool = MemoryPool(0, "receive", 100)
-        pool.reserve("s", 60)
-        pool.release("s", 60)
-        assert pool.free == 100
+        pool.require("s", 60)
+        pool.require("s", 0)
+        assert pool.capacity - pool.reserved == 100
 
     def test_require_moves_both_directions(self):
         pool = MemoryPool(0, "send", 50)
@@ -139,28 +142,35 @@ class TestMemoryPool:
         pool.require("s", 0)
         assert pool.reserved == 0
 
+    def test_negative_target_rejected(self):
+        pool = MemoryPool(0, "send", 50)
+        pool.require("s", 7)
+        with pytest.raises(ValueError, match="cannot hold -1 units"):
+            pool.require("s", -1)
+        assert pool.held("s") == 7 and pool.reserved == 7
+
     def test_running_total_tracks_holdings(self):
         pool = MemoryPool(0, "send", 50)
 
         def check():
             assert pool.reserved == sum(pool.held(s) for s in ("a", "b"))
-            assert pool.free == pool.capacity - pool.reserved
+            assert 0 <= pool.reserved <= pool.capacity
 
-        pool.reserve("a", 20)
+        pool.require("a", 20)
         check()
         pool.require("b", 15)
         check()
         pool.require("a", 5)
         check()
-        pool.release("b", 10)
+        pool.require("b", 5)
         check()
         with pytest.raises(CapacityExceededError):
-            pool.reserve("b", 41)
+            pool.require("b", 46)  # 41 more with 40 free
         check()
-        pool.reserve("b", 40)
+        pool.require("b", 45)
         check()
-        assert pool.free == 0
-        pool.release("a")
+        assert pool.capacity - pool.reserved == 0
+        pool.require("a", 0)
         check()
         pool.clear()
         check()

@@ -62,10 +62,6 @@ class TestJain:
         with pytest.raises(MetricUndefinedError):
             jain([0, 0])
 
-    def test_trim_drops_largest(self):
-        values = [1.0] * 9 + [100.0]
-        assert jain(values, trim_top=0.1) == 1.0
-
 
 class TestUtilization:
     def test_empty_pool(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from qdnsim.errors import NoRouteError
-from qdnsim.routing import Path, compute_path, nodes_between
+from qdnsim.routing import compute_path
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
 
 
@@ -81,14 +81,3 @@ class TestComputePath:
         assert detour.nodes == (hosts[0], 0, 2, 4, 3, hosts[3])
         short = compute_path(topology, hosts[0], hosts[3], {1: 0.2})
         assert short.nodes == (hosts[0], 0, 1, 3, hosts[3])
-
-
-class TestNodesBetween:
-    def test_two_intermediates(self):
-        assert nodes_between(Path((10, 1, 2, 11))) == [1, 2]
-
-    def test_adjacent_endpoints(self):
-        assert nodes_between(Path((10, 11))) == []
-
-    def test_five_node_path(self):
-        assert nodes_between(Path((0, 1, 2, 3, 4))) == [1, 2, 3]

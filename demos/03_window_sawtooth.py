@@ -9,10 +9,9 @@ to fully reserved.
 """
 
 from qdnsim import jain, run, steady_state_stats, utilization, window_series
-from qdnsim.presets import micro_egress_node, micro_tele_config
+from qdnsim.presets import MICRO_EGRESS_NODE, micro_tele_config
 
 result = run(micro_tele_config(seed=0))
-egress = micro_egress_node()
 
 print("per-session window traces (every 10th slot):")
 for sid in sorted(result.paths):
@@ -34,6 +33,6 @@ print(f"\nsession 0 steady state: min={stats.minimum:.0f} "
       f"max={stats.maximum:.0f} mean={stats.mean:.1f} "
       f"sawtooth period~{stats.period:.0f} slots")
 
-series = utilization(result, egress, "receive")
+series = utilization(result, MICRO_EGRESS_NODE, "receive")
 print(f"egress receive-pool utilization after slot 10: "
       f"min={min(series[10:]):.3f} mean={sum(series[10:]) / len(series[10:]):.3f}")

@@ -84,23 +84,10 @@ def _topology(path, doc) -> Topology | WaxmanSpec:
         return WaxmanSpec(**_numbers(where, spec, _WAXMAN_NUMBERS))
     if "inline" in doc:
         try:
-            return from_document(_inline_capacities(path, doc["inline"]))
+            return from_document(doc["inline"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad inline topology: {exc}") from exc
     raise ConfigError(f"{path}: topology must be 'waxman' or 'inline'")
-
-
-def _inline_capacities(path, doc: dict) -> dict:
-    """``doc`` with each node's capacity read by the number rule and
-    checked to be non-negative."""
-    nodes = []
-    for node in doc["nodes"]:
-        where = f"{path}: inline node {node['id']}"
-        capacity = _convert(where, "capacity", int, node["capacity"])
-        if capacity < 0:
-            raise ConfigError(f"{where}: capacity must be non-negative")
-        nodes.append({**node, "capacity": capacity})
-    return {**doc, "nodes": nodes}
 
 
 def _sessions(path, doc) -> list[SessionSpec] | int:

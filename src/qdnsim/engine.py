@@ -1,10 +1,12 @@
 """Slot-synchronous simulation loop.
 
 Each slot runs a fixed phase order: admit new sessions; reserve memory
-for the announced windows; plan, send and record per session; snapshot
-pool occupancy; release slot-scoped reservations and advance window state
-for the next slot.  A run is a pure function of its configuration:
-identical configs (including the seed) produce bit-identical results.
+for the announced windows; plan, send, record and advance the window per
+session; snapshot pool occupancy; clear every pool.  Reservations last one
+slot: what tell-and-go state outlives it (stored first sharings, in-flight
+sender blocks) lives in the hop counters, which floor the next slot's
+reservation.  A run is a pure function of its configuration: identical
+configs (including the seed) produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -246,16 +248,20 @@ class Engine:
                 raise ConfigError(f"node {node.id} is a {node.kind.value}; a "
                                   f"{cfg.network.value} network needs "
                                   f"{infra_kind.value}s")
-        self.pools = build_pools(self.topology, cfg.network)
+        self.pools = dict(sorted(build_pools(self.topology, cfg.network).items()))
         self.channel = ChannelModel(cfg.p)
         self._channel_rng = stream(cfg.seed, CHANNEL_STREAM)
+        self._reserve_tele = {
+            Protocol.TELE: reserve_teleport,
+            Protocol.EW: reserve_explicit,
+            Protocol.FRA: reserve_fair,
+        }.get(cfg.protocol)
         self.specs = self._resolve_sessions()
-        self.paths: dict[int, Path] = {}
-        self.tele_sessions: dict[int, TeleSession] = {}
-        self.tag_flows: dict[int, TagFlow] = {}
+        self.flows: dict[int, TeleSession | TagFlow] = {}
         self.session_rows: list[SessionRow] = []
         self.pool_rows: list[PoolRow] = []
-        self._last_occupancy: dict[int, int] = {}
+        # Reserved fraction per node as of the last snapshot; routing reads it.
+        self._load: dict[int, float] = {}
         self.slot = 0
 
     # -- setup ---------------------------------------------------------
@@ -289,29 +295,18 @@ class Engine:
             specs.append(spec)
         return specs
 
-    def _load_table(self) -> dict[int, float]:
-        """Reserved fraction per node as of the last reservation phase."""
-        load = {}
-        for node_obj in self.topology.nodes:
-            reserved = self._last_occupancy.get(node_obj.id, 0)
-            if node_obj.capacity > 0 and reserved > 0:
-                load[node_obj.id] = min(1.0, reserved / node_obj.capacity)
-        return load
-
     def _admit(self) -> None:
-        load = self._load_table()
         for sid, spec in enumerate(self.specs):
             if spec.start_slot != self.slot:
                 continue
             path = compute_path(
-                self.topology, spec.src, spec.dst, load,
+                self.topology, spec.src, spec.dst, self._load,
                 self.cfg.congestion_weight,
             )
-            self.paths[sid] = path
             if self.cfg.protocol is Protocol.TAG:
-                self.tag_flows[sid] = self._build_flow(sid, path, spec)
+                self.flows[sid] = self._build_flow(sid, path, spec)
             else:
-                self.tele_sessions[sid] = TeleSession(
+                self.flows[sid] = TeleSession(
                     id=sid, path=path, remaining=spec.qubits,
                     window=spec.initial_window or TELE_INITIAL_WINDOW,
                 )
@@ -342,31 +337,24 @@ class Engine:
 
     def step(self) -> None:
         self._admit()
+        active = [flow for flow in self.flows.values() if not flow.finished]
         if self.cfg.protocol is Protocol.TAG:
-            self._step_tag()
+            self._step_tag(active)
         else:
-            self._step_tele()
+            self._step_tele(active)
+        self._snapshot_pools()
+        for pool in self.pools.values():
+            pool.clear()
         self.slot += 1
 
-    @staticmethod
-    def _active(records: dict) -> list:
-        """Admitted sessions or flows that are not finished."""
-        return [r for r in records.values() if not r.finished]
-
-    def _step_tele(self) -> None:
-        active = self._active(self.tele_sessions)
-        reserve = {
-            Protocol.TELE: reserve_teleport,
-            Protocol.EW: reserve_explicit,
-            Protocol.FRA: reserve_fair,
-        }[self.cfg.protocol]
-        outcomes = reserve(active, self.pools)
-
+    def _step_tele(self, active: list[TeleSession]) -> None:
+        outcomes = self._reserve_tele(active, self.pools)
+        explicit = self.cfg.protocol is Protocol.EW
         for session in active:
             grant = outcomes[session.id]
             delivered = session.transfer(grant.window)
             release_surplus(session, grant.window, delivered, self.pools)
-            if self.cfg.protocol is Protocol.EW:
+            if explicit:
                 window, phase = grant.window, "-"
             else:
                 window, phase = session.window, session.phase.value
@@ -376,17 +364,10 @@ class Engine:
                 delivered=delivered, phase=phase,
                 firsts=0, seconds=0, losses=0, stored=0,
             ))
+            if not explicit:
+                session.advance_window(grant.congested)
 
-        self._snapshot_pools()
-
-        for pool in self.pools.values():
-            pool.clear()
-        if self.cfg.protocol is not Protocol.EW:
-            for session in active:
-                session.advance_window(outcomes[session.id].congested)
-
-    def _step_tag(self) -> None:
-        flows = self._active(self.tag_flows)
+    def _step_tag(self, flows: list[TagFlow]) -> None:
         hops = [hop for flow in flows for hop in flow.hops]
         outcomes = reserve_sharing(hops, self.pools)
 
@@ -423,31 +404,25 @@ class Engine:
                     losses=len(successes) - sum(successes),
                     stored=hop.stored_firsts,
                 ))
+                hop.advance_window(grant.congested)
 
         for hop, qubits in forwards:
             hop.accept(qubits)
 
-        self._snapshot_pools()
-
-        # Slot-scoped reservations are released; stored first sharings and
-        # in-flight sender blocks persist across slots.
-        for hop in hops:
-            key = (hop.session, hop.hop)
-            self.pools[(hop.sender, "send")].require(
-                key, TAG_QUBIT_UNITS * hop.in_flight_count)
-            self.pools[(hop.receiver, "receive")].require(key, hop.stored_firsts)
-            hop.apply_slot(outcomes[key].congested)
-
     def _snapshot_pools(self) -> None:
+        """Append this slot's pool rows and rebuild the load table."""
         occupancy: dict[int, int] = {}
-        for (node, kind) in sorted(self.pools):
-            pool = self.pools[(node, kind)]
+        for (node, kind), pool in self.pools.items():
             occupancy[node] = occupancy.get(node, 0) + pool.reserved
             self.pool_rows.append(PoolRow(
                 slot=self.slot, node=node, pool=kind,
                 reserved=pool.reserved, capacity=pool.capacity,
             ))
-        self._last_occupancy = occupancy
+        topology = self.topology
+        self._load = {
+            node: min(1.0, reserved / topology.node(node).capacity)
+            for node, reserved in occupancy.items() if reserved > 0
+        }
 
     # -- whole run ------------------------------------------------------
 
@@ -460,7 +435,7 @@ class Engine:
             seed=self.cfg.seed,
             n_slots=self.cfg.n_slots,
             slot_length=self.cfg.slot_length,
-            paths={sid: path.nodes for sid, path in sorted(self.paths.items())},
+            paths={sid: flow.path.nodes for sid, flow in sorted(self.flows.items())},
             session_rows=self.session_rows,
             pool_rows=self.pool_rows,
             summary=self._summarize(),
@@ -470,7 +445,8 @@ class Engine:
         per_session_windows: dict[int, dict[int, int]] = {}
         delivered: dict[int, int] = {}
         egress_hop = {
-            sid: len(flow.hops) - 1 for sid, flow in self.tag_flows.items()
+            sid: len(flow.hops) - 1 for sid, flow in self.flows.items()
+            if isinstance(flow, TagFlow)
         }
         for row in self.session_rows:
             if row.hop == egress_hop.get(row.session, 0):
@@ -481,13 +457,13 @@ class Engine:
 
         sessions = {}
         means = []
-        for sid in sorted(self.paths):
+        for sid, flow in sorted(self.flows.items()):
             windows = list(per_session_windows.get(sid, {}).values())
             mean = sum(windows) / len(windows) if windows else 0.0
             sessions[sid] = {
                 "delivered": delivered.get(sid, 0),
                 "mean_window": mean,
-                "hops": self.paths[sid].hop_count,
+                "hops": flow.path.hop_count,
             }
             means.append(mean)
 

@@ -9,6 +9,9 @@ floor releases nothing but the assignment still never overcommits.
 Both transports reserve through ``reserve_two_pass``, which runs the
 assignment at every pool and halves a session at most once per slot, then
 sets each holding with ``MemoryPool.require``, the pools' one mutator.
+Holdings last one slot: the engine clears every pool after its snapshot,
+and the floors come from session state (the tell-and-go hop counters),
+not from what a pool held the slot before.
 """
 
 from __future__ import annotations

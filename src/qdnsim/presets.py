@@ -15,6 +15,8 @@ from .metrics import idle_fraction, jain, utilization, window_series
 from .topology import INFRA_KIND, NetworkKind, Node, NodeKind, Topology
 
 MICRO_SESSIONS = 5
+#: The egress host of the many-to-one micro topologies.
+MICRO_EGRESS_NODE = MICRO_SESSIONS + 1
 MICRO_RECEIVE_POOL = 100
 MICRO_SLOTS = 200
 MICRO_TELE_WINDOWS = [1, 4, 8, 16, 24]
@@ -69,10 +71,6 @@ def many_to_one_topology(
     return Topology(network, nodes, edges)
 
 
-def micro_egress_node() -> int:
-    return MICRO_SESSIONS + 1
-
-
 def micro_tele_config(seed: int) -> RunConfig:
     """Five long-lived sessions, staggered initial windows, one egress
     whose 100-unit receive pool is the only bottleneck."""
@@ -81,9 +79,8 @@ def micro_tele_config(seed: int) -> RunConfig:
         ingress_capacity=30_000, hub_capacity=100_000,
         egress_capacity=3 * MICRO_RECEIVE_POOL,
     )
-    egress = micro_egress_node()
     sessions = [
-        SessionSpec(src=i + 1, dst=egress, initial_window=w)
+        SessionSpec(src=i + 1, dst=MICRO_EGRESS_NODE, initial_window=w)
         for i, w in enumerate(MICRO_TELE_WINDOWS)
     ]
     return RunConfig(
@@ -101,22 +98,22 @@ def micro_tag_config(seed: int) -> RunConfig:
         ingress_capacity=13_000, hub_capacity=0,
         egress_capacity=325,
     )
-    egress = micro_egress_node()
-    sessions = [SessionSpec(src=i + 1, dst=egress) for i in range(MICRO_SESSIONS)]
+    sessions = [SessionSpec(src=i + 1, dst=MICRO_EGRESS_NODE)
+                for i in range(MICRO_SESSIONS)]
     return RunConfig(
         seed=seed, protocol=Protocol.TAG, network=NetworkKind.TAG_SWITCH,
         topology=topology, sessions=sessions, n_slots=MICRO_SLOTS, p=1.0,
     )
 
 
-def _sweep_config(seed, protocol, n_infra, n_sessions, p=1.0, slot_length=1.0):
+def _sweep_config(seed, protocol, n_infra, n_sessions, p=1.0):
     network = (
         NetworkKind.TAG_RELAY if protocol is Protocol.TAG else NetworkKind.TELE
     )
     return RunConfig(
         seed=seed, protocol=protocol, network=network,
         topology=WaxmanSpec(n_infra=n_infra, alpha=SWEEP_ALPHA),
-        sessions=n_sessions, n_slots=SWEEP_SLOTS, p=p, slot_length=slot_length,
+        sessions=n_sessions, n_slots=SWEEP_SLOTS, p=p,
     )
 
 
@@ -141,16 +138,16 @@ def _build_micro(seeds: list[int]) -> list[PresetRun]:
 
 def micro_metrics(result: RunResult) -> dict:
     """Fairness, utilization, and idle metrics for one many-to-one run."""
-    egress = micro_egress_node()
     means = []
     for sid in sorted(result.paths):
         series = window_series(result, sid)[:100]
         means.append(sum(series) / len(series))
-    series = utilization(result, egress, "receive")
+    series = utilization(result, MICRO_EGRESS_NODE, "receive")
     return {
         "jain_first_100": jain(means),
         "min_utilization_after_10": min(series[10:]),
-        "max_idle_after_10": idle_fraction(result, egress, "receive", 10),
+        "max_idle_after_10": idle_fraction(
+            result, MICRO_EGRESS_NODE, "receive", 10),
         "mean_windows": means,
     }
 

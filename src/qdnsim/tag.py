@@ -173,8 +173,9 @@ class HopSession:
             return None
         return self.queue_bound - self.backlog
 
-    def apply_slot(self, congested: bool) -> None:
-        # The window grows every slot regardless of deliveries.
+    def advance_window(self, congested: bool) -> None:
+        """Move window state to the next slot's announcement; the window
+        grows every slot regardless of deliveries."""
         self.window, self.phase = next_window(self.window, self.phase, congested)
 
     def send(self, plan: Plan, outcomes: list[bool]) -> int:

@@ -293,10 +293,28 @@ def to_document(topology: Topology) -> dict:
     }
 
 
+def _capacity(d: dict) -> int:
+    """A node's capacity: a non-negative whole number, not a boolean.
+    A whole float such as ``5.0`` and a numeric string such as ``"5"``
+    read as the integer."""
+    value, where = d["capacity"], f"node {d['id']}: capacity"
+    if isinstance(value, bool):
+        raise ValueError(f"{where}: expected a number, got {value}")
+    try:
+        capacity = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    if isinstance(value, float) and capacity != value:
+        raise ValueError(f"{where}: {value} is not an integer")
+    if capacity < 0:
+        raise ValueError(f"{where} must be non-negative, got {capacity}")
+    return capacity
+
+
 def from_document(doc: dict) -> Topology:
     nodes = [
         Node(d["id"], NodeKind(d["kind"]), float(d["x"]), float(d["y"]),
-             int(d["capacity"]))
+             _capacity(d))
         for d in doc["nodes"]
     ]
     nodes.sort(key=lambda n: n.id)

@@ -231,6 +231,22 @@ class TestMain:
         assert record["error"] == "ConfigError"
         assert "node 0" in record["message"]
 
+    def test_tag_pool_too_small_is_an_error_record(self, tmp_path, capsys):
+        # No minimum capacity is checked up front: the run stops at the
+        # first pool that cannot fit its sessions even with every window
+        # halved, and names that pool.
+        doc = minimal_doc(protocol="tag", network="tag_relay", seed=1,
+                          capacity=10)
+        config = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        record = json.loads(captured.err)
+        assert record["error"] == "InfeasibleReservationError"
+        assert "send@5" in record["message"]
+
     def test_preset_requires_seeds(self, tmp_path, capsys):
         code = main(["preset", "appendix_e", "--seeds", "",
                      "--out", str(tmp_path / "out")])

@@ -3,6 +3,7 @@
 import pytest
 
 from qdnsim.engine import (
+    Engine,
     Protocol,
     RunConfig,
     SessionSpec,
@@ -185,6 +186,35 @@ class TestReserveSharing:
         outcomes = reserve_sharing([hop], pools)
         assert outcomes[(0, 0)].window == 2
         assert pools[(1, "receive")].held((0, 0)) == 3
+
+
+class TestReservationLifetime:
+    @pytest.mark.parametrize("protocol, network, p", [
+        (Protocol.TELE, NetworkKind.TELE, 1.0),
+        (Protocol.EW, NetworkKind.TELE, 1.0),
+        (Protocol.FRA, NetworkKind.TELE, 1.0),
+        (Protocol.TAG, NetworkKind.TAG_RELAY, 0.7),
+        (Protocol.TAG, NetworkKind.TAG_SWITCH, 0.7),
+    ], ids=["tele", "ew", "fra", "tag_relay", "tag_switch"])
+    def test_pools_empty_after_every_slot(self, protocol, network, p):
+        # Reservations last one slot: the snapshot sees them, then every
+        # pool is cleared, even while tell-and-go qubits are in flight.
+        engine = Engine(RunConfig(
+            seed=1, protocol=protocol, network=network,
+            topology=WaxmanSpec(n_infra=8, target_avg_degree=3.0,
+                                area_side=40.0),
+            sessions=4, n_slots=20, p=p,
+        ))
+        carried = 0
+        for _ in range(engine.cfg.n_slots):
+            engine.step()
+            assert all(pool.reserved == 0 for pool in engine.pools.values())
+            if protocol is Protocol.TAG:
+                carried += sum(hop.in_flight_count + hop.stored_firsts
+                               for flow in engine.flows.values()
+                               for hop in flow.hops)
+        assert any(row.reserved for row in engine.pool_rows)
+        assert protocol is not Protocol.TAG or carried > 0
 
 
 class TestDeterminism:

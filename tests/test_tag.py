@@ -361,7 +361,7 @@ class TestPipeline:
             plan = plan_transfers(hop, granted, 10**6 - hop.stored_firsts, 10**6)
             sent = plan.first_count + plan.second_count
             delivered += hop.send(plan, channel.draw(rng, sent))
-            hop.apply_slot(congested=False)
+            hop.advance_window(congested=False)
         assert delivered == 3
         assert hop.in_flight_count == 0
 
@@ -397,11 +397,11 @@ class TestWindowRules:
     def test_avoidance_grows_despite_zero_deliveries(self):
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, window=9,
                          phase=Phase.AVOIDANCE)
-        hop.apply_slot(congested=False)
+        hop.advance_window(congested=False)
         assert hop.window == 10
 
     def test_congestion_halves_then_increments(self):
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, window=9,
                          phase=Phase.AVOIDANCE)
-        hop.apply_slot(congested=True)
+        hop.advance_window(congested=True)
         assert hop.window == 5

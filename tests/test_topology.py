@@ -143,3 +143,17 @@ class TestSerialization:
         }
         with pytest.raises(ValueError):
             from_document(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("capacity", [True, 5.9, -5, "five", float("inf")])
+    def test_rejects_bad_capacity(self, capacity):
+        doc = to_document(generate_waxman(4, 2.0, 10.0, 0.4, seed=1))
+        doc["nodes"][0]["capacity"] = capacity
+        with pytest.raises(ValueError, match="node 0: capacity"):
+            from_document(doc)
+
+    @pytest.mark.parametrize("capacity", [5, 5.0, "5"])
+    def test_whole_capacity_reads_as_int(self, capacity):
+        doc = to_document(generate_waxman(4, 2.0, 10.0, 0.4, seed=1))
+        doc["nodes"][0]["capacity"] = capacity
+        node = from_document(doc).node(0)
+        assert node.capacity == 5 and type(node.capacity) is int

@@ -19,7 +19,7 @@ from . import presets as preset_mod
 from .engine import (PoolRow, Protocol, RunConfig, RunResult, SessionRow,
                      SessionSpec, WaxmanSpec, run)
 from .errors import ConfigError, QdnError
-from .topology import NetworkKind, Topology, from_document
+from .topology import NetworkKind, Topology, from_document, number
 
 #: Number fields of a run, a Waxman spec and a listed session, by type.
 #: Defaults for the fields a document leaves out come from the dataclasses.
@@ -37,20 +37,11 @@ _REQUIRED_KEYS = {"seed", "protocol", "network", "topology", "sessions",
 
 
 def _convert(where, key: str, kind: type, value):
-    """``kind(value)``, or a ConfigError that names the key.
-
-    Booleans are not numbers here, and an integer field takes a float
-    only when it has no fractional part.
-    """
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: {key}: expected a number, got {value}")
+    """``topology.number``, with its error as a ConfigError."""
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {key}: {exc}") from exc
-    if kind is int and isinstance(value, float) and number != value:
-        raise ConfigError(f"{where}: {key}: {value} is not an integer")
-    return number
+        return number(value, kind, f"{where}: {key}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_keys(where, doc: dict, allowed, required=()):

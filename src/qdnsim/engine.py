@@ -2,7 +2,9 @@
 
 Each slot runs a fixed phase order: admit new sessions; reserve memory
 for the announced windows; plan, send, record and advance the window per
-session; snapshot pool occupancy; clear every pool.  Reservations last one
+session; snapshot pool occupancy; clear every pool.  Each session reserves
+at the points its path fixed at admission, and the reservation functions
+return their grants in session (or hop) order.  Reservations last one
 slot: what tell-and-go state outlives it (stored first sharings, in-flight
 sender blocks) lives in the hop counters, which floor the next slot's
 reservation.  A run is a pure function of its configuration: identical
@@ -17,8 +19,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ConfigError, DeadlockError
-from .memory import (TAG_QUBIT_UNITS, TAG_SEND_COST, TAG_SPLIT, TELE_SPLIT,
-                     Demand, MemoryPool, partition, reserve_two_pass)
+from .memory import (TAG_QUBIT_UNITS, TAG_SPLIT, TELE_SPLIT, Grant, MemoryPool,
+                     partition, reserve_two_pass)
 from .metrics import jain
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from .routing import DEFAULT_CONGESTION_WEIGHT, Path, compute_path
@@ -56,7 +58,8 @@ class WaxmanSpec:
 
 @dataclass(frozen=True)
 class SessionSpec:
-    """One requested flow; src/dst of None means 'sample random hosts'."""
+    """One requested flow; src and dst are two different hosts, or both
+    None to sample a random host pair."""
 
     src: int | None = None
     dst: int | None = None
@@ -186,36 +189,21 @@ def build_pools(topology: Topology, network: NetworkKind) -> dict:
     return pools
 
 
-def reserve_sharing(hops: list[HopSession], pools: dict) -> dict:
-    """Per-slot reservation for tell-and-go hops, by
-    ``memory.reserve_two_pass``; outcomes are keyed by (session, hop).
-
-    Send pools price a window at 9/4 units per qubit (three sharings for
-    at most three quarters of the window); receive pools at one unit.
-    Stored first sharings and in-flight sender blocks cannot be evicted,
-    so they floor each demand: the hop's running ``stored_firsts`` and
-    ``TAG_QUBIT_UNITS`` for each qubit it has in flight.
-    """
-    requests = []
+def reserve_sharing(hops: list[HopSession], pools: dict) -> list[Grant]:
+    """Per-slot reservation for tell-and-go hops at their ``points``, by
+    ``memory.reserve_two_pass``; grants come back in hop order, and each hop
+    holds under its ``(session, hop)`` pair.  Raises DeadlockError when the
+    stored first sharings alone overfill a receive pool."""
     stored: dict[int, int] = {}
     for hop in hops:
-        key = (hop.session, hop.hop)
-        window = hop.window
-        recv_floor = hop.stored_firsts
-        stored[hop.receiver] = stored.get(hop.receiver, 0) + recv_floor
-        requests.append([
-            ((hop.sender, "send"),
-             Demand(key, window, TAG_SEND_COST,
-                    floor=TAG_QUBIT_UNITS * hop.in_flight_count)),
-            ((hop.receiver, "receive"), Demand(key, window, floor=recv_floor)),
-        ])
-
+        stored[hop.receiver] = stored.get(hop.receiver, 0) + hop.stored_firsts
     for node in sorted(stored):
         if stored[node] > pools[(node, "receive")].capacity:
             raise DeadlockError(
                 f"stored sharings ({stored[node]}) exceed receive pool at node {node}"
             )
-    return reserve_two_pass(requests, pools)
+    return reserve_two_pass(
+        [((hop.session, hop.hop), hop.window, hop.points) for hop in hops], pools)
 
 
 class Engine:
@@ -279,7 +267,12 @@ class Engine:
             for end in (spec.src, spec.dst):
                 if end is not None and end not in host_ids:
                     raise ConfigError(f"session {index}: endpoint {end} is not a host")
-            if spec.src is None or spec.dst is None:
+            if (spec.src is None) != (spec.dst is None):
+                raise ConfigError(
+                    f"session {index}: name both src and dst, or neither")
+            if spec.src is not None and spec.src == spec.dst:
+                raise ConfigError(f"session {index}: src and dst must differ")
+            if spec.src is None:
                 if len(hosts) < 2:
                     raise ConfigError("need at least two hosts to sample sessions")
                 if rng is None:
@@ -348,10 +341,9 @@ class Engine:
         self.slot += 1
 
     def _step_tele(self, active: list[TeleSession]) -> None:
-        outcomes = self._reserve_tele(active, self.pools)
+        grants = self._reserve_tele(active, self.pools)
         explicit = self.cfg.protocol is Protocol.EW
-        for session in active:
-            grant = outcomes[session.id]
+        for session, grant in zip(active, grants):
             delivered = session.transfer(grant.window)
             release_surplus(session, grant.window, delivered, self.pools)
             if explicit:
@@ -369,7 +361,7 @@ class Engine:
 
     def _step_tag(self, flows: list[TagFlow]) -> None:
         hops = [hop for flow in flows for hop in flow.hops]
-        outcomes = reserve_sharing(hops, self.pools)
+        grants = iter(reserve_sharing(hops, self.pools))
 
         # A hop's plan reads the next hop's free queue as it stood at the
         # start of the slot, so handovers wait until every hop has sent.
@@ -377,7 +369,7 @@ class Engine:
         for flow in flows:
             for index, hop in enumerate(flow.hops):
                 key = (hop.session, hop.hop)
-                grant = outcomes[key]
+                grant = next(grants)
                 downstream = (
                     flow.hops[index + 1] if index + 1 < len(flow.hops) else None
                 )

@@ -7,11 +7,13 @@ until the remainder fits.  Demands may carry a floor of units that cannot
 be evicted (stored sharings, in-flight sender blocks); a cut below the
 floor releases nothing but the assignment still never overcommits.
 Both transports reserve through ``reserve_two_pass``, which runs the
-assignment at every pool and halves a session at most once per slot, then
-sets each holding with ``MemoryPool.require``, the pools' one mutator.
-Holdings last one slot: the engine clears every pool after its snapshot,
-and the floors come from session state (the tell-and-go hop counters),
-not from what a pool held the slot before.
+assignment at every pool and halves a session at most once per slot.  A
+session reserves at fixed points, ``(pool key, unit cost, floor)``: ``cost``
+prices a window at one, and ``hold`` sets a session's holding at each of
+its points with ``MemoryPool.require``, the pools' one mutator.  Holdings
+last one slot: the engine clears every pool after its snapshot, and the
+floors come from session state (the tell-and-go hop counters), not from
+what a pool held the slot before.
 """
 
 from __future__ import annotations
@@ -44,6 +46,19 @@ def partition(total: int, send_fraction: Fraction) -> tuple[int, int]:
     return send, total - send
 
 
+def cost(unit_cost: int | Fraction, window: int, floor: int = 0) -> int:
+    """Memory for ``window`` at ``unit_cost`` per unit: the exact integer
+    ceiling, at least ``floor``."""
+    return max(-(-unit_cost.numerator * window // unit_cost.denominator), floor)
+
+
+def hold(session, points: list[tuple], window: int, pools: dict) -> None:
+    """Set ``session``'s holding at each of its ``(pool key, unit cost,
+    floor)`` points to the cost of ``window`` there."""
+    for key, unit_cost, floor in points:
+        pools[key].require(session, cost(unit_cost, window, floor))
+
+
 @dataclass(frozen=True)
 class Demand:
     """One session's per-slot memory request at a node.
@@ -58,9 +73,8 @@ class Demand:
     floor: int = 0
 
     def cost(self, window: int) -> int:
-        """Memory for ``window``: exact integer ceiling, at least the floor."""
-        unit = self.unit_cost
-        return max(-(-unit.numerator * window // unit.denominator), self.floor)
+        """``memory.cost`` of ``window`` at this demand's price and floor."""
+        return cost(self.unit_cost, window, self.floor)
 
 
 @dataclass(frozen=True)
@@ -98,20 +112,21 @@ def assign_memory(demands: list[Demand], capacity: int) -> dict:
     return grants
 
 
-def reserve_two_pass(requests: list[list[tuple]], pools: dict) -> dict:
+def reserve_two_pass(requests: list[tuple], pools: dict) -> list[Grant]:
     """Reserve one slot's memory; a session is halved at most once.
 
-    Each request is one session's ``(pool key, Demand)`` points, all with
-    the same session and announced window.  Pass 1: every pool, in sorted
-    key order, runs ``assign_memory`` over the demands crossing it and
-    marks the sessions it cuts.  Pass 2: a session is halved iff any pool
-    marked it, and each of its pools is set to exactly the cost of the
-    final window (floors honoured).  Returns session -> Grant.
+    Each request is ``(session, announced window, points)``.  Pass 1:
+    every pool, in sorted key order, runs ``assign_memory`` over the
+    demands crossing it and marks the sessions it cuts.  Pass 2: a session
+    is halved iff any pool marked it, and ``hold`` sets each of its points
+    to exactly the cost of the final window (floors honoured).  Returns
+    the grants in request order.
     """
     per_pool: dict = {}
-    for points in requests:
-        for key, demand in points:
-            per_pool.setdefault(key, []).append(demand)
+    for session, window, points in requests:
+        for key, unit_cost, floor in points:
+            per_pool.setdefault(key, []).append(
+                Demand(session, window, unit_cost, floor))
 
     marked: set = set()
     for key in sorted(per_pool):
@@ -123,14 +138,12 @@ def reserve_two_pass(requests: list[list[tuple]], pools: dict) -> dict:
                 f"pool {pool.kind}@{pool.node}: {exc}") from exc
         marked.update(s for s, grant in grants.items() if grant.congested)
 
-    outcomes: dict = {}
-    for points in requests:
-        session, window = points[0][1].session, points[0][1].window
+    outcomes = []
+    for session, window, points in requests:
         congested = session in marked
         granted = window // 2 if congested else window
-        outcomes[session] = Grant(granted, congested)
-        for key, demand in points:
-            pools[key].require(session, demand.cost(granted))
+        outcomes.append(Grant(granted, congested))
+        hold(session, points, granted, pools)
     return outcomes
 
 

@@ -27,6 +27,7 @@ from enum import Enum
 
 import numpy as np
 
+from .memory import RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST
 from .tele import Phase, next_window
 
 INITIAL_WINDOW = 2
@@ -134,6 +135,11 @@ class HopSession:
     ``first_total`` and ``second_total`` are their sums and
     ``stored_firsts`` counts the first sharings the receiver holds for
     them.  ``send`` keeps all of them up to date.
+
+    ``points`` are its reservation points.  The send pool prices a window
+    at 9/4 units per qubit (three sharings for at most three quarters of
+    the window), the receive pool at one unit.  Their floors cannot be
+    evicted: ``TAG_QUBIT_UNITS`` per qubit in flight, and ``stored_firsts``.
     """
 
     session: int
@@ -154,6 +160,12 @@ class HopSession:
     @property
     def in_flight_count(self) -> int:
         return self.first_total + self.second_total
+
+    @property
+    def points(self) -> list[tuple]:
+        return [((self.sender, "send"), TAG_SEND_COST,
+                 TAG_QUBIT_UNITS * self.in_flight_count),
+                ((self.receiver, "receive"), RECEIVE_COST, self.stored_firsts)]
 
     @property
     def in_flight(self) -> _Seed:

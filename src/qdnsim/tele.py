@@ -5,21 +5,16 @@ announced demand against its pool, and the window is halved exactly once
 if any node reports congestion.  Windows then grow again: doubling in slow
 start, plus one in congestion avoidance.  Two variants are provided: an
 explicit per-node fair share (EW) and a fair-share threshold check that
-keeps the halving dynamics (FRA).
+keeps the halving dynamics (FRA).  Each scheme returns its grants in
+session order and holds them at the session's fixed reservation points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .memory import (
-    Demand,
-    Grant,
-    RECEIVE_COST,
-    TELE_SEND_COST,
-    reserve_two_pass,
-)
+from .memory import RECEIVE_COST, TELE_SEND_COST, Grant, hold, reserve_two_pass
 from .routing import Path
 
 #: Window a session announces in its first slot unless it asks otherwise.
@@ -52,13 +47,27 @@ def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, Phase]
 
 @dataclass
 class TeleSession:
-    """One end-to-end flow with its sending-window state."""
+    """One end-to-end flow with its sending-window state.
+
+    ``points``, fixed by the path: the source's send pool, transit at each
+    intermediate node (for both its entanglement links) and the
+    destination's receive pool, none with a floor.
+    """
 
     id: int
     path: Path
     remaining: int | None  # None means an unbounded stream
     window: int = INITIAL_WINDOW
     phase: Phase = Phase.SLOW_START
+    points: list[tuple] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        path = self.path
+        self.points = [
+            ((path.src, "send"), TELE_SEND_COST, 0),
+            *(((node, "transit"), TELE_SEND_COST, 0) for node in path.nodes[1:-1]),
+            ((path.dst, "receive"), RECEIVE_COST, 0),
+        ]
 
     @property
     def finished(self) -> bool:
@@ -80,34 +89,12 @@ class TeleSession:
 PoolMap = dict  # (node id, pool kind) -> MemoryPool
 
 
-def demand_points(session: TeleSession, window: int) -> list[tuple]:
-    """(pool key, Demand) for ``window`` at each pool a session draws from.
-
-    The source reserves in its send pool and the destination in its receive
-    pool; every intermediate node reserves transit memory for both the
-    upstream and downstream entanglement links.
-    """
-    path = session.path
-    points = [((path.src, "send"), Demand(session.id, window, TELE_SEND_COST))]
-    for node in path.nodes[1:-1]:
-        points.append(((node, "transit"), Demand(session.id, window, TELE_SEND_COST)))
-    points.append(((path.dst, "receive"), Demand(session.id, window, RECEIVE_COST)))
-    return points
-
-
-def reserve_teleport(sessions: list[TeleSession], pools: PoolMap) -> dict[int, Grant]:
+def reserve_teleport(sessions: list[TeleSession], pools: PoolMap) -> list[Grant]:
     """Announced-window reservation, by ``memory.reserve_two_pass``."""
     return reserve_two_pass(
-        [demand_points(session, session.window) for session in sessions],
+        [(session.id, session.window, session.points) for session in sessions],
         pools,
     )
-
-
-def hold(session: TeleSession, window: int, pools: PoolMap) -> None:
-    """Set the session's holding at every pool on its path to the cost of
-    ``window`` there."""
-    for key, demand in demand_points(session, window):
-        pools[key].require(session.id, demand.cost(window))
 
 
 def node_window_capacity(node: int, pools: PoolMap) -> int | None:
@@ -128,49 +115,44 @@ def node_window_capacity(node: int, pools: PoolMap) -> int | None:
     return None
 
 
-def _fair_shares(sessions: list[TeleSession], pools: PoolMap) -> dict[int, int]:
-    """Per-session floor(C/N) minimum over path nodes, N counted per node."""
+def _fair_shares(sessions: list[TeleSession], pools: PoolMap) -> list[int]:
+    """Per-session floor(C/N) minimum over path nodes, N counted per node,
+    in session order."""
     traversals: dict[int, int] = {}
     for session in sessions:
         for node in session.path.nodes:
             traversals[node] = traversals.get(node, 0) + 1
-    shares: dict[int, int] = {}
-    for session in sessions:
-        node_shares = [
-            capacity // traversals[node]
+    return [
+        min(capacity // traversals[node]
             for node in session.path.nodes
-            if (capacity := node_window_capacity(node, pools)) is not None
-        ]
-        shares[session.id] = min(node_shares)
-    return shares
+            if (capacity := node_window_capacity(node, pools)) is not None)
+        for session in sessions
+    ]
 
 
-def reserve_explicit(sessions: list[TeleSession], pools: PoolMap) -> dict[int, Grant]:
+def reserve_explicit(sessions: list[TeleSession], pools: PoolMap) -> list[Grant]:
     """Explicit-window variant: every node splits evenly among its sessions.
 
     No window is announced; each node grants floor(C/N) window units to
     each of its N traversing sessions and a session uses the smallest
     grant along its path.
     """
-    shares = _fair_shares(sessions, pools)
-    outcomes: dict[int, Grant] = {}
-    for session in sessions:
-        share = shares[session.id]
-        outcomes[session.id] = Grant(share, False)
-        hold(session, share, pools)
+    outcomes = []
+    for session, share in zip(sessions, _fair_shares(sessions, pools)):
+        outcomes.append(Grant(share, False))
+        hold(session.id, session.points, share, pools)
     return outcomes
 
 
-def reserve_fair(sessions: list[TeleSession], pools: PoolMap) -> dict[int, Grant]:
+def reserve_fair(sessions: list[TeleSession], pools: PoolMap) -> list[Grant]:
     """Fair-share threshold variant: halve whenever a request exceeds C/N."""
-    shares = _fair_shares(sessions, pools)
-    outcomes: dict[int, Grant] = {}
-    for session in sessions:
+    outcomes = []
+    for session, share in zip(sessions, _fair_shares(sessions, pools)):
         window = session.window
-        congested = window > shares[session.id]
+        congested = window > share
         granted = window // 2 if congested else window
-        outcomes[session.id] = Grant(granted, congested)
-        hold(session, granted, pools)
+        outcomes.append(Grant(granted, congested))
+        hold(session.id, session.points, granted, pools)
     return outcomes
 
 
@@ -179,4 +161,4 @@ def release_surplus(
 ) -> None:
     """Return unused reservation when a session delivers less than granted."""
     if delivered < granted:
-        hold(session, delivered, pools)
+        hold(session.id, session.points, delivered, pools)

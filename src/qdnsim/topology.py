@@ -293,19 +293,25 @@ def to_document(topology: Topology) -> dict:
     }
 
 
-def _capacity(d: dict) -> int:
-    """A node's capacity: a non-negative whole number, not a boolean.
-    A whole float such as ``5.0`` and a numeric string such as ``"5"``
-    read as the integer."""
-    value, where = d["capacity"], f"node {d['id']}: capacity"
+def number(value, kind: type, where: str):
+    """``kind(value)``, or a ValueError that names ``where``.  Booleans are
+    not numbers, and an int takes a float only with no fractional part."""
     if isinstance(value, bool):
         raise ValueError(f"{where}: expected a number, got {value}")
     try:
-        capacity = int(value)
+        converted = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    if isinstance(value, float) and capacity != value:
+    if kind is int and isinstance(value, float) and converted != value:
         raise ValueError(f"{where}: {value} is not an integer")
+    return converted
+
+
+def _capacity(d: dict) -> int:
+    """A node's capacity: a non-negative whole ``number``; ``5.0`` and
+    ``"5"`` read as 5."""
+    where = f"node {d['id']}: capacity"
+    capacity = number(d["capacity"], int, where)
     if capacity < 0:
         raise ValueError(f"{where} must be non-negative, got {capacity}")
     return capacity

@@ -201,6 +201,22 @@ class TestMain:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("second", [
+        {"src": 10},
+        {"dst": 10},
+        {"src": 10, "dst": 10, "start_slot": 3},
+    ], ids=["src_alone", "dst_alone", "src_is_dst"])
+    def test_bad_endpoints_are_an_error_record(self, tmp_path, capsys, second):
+        # Hosts of the 8-node Waxman graph are nodes 8..15.
+        doc = minimal_doc(sessions=[{"src": 8, "dst": 9}, second])
+        config = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "session 1" in record["message"]
+
     @pytest.mark.parametrize("overrides, field", [
         ({"slot_length": float("nan")}, "slot_length"),
         ({"congestion_weight": -50}, "congestion_weight"),

@@ -156,7 +156,7 @@ class TestReserveSharing:
                  (1, "receive"): MemoryPool(1, "receive", 100)}
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
         outcomes = reserve_sharing([hop], pools)
-        assert outcomes[(0, 0)].window == 2
+        assert outcomes[0].window == 2
         assert pools[(0, "send")].held((0, 0)) == 5
         assert pools[(1, "receive")].held((0, 0)) == 2
 
@@ -174,8 +174,8 @@ class TestReserveSharing:
         for qubit in range(3):
             hop.in_flight[qubit] = SharingTransfer(qubit, 0, Stage.SECOND)
         outcomes = reserve_sharing([hop], pools)
-        assert outcomes[(0, 0)].congested
-        assert outcomes[(0, 0)].window == 7
+        assert outcomes[0].congested
+        assert outcomes[0].window == 7
         assert pools[(1, "receive")].held((0, 0)) == 7  # max(grant, stored)
 
         # Window 4 against a 3-unit receive pool: the halved grant of 2
@@ -184,8 +184,42 @@ class TestReserveSharing:
         pools = {(0, "send"): MemoryPool(0, "send", 1000),
                  (1, "receive"): MemoryPool(1, "receive", 3)}
         outcomes = reserve_sharing([hop], pools)
-        assert outcomes[(0, 0)].window == 2
+        assert outcomes[0].window == 2
         assert pools[(1, "receive")].held((0, 0)) == 3
+
+    def test_grants_in_hop_order(self):
+        # Hops of sessions 7, 3 and 5 share receiver 4, whose 10 units
+        # cannot hold all three windows: the largest, session 7's, is cut.
+        from qdnsim.engine import reserve_sharing
+        from qdnsim.memory import MemoryPool
+        from qdnsim.tag import HopSession
+
+        pools = {(4, "receive"): MemoryPool(4, "receive", 10)}
+        hops = []
+        for sender, (sid, window) in enumerate([(7, 8), (3, 2), (5, 4)]):
+            pools[(sender, "send")] = MemoryPool(sender, "send", 100)
+            hops.append(HopSession(session=sid, hop=0, sender=sender,
+                                   receiver=4, window=window, unminted=None))
+        grants = reserve_sharing(hops, pools)
+        assert [(g.window, g.congested) for g in grants] == [
+            (4, True), (2, False), (4, False)]
+        assert [pools[(4, "receive")].held((sid, 0)) for sid in (7, 3, 5)] == [
+            4, 2, 4]
+
+    def test_stored_firsts_over_receive_pool_deadlock(self):
+        from qdnsim.engine import reserve_sharing
+        from qdnsim.errors import DeadlockError
+        from qdnsim.memory import MemoryPool
+        from qdnsim.tag import HopSession, SharingTransfer, Stage
+
+        pools = {(0, "send"): MemoryPool(0, "send", 1000),
+                 (1, "receive"): MemoryPool(1, "receive", 3)}
+        hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
+        for qubit in range(4):
+            hop.in_flight[qubit] = SharingTransfer(qubit, 0, Stage.SECOND)
+        with pytest.raises(DeadlockError, match=(
+                r"stored sharings \(4\) exceed receive pool at node 1")):
+            reserve_sharing([hop], pools)
 
 
 class TestReservationLifetime:
@@ -335,6 +369,23 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match="session 1"):
             run(cfg)
+
+    @pytest.mark.parametrize("spec, match", [
+        (SessionSpec(src=1), "session 1: name both src and dst"),
+        (SessionSpec(dst=2), "session 1: name both src and dst"),
+        (SessionSpec(src=2, dst=2, start_slot=3),
+         "session 1: src and dst must differ"),
+    ], ids=["src_alone", "dst_alone", "src_is_dst"])
+    def test_endpoints_named_both_or_neither_and_distinct(self, spec, match):
+        # Rejected when the engine is built, before any slot runs.
+        topology, egress = star_topology(1)
+        cfg = RunConfig(
+            seed=0, protocol=Protocol.TELE, network=NetworkKind.TELE,
+            topology=topology, n_slots=5,
+            sessions=[SessionSpec(src=1, dst=egress), spec],
+        )
+        with pytest.raises(ConfigError, match=match):
+            Engine(cfg)
 
     @pytest.mark.parametrize("protocol, network, qubits, window, field", [
         (Protocol.TELE, NetworkKind.TELE, None, -4, "initial_window"),

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from qdnsim.memory import RECEIVE_COST, TAG_SEND_COST
 from qdnsim.rng import stream
 from qdnsim.tag import (
     ChannelModel,
@@ -227,6 +228,16 @@ class TestIncrementalState:
         assert hop.in_flight_count == 3
         with pytest.raises(ValueError):
             hop.in_flight[3] = SharingTransfer(3, stage=Stage.DELIVERED)
+
+    def test_points_floored_by_hop_counters(self):
+        # Three qubits in flight hold 3 sender units each; the receiver
+        # stores 2 + 1 + 1 first sharings for them.
+        hop = hop_with(queued=0)
+        hop.in_flight[0] = SharingTransfer(0, round=1, stage=Stage.SECOND)
+        hop.in_flight[1] = SharingTransfer(1, round=1)
+        hop.in_flight[2] = SharingTransfer(2, round=0, stage=Stage.SECOND)
+        assert hop.points == [((0, "send"), TAG_SEND_COST, 9),
+                              ((1, "receive"), RECEIVE_COST, 4)]
 
 
 class TestPlanTransfers:

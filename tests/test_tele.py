@@ -1,6 +1,6 @@
 """Window control and the three teleportation reservation schemes."""
 
-from qdnsim.memory import MemoryPool
+from qdnsim.memory import RECEIVE_COST, TELE_SEND_COST, MemoryPool
 from qdnsim.routing import Path
 from qdnsim.tele import (
     Phase,
@@ -35,6 +35,22 @@ def star_sessions(windows, egress, remaining=None):
     ]
 
 
+def unsorted_star(windows, send_capacities, egress_receive=10**6):
+    """Sessions 7, 3 and 5, in that order, from hosts 1..3 through hub 0 to
+    host 4; each host's send pool has its own capacity."""
+    pools = {(0, "transit"): MemoryPool(0, "transit", 10**6),
+             (4, "send"): MemoryPool(4, "send", 10**6),
+             (4, "receive"): MemoryPool(4, "receive", egress_receive)}
+    sessions = []
+    for host, (sid, window, send) in enumerate(
+            zip([7, 3, 5], windows, send_capacities), start=1):
+        pools[(host, "send")] = MemoryPool(host, "send", send)
+        pools[(host, "receive")] = MemoryPool(host, "receive", 10**6)
+        sessions.append(TeleSession(id=sid, path=Path((host, 0, 4)),
+                                    remaining=None, window=window))
+    return sessions, pools
+
+
 class TestNextWindow:
     def test_slow_start_doubles(self):
         assert next_window(8, Phase.SLOW_START, False) == (16, Phase.SLOW_START)
@@ -67,6 +83,16 @@ class TestTeleSession:
         session = TeleSession(id=0, path=Path((1, 0, 2)), remaining=None)
         assert session.transfer(6) == 6
         assert not session.finished
+
+
+    def test_points_fixed_by_path(self):
+        session = TeleSession(id=0, path=Path((4, 0, 1, 5)), remaining=None)
+        assert session.points == [
+            ((4, "send"), TELE_SEND_COST, 0),
+            ((0, "transit"), TELE_SEND_COST, 0),
+            ((1, "transit"), TELE_SEND_COST, 0),
+            ((5, "receive"), RECEIVE_COST, 0),
+        ]
 
 
 class TestReserveTeleport:
@@ -107,6 +133,17 @@ class TestReserveTeleport:
         assert pools[(egress, "receive")].reserved == 4
 
 
+    def test_grants_in_session_order(self):
+        # 14 receive units asked of 10 at the egress: session 7's window of
+        # 8, the largest, is cut.
+        sessions, pools = unsorted_star([8, 2, 4], [10**6] * 3,
+                                        egress_receive=10)
+        grants = reserve_teleport(sessions, pools)
+        assert [(g.window, g.congested) for g in grants] == [
+            (4, True), (2, False), (4, False)]
+        assert [pools[(4, "receive")].held(s.id) for s in sessions] == [4, 2, 4]
+
+
 class TestReserveExplicit:
     def test_even_split_of_capacity(self):
         pools, egress = star_pools(10, egress_receive=100)
@@ -126,6 +163,15 @@ class TestReserveExplicit:
         sessions = star_sessions([1], egress)
         outcomes = reserve_explicit(sessions, pools)
         assert outcomes[0].window == 50
+
+
+    def test_grants_in_session_order(self):
+        # Each session's share is its own host's send pool at 2 units each.
+        sessions, pools = unsorted_star([1] * 3, [20, 8, 12])
+        grants = reserve_explicit(sessions, pools)
+        assert [g.window for g in grants] == [10, 4, 6]
+        assert [pools[(4, "receive")].held(s.id) for s in sessions] == [
+            10, 4, 6]
 
 
 class TestReserveFair:
@@ -157,6 +203,14 @@ class TestReserveFair:
         assert max(steady) <= 2 * 8 + 1
         assert min(steady) >= 4
         assert 8 in steady  # repeatedly touches the fair share
+
+    def test_grants_in_session_order(self):
+        # Shares 10, 4 and 6: sessions 7 and 5 ask for more and are halved.
+        sessions, pools = unsorted_star([11, 4, 7], [20, 8, 12])
+        grants = reserve_fair(sessions, pools)
+        assert [(g.window, g.congested) for g in grants] == [
+            (5, True), (4, False), (3, True)]
+        assert [pools[(4, "receive")].held(s.id) for s in sessions] == [5, 4, 3]
 
 
 class TestWindowTrajectory:

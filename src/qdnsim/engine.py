@@ -4,11 +4,13 @@ Each slot runs a fixed phase order: admit new sessions; reserve memory
 for the announced windows; plan, send, record and advance the window per
 session; snapshot pool occupancy; clear every pool.  Each session reserves
 at the points its path fixed at admission, and the reservation functions
-return their grants in session (or hop) order.  Reservations last one
-slot: what tell-and-go state outlives it (stored first sharings, in-flight
-sender blocks) lives in the hop counters, which floor the next slot's
-reservation.  A run is a pure function of its configuration: identical
-configs (including the seed) produce bit-identical results.
+return their grants in session (or hop) order.  A pool keeps only its
+reserved total, for one slot: what tell-and-go state outlives it (stored
+first sharings, in-flight sender blocks) lives in the hop counters, which
+floor the next slot's reservation and, with the grant, give a hop's
+memory budgets (``HopSession.budgets``).  A run is a pure function of its
+configuration: identical configs (including the seed) produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -191,9 +193,10 @@ def build_pools(topology: Topology, network: NetworkKind) -> dict:
 
 def reserve_sharing(hops: list[HopSession], pools: dict) -> list[Grant]:
     """Per-slot reservation for tell-and-go hops at their ``points``, by
-    ``memory.reserve_two_pass``; grants come back in hop order, and each hop
-    holds under its ``(session, hop)`` pair.  Raises DeadlockError when the
-    stored first sharings alone overfill a receive pool."""
+    ``memory.reserve_two_pass``; grants come back in hop order, and the
+    ``(session, hop)`` pair is only ``assign_memory``'s tie-break id.
+    Raises DeadlockError when the stored first sharings alone overfill a
+    receive pool."""
     stored: dict[int, int] = {}
     for hop in hops:
         stored[hop.receiver] = stored.get(hop.receiver, 0) + hop.stored_firsts
@@ -368,17 +371,12 @@ class Engine:
         forwards: list[tuple[HopSession, int]] = []  # (hop, qubits)
         for flow in flows:
             for index, hop in enumerate(flow.hops):
-                key = (hop.session, hop.hop)
                 grant = next(grants)
                 downstream = (
                     flow.hops[index + 1] if index + 1 < len(flow.hops) else None
                 )
-                recv_pool = self.pools[(hop.receiver, "receive")]
-                send_pool = self.pools[(hop.sender, "send")]
                 plan = plan_transfers(
-                    hop, grant.window,
-                    recv_pool.held(key) - hop.stored_firsts,
-                    send_pool.held(key) // TAG_QUBIT_UNITS - hop.in_flight_count,
+                    hop, grant.window, *hop.budgets(grant.window),
                     downstream.queue_free if downstream is not None else None,
                 )
                 firsts, seconds = plan.first_count, plan.second_count

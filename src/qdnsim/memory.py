@@ -9,11 +9,11 @@ floor releases nothing but the assignment still never overcommits.
 Both transports reserve through ``reserve_two_pass``, which runs the
 assignment at every pool and halves a session at most once per slot.  A
 session reserves at fixed points, ``(pool key, unit cost, floor)``: ``cost``
-prices a window at one, and ``hold`` sets a session's holding at each of
-its points with ``MemoryPool.require``, the pools' one mutator.  Holdings
-last one slot: the engine clears every pool after its snapshot, and the
-floors come from session state (the tell-and-go hop counters), not from
-what a pool held the slot before.
+prices a window at one, and ``hold`` adds that cost at each of a session's
+points with ``MemoryPool.require``.  A pool keeps only its reserved total:
+reservations last one slot, the engine clears every pool after its
+snapshot, and the floors come from session state (the tell-and-go hop
+counters), not from what a pool held the slot before.
 """
 
 from __future__ import annotations
@@ -52,11 +52,10 @@ def cost(unit_cost: int | Fraction, window: int, floor: int = 0) -> int:
     return max(-(-unit_cost.numerator * window // unit_cost.denominator), floor)
 
 
-def hold(session, points: list[tuple], window: int, pools: dict) -> None:
-    """Set ``session``'s holding at each of its ``(pool key, unit cost,
-    floor)`` points to the cost of ``window`` there."""
+def hold(points: list[tuple], window: int, pools: dict) -> None:
+    """Reserve the ``cost`` of ``window`` at each of ``points``."""
     for key, unit_cost, floor in points:
-        pools[key].require(session, cost(unit_cost, window, floor))
+        pools[key].require(cost(unit_cost, window, floor))
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,8 @@ def reserve_two_pass(requests: list[tuple], pools: dict) -> list[Grant]:
     Each request is ``(session, announced window, points)``.  Pass 1:
     every pool, in sorted key order, runs ``assign_memory`` over the
     demands crossing it and marks the sessions it cuts.  Pass 2: a session
-    is halved iff any pool marked it, and ``hold`` sets each of its points
-    to exactly the cost of the final window (floors honoured).  Returns
+    is halved iff any pool marked it, and ``hold`` reserves at each of its
+    points exactly the cost of the final window (floors honoured).  Returns
     the grants in request order.
     """
     per_pool: dict = {}
@@ -143,45 +142,36 @@ def reserve_two_pass(requests: list[tuple], pools: dict) -> list[Grant]:
         congested = session in marked
         granted = window // 2 if congested else window
         outcomes.append(Grant(granted, congested))
-        hold(session, points, granted, pools)
+        hold(points, granted, pools)
     return outcomes
 
 
 @dataclass
 class MemoryPool:
-    """A node-side pool with per-session reservations.
+    """A node-side pool's reserved total for the current slot.
 
-    The engine is the single writer within a slot and ``require`` its one
-    mutator besides ``clear``.  ``reserved``, the running sum of holdings,
-    never exceeds capacity: ``require`` raises instead of overcommitting.
+    ``require`` and ``clear`` are its only mutators.  ``reserved`` stays
+    within ``[0, capacity]``: ``require`` raises instead of overcommitting
+    or returning more than is reserved, and leaves the total unchanged.
     """
 
     node: int
     kind: str
     capacity: int
     reserved: int = field(default=0, init=False)
-    _held: dict = field(default_factory=dict, init=False)
 
-    def held(self, session) -> int:
-        return self._held.get(session, 0)
-
-    def require(self, session, target: int) -> None:
-        """Set a session's holding, up or down, to exactly ``target``."""
-        if target < 0:
-            raise ValueError(f"session {session}: cannot hold {target} units")
-        grow = target - self._held.get(session, 0)
+    def require(self, units: int) -> None:
+        """Reserve ``units`` more; a negative count returns units."""
         free = self.capacity - self.reserved
-        if grow > free:
+        if units > free:
             raise CapacityExceededError(
-                f"pool {self.kind}@{self.node}: reserving {grow} with only "
+                f"pool {self.kind}@{self.node}: reserving {units} with only "
                 f"{free} of {self.capacity} free"
             )
-        if target:
-            self._held[session] = target
-        else:
-            self._held.pop(session, None)
-        self.reserved += grow
+        if units < -self.reserved:
+            raise ValueError(f"pool {self.kind}@{self.node}: cannot return "
+                             f"{-units} of {self.reserved} reserved")
+        self.reserved += units
 
     def clear(self) -> None:
-        self._held.clear()
         self.reserved = 0

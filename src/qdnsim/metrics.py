@@ -71,8 +71,8 @@ def steady_state_stats(series: list[float], warmup: int) -> SteadyStats:
     The sawtooth period is estimated from the spacing of successive local
     maxima (points from which the series next moves downward).
     """
-    if warmup >= len(series):
-        raise ValueError("series must be longer than the warmup")
+    if not 0 <= warmup < len(series):
+        raise ValueError("warmup must lie in [0, len(series))")
     suffix = series[warmup:]
     peaks = [
         i for i in range(len(suffix) - 1)
@@ -94,8 +94,8 @@ def steady_state_stats(series: list[float], warmup: int) -> SteadyStats:
 def idle_fraction(result: RunResult, node: int, pool: str, warmup: int) -> float:
     """Largest post-warmup fraction of an occupied pool left unreserved."""
     series = utilization(result, node, pool)
-    if warmup >= len(series):
-        raise ValueError("utilization series must be longer than the warmup")
+    if not 0 <= warmup < len(series):
+        raise ValueError("warmup must lie in [0, len(utilization series))")
     return max(1.0 - u for u in series[warmup:])
 
 

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .memory import RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST
+from .memory import RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST, cost
 from .tele import Phase, next_window
 
 INITIAL_WINDOW = 2
@@ -166,6 +166,13 @@ class HopSession:
         return [((self.sender, "send"), TAG_SEND_COST,
                  TAG_QUBIT_UNITS * self.in_flight_count),
                 ((self.receiver, "receive"), RECEIVE_COST, self.stored_firsts)]
+
+    def budgets(self, granted: int) -> tuple[int, int]:
+        """``plan_transfers``' receiver and encode-block budgets under
+        ``granted``: what ``points`` reserve at that window, less floors."""
+        return (max(cost(RECEIVE_COST, granted) - self.stored_firsts, 0),
+                max(cost(TAG_SEND_COST, granted) // TAG_QUBIT_UNITS
+                    - self.in_flight_count, 0))
 
     @property
     def in_flight(self) -> _Seed:

@@ -6,7 +6,7 @@ if any node reports congestion.  Windows then grow again: doubling in slow
 start, plus one in congestion avoidance.  Two variants are provided: an
 explicit per-node fair share (EW) and a fair-share threshold check that
 keeps the halving dynamics (FRA).  Each scheme returns its grants in
-session order and holds them at the session's fixed reservation points.
+session order and reserves them at the session's fixed reservation points.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .memory import RECEIVE_COST, TELE_SEND_COST, Grant, hold, reserve_two_pass
+from .memory import (RECEIVE_COST, TELE_SEND_COST, Grant, cost, hold,
+                     reserve_two_pass)
 from .routing import Path
 
 #: Window a session announces in its first slot unless it asks otherwise.
@@ -140,7 +141,7 @@ def reserve_explicit(sessions: list[TeleSession], pools: PoolMap) -> list[Grant]
     outcomes = []
     for session, share in zip(sessions, _fair_shares(sessions, pools)):
         outcomes.append(Grant(share, False))
-        hold(session.id, session.points, share, pools)
+        hold(session.points, share, pools)
     return outcomes
 
 
@@ -152,13 +153,15 @@ def reserve_fair(sessions: list[TeleSession], pools: PoolMap) -> list[Grant]:
         congested = window > share
         granted = window // 2 if congested else window
         outcomes.append(Grant(granted, congested))
-        hold(session.id, session.points, granted, pools)
+        hold(session.points, granted, pools)
     return outcomes
 
 
 def release_surplus(
     session: TeleSession, granted: int, delivered: int, pools: PoolMap
 ) -> None:
-    """Return unused reservation when a session delivers less than granted."""
+    """Give back ``cost(granted) - cost(delivered)`` at each point."""
     if delivered < granted:
-        hold(session.id, session.points, delivered, pools)
+        for key, unit_cost, floor in session.points:
+            pools[key].require(cost(unit_cost, delivered, floor)
+                               - cost(unit_cost, granted, floor))

@@ -319,14 +319,15 @@ def _capacity(d: dict) -> int:
 
 def from_document(doc: dict) -> Topology:
     nodes = [
-        Node(d["id"], NodeKind(d["kind"]), float(d["x"]), float(d["y"]),
-             _capacity(d))
-        for d in doc["nodes"]
+        Node(number(d["id"], int, f"node {index}: id"), NodeKind(d["kind"]),
+             float(d["x"]), float(d["y"]), _capacity(d))
+        for index, d in enumerate(doc["nodes"])
     ]
     nodes.sort(key=lambda n: n.id)
     if [n.id for n in nodes] != list(range(len(nodes))):
         raise ValueError("node ids must be dense from 0")
-    edges = [tuple(e) for e in doc["edges"]]
+    edges = [tuple(number(end, int, f"edge {index}") for end in e)
+             for index, e in enumerate(doc["edges"])]
     ids = {n.id for n in nodes}
     for u, v in edges:
         if u == v:

@@ -39,6 +39,13 @@ def inline_topology(network="tele", **node0):
     return {"inline": doc}
 
 
+def inline_edge(edge):
+    """``inline_topology`` with its first edge, ``[0, 1]``, replaced."""
+    topology = inline_topology()
+    topology["inline"]["edges"][0] = edge
+    return topology
+
+
 class TestParseConfig:
     def test_minimal_config_gets_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, minimal_doc()))
@@ -122,6 +129,10 @@ class TestParseConfig:
         ({"topology": inline_topology(capacity=True)}, "node 0: capacity"),
         ({"topology": inline_topology(capacity=5.9)}, "node 0: capacity"),
         ({"topology": inline_topology(capacity=-5)}, "node 0: capacity"),
+        ({"topology": inline_topology(id=True)}, "node 0: id"),
+        ({"topology": inline_topology(id=0.5)}, "node 0: id"),
+        ({"topology": inline_edge([0, True])}, "edge 0"),
+        ({"topology": inline_edge([0, 1.5])}, "edge 0"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -246,6 +257,24 @@ class TestMain:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
         assert "node 0" in record["message"]
+
+    def test_boolean_edge_endpoint_is_an_error_record(self, tmp_path, capsys):
+        # Not read as node 1.
+        doc = minimal_doc(topology=inline_edge([0, True]))
+        config = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+
+    def test_whole_float_ids_run(self, tmp_path):
+        # 0.0 follows the integer rule and reads as node 0.
+        topology = inline_edge([0.0, 1.0])
+        topology["inline"]["nodes"][0]["id"] = 0.0
+        config = write_config(tmp_path, minimal_doc(topology=topology))
+        assert main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_tag_pool_too_small_is_an_error_record(self, tmp_path, capsys):
         # No minimum capacity is checked up front: the run stops at the

@@ -157,8 +157,8 @@ class TestReserveSharing:
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
         outcomes = reserve_sharing([hop], pools)
         assert outcomes[0].window == 2
-        assert pools[(0, "send")].held((0, 0)) == 5
-        assert pools[(1, "receive")].held((0, 0)) == 2
+        assert pools[(0, "send")].reserved == 5
+        assert pools[(1, "receive")].reserved == 2
 
     def test_receive_reservation_floored_by_stored_firsts(self):
         # Stored first sharings cannot be evicted: a halved grant below the
@@ -176,7 +176,7 @@ class TestReserveSharing:
         outcomes = reserve_sharing([hop], pools)
         assert outcomes[0].congested
         assert outcomes[0].window == 7
-        assert pools[(1, "receive")].held((0, 0)) == 7  # max(grant, stored)
+        assert pools[(1, "receive")].reserved == 7  # max(grant, stored)
 
         # Window 4 against a 3-unit receive pool: the halved grant of 2
         # sits below the backlog, and the reservation stays at 3.
@@ -185,7 +185,7 @@ class TestReserveSharing:
                  (1, "receive"): MemoryPool(1, "receive", 3)}
         outcomes = reserve_sharing([hop], pools)
         assert outcomes[0].window == 2
-        assert pools[(1, "receive")].held((0, 0)) == 3
+        assert pools[(1, "receive")].reserved == 3
 
     def test_grants_in_hop_order(self):
         # Hops of sessions 7, 3 and 5 share receiver 4, whose 10 units
@@ -203,8 +203,11 @@ class TestReserveSharing:
         grants = reserve_sharing(hops, pools)
         assert [(g.window, g.congested) for g in grants] == [
             (4, True), (2, False), (4, False)]
-        assert [pools[(4, "receive")].held((sid, 0)) for sid in (7, 3, 5)] == [
-            4, 2, 4]
+        # Each sender's pool holds its own hop's cost; receiver 4 holds
+        # the sum of the three grants.
+        assert [pools[(sender, "send")].reserved for sender in range(3)] == [
+            9, 5, 9]
+        assert pools[(4, "receive")].reserved == 4 + 2 + 4
 
     def test_stored_firsts_over_receive_pool_deadlock(self):
         from qdnsim.engine import reserve_sharing

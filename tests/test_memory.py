@@ -12,7 +12,9 @@ from qdnsim.memory import (
     TAG_SPLIT,
     TELE_SPLIT,
     assign_memory,
+    cost,
     partition,
+    reserve_two_pass,
 )
 
 
@@ -117,8 +119,8 @@ class TestAssignMemory:
 class TestMemoryPool:
     def test_reserve_tracks_free_space(self):
         pool = MemoryPool(0, "receive", 100)
-        pool.require("s", 10)
-        assert pool.held("s") == 10
+        pool.require(10)
+        assert pool.reserved == 10
         assert pool.capacity - pool.reserved == 90
 
     def test_over_reservation_raises(self):
@@ -126,52 +128,87 @@ class TestMemoryPool:
         with pytest.raises(CapacityExceededError,
                            match="receive@0: reserving 101 with only 100 "
                                  "of 100 free"):
-            pool.require("s", 101)
+            pool.require(101)
 
     def test_release_restores_capacity(self):
         pool = MemoryPool(0, "receive", 100)
-        pool.require("s", 60)
-        pool.require("s", 0)
+        pool.require(60)
+        pool.require(-60)
         assert pool.capacity - pool.reserved == 100
 
     def test_require_moves_both_directions(self):
         pool = MemoryPool(0, "send", 50)
-        pool.require("s", 30)
-        pool.require("s", 12)
-        assert pool.held("s") == 12
-        pool.require("s", 0)
+        pool.require(30)
+        pool.require(-18)
+        assert pool.reserved == 12
+        pool.require(-12)
         assert pool.reserved == 0
 
     def test_negative_target_rejected(self):
+        # Returning more than is reserved would take the total below zero.
         pool = MemoryPool(0, "send", 50)
-        pool.require("s", 7)
-        with pytest.raises(ValueError, match="cannot hold -1 units"):
-            pool.require("s", -1)
-        assert pool.held("s") == 7 and pool.reserved == 7
+        pool.require(7)
+        with pytest.raises(ValueError,
+                           match="pool send@0: cannot return 8 of 7 reserved"):
+            pool.require(-8)
+        assert pool.reserved == 7
 
     def test_running_total_tracks_holdings(self):
         pool = MemoryPool(0, "send", 50)
-
-        def check():
-            assert pool.reserved == sum(pool.held(s) for s in ("a", "b"))
+        total = 0
+        for units in (20, 15, -15, -10):
+            pool.require(units)
+            total += units
+            assert pool.reserved == total
             assert 0 <= pool.reserved <= pool.capacity
-
-        pool.require("a", 20)
-        check()
-        pool.require("b", 15)
-        check()
-        pool.require("a", 5)
-        check()
-        pool.require("b", 5)
-        check()
-        with pytest.raises(CapacityExceededError):
-            pool.require("b", 46)  # 41 more with 40 free
-        check()
-        pool.require("b", 45)
-        check()
+        with pytest.raises(CapacityExceededError,
+                           match="send@0: reserving 41 with only 40 of 50 "
+                                 "free"):
+            pool.require(41)
+        assert pool.reserved == 10
+        pool.require(40)
         assert pool.capacity - pool.reserved == 0
-        pool.require("a", 0)
-        check()
+        with pytest.raises(ValueError, match="cannot return 51 of 50"):
+            pool.require(-51)
+        assert pool.reserved == 50
         pool.clear()
-        check()
         assert pool.reserved == 0
+
+
+class TestReserveTwoPassFuzz:
+    def test_pool_totals_match_grants(self):
+        # Random sessions over shared pools: every call either raises
+        # InfeasibleReservationError or leaves each pool holding exactly
+        # the cost of the grants crossing it, within its capacity.
+        import random
+
+        rng = random.Random(20261018)
+        outcomes = {"feasible": 0, "infeasible": 0, "halved": 0}
+        for _ in range(400):
+            keys = [(node, "receive") for node in range(rng.randint(1, 4))]
+            pools = {key: MemoryPool(key[0], key[1], rng.randint(0, 60))
+                     for key in keys}
+            requests = []
+            for session in range(rng.randint(1, 6)):
+                crossed = rng.sample(keys, rng.randint(1, len(keys)))
+                points = [(key, rng.choice([1, 2, TAG_SEND_COST]),
+                           rng.choice([0, 0, rng.randint(0, 8)]))
+                          for key in crossed]
+                requests.append((session, rng.randint(0, 20), points))
+            try:
+                grants = reserve_two_pass(requests, pools)
+            except InfeasibleReservationError:
+                outcomes["infeasible"] += 1
+                continue
+            outcomes["feasible"] += 1
+            expected = dict.fromkeys(keys, 0)
+            for (_, window, points), grant in zip(requests, grants):
+                assert grant.window == (window // 2 if grant.congested
+                                        else window)
+                outcomes["halved"] += grant.congested
+                for key, unit_cost, floor in points:
+                    expected[key] += cost(unit_cost, grant.window, floor)
+            for key, pool in pools.items():
+                assert pool.reserved == expected[key]
+                assert 0 <= pool.reserved <= pool.capacity
+        assert min(outcomes.values()) > 0, outcomes

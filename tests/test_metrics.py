@@ -113,6 +113,11 @@ class TestSteadyStateStats:
         with pytest.raises(ValueError):
             steady_state_stats([1.0, 2.0], warmup=2)
 
+    def test_negative_warmup_rejected(self):
+        # A negative warmup would measure only the last few points.
+        with pytest.raises(ValueError, match="warmup"):
+            steady_state_stats([float(x) for x in range(1, 9)], warmup=-3)
+
 
 class TestIdleFraction:
     def test_fully_utilized(self):
@@ -125,6 +130,13 @@ class TestIdleFraction:
                 PoolRow(2, 3, "receive", 95, 100)]
         value = idle_fraction(result_with(pool_rows=rows), 3, "receive", 1)
         assert value == pytest.approx(0.13)
+
+    @pytest.mark.parametrize("warmup", [-1, 3])
+    def test_warmup_out_of_range_rejected(self, warmup):
+        # Three slots; -1 would measure only the last one.
+        rows = [PoolRow(s, 3, "receive", 100 - s, 100) for s in range(3)]
+        with pytest.raises(ValueError, match="warmup"):
+            idle_fraction(result_with(pool_rows=rows), 3, "receive", warmup)
 
 
 class TestThroughput:

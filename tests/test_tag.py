@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from qdnsim.memory import RECEIVE_COST, TAG_SEND_COST
+from qdnsim.memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST,
+                           MemoryPool, hold)
 from qdnsim.rng import stream
 from qdnsim.tag import (
     ChannelModel,
@@ -238,6 +239,25 @@ class TestIncrementalState:
         hop.in_flight[2] = SharingTransfer(2, round=0, stage=Stage.SECOND)
         assert hop.points == [((0, "send"), TAG_SEND_COST, 9),
                               ((1, "receive"), RECEIVE_COST, 4)]
+
+    def test_budgets_are_reservation_less_floors(self):
+        # With 3 qubits in flight and 4 stored firsts, a grant of 8 holds
+        # 18 send units (6 blocks, 3 free) and 8 receive units (4 free);
+        # a grant of 2 is all floor.
+        hop = hop_with(queued=0)
+        hop.in_flight[0] = SharingTransfer(0, round=1, stage=Stage.SECOND)
+        hop.in_flight[1] = SharingTransfer(1, round=1)
+        hop.in_flight[2] = SharingTransfer(2, round=0, stage=Stage.SECOND)
+        assert hop.budgets(8) == (4, 3)
+        assert hop.budgets(2) == (0, 0)
+        for granted in range(20):
+            pools = {(0, "send"): MemoryPool(0, "send", 100),
+                     (1, "receive"): MemoryPool(1, "receive", 100)}
+            hold(hop.points, granted, pools)
+            assert hop.budgets(granted) == (
+                pools[(1, "receive")].reserved - hop.stored_firsts,
+                pools[(0, "send")].reserved // TAG_QUBIT_UNITS
+                - hop.in_flight_count)
 
 
 class TestPlanTransfers:

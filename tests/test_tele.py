@@ -7,6 +7,7 @@ from qdnsim.tele import (
     TeleSession,
     next_window,
     reserve_explicit,
+    release_surplus,
     reserve_fair,
     reserve_teleport,
 )
@@ -141,7 +142,11 @@ class TestReserveTeleport:
         grants = reserve_teleport(sessions, pools)
         assert [(g.window, g.congested) for g in grants] == [
             (4, True), (2, False), (4, False)]
-        assert [pools[(4, "receive")].held(s.id) for s in sessions] == [4, 2, 4]
+        # Each host's send pool holds its own session's 2 units per
+        # circuit; the shared egress holds the sum of the grants.
+        assert [pools[(host, "send")].reserved for host in (1, 2, 3)] == [
+            8, 4, 8]
+        assert pools[(4, "receive")].reserved == 4 + 2 + 4
 
 
 class TestReserveExplicit:
@@ -170,8 +175,9 @@ class TestReserveExplicit:
         sessions, pools = unsorted_star([1] * 3, [20, 8, 12])
         grants = reserve_explicit(sessions, pools)
         assert [g.window for g in grants] == [10, 4, 6]
-        assert [pools[(4, "receive")].held(s.id) for s in sessions] == [
-            10, 4, 6]
+        assert [pools[(host, "send")].reserved for host in (1, 2, 3)] == [
+            20, 8, 12]
+        assert pools[(4, "receive")].reserved == 10 + 4 + 6
 
 
 class TestReserveFair:
@@ -210,7 +216,28 @@ class TestReserveFair:
         grants = reserve_fair(sessions, pools)
         assert [(g.window, g.congested) for g in grants] == [
             (5, True), (4, False), (3, True)]
-        assert [pools[(4, "receive")].held(s.id) for s in sessions] == [5, 4, 3]
+        assert [pools[(host, "send")].reserved for host in (1, 2, 3)] == [
+            10, 8, 6]
+        assert pools[(4, "receive")].reserved == 5 + 4 + 3
+
+
+class TestReleaseSurplus:
+    def test_returns_unused_cost_at_each_point(self):
+        # Session 7 is granted 10 and delivers 3: its send and transit
+        # points drop from 20 to 6 units, its receive point from 10 to 3.
+        sessions, pools = unsorted_star([10, 2, 4], [10**6] * 3)
+        grants = reserve_teleport(sessions, pools)
+        release_surplus(sessions[0], grants[0].window, 3, pools)
+        assert pools[(1, "send")].reserved == 6
+        assert pools[(0, "transit")].reserved == 6 + 4 + 8
+        assert pools[(4, "receive")].reserved == 3 + 2 + 4
+
+    def test_full_delivery_keeps_reservation(self):
+        sessions, pools = unsorted_star([10, 2, 4], [10**6] * 3)
+        grants = reserve_teleport(sessions, pools)
+        release_surplus(sessions[1], grants[1].window, 2, pools)
+        assert pools[(2, "send")].reserved == 4
+        assert pools[(4, "receive")].reserved == 10 + 2 + 4
 
 
 class TestWindowTrajectory:

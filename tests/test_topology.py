@@ -157,3 +157,30 @@ class TestSerialization:
         doc["nodes"][0]["capacity"] = capacity
         node = from_document(doc).node(0)
         assert node.capacity == 5 and type(node.capacity) is int
+
+    @pytest.mark.parametrize("node_id", [True, 0.5, "zero", None])
+    def test_rejects_bad_node_id(self, node_id):
+        doc = to_document(generate_waxman(4, 2.0, 10.0, 0.4, seed=1))
+        doc["nodes"][0]["id"] = node_id
+        with pytest.raises(ValueError, match="node 0: id"):
+            from_document(doc)
+
+    @pytest.mark.parametrize("end", [True, 1.5, "one", None])
+    def test_rejects_bad_edge_endpoint(self, end):
+        doc = to_document(generate_waxman(4, 2.0, 10.0, 0.4, seed=1))
+        assert doc["edges"][0] == [0, 1]
+        doc["edges"][0] = [0, end]
+        with pytest.raises(ValueError, match="edge 0: "):
+            from_document(doc)
+
+    @pytest.mark.parametrize("whole", [0.0, "0"])
+    def test_whole_ids_read_as_int(self, whole):
+        # Node 0's id and edge 0's first endpoint, written as whole floats
+        # or strings, read as the int 0 and name the same node.
+        doc = to_document(generate_waxman(4, 2.0, 10.0, 0.4, seed=1))
+        doc["nodes"][0]["id"] = whole
+        doc["edges"][0] = [whole, 1.0]
+        topology = from_document(doc)
+        assert topology.node(0).id == 0 and type(topology.node(0).id) is int
+        assert topology.edges[0] == (0, 1)
+        assert all(type(end) is int for end in topology.edges[0])

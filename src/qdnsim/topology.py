@@ -3,9 +3,12 @@
 Infrastructure nodes (repeaters, relays, or all-optical switches depending
 on the network kind) are placed uniformly in a square and wired with the
 Waxman model; the edge-density parameter is calibrated by bisection until
-the realized average infrastructure degree matches a target.  One end host
-is attached to every infrastructure node so any node can terminate a
-session.
+the realized average infrastructure degree matches a target.  One table of
+infrastructure pairs, each with its distance and Waxman weight computed
+once, serves every bisection step and then the connectivity repair, which
+joins components along the shortest pairs.  One union-find counts
+components, both there and in ``validate``.  One end host is attached to
+every infrastructure node so any node can terminate a session.
 """
 
 from __future__ import annotations
@@ -98,30 +101,6 @@ class Diagnostics:
     average_infra_degree: float
 
 
-def _pairwise_distances(xs: list[float], ys: list[float]) -> list[list[float]]:
-    n = len(xs)
-    dist = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.hypot(xs[i] - xs[j], ys[i] - ys[j])
-            dist[i][j] = dist[j][i] = d
-    return dist
-
-
-def _edges_for_beta(beta, draws, dist, d_max, alpha):
-    n = len(dist)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d_max > 0:
-                prob = min(1.0, beta * math.exp(-dist[i][j] / (alpha * d_max)))
-            else:
-                prob = min(1.0, beta)
-            if draws[i][j] < prob:
-                edges.append((i, j))
-    return edges
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -138,6 +117,12 @@ class _UnionFind:
             return False
         self.parent[rb] = ra
         return True
+
+
+def _join(n: int, edges) -> tuple[_UnionFind, int]:
+    """Nodes ``0..n-1`` joined by ``edges``, and their component count."""
+    uf = _UnionFind(n)
+    return uf, n - sum(uf.union(u, v) for u, v in edges)
 
 
 def generate_waxman(
@@ -168,8 +153,17 @@ def generate_waxman(
     ys = (rng.random(n_infra) * area_side).tolist()
     draws = rng.random((n_infra, n_infra)).tolist()
 
-    dist = _pairwise_distances(xs, ys)
-    d_max = max(max(row) for row in dist)
+    # One (distance, i, j) row per infrastructure pair, i < j, with its
+    # Waxman weight; the bisection and the repair both read this table.
+    pairs = [(math.hypot(xs[i] - xs[j], ys[i] - ys[j]), i, j)
+             for i in range(n_infra) for j in range(i + 1, n_infra)]
+    d_max = max(d for d, _, _ in pairs)
+    weights = ([math.exp(-d / (alpha * d_max)) for d, _, _ in pairs]
+               if d_max > 0 else [1.0] * len(pairs))
+
+    def edges_for(beta: float) -> list[tuple[int, int]]:
+        return [(i, j) for (_, i, j), w in zip(pairs, weights)
+                if draws[i][j] < min(1.0, beta * w)]
 
     # Realized degree is a monotone step function of beta; bisect on it.
     beta_hi = math.exp(1.0 / alpha)
@@ -177,7 +171,7 @@ def generate_waxman(
     def avg_degree(edges: list[tuple[int, int]]) -> float:
         return 2.0 * len(edges) / n_infra
 
-    best_edges = _edges_for_beta(beta_hi, draws, dist, d_max, alpha)
+    best_edges = edges_for(beta_hi)
     best_gap = abs(avg_degree(best_edges) - target_avg_degree)
     if avg_degree(best_edges) < target_avg_degree - _DEGREE_TOLERANCE:
         raise GenerationError(
@@ -188,7 +182,7 @@ def generate_waxman(
         if best_gap <= _CALIBRATION_SLACK:
             break
         mid = (lo + hi) / 2.0
-        edges = _edges_for_beta(mid, draws, dist, d_max, alpha)
+        edges = edges_for(mid)
         gap = abs(avg_degree(edges) - target_avg_degree)
         if gap < best_gap:
             best_edges, best_gap = edges, gap
@@ -202,25 +196,17 @@ def generate_waxman(
             f"{target_avg_degree + best_gap:.2f} vs target {target_avg_degree}"
         )
 
-    # Repair connectivity with the shortest edges joining distinct components.
-    uf = _UnionFind(n_infra)
-    edge_set = set(best_edges)
-    for u, v in best_edges:
-        uf.union(u, v)
-    components = len({uf.find(i) for i in range(n_infra)})
+    # Repair connectivity with the shortest pairs joining distinct
+    # components; a pair already wired never joins two.
+    uf, components = _join(n_infra, best_edges)
+    edges = list(best_edges)
     if components > 1:
-        candidates = sorted(
-            ((dist[i][j], i, j) for i in range(n_infra) for j in range(i + 1, n_infra)
-             if (i, j) not in edge_set),
-            key=lambda t: t,
-        )
-        for _, i, j in candidates:
-            if components == 1:
-                break
+        for _, i, j in sorted(pairs):
             if uf.union(i, j):
-                edge_set.add((i, j))
+                edges.append((i, j))
                 components -= 1
-    edges = sorted(edge_set)
+                if components == 1:
+                    break
 
     if abs(avg_degree(edges) - target_avg_degree) > _DEGREE_TOLERANCE:
         raise GenerationError("connectivity repair pushed degree out of range")
@@ -231,32 +217,19 @@ def generate_waxman(
         Node(i, infra_kind, xs[i], ys[i], infra_capacity) for i in range(n_infra)
     ]
     # One host per infrastructure node, co-located, with the full capacity.
-    all_edges = list(edges)
     for i in range(n_infra):
         host_id = n_infra + i
         nodes.append(Node(host_id, NodeKind.HOST, xs[i], ys[i], capacity))
-        all_edges.append((i, host_id))
+        edges.append((i, host_id))
 
-    return Topology(kind=network, nodes=nodes, edges=all_edges)
+    return Topology(kind=network, nodes=nodes, edges=edges)
 
 
 def validate(topology: Topology) -> Diagnostics:
     """Read-only diagnostics: connectivity, infra degree histogram, capacity."""
+    # Node ids are dense from 0, so they index the union-find directly.
+    _, components = _join(len(topology.nodes), topology.edges)
     adj = topology.adjacency()
-    nodes = topology.nodes
-    if nodes:
-        seen = {nodes[0].id}
-        frontier = [nodes[0].id]
-        while frontier:
-            current = frontier.pop()
-            for neighbour in adj[current]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        connected = len(seen) == len(nodes)
-    else:
-        connected = True
-
     infra_ids = {n.id for n in topology.infra()}
     histogram: dict[int, int] = {}
     total = 0
@@ -267,7 +240,7 @@ def validate(topology: Topology) -> Diagnostics:
     average = total / len(infra_ids) if infra_ids else 0.0
 
     return Diagnostics(
-        connected=connected,
+        connected=components <= 1,
         degree_histogram=histogram,
         infra_capacity=sum(n.capacity for n in topology.infra()),
         host_capacity=sum(n.capacity for n in topology.hosts()),
@@ -307,27 +280,31 @@ def number(value, kind: type, where: str):
     return converted
 
 
-def _capacity(d: dict) -> int:
-    """A node's capacity: a non-negative whole ``number``; ``5.0`` and
-    ``"5"`` read as 5."""
-    where = f"node {d['id']}: capacity"
+def _node(index: int, d: dict) -> Node:
+    """Document node ``index``.  Its id and capacity are whole ``number``s
+    (``5.0`` and ``"5"`` read as 5), and the capacity is non-negative."""
+    node_id = number(d["id"], int, f"node {index}: id")
+    kind, x, y = NodeKind(d["kind"]), float(d["x"]), float(d["y"])
+    where = f"node {node_id}: capacity"
     capacity = number(d["capacity"], int, where)
     if capacity < 0:
         raise ValueError(f"{where} must be non-negative, got {capacity}")
-    return capacity
+    return Node(node_id, kind, x, y, capacity)
+
+
+def _edge(index: int, e) -> tuple[int, int]:
+    """Document edge ``index``: a two-element list of whole node ids."""
+    if not isinstance(e, list) or len(e) != 2:
+        raise ValueError(f"edge {index}: expected a two-element list, got {e!r}")
+    return tuple(number(end, int, f"edge {index}") for end in e)
 
 
 def from_document(doc: dict) -> Topology:
-    nodes = [
-        Node(number(d["id"], int, f"node {index}: id"), NodeKind(d["kind"]),
-             float(d["x"]), float(d["y"]), _capacity(d))
-        for index, d in enumerate(doc["nodes"])
-    ]
+    nodes = [_node(index, d) for index, d in enumerate(doc["nodes"])]
     nodes.sort(key=lambda n: n.id)
     if [n.id for n in nodes] != list(range(len(nodes))):
         raise ValueError("node ids must be dense from 0")
-    edges = [tuple(number(end, int, f"edge {index}") for end in e)
-             for index, e in enumerate(doc["edges"])]
+    edges = [_edge(index, e) for index, e in enumerate(doc["edges"])]
     ids = {n.id for n in nodes}
     for u, v in edges:
         if u == v:

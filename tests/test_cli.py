@@ -133,6 +133,10 @@ class TestParseConfig:
         ({"topology": inline_topology(id=0.5)}, "node 0: id"),
         ({"topology": inline_edge([0, True])}, "edge 0"),
         ({"topology": inline_edge([0, 1.5])}, "edge 0"),
+        ({"topology": inline_edge([0, 1, 2])}, "edge 0: expected a two-element"),
+        ({"topology": inline_edge([0])}, "edge 0: expected a two-element"),
+        ({"topology": inline_topology(id=0.0, capacity=-1)},
+         "node 0: capacity must be non-negative"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))

@@ -1,5 +1,6 @@
 """Waxman generation, validation, and serialization."""
 
+import hashlib
 import json
 
 import pytest
@@ -93,16 +94,50 @@ class TestGenerateWaxman:
             assert len(adj[host.id]) == 1
 
 
+# SHA-256 of each generated topology's sorted-key JSON document.  The n = 50
+# and n = 200 cases have 3 and 5 components before connectivity repair, the
+# switch case 2; the n = 12 tele case is connected without repair.
+PINNED_TOPOLOGIES = [
+    ((50, 4.0, 100.0, 0.06, 1, NetworkKind.TELE),
+     "30d355c3b6ab32f9d9140892821a7ced8265c5d83407919574b9e50ccf741490"),
+    ((200, 4.0, 100.0, 0.06, 1, NetworkKind.TELE),
+     "b03e798f707538f76bda6568656aa277b7eea5c54098d1c439273266402e4c68"),
+    ((12, 3.0, 50.0, 0.4, 11, NetworkKind.TELE),
+     "b954e1260c7ef0c761b47f11ff46291912891b9e5a3708dd759aaeda14419f93"),
+    ((12, 3.0, 50.0, 0.1, 3, NetworkKind.TAG_SWITCH),
+     "01ec2a977dd3a2c40aba8e2d12b79727a476a581b13cbb6ee0acb8ee4d9e7ef9"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_TOPOLOGIES)
+def test_pinned_topology_digest(args, digest):
+    n_infra, degree, side, alpha, seed, network = args
+    topology = generate_waxman(n_infra, degree, side, alpha, seed=seed,
+                               network=network)
+    text = json.dumps(to_document(topology), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestValidate:
     def test_path_graph_histogram(self):
-        diag = validate(path_topology(3))
-        assert diag.connected
-        assert diag.degree_histogram == {1: 2, 2: 1}
+        # Three nodes, then the edge cases: one node, and no nodes at all.
+        for n, histogram in [(3, {1: 2, 2: 1}), (1, {0: 1}), (0, {})]:
+            diag = validate(path_topology(n))
+            assert diag.connected
+            assert diag.degree_histogram == histogram
 
     def test_disjoint_edges_not_connected(self):
         nodes = [Node(i, NodeKind.REPEATER, float(i), 0.0, 10) for i in range(4)]
         topology = Topology(NetworkKind.TELE, nodes, [(0, 1), (2, 3)])
         assert not validate(topology).connected
+        # The same two components, read from an inline document.
+        doc = {
+            "kind": "tele",
+            "nodes": [{"id": i, "kind": "repeater", "x": i, "y": 0, "capacity": 10}
+                      for i in range(4)],
+            "edges": [[2, 3], [0, 1]],
+        }
+        assert not validate(from_document(doc)).connected
 
     def test_capacity_totals(self):
         diag = validate(path_topology(3))
@@ -172,6 +207,21 @@ class TestSerialization:
         doc["edges"][0] = [0, end]
         with pytest.raises(ValueError, match="edge 0: "):
             from_document(doc)
+
+    @pytest.mark.parametrize("edge", [[0, 1, 2], [0], [], "01", 0, None])
+    def test_rejects_edge_not_a_pair(self, edge):
+        doc = to_document(generate_waxman(4, 2.0, 10.0, 0.4, seed=1))
+        doc["edges"][0] = edge
+        with pytest.raises(ValueError, match="edge 0: expected a two-element list"):
+            from_document(doc)
+
+    @pytest.mark.parametrize("whole", [0.0, "0"])
+    def test_bad_capacity_names_converted_id(self, whole):
+        doc = to_document(generate_waxman(4, 2.0, 10.0, 0.4, seed=1))
+        doc["nodes"][0].update(id=whole, capacity=-1)
+        with pytest.raises(ValueError) as info:
+            from_document(doc)
+        assert str(info.value) == "node 0: capacity must be non-negative, got -1"
 
     @pytest.mark.parametrize("whole", [0.0, "0"])
     def test_whole_ids_read_as_int(self, whole):

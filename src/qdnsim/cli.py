@@ -2,7 +2,9 @@
 
 Output is byte-stable for fixed inputs: tabular files use 6 significant
 digits, record files are sorted-key JSON lines, and all rows appear in a
-fixed order.
+fixed order.  Session and pool rows hold only ints and fixed ASCII words,
+so each of their lines is filled from one ``%``-template per format and
+streamed to the file.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import json
 import sys
 from collections.abc import Sequence
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path as FsPath
+from typing import get_type_hints
 
 from . import presets as preset_mod
 from .engine import (PoolRow, Protocol, RunConfig, RunResult, SessionRow,
@@ -134,16 +138,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: FsPath, header: Sequence[str], rows) -> None:
+#: Each trace field's cell in a CSV line and in a JSON record, by type.
+#: The ``str`` fields hold short ASCII words (``phase``: ``-``/``SS``/``CA``;
+#: ``pool``: ``send``/``receive``/``transit``) that neither format escapes.
+_CELLS = {int: ("%d", "%d"), str: ("%s", '"%s"')}
+
+
+def _line_templates(row_type) -> tuple[str, str, itemgetter]:
+    """A trace table's CSV line template, its sorted-key ndjson line
+    template, and the getter that orders a row's values for the latter.
+    ``%d`` prints ``True`` as ``1`` where ``csv`` and ``json`` would not, so
+    every int field must hold exactly an ``int``."""
+    types = get_type_hints(row_type)
+    fields = row_type._fields
+    keys = sorted(fields)
+    csv_line = ",".join(_CELLS[types[f]][0] for f in fields) + "\n"
+    ndjson_line = "{%s}\n" % ", ".join(
+        f'"{key}": {_CELLS[types[key]][1]}' for key in keys)
+    return csv_line, ndjson_line, itemgetter(*map(fields.index, keys))
+
+
+_TEMPLATES = {row_type: _line_templates(row_type)
+              for row_type in (SessionRow, PoolRow)}
+
+
+def _write_csv(path: FsPath, header: Sequence[str], rows,
+               line: str | None = None) -> None:
+    """Write ``header`` and ``rows``: each row fills the ``line`` template
+    when one is given, and otherwise goes through ``_fmt`` and ``csv``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
+        if line is not None:
+            handle.writelines(map(line.__mod__, rows))
+            return
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_records(path: FsPath, records) -> None:
+def _write_records(path: FsPath, records, line: str | None = None) -> None:
+    """Write one line per record: value tuples fill the ``line`` template
+    when one is given, and dicts go through sorted-key ``json.dumps``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        if line is not None:
+            handle.writelines(map(line.__mod__, records))
+            return
         for record in records:
             handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")
@@ -161,22 +200,29 @@ def _summary_rows(result: RunResult) -> list[tuple]:
 
 
 def _write_table(out: FsPath, name: str, header: Sequence[str], rows,
-                 formats: list[str], trailer: dict | None = None
-                 ) -> list[FsPath]:
+                 formats: list[str], trailer: dict | None = None,
+                 row_type=None) -> list[FsPath]:
     """Write ``rows``, a sequence of value tuples in ``header`` order, as
     ``name.csv`` and/or ``name.ndjson``; ``trailer`` is a last line of
-    records only.  Records are built one at a time as they are written."""
+    records only.  Rows of a ``row_type`` from ``_TEMPLATES`` fill its line
+    templates; other records are built one at a time as they are written."""
     out.mkdir(parents=True, exist_ok=True)
+    csv_line = ndjson_line = None
+    if row_type is not None:
+        csv_line, ndjson_line, getter = _TEMPLATES[row_type]
     written = []
     if "tabular" in formats:
         written.append(out / f"{name}.csv")
-        _write_csv(written[-1], header, rows)
+        _write_csv(written[-1], header, rows, csv_line)
     if "records" in formats:
         written.append(out / f"{name}.ndjson")
-        records = (dict(zip(header, row)) for row in rows)
+        if row_type is not None:
+            records = map(getter, rows)
+        else:
+            records = (dict(zip(header, row)) for row in rows)
         if trailer is not None:
             records = chain(records, [trailer])
-        _write_records(written[-1], records)
+        _write_records(written[-1], records, ndjson_line)
     return written
 
 
@@ -191,9 +237,9 @@ def emit(result: RunResult, out_dir: str | FsPath, name: str,
     totals.update(protocol=result.protocol, seed=result.seed)
     written = [
         *_write_table(out, f"{name}_sessions", SessionRow._fields,
-                      result.session_rows, formats),
+                      result.session_rows, formats, row_type=SessionRow),
         *_write_table(out, f"{name}_pools", PoolRow._fields,
-                      result.pool_rows, formats),
+                      result.pool_rows, formats, row_type=PoolRow),
         *_write_table(out, f"{name}_summary", _SUMMARY_HEADER,
                       _summary_rows(result), formats, totals),
     ]

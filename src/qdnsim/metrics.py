@@ -1,8 +1,20 @@
-"""Fairness, utilization, throughput, and sawtooth statistics over traces."""
+"""Fairness, utilization, throughput, and sawtooth statistics over traces.
+
+A ``RunResult`` is a finished trace, so the trace metrics index it once:
+the first call groups its session rows by session and its nonzero-capacity
+pool rows by ``(node, pool)``, and every call then reads only its own
+group, in row order.  The groups hold row offsets, not rows.  They live on
+the result outside its dataclass fields, so they take no part in ``==`` or
+``repr``, and are rebuilt whenever a row list is a different object or has
+a different length than when they were built.
+"""
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .errors import MetricUndefinedError
@@ -23,38 +35,63 @@ def jain(values: list[float]) -> float:
     return total ** 2 / (len(values) * sum(v * v for v in values))
 
 
+def _rows(result: RunResult, rows: list, group, key) -> list:
+    """The rows of ``group(rows)[key]`` in row order; the grouping is kept
+    on ``result`` while ``rows`` stays the same list object of the same
+    length."""
+    cache = vars(result).setdefault("_metrics_index", {})
+    entry = cache.get(group)
+    if entry is None or entry[0] is not rows or entry[1] != len(rows):
+        entry = cache[group] = (rows, len(rows), group(rows))
+    try:
+        offsets = entry[2].get(key, ())
+    except TypeError:  # an unhashable id matches no row
+        offsets = ()
+    return [rows[i] for i in offsets]
+
+
+def _by_session(rows: list) -> dict:
+    groups = defaultdict(partial(array, "I"))
+    for i, row in enumerate(rows):
+        groups[row.session].append(i)
+    return dict(groups)
+
+
+def _by_pool(rows: list) -> dict:
+    groups = defaultdict(partial(array, "I"))
+    for i, row in enumerate(rows):
+        if row.capacity > 0:
+            groups[row.node, row.pool].append(i)
+    return dict(groups)
+
+
 def utilization(result: RunResult, node: int, pool: str) -> list[float]:
     """Per-slot reserved/capacity for one pool, in [0, 1]."""
-    series = [
-        row.reserved / row.capacity
-        for row in result.pool_rows
-        if row.node == node and row.pool == pool and row.capacity > 0
-    ]
-    if not series:
+    rows = _rows(result, result.pool_rows, _by_pool, (node, pool))
+    if not rows:
         raise MetricUndefinedError(
             f"no recorded occupancy for a nonzero-capacity {pool} pool at "
             f"node {node}"
         )
-    return series
+    return [row.reserved / row.capacity for row in rows]
+
+
+def _session_rows(result: RunResult, session: int) -> list:
+    return _rows(result, result.session_rows, _by_session, session)
 
 
 def effective_window(result: RunResult, session: int) -> list[int]:
     """Per-slot minimum window across a flow's hop sessions."""
     per_slot: dict[int, int] = {}
-    for row in result.session_rows:
-        if row.session != session:
-            continue
+    for row in _session_rows(result, session):
         per_slot[row.slot] = min(per_slot.get(row.slot, row.window), row.window)
     return [per_slot[slot] for slot in sorted(per_slot)]
 
 
 def window_series(result: RunResult, session: int, hop: int = 0) -> list[int]:
     """Announced window per slot for one session (one hop of a flow)."""
-    return [
-        row.window
-        for row in result.session_rows
-        if row.session == session and row.hop == hop
-    ]
+    return [row.window for row in _session_rows(result, session)
+            if row.hop == hop]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import GenerationError
 from .rng import TOPOLOGY_STREAM, stream
 
@@ -151,7 +153,9 @@ def generate_waxman(
     rng = stream(seed, TOPOLOGY_STREAM)
     xs = (rng.random(n_infra) * area_side).tolist()
     ys = (rng.random(n_infra) * area_side).tolist()
-    draws = rng.random((n_infra, n_infra)).tolist()
+    # Only the draws above the diagonal are read; ``triu_indices`` lists
+    # them in the pair order below.
+    draws = rng.random((n_infra, n_infra))[np.triu_indices(n_infra, 1)].tolist()
 
     # One (distance, i, j) row per infrastructure pair, i < j, with its
     # Waxman weight; the bisection and the repair both read this table.
@@ -162,8 +166,8 @@ def generate_waxman(
                if d_max > 0 else [1.0] * len(pairs))
 
     def edges_for(beta: float) -> list[tuple[int, int]]:
-        return [(i, j) for (_, i, j), w in zip(pairs, weights)
-                if draws[i][j] < min(1.0, beta * w)]
+        return [(i, j) for (_, i, j), w, draw in zip(pairs, weights, draws)
+                if draw < min(1.0, beta * w)]
 
     # Realized degree is a monotone step function of beta; bisect on it.
     beta_hi = math.exp(1.0 / alpha)

@@ -1,11 +1,13 @@
 """Config parsing, file emission, and the command-line entry points."""
 
+import csv
 import json
+import random
 
 import pytest
 
-from qdnsim.cli import emit, emit_table, main, parse_config, run_preset
-from qdnsim.engine import Protocol, run
+from qdnsim.cli import _fmt, emit, emit_table, main, parse_config, run_preset
+from qdnsim.engine import PoolRow, Protocol, RunResult, SessionRow, run
 from qdnsim.errors import ConfigError
 from qdnsim.topology import generate_waxman, to_document
 
@@ -180,6 +182,72 @@ class TestEmit:
     def test_empty_table_has_header_only(self, tmp_path):
         (path,) = emit_table([], tmp_path, "empty", ["tabular"])
         assert path.read_text() == "\n"
+
+
+def reference_csv(path, header, rows):
+    """``emit``'s CSV writer before trace rows were templated."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def reference_records(path, header, rows):
+    """``emit``'s ndjson writer before trace rows were templated."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for row in rows:
+            handle.write(json.dumps(dict(zip(header, row)), sort_keys=True))
+            handle.write("\n")
+
+
+#: Zero, small and large values for every int field.
+INTS = [0, 1, 7, 255, 10**6, 2**31, 2**63 + 5, 10**30]
+
+
+def hand_built_result(seed, n_rows):
+    rng = random.Random(seed)
+    session_rows = [
+        SessionRow(*(rng.choice(INTS) for _ in range(7)),
+                   rng.choice(["-", "SS", "CA"]),
+                   *(rng.choice(INTS) for _ in range(4)))
+        for _ in range(n_rows)
+    ]
+    pool_rows = [
+        PoolRow(rng.choice(INTS), rng.choice(INTS),
+                rng.choice(["send", "receive", "transit"]),
+                rng.choice(INTS), rng.choice(INTS))
+        for _ in range(n_rows)
+    ]
+    return RunResult(
+        protocol="tag", network="tag_relay", seed=seed, n_slots=3,
+        slot_length=1.0, paths={}, session_rows=session_rows,
+        pool_rows=pool_rows,
+        summary={"delivered_total": 0, "throughput_per_slot": 0.0,
+                 "throughput_per_time": 0.0, "jain_mean_window": None,
+                 "sessions": {}},
+    )
+
+
+class TestTemplatedEmission:
+    @pytest.mark.parametrize("seed, n_rows", [(0, 0), (1, 1), (2, 40),
+                                              (3, 300)])
+    def test_trace_tables_match_reference_writers(self, tmp_path, seed,
+                                                  n_rows):
+        result = hand_built_result(seed, n_rows)
+        emit(result, tmp_path / "new", "t", ["tabular", "records"])
+        old = tmp_path / "old"
+        old.mkdir()
+        for table, row_type, rows in (
+                ("sessions", SessionRow, result.session_rows),
+                ("pools", PoolRow, result.pool_rows)):
+            reference_csv(old / f"t_{table}.csv", row_type._fields, rows)
+            reference_records(old / f"t_{table}.ndjson", row_type._fields,
+                              rows)
+            for suffix in (".csv", ".ndjson"):
+                name = f"t_{table}{suffix}"
+                assert (tmp_path / "new" / name).read_bytes() == \
+                    (old / name).read_bytes(), name
 
 
 class TestMain:

@@ -14,11 +14,15 @@ import hashlib
 import json
 import sys
 import tempfile
+from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from qdnsim.cli import emit, run_preset
-from qdnsim.engine import Protocol, RunConfig, SessionSpec, WaxmanSpec, run
+from qdnsim.engine import (PoolRow, Protocol, RunConfig, SessionRow,
+                           SessionSpec, WaxmanSpec, run)
+from qdnsim.presets import get_preset
 from qdnsim.topology import NetworkKind
 
 SMALL = WaxmanSpec(n_infra=12, target_avg_degree=3.0, area_side=50.0)
@@ -295,6 +299,52 @@ def appendix_e_digests():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trace_matches_pinned_digests(name):
     assert digests(name) == GOLDEN[name]
+
+
+#: The only values a trace's str fields may hold.
+TRACE_WORDS = {"phase": {"-", "SS", "CA"},
+               "pool": {"send", "receive", "transit"}}
+
+
+def row_type_faults(rows, row_type):
+    """Fields whose value is not exactly an ``int`` (a ``bool`` or a numpy
+    integer is not) or not one of the fixed words.  ``cli.emit`` fills a
+    line template with ``%d`` and bare words, which matches ``csv`` and
+    ``json`` output only for such values."""
+    types = get_type_hints(row_type)
+    faults = set()
+    for row in rows:
+        for field, value in zip(row_type._fields, row):
+            if types[field] is int:
+                if type(value) is not int:
+                    faults.add((field, type(value).__name__))
+            elif value not in TRACE_WORDS[field]:
+                faults.add((field, value))
+    return faults
+
+
+def appendix_e_configs():
+    return [(f"appendix_e/{run_.label}", run_.config)
+            for run_ in get_preset("appendix_e").build([0, 1])]
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [(name, CONFIGS[name]()) for name in sorted(CONFIGS)]
+    + appendix_e_configs())
+def test_trace_rows_hold_plain_ints_and_fixed_words(name, config):
+    result = run(config)
+    assert result.session_rows and result.pool_rows
+    assert row_type_faults(result.session_rows, SessionRow) == set()
+    assert row_type_faults(result.pool_rows, PoolRow) == set()
+
+
+def test_row_type_faults_flags_bools_numpy_ints_and_unknown_words():
+    rows = [SessionRow(0, 0, 0, 4, True, 4, np.int64(2), "XX", 0, 0, 0, 0)]
+    assert row_type_faults(rows, SessionRow) == {
+        ("congested", "bool"), ("delivered", "int64"), ("phase", "XX")}
+    assert row_type_faults([PoolRow(0, 1, "idle", 2.0, 4)], PoolRow) == {
+        ("pool", "idle"), ("reserved", "float")}
 
 
 def test_appendix_e_preset_matches_pinned_digests():

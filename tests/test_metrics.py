@@ -159,3 +159,151 @@ class TestWindowSeries:
 
         series = window_series(run(cfg), 0)
         assert series == [1, 2, 4, 8, 16]
+
+
+# -- the indexed trace metrics against the full-scan reference ---------------
+
+
+def scan_utilization(result, node, pool):
+    series = [
+        row.reserved / row.capacity
+        for row in result.pool_rows
+        if row.node == node and row.pool == pool and row.capacity > 0
+    ]
+    if not series:
+        raise MetricUndefinedError(
+            f"no recorded occupancy for a nonzero-capacity {pool} pool at "
+            f"node {node}"
+        )
+    return series
+
+
+def scan_effective_window(result, session):
+    per_slot = {}
+    for row in result.session_rows:
+        if row.session != session:
+            continue
+        per_slot[row.slot] = min(per_slot.get(row.slot, row.window), row.window)
+    return [per_slot[slot] for slot in sorted(per_slot)]
+
+
+def scan_window_series(result, session, hop=0):
+    return [
+        row.window
+        for row in result.session_rows
+        if row.session == session and row.hop == hop
+    ]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MetricUndefinedError as exc:
+        return ("MetricUndefinedError", str(exc))
+
+
+def assert_matches_scan(result, sessions, hops, pools):
+    """Every indexed metric equals its full-scan reference, value or error."""
+    for sid in sessions:
+        assert outcome(effective_window, result, sid) == \
+            outcome(scan_effective_window, result, sid)
+        for hop in hops:
+            assert outcome(window_series, result, sid, hop) == \
+                outcome(scan_window_series, result, sid, hop)
+    for node, pool in pools:
+        assert outcome(utilization, result, node, pool) == \
+            outcome(scan_utilization, result, node, pool)
+
+
+POOL_KINDS = ("send", "receive", "transit")
+
+
+def shuffled_trace(seed, n_slots=12):
+    """Session rows of up to three hops per session and pool rows, some of
+    zero capacity, in shuffled slot order."""
+    rng = random.Random(seed)
+    session_rows = [
+        session_row(slot, rng.randint(0, 40), hop=hop, session=sid)
+        for sid in range(rng.randint(1, 6))
+        for hop in range(rng.randint(1, 3))
+        for slot in rng.sample(range(n_slots), rng.randint(1, n_slots))
+    ]
+    pool_rows = [
+        PoolRow(slot, node, kind, rng.randint(0, 30),
+                rng.choice([0, 30, 30, 50]))
+        for node in range(rng.randint(1, 5))
+        for kind in rng.sample(POOL_KINDS, rng.randint(1, 3))
+        for slot in range(n_slots)
+    ]
+    rng.shuffle(session_rows)
+    rng.shuffle(pool_rows)
+    return session_rows, pool_rows
+
+
+#: Ids past every generated one, and unhashable ones, so each check also
+#: asks for unknown ones.
+ALL_SESSIONS = [*range(-1, 8), [0]]
+ALL_HOPS = range(-1, 4)
+ALL_POOLS = [(node, kind) for node in [*range(-1, 7), [0]]
+             for kind in [*POOL_KINDS, ["send"]]]
+
+
+class TestIndexedMetrics:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shuffled_traces_match_scan(self, seed):
+        session_rows, pool_rows = shuffled_trace(seed)
+        result = result_with(session_rows, pool_rows)
+        assert_matches_scan(result, ALL_SESSIONS, ALL_HOPS, ALL_POOLS)
+
+    def test_empty_result_matches_scan(self):
+        assert_matches_scan(result_with(), ALL_SESSIONS, ALL_HOPS, ALL_POOLS)
+
+    def test_zero_capacity_pool_is_undefined(self):
+        rows = [PoolRow(s, 3, "receive", 0, 0) for s in range(4)]
+        rows += [PoolRow(s, 3, "send", 2, 4 if s % 2 else 0) for s in range(4)]
+        result = result_with(pool_rows=rows)
+        with pytest.raises(MetricUndefinedError, match="receive pool at node 3"):
+            utilization(result, 3, "receive")
+        assert utilization(result, 3, "send") == [0.5, 0.5]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_appended_after_a_call_are_seen(self, seed):
+        session_rows, pool_rows = shuffled_trace(seed)
+        half_s, half_p = len(session_rows) // 2, len(pool_rows) // 2
+        result = result_with(session_rows[:half_s], pool_rows[:half_p])
+        assert_matches_scan(result, ALL_SESSIONS, ALL_HOPS, ALL_POOLS)
+        result.session_rows.extend(session_rows[half_s:])
+        result.pool_rows.extend(pool_rows[half_p:])
+        assert_matches_scan(result, ALL_SESSIONS, ALL_HOPS, ALL_POOLS)
+
+    def test_replaced_row_list_of_same_length_is_seen(self):
+        result = result_with(
+            [session_row(0, 5, session=0), session_row(0, 7, session=1)],
+            [PoolRow(0, 1, "send", 1, 4), PoolRow(0, 2, "send", 2, 4)])
+        assert window_series(result, 0) == [5]
+        assert utilization(result, 1, "send") == [0.25]
+        result.session_rows = [session_row(0, 9, session=1),
+                               session_row(0, 3, session=0)]
+        result.pool_rows = [PoolRow(0, 2, "send", 0, 4),
+                            PoolRow(0, 1, "send", 3, 4)]
+        assert window_series(result, 0) == [3]
+        assert utilization(result, 1, "send") == [0.75]
+
+    def test_index_is_not_part_of_the_result(self):
+        session_rows, pool_rows = shuffled_trace(3)
+        indexed = result_with(session_rows, pool_rows)
+        plain = result_with(session_rows, pool_rows)
+        assert_matches_scan(indexed, ALL_SESSIONS, ALL_HOPS, ALL_POOLS)
+        assert indexed == plain
+        assert repr(indexed) == repr(plain)
+
+    def test_multi_hop_tag_relay_run_matches_scan(self):
+        from qdnsim.engine import run
+        from test_golden import CONFIGS
+
+        result = run(CONFIGS["tag_relay"]())
+        hops = {row.hop for row in result.session_rows}
+        assert max(hops) >= 2
+        pools = {(row.node, row.pool) for row in result.pool_rows}
+        assert_matches_scan(result, [*result.paths, max(result.paths) + 1],
+                            range(max(hops) + 2), sorted(pools) + [(-1, "send")])

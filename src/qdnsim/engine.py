@@ -8,9 +8,9 @@ return their grants in session (or hop) order.  A pool keeps only its
 reserved total, for one slot: what tell-and-go state outlives it (stored
 first sharings, in-flight sender blocks) lives in the hop counters, which
 floor the next slot's reservation and, with the grant, give a hop's
-memory budgets (``HopSession.budgets``).  A run is a pure function of its
-configuration: identical configs (including the seed) produce
-bit-identical results.
+memory budgets (``HopSession.budgets``).  The loop writes only trace
+rows, which ``metrics.summarize`` turns into the run summary.  A run is
+a pure function of its configuration, seed included.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import ConfigError, DeadlockError
 from .memory import (TAG_QUBIT_UNITS, TAG_SPLIT, TELE_SPLIT, Grant, MemoryPool,
                      partition, reserve_two_pass)
-from .metrics import jain
+from .metrics import summarize
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from .routing import DEFAULT_CONGESTION_WEIGHT, Path, compute_path
 from .tag import INITIAL_WINDOW as TAG_INITIAL_WINDOW
@@ -102,6 +102,15 @@ class RunConfig:
         if not (math.isfinite(self.congestion_weight)
                 and self.congestion_weight >= 0):
             raise ConfigError("congestion_weight must be non-negative and finite")
+        spec = self.topology
+        if isinstance(spec, WaxmanSpec):
+            if spec.n_infra < 2:
+                raise ConfigError("waxman: n_infra must be at least 2")
+            if not 0 < spec.alpha <= 1:
+                raise ConfigError("waxman: alpha must be in (0, 1]")
+            for field in ("target_avg_degree", "area_side"):
+                if not 0 < getattr(spec, field) < math.inf:
+                    raise ConfigError(f"waxman: {field} must be positive and finite")
         if isinstance(self.sessions, int):
             if self.sessions < 0:
                 raise ConfigError("session count must be non-negative")
@@ -419,7 +428,7 @@ class Engine:
     def run(self) -> RunResult:
         for _ in range(self.cfg.n_slots):
             self.step()
-        return RunResult(
+        result = RunResult(
             protocol=self.cfg.protocol.value,
             network=self.cfg.network.value,
             seed=self.cfg.seed,
@@ -428,47 +437,10 @@ class Engine:
             paths={sid: flow.path.nodes for sid, flow in sorted(self.flows.items())},
             session_rows=self.session_rows,
             pool_rows=self.pool_rows,
-            summary=self._summarize(),
+            summary={},
         )
-
-    def _summarize(self) -> dict:
-        per_session_windows: dict[int, dict[int, int]] = {}
-        delivered: dict[int, int] = {}
-        egress_hop = {
-            sid: len(flow.hops) - 1 for sid, flow in self.flows.items()
-            if isinstance(flow, TagFlow)
-        }
-        for row in self.session_rows:
-            if row.hop == egress_hop.get(row.session, 0):
-                delivered[row.session] = delivered.get(row.session, 0) + row.delivered
-            slots = per_session_windows.setdefault(row.session, {})
-            # Effective window of a multi-hop flow is the minimum hop window.
-            slots[row.slot] = min(slots.get(row.slot, row.window), row.window)
-
-        sessions = {}
-        means = []
-        for sid, flow in sorted(self.flows.items()):
-            windows = list(per_session_windows.get(sid, {}).values())
-            mean = sum(windows) / len(windows) if windows else 0.0
-            sessions[sid] = {
-                "delivered": delivered.get(sid, 0),
-                "mean_window": mean,
-                "hops": flow.path.hop_count,
-            }
-            means.append(mean)
-
-        total = sum(delivered.values())
-        per_slot = total / self.cfg.n_slots if self.cfg.n_slots else 0.0
-        fairness = None
-        if means and any(m > 0 for m in means):
-            fairness = jain(means)
-        return {
-            "delivered_total": total,
-            "throughput_per_slot": per_slot,
-            "throughput_per_time": per_slot / self.cfg.slot_length,
-            "jain_mean_window": fairness,
-            "sessions": sessions,
-        }
+        result.summary = summarize(result)
+        return result
 
 
 def run(cfg: RunConfig) -> RunResult:

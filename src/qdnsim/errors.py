@@ -2,10 +2,10 @@
 
 Reservation errors (CapacityExceededError, InfeasibleReservationError,
 DeadlockError) abort a run loudly and name the pool or node they fired
-at.  CapacityExceededError and DeadlockError mean a broken protocol
-invariant.  InfeasibleReservationError can also mean that a pool is too
-small for the sessions crossing it, even with every window halved: no
-minimum tag capacity is checked up front.
+at.  DeadlockError means a broken protocol invariant, and so does
+CapacityExceededError, except from FRA: a window above twice the fair
+share is halved to one still above it.  InfeasibleReservationError can
+also mean a pool too small for its sessions with every window halved.
 """
 
 

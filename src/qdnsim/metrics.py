@@ -1,12 +1,14 @@
-"""Fairness, utilization, throughput, and sawtooth statistics over traces.
+"""The run summary, fairness, utilization, throughput and sawtooth
+statistics over finished traces.
 
-A ``RunResult`` is a finished trace, so the trace metrics index it once:
-the first call groups its session rows by session and its nonzero-capacity
-pool rows by ``(node, pool)``, and every call then reads only its own
-group, in row order.  The groups hold row offsets, not rows.  They live on
-the result outside its dataclass fields, so they take no part in ``==`` or
-``repr``, and are rebuilt whenever a row list is a different object or has
-a different length than when they were built.
+``summarize`` builds ``RunResult.summary``; the engine calls it once, at
+the end of a run.  A finished trace is indexed once: the first call groups
+its session rows by session and its nonzero-capacity pool rows by
+``(node, pool)``, and every call then reads only its own group, in row
+order.  The groups hold row offsets, not rows.  They live on the result
+outside its dataclass fields, so they take no part in ``==`` or ``repr``,
+and are rebuilt whenever a row list is a different object or has a
+different length than when they were built.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def effective_window(result: RunResult, session: int) -> list[int]:
     """Per-slot minimum window across a flow's hop sessions."""
     per_slot: dict[int, int] = {}
     for row in _session_rows(result, session):
-        per_slot[row.slot] = min(per_slot.get(row.slot, row.window), row.window)
+        if row.slot not in per_slot or row.window < per_slot[row.slot]:
+            per_slot[row.slot] = row.window
     return [per_slot[slot] for slot in sorted(per_slot)]
 
 
@@ -143,15 +146,14 @@ class ThroughputReport:
     per_time: float
 
 
+def _throughput(result: RunResult, total: int) -> ThroughputReport:
+    per_slot = total / result.n_slots if result.n_slots else 0.0
+    return ThroughputReport(total, per_slot, per_slot / result.slot_length)
+
+
 def throughput(result: RunResult) -> ThroughputReport:
     """Delivered qubits in total, per slot, and per abstract time unit."""
-    total = result.summary["delivered_total"]
-    per_slot = total / result.n_slots if result.n_slots else 0.0
-    return ThroughputReport(
-        total=total,
-        per_slot=per_slot,
-        per_time=per_slot / result.slot_length,
-    )
+    return _throughput(result, result.summary["delivered_total"])
 
 
 def mean_windows(result: RunResult) -> dict[int, float]:
@@ -159,4 +161,29 @@ def mean_windows(result: RunResult) -> dict[int, float]:
     return {
         sid: info["mean_window"]
         for sid, info in result.summary["sessions"].items()
+    }
+
+
+def summarize(result: RunResult) -> dict:
+    """``RunResult.summary``: per admitted session, what its egress (highest)
+    hop delivered, its mean effective window and its hop count; then their
+    total and rates, and the Jain index of the means (None if all are 0)."""
+    sessions = {}
+    for sid, path in sorted(result.paths.items()):
+        rows = _session_rows(result, sid)
+        egress = max((row.hop for row in rows), default=0)
+        windows = effective_window(result, sid)
+        sessions[sid] = {
+            "delivered": sum(r.delivered for r in rows if r.hop == egress),
+            "mean_window": sum(windows) / len(windows) if windows else 0.0,
+            "hops": len(path) - 1,
+        }
+    rates = _throughput(result, sum(info["delivered"] for info in sessions.values()))
+    means = [info["mean_window"] for info in sessions.values()]
+    return {
+        "delivered_total": rates.total,
+        "throughput_per_slot": rates.per_slot,
+        "throughput_per_time": rates.per_time,
+        "jain_mean_window": jain(means) if any(m > 0 for m in means) else None,
+        "sessions": sessions,
     }

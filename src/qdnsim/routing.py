@@ -30,10 +30,6 @@ class Path:
     def dst(self) -> int:
         return self.nodes[-1]
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.nodes) - 1
-
 
 def compute_path(
     topology: Topology,

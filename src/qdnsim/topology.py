@@ -147,8 +147,8 @@ def generate_waxman(
         raise ValueError(f"need at least 2 infrastructure nodes, got {n_infra}")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if target_avg_degree <= 0 or area_side <= 0:
-        raise ValueError("target_avg_degree and area_side must be positive")
+    if not (0 < target_avg_degree < math.inf and 0 < area_side < math.inf):
+        raise ValueError("target_avg_degree and area_side must be positive and finite")
 
     rng = stream(seed, TOPOLOGY_STREAM)
     xs = (rng.random(n_infra) * area_side).tolist()

@@ -41,6 +41,11 @@ def inline_topology(network="tele", **node0):
     return {"inline": doc}
 
 
+def waxman(**fields):
+    """A Waxman topology of 8 infrastructure nodes with ``fields`` set."""
+    return {"waxman": {"n_infra": 8, **fields}}
+
+
 def inline_edge(edge):
     """``inline_topology`` with its first edge, ``[0, 1]``, replaced."""
     topology = inline_topology()
@@ -139,6 +144,17 @@ class TestParseConfig:
         ({"topology": inline_edge([0])}, "edge 0: expected a two-element"),
         ({"topology": inline_topology(id=0.0, capacity=-1)},
          "node 0: capacity must be non-negative"),
+        ({"topology": waxman(area_side=float("nan"))}, "waxman: area_side"),
+        ({"topology": waxman(area_side=float("inf"))}, "waxman: area_side"),
+        ({"topology": waxman(area_side=0)}, "waxman: area_side"),
+        ({"topology": waxman(target_avg_degree=float("nan"))},
+         "waxman: target_avg_degree"),
+        ({"topology": waxman(target_avg_degree=-1)},
+         "waxman: target_avg_degree"),
+        ({"topology": waxman(alpha=0)}, "waxman: alpha"),
+        ({"topology": waxman(alpha=float("nan"))}, "waxman: alpha"),
+        ({"topology": waxman(alpha=float("inf"))}, "waxman: alpha"),
+        ({"topology": waxman(n_infra=1)}, "waxman: n_infra"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -274,6 +290,11 @@ class TestMain:
         {"sessions": [{"initial_window": -4}]},
         {"protocol": "tag", "network": "tag_relay",
          "sessions": [{"qubits": -3}]},
+        {"topology": waxman(area_side=float("nan"))},
+        {"topology": waxman(area_side=float("inf"))},
+        {"topology": waxman(target_avg_degree=float("nan"))},
+        {"topology": waxman(alpha=0)},
+        {"topology": waxman(n_infra=1)},
     ])
     def test_bad_session_or_waxman_is_an_error_record(self, tmp_path, capsys,
                                                      overrides):
@@ -363,6 +384,23 @@ class TestMain:
         record = json.loads(captured.err)
         assert record["error"] == "InfeasibleReservationError"
         assert "send@5" in record["message"]
+
+    def test_fra_overcommit_is_an_error_record(self, tmp_path, capsys):
+        # FRA grants window // 2 to a window above the fair share even when
+        # that is still above it, so two windows of 8 overfill a transit
+        # pool of 13 units; documented, not mended.
+        doc = minimal_doc(protocol="fra", seed=3, capacity=20, n_slots=5,
+                          sessions=[{"initial_window": 8}] * 2)
+        config = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert json.loads(captured.err) == {
+            "error": "CapacityExceededError",
+            "message": "pool transit@7: reserving 8 with only 5 of 13 free",
+        }
 
     def test_preset_requires_seeds(self, tmp_path, capsys):
         code = main(["preset", "appendix_e", "--seeds", "",

@@ -2,18 +2,22 @@
 
 import pytest
 
+from qdnsim import metrics
 from qdnsim.engine import (
     Engine,
     Protocol,
     RunConfig,
     SessionSpec,
+    TagFlow,
     WaxmanSpec,
     run,
 )
 from qdnsim.errors import ConfigError, InfeasibleReservationError
+from qdnsim.presets import get_preset
 from qdnsim.rng import CHANNEL_STREAM, stream
 from qdnsim.tag import ChannelModel
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def star_topology(n_ingress, network=NetworkKind.TELE, hub_capacity=10**6,
@@ -422,3 +426,104 @@ class TestConfigValidation:
         )
         with pytest.raises(InfeasibleReservationError, match=r"send@\d+"):
             run(cfg)
+
+
+# -- the run summary against the engine's old summary pass -----------------
+
+
+def reference_summary(engine):
+    """The summary the engine computed from its own flow table before
+    ``metrics.summarize`` took it over, kept frozen as the reference."""
+    per_session_windows = {}
+    delivered = {}
+    egress_hop = {
+        sid: len(flow.hops) - 1 for sid, flow in engine.flows.items()
+        if isinstance(flow, TagFlow)
+    }
+    for row in engine.session_rows:
+        if row.hop == egress_hop.get(row.session, 0):
+            delivered[row.session] = delivered.get(row.session, 0) + row.delivered
+        slots = per_session_windows.setdefault(row.session, {})
+        slots[row.slot] = min(slots.get(row.slot, row.window), row.window)
+
+    sessions = {}
+    means = []
+    for sid, flow in sorted(engine.flows.items()):
+        windows = list(per_session_windows.get(sid, {}).values())
+        mean = sum(windows) / len(windows) if windows else 0.0
+        sessions[sid] = {
+            "delivered": delivered.get(sid, 0),
+            "mean_window": mean,
+            "hops": len(flow.path.nodes) - 1,
+        }
+        means.append(mean)
+
+    total = sum(delivered.values())
+    per_slot = total / engine.cfg.n_slots if engine.cfg.n_slots else 0.0
+    fairness = None
+    if means and any(m > 0 for m in means):
+        fairness = metrics.jain(means)
+    return {
+        "delivered_total": total,
+        "throughput_per_slot": per_slot,
+        "throughput_per_time": per_slot / engine.cfg.slot_length,
+        "jain_mean_window": fairness,
+        "sessions": sessions,
+    }
+
+
+def _late_and_empty_sessions(protocol, network):
+    """A session with no qubits (so no rows), a finite one, one admitted
+    after the others and one never admitted (start_slot == n_slots)."""
+    topology, egress = star_topology(3, network)
+    return RunConfig(
+        seed=2, protocol=protocol, network=network, topology=topology,
+        n_slots=12, slot_length=2.5,
+        sessions=[SessionSpec(src=1, dst=egress, qubits=0),
+                  SessionSpec(src=2, dst=egress, qubits=40),
+                  SessionSpec(src=3, dst=egress, start_slot=5),
+                  SessionSpec(src=1, dst=egress, start_slot=12)],
+    )
+
+
+def _summary_cases():
+    cases = {f"golden/{name}": make for name, make in GOLDEN_CONFIGS.items()}
+    for run_ in get_preset("appendix_e").build([0]):
+        cases[f"appendix_e/{run_.label}"] = lambda cfg=run_.config: cfg
+    for protocol, network in [(Protocol.TELE, NetworkKind.TELE),
+                              (Protocol.EW, NetworkKind.TELE),
+                              (Protocol.TAG, NetworkKind.TAG_RELAY),
+                              (Protocol.TAG, NetworkKind.TAG_SWITCH)]:
+        cases[f"late_and_empty/{protocol.value}/{network.value}"] = (
+            lambda p=protocol, n=network: _late_and_empty_sessions(p, n))
+    # One hop session on a three-node path: the egress hop is hop 0.
+    cases["tag_switch_star_lossy"] = lambda: star_config(
+        Protocol.TAG, NetworkKind.TAG_SWITCH, [(30, None), (None, 2)],
+        n_slots=15, seed=4, p=0.6)
+    cases["no_slots"] = lambda: star_config(
+        Protocol.TELE, NetworkKind.TELE, [(None, None)], n_slots=0)
+    return cases
+
+
+SUMMARY_CASES = _summary_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_CASES))
+def test_summary_matches_frozen_reference(name):
+    engine = Engine(SUMMARY_CASES[name]())
+    result = engine.run()
+    expected = reference_summary(engine)
+    # repr pins key order and every float bit for bit.
+    assert repr(metrics.summarize(result)) == repr(expected)
+    assert repr(result.summary) == repr(expected)
+
+
+def test_summary_cases_reach_every_edge():
+    """The cases above hold the edges the summary rules must get right."""
+    late = run(SUMMARY_CASES["late_and_empty/tag/tag_relay"]())
+    assert sorted(late.paths) == [0, 1, 2]
+    assert 0 not in {row.session for row in late.session_rows}
+    switch = run(SUMMARY_CASES["tag_switch_star_lossy"]())
+    assert all(len(path) == 3 for path in switch.paths.values())
+    assert {row.hop for row in switch.session_rows} == {0}
+    assert run(SUMMARY_CASES["no_slots"]()).summary["jain_mean_window"] is None

@@ -87,6 +87,13 @@ class TestGenerateWaxman:
         with pytest.raises(ValueError):
             generate_waxman(1, 4.0, 100.0, 0.4, seed=0)
 
+    @pytest.mark.parametrize("degree, side", [
+        (4.0, float("nan")), (4.0, float("inf")),
+        (float("nan"), 100.0), (float("inf"), 100.0)])
+    def test_non_finite_degree_or_side_rejected(self, degree, side):
+        with pytest.raises(ValueError, match="positive and finite"):
+            generate_waxman(8, degree, side, 0.4, seed=1)
+
     def test_hosts_have_degree_one(self):
         topology = generate_waxman(20, 4.0, 100.0, 0.4, seed=5)
         adj = topology.adjacency()

@@ -67,11 +67,22 @@ CONFIGS = {
                                                  NetworkKind.TAG_RELAY,
                                                  sessions=_staggered(),
                                                  p=0.6, capacity=150),
+    # Sessions that start and finish at different slots: fair shares and
+    # surplus releases over a changing active set.
+    "ew_staggered": lambda: _config(Protocol.EW, NetworkKind.TELE,
+                                    sessions=_staggered(), capacity=90),
+    "fra_staggered": lambda: _config(Protocol.FRA, NetworkKind.TELE,
+                                     sessions=_staggered(), capacity=90),
 }
+
+#: Cases added after ``test_trace_rows_hold_plain_ints_and_fixed_words``;
+#: it lists them last, so its parameter ids keep their numbers.
+LATER = ["ew_staggered", "fra_staggered"]
 
 #: Pinned from the code before the two-pass reservation core was shared; the
 #: two lossy relay cases from the code before hop state became counts per
-#: round.
+#: round; the two staggered EW and FRA cases from the code before
+#: reservation became one array pass.
 GOLDEN = {
     "ew": {
         "ew_pools.csv":
@@ -87,6 +98,20 @@ GOLDEN = {
         "ew_summary.ndjson":
             "7f207bbe66026233521799987bcaf9a55cc3b804567593efbe57946657dec638",
     },
+    "ew_staggered": {
+        "ew_staggered_pools.csv":
+            "968d2c6ae99fa6c590908bc044049efef204016c01352122a73d8cb4ca46f248",
+        "ew_staggered_pools.ndjson":
+            "87990505f8458192323f5f35c5412b24b81ca4cfdcd9036bb93133dd69851367",
+        "ew_staggered_sessions.csv":
+            "0dcdecbc2c28bab30b6f1343ab7f7fde4a15e5f6f725fe70645a44e0fc70e18b",
+        "ew_staggered_sessions.ndjson":
+            "d7f7e5b46fc2d38c7c2a7cf821f2c14f2599bc7fae6697ca2fb3d6ab8e64387b",
+        "ew_staggered_summary.csv":
+            "0281dec9ea990ed49cd1aeb88a7cad03c5e0cc30b5c0dd02175918fbdbebbade",
+        "ew_staggered_summary.ndjson":
+            "ef8c6b81ecc79f5a84b0ecccdeef827379e3b325d4a16f2ed8f2f2adfb3d4985",
+    },
     "fra": {
         "fra_pools.csv":
             "4c8c7ce4d48876c115d6dcf2f307647e7ca586803653d8c3e2f28aa5c6f56372",
@@ -100,6 +125,20 @@ GOLDEN = {
             "e30a23f87424c528b91718cc1aa77ad40f96ebc412af4db216b6c588a6ab185e",
         "fra_summary.ndjson":
             "9b14ef68e9b4e51755db968c577f27ddf43129d70f9fc3a768159be5a0801c91",
+    },
+    "fra_staggered": {
+        "fra_staggered_pools.csv":
+            "c012325068e1c04cfd973283f08fee1e056717ae5b07fc630c3064e8084ea3b5",
+        "fra_staggered_pools.ndjson":
+            "016f8a983713aeed0e133db537c2762c18701d478fee756e4b56ef99c10c69e4",
+        "fra_staggered_sessions.csv":
+            "f4dfb6673ecec125f127a16a338597a1ce774107439b6a8977964c3b88ff50df",
+        "fra_staggered_sessions.ndjson":
+            "3d36488dce151d90a89a5f21221c7c5ef3184dad1021544c32b72a72133fbf34",
+        "fra_staggered_summary.csv":
+            "a1d785a69a335f4fb6760b57705733f8671cf2e7e3c28a4e93f5a4270bd623af",
+        "fra_staggered_summary.ndjson":
+            "7b89abbdd70c21e3d704b4ddb69bd574d6ebba81c7b807e8d6bed7af7ce0614d",
     },
     "tag_relay": {
         "tag_relay_pools.csv":
@@ -330,8 +369,8 @@ def appendix_e_configs():
 
 @pytest.mark.parametrize(
     "name, config",
-    [(name, CONFIGS[name]()) for name in sorted(CONFIGS)]
-    + appendix_e_configs())
+    [(name, CONFIGS[name]()) for name in sorted(CONFIGS) if name not in LATER]
+    + appendix_e_configs() + [(name, CONFIGS[name]()) for name in LATER])
 def test_trace_rows_hold_plain_ints_and_fixed_words(name, config):
     result = run(config)
     assert result.session_rows and result.pool_rows

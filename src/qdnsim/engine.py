@@ -2,15 +2,17 @@
 
 Each slot runs a fixed phase order: admit new sessions; reserve memory
 for the announced windows; plan, send, record and advance the window per
-session; snapshot pool occupancy; clear every pool.  Each session reserves
-at the points its path fixed at admission, and the reservation functions
-return their grants in session (or hop) order.  A pool keeps only its
-reserved total, for one slot: what tell-and-go state outlives it (stored
-first sharings, in-flight sender blocks) lives in the hop counters, which
-floor the next slot's reservation and, with the grant, give a hop's
-memory budgets (``HopSession.budgets``).  The loop writes only trace
-rows, which ``metrics.summarize`` turns into the run summary.  A run is
-a pure function of its configuration, seed included.
+session; snapshot pool occupancy; clear every pool.  The pools live in one
+``memory.PoolTable`` and every slot reserves them in one array pass over
+the slot's reservation points: a teleportation session's are fixed at
+admission, a tell-and-go hop's come from its counters each slot.  The
+reservation functions return their grants in session (or hop) order.  A
+pool keeps only its reserved total, for one slot: what tell-and-go state
+outlives it (stored first sharings, in-flight sender blocks) lives in the
+hop counters, which floor the next slot's reservation and, with the
+grant, give a hop's memory budgets (``HopSession.budgets``).  The loop
+writes only trace rows, which ``metrics.summarize`` turns into the run
+summary.  A run is a pure function of its configuration, seed included.
 """
 
 from __future__ import annotations
@@ -20,17 +22,20 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, DeadlockError
-from .memory import (TAG_QUBIT_UNITS, TAG_SPLIT, TELE_SPLIT, Grant, MemoryPool,
-                     partition, reserve_two_pass)
+from .memory import (MAX_SESSIONS, MAX_UNITS, TAG_QUBIT_UNITS, TAG_SPLIT,
+                     TELE_SPLIT, MemoryPool, PoolTable, partition, reserve)
 from .metrics import summarize
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from .routing import DEFAULT_CONGESTION_WEIGHT, Path, compute_path
 from .tag import INITIAL_WINDOW as TAG_INITIAL_WINDOW
 from .tag import ChannelModel, HopSession, plan_transfers
+from .tag import incidence as hop_incidence
 from .tele import INITIAL_WINDOW as TELE_INITIAL_WINDOW
-from .tele import (TeleSession, release_surplus, reserve_explicit, reserve_fair,
-                   reserve_teleport)
+from .tele import (TeleSession, incidence, release_surplus, reserve_explicit,
+                   reserve_fair, reserve_teleport, session_points)
 from .topology import (DEFAULT_CAPACITY, INFRA_KIND, NetworkKind, NodeKind,
                        Topology, generate_waxman)
 
@@ -99,6 +104,8 @@ class RunConfig:
             raise ConfigError("slot_length must be positive and finite")
         if self.capacity < 0:
             raise ConfigError("capacity must be non-negative")
+        if self.capacity > MAX_UNITS:
+            raise ConfigError(f"capacity must be at most {MAX_UNITS}")
         if not (math.isfinite(self.congestion_weight)
                 and self.congestion_weight >= 0):
             raise ConfigError("congestion_weight must be non-negative and finite")
@@ -111,6 +118,15 @@ class RunConfig:
             for field in ("target_avg_degree", "area_side"):
                 if not 0 < getattr(spec, field) < math.inf:
                     raise ConfigError(f"waxman: {field} must be positive and finite")
+        else:
+            for node in spec.nodes:
+                if node.capacity > MAX_UNITS:
+                    raise ConfigError(
+                        f"node {node.id}: capacity must be at most {MAX_UNITS}")
+        count = (self.sessions if isinstance(self.sessions, int)
+                 else len(self.sessions))
+        if count > MAX_SESSIONS:
+            raise ConfigError(f"session count must be at most {MAX_SESSIONS}")
         if isinstance(self.sessions, int):
             if self.sessions < 0:
                 raise ConfigError("session count must be non-negative")
@@ -122,6 +138,10 @@ class RunConfig:
                 if spec.initial_window is not None and spec.initial_window < 1:
                     raise ConfigError(
                         f"session {index}: initial_window must be at least 1")
+                if spec.initial_window is not None and (
+                        spec.initial_window > MAX_UNITS):
+                    raise ConfigError(f"session {index}: initial_window must "
+                                      f"be at most {MAX_UNITS}")
                 if spec.start_slot < 0:
                     raise ConfigError(
                         f"session {index}: start_slot must be non-negative")
@@ -177,7 +197,7 @@ class TagFlow:
         return self.remaining == 0
 
 
-def build_pools(topology: Topology, network: NetworkKind) -> dict:
+def build_pools(topology: Topology, network: NetworkKind) -> PoolTable:
     """Memory pools per node: send/receive at memory-splitting nodes,
     a transit pool at repeaters, nothing at all-optical switches.
 
@@ -185,37 +205,36 @@ def build_pools(topology: Topology, network: NetworkKind) -> dict:
     role, so a pure repeater's transit pool is the send share of its
     capacity (the receive share sits idle: nothing terminates there).
     """
-    pools: dict[tuple[int, str], MemoryPool] = {}
+    pools: list[MemoryPool] = []
     for node in topology.nodes:
         if node.kind is NodeKind.SWITCH:
             continue
         if node.kind is NodeKind.REPEATER:
             transit, _ = partition(node.capacity, TELE_SPLIT)
-            pools[(node.id, "transit")] = MemoryPool(node.id, "transit", transit)
+            pools.append(MemoryPool(node.id, "transit", transit))
             continue
         split = TELE_SPLIT if network is NetworkKind.TELE else TAG_SPLIT
         send, receive = partition(node.capacity, split)
-        pools[(node.id, "send")] = MemoryPool(node.id, "send", send)
-        pools[(node.id, "receive")] = MemoryPool(node.id, "receive", receive)
-    return pools
+        pools.append(MemoryPool(node.id, "send", send))
+        pools.append(MemoryPool(node.id, "receive", receive))
+    return PoolTable(pools)
 
 
-def reserve_sharing(hops: list[HopSession], pools: dict) -> list[Grant]:
-    """Per-slot reservation for tell-and-go hops at their ``points``, by
-    ``memory.reserve_two_pass``; grants come back in hop order, and the
-    ``(session, hop)`` pair is only ``assign_memory``'s tie-break id.
-    Raises DeadlockError when the stored first sharings alone overfill a
-    receive pool."""
-    stored: dict[int, int] = {}
-    for hop in hops:
-        stored[hop.receiver] = stored.get(hop.receiver, 0) + hop.stored_firsts
-    for node in sorted(stored):
-        if stored[node] > pools[(node, "receive")].capacity:
-            raise DeadlockError(
-                f"stored sharings ({stored[node]}) exceed receive pool at node {node}"
-            )
-    return reserve_two_pass(
-        [((hop.session, hop.hop), hop.window, hop.points) for hop in hops], pools)
+def reserve_sharing(hops: list[HopSession],
+                    pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot reservation for tell-and-go hops at their ``tag.incidence``
+    points, by ``memory.reserve``; grants come back in hop order.  Raises
+    DeadlockError, for the first receive pool in node order, when the
+    stored first sharings alone overfill it."""
+    points, windows = hop_incidence(hops, pools)
+    receive = points.pool[1::2]
+    stored = pools.sums(receive, points.floor[1::2])
+    over = np.flatnonzero(stored > pools.capacity)
+    if len(over):
+        raise DeadlockError(
+            f"stored sharings ({int(stored[over[0]])}) exceed receive pool at "
+            f"node {pools.keys[over[0]][0]}")
+    return reserve(pools, points, windows)
 
 
 class Engine:
@@ -248,7 +267,9 @@ class Engine:
                 raise ConfigError(f"node {node.id} is a {node.kind.value}; a "
                                   f"{cfg.network.value} network needs "
                                   f"{infra_kind.value}s")
-        self.pools = dict(sorted(build_pools(self.topology, cfg.network).items()))
+        self.pools = build_pools(self.topology, cfg.network)
+        # Pool rows share these int objects rather than hold one per row.
+        self._capacities = self.pools.capacity.tolist()
         self.channel = ChannelModel(cfg.p)
         self._channel_rng = stream(cfg.seed, CHANNEL_STREAM)
         self._reserve_tele = {
@@ -314,6 +335,7 @@ class Engine:
                 self.flows[sid] = TeleSession(
                     id=sid, path=path, remaining=spec.qubits,
                     window=spec.initial_window or TELE_INITIAL_WINDOW,
+                    points=session_points(path, self.pools),
                 )
 
     def _build_flow(self, sid: int, path: Path, spec: SessionSpec) -> TagFlow:
@@ -322,6 +344,7 @@ class Engine:
         else:
             pairs = list(zip(path.nodes[:-1], path.nodes[1:]))
         hops = []
+        pools = self.pools
         initial = spec.initial_window or TAG_INITIAL_WINDOW
         for index, (sender, receiver) in enumerate(pairs):
             if index == 0:
@@ -329,7 +352,8 @@ class Engine:
                 bound = None
             else:
                 unminted = 0
-                bound = self.pools[(sender, "send")].capacity // TAG_QUBIT_UNITS
+                bound = (int(pools.capacity[pools.index[(sender, "send")]])
+                         // TAG_QUBIT_UNITS)
             hops.append(
                 HopSession(
                     session=sid, hop=index, sender=sender, receiver=receiver,
@@ -348,44 +372,51 @@ class Engine:
         else:
             self._step_tele(active)
         self._snapshot_pools()
-        for pool in self.pools.values():
-            pool.clear()
+        self.pools.clear()
         self.slot += 1
 
     def _step_tele(self, active: list[TeleSession]) -> None:
-        grants = self._reserve_tele(active, self.pools)
+        points = incidence(active)
+        granted, congested = self._reserve_tele(active, points, self.pools)
         explicit = self.cfg.protocol is Protocol.EW
-        for session, grant in zip(active, grants):
-            delivered = session.transfer(grant.window)
-            release_surplus(session, grant.window, delivered, self.pools)
+        delivered = []
+        for session, window_granted, cut in zip(active, granted.tolist(),
+                                                congested.tolist()):
+            sent = session.transfer(window_granted)
+            delivered.append(sent)
+            if session.finished:
+                session.points = None
             if explicit:
-                window, phase = grant.window, "-"
+                window, phase = window_granted, "-"
             else:
                 window, phase = session.window, session.phase.value
             self.session_rows.append(SessionRow(
                 slot=self.slot, session=session.id, hop=0, window=window,
-                congested=int(grant.congested), granted=grant.window,
-                delivered=delivered, phase=phase,
+                congested=int(cut), granted=window_granted,
+                delivered=sent, phase=phase,
                 firsts=0, seconds=0, losses=0, stored=0,
             ))
             if not explicit:
-                session.advance_window(grant.congested)
+                session.advance_window(cut)
+        release_surplus(points, granted, np.array(delivered, dtype=np.int64),
+                        self.pools)
 
     def _step_tag(self, flows: list[TagFlow]) -> None:
         hops = [hop for flow in flows for hop in flow.hops]
-        grants = iter(reserve_sharing(hops, self.pools))
+        granted, congested = reserve_sharing(hops, self.pools)
+        grants = zip(granted.tolist(), congested.tolist())
 
         # A hop's plan reads the next hop's free queue as it stood at the
         # start of the slot, so handovers wait until every hop has sent.
         forwards: list[tuple[HopSession, int]] = []  # (hop, qubits)
         for flow in flows:
             for index, hop in enumerate(flow.hops):
-                grant = next(grants)
+                window_granted, cut = next(grants)
                 downstream = (
                     flow.hops[index + 1] if index + 1 < len(flow.hops) else None
                 )
                 plan = plan_transfers(
-                    hop, grant.window, *hop.budgets(grant.window),
+                    hop, window_granted, *hop.budgets(window_granted),
                     downstream.queue_free if downstream is not None else None,
                 )
                 firsts, seconds = plan.first_count, plan.second_count
@@ -397,13 +428,13 @@ class Engine:
                     flow.remaining -= delivered
                 self.session_rows.append(SessionRow(
                     slot=self.slot, session=flow.id, hop=hop.hop,
-                    window=hop.window, congested=int(grant.congested),
-                    granted=grant.window, delivered=delivered,
+                    window=hop.window, congested=int(cut),
+                    granted=window_granted, delivered=delivered,
                     phase=hop.phase.value, firsts=firsts, seconds=seconds,
                     losses=len(successes) - sum(successes),
                     stored=hop.stored_firsts,
                 ))
-                hop.advance_window(grant.congested)
+                hop.advance_window(cut)
 
         for hop, qubits in forwards:
             hop.accept(qubits)
@@ -411,12 +442,12 @@ class Engine:
     def _snapshot_pools(self) -> None:
         """Append this slot's pool rows and rebuild the load table."""
         occupancy: dict[int, int] = {}
-        for (node, kind), pool in self.pools.items():
-            occupancy[node] = occupancy.get(node, 0) + pool.reserved
-            self.pool_rows.append(PoolRow(
-                slot=self.slot, node=node, pool=kind,
-                reserved=pool.reserved, capacity=pool.capacity,
-            ))
+        pools, slot, rows = self.pools, self.slot, self.pool_rows
+        for (node, kind), reserved, capacity in zip(
+                pools.keys, pools.reserved.tolist(), self._capacities):
+            occupancy[node] = occupancy.get(node, 0) + reserved
+            rows.append(PoolRow(slot=slot, node=node, pool=kind,
+                                reserved=reserved, capacity=capacity))
         topology = self.topology
         self._load = {
             node: min(1.0, reserved / topology.node(node).capacity)

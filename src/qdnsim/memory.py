@@ -6,14 +6,28 @@ total demand exceeds capacity, sessions are cut in descending-window order
 until the remainder fits.  Demands may carry a floor of units that cannot
 be evicted (stored sharings, in-flight sender blocks); a cut below the
 floor releases nothing but the assignment still never overcommits.
-Both transports reserve through ``reserve_two_pass``, which runs the
-assignment at every pool and halves a session at most once per slot.  A
-session reserves at fixed points, ``(pool key, unit cost, floor)``: ``cost``
-prices a window at one, and ``hold`` adds that cost at each of a session's
-points with ``MemoryPool.require``.  A pool keeps only its reserved total:
-reservations last one slot, the engine clears every pool after its
-snapshot, and the floors come from session state (the tell-and-go hop
+``assign_memory`` states that rule for one pool over ``Demand`` objects
+and ``MemoryPool`` one pool's running total; both are the scalar reference
+the array pass is tested against.
+
+A run keeps its pools in a ``PoolTable``: sorted ``(node, kind)`` keys and
+int64 ``capacity`` and ``reserved`` columns.  A slot's requests (sessions
+or hops) reserve at points, one ``Incidence`` row each: pool index,
+request rank, tie id, unit cost as an integer numerator and denominator,
+and floor.  ``reserve`` runs both transports' two passes over all points
+at once.  Pass 1 applies ``assign_memory``'s rule at every pool and marks
+a request iff some pool cuts it; pass 2, ``PoolTable.hold``, adds the cost
+of each granted window at each point, so a request is halved at most once
+per slot.  Reservations last one slot: the engine clears the table after
+its snapshot, and the floors come from session state (the tell-and-go hop
 counters), not from what a pool held the slot before.
+
+Pool totals are ``np.bincount`` sums, exact while below 2**53.  The run
+configuration bounds capacities and initial windows by ``MAX_UNITS`` and
+sessions by ``MAX_SESSIONS``.  A window then stays at most
+``2 * MAX_UNITS + 1`` (an unhalved window fits a pool, and the next one
+at most doubles it), so a point costs below 2**32 units, floors included,
+and a pool, crossed at most once per session, totals below 2**52.
 """
 
 from __future__ import annotations
@@ -21,6 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import CapacityExceededError, InfeasibleReservationError
 
@@ -37,6 +54,11 @@ TAG_SEND_COST = Fraction(9, 4)
 #: Send units a tell-and-go sender holds per in-flight qubit: 3 sharings.
 TAG_QUBIT_UNITS = 3
 
+#: Largest capacity, node capacity and initial window a run accepts, and
+#: its largest session count; they keep every pool total exact (above).
+MAX_UNITS = 2**29
+MAX_SESSIONS = 2**20
+
 
 def partition(total: int, send_fraction: Fraction) -> tuple[int, int]:
     """Split a capacity into (send, receive) pools; send takes the floor."""
@@ -50,12 +72,6 @@ def cost(unit_cost: int | Fraction, window: int, floor: int = 0) -> int:
     """Memory for ``window`` at ``unit_cost`` per unit: the exact integer
     ceiling, at least ``floor``."""
     return max(-(-unit_cost.numerator * window // unit_cost.denominator), floor)
-
-
-def hold(points: list[tuple], window: int, pools: dict) -> None:
-    """Reserve the ``cost`` of ``window`` at each of ``points``."""
-    for key, unit_cost, floor in points:
-        pools[key].require(cost(unit_cost, window, floor))
 
 
 @dataclass(frozen=True)
@@ -111,44 +127,10 @@ def assign_memory(demands: list[Demand], capacity: int) -> dict:
     return grants
 
 
-def reserve_two_pass(requests: list[tuple], pools: dict) -> list[Grant]:
-    """Reserve one slot's memory; a session is halved at most once.
-
-    Each request is ``(session, announced window, points)``.  Pass 1:
-    every pool, in sorted key order, runs ``assign_memory`` over the
-    demands crossing it and marks the sessions it cuts.  Pass 2: a session
-    is halved iff any pool marked it, and ``hold`` reserves at each of its
-    points exactly the cost of the final window (floors honoured).  Returns
-    the grants in request order.
-    """
-    per_pool: dict = {}
-    for session, window, points in requests:
-        for key, unit_cost, floor in points:
-            per_pool.setdefault(key, []).append(
-                Demand(session, window, unit_cost, floor))
-
-    marked: set = set()
-    for key in sorted(per_pool):
-        pool = pools[key]
-        try:
-            grants = assign_memory(per_pool[key], pool.capacity)
-        except InfeasibleReservationError as exc:
-            raise InfeasibleReservationError(
-                f"pool {pool.kind}@{pool.node}: {exc}") from exc
-        marked.update(s for s, grant in grants.items() if grant.congested)
-
-    outcomes = []
-    for session, window, points in requests:
-        congested = session in marked
-        granted = window // 2 if congested else window
-        outcomes.append(Grant(granted, congested))
-        hold(points, granted, pools)
-    return outcomes
-
-
 @dataclass
 class MemoryPool:
-    """A node-side pool's reserved total for the current slot.
+    """One node-side pool: what a ``PoolTable`` is built from, and the
+    scalar reference for a pool's running total.
 
     ``require`` and ``clear`` are its only mutators.  ``reserved`` stays
     within ``[0, capacity]``: ``require`` raises instead of overcommitting
@@ -164,10 +146,7 @@ class MemoryPool:
         """Reserve ``units`` more; a negative count returns units."""
         free = self.capacity - self.reserved
         if units > free:
-            raise CapacityExceededError(
-                f"pool {self.kind}@{self.node}: reserving {units} with only "
-                f"{free} of {self.capacity} free"
-            )
+            raise _overcommit(self.node, self.kind, units, free, self.capacity)
         if units < -self.reserved:
             raise ValueError(f"pool {self.kind}@{self.node}: cannot return "
                              f"{-units} of {self.reserved} reserved")
@@ -175,3 +154,118 @@ class MemoryPool:
 
     def clear(self) -> None:
         self.reserved = 0
+
+
+def _overcommit(node: int, kind: str, units: int, free: int,
+                capacity: int) -> CapacityExceededError:
+    return CapacityExceededError(
+        f"pool {kind}@{node}: reserving {units} with only {free} of "
+        f"{capacity} free")
+
+
+class Incidence(NamedTuple):
+    """One slot's reservation points in hold order: request by request,
+    each request's points in order.  Every field has one entry per point.
+    Among equal windows at a pool, the lower ``tie`` is cut first."""
+
+    pool: np.ndarray   # index into the PoolTable
+    rank: np.ndarray   # the request's position, non-decreasing
+    tie: np.ndarray
+    num: np.ndarray    # unit cost numerator
+    den: np.ndarray    # unit cost denominator
+    floor: np.ndarray
+
+    def costs(self, windows: np.ndarray) -> np.ndarray:
+        """``cost`` at every point of its request's entry in ``windows``."""
+        return np.maximum(-(-self.num * windows[self.rank] // self.den),
+                          self.floor)
+
+
+def _running(segments: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Inclusive sums of ``values`` that restart wherever ``segments``, a
+    sorted key per value, changes."""
+    total = np.cumsum(values)
+    starts = np.flatnonzero(np.r_[True, segments[1:] != segments[:-1]])
+    lengths = np.diff(np.r_[starts, len(values)])
+    return total - np.repeat(total[starts] - values[starts], lengths)
+
+
+class PoolTable:
+    """Every pool of a run, in sorted ``(node, kind)`` key order.
+
+    ``capacity`` and ``reserved`` are int64 columns; ``reserved`` is the
+    current slot's total per pool and stays within ``[0, capacity]``:
+    ``hold`` raises instead of overcommitting.
+    """
+
+    def __init__(self, pools: Iterable[MemoryPool]):
+        pools = sorted(pools, key=lambda pool: (pool.node, pool.kind))
+        self.keys = [(pool.node, pool.kind) for pool in pools]
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        self.capacity = np.array([pool.capacity for pool in pools],
+                                 dtype=np.int64)
+        self.reserved = np.zeros_like(self.capacity)
+
+    def sums(self, pool: np.ndarray, units: np.ndarray) -> np.ndarray:
+        """``units`` summed per pool index ``pool``, over the whole table."""
+        return np.bincount(pool, units, len(self.keys)).astype(np.int64)
+
+    def hold(self, points: Incidence, granted: np.ndarray) -> None:
+        """Reserve the cost of each request's ``granted`` window at each of
+        its points.  An overcommit raises for the first point, in hold
+        order, whose pool's running total passes capacity, as
+        ``MemoryPool.require`` would, and leaves the table unchanged."""
+        units = points.costs(granted)
+        reserved = self.reserved + self.sums(points.pool, units)
+        if (reserved > self.capacity).any():
+            order = np.argsort(points.pool, kind="stable")
+            pool = points.pool[order]
+            after = np.empty_like(units)
+            after[order] = self.reserved[pool] + _running(pool, units[order])
+            first = np.flatnonzero(after > self.capacity[points.pool])[0]
+            index, units = points.pool[first], int(units[first])
+            capacity = int(self.capacity[index])
+            raise _overcommit(*self.keys[index], units,
+                              capacity - int(after[first]) + units, capacity)
+        self.reserved = reserved
+
+    def clear(self) -> None:
+        self.reserved[:] = 0
+
+
+def reserve(pools: PoolTable, points: Incidence,
+            windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reserve one slot's memory; a request is halved at most once.
+
+    Pass 1: at every pool over capacity, ``assign_memory``'s order (window
+    descending, then ``tie``) cuts a point iff the pool's total, less the
+    savings of the points cut before it, still exceeds capacity; a pool
+    still over after cutting every point raises, the first in key order.
+    A request is halved iff any of its points was cut.  Pass 2 holds the
+    final windows.  Returns the granted windows and the halved flags, in
+    request order.
+    """
+    full = points.costs(windows)
+    total = pools.sums(points.pool, full)
+    congested = np.zeros(len(windows), dtype=bool)
+    over = np.flatnonzero((total > pools.capacity)[points.pool])
+    if len(over):
+        saving = full - points.costs(windows // 2)
+        over = over[np.lexsort((points.tie[over], -windows[points.rank[over]],
+                                points.pool[over]))]
+        pool, saving = points.pool[over], saving[over]
+        left = total[pool] - _running(pool, saving)  # after this cut
+        cut = left + saving > pools.capacity[pool]
+        last = np.r_[pool[1:] != pool[:-1], True]
+        short = np.flatnonzero(last & (left > pools.capacity[pool]))
+        if len(short):
+            first = short[0]
+            node, kind = pools.keys[pool[first]]
+            raise InfeasibleReservationError(
+                f"pool {kind}@{node}: demand {int(left[first])} exceeds "
+                f"capacity {int(pools.capacity[pool[first]])} after cutting "
+                f"all")
+        congested[points.rank[over[cut]]] = True
+    granted = np.where(congested, windows // 2, windows)
+    pools.hold(points, granted)
+    return granted, congested

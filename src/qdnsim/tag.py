@@ -27,7 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from .memory import RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST, cost
+from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST, Incidence,
+                     PoolTable, cost)
 from .tele import Phase, next_window
 
 INITIAL_WINDOW = 2
@@ -94,7 +95,10 @@ class ChannelModel:
             raise ValueError(f"success probability must be in [0, 1], got {self.p}")
 
     def draw(self, rng: np.random.Generator, n: int) -> list[bool]:
-        """Outcomes of ``n`` sharings, in order; one uniform draw each."""
+        """Outcomes of ``n`` sharings, in order; one uniform draw each,
+        except at p = 0 or 1, whose outcomes are certain and use no draw."""
+        if self.p in (0.0, 1.0):
+            return [self.p == 1.0] * n
         return (rng.random(n) < self.p).tolist()
 
 
@@ -136,10 +140,8 @@ class HopSession:
     ``stored_firsts`` counts the first sharings the receiver holds for
     them.  ``send`` keeps all of them up to date.
 
-    ``points`` are its reservation points.  The send pool prices a window
-    at 9/4 units per qubit (three sharings for at most three quarters of
-    the window), the receive pool at one unit.  Their floors cannot be
-    evicted: ``TAG_QUBIT_UNITS`` per qubit in flight, and ``stored_firsts``.
+    A hop reserves at its sender's send pool and its receiver's receive
+    pool (``incidence``).
     """
 
     session: int
@@ -161,15 +163,9 @@ class HopSession:
     def in_flight_count(self) -> int:
         return self.first_total + self.second_total
 
-    @property
-    def points(self) -> list[tuple]:
-        return [((self.sender, "send"), TAG_SEND_COST,
-                 TAG_QUBIT_UNITS * self.in_flight_count),
-                ((self.receiver, "receive"), RECEIVE_COST, self.stored_firsts)]
-
     def budgets(self, granted: int) -> tuple[int, int]:
         """``plan_transfers``' receiver and encode-block budgets under
-        ``granted``: what ``points`` reserve at that window, less floors."""
+        ``granted``: what its points reserve at that window, less floors."""
         return (max(cost(RECEIVE_COST, granted) - self.stored_firsts, 0),
                 max(cost(TAG_SEND_COST, granted) // TAG_QUBIT_UNITS
                     - self.in_flight_count, 0))
@@ -245,6 +241,35 @@ class HopSession:
                 f"relay queue full on hop {self.hop} of session {self.session}"
             )
         self.backlog += n
+
+
+def incidence(hops: list[HopSession],
+              pools: PoolTable) -> tuple[Incidence, np.ndarray]:
+    """The points of ``hops`` in hop order, and their windows.
+
+    Each hop reserves first at its sender's send pool, at 9/4 units per
+    window unit (three sharings for at most three quarters of the window),
+    then at its receiver's receive pool at one unit.  Their floors cannot
+    be evicted: ``TAG_QUBIT_UNITS`` per qubit in flight, and
+    ``stored_firsts``.  Ties go to the lower ``(session, hop)``.
+    """
+    index = pools.index
+    (send, receive, window, in_flight, stored, session,
+     hop_id) = np.array([
+        (index[hop.sender, "send"], index[hop.receiver, "receive"],
+         hop.window, hop.in_flight_count, hop.stored_firsts,
+         hop.session, hop.hop)
+        for hop in hops], dtype=np.int64).reshape(-1, 7).T
+    tie = session * (hop_id.max(initial=0) + 1) + hop_id
+    n = len(hops)
+    return Incidence(
+        pool=np.stack([send, receive], axis=1).ravel(),
+        rank=np.repeat(np.arange(n), 2),
+        tie=np.repeat(tie, 2),
+        num=np.tile([TAG_SEND_COST.numerator, RECEIVE_COST], n),
+        den=np.tile([TAG_SEND_COST.denominator, 1], n),
+        floor=np.stack([TAG_QUBIT_UNITS * in_flight, stored], axis=1).ravel(),
+    ), window
 
 
 @dataclass

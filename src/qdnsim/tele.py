@@ -5,8 +5,10 @@ announced demand against its pool, and the window is halved exactly once
 if any node reports congestion.  Windows then grow again: doubling in slow
 start, plus one in congestion avoidance.  Two variants are provided: an
 explicit per-node fair share (EW) and a fair-share threshold check that
-keeps the halving dynamics (FRA).  Each scheme returns its grants in
-session order and reserves them at the session's fixed reservation points.
+keeps the halving dynamics (FRA).  A session's reservation points are
+fixed at admission (``session_points``); each scheme reserves over the
+``incidence`` of one slot's sessions and returns the granted windows and
+halved flags in session order.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .memory import (RECEIVE_COST, TELE_SEND_COST, Grant, cost, hold,
-                     reserve_two_pass)
+import numpy as np
+
+from .memory import (RECEIVE_COST, TELE_SEND_COST, Incidence, PoolTable,
+                     reserve)
 from .routing import Path
 
 #: Window a session announces in its first slot unless it asks otherwise.
@@ -46,13 +50,24 @@ def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, Phase]
     return max(1, upcoming), phase
 
 
+def session_points(path: Path, pools: PoolTable) -> np.ndarray:
+    """A session's reservation points, fixed by its path: pool indices
+    over unit costs.  The source's send pool, transit at each intermediate
+    node (for both its entanglement links) and the destination's receive
+    pool, none with a floor."""
+    keys = [(path.src, "send"), *((node, "transit") for node in path.nodes[1:-1]),
+            (path.dst, "receive")]
+    prices = [TELE_SEND_COST] * (len(keys) - 1) + [RECEIVE_COST]
+    return np.array([[pools.index[key] for key in keys], prices],
+                    dtype=np.int64)
+
+
 @dataclass
 class TeleSession:
     """One end-to-end flow with its sending-window state.
 
-    ``points``, fixed by the path: the source's send pool, transit at each
-    intermediate node (for both its entanglement links) and the
-    destination's receive pool, none with a floor.
+    ``points`` are its ``session_points``, set at admission and dropped
+    once the session has finished.
     """
 
     id: int
@@ -60,15 +75,8 @@ class TeleSession:
     remaining: int | None  # None means an unbounded stream
     window: int = INITIAL_WINDOW
     phase: Phase = Phase.SLOW_START
-    points: list[tuple] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        path = self.path
-        self.points = [
-            ((path.src, "send"), TELE_SEND_COST, 0),
-            *(((node, "transit"), TELE_SEND_COST, 0) for node in path.nodes[1:-1]),
-            ((path.dst, "receive"), RECEIVE_COST, 0),
-        ]
+    points: np.ndarray | None = field(default=None, repr=False,
+                                      compare=False)
 
     @property
     def finished(self) -> bool:
@@ -87,81 +95,76 @@ class TeleSession:
         return delivered
 
 
-PoolMap = dict  # (node id, pool kind) -> MemoryPool
+def incidence(sessions: list[TeleSession]) -> Incidence:
+    """The points of ``sessions``, in session order; ties go to the lower
+    session id."""
+    pool, num = np.concatenate(
+        [np.zeros((2, 0), dtype=np.int64)]
+        + [session.points for session in sessions], axis=1)
+    rank = np.repeat(np.arange(len(sessions)),
+                     [session.points.shape[1] for session in sessions])
+    ids = np.array([session.id for session in sessions], dtype=np.int64)
+    return Incidence(pool, rank, ids[rank], num, np.ones_like(num),
+                     np.zeros_like(num))
 
 
-def reserve_teleport(sessions: list[TeleSession], pools: PoolMap) -> list[Grant]:
-    """Announced-window reservation, by ``memory.reserve_two_pass``."""
-    return reserve_two_pass(
-        [(session.id, session.window, session.points) for session in sessions],
-        pools,
-    )
+def _windows(sessions: list[TeleSession]) -> np.ndarray:
+    return np.array([session.window for session in sessions], dtype=np.int64)
 
 
-def node_window_capacity(node: int, pools: PoolMap) -> int | None:
-    """Largest window a node can support for one session, by its role.
-
-    A repeater backs a window with transit units at the send price; an
-    end host must be able to play either role, so it is limited by the
-    smaller of its send and receive pools, each at its own price.
-    Returns None for nodes without memory pools (all-optical switches).
-    """
-    if (node, "transit") in pools:
-        return pools[(node, "transit")].capacity // TELE_SEND_COST
-    if (node, "send") in pools:
-        return min(
-            pools[(node, "send")].capacity // TELE_SEND_COST,
-            pools[(node, "receive")].capacity // RECEIVE_COST,
-        )
-    return None
+def reserve_teleport(sessions: list[TeleSession], points: Incidence,
+                     pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
+    """Announced-window reservation, by ``memory.reserve``."""
+    return reserve(pools, points, _windows(sessions))
 
 
-def _fair_shares(sessions: list[TeleSession], pools: PoolMap) -> list[int]:
+def _fair_shares(points: Incidence, pools: PoolTable) -> np.ndarray:
     """Per-session floor(C/N) minimum over path nodes, N counted per node,
-    in session order."""
-    traversals: dict[int, int] = {}
-    for session in sessions:
-        for node in session.path.nodes:
-            traversals[node] = traversals.get(node, 0) + 1
-    return [
-        min(capacity // traversals[node]
-            for node in session.path.nodes
-            if (capacity := node_window_capacity(node, pools)) is not None)
-        for session in sessions
-    ]
+    in session order.
+
+    C is the largest window a node supports for one session: a repeater
+    backs it with transit units at the send price; an end host must be
+    able to play either role, so the smaller of its send and receive
+    pools, each at its own price, limits it.
+    """
+    nodes = np.array([node for node, _ in pools.keys], dtype=np.int64)
+    firsts = np.r_[True, nodes[1:] != nodes[:-1]]
+    slot = np.cumsum(firsts) - 1  # each pool's node, numbered densely
+    prices = np.array([RECEIVE_COST if kind == "receive" else TELE_SEND_COST
+                       for _, kind in pools.keys], dtype=np.int64)
+    capacity = np.minimum.reduceat(pools.capacity // prices,
+                                   np.flatnonzero(firsts))
+    node = slot[points.pool]
+    share = capacity[node] // np.bincount(node)[node]
+    return np.minimum.reduceat(
+        share, np.flatnonzero(np.diff(points.rank, prepend=-1)))
 
 
-def reserve_explicit(sessions: list[TeleSession], pools: PoolMap) -> list[Grant]:
+def reserve_explicit(sessions: list[TeleSession], points: Incidence,
+                     pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
     """Explicit-window variant: every node splits evenly among its sessions.
 
     No window is announced; each node grants floor(C/N) window units to
     each of its N traversing sessions and a session uses the smallest
     grant along its path.
     """
-    outcomes = []
-    for session, share in zip(sessions, _fair_shares(sessions, pools)):
-        outcomes.append(Grant(share, False))
-        hold(session.points, share, pools)
-    return outcomes
+    granted = _fair_shares(points, pools)
+    pools.hold(points, granted)
+    return granted, np.zeros(len(sessions), dtype=bool)
 
 
-def reserve_fair(sessions: list[TeleSession], pools: PoolMap) -> list[Grant]:
+def reserve_fair(sessions: list[TeleSession], points: Incidence,
+                 pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
     """Fair-share threshold variant: halve whenever a request exceeds C/N."""
-    outcomes = []
-    for session, share in zip(sessions, _fair_shares(sessions, pools)):
-        window = session.window
-        congested = window > share
-        granted = window // 2 if congested else window
-        outcomes.append(Grant(granted, congested))
-        hold(session.points, granted, pools)
-    return outcomes
+    windows = _windows(sessions)
+    congested = windows > _fair_shares(points, pools)
+    granted = np.where(congested, windows // 2, windows)
+    pools.hold(points, granted)
+    return granted, congested
 
 
-def release_surplus(
-    session: TeleSession, granted: int, delivered: int, pools: PoolMap
-) -> None:
-    """Give back ``cost(granted) - cost(delivered)`` at each point."""
-    if delivered < granted:
-        for key, unit_cost, floor in session.points:
-            pools[key].require(cost(unit_cost, delivered, floor)
-                               - cost(unit_cost, granted, floor))
+def release_surplus(points: Incidence, granted: np.ndarray,
+                    delivered: np.ndarray, pools: PoolTable) -> None:
+    """Give back ``cost(granted) - cost(delivered)`` at every point."""
+    pools.reserved -= pools.sums(
+        points.pool, points.costs(granted) - points.costs(delivered))

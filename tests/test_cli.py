@@ -155,6 +155,9 @@ class TestParseConfig:
         ({"topology": waxman(alpha=float("nan"))}, "waxman: alpha"),
         ({"topology": waxman(alpha=float("inf"))}, "waxman: alpha"),
         ({"topology": waxman(n_infra=1)}, "waxman: n_infra"),
+        ({"capacity": 2**29 + 1}, "capacity must be at most"),
+        ({"topology": inline_topology(capacity=2**29 + 1)},
+         "node 0: capacity must be at most"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))

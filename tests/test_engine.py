@@ -1,5 +1,7 @@
 """Slot loop: phase ordering, determinism, conservation."""
 
+from dataclasses import replace
+
 import pytest
 
 from qdnsim import metrics
@@ -10,12 +12,15 @@ from qdnsim.engine import (
     SessionSpec,
     TagFlow,
     WaxmanSpec,
+    reserve_sharing,
     run,
 )
-from qdnsim.errors import ConfigError, InfeasibleReservationError
+from qdnsim.errors import (ConfigError, DeadlockError,
+                           InfeasibleReservationError)
+from qdnsim.memory import MAX_SESSIONS, MAX_UNITS, MemoryPool, PoolTable
 from qdnsim.presets import get_preset
 from qdnsim.rng import CHANNEL_STREAM, stream
-from qdnsim.tag import ChannelModel
+from qdnsim.tag import ChannelModel, HopSession, SharingTransfer, Stage
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -64,6 +69,15 @@ class TestTeleRuns:
         result = run(cfg)
         assert [row.delivered for row in result.session_rows] == [3]
         assert result.summary["delivered_total"] == 3
+
+    def test_finished_session_drops_its_points(self):
+        # Session 0 delivers its 3 qubits in the first slot; session 1
+        # streams on and keeps its reservation points.
+        engine = Engine(star_config(Protocol.TELE, NetworkKind.TELE,
+                                    [(3, 5), (None, None)], n_slots=2))
+        engine.step()
+        assert engine.flows[0].finished and engine.flows[0].points is None
+        assert engine.flows[1].points.shape == (2, 3)
 
     def test_zero_slots(self):
         cfg = star_config(Protocol.TELE, NetworkKind.TELE, [(None, None)],
@@ -149,84 +163,96 @@ class TestTagRuns:
         assert egress_delivered == result.summary["delivered_total"]
 
 
+def hop_pools(*pools):
+    """A pool table of ``(node, kind, capacity)`` triples."""
+    return PoolTable(MemoryPool(*pool) for pool in pools)
+
+
+def held(pools, key):
+    """The units ``pools`` holds at ``key``."""
+    return int(pools.reserved[pools.index[key]])
+
+
+def hop_grants(hops, pools):
+    granted, congested = reserve_sharing(hops, pools)
+    return list(zip(granted.tolist(), congested.tolist()))
+
+
 class TestReserveSharing:
     def test_fresh_hop_costs(self):
         # A window of 2 costs ceil(9*2/4) = 5 send units and 2 receive units.
-        from qdnsim.engine import reserve_sharing
-        from qdnsim.memory import MemoryPool
-        from qdnsim.tag import HopSession
-
-        pools = {(0, "send"): MemoryPool(0, "send", 100),
-                 (1, "receive"): MemoryPool(1, "receive", 100)}
+        pools = hop_pools((0, "send", 100), (1, "receive", 100))
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
-        outcomes = reserve_sharing([hop], pools)
-        assert outcomes[0].window == 2
-        assert pools[(0, "send")].reserved == 5
-        assert pools[(1, "receive")].reserved == 2
+        assert hop_grants([hop], pools) == [(2, False)]
+        assert held(pools, (0, "send")) == 5
+        assert held(pools, (1, "receive")) == 2
 
     def test_receive_reservation_floored_by_stored_firsts(self):
         # Stored first sharings cannot be evicted: a halved grant below the
         # backlog still reserves the backlog.
-        from qdnsim.engine import reserve_sharing
-        from qdnsim.memory import MemoryPool
-        from qdnsim.tag import HopSession, SharingTransfer, Stage
-
-        pools = {(0, "send"): MemoryPool(0, "send", 1000),
-                 (1, "receive"): MemoryPool(1, "receive", 10)}
+        pools = hop_pools((0, "send", 1000), (1, "receive", 10))
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, window=14,
                          unminted=None)
         for qubit in range(3):
             hop.in_flight[qubit] = SharingTransfer(qubit, 0, Stage.SECOND)
-        outcomes = reserve_sharing([hop], pools)
-        assert outcomes[0].congested
-        assert outcomes[0].window == 7
-        assert pools[(1, "receive")].reserved == 7  # max(grant, stored)
+        assert hop_grants([hop], pools) == [(7, True)]
+        assert held(pools, (1, "receive")) == 7  # max(grant, stored)
 
         # Window 4 against a 3-unit receive pool: the halved grant of 2
         # sits below the backlog, and the reservation stays at 3.
         hop.window = 4
-        pools = {(0, "send"): MemoryPool(0, "send", 1000),
-                 (1, "receive"): MemoryPool(1, "receive", 3)}
-        outcomes = reserve_sharing([hop], pools)
-        assert outcomes[0].window == 2
-        assert pools[(1, "receive")].reserved == 3
+        pools = hop_pools((0, "send", 1000), (1, "receive", 3))
+        assert hop_grants([hop], pools) == [(2, True)]
+        assert held(pools, (1, "receive")) == 3
 
     def test_grants_in_hop_order(self):
         # Hops of sessions 7, 3 and 5 share receiver 4, whose 10 units
         # cannot hold all three windows: the largest, session 7's, is cut.
-        from qdnsim.engine import reserve_sharing
-        from qdnsim.memory import MemoryPool
-        from qdnsim.tag import HopSession
-
-        pools = {(4, "receive"): MemoryPool(4, "receive", 10)}
-        hops = []
-        for sender, (sid, window) in enumerate([(7, 8), (3, 2), (5, 4)]):
-            pools[(sender, "send")] = MemoryPool(sender, "send", 100)
-            hops.append(HopSession(session=sid, hop=0, sender=sender,
-                                   receiver=4, window=window, unminted=None))
-        grants = reserve_sharing(hops, pools)
-        assert [(g.window, g.congested) for g in grants] == [
-            (4, True), (2, False), (4, False)]
+        pools = hop_pools((4, "receive", 10),
+                          *((sender, "send", 100) for sender in range(3)))
+        hops = [HopSession(session=sid, hop=0, sender=sender, receiver=4,
+                           window=window, unminted=None)
+                for sender, (sid, window) in enumerate([(7, 8), (3, 2), (5, 4)])]
+        assert hop_grants(hops, pools) == [(4, True), (2, False), (4, False)]
         # Each sender's pool holds its own hop's cost; receiver 4 holds
         # the sum of the three grants.
-        assert [pools[(sender, "send")].reserved for sender in range(3)] == [
+        assert [held(pools, (sender, "send")) for sender in range(3)] == [
             9, 5, 9]
-        assert pools[(4, "receive")].reserved == 4 + 2 + 4
+        assert held(pools, (4, "receive")) == 4 + 2 + 4
+
+    def test_equal_windows_cut_lower_session_then_hop_first(self):
+        # Four hops of window 4 into a 14-unit receive pool: one cut frees
+        # the 2 units needed, and (session 1, hop 0) is the lowest pair.
+        pools = hop_pools((9, "receive", 14),
+                          *((sender, "send", 100) for sender in range(4)))
+        hops = [HopSession(session=sid, hop=index, sender=sender, receiver=9,
+                           window=4, unminted=None)
+                for sender, (sid, index) in enumerate(
+                    [(2, 0), (1, 1), (1, 0), (3, 0)])]
+        assert hop_grants(hops, pools) == [
+            (4, False), (4, False), (2, True), (4, False)]
 
     def test_stored_firsts_over_receive_pool_deadlock(self):
-        from qdnsim.engine import reserve_sharing
-        from qdnsim.errors import DeadlockError
-        from qdnsim.memory import MemoryPool
-        from qdnsim.tag import HopSession, SharingTransfer, Stage
-
-        pools = {(0, "send"): MemoryPool(0, "send", 1000),
-                 (1, "receive"): MemoryPool(1, "receive", 3)}
+        pools = hop_pools((0, "send", 1000), (1, "receive", 3))
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
         for qubit in range(4):
             hop.in_flight[qubit] = SharingTransfer(qubit, 0, Stage.SECOND)
         with pytest.raises(DeadlockError, match=(
-                r"stored sharings \(4\) exceed receive pool at node 1")):
+                r"^stored sharings \(4\) exceed receive pool at node 1$")):
             reserve_sharing([hop], pools)
+
+    def test_deadlock_names_the_first_receive_pool_in_node_order(self):
+        pools = hop_pools((0, "send", 1000), (5, "receive", 1),
+                          (2, "receive", 1))
+        hops = []
+        for receiver in (5, 2):
+            hop = HopSession(session=receiver, hop=0, sender=0,
+                             receiver=receiver, unminted=None)
+            hop.in_flight[0] = SharingTransfer(0, 0, Stage.SECOND)
+            hop.in_flight[1] = SharingTransfer(1, 0, Stage.SECOND)
+            hops.append(hop)
+        with pytest.raises(DeadlockError, match="at node 2$"):
+            reserve_sharing(hops, pools)
 
 
 class TestReservationLifetime:
@@ -249,7 +275,7 @@ class TestReservationLifetime:
         carried = 0
         for _ in range(engine.cfg.n_slots):
             engine.step()
-            assert all(pool.reserved == 0 for pool in engine.pools.values())
+            assert not engine.pools.reserved.any()
             if protocol is Protocol.TAG:
                 carried += sum(hop.in_flight_count + hop.stored_firsts
                                for flow in engine.flows.values()
@@ -426,6 +452,57 @@ class TestConfigValidation:
         )
         with pytest.raises(InfeasibleReservationError, match=r"send@\d+"):
             run(cfg)
+
+
+class TestIntegerRange:
+    """Pool totals are float64 sums, exact below 2**53: capacities and
+    initial windows are bounded by MAX_UNITS, sessions by MAX_SESSIONS."""
+
+    def base(self, **change):
+        return replace(RunConfig(
+            seed=0, protocol=Protocol.TELE, network=NetworkKind.TELE,
+            topology=WaxmanSpec(8, 3.0, 40.0), sessions=4, n_slots=1),
+            **change)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("capacity", lambda n: n, "capacity"),
+        ("topology", lambda n: star_topology(1, egress_capacity=n)[0],
+         "node 2: capacity"),
+        ("sessions", lambda n: [SessionSpec(initial_window=n)],
+         "session 0: initial_window"),
+    ], ids=["capacity", "node_capacity", "initial_window"])
+    def test_units_past_the_bound_rejected(self, field, value, match):
+        self.base(**{field: value(MAX_UNITS)}).validate()
+        with pytest.raises(ConfigError,
+                           match=f"^{match} must be at most {MAX_UNITS}$"):
+            self.base(**{field: value(MAX_UNITS + 1)}).validate()
+
+    @pytest.mark.parametrize("sessions", [
+        lambda n: n, lambda n: [SessionSpec()] * n], ids=["count", "list"])
+    def test_sessions_past_the_bound_rejected(self, sessions):
+        self.base(sessions=sessions(MAX_SESSIONS)).validate()
+        with pytest.raises(ConfigError, match=(
+                f"^session count must be at most {MAX_SESSIONS}$")):
+            self.base(sessions=sessions(MAX_SESSIONS + 1)).validate()
+
+    @pytest.mark.parametrize("protocol", [Protocol.TELE, Protocol.EW])
+    def test_totals_exact_at_the_bound(self, protocol):
+        # Two unbounded sessions grow their windows into pools of up to
+        # MAX_UNITS: every slot, each pool holds exactly what its grants
+        # cost, counted in Python ints.
+        cfg = star_config(protocol, NetworkKind.TELE,
+                          [(None, MAX_UNITS // 2**20)] * 2, n_slots=30,
+                          hub_capacity=MAX_UNITS, ingress_capacity=MAX_UNITS,
+                          egress_capacity=MAX_UNITS)
+        result = run(cfg)
+        for slot in range(cfg.n_slots):
+            granted = [row.granted for row in result.session_rows
+                       if row.slot == slot]
+            held = {(row.node, row.pool): row.reserved
+                    for row in result.pool_rows if row.slot == slot}
+            assert held[(0, "transit")] == 2 * sum(granted)
+            assert held[(3, "receive")] == sum(granted)
+        assert max(row.granted for row in result.session_rows) > 2**26
 
 
 # -- the run summary against the engine's old summary pass -----------------

@@ -1,20 +1,24 @@
 """Memory assignment, partitioning, and pool accounting."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qdnsim.errors import CapacityExceededError, InfeasibleReservationError
 from qdnsim.memory import (
     Demand,
+    Incidence,
     MemoryPool,
+    PoolTable,
     TAG_SEND_COST,
     TAG_SPLIT,
     TELE_SPLIT,
     assign_memory,
     cost,
     partition,
-    reserve_two_pass,
+    reserve,
 )
 
 
@@ -175,40 +179,168 @@ class TestMemoryPool:
         assert pool.reserved == 0
 
 
+def table_and_points(pools, requests):
+    """A ``PoolTable`` of ``pools`` and the ``Incidence`` of ``requests``,
+    each ``(session, window, points)`` with ``(key, unit cost, floor)``
+    points; the session id is the tie id."""
+    table = PoolTable(pools)
+    rows = [(table.index[key], rank, session, Fraction(price).numerator,
+             Fraction(price).denominator, floor)
+            for rank, (session, _, points) in enumerate(requests)
+            for key, price, floor in points]
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    windows = np.array([window for _, window, _ in requests], dtype=np.int64)
+    return table, Incidence(*columns), windows
+
+
+def replay_holds(pools, requests, granted):
+    """``MemoryPool.require`` at every point in hold order: the first
+    error's text, or the totals by key."""
+    by_key = {(pool.node, pool.kind): pool for pool in pools}
+    try:
+        for (_, _, points), window in zip(requests, granted):
+            for key, price, floor in points:
+                by_key[key].require(cost(price, window, floor))
+    except CapacityExceededError as exc:
+        return str(exc)
+    return {key: pool.reserved for key, pool in by_key.items()}
+
+
+def reference_reserve(pools, requests):
+    """Each pool's ``assign_memory`` in key order, then the replayed holds:
+    the grants and the totals by key, or the first error's text."""
+    marked = set()
+    for pool in sorted(pools, key=lambda pool: (pool.node, pool.kind)):
+        demands = [Demand(session, window, price, floor)
+                   for session, window, points in requests
+                   for key, price, floor in points
+                   if key == (pool.node, pool.kind)]
+        try:
+            grants = assign_memory(demands, pool.capacity)
+        except InfeasibleReservationError as exc:
+            return f"pool {pool.kind}@{pool.node}: {exc}"
+        marked.update(s for s, grant in grants.items() if grant.congested)
+    grants = [(window // 2, True) if session in marked else (window, False)
+              for session, window, _ in requests]
+    totals = replay_holds(pools, requests, [window for window, _ in grants])
+    return grants, totals
+
+
+def random_instance(rng):
+    """Pools of mixed kinds and sessions over them with repeated windows
+    (ties), zero windows, all three prices and floors above cost."""
+    pools = [MemoryPool(node, kind, rng.randint(0, 120))
+             for node in rng.sample(range(9), rng.randint(1, 4))
+             for kind in rng.sample(["send", "receive", "transit"],
+                                    rng.randint(1, 2))]
+    keys = [(pool.node, pool.kind) for pool in pools]
+    requests = []
+    for session in rng.sample(range(50), rng.randint(1, 6)):
+        points = [(key, rng.choice([1, 2, TAG_SEND_COST]),
+                   rng.choice([0, 0, 0, rng.randint(0, 8),
+                               rng.randint(0, 30)]))
+                  for key in rng.sample(keys, rng.randint(1, len(keys)))]
+        requests.append((session, rng.choice([rng.randint(0, 20), 8]),
+                         points))
+    return pools, requests
+
+
+class TestPoolTable:
+    def test_keys_sorted_with_their_capacities(self):
+        table = PoolTable([MemoryPool(3, "send", 5), MemoryPool(1, "send", 7),
+                           MemoryPool(1, "receive", 2)])
+        assert table.keys == [(1, "receive"), (1, "send"), (3, "send")]
+        assert table.capacity.tolist() == [2, 7, 5]
+        assert table.reserved.tolist() == [0, 0, 0]
+
+    def test_overcommit_names_first_point_in_hold_order(self):
+        # Pool 0 overfills at the third point, pool 1 at the second: the
+        # second is reported, and nothing is held.
+        pools = [MemoryPool(0, "receive", 10), MemoryPool(1, "receive", 5)]
+        requests = [(0, 6, [((0, "receive"), 1, 0)]),
+                    (1, 6, [((1, "receive"), 1, 0), ((0, "receive"), 1, 0)])]
+        table, points, windows = table_and_points(pools, requests)
+        with pytest.raises(CapacityExceededError) as info:
+            table.hold(points, windows)
+        assert str(info.value) == (
+            "pool receive@1: reserving 6 with only 5 of 5 free")
+        assert str(info.value) == replay_holds(pools, requests, [6, 6])
+        assert not table.reserved.any()
+
+    def test_clear_zeroes_every_total(self):
+        pools = [MemoryPool(0, "send", 10), MemoryPool(1, "receive", 10)]
+        requests = [(0, 3, [((0, "send"), 2, 0), ((1, "receive"), 1, 0)])]
+        table, points, windows = table_and_points(pools, requests)
+        table.hold(points, windows)
+        assert table.reserved.tolist() == [6, 3]
+        table.clear()
+        assert table.reserved.tolist() == [0, 0]
+
+
 class TestReserveTwoPassFuzz:
     def test_pool_totals_match_grants(self):
-        # Random sessions over shared pools: every call either raises
-        # InfeasibleReservationError or leaves each pool holding exactly
-        # the cost of the grants crossing it, within its capacity.
-        import random
-
+        # The array pass against each pool's assign_memory and a replay of
+        # MemoryPool.require: the same grants and totals, or the same
+        # error text for the first infeasible pool in key order.
         rng = random.Random(20261018)
-        outcomes = {"feasible": 0, "infeasible": 0, "halved": 0}
-        for _ in range(400):
-            keys = [(node, "receive") for node in range(rng.randint(1, 4))]
-            pools = {key: MemoryPool(key[0], key[1], rng.randint(0, 60))
-                     for key in keys}
-            requests = []
-            for session in range(rng.randint(1, 6)):
-                crossed = rng.sample(keys, rng.randint(1, len(keys)))
-                points = [(key, rng.choice([1, 2, TAG_SEND_COST]),
-                           rng.choice([0, 0, rng.randint(0, 8)]))
-                          for key in crossed]
-                requests.append((session, rng.randint(0, 20), points))
-            try:
-                grants = reserve_two_pass(requests, pools)
-            except InfeasibleReservationError:
+        outcomes = dict.fromkeys(
+            ["feasible", "infeasible", "halved", "tie_cut", "floor_over_cost",
+             "zero_window"], 0)
+        for _ in range(600):
+            pools, requests = random_instance(rng)
+            expected = reference_reserve(pools, requests)
+            table, points, windows = table_and_points(pools, requests)
+            if isinstance(expected, str):
                 outcomes["infeasible"] += 1
+                with pytest.raises(InfeasibleReservationError) as info:
+                    reserve(table, points, windows)
+                assert str(info.value) == expected
                 continue
             outcomes["feasible"] += 1
-            expected = dict.fromkeys(keys, 0)
-            for (_, window, points), grant in zip(requests, grants):
-                assert grant.window == (window // 2 if grant.congested
-                                        else window)
-                outcomes["halved"] += grant.congested
-                for key, unit_cost, floor in points:
-                    expected[key] += cost(unit_cost, grant.window, floor)
-            for key, pool in pools.items():
-                assert pool.reserved == expected[key]
-                assert 0 <= pool.reserved <= pool.capacity
+            grants, totals = expected
+            granted, congested = reserve(table, points, windows)
+            assert list(zip(granted.tolist(), congested.tolist())) == grants
+            assert dict(zip(table.keys, table.reserved.tolist())) == totals
+            assert (table.reserved <= table.capacity).all()
+            cut = {window for (_, window, _), (_, halved)
+                   in zip(requests, grants) if halved}
+            outcomes["halved"] += len(cut) > 0
+            outcomes["tie_cut"] += any(
+                window in cut and not halved
+                for (_, window, _), (_, halved) in zip(requests, grants))
+            outcomes["floor_over_cost"] += any(
+                floor > cost(price, window)
+                for _, window, points in requests
+                for _, price, floor in points)
+            outcomes["zero_window"] += any(
+                window == 0 for _, window, _ in requests)
         assert min(outcomes.values()) > 0, outcomes
+
+    def test_hold_matches_replayed_requires(self):
+        # Arbitrary windows held on top of an earlier hold: the totals of
+        # MemoryPool.require replayed in hold order, or its first error.
+        rng = random.Random(7)
+        overcommits = 0
+        for _ in range(400):
+            pools, requests = random_instance(rng)
+            table, points, windows = table_and_points(pools, requests)
+            # Each replay carries on from the totals the last one left.
+            first = [rng.randint(0, window) for window in windows.tolist()]
+            totals = replay_holds(pools, requests, first)
+            if isinstance(totals, str):
+                continue
+            table.hold(points, np.array(first, dtype=np.int64))
+            assert dict(zip(table.keys, table.reserved.tolist())) == totals
+            granted = [rng.randint(0, 12) for _ in requests]
+            expected = replay_holds(pools, requests, granted)
+            before = table.reserved.copy()
+            if isinstance(expected, str):
+                overcommits += 1
+                with pytest.raises(CapacityExceededError) as info:
+                    table.hold(points, np.array(granted, dtype=np.int64))
+                assert str(info.value) == expected
+                assert (table.reserved == before).all()
+                continue
+            table.hold(points, np.array(granted, dtype=np.int64))
+            assert dict(zip(table.keys, table.reserved.tolist())) == expected
+        assert overcommits > 20

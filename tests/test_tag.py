@@ -4,10 +4,11 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qdnsim.memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST,
-                           MemoryPool, hold)
+                           MemoryPool, PoolTable, cost)
 from qdnsim.rng import stream
 from qdnsim.tag import (
     ChannelModel,
@@ -16,6 +17,7 @@ from qdnsim.tag import (
     SharingTransfer,
     Stage,
     advance,
+    incidence,
     plan_transfers,
 )
 from qdnsim.tele import Phase
@@ -237,8 +239,15 @@ class TestIncrementalState:
         hop.in_flight[0] = SharingTransfer(0, round=1, stage=Stage.SECOND)
         hop.in_flight[1] = SharingTransfer(1, round=1)
         hop.in_flight[2] = SharingTransfer(2, round=0, stage=Stage.SECOND)
-        assert hop.points == [((0, "send"), TAG_SEND_COST, 9),
-                              ((1, "receive"), RECEIVE_COST, 4)]
+        pools = PoolTable([MemoryPool(0, "send", 100),
+                           MemoryPool(1, "receive", 100)])
+        points, windows = incidence([hop], pools)
+        assert points.pool.tolist() == [pools.index[(0, "send")],
+                                        pools.index[(1, "receive")]]
+        assert points.num.tolist() == [TAG_SEND_COST.numerator, RECEIVE_COST]
+        assert points.den.tolist() == [TAG_SEND_COST.denominator, 1]
+        assert points.floor.tolist() == [9, 4]
+        assert windows.tolist() == [hop.window]
 
     def test_budgets_are_reservation_less_floors(self):
         # With 3 qubits in flight and 4 stored firsts, a grant of 8 holds
@@ -250,14 +259,15 @@ class TestIncrementalState:
         hop.in_flight[2] = SharingTransfer(2, round=0, stage=Stage.SECOND)
         assert hop.budgets(8) == (4, 3)
         assert hop.budgets(2) == (0, 0)
+        pools = PoolTable([MemoryPool(0, "send", 100),
+                           MemoryPool(1, "receive", 100)])
+        points, _ = incidence([hop], pools)
         for granted in range(20):
-            pools = {(0, "send"): MemoryPool(0, "send", 100),
-                     (1, "receive"): MemoryPool(1, "receive", 100)}
-            hold(hop.points, granted, pools)
+            send, receive = points.costs(np.array([granted])).tolist()
+            assert send == cost(TAG_SEND_COST, granted, 9)
             assert hop.budgets(granted) == (
-                pools[(1, "receive")].reserved - hop.stored_firsts,
-                pools[(0, "send")].reserved // TAG_QUBIT_UNITS
-                - hop.in_flight_count)
+                receive - hop.stored_firsts,
+                send // TAG_QUBIT_UNITS - hop.in_flight_count)
 
 
 class TestPlanTransfers:
@@ -407,6 +417,12 @@ class TestChannelModel:
         rng = stream(0, "channel")
         channel = ChannelModel(0.0)
         assert not any(channel.draw(rng, 100))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_certain_outcomes_leave_the_generator_alone(self, p):
+        rng = stream(0, "channel")
+        assert ChannelModel(p).draw(rng, 100) == [p == 1.0] * 100
+        assert (rng.random(5) == stream(0, "channel").random(5)).all()
 
     def test_half_probability_concentrates(self):
         rng = stream(0, "channel")

@@ -1,15 +1,20 @@
 """Window control and the three teleportation reservation schemes."""
 
-from qdnsim.memory import RECEIVE_COST, TELE_SEND_COST, MemoryPool
+import numpy as np
+
+from qdnsim.memory import (RECEIVE_COST, TELE_SEND_COST, MemoryPool,
+                           PoolTable)
 from qdnsim.routing import Path
 from qdnsim.tele import (
     Phase,
     TeleSession,
+    incidence,
     next_window,
     reserve_explicit,
     release_surplus,
     reserve_fair,
     reserve_teleport,
+    session_points,
 )
 
 
@@ -18,38 +23,53 @@ def star_pools(n_sessions, egress_receive, ingress_send=10**6, hub_transit=10**6
 
     Node ids: hub 0, ingress hosts 1..n, egress host n+1.
     """
-    pools = {(0, "transit"): MemoryPool(0, "transit", hub_transit)}
+    pools = [MemoryPool(0, "transit", hub_transit)]
     for i in range(1, n_sessions + 1):
-        pools[(i, "send")] = MemoryPool(i, "send", ingress_send)
-        pools[(i, "receive")] = MemoryPool(i, "receive", 10**6)
+        pools.append(MemoryPool(i, "send", ingress_send))
+        pools.append(MemoryPool(i, "receive", 10**6))
     egress = n_sessions + 1
-    pools[(egress, "send")] = MemoryPool(egress, "send", 10**6)
-    pools[(egress, "receive")] = MemoryPool(egress, "receive", egress_receive)
-    return pools, egress
+    pools.append(MemoryPool(egress, "send", 10**6))
+    pools.append(MemoryPool(egress, "receive", egress_receive))
+    return PoolTable(pools), egress
 
 
-def star_sessions(windows, egress, remaining=None):
+def star_sessions(windows, egress, pools, remaining=None):
+    paths = [Path((i + 1, 0, egress)) for i in range(len(windows))]
     return [
-        TeleSession(id=i, path=Path((i + 1, 0, egress)), remaining=remaining,
-                    window=w)
-        for i, w in enumerate(windows)
+        TeleSession(id=i, path=path, remaining=remaining, window=w,
+                    points=session_points(path, pools))
+        for i, (path, w) in enumerate(zip(paths, windows))
     ]
 
 
 def unsorted_star(windows, send_capacities, egress_receive=10**6):
     """Sessions 7, 3 and 5, in that order, from hosts 1..3 through hub 0 to
     host 4; each host's send pool has its own capacity."""
-    pools = {(0, "transit"): MemoryPool(0, "transit", 10**6),
-             (4, "send"): MemoryPool(4, "send", 10**6),
-             (4, "receive"): MemoryPool(4, "receive", egress_receive)}
-    sessions = []
-    for host, (sid, window, send) in enumerate(
-            zip([7, 3, 5], windows, send_capacities), start=1):
-        pools[(host, "send")] = MemoryPool(host, "send", send)
-        pools[(host, "receive")] = MemoryPool(host, "receive", 10**6)
-        sessions.append(TeleSession(id=sid, path=Path((host, 0, 4)),
-                                    remaining=None, window=window))
+    pools = [MemoryPool(0, "transit", 10**6), MemoryPool(4, "send", 10**6),
+             MemoryPool(4, "receive", egress_receive)]
+    for host, send in enumerate(send_capacities, start=1):
+        pools.append(MemoryPool(host, "send", send))
+        pools.append(MemoryPool(host, "receive", 10**6))
+    pools = PoolTable(pools)
+    sessions = [
+        TeleSession(id=sid, path=Path((host, 0, 4)), remaining=None,
+                    window=window,
+                    points=session_points(Path((host, 0, 4)), pools))
+        for host, (sid, window) in enumerate(zip([7, 3, 5], windows), start=1)
+    ]
     return sessions, pools
+
+
+def held(pools, key):
+    """The units ``pools`` holds at ``key``."""
+    return int(pools.reserved[pools.index[key]])
+
+
+def grants(scheme, sessions, pools):
+    """``scheme``'s grants as ``(window, congested)`` pairs of plain
+    values, in session order."""
+    granted, congested = scheme(sessions, incidence(sessions), pools)
+    return list(zip(granted.tolist(), congested.tolist()))
 
 
 class TestNextWindow:
@@ -87,51 +107,45 @@ class TestTeleSession:
 
 
     def test_points_fixed_by_path(self):
-        session = TeleSession(id=0, path=Path((4, 0, 1, 5)), remaining=None)
-        assert session.points == [
-            ((4, "send"), TELE_SEND_COST, 0),
-            ((0, "transit"), TELE_SEND_COST, 0),
-            ((1, "transit"), TELE_SEND_COST, 0),
-            ((5, "receive"), RECEIVE_COST, 0),
-        ]
+        pools = PoolTable([MemoryPool(node, kind, 10)
+                           for node in range(6)
+                           for kind in ("send", "receive", "transit")])
+        points = session_points(Path((4, 0, 1, 5)), pools)
+        keys = [(4, "send"), (0, "transit"), (1, "transit"), (5, "receive")]
+        assert points.tolist() == [
+            [pools.index[key] for key in keys],
+            [TELE_SEND_COST, TELE_SEND_COST, TELE_SEND_COST, RECEIVE_COST]]
 
 
 class TestReserveTeleport:
     def test_single_session_full_grant(self):
         pools, egress = star_pools(1, egress_receive=10**6)
-        sessions = star_sessions([5], egress)
-        outcomes = reserve_teleport(sessions, pools)
-        assert outcomes[0].window == 5
-        assert not outcomes[0].congested
+        sessions = star_sessions([5], egress, pools)
+        assert grants(reserve_teleport, sessions, pools) == [(5, False)]
 
     def test_bottleneck_halves_largest_until_fit(self):
         # Five windows totalling 103 against a 100-unit receive pool:
         # halving the largest (25, smallest id among ties) releases 13.
         pools, egress = star_pools(5, egress_receive=100)
-        sessions = star_sessions([25, 25, 25, 20, 8], egress)
-        outcomes = reserve_teleport(sessions, pools)
-        assert [outcomes[i].window for i in range(5)] == [12, 25, 25, 20, 8]
-        assert [outcomes[i].congested for i in range(5)] == [
-            True, False, False, False, False
-        ]
-        assert pools[(egress, "receive")].reserved == 90
+        sessions = star_sessions([25, 25, 25, 20, 8], egress, pools)
+        assert grants(reserve_teleport, sessions, pools) == [
+            (12, True), (25, False), (25, False), (20, False), (8, False)]
+        assert held(pools, (egress, "receive")) == 90
 
     def test_two_bottlenecks_single_halving(self):
         # Ingress send pool and egress receive pool both too small: the
         # window is halved once, not twice.
         pools, egress = star_pools(1, egress_receive=9, ingress_send=19)
-        sessions = star_sessions([10], egress)
-        outcomes = reserve_teleport(sessions, pools)
-        assert outcomes[0].window == 5
-        assert outcomes[0].congested
+        sessions = star_sessions([10], egress, pools)
+        assert grants(reserve_teleport, sessions, pools) == [(5, True)]
 
     def test_reservations_cover_every_hop(self):
         pools, egress = star_pools(1, egress_receive=100)
-        sessions = star_sessions([4], egress)
-        reserve_teleport(sessions, pools)
-        assert pools[(1, "send")].reserved == 8      # 2 units per circuit
-        assert pools[(0, "transit")].reserved == 8
-        assert pools[(egress, "receive")].reserved == 4
+        sessions = star_sessions([4], egress, pools)
+        grants(reserve_teleport, sessions, pools)
+        assert held(pools, (1, "send")) == 8      # 2 units per circuit
+        assert held(pools, (0, "transit")) == 8
+        assert held(pools, (egress, "receive")) == 4
 
 
     def test_grants_in_session_order(self):
@@ -139,72 +153,78 @@ class TestReserveTeleport:
         # 8, the largest, is cut.
         sessions, pools = unsorted_star([8, 2, 4], [10**6] * 3,
                                         egress_receive=10)
-        grants = reserve_teleport(sessions, pools)
-        assert [(g.window, g.congested) for g in grants] == [
+        assert grants(reserve_teleport, sessions, pools) == [
             (4, True), (2, False), (4, False)]
         # Each host's send pool holds its own session's 2 units per
         # circuit; the shared egress holds the sum of the grants.
-        assert [pools[(host, "send")].reserved for host in (1, 2, 3)] == [
+        assert [held(pools, (host, "send")) for host in (1, 2, 3)] == [
             8, 4, 8]
-        assert pools[(4, "receive")].reserved == 4 + 2 + 4
+        assert held(pools, (4, "receive")) == 4 + 2 + 4
 
 
 class TestReserveExplicit:
     def test_even_split_of_capacity(self):
         pools, egress = star_pools(10, egress_receive=100)
-        sessions = star_sessions([1] * 10, egress)
-        outcomes = reserve_explicit(sessions, pools)
-        assert all(outcomes[i].window == 10 for i in range(10))
+        sessions = star_sessions([1] * 10, egress, pools)
+        assert grants(reserve_explicit, sessions, pools) == [(10, False)] * 10
 
     def test_window_is_path_minimum(self):
         # Egress supports 4 per session, hub supports far more.
         pools, egress = star_pools(5, egress_receive=20)
-        sessions = star_sessions([1] * 5, egress)
-        outcomes = reserve_explicit(sessions, pools)
-        assert all(outcomes[i].window == 4 for i in range(5))
+        sessions = star_sessions([1] * 5, egress, pools)
+        assert grants(reserve_explicit, sessions, pools) == [(4, False)] * 5
 
     def test_single_session_takes_smallest_capacity(self):
         pools, egress = star_pools(1, egress_receive=50)
-        sessions = star_sessions([1], egress)
-        outcomes = reserve_explicit(sessions, pools)
-        assert outcomes[0].window == 50
+        sessions = star_sessions([1], egress, pools)
+        assert grants(reserve_explicit, sessions, pools) == [(50, False)]
 
 
     def test_grants_in_session_order(self):
         # Each session's share is its own host's send pool at 2 units each.
         sessions, pools = unsorted_star([1] * 3, [20, 8, 12])
-        grants = reserve_explicit(sessions, pools)
-        assert [g.window for g in grants] == [10, 4, 6]
-        assert [pools[(host, "send")].reserved for host in (1, 2, 3)] == [
+        assert [window for window, _ in grants(
+            reserve_explicit, sessions, pools)] == [10, 4, 6]
+        assert [held(pools, (host, "send")) for host in (1, 2, 3)] == [
             20, 8, 12]
-        assert pools[(4, "receive")].reserved == 10 + 4 + 6
+        assert held(pools, (4, "receive")) == 10 + 4 + 6
+
+    def test_shares_count_sessions_per_node_across_roles(self):
+        # Hosts 1 and 2 each send one session and receive the other's:
+        # two sessions traverse each host, so each gets half of its
+        # 20-unit receive pool, the hosts' smaller window capacity.
+        pools = PoolTable([MemoryPool(0, "transit", 10**6)]
+                          + [MemoryPool(host, kind, 20 * price)
+                             for host in (1, 2)
+                             for kind, price in (("send", 3),
+                                                 ("receive", 1))])
+        sessions = [TeleSession(id=i, path=Path(nodes), remaining=None,
+                                points=session_points(Path(nodes), pools))
+                    for i, nodes in enumerate([(1, 0, 2), (2, 0, 1)])]
+        assert grants(reserve_explicit, sessions, pools) == [(10, False)] * 2
 
 
 class TestReserveFair:
     def test_request_at_fair_share_passes(self):
         pools, egress = star_pools(10, egress_receive=100)
-        sessions = star_sessions([10] * 10, egress)
-        outcomes = reserve_fair(sessions, pools)
-        assert all(not outcomes[i].congested for i in range(10))
+        sessions = star_sessions([10] * 10, egress, pools)
+        assert grants(reserve_fair, sessions, pools) == [(10, False)] * 10
 
     def test_request_above_fair_share_is_halved(self):
         pools, egress = star_pools(10, egress_receive=100)
-        sessions = star_sessions([11] + [1] * 9, egress)
-        outcomes = reserve_fair(sessions, pools)
-        assert outcomes[0].window == 5
-        assert outcomes[0].congested
+        sessions = star_sessions([11] + [1] * 9, egress, pools)
+        assert grants(reserve_fair, sessions, pools)[0] == (5, True)
 
     def test_sawtooth_caps_near_fair_share(self):
         # One session against a fair share of 8, driven for 50 slots.
         pools, egress = star_pools(1, egress_receive=8)
-        session = star_sessions([1], egress)[0]
+        session = star_sessions([1], egress, pools)[0]
         announced = []
         for _ in range(50):
             announced.append(session.window)
-            outcomes = reserve_fair([session], pools)
-            session.advance_window(outcomes[session.id].congested)
-            for pool in pools.values():
-                pool.clear()
+            [(_, congested)] = grants(reserve_fair, [session], pools)
+            session.advance_window(congested)
+            pools.clear()
         steady = announced[10:]
         assert max(steady) <= 2 * 8 + 1
         assert min(steady) >= 4
@@ -213,12 +233,11 @@ class TestReserveFair:
     def test_grants_in_session_order(self):
         # Shares 10, 4 and 6: sessions 7 and 5 ask for more and are halved.
         sessions, pools = unsorted_star([11, 4, 7], [20, 8, 12])
-        grants = reserve_fair(sessions, pools)
-        assert [(g.window, g.congested) for g in grants] == [
+        assert grants(reserve_fair, sessions, pools) == [
             (5, True), (4, False), (3, True)]
-        assert [pools[(host, "send")].reserved for host in (1, 2, 3)] == [
+        assert [held(pools, (host, "send")) for host in (1, 2, 3)] == [
             10, 8, 6]
-        assert pools[(4, "receive")].reserved == 5 + 4 + 3
+        assert held(pools, (4, "receive")) == 5 + 4 + 3
 
 
 class TestReleaseSurplus:
@@ -226,18 +245,20 @@ class TestReleaseSurplus:
         # Session 7 is granted 10 and delivers 3: its send and transit
         # points drop from 20 to 6 units, its receive point from 10 to 3.
         sessions, pools = unsorted_star([10, 2, 4], [10**6] * 3)
-        grants = reserve_teleport(sessions, pools)
-        release_surplus(sessions[0], grants[0].window, 3, pools)
-        assert pools[(1, "send")].reserved == 6
-        assert pools[(0, "transit")].reserved == 6 + 4 + 8
-        assert pools[(4, "receive")].reserved == 3 + 2 + 4
+        points = incidence(sessions)
+        granted, _ = reserve_teleport(sessions, points, pools)
+        release_surplus(points, granted, np.array([3, 2, 4]), pools)
+        assert held(pools, (1, "send")) == 6
+        assert held(pools, (0, "transit")) == 6 + 4 + 8
+        assert held(pools, (4, "receive")) == 3 + 2 + 4
 
     def test_full_delivery_keeps_reservation(self):
         sessions, pools = unsorted_star([10, 2, 4], [10**6] * 3)
-        grants = reserve_teleport(sessions, pools)
-        release_surplus(sessions[1], grants[1].window, 2, pools)
-        assert pools[(2, "send")].reserved == 4
-        assert pools[(4, "receive")].reserved == 10 + 2 + 4
+        points = incidence(sessions)
+        granted, _ = reserve_teleport(sessions, points, pools)
+        release_surplus(points, granted, granted, pools)
+        assert held(pools, (2, "send")) == 4
+        assert held(pools, (4, "receive")) == 10 + 2 + 4
 
 
 class TestWindowTrajectory:

@@ -257,6 +257,11 @@ def emit_table(rows: list[dict], out_dir: str | FsPath, name: str,
 def run_preset(name: str, seeds: list[int], out_dir: str | FsPath,
                formats: list[str]) -> list[FsPath]:
     """Execute every run of a preset and write traces plus summary tables."""
+    if not seeds:
+        raise ConfigError("at least one seed is required")
+    for index, seed in enumerate(seeds):
+        if seed in seeds[:index]:
+            raise ConfigError(f"seed {seed} is listed more than once")
     preset = preset_mod.get_preset(name)
     runs = preset.build(seeds)
     results: dict[str, RunResult] = {}
@@ -309,8 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             seeds = [_convert("preset", "--seeds", int, s)
                      for s in args.seeds.split(",") if s.strip()]
-            if not seeds:
-                raise ConfigError("at least one seed is required")
             written = run_preset(args.name, seeds, args.out, formats)
     except (QdnError, OSError, ValueError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

@@ -1,18 +1,19 @@
 """Slot-synchronous simulation loop.
 
-Each slot runs a fixed phase order: admit new sessions; reserve memory
-for the announced windows; plan, send, record and advance the window per
-session; snapshot pool occupancy; clear every pool.  The pools live in one
+Each slot runs a fixed phase order: admit the sessions the start-slot
+schedule lists for it; reserve memory for the announced windows; plan,
+send, record and advance the window per live flow, retiring those that
+finish; snapshot pool occupancy; clear every pool.  The pools live in one
 ``memory.PoolTable`` and every slot reserves them in one array pass over
 the slot's reservation points: a teleportation session's are fixed at
-admission, a tell-and-go hop's come from its counters each slot.  The
-reservation functions return their grants in session (or hop) order.  A
-pool keeps only its reserved total, for one slot: what tell-and-go state
+admission, a tell-and-go hop's come from its counters each slot.  A pool
+keeps only its reserved total, for one slot: what tell-and-go state
 outlives it (stored first sharings, in-flight sender blocks) lives in the
-hop counters, which floor the next slot's reservation and, with the
-grant, give a hop's memory budgets (``HopSession.budgets``).  The loop
-writes only trace rows, which ``metrics.summarize`` turns into the run
-summary.  A run is a pure function of its configuration, seed included.
+hop counters, which floor the next slot's reservation; what a grant holds
+above the floors is the hop's memory budget, which ``reserve_sharing``
+returns with it.  The loop writes only trace rows, which
+``metrics.summarize`` turns into the run summary.  A run is a pure
+function of its configuration, seed included.
 """
 
 from __future__ import annotations
@@ -188,7 +189,6 @@ class TagFlow:
     """End-to-end tell-and-go session: a pipeline of hop sessions."""
 
     id: int
-    path: Path
     hops: list[HopSession]
     remaining: int | None
 
@@ -220,12 +220,13 @@ def build_pools(topology: Topology, network: NetworkKind) -> PoolTable:
     return PoolTable(pools)
 
 
-def reserve_sharing(hops: list[HopSession],
-                    pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
+def reserve_sharing(hops: list[HopSession], pools: PoolTable
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-slot reservation for tell-and-go hops at their ``tag.incidence``
-    points, by ``memory.reserve``; grants come back in hop order.  Raises
-    DeadlockError, for the first receive pool in node order, when the
-    stored first sharings alone overfill it."""
+    points, by ``memory.reserve``.  Returns grants, halved flags and
+    ``plan_transfers``' budgets in hop order: receive units and send blocks
+    held above the floors.  Raises DeadlockError, for the first receive
+    pool in node order, when the stored first sharings alone overfill it."""
     points, windows = hop_incidence(hops, pools)
     receive = points.pool[1::2]
     stored = pools.sums(receive, points.floor[1::2])
@@ -234,7 +235,9 @@ def reserve_sharing(hops: list[HopSession],
         raise DeadlockError(
             f"stored sharings ({int(stored[over[0]])}) exceed receive pool at "
             f"node {pools.keys[over[0]][0]}")
-    return reserve(pools, points, windows)
+    granted, congested = reserve(pools, points, windows)
+    free = points.costs(granted) - points.floor
+    return granted, congested, free[1::2], free[0::2] // TAG_QUBIT_UNITS
 
 
 class Engine:
@@ -277,8 +280,10 @@ class Engine:
             Protocol.EW: reserve_explicit,
             Protocol.FRA: reserve_fair,
         }.get(cfg.protocol)
-        self.specs = self._resolve_sessions()
+        self._schedule = self._resolve_sessions()
+        # Live flows in admission order; every admitted session's path.
         self.flows: dict[int, TeleSession | TagFlow] = {}
+        self.paths: dict[int, tuple[int, ...]] = {}
         self.session_rows: list[SessionRow] = []
         self.pool_rows: list[PoolRow] = []
         # Reserved fraction per node as of the last snapshot; routing reads it.
@@ -287,14 +292,15 @@ class Engine:
 
     # -- setup ---------------------------------------------------------
 
-    def _resolve_sessions(self) -> list[SessionSpec]:
+    def _resolve_sessions(self) -> dict[int, list[tuple[int, SessionSpec]]]:
+        """Session ids and resolved specs by start slot, in id order."""
         cfg = self.cfg
         hosts = sorted(n.id for n in self.topology.hosts())
         host_ids = set(hosts)
         requested = cfg.sessions
         if isinstance(requested, int):
             requested = [SessionSpec()] * requested
-        specs = []
+        schedule: dict[int, list[tuple[int, SessionSpec]]] = {}
         rng = None
         for index, spec in enumerate(requested):
             for end in (spec.src, spec.dst):
@@ -318,17 +324,18 @@ class Engine:
                     hosts[i], hosts[j], spec.qubits, spec.start_slot,
                     spec.initial_window,
                 )
-            specs.append(spec)
-        return specs
+            schedule.setdefault(spec.start_slot, []).append((index, spec))
+        return schedule
 
     def _admit(self) -> None:
-        for sid, spec in enumerate(self.specs):
-            if spec.start_slot != self.slot:
-                continue
+        for sid, spec in self._schedule.pop(self.slot, ()):
             path = compute_path(
                 self.topology, spec.src, spec.dst, self._load,
                 self.cfg.congestion_weight,
             )
+            self.paths[sid] = path.nodes
+            if spec.qubits == 0:
+                continue
             if self.cfg.protocol is Protocol.TAG:
                 self.flows[sid] = self._build_flow(sid, path, spec)
             else:
@@ -360,17 +367,18 @@ class Engine:
                     window=initial, unminted=unminted, queue_bound=bound,
                 )
             )
-        return TagFlow(id=sid, path=path, hops=hops, remaining=spec.qubits)
+        return TagFlow(id=sid, hops=hops, remaining=spec.qubits)
 
     # -- per-slot phases ------------------------------------------------
 
     def step(self) -> None:
         self._admit()
-        active = [flow for flow in self.flows.values() if not flow.finished]
+        active = list(self.flows.values())
         if self.cfg.protocol is Protocol.TAG:
             self._step_tag(active)
         else:
             self._step_tele(active)
+        self.flows = {flow.id: flow for flow in active if not flow.finished}
         self._snapshot_pools()
         self.pools.clear()
         self.slot += 1
@@ -384,8 +392,6 @@ class Engine:
                                                 congested.tolist()):
             sent = session.transfer(window_granted)
             delivered.append(sent)
-            if session.finished:
-                session.points = None
             if explicit:
                 window, phase = window_granted, "-"
             else:
@@ -403,20 +409,17 @@ class Engine:
 
     def _step_tag(self, flows: list[TagFlow]) -> None:
         hops = [hop for flow in flows for hop in flow.hops]
-        granted, congested = reserve_sharing(hops, self.pools)
-        grants = zip(granted.tolist(), congested.tolist())
+        grants = zip(*(column.tolist()
+                       for column in reserve_sharing(hops, self.pools)))
 
         # A hop's plan reads the next hop's free queue as it stood at the
         # start of the slot, so handovers wait until every hop has sent.
         forwards: list[tuple[HopSession, int]] = []  # (hop, qubits)
         for flow in flows:
-            for index, hop in enumerate(flow.hops):
-                window_granted, cut = next(grants)
-                downstream = (
-                    flow.hops[index + 1] if index + 1 < len(flow.hops) else None
-                )
+            for hop, downstream in zip(flow.hops, [*flow.hops[1:], None]):
+                window_granted, cut, receiver_free, blocks_free = next(grants)
                 plan = plan_transfers(
-                    hop, window_granted, *hop.budgets(window_granted),
+                    hop, window_granted, receiver_free, blocks_free,
                     downstream.queue_free if downstream is not None else None,
                 )
                 firsts, seconds = plan.first_count, plan.second_count
@@ -465,7 +468,7 @@ class Engine:
             seed=self.cfg.seed,
             n_slots=self.cfg.n_slots,
             slot_length=self.cfg.slot_length,
-            paths={sid: flow.path.nodes for sid, flow in sorted(self.flows.items())},
+            paths=dict(sorted(self.paths.items())),
             session_rows=self.session_rows,
             pool_rows=self.pool_rows,
             summary={},

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST, Incidence,
-                     PoolTable, cost)
+                     PoolTable)
 from .tele import Phase, next_window
 
 INITIAL_WINDOW = 2
@@ -162,13 +162,6 @@ class HopSession:
     @property
     def in_flight_count(self) -> int:
         return self.first_total + self.second_total
-
-    def budgets(self, granted: int) -> tuple[int, int]:
-        """``plan_transfers``' receiver and encode-block budgets under
-        ``granted``: what its points reserve at that window, less floors."""
-        return (max(cost(RECEIVE_COST, granted) - self.stored_firsts, 0),
-                max(cost(TAG_SEND_COST, granted) // TAG_QUBIT_UNITS
-                    - self.in_flight_count, 0))
 
     @property
     def in_flight(self) -> _Seed:

@@ -66,8 +66,8 @@ def session_points(path: Path, pools: PoolTable) -> np.ndarray:
 class TeleSession:
     """One end-to-end flow with its sending-window state.
 
-    ``points`` are its ``session_points``, set at admission and dropped
-    once the session has finished.
+    ``points`` are its ``session_points``, set at admission and kept for
+    the session's life; a finished session leaves the engine's flow table.
     """
 
     id: int

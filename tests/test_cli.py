@@ -418,6 +418,21 @@ class TestMain:
         assert record["error"] == "ConfigError"
         assert "--seeds" in record["message"]
 
+    @pytest.mark.parametrize("seeds", ["1,1", "2,1,3,1"])
+    def test_repeated_seed_is_an_error_record(self, tmp_path, capsys, seeds):
+        # Each seed writes its own files once; a repeat would run and
+        # write them twice while the summary counted the seed once.
+        code = main(["preset", "appendix_e", "--seeds", seeds,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ConfigError",
+            "message": "seed 1 is listed more than once",
+        }
+        assert not (tmp_path / "out").exists()
+
     def test_appendix_preset_end_to_end(self, tmp_path):
         code = main(["preset", "appendix_e", "--seeds", "0",
                      "--out", str(tmp_path / "out"), "--format", "tabular"])
@@ -434,6 +449,16 @@ class TestRunPreset:
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ConfigError):
             run_preset("nope", [1], tmp_path, ["tabular"])
+
+    @pytest.mark.parametrize("seeds, match", [
+        ([], "^at least one seed is required$"),
+        ([4, 4], "^seed 4 is listed more than once$"),
+    ], ids=["none", "repeated"])
+    def test_seed_list_checked_before_any_run(self, tmp_path, seeds, match):
+        # Without seeds tradeoff_prob's summary divided by zero.
+        with pytest.raises(ConfigError, match=match):
+            run_preset("tradeoff_prob", seeds, tmp_path, ["tabular"])
+        assert not any(tmp_path.iterdir())
 
     def test_byte_identical_reruns(self, tmp_path):
         for attempt in ("x", "y"):

@@ -10,7 +10,6 @@ from qdnsim.engine import (
     Protocol,
     RunConfig,
     SessionSpec,
-    TagFlow,
     WaxmanSpec,
     reserve_sharing,
     run,
@@ -70,14 +69,16 @@ class TestTeleRuns:
         assert [row.delivered for row in result.session_rows] == [3]
         assert result.summary["delivered_total"] == 3
 
-    def test_finished_session_drops_its_points(self):
+    def test_finished_session_leaves_flows_and_keeps_its_path(self):
         # Session 0 delivers its 3 qubits in the first slot; session 1
         # streams on and keeps its reservation points.
         engine = Engine(star_config(Protocol.TELE, NetworkKind.TELE,
                                     [(3, 5), (None, None)], n_slots=2))
         engine.step()
-        assert engine.flows[0].finished and engine.flows[0].points is None
+        assert list(engine.flows) == [1]
         assert engine.flows[1].points.shape == (2, 3)
+        assert engine.paths == {0: (1, 0, 3), 1: (2, 0, 3)}
+        assert engine.run().paths == engine.paths
 
     def test_zero_slots(self):
         cfg = star_config(Protocol.TELE, NetworkKind.TELE, [(None, None)],
@@ -174,7 +175,7 @@ def held(pools, key):
 
 
 def hop_grants(hops, pools):
-    granted, congested = reserve_sharing(hops, pools)
+    granted, congested, _, _ = reserve_sharing(hops, pools)
     return list(zip(granted.tolist(), congested.tolist()))
 
 
@@ -514,8 +515,8 @@ def reference_summary(engine):
     per_session_windows = {}
     delivered = {}
     egress_hop = {
-        sid: len(flow.hops) - 1 for sid, flow in engine.flows.items()
-        if isinstance(flow, TagFlow)
+        sid: len(path) - 2 for sid, path in engine.paths.items()
+        if engine.cfg.network is NetworkKind.TAG_RELAY
     }
     for row in engine.session_rows:
         if row.hop == egress_hop.get(row.session, 0):
@@ -525,13 +526,13 @@ def reference_summary(engine):
 
     sessions = {}
     means = []
-    for sid, flow in sorted(engine.flows.items()):
+    for sid, path in sorted(engine.paths.items()):
         windows = list(per_session_windows.get(sid, {}).values())
         mean = sum(windows) / len(windows) if windows else 0.0
         sessions[sid] = {
             "delivered": delivered.get(sid, 0),
             "mean_window": mean,
-            "hops": len(flow.path.nodes) - 1,
+            "hops": len(path) - 1,
         }
         means.append(mean)
 
@@ -604,3 +605,32 @@ def test_summary_cases_reach_every_edge():
     assert all(len(path) == 3 for path in switch.paths.values())
     assert {row.hop for row in switch.session_rows} == {0}
     assert run(SUMMARY_CASES["no_slots"]()).summary["jain_mean_window"] is None
+
+
+@pytest.mark.parametrize("name", ["golden/tele_staggered",
+                                  "golden/tag_relay_staggered",
+                                  "late_and_empty/tag/tag_relay"])
+def test_flows_hold_only_live_sessions(name):
+    """After every slot, ``flows`` holds the admitted sessions that have
+    not delivered all their qubits, in admission order, and ``paths`` every
+    admitted session, one with no qubits included."""
+    engine = Engine(SUMMARY_CASES[name]())
+    specs = engine.cfg.sessions
+    relay = engine.cfg.network is NetworkKind.TAG_RELAY
+    admission = sorted(range(len(specs)), key=lambda sid: specs[sid].start_slot)
+    delivered = dict.fromkeys(range(len(specs)), 0)
+    retired = set()
+    for slot in range(engine.cfg.n_slots):
+        start = len(engine.session_rows)
+        engine.step()
+        admitted = [sid for sid in admission if specs[sid].start_slot <= slot]
+        assert sorted(engine.paths) == sorted(admitted)
+        for row in engine.session_rows[start:]:
+            if row.hop == (len(engine.paths[row.session]) - 2 if relay else 0):
+                delivered[row.session] += row.delivered
+        live = [sid for sid in admitted if delivered[sid] != specs[sid].qubits]
+        assert list(engine.flows) == live
+        assert [flow.id for flow in engine.flows.values()] == live
+        retired.update(set(admitted) - set(live))
+    assert retired  # each case retires at least one session
+

@@ -4,9 +4,9 @@ import math
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 
+from qdnsim.engine import reserve_sharing
 from qdnsim.memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST,
                            MemoryPool, PoolTable, cost)
 from qdnsim.rng import stream
@@ -252,22 +252,39 @@ class TestIncrementalState:
     def test_budgets_are_reservation_less_floors(self):
         # With 3 qubits in flight and 4 stored firsts, a grant of 8 holds
         # 18 send units (6 blocks, 3 free) and 8 receive units (4 free);
-        # a grant of 2 is all floor.
+        # a grant of 2 is all floor.  The random hops hold up to 30 qubits,
+        # so their floors also pass the cost of the larger grants.
         hop = hop_with(queued=0)
         hop.in_flight[0] = SharingTransfer(0, round=1, stage=Stage.SECOND)
         hop.in_flight[1] = SharingTransfer(1, round=1)
         hop.in_flight[2] = SharingTransfer(2, round=0, stage=Stage.SECOND)
-        assert hop.budgets(8) == (4, 3)
-        assert hop.budgets(2) == (0, 0)
-        pools = PoolTable([MemoryPool(0, "send", 100),
-                           MemoryPool(1, "receive", 100)])
-        points, _ = incidence([hop], pools)
+        hops = [hop]
+        rng = random.Random(15)
+        for session in range(1, 9):
+            hops.append(HopSession(session=session, hop=0, sender=0,
+                                   receiver=1, unminted=None))
+            for qubit in range(rng.randint(0, 30)):
+                hops[-1].in_flight[qubit] = SharingTransfer(
+                    qubit, rng.randint(0, 3),
+                    rng.choice([Stage.FIRST, Stage.SECOND]))
+        assert any(3 * each.in_flight_count > cost(TAG_SEND_COST, 19)
+                   and each.stored_firsts > 19 for each in hops)
+        budgets = {}
         for granted in range(20):
-            send, receive = points.costs(np.array([granted])).tolist()
-            assert send == cost(TAG_SEND_COST, granted, 9)
-            assert hop.budgets(granted) == (
-                receive - hop.stored_firsts,
-                send // TAG_QUBIT_UNITS - hop.in_flight_count)
+            for each in hops:
+                each.window = granted
+            pools = PoolTable([MemoryPool(0, "send", 10**6),
+                               MemoryPool(1, "receive", 10**6)])
+            windows, _, receive, blocks = reserve_sharing(hops, pools)
+            assert windows.tolist() == [granted] * len(hops)
+            budgets[granted] = list(zip(receive.tolist(), blocks.tolist()))
+            assert budgets[granted] == [
+                (max(granted - each.stored_firsts, 0),
+                 max(cost(TAG_SEND_COST, granted) // TAG_QUBIT_UNITS
+                     - each.in_flight_count, 0))
+                for each in hops]
+        assert budgets[8][0] == (4, 3)
+        assert budgets[2][0] == (0, 0)
 
 
 class TestPlanTransfers:

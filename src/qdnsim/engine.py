@@ -6,14 +6,13 @@ send, record and advance the window per live flow, retiring those that
 finish; snapshot pool occupancy; clear every pool.  The pools live in one
 ``memory.PoolTable`` and every slot reserves them in one array pass over
 the slot's reservation points: a teleportation session's are fixed at
-admission, a tell-and-go hop's come from its counters each slot.  A pool
-keeps only its reserved total, for one slot: what tell-and-go state
-outlives it (stored first sharings, in-flight sender blocks) lives in the
-hop counters, which floor the next slot's reservation; what a grant holds
-above the floors is the hop's memory budget, which ``reserve_sharing``
-returns with it.  The loop writes only trace rows, which
-``metrics.summarize`` turns into the run summary.  A run is a pure
-function of its configuration, seed included.
+admission (``tele.session_points``), a tell-and-go hop's come from its
+counters each slot (``tag.reserve_sharing``, which also returns each
+hop's memory budgets).  A pool keeps only its reserved total, for one
+slot; what tell-and-go state outlives it lives in the hop counters.  The
+loop writes only trace rows, which ``metrics.summarize`` turns into the
+run summary.  A run is a pure function of its configuration, seed
+included.
 """
 
 from __future__ import annotations
@@ -25,20 +24,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DeadlockError
-from .memory import (MAX_SESSIONS, MAX_UNITS, TAG_QUBIT_UNITS, TAG_SPLIT,
-                     TELE_SPLIT, MemoryPool, PoolTable, partition, reserve)
+from .errors import ConfigError
+from .memory import (MAX_SESSIONS, MAX_UNITS, TAG_SPLIT, TELE_SPLIT,
+                     MemoryPool, PoolTable, partition)
 from .metrics import summarize
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
-from .routing import DEFAULT_CONGESTION_WEIGHT, Path, compute_path
-from .tag import INITIAL_WINDOW as TAG_INITIAL_WINDOW
-from .tag import ChannelModel, HopSession, plan_transfers
-from .tag import incidence as hop_incidence
+from .routing import DEFAULT_CONGESTION_WEIGHT, compute_path
+from .tag import ChannelModel, TagFlow, plan_transfers, reserve_sharing
 from .tele import INITIAL_WINDOW as TELE_INITIAL_WINDOW
 from .tele import (TeleSession, incidence, release_surplus, reserve_explicit,
                    reserve_fair, reserve_teleport, session_points)
-from .topology import (DEFAULT_CAPACITY, INFRA_KIND, NetworkKind, NodeKind,
-                       Topology, generate_waxman)
+from .topology import (DEFAULT_CAPACITY, INFRA_KIND, MIN_ALPHA, NetworkKind,
+                       NodeKind, Topology, generate_waxman)
 
 
 class Protocol(Enum):
@@ -114,8 +111,8 @@ class RunConfig:
         if isinstance(spec, WaxmanSpec):
             if spec.n_infra < 2:
                 raise ConfigError("waxman: n_infra must be at least 2")
-            if not 0 < spec.alpha <= 1:
-                raise ConfigError("waxman: alpha must be in (0, 1]")
+            if not MIN_ALPHA <= spec.alpha <= 1:
+                raise ConfigError(f"waxman: alpha must be in [{MIN_ALPHA!r}, 1]")
             for field in ("target_avg_degree", "area_side"):
                 if not 0 < getattr(spec, field) < math.inf:
                     raise ConfigError(f"waxman: {field} must be positive and finite")
@@ -184,19 +181,6 @@ class RunResult:
     summary: dict
 
 
-@dataclass
-class TagFlow:
-    """End-to-end tell-and-go session: a pipeline of hop sessions."""
-
-    id: int
-    hops: list[HopSession]
-    remaining: int | None
-
-    @property
-    def finished(self) -> bool:
-        return self.remaining == 0
-
-
 def build_pools(topology: Topology, network: NetworkKind) -> PoolTable:
     """Memory pools per node: send/receive at memory-splitting nodes,
     a transit pool at repeaters, nothing at all-optical switches.
@@ -218,26 +202,6 @@ def build_pools(topology: Topology, network: NetworkKind) -> PoolTable:
         pools.append(MemoryPool(node.id, "send", send))
         pools.append(MemoryPool(node.id, "receive", receive))
     return PoolTable(pools)
-
-
-def reserve_sharing(hops: list[HopSession], pools: PoolTable
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slot reservation for tell-and-go hops at their ``tag.incidence``
-    points, by ``memory.reserve``.  Returns grants, halved flags and
-    ``plan_transfers``' budgets in hop order: receive units and send blocks
-    held above the floors.  Raises DeadlockError, for the first receive
-    pool in node order, when the stored first sharings alone overfill it."""
-    points, windows = hop_incidence(hops, pools)
-    receive = points.pool[1::2]
-    stored = pools.sums(receive, points.floor[1::2])
-    over = np.flatnonzero(stored > pools.capacity)
-    if len(over):
-        raise DeadlockError(
-            f"stored sharings ({int(stored[over[0]])}) exceed receive pool at "
-            f"node {pools.keys[over[0]][0]}")
-    granted, congested = reserve(pools, points, windows)
-    free = points.costs(granted) - points.floor
-    return granted, congested, free[1::2], free[0::2] // TAG_QUBIT_UNITS
 
 
 class Engine:
@@ -337,37 +301,15 @@ class Engine:
             if spec.qubits == 0:
                 continue
             if self.cfg.protocol is Protocol.TAG:
-                self.flows[sid] = self._build_flow(sid, path, spec)
+                self.flows[sid] = TagFlow.admit(
+                    sid, path, spec.qubits, spec.initial_window, self.pools,
+                    switched=self.cfg.network is NetworkKind.TAG_SWITCH)
             else:
                 self.flows[sid] = TeleSession(
-                    id=sid, path=path, remaining=spec.qubits,
+                    id=sid, remaining=spec.qubits,
                     window=spec.initial_window or TELE_INITIAL_WINDOW,
                     points=session_points(path, self.pools),
                 )
-
-    def _build_flow(self, sid: int, path: Path, spec: SessionSpec) -> TagFlow:
-        if self.cfg.network is NetworkKind.TAG_SWITCH:
-            pairs = [(path.src, path.dst)]
-        else:
-            pairs = list(zip(path.nodes[:-1], path.nodes[1:]))
-        hops = []
-        pools = self.pools
-        initial = spec.initial_window or TAG_INITIAL_WINDOW
-        for index, (sender, receiver) in enumerate(pairs):
-            if index == 0:
-                unminted = spec.qubits
-                bound = None
-            else:
-                unminted = 0
-                bound = (int(pools.capacity[pools.index[(sender, "send")]])
-                         // TAG_QUBIT_UNITS)
-            hops.append(
-                HopSession(
-                    session=sid, hop=index, sender=sender, receiver=receiver,
-                    window=initial, unminted=unminted, queue_bound=bound,
-                )
-            )
-        return TagFlow(id=sid, hops=hops, remaining=spec.qubits)
 
     # -- per-slot phases ------------------------------------------------
 
@@ -414,7 +356,7 @@ class Engine:
 
         # A hop's plan reads the next hop's free queue as it stood at the
         # start of the slot, so handovers wait until every hop has sent.
-        forwards: list[tuple[HopSession, int]] = []  # (hop, qubits)
+        forwards = []  # (downstream hop, qubits)
         for flow in flows:
             for hop, downstream in zip(flow.hops, [*flow.hops[1:], None]):
                 window_granted, cut, receiver_free, blocks_free = next(grants)

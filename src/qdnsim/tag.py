@@ -17,6 +17,10 @@ are interchangeable and the per-qubit chain lumps into these counts
 (Kemeny & Snell, *Finite Markov Chains*, ch. 6): every trace is the same
 whichever qubit takes which outcome.  ``SharingTransfer`` and ``advance``
 remain the single-qubit state machine that the counts lump.
+
+A session is a ``TagFlow`` of hops (``TagFlow.admit``).  Every per-hop
+memory rule lives in ``reserve_sharing``, which reserves a slot's memory
+for all hops and returns the budgets ``plan_transfers`` spends.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import DeadlockError
 from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST, Incidence,
-                     PoolTable)
+                     PoolTable, reserve)
+from .routing import Path
 from .tele import Phase, next_window
 
 INITIAL_WINDOW = 2
@@ -141,7 +147,7 @@ class HopSession:
     them.  ``send`` keeps all of them up to date.
 
     A hop reserves at its sender's send pool and its receiver's receive
-    pool (``incidence``).
+    pool (``reserve_sharing``).
     """
 
     session: int
@@ -236,15 +242,51 @@ class HopSession:
         self.backlog += n
 
 
-def incidence(hops: list[HopSession],
-              pools: PoolTable) -> tuple[Incidence, np.ndarray]:
-    """The points of ``hops`` in hop order, and their windows.
+@dataclass
+class TagFlow:
+    """End-to-end tell-and-go session: a pipeline of hop sessions."""
+
+    id: int
+    hops: list[HopSession]
+    remaining: int | None
+
+    @property
+    def finished(self) -> bool:
+        return self.remaining == 0
+
+    @classmethod
+    def admit(cls, sid: int, path: Path, qubits: int | None,
+              initial_window: int | None, pools: PoolTable,
+              switched: bool) -> TagFlow:
+        """Session ``sid`` along ``path``: one hop per link over relays, one
+        end-to-end hop when ``switched``.  The ingress hop mints ``qubits``;
+        a relay hop queues what its sender's send pool can hold in flight."""
+        nodes = (path.src, path.dst) if switched else path.nodes
+        window = initial_window or INITIAL_WINDOW
+        hops = [HopSession(session=sid, hop=0, sender=nodes[0],
+                           receiver=nodes[1], window=window, unminted=qubits)]
+        for index, sender in enumerate(nodes[1:-1], start=1):
+            bound = (int(pools.capacity[pools.index[sender, "send"]])
+                     // TAG_QUBIT_UNITS)
+            hops.append(HopSession(session=sid, hop=index, sender=sender,
+                                   receiver=nodes[index + 1], window=window,
+                                   queue_bound=bound))
+        return cls(id=sid, hops=hops, remaining=qubits)
+
+
+def reserve_sharing(hops: list[HopSession], pools: PoolTable
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reserve one slot's memory for ``hops``, by ``memory.reserve``.
 
     Each hop reserves first at its sender's send pool, at 9/4 units per
     window unit (three sharings for at most three quarters of the window),
     then at its receiver's receive pool at one unit.  Their floors cannot
     be evicted: ``TAG_QUBIT_UNITS`` per qubit in flight, and
-    ``stored_firsts``.  Ties go to the lower ``(session, hop)``.
+    ``stored_firsts``.  Ties go to the lower ``(session, hop)``.  Returns
+    grants, halved flags and ``plan_transfers``' budgets in hop order:
+    receive units and send blocks held above the floors.  Raises
+    DeadlockError, for the first receive pool in node order, when the
+    stored first sharings alone overfill it.
     """
     index = pools.index
     (send, receive, window, in_flight, stored, session,
@@ -253,16 +295,25 @@ def incidence(hops: list[HopSession],
          hop.window, hop.in_flight_count, hop.stored_firsts,
          hop.session, hop.hop)
         for hop in hops], dtype=np.int64).reshape(-1, 7).T
+    held = pools.sums(receive, stored)
+    over = np.flatnonzero(held > pools.capacity)
+    if len(over):
+        raise DeadlockError(
+            f"stored sharings ({int(held[over[0]])}) exceed receive pool at "
+            f"node {pools.keys[over[0]][0]}")
     tie = session * (hop_id.max(initial=0) + 1) + hop_id
     n = len(hops)
-    return Incidence(
+    points = Incidence(
         pool=np.stack([send, receive], axis=1).ravel(),
         rank=np.repeat(np.arange(n), 2),
         tie=np.repeat(tie, 2),
         num=np.tile([TAG_SEND_COST.numerator, RECEIVE_COST], n),
         den=np.tile([TAG_SEND_COST.denominator, 1], n),
         floor=np.stack([TAG_QUBIT_UNITS * in_flight, stored], axis=1).ravel(),
-    ), window
+    )
+    granted, congested = reserve(pools, points, window)
+    free = points.costs(granted) - points.floor
+    return granted, congested, free[1::2], free[0::2] // TAG_QUBIT_UNITS
 
 
 @dataclass

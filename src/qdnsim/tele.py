@@ -71,7 +71,6 @@ class TeleSession:
     """
 
     id: int
-    path: Path
     remaining: int | None  # None means an unbounded stream
     window: int = INITIAL_WINDOW
     phase: Phase = Phase.SLOW_START

@@ -14,6 +14,7 @@ every infrastructure node so any node can terminate a session.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,9 @@ from .errors import GenerationError
 from .rng import TOPOLOGY_STREAM, stream
 
 DEFAULT_CAPACITY = 1000
+
+#: Smallest Waxman alpha whose bisection bound, exp(1 / alpha), is finite.
+MIN_ALPHA = 1 / math.log(sys.float_info.max)
 
 # Bisection stops early once the realized degree is this close to target,
 # leaving headroom for connectivity-repair edges within the +-0.5 contract.
@@ -145,8 +149,8 @@ def generate_waxman(
     """
     if n_infra < 2:
         raise ValueError(f"need at least 2 infrastructure nodes, got {n_infra}")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if not MIN_ALPHA <= alpha <= 1:
+        raise ValueError(f"alpha must be in [{MIN_ALPHA!r}, 1], got {alpha}")
     if not (0 < target_avg_degree < math.inf and 0 < area_side < math.inf):
         raise ValueError("target_avg_degree and area_side must be positive and finite")
 

@@ -328,7 +328,6 @@ class TestCriterion8BudgetSoundness:
                 hop.in_flight[qubit] = SharingTransfer(qubit, rng.randint(0, 4),
                                                        stage)
                 qubit += 1
-            hop.next_qubit = qubit
             stored = hop.stored_firsts
             plan = plan_transfers(
                 hop, granted=window,

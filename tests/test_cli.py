@@ -158,6 +158,10 @@ class TestParseConfig:
         ({"capacity": 2**29 + 1}, "capacity must be at most"),
         ({"topology": inline_topology(capacity=2**29 + 1)},
          "node 0: capacity must be at most"),
+        ({"topology": waxman(alpha=0.0014)}, "waxman: alpha"),
+        ({"topology": waxman(alpha=0.001)}, "waxman: alpha"),
+        ({"topology": waxman(alpha=1e-300)}, "waxman: alpha"),
+        ({"topology": waxman(alpha=1e-310)}, "waxman: alpha"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -298,6 +302,9 @@ class TestMain:
         {"topology": waxman(target_avg_degree=float("nan"))},
         {"topology": waxman(alpha=0)},
         {"topology": waxman(n_infra=1)},
+        {"topology": waxman(alpha=0.0014)},
+        {"topology": waxman(alpha=0.001)},
+        {"topology": waxman(alpha=1e-300)},
     ])
     def test_bad_session_or_waxman_is_an_error_record(self, tmp_path, capsys,
                                                      overrides):

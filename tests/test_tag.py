@@ -6,19 +6,20 @@ from collections import Counter
 
 import pytest
 
-from qdnsim.engine import reserve_sharing
 from qdnsim.memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST,
                            MemoryPool, PoolTable, cost)
 from qdnsim.rng import stream
+from qdnsim.routing import Path
 from qdnsim.tag import (
     ChannelModel,
     HopSession,
     Plan,
     SharingTransfer,
     Stage,
+    TagFlow,
     advance,
-    incidence,
     plan_transfers,
+    reserve_sharing,
 )
 from qdnsim.tele import Phase
 
@@ -234,20 +235,25 @@ class TestIncrementalState:
 
     def test_points_floored_by_hop_counters(self):
         # Three qubits in flight hold 3 sender units each; the receiver
-        # stores 2 + 1 + 1 first sharings for them.
+        # stores 2 + 1 + 1 first sharings for them.  A window of 2 prices
+        # below both floors; a window of 8 costs 18 send units (9/4 each)
+        # and 8 receive units (1 each), above them.
         hop = hop_with(queued=0)
         hop.in_flight[0] = SharingTransfer(0, round=1, stage=Stage.SECOND)
         hop.in_flight[1] = SharingTransfer(1, round=1)
         hop.in_flight[2] = SharingTransfer(2, round=0, stage=Stage.SECOND)
-        pools = PoolTable([MemoryPool(0, "send", 100),
-                           MemoryPool(1, "receive", 100)])
-        points, windows = incidence([hop], pools)
-        assert points.pool.tolist() == [pools.index[(0, "send")],
-                                        pools.index[(1, "receive")]]
-        assert points.num.tolist() == [TAG_SEND_COST.numerator, RECEIVE_COST]
-        assert points.den.tolist() == [TAG_SEND_COST.denominator, 1]
-        assert points.floor.tolist() == [9, 4]
-        assert windows.tolist() == [hop.window]
+        for window, send, receive in [(2, 9, 4), (8, 18, 8)]:
+            hop.window = window
+            pools = PoolTable([MemoryPool(0, "send", 100),
+                               MemoryPool(1, "receive", 100)])
+            granted, congested, _, _ = reserve_sharing([hop], pools)
+            assert granted.tolist() == [window]
+            assert congested.tolist() == [False]
+            assert send == max(cost(TAG_SEND_COST, window),
+                               TAG_QUBIT_UNITS * hop.in_flight_count)
+            assert receive == max(cost(RECEIVE_COST, window),
+                                  hop.stored_firsts)
+            assert pools.reserved.tolist() == [send, receive]
 
     def test_budgets_are_reservation_less_floors(self):
         # With 3 qubits in flight and 4 stored firsts, a grant of 8 holds
@@ -387,6 +393,46 @@ class TestPlanTransfers:
                               encode_blocks_free=0)
         assert plan.encodes == 0
         assert plan.first_count == 0
+
+
+class TestTagFlowAdmit:
+    # Hosts 1 and 2 at the ends of path 1-0-5-2; relay 0's send pool
+    # holds 3 qubits in flight, relay 5's 4.
+    path = Path((1, 0, 5, 2))
+    pools = PoolTable([MemoryPool(node, kind, capacity)
+                       for node, capacity in [(1, 90), (0, 11), (5, 12), (2, 90)]
+                       for kind in ("send", "receive")])
+
+    def hops(self, flow):
+        return [(hop.session, hop.hop, hop.sender, hop.receiver, hop.unminted,
+                 hop.queue_bound) for hop in flow.hops]
+
+    def test_switch_flow_is_one_end_to_end_hop(self):
+        flow = TagFlow.admit(4, self.path, 7, None, self.pools, switched=True)
+        assert (flow.id, flow.remaining) == (4, 7)
+        assert self.hops(flow) == [(4, 0, 1, 2, 7, None)]
+
+    def test_relay_flow_has_one_hop_per_link(self):
+        flow = TagFlow.admit(4, self.path, 7, None, self.pools, switched=False)
+        assert (flow.id, flow.remaining) == (4, 7)
+        # Only the ingress hop mints qubits; each relay hop's queue is
+        # bounded by its sender's send pool // 3.
+        assert self.hops(flow) == [(4, 0, 1, 0, 7, None),
+                                   (4, 1, 0, 5, 0, 11 // TAG_QUBIT_UNITS),
+                                   (4, 2, 5, 2, 0, 12 // TAG_QUBIT_UNITS)]
+
+    def test_unbounded_stream_mints_without_end(self):
+        flow = TagFlow.admit(0, self.path, None, None, self.pools,
+                             switched=False)
+        assert flow.remaining is None and not flow.finished
+        assert [hop.unminted for hop in flow.hops] == [None, 0, 0]
+
+    @pytest.mark.parametrize("switched", [True, False])
+    def test_initial_window(self, switched):
+        absent = TagFlow.admit(0, self.path, 3, None, self.pools, switched)
+        assert {hop.window for hop in absent.hops} == {2}
+        kept = TagFlow.admit(0, self.path, 3, 9, self.pools, switched)
+        assert {hop.window for hop in kept.hops} == {9}
 
 
 class TestPipeline:

@@ -36,7 +36,7 @@ def star_pools(n_sessions, egress_receive, ingress_send=10**6, hub_transit=10**6
 def star_sessions(windows, egress, pools, remaining=None):
     paths = [Path((i + 1, 0, egress)) for i in range(len(windows))]
     return [
-        TeleSession(id=i, path=path, remaining=remaining, window=w,
+        TeleSession(id=i, remaining=remaining, window=w,
                     points=session_points(path, pools))
         for i, (path, w) in enumerate(zip(paths, windows))
     ]
@@ -52,8 +52,7 @@ def unsorted_star(windows, send_capacities, egress_receive=10**6):
         pools.append(MemoryPool(host, "receive", 10**6))
     pools = PoolTable(pools)
     sessions = [
-        TeleSession(id=sid, path=Path((host, 0, 4)), remaining=None,
-                    window=window,
+        TeleSession(id=sid, remaining=None, window=window,
                     points=session_points(Path((host, 0, 4)), pools))
         for host, (sid, window) in enumerate(zip([7, 3, 5], windows), start=1)
     ]
@@ -88,20 +87,20 @@ class TestNextWindow:
 
 class TestTeleSession:
     def test_fresh_session_announces_one(self):
-        session = TeleSession(id=0, path=Path((1, 0, 2)), remaining=10)
+        session = TeleSession(id=0, remaining=10)
         assert session.window == 1
 
     def test_transfer_caps_at_remaining(self):
-        session = TeleSession(id=0, path=Path((1, 0, 2)), remaining=2)
+        session = TeleSession(id=0, remaining=2)
         assert session.transfer(6) == 2
         assert session.finished
 
     def test_transfer_of_zero(self):
-        session = TeleSession(id=0, path=Path((1, 0, 2)), remaining=10)
+        session = TeleSession(id=0, remaining=10)
         assert session.transfer(0) == 0
 
     def test_unbounded_stream_never_finishes(self):
-        session = TeleSession(id=0, path=Path((1, 0, 2)), remaining=None)
+        session = TeleSession(id=0, remaining=None)
         assert session.transfer(6) == 6
         assert not session.finished
 
@@ -198,7 +197,7 @@ class TestReserveExplicit:
                              for host in (1, 2)
                              for kind, price in (("send", 3),
                                                  ("receive", 1))])
-        sessions = [TeleSession(id=i, path=Path(nodes), remaining=None,
+        sessions = [TeleSession(id=i, remaining=None,
                                 points=session_points(Path(nodes), pools))
                     for i, nodes in enumerate([(1, 0, 2), (2, 0, 1)])]
         assert grants(reserve_explicit, sessions, pools) == [(10, False)] * 2
@@ -265,7 +264,7 @@ class TestWindowTrajectory:
     def test_slow_start_then_sawtooth(self):
         # Against a fixed grant ceiling the window keeps returning to a
         # sawtooth between roughly half and the full ceiling.
-        session = TeleSession(id=0, path=Path((1, 0, 2)), remaining=None)
+        session = TeleSession(id=0, remaining=None)
         seen = []
         for _ in range(40):
             window = session.window

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
 from qdnsim.topology import (
+    MIN_ALPHA,
     NetworkKind,
     Node,
     NodeKind,
@@ -93,6 +95,17 @@ class TestGenerateWaxman:
     def test_non_finite_degree_or_side_rejected(self, degree, side):
         with pytest.raises(ValueError, match="positive and finite"):
             generate_waxman(8, degree, side, 0.4, seed=1)
+
+    @pytest.mark.parametrize("alpha", [0.0014, 0.001, 1e-300, 1e-310])
+    def test_alpha_with_overflowing_ceiling_rejected(self, alpha):
+        # exp(1 / alpha), the bisection's upper bound, is not finite.
+        with pytest.raises(ValueError, match="alpha must be in"):
+            generate_waxman(8, 3.0, 40.0, alpha, seed=1)
+
+    def test_min_alpha_is_the_smallest_with_a_finite_ceiling(self):
+        assert math.isfinite(math.exp(1 / MIN_ALPHA))
+        with pytest.raises(OverflowError):
+            math.exp(1 / math.nextafter(MIN_ALPHA, 0))
 
     def test_hosts_have_degree_one(self):
         topology = generate_waxman(20, 4.0, 100.0, 0.4, seed=5)

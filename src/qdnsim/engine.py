@@ -1,17 +1,18 @@
 """Slot-synchronous simulation loop.
 
 Each slot runs a fixed phase order: admit the sessions the start-slot
-schedule lists for it; reserve memory for the announced windows; plan,
-send, record and advance the window per live flow, retiring those that
-finish; snapshot pool occupancy; clear every pool.  The pools live in one
+schedule lists for it; reserve memory for the announced windows; transfer,
+record and advance the windows, retiring the flows that finish; snapshot
+pool occupancy; clear every pool.  The pools live in one
 ``memory.PoolTable`` and every slot reserves them in one array pass over
-the slot's reservation points: a teleportation session's are fixed at
-admission (``tele.session_points``), a tell-and-go hop's come from its
-counters each slot (``tag.reserve_sharing``, which also returns each
-hop's memory budgets).  A pool keeps only its reserved total, for one
-slot; what tell-and-go state outlives it lives in the hop counters.  The
-loop writes only trace rows, which ``metrics.summarize`` turns into the
-run summary.  A run is a pure function of its configuration, seed
+the slot's reservation points.  A teleportation session's points are
+fixed at admission (``tele.session_points``) and its transfer runs per
+session.  Tell-and-go hops are rows of one ``tag.HopTable``, whose
+``step`` reserves at points built from its columns and runs the whole
+slot for all hops as array passes.  A pool keeps only its reserved total,
+for one slot; what tell-and-go state outlives it lives in the hop table.
+The loop writes only trace rows, which ``metrics.summarize`` turns into
+the run summary.  A run is a pure function of its configuration, seed
 included.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +32,7 @@ from .memory import (MAX_SESSIONS, MAX_UNITS, TAG_SPLIT, TELE_SPLIT,
 from .metrics import summarize
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from .routing import DEFAULT_CONGESTION_WEIGHT, compute_path
-from .tag import ChannelModel, TagFlow, plan_transfers, reserve_sharing
+from .tag import ChannelModel, HopTable, TagFlow
 from .tele import INITIAL_WINDOW as TELE_INITIAL_WINDOW
 from .tele import (TeleSession, incidence, release_surplus, reserve_explicit,
                    reserve_fair, reserve_teleport, session_points)
@@ -247,6 +249,8 @@ class Engine:
         self._schedule = self._resolve_sessions()
         # Live flows in admission order; every admitted session's path.
         self.flows: dict[int, TeleSession | TagFlow] = {}
+        # The live flows' tell-and-go hops.
+        self.hops = HopTable(self.pools)
         self.paths: dict[int, tuple[int, ...]] = {}
         self.session_rows: list[SessionRow] = []
         self.pool_rows: list[PoolRow] = []
@@ -301,8 +305,8 @@ class Engine:
             if spec.qubits == 0:
                 continue
             if self.cfg.protocol is Protocol.TAG:
-                self.flows[sid] = TagFlow.admit(
-                    sid, path, spec.qubits, spec.initial_window, self.pools,
+                self.flows[sid] = self.hops.admit(
+                    sid, path, spec.qubits, spec.initial_window,
                     switched=self.cfg.network is NetworkKind.TAG_SWITCH)
             else:
                 self.flows[sid] = TeleSession(
@@ -317,7 +321,7 @@ class Engine:
         self._admit()
         active = list(self.flows.values())
         if self.cfg.protocol is Protocol.TAG:
-            self._step_tag(active)
+            self._step_tag()
         else:
             self._step_tele(active)
         self.flows = {flow.id: flow for flow in active if not flow.finished}
@@ -349,40 +353,10 @@ class Engine:
         release_surplus(points, granted, np.array(delivered, dtype=np.int64),
                         self.pools)
 
-    def _step_tag(self, flows: list[TagFlow]) -> None:
-        hops = [hop for flow in flows for hop in flow.hops]
-        grants = zip(*(column.tolist()
-                       for column in reserve_sharing(hops, self.pools)))
-
-        # A hop's plan reads the next hop's free queue as it stood at the
-        # start of the slot, so handovers wait until every hop has sent.
-        forwards = []  # (downstream hop, qubits)
-        for flow in flows:
-            for hop, downstream in zip(flow.hops, [*flow.hops[1:], None]):
-                window_granted, cut, receiver_free, blocks_free = next(grants)
-                plan = plan_transfers(
-                    hop, window_granted, receiver_free, blocks_free,
-                    downstream.queue_free if downstream is not None else None,
-                )
-                firsts, seconds = plan.first_count, plan.second_count
-                successes = self.channel.draw(self._channel_rng, seconds + firsts)
-                delivered = hop.send(plan, successes)
-                if downstream is not None:
-                    forwards.append((downstream, delivered))
-                elif flow.remaining is not None:
-                    flow.remaining -= delivered
-                self.session_rows.append(SessionRow(
-                    slot=self.slot, session=flow.id, hop=hop.hop,
-                    window=hop.window, congested=int(cut),
-                    granted=window_granted, delivered=delivered,
-                    phase=hop.phase.value, firsts=firsts, seconds=seconds,
-                    losses=len(successes) - sum(successes),
-                    stored=hop.stored_firsts,
-                ))
-                hop.advance_window(cut)
-
-        for hop, qubits in forwards:
-            hop.accept(qubits)
+    def _step_tag(self) -> None:
+        record = self.hops.step(self.channel, self._channel_rng)
+        self.session_rows.extend(map(SessionRow._make, zip(
+            repeat(self.slot), *(column.tolist() for column in record))))
 
     def _snapshot_pools(self) -> None:
         """Append this slot's pool rows and rebuild the load table."""

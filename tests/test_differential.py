@@ -1,11 +1,13 @@
-"""The engine's tell-and-go runs against the frozen per-hop loop.
+"""The engine's tell-and-go runs against the frozen per-hop loop, and the
+invariants every slot of them keeps.
 
 A seeded generator draws small relay and switch configs: capacities from
 the feasibility edge up, loss probabilities from certain loss to none,
 staggered finite, empty and unbounded sessions and set initial windows.
 Each is run by the engine and by ``oracle.tag_loop``, whose session rows,
 pool rows and summary it must reproduce exactly; a config one of them
-rejects, the other must reject with the same error.
+rejects, the other must reject with the same error.  The same configs are
+stepped slot by slot and checked from outside after every step.
 """
 
 import random
@@ -13,7 +15,9 @@ import random
 import pytest
 
 from oracle import tag_loop
-from qdnsim.engine import Protocol, RunConfig, SessionSpec, WaxmanSpec, run
+from qdnsim.engine import (Engine, Protocol, RunConfig, SessionSpec,
+                           WaxmanSpec, run)
+from qdnsim.errors import QdnError
 from qdnsim.topology import NetworkKind
 
 CONFIG_COUNT = 96
@@ -112,3 +116,44 @@ def test_generator_reaches_every_case():
     assert seen.pop("p") == {0.0, 0.3, 0.65, 1.0}
     assert seen.pop("network") == {NetworkKind.TAG_RELAY, NetworkKind.TAG_SWITCH}
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("index", range(CONFIG_COUNT))
+def test_invariants_hold_after_every_step(index):
+    """Pools within capacity, halving by the rule, stored first sharings
+    matching the rounds in flight, and every minted qubit delivered, in
+    flight or queued at a relay."""
+    cfg = CONFIGS[index]
+    engine = Engine(cfg)
+    relay = cfg.network is NetworkKind.TAG_RELAY
+    delivered = {}
+    for _ in range(cfg.n_slots):
+        rows, pool_rows = len(engine.session_rows), len(engine.pool_rows)
+        try:
+            engine.step()
+        except QdnError:  # a rejected config; the run above compares it
+            return
+        assert all(row.reserved <= row.capacity
+                   for row in engine.pool_rows[pool_rows:])
+        for row in engine.session_rows[rows:]:
+            assert row.granted == (row.window // 2 if row.congested
+                                   else row.window), row
+            if row.hop == (len(engine.paths[row.session]) - 2 if relay else 0):
+                delivered[row.session] = (delivered.get(row.session, 0)
+                                          + row.delivered)
+        held = dict.fromkeys(engine.flows, 0)
+        minted = {}
+        for hop in engine.hops.hops():
+            assert hop.stored_firsts == (
+                sum(round_ * n for round_, n in hop.firsts.items())
+                + sum((round_ + 1) * n for round_, n in hop.seconds.items())
+            ), hop
+            held[hop.session] += hop.in_flight_count + hop.backlog
+            if hop.hop == 0 and hop.unminted is not None:
+                minted[hop.session] = (cfg.sessions[hop.session].qubits
+                                       - hop.unminted)
+        for sid, qubits in minted.items():
+            assert qubits == delivered.get(sid, 0) + held[sid], sid
+        for sid, spec in enumerate(cfg.sessions):
+            if sid in engine.paths and sid not in engine.flows:
+                assert delivered.get(sid, 0) == spec.qubits

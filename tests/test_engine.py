@@ -1,6 +1,7 @@
 """Slot loop: phase ordering, determinism, conservation."""
 
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 
@@ -11,7 +12,6 @@ from qdnsim.engine import (
     RunConfig,
     SessionSpec,
     WaxmanSpec,
-    reserve_sharing,
     run,
 )
 from qdnsim.errors import (ConfigError, DeadlockError,
@@ -19,7 +19,8 @@ from qdnsim.errors import (ConfigError, DeadlockError,
 from qdnsim.memory import MAX_SESSIONS, MAX_UNITS, MemoryPool, PoolTable
 from qdnsim.presets import get_preset
 from qdnsim.rng import CHANNEL_STREAM, stream
-from qdnsim.tag import ChannelModel, HopSession, SharingTransfer, Stage
+from qdnsim.tag import (ChannelModel, HopSession, SharingTransfer, Stage,
+                        reserve_sharing)
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -278,9 +279,9 @@ class TestReservationLifetime:
             engine.step()
             assert not engine.pools.reserved.any()
             if protocol is Protocol.TAG:
-                carried += sum(hop.in_flight_count + hop.stored_firsts
-                               for flow in engine.flows.values()
-                               for hop in flow.hops)
+                hops = engine.hops
+                carried += int(hops.firsts.sum() + hops.seconds.sum()
+                               + hops.stored.sum())
         assert any(row.reserved for row in engine.pool_rows)
         assert protocol is not Protocol.TAG or carried > 0
 
@@ -340,6 +341,35 @@ class TestDeterminism:
         outcomes = channel.draw(batched, n)
         assert outcomes == [channel.draw(sequential, 1)[0] for _ in range(n)]
         assert all(type(success) is bool for success in outcomes)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_chunked_draws_equal_one_sliced_draw(self, seed):
+        # The hop table draws a slot's outcomes in one call where the
+        # per-hop loop drew once per hop, zero-length calls included.
+        sizes = [3, 0, 5, 0, 0, 1, 17, 4, 0, 64, 2, 0]
+        chunked = stream(seed, CHANNEL_STREAM)
+        parts = [chunked.random(n).tolist() for n in sizes]
+        one = stream(seed, CHANNEL_STREAM)
+        whole = one.random(sum(sizes)).tolist()
+        ends = list(accumulate(sizes))
+        assert parts == [whole[end - n:end] for n, end in zip(sizes, ends)]
+        assert repr(chunked.bit_generator.state) == repr(
+            one.bit_generator.state)
+
+    @pytest.mark.parametrize("network", [NetworkKind.TAG_RELAY,
+                                         NetworkKind.TAG_SWITCH])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_certain_channel_draws_nothing_in_a_run(self, p, network):
+        engine = Engine(RunConfig(
+            seed=3, protocol=Protocol.TAG, network=network,
+            topology=WaxmanSpec(n_infra=8, target_avg_degree=3.0,
+                                area_side=40.0),
+            sessions=5, n_slots=30, p=p,
+        ))
+        before = repr(engine._channel_rng.bit_generator.state)
+        result = engine.run()
+        assert sum(row.firsts + row.seconds for row in result.session_rows)
+        assert repr(engine._channel_rng.bit_generator.state) == before
 
 
 class TestConfigValidation:
@@ -631,6 +661,8 @@ def test_flows_hold_only_live_sessions(name):
         live = [sid for sid in admitted if delivered[sid] != specs[sid].qubits]
         assert list(engine.flows) == live
         assert [flow.id for flow in engine.flows.values()] == live
+        if engine.cfg.protocol is Protocol.TAG:
+            assert list(dict.fromkeys(engine.hops.session.tolist())) == live
         retired.update(set(admitted) - set(live))
     assert retired  # each case retires at least one session
 

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qdnsim.memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST,
@@ -13,10 +14,10 @@ from qdnsim.routing import Path
 from qdnsim.tag import (
     ChannelModel,
     HopSession,
+    HopTable,
     Plan,
     SharingTransfer,
     Stage,
-    TagFlow,
     advance,
     plan_transfers,
     reserve_sharing,
@@ -403,36 +404,41 @@ class TestTagFlowAdmit:
                        for node, capacity in [(1, 90), (0, 11), (5, 12), (2, 90)]
                        for kind in ("send", "receive")])
 
-    def hops(self, flow):
+    def admit(self, sid, qubits, initial_window, switched):
+        """The admitted flow and its rows of a fresh hop table."""
+        table = HopTable(self.pools)
+        flow = table.admit(sid, self.path, qubits, initial_window, switched)
+        return flow, table.hops()
+
+    def hops(self, hops):
         return [(hop.session, hop.hop, hop.sender, hop.receiver, hop.unminted,
-                 hop.queue_bound) for hop in flow.hops]
+                 hop.queue_bound) for hop in hops]
 
     def test_switch_flow_is_one_end_to_end_hop(self):
-        flow = TagFlow.admit(4, self.path, 7, None, self.pools, switched=True)
+        flow, hops = self.admit(4, 7, None, switched=True)
         assert (flow.id, flow.remaining) == (4, 7)
-        assert self.hops(flow) == [(4, 0, 1, 2, 7, None)]
+        assert self.hops(hops) == [(4, 0, 1, 2, 7, None)]
 
     def test_relay_flow_has_one_hop_per_link(self):
-        flow = TagFlow.admit(4, self.path, 7, None, self.pools, switched=False)
+        flow, hops = self.admit(4, 7, None, switched=False)
         assert (flow.id, flow.remaining) == (4, 7)
         # Only the ingress hop mints qubits; each relay hop's queue is
         # bounded by its sender's send pool // 3.
-        assert self.hops(flow) == [(4, 0, 1, 0, 7, None),
+        assert self.hops(hops) == [(4, 0, 1, 0, 7, None),
                                    (4, 1, 0, 5, 0, 11 // TAG_QUBIT_UNITS),
                                    (4, 2, 5, 2, 0, 12 // TAG_QUBIT_UNITS)]
 
     def test_unbounded_stream_mints_without_end(self):
-        flow = TagFlow.admit(0, self.path, None, None, self.pools,
-                             switched=False)
+        flow, hops = self.admit(0, None, None, switched=False)
         assert flow.remaining is None and not flow.finished
-        assert [hop.unminted for hop in flow.hops] == [None, 0, 0]
+        assert [hop.unminted for hop in hops] == [None, 0, 0]
 
     @pytest.mark.parametrize("switched", [True, False])
     def test_initial_window(self, switched):
-        absent = TagFlow.admit(0, self.path, 3, None, self.pools, switched)
-        assert {hop.window for hop in absent.hops} == {2}
-        kept = TagFlow.admit(0, self.path, 3, 9, self.pools, switched)
-        assert {hop.window for hop in kept.hops} == {9}
+        _, absent = self.admit(0, 3, None, switched)
+        assert {hop.window for hop in absent} == {2}
+        _, kept = self.admit(0, 3, 9, switched)
+        assert {hop.window for hop in kept} == {9}
 
 
 class TestPipeline:
@@ -486,6 +492,21 @@ class TestChannelModel:
         rng = stream(0, "channel")
         assert ChannelModel(p).draw(rng, 100) == [p == 1.0] * 100
         assert (rng.random(5) == stream(0, "channel").random(5)).all()
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.65, 1.0])
+    def test_successes_match_draw_run_by_run(self, p):
+        # One draw for a hops x runs matrix gives each run, in row-major
+        # order, the successes one draw per run would.
+        counts = np.array([[3, 0, 5, 0], [0, 0, 1, 0], [17, 4, 0, 9]])
+        channel = ChannelModel(p)
+        table, loop = stream(3, "channel"), stream(3, "channel")
+        got = channel.successes(table, counts)
+        assert got.tolist() == [[sum(channel.draw(loop, n)) for n in row]
+                                for row in counts.tolist()]
+        assert repr(table.bit_generator.state) == repr(
+            loop.bit_generator.state)
+        empty = np.zeros((0, 3), dtype=np.int64)
+        assert channel.successes(table, empty).shape == (0, 3)
 
     def test_half_probability_concentrates(self):
         rng = stream(0, "channel")

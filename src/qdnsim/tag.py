@@ -277,7 +277,9 @@ class TagFlow:
 
 def reserve_sharing(hops: list[HopSession], pools: PoolTable
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_reserve`` for ``hops``: one slot's memory, by ``memory.reserve``."""
+    """Reserve one slot's memory for ``hops`` by ``_reserve``'s rules;
+    returns grants, halved flags, receive units free and send blocks free,
+    in hop order."""
     index = pools.index
     return _reserve(pools, *np.array([
         (index[hop.sender, "send"], index[hop.receiver, "receive"],

@@ -20,13 +20,12 @@ remain the single-qubit state machine that the counts lump.
 
 A run keeps every live hop as one row of a ``HopTable``, whose columns are
 ``HopSession``'s fields and whose per-round counts are two hops x rounds
-matrices.  ``HopTable.admit`` lays out a session's hops, and
-``HopTable.step`` runs one slot for all of them as array passes: reserve,
-plan, draw, send, hand over and advance the window.  ``HopSession``,
-``plan_transfers``, ``reserve_sharing`` and ``ChannelModel.draw`` are the
-same slot for one hop at a time, the scalar reference the table is checked
-against.  Both reserve through ``_reserve``, which states every per-hop
-memory rule and returns the budgets a plan spends.
+matrices.  A slot is a chain of passes over such columns: ``_reserve``
+states every per-hop memory rule, ``_plan`` the scheduler's rule, ``_runs``
+and ``_hits`` lay out and count a plan's channel outcomes, and ``_send``
+applies them.  ``HopTable.step`` runs the chain for every hop at once;
+``reserve_sharing``, ``plan_transfers`` and ``HopSession.send`` run its
+links for hops given one at a time, each hop as a one-row table.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -42,9 +41,15 @@ from .errors import DeadlockError
 from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST, Incidence,
                      PoolTable, reserve)
 from .routing import Path
-from .tele import Phase, next_window
+from .tele import Phase
 
 INITIAL_WINDOW = 2
+
+#: ``HopTable.unminted`` of an ingress hop that mints without end.
+UNBOUNDED = -1
+
+#: A relay queue cap that never binds, for a hop that forwards nowhere.
+_NEVER = np.iinfo(np.int64).max
 
 
 class Stage(Enum):
@@ -122,11 +127,7 @@ class ChannelModel:
         run by run.  At p = 0 or 1 nothing is drawn."""
         if self.p in (0.0, 1.0):
             return counts if self.p == 1.0 else np.zeros_like(counts)
-        runs = counts.ravel()
-        ends = np.cumsum(runs)
-        hits = np.cumsum(rng.random(int(runs.sum())) < self.p)
-        hits = np.concatenate(([0], hits))
-        return (hits[ends] - hits[ends - runs]).reshape(counts.shape)
+        return _hits(counts, rng.random(int(counts.sum())) < self.p)
 
 
 @dataclass
@@ -153,7 +154,8 @@ class Plan:
 
 @dataclass
 class HopSession:
-    """One hop of a tell-and-go flow, with its own sending window.
+    """One hop of a tell-and-go flow, with its own sending window: one
+    ``HopTable`` row as fields.
 
     ``backlog`` counts data qubits handed over by the upstream relay and
     awaiting encoding; the ingress hop mints its qubits from ``unminted``
@@ -162,9 +164,8 @@ class HopSession:
     hop).
 
     In-flight qubits are counts per stage and round: ``firsts[r]`` qubits
-    of round ``r`` are due a first sharing and ``seconds[r]`` a second.
-    ``first_total`` and ``second_total`` are their sums and
-    ``stored_firsts`` counts the first sharings the receiver holds for
+    of round ``r`` are due a first sharing and ``seconds[r]`` a second,
+    and ``stored_firsts`` counts the first sharings the receiver holds for
     them.  ``send`` keeps all of them up to date.
 
     A hop reserves at its sender's send pool and its receiver's receive
@@ -182,13 +183,11 @@ class HopSession:
     queue_bound: int | None = None
     firsts: dict[int, int] = field(default_factory=dict, init=False)
     seconds: dict[int, int] = field(default_factory=dict, init=False)
-    first_total: int = field(default=0, init=False)
-    second_total: int = field(default=0, init=False)
     stored_firsts: int = field(default=0, init=False)
 
     @property
     def in_flight_count(self) -> int:
-        return self.first_total + self.second_total
+        return sum(self.firsts.values()) + sum(self.seconds.values())
 
     @property
     def in_flight(self) -> _Seed:
@@ -202,65 +201,42 @@ class HopSession:
             return math.inf
         return self.backlog + self.unminted
 
-    @property
-    def queue_free(self) -> int | None:
-        if self.queue_bound is None:
-            return None
-        return self.queue_bound - self.backlog
-
-    def advance_window(self, congested: bool) -> None:
-        """Move window state to the next slot's announcement; the window
-        grows every slot regardless of deliveries."""
-        self.window, self.phase = next_window(self.window, self.phase, congested)
-
     def send(self, plan: Plan, outcomes: list[bool]) -> int:
-        """Apply one slot's outcomes to ``plan``; returns qubits delivered.
+        """Apply one slot's outcomes to ``plan`` by ``_send``; returns qubits
+        delivered.
 
         ``outcomes`` has one entry per planned sharing, in plan order:
-        seconds, firsts, then the ``plan.encodes`` fresh qubits (3 sender
-        units each), taken from the backlog before the unminted supply.
-        Per bin of ``n`` with ``ok`` successes, a second at round ``r``
-        delivers ``ok`` qubits, releasing ``r + 1`` stored firsts each, and
-        re-encodes ``n - ok`` at round ``r + 1``; a first moves ``ok``
-        qubits to the seconds of round ``r``, storing one more first each.
+        seconds, firsts, then the ``plan.encodes`` fresh qubits.
         """
-        encodes = plan.encodes
-        if encodes > self.queued:
+        planned = plan.first_count + plan.second_count
+        if len(outcomes) != planned:
+            raise ValueError(f"{len(outcomes)} outcomes, {planned} planned")
+        if plan.encodes > self.queued:
             raise ValueError("nothing queued to encode")
-        from_backlog = min(encodes, self.backlog)
-        self.backlog -= from_backlog
+        firsts, seconds, *counts = self._columns(
+            *(round_ for round_, _ in (*plan.seconds, *plan.firsts)))
+        width = firsts.shape[1]
+        runs = _runs(_row(plan.seconds, width), _row(plan.firsts, width),
+                     np.array([plan.encodes]))
+        (firsts, seconds, stored, backlog, unminted, delivered) = _send(
+            firsts, seconds, *counts, runs,
+            _hits(runs, np.array(outcomes, dtype=bool)))
+        self.firsts, self.seconds = map(_bins, np.r_[firsts, seconds].tolist())
+        self.stored_firsts, self.backlog = int(stored[0]), int(backlog[0])
         if self.unminted is not None:
-            self.unminted -= encodes - from_backlog
+            self.unminted = int(unminted[0])
+        return int(delivered[0])
 
-        firsts, seconds = self.firsts, self.seconds
-        _add(firsts, 0, encodes)
-        at = delivered = released = 0
-        for round_, n in plan.seconds:
-            ok = outcomes[at:at + n].count(True)
-            at += n
-            delivered += ok
-            released += ok * (round_ + 1)
-            _add(seconds, round_, -n)
-            _add(firsts, round_ + 1, n - ok)
-        seconds_sent = at
-        for round_, n in (*plan.firsts, (0, encodes)):
-            ok = outcomes[at:at + n].count(True)
-            at += n
-            _add(firsts, round_, -ok)
-            _add(seconds, round_, ok)
-        stored = outcomes.count(True) - delivered  # firsts that landed
-        self.first_total += seconds_sent - delivered + encodes - stored
-        self.second_total += stored - seconds_sent
-        self.stored_firsts += stored - released
-        return delivered
-
-    def accept(self, n: int) -> None:
-        """Enqueue ``n`` qubits handed over by the upstream hop."""
-        if self.queue_free is not None and n > self.queue_free:
-            raise OverflowError(
-                f"relay queue full on hop {self.hop} of session {self.session}"
-            )
-        self.backlog += n
+    def _columns(self, *rounds: int) -> tuple[np.ndarray, ...]:
+        """This hop as a one-row table: its firsts and seconds as rows that
+        also reach ``rounds``, then its stored, backlog and unminted
+        columns."""
+        width = 1 + max((*self.firsts, *self.seconds, *rounds), default=0)
+        return (_row(self.firsts.items(), width),
+                _row(self.seconds.items(), width),
+                *np.array([[self.stored_firsts], [self.backlog],
+                           [UNBOUNDED if self.unminted is None
+                            else self.unminted]], dtype=np.int64))
 
 
 @dataclass
@@ -276,10 +252,9 @@ class TagFlow:
 
 
 def reserve_sharing(hops: list[HopSession], pools: PoolTable
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reserve one slot's memory for ``hops`` by ``_reserve``'s rules;
-    returns grants, halved flags, receive units free and send blocks free,
-    in hop order."""
+    returns grants, halved flags and receive units free, in hop order."""
     index = pools.index
     return _reserve(pools, *np.array([
         (index[hop.sender, "send"], index[hop.receiver, "receive"],
@@ -291,7 +266,7 @@ def reserve_sharing(hops: list[HopSession], pools: PoolTable
 def _reserve(pools: PoolTable, send: np.ndarray, receive: np.ndarray,
              window: np.ndarray, in_flight: np.ndarray, stored: np.ndarray,
              session: np.ndarray, hop: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reserve one slot's memory for hops given as columns.
 
     Each hop reserves first at its sender's send pool, at 9/4 units per
@@ -299,10 +274,10 @@ def _reserve(pools: PoolTable, send: np.ndarray, receive: np.ndarray,
     then at its receiver's receive pool at one unit.  Their floors cannot
     be evicted: ``TAG_QUBIT_UNITS`` per qubit in flight, and the stored
     first sharings.  Ties go to the lower ``(session, hop)``.  Returns
-    grants, halved flags and a plan's budgets in hop order: receive units
-    and send blocks held above the floors.  Raises DeadlockError, for the
-    first receive pool in node order, when the stored first sharings alone
-    overfill it.
+    grants, halved flags and, as a plan's receiver budget, the receive
+    units held above the stored firsts, in hop order.  Raises
+    DeadlockError, for the first receive pool in node order, when the
+    stored first sharings alone overfill it.
     """
     held = pools.sums(receive, stored)
     over = np.flatnonzero(held > pools.capacity)
@@ -321,8 +296,7 @@ def _reserve(pools: PoolTable, send: np.ndarray, receive: np.ndarray,
         floor=np.stack([TAG_QUBIT_UNITS * in_flight, stored], axis=1).ravel(),
     )
     granted, congested = reserve(pools, points, window)
-    free = points.costs(granted) - points.floor
-    return granted, congested, free[1::2], free[0::2] // TAG_QUBIT_UNITS
+    return granted, congested, points.costs(granted)[1::2] - stored
 
 
 @dataclass
@@ -330,24 +304,12 @@ class _Seed:
     hop: HopSession
 
     def __setitem__(self, qubit: int, transfer: SharingTransfer) -> None:
-        hop, first = self.hop, transfer.stage is Stage.FIRST
+        hop = self.hop
         if transfer.stage is Stage.DELIVERED:
             raise ValueError(f"cannot hold {transfer} in flight")
-        _add(hop.firsts if first else hop.seconds, transfer.round, 1)
-        hop.first_total += first
-        hop.second_total += not first
+        bins = hop.firsts if transfer.stage is Stage.FIRST else hop.seconds
+        bins[transfer.round] = bins.get(transfer.round, 0) + 1
         hop.stored_firsts += transfer.stored_at_receiver
-
-
-def _add(bins: dict[int, int], round_: int, n: int) -> None:
-    """Add ``n`` qubits (remove, if negative) to ``bins[round_]``; a bin
-    that empties is dropped."""
-    if n:
-        left = bins.get(round_, 0) + n
-        if left:
-            bins[round_] = left
-        else:
-            del bins[round_]
 
 
 def plan_transfers(
@@ -357,63 +319,131 @@ def plan_transfers(
     encode_blocks_free: int,
     downstream_free: int | None = None,
 ) -> Plan:
-    """Choose this slot's sharings under the window and memory budgets.
+    """``_plan`` for one hop, whose seconds fit into ``downstream_free``
+    unless it is None and whose fresh encodes also fit into
+    ``encode_blocks_free``."""
+    firsts, seconds, stored, backlog, unminted = hop._columns()
+    # Left to infer a dtype, numpy keeps a budget past int64 as a Python int.
+    take_seconds, take_firsts, encodes = _plan(*np.array(
+        [[granted], [receiver_free],
+         [_NEVER if downstream_free is None else downstream_free]]),
+        stored, firsts, seconds, backlog, unminted)
+    return Plan(
+        seconds=sorted(_bins(take_seconds[0].tolist()).items(), reverse=True),
+        firsts=sorted(_bins(take_firsts[0].tolist()).items(), reverse=True),
+        encodes=min(int(encodes[0]), max(0, encode_blocks_free)))
+
+
+def _plan(granted: np.ndarray, receiver_free: np.ndarray,
+          downstream_free: np.ndarray, stored: np.ndarray,
+          firsts: np.ndarray, seconds: np.ndarray, backlog: np.ndarray,
+          unminted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Choose each hop's sharings for one slot under the window and memory
+    budgets; returns the seconds and firsts taken per round and the fresh
+    encodes.
 
     Second sharings go first (they release receiver memory), picked from
     the highest-round qubits; then first sharings, also highest round
-    first, topped up by freshly encoded qubits.  With ``s`` first sharings
-    already stored, the first-sharing budget is capped at
-    ``max(0, granted//2 + seconds - s)`` so the stored backlog is steered
-    toward half a window, and the total never exceeds three quarters of
-    the window.  First sharings additionally fit into the receiver's free
-    units; seconds only require one free unit in total, because a lost
-    second never lands and a delivered one releases its whole chain.
+    first, topped up by encoding qubits from the backlog and the unminted
+    supply.  With ``s`` first sharings already stored, the first-sharing
+    budget is capped at ``max(0, granted//2 + seconds - s)`` so the stored
+    backlog is steered toward half a window, and the total never exceeds
+    three quarters of the window.  First sharings additionally fit into
+    the receiver's free units; seconds only require one free unit in
+    total, because a lost second never lands and a delivered one releases
+    its whole chain.  Seconds also fit into ``downstream_free``, the free
+    relay queue of the hop their qubits go to.
     """
-    stored = hop.stored_firsts
     budget = (3 * granted) // 4
-
-    # One free unit admits any number of seconds: a lost second never
-    # occupies memory and a successful one releases its whole chain.
-    second_cap = min(hop.second_total, budget) if receiver_free >= 1 else 0
-    if downstream_free is not None:
-        second_cap = min(second_cap, downstream_free)
-    second_count = max(0, second_cap)
-    seconds = _take(hop.seconds, second_count)
-
-    first_cap = min(
-        max(0, granted // 2 + second_count - stored),
-        budget - second_count,
-        receiver_free,
-        max(0, granted - stored - second_count),
-    )
-    first_cap = max(0, first_cap)
-    firsts = _take(hop.firsts, first_cap)
-    sent = min(first_cap, hop.first_total)
-    encodes = min(first_cap - sent, hop.queued, max(0, encode_blocks_free))
-    return Plan(seconds=seconds, firsts=firsts, encodes=encodes)
+    second_cap = np.where(receiver_free >= 1,
+                          np.minimum(seconds.sum(axis=1), budget), 0)
+    second_count = np.maximum(0, np.minimum(second_cap, downstream_free))
+    first_cap = np.maximum(0, np.minimum(np.minimum(
+        np.maximum(0, granted // 2 + second_count - stored),
+        budget - second_count), np.minimum(
+        receiver_free, np.maximum(0, granted - stored - second_count))))
+    take_firsts = _take_rounds(firsts, first_cap)
+    encodes = first_cap - take_firsts.sum(axis=1)
+    encodes = np.where(unminted == UNBOUNDED, encodes,
+                       np.minimum(encodes, backlog + unminted))
+    return _take_rounds(seconds, second_count), take_firsts, encodes
 
 
-def _take(bins: dict[int, int], count: int) -> list[tuple[int, int]]:
-    """Up to ``count`` qubits of ``bins`` as ``(round, n)`` pairs, highest
-    round first."""
-    if count <= 0:
-        return []
-    picked = []
-    for round_ in sorted(bins, reverse=True):
-        if count <= 0:
-            break
-        n = min(bins[round_], count)
-        picked.append((round_, n))
-        count -= n
-    return picked
+def _take_rounds(bins: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Up to ``count`` qubits of each row of ``bins``, highest round first,
+    as counts per round."""
+    above = np.cumsum(bins[:, ::-1], axis=1)[:, ::-1] - bins
+    return np.clip(count[:, None] - above, 0, bins)
+
+
+def _runs(seconds: np.ndarray, firsts: np.ndarray,
+          encodes: np.ndarray) -> np.ndarray:
+    """A plan's sharings as runs in the order they are drawn: per hop, the
+    seconds and then the firsts from the highest round down, then the
+    fresh encodes."""
+    return np.concatenate([seconds[:, ::-1], firsts[:, ::-1],
+                           encodes[:, None]], axis=1)
+
+
+def _hits(runs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Successes in each run of ``runs``, taking ``outcomes``, one bool per
+    sharing, in row-major order."""
+    flat = runs.ravel()
+    ends = np.cumsum(flat)
+    hits = np.concatenate(([0], np.cumsum(outcomes)))
+    return (hits[ends] - hits[ends - flat]).reshape(runs.shape)
+
+
+def _send(firsts: np.ndarray, seconds: np.ndarray, stored: np.ndarray,
+          backlog: np.ndarray, unminted: np.ndarray, runs: np.ndarray,
+          ok: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Apply each hop's outcomes to its plan, laid out by ``_runs``, with
+    ``ok`` successes per run; returns the new firsts, seconds, stored,
+    backlog and unminted columns and the qubits each hop delivered.
+
+    Fresh encodes come from the backlog before the unminted supply.  At
+    round ``r``, a delivered second releases its ``r + 1`` stored firsts
+    and a lost one re-encodes its qubit at round ``r + 1``; a first that
+    lands is stored and moves its qubit to the seconds of its round.
+    """
+    rounds = firsts.shape[1]
+    take_seconds, encodes = runs[:, rounds - 1::-1], runs[:, -1]
+    ok_seconds = ok[:, rounds - 1::-1]
+    ok_firsts = ok[:, 2 * rounds - 1:rounds - 1:-1]
+    ok_encodes = ok[:, -1]
+    delivered = ok_seconds.sum(axis=1)
+    released = ok_seconds @ np.arange(1, rounds + 1)
+    stored = stored + ok_firsts.sum(axis=1) + ok_encodes - released
+    from_backlog = np.minimum(encodes, backlog)
+    unminted = np.where(unminted == UNBOUNDED, UNBOUNDED,
+                        unminted - (encodes - from_backlog))
+    lost = take_seconds - ok_seconds
+    firsts, seconds = firsts - ok_firsts, seconds - take_seconds + ok_firsts
+    if lost[:, -1].any():
+        deeper = ((0, 0), (0, 1))  # one more round
+        firsts, seconds = np.pad(firsts, deeper), np.pad(seconds, deeper)
+    firsts[:, 1:] += lost[:, :firsts.shape[1] - 1]
+    firsts[:, 0] += encodes - ok_encodes
+    seconds[:, 0] += ok_encodes
+    return firsts, seconds, stored, backlog - from_backlog, unminted, delivered
+
+
+def _row(pairs: Iterable[tuple[int, int]], width: int) -> np.ndarray:
+    """``(round, n)`` pairs as a 1 x ``width`` row of counts per round."""
+    row = np.zeros((1, width), dtype=np.int64)
+    for round_, n in pairs:
+        row[0, round_] += n
+    return row
+
+
+def _bins(counts: list[int]) -> dict[int, int]:
+    """Counts per round as a ``{round: n}`` dict of the nonzero ones."""
+    return {round_: n for round_, n in enumerate(counts) if n}
 
 
 #: A ``HopTable`` row's phase code indexes these; rows print their words.
 _PHASES = (Phase.SLOW_START, Phase.AVOIDANCE)
 _PHASE_WORDS = np.array([phase.value for phase in _PHASES], dtype=object)
-
-#: ``HopTable.unminted`` of an ingress hop that mints without end.
-UNBOUNDED = -1
 
 
 class HopRecord(NamedTuple):
@@ -506,90 +536,46 @@ class HopTable:
                 phase=_PHASES[phase], backlog=backlog,
                 unminted=None if unminted == UNBOUNDED else unminted,
                 queue_bound=bound if hop else None)
-            copy.firsts = {r: n for r, n in enumerate(firsts) if n}
-            copy.seconds = {r: n for r, n in enumerate(seconds) if n}
-            copy.first_total, copy.second_total = sum(firsts), sum(seconds)
+            copy.firsts, copy.seconds = _bins(firsts), _bins(seconds)
             copy.stored_firsts = stored
             hops.append(copy)
         return hops
 
     def step(self, channel: ChannelModel,
              rng: np.random.Generator) -> HopRecord:
-        """One slot for every hop, as ``reserve_sharing``, then per hop
-        ``plan_transfers``, ``ChannelModel.draw``, ``HopSession.send`` and
-        ``advance_window``, then each relay's ``accept``, would run it, and
-        the same draws.  Finished flows leave the table.  Returns the
-        slot's trace columns."""
-        firsts, seconds, stored = self.firsts, self.seconds, self.stored
-        first_total, second_total = firsts.sum(axis=1), seconds.sum(axis=1)
-        granted, congested, receiver_free, blocks_free = _reserve(
+        """One slot for every hop: reserve by ``_reserve``, plan by
+        ``_plan``, draw every planned sharing at once by
+        ``ChannelModel.successes``, send by ``_send``, advance the windows
+        and hand relayed qubits downstream.  A plan reads the next hop's
+        relay queue as it stood at the start of the slot.  Finished flows
+        leave the table.  Returns the slot's trace columns."""
+        granted, congested, receiver_free = _reserve(
             self.pools, self.send, self.receive, self.window,
-            first_total + second_total, stored, self.session, self.hop)
-
-        # plan_transfers; a plan reads the next hop's relay queue as it
-        # stood at the start of the slot.
-        budget = (3 * granted) // 4
-        second_cap = np.where(receiver_free >= 1,
-                              np.minimum(second_total, budget), 0)
-        queue_free = np.r_[self.queue_bound[1:] - self.backlog[1:], 0]
-        second_cap = np.where(self.forwards,
-                              np.minimum(second_cap, queue_free), second_cap)
-        second_count = np.maximum(0, second_cap)
-        first_cap = np.maximum(0, np.minimum(np.minimum(
-            np.maximum(0, granted // 2 + second_count - stored),
-            budget - second_count), np.minimum(
-            receiver_free, np.maximum(0, granted - stored - second_count))))
-        sent = np.minimum(first_cap, first_total)
-        encodes = first_cap - sent
-        queued = self.backlog + self.unminted
-        encodes = np.where(self.unminted == UNBOUNDED, encodes,
-                           np.minimum(encodes, queued))
-        encodes = np.minimum(encodes, np.maximum(0, blocks_free))
-        take_seconds = _take_rounds(seconds, second_count)
-        take_firsts = _take_rounds(firsts, first_cap)
-
-        # One draw: per hop, seconds and then firsts from the highest
-        # round down, then the fresh encodes.
-        sharings = np.concatenate([take_seconds[:, ::-1], take_firsts[:, ::-1],
-                                   encodes[:, None]], axis=1)
-        ok = channel.successes(rng, sharings)
-        rounds = firsts.shape[1]
-        ok_seconds = ok[:, rounds - 1::-1]
-        ok_firsts = ok[:, 2 * rounds - 1:rounds - 1:-1]
-        ok_encodes = ok[:, -1]
-
-        # send: a delivered second releases its round + 1 stored firsts,
-        # a lost one re-encodes its qubit a round deeper.
-        delivered = ok_seconds.sum(axis=1)
-        released = ok_seconds @ np.arange(1, rounds + 1)
-        self.stored = stored + ok_firsts.sum(axis=1) + ok_encodes - released
-        from_backlog = np.minimum(encodes, self.backlog)
-        self.backlog = self.backlog - from_backlog
-        self.unminted = np.where(self.unminted == UNBOUNDED, UNBOUNDED,
-                                 self.unminted - (encodes - from_backlog))
-        lost = take_seconds - ok_seconds
-        firsts, seconds = firsts - ok_firsts, seconds - take_seconds + ok_firsts
-        if lost[:, -1].any():
-            deeper = np.zeros((len(lost), 1), dtype=np.int64)
-            firsts = np.concatenate([firsts, deeper], axis=1)
-            seconds = np.concatenate([seconds, deeper], axis=1)
-        firsts[:, 1:] += lost[:, :firsts.shape[1] - 1]
-        firsts[:, 0] += encodes - ok_encodes
-        seconds[:, 0] += ok_encodes
-        self.firsts, self.seconds = firsts, seconds
-
+            self.firsts.sum(axis=1) + self.seconds.sum(axis=1), self.stored,
+            self.session, self.hop)
+        queue = np.r_[self.queue_bound[1:] - self.backlog[1:], 0]
+        take_seconds, take_firsts, encodes = _plan(
+            granted, receiver_free, np.where(self.forwards, queue, _NEVER),
+            self.stored, self.firsts, self.seconds, self.backlog,
+            self.unminted)
+        runs = _runs(take_seconds, take_firsts, encodes)
+        ok = channel.successes(rng, runs)
+        (self.firsts, self.seconds, self.stored, self.backlog, self.unminted,
+         delivered) = _send(self.firsts, self.seconds, self.stored,
+                            self.backlog, self.unminted, runs, ok)
         record = HopRecord(
             session=self.session, hop=self.hop, window=self.window,
             congested=congested.astype(np.int64), granted=granted,
             delivered=delivered, phase=_PHASE_WORDS[self.phase],
-            firsts=sent + encodes, seconds=second_count,
-            losses=sharings.sum(axis=1) - ok.sum(axis=1), stored=self.stored)
+            firsts=take_firsts.sum(axis=1) + encodes,
+            seconds=take_seconds.sum(axis=1),
+            losses=runs.sum(axis=1) - ok.sum(axis=1), stored=self.stored)
         self._advance_windows(congested)
         self._hand_over(delivered)
         return record
 
     def _advance_windows(self, congested: np.ndarray) -> None:
-        """``next_window`` for every row."""
+        """``tele.next_window`` for every row."""
         window = np.where(congested, self.window // 2, self.window)
         self.phase = np.where(congested, _PHASES.index(Phase.AVOIDANCE),
                               self.phase)
@@ -618,9 +604,3 @@ class HopTable:
                 setattr(self, name, getattr(self, name)[live])
             self.flows = [flow for flow in self.flows if not flow.finished]
 
-
-def _take_rounds(bins: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``_take`` for every row: up to ``count`` qubits of ``bins``, highest
-    round first, as counts per round."""
-    above = np.cumsum(bins[:, ::-1], axis=1)[:, ::-1] - bins
-    return np.clip(count[:, None] - above, 0, bins)

@@ -10,7 +10,9 @@ rejects, the other must reject with the same error.  The same configs are
 stepped slot by slot and checked from outside after every step.
 """
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,16 @@ from qdnsim.topology import NetworkKind
 
 CONFIG_COUNT = 96
 GENERATOR_SEED = 17
+
+#: SHA-256 of ``oracle/tag_loop.py``.  The oracle is the one reference the
+#: engine is diffed against, so an edit to it must also change this pin.
+ORACLE_SHA256 = (
+    "d842bd6cf11e57bb3ba1d16bf3a10c743d0aa3e5ea8cf59a6b67b3100ecb6b84")
+
+
+def test_oracle_is_frozen():
+    source = Path(tag_loop.__file__).read_bytes()
+    assert hashlib.sha256(source).hexdigest() == ORACLE_SHA256
 
 
 def generate(count: int, seed: int) -> list[RunConfig]:

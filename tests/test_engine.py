@@ -176,7 +176,7 @@ def held(pools, key):
 
 
 def hop_grants(hops, pools):
-    granted, congested, _, _ = reserve_sharing(hops, pools)
+    granted, congested, _ = reserve_sharing(hops, pools)
     return list(zip(granted.tolist(), congested.tolist()))
 
 

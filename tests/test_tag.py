@@ -22,23 +22,16 @@ from qdnsim.tag import (
     plan_transfers,
     reserve_sharing,
 )
-from qdnsim.tele import Phase
+from qdnsim.tele import Phase, next_window
 
 
 def hop_with(in_flight=(), queued=0, window=2):
-    """A hop holding one qubit per entry of ``in_flight``, each brought to
-    the entry's round and stage by encoding it and sending it the outcomes
-    that lead there."""
+    """A hop holding one qubit per entry of ``in_flight``, at the entry's
+    round and stage."""
     hop = HopSession(session=0, hop=0, sender=0, receiver=1, window=window,
-                     unminted=None)
-    for target in in_flight:
-        hop.send(Plan([], [], encodes=1), [False])  # encoded, first lost
-        for round_ in range(target.round):
-            hop.send(Plan([], [(round_, 1)], 0), [True])   # first stored
-            hop.send(Plan([(round_, 1)], [], 0), [False])  # second lost
-        if target.stage is Stage.SECOND:
-            hop.send(Plan([], [(target.round, 1)], 0), [True])
-    hop.unminted = queued
+                     unminted=queued)
+    for qubit, target in enumerate(in_flight):
+        hop.in_flight[qubit] = target
     return hop
 
 
@@ -180,6 +173,15 @@ class TestEncode:
         assert hop.in_flight_count == 5
         assert hop.queued == math.inf
 
+    @pytest.mark.parametrize("outcomes", [[True, True, True], []])
+    def test_send_takes_one_outcome_per_planned_sharing(self, outcomes):
+        # Three outcomes for one sharing would store three firsts for one
+        # qubit in flight; none would count the sharing as lost.
+        hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
+        with pytest.raises(ValueError, match="^[03] outcomes, 1 planned$"):
+            hop.send(Plan([], [], encodes=1), outcomes)
+        assert hop.in_flight_count == hop.stored_firsts == 0
+
 
 class TestIncrementalState:
     @pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
@@ -195,12 +197,9 @@ class TestIncrementalState:
             reference = ReferenceHop(unminted)
             for _ in range(rng.randint(0, 30)):
                 handed = rng.randint(0, 3)
-                if hop.queue_free is None or handed <= hop.queue_free:
-                    hop.accept(handed)
+                if bound is None or hop.backlog + handed <= bound:
+                    hop.backlog += handed
                     reference.accept(handed)
-                else:
-                    with pytest.raises(OverflowError):
-                        hop.accept(handed)
                 window = rng.randint(0, 24)
                 plan = plan_transfers(
                     hop, window, receiver_free=rng.randint(0, 24),
@@ -218,8 +217,6 @@ class TestIncrementalState:
                 assert plan.first_count == len(firsts) + plan.encodes
                 assert hop.stored_firsts == reference.stored_firsts
                 assert census(hop) == reference.census()
-                assert hop.first_total == sum(hop.firsts.values())
-                assert hop.second_total == sum(hop.seconds.values())
                 assert hop.backlog == len(reference.queue)
                 assert hop.unminted == reference.unminted
 
@@ -247,7 +244,7 @@ class TestIncrementalState:
             hop.window = window
             pools = PoolTable([MemoryPool(0, "send", 100),
                                MemoryPool(1, "receive", 100)])
-            granted, congested, _, _ = reserve_sharing([hop], pools)
+            granted, congested, _ = reserve_sharing([hop], pools)
             assert granted.tolist() == [window]
             assert congested.tolist() == [False]
             assert send == max(cost(TAG_SEND_COST, window),
@@ -257,10 +254,9 @@ class TestIncrementalState:
             assert pools.reserved.tolist() == [send, receive]
 
     def test_budgets_are_reservation_less_floors(self):
-        # With 3 qubits in flight and 4 stored firsts, a grant of 8 holds
-        # 18 send units (6 blocks, 3 free) and 8 receive units (4 free);
-        # a grant of 2 is all floor.  The random hops hold up to 30 qubits,
-        # so their floors also pass the cost of the larger grants.
+        # With 4 stored firsts, a grant of 8 holds 8 receive units (4
+        # free); a grant of 2 is all floor.  The random hops hold up to 30
+        # qubits, so their floors also pass the cost of the larger grants.
         hop = hop_with(queued=0)
         hop.in_flight[0] = SharingTransfer(0, round=1, stage=Stage.SECOND)
         hop.in_flight[1] = SharingTransfer(1, round=1)
@@ -282,16 +278,13 @@ class TestIncrementalState:
                 each.window = granted
             pools = PoolTable([MemoryPool(0, "send", 10**6),
                                MemoryPool(1, "receive", 10**6)])
-            windows, _, receive, blocks = reserve_sharing(hops, pools)
+            windows, _, receive = reserve_sharing(hops, pools)
             assert windows.tolist() == [granted] * len(hops)
-            budgets[granted] = list(zip(receive.tolist(), blocks.tolist()))
+            budgets[granted] = receive.tolist()
             assert budgets[granted] == [
-                (max(granted - each.stored_firsts, 0),
-                 max(cost(TAG_SEND_COST, granted) // TAG_QUBIT_UNITS
-                     - each.in_flight_count, 0))
-                for each in hops]
-        assert budgets[8][0] == (4, 3)
-        assert budgets[2][0] == (0, 0)
+                max(granted - each.stored_firsts, 0) for each in hops]
+        assert budgets[8][0] == 4
+        assert budgets[2][0] == 0
 
 
 class TestPlanTransfers:
@@ -380,6 +373,31 @@ class TestPlanTransfers:
             if firsts:  # window bound, modulo the seconds escape hatch
                 assert stored + firsts + seconds <= window
 
+    def test_send_blocks_of_the_grant_never_cut_a_plan(self):
+        # Fresh encodes fit into floor(3g/4) less the stored firsts and the
+        # firsts in flight, and a second in flight stores at least one
+        # first, so they fit into the 3-unit send blocks a grant of g
+        # leaves above the in-flight floor.
+        rng = random.Random(44)
+        tight = 0
+        for _ in range(5_000):
+            granted = rng.randint(0, 60)
+            hop = hop_with(
+                [SharingTransfer(qubit, rng.randint(0, 4),
+                                 rng.choice([Stage.FIRST, Stage.SECOND]))
+                 for qubit in range(rng.randint(0, 12))],
+                queued=rng.choice([None, rng.randint(0, 40)]), window=granted)
+            blocks = max(cost(TAG_SEND_COST, granted)
+                         - TAG_QUBIT_UNITS * hop.in_flight_count,
+                         0) // TAG_QUBIT_UNITS
+            free = rng.randint(0, 60)
+            downstream = rng.choice([None, rng.randint(0, 12)])
+            plan = plan_transfers(hop, granted, free, blocks, downstream)
+            unbudgeted = plan_transfers(hop, granted, free, 10**9, downstream)
+            assert plan == unbudgeted
+            tight += plan.encodes == blocks > 0
+        assert tight
+
     def test_window_zero_sends_nothing(self):
         in_flight = [SharingTransfer(0, stage=Stage.SECOND)]
         hop = hop_with(in_flight=in_flight, queued=5, window=0)
@@ -440,6 +458,18 @@ class TestTagFlowAdmit:
         _, kept = self.admit(0, 3, 9, switched)
         assert {hop.window for hop in kept} == {9}
 
+    def test_relay_queue_overflow_is_an_error(self):
+        # Relay 0's queue holds 11 // 3 = 3 qubits: a third delivery fills
+        # it, a fourth overflows it.
+        table = HopTable(self.pools)
+        table.admit(4, self.path, 7, None, switched=False)
+        table.backlog[1] = 2
+        table._hand_over(np.array([1, 0, 0]))
+        assert table.backlog.tolist() == [0, 3, 0]
+        with pytest.raises(OverflowError, match=(
+                "^relay queue full on hop 1 of session 4$")):
+            table._hand_over(np.array([1, 0, 0]))
+
 
 class TestPipeline:
     def drive(self, hop, slots, granted, p=1.0, receiver_capacity=10**6):
@@ -471,7 +501,7 @@ class TestPipeline:
             plan = plan_transfers(hop, granted, 10**6 - hop.stored_firsts, 10**6)
             sent = plan.first_count + plan.second_count
             delivered += hop.send(plan, channel.draw(rng, sent))
-            hop.advance_window(congested=False)
+            hop.window, hop.phase = next_window(hop.window, hop.phase, False)
         assert delivered == 3
         assert hop.in_flight_count == 0
 
@@ -528,11 +558,11 @@ class TestWindowRules:
     def test_avoidance_grows_despite_zero_deliveries(self):
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, window=9,
                          phase=Phase.AVOIDANCE)
-        hop.advance_window(congested=False)
+        hop.window, hop.phase = next_window(hop.window, hop.phase, False)
         assert hop.window == 10
 
     def test_congestion_halves_then_increments(self):
         hop = HopSession(session=0, hop=0, sender=0, receiver=1, window=9,
                          phase=Phase.AVOIDANCE)
-        hop.advance_window(congested=True)
+        hop.window, hop.phase = next_window(hop.window, hop.phase, True)
         assert hop.window == 5

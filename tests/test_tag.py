@@ -7,11 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qdnsim.memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST,
-                           MemoryPool, PoolTable, cost)
+from qdnsim.memory import (MAX_UNITS, RECEIVE_COST, TAG_QUBIT_UNITS,
+                           TAG_SEND_COST, MemoryPool, PoolTable, cost)
 from qdnsim.rng import stream
 from qdnsim.routing import Path
 from qdnsim.tag import (
+    _PHASES,
     ChannelModel,
     HopSession,
     HopTable,
@@ -566,3 +567,21 @@ class TestWindowRules:
                          phase=Phase.AVOIDANCE)
         hop.window, hop.phase = next_window(hop.window, hop.phase, True)
         assert hop.window == 5
+
+    def test_table_steps_windows_by_next_window(self):
+        """``HopTable._advance_windows`` is ``next_window`` on every row, from
+        window 1 to windows past ``MAX_UNITS``, in both phases, congested
+        or not."""
+        windows = [*range(1, 10), 15, 16, 17, MAX_UNITS - 1, MAX_UNITS,
+                   MAX_UNITS + 1, 2 * MAX_UNITS + 1]
+        grid = [(window, phase, congested) for window in windows
+                for phase in _PHASES for congested in (False, True)]
+        table = HopTable(PoolTable([]))
+        table.window = np.array([window for window, _, _ in grid],
+                                dtype=np.int64)
+        table.phase = np.array([_PHASES.index(phase) for _, phase, _ in grid],
+                               dtype=np.int64)
+        table._advance_windows(np.array([cut for _, _, cut in grid]))
+        got = list(zip(table.window.tolist(),
+                       (_PHASES[code] for code in table.phase.tolist())))
+        assert got == [next_window(*row) for row in grid]

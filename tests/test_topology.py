@@ -126,6 +126,27 @@ PINNED_TOPOLOGIES = [
      "b954e1260c7ef0c761b47f11ff46291912891b9e5a3708dd759aaeda14419f93"),
     ((12, 3.0, 50.0, 0.1, 3, NetworkKind.TAG_SWITCH),
      "01ec2a977dd3a2c40aba8e2d12b79727a476a581b13cbb6ee0acb8ee4d9e7ef9"),
+    # The 200-node benchmark topology at another seed (28 bisection steps,
+    # 8 components before repair) and as trusted relays (27 steps, 5).
+    ((200, 4.0, 100.0, 0.06, 2, NetworkKind.TELE),
+     "8df6f0625c378c1fbd1b7f3e258c00f8a15cdb0ebdd9c3d9f5a5765b3f4a472e"),
+    ((200, 4.0, 100.0, 0.06, 1, NetworkKind.TAG_RELAY),
+     "0f51450231da7983447b653786ef7dd5585f0254ff0281a78d71c44bd152fbbe"),
+    # Alpha at MIN_ALPHA, where beta spans [0, 1.8e308]: 48 steps, and all
+    # 64 without reaching the slack.
+    ((10, 8.0, 50.0, MIN_ALPHA, 0, NetworkKind.TELE),
+     "a29bd0829d46fcf6511c9ab5b5bcaa87324bf2306af7b480ec148af8e96c71f0"),
+    ((6, 4.0, 50.0, MIN_ALPHA, 0, NetworkKind.TELE),
+     "36e40f70dc6534c60c04a52e6fe88d8a5705035411ca95ed45ec766547bd2fbe"),
+    # Repair joins 5 components after 14 steps.
+    ((30, 2.0, 100.0, 0.1, 5, NetworkKind.TELE),
+     "51dd73c119b6fb1bd9e2f65d9e4cac7ef57d975ac926f887e38ab874abf83542"),
+    # Early stops: the complete graph at the ceiling takes no step, and
+    # the switch case is within the slack after 3.
+    ((8, 7.0, 10.0, 1.0, 2, NetworkKind.TELE),
+     "e83e1896b6b91134580264400f65bd35da139ef15484eafefc7d349a0b4e2926"),
+    ((10, 4.0, 30.0, 0.4, 6, NetworkKind.TAG_SWITCH),
+     "3dab705ca00debcf5217f23e3c2b6afb68d22d5ccc907da596baefa96e3c4b7b"),
 ]
 
 

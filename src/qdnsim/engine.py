@@ -1,19 +1,19 @@
 """Slot-synchronous simulation loop.
 
 Each slot runs a fixed phase order: admit the sessions the start-slot
-schedule lists for it; reserve memory for the announced windows; transfer,
-record and advance the windows, retiring the flows that finish; snapshot
-pool occupancy; clear every pool.  The pools live in one
-``memory.PoolTable`` and every slot reserves them in one array pass over
-the slot's reservation points.  A teleportation session's points are
-fixed at admission (``tele.session_points``) and its transfer runs per
+schedule lists for it, routed under the load table; reserve memory for the
+announced windows; transfer, record and advance the windows, retiring the
+flows that finish; snapshot pool occupancy, whose ``np.bincount`` by node
+over node capacity is the next load table; clear every pool.  The pools
+live in one ``memory.PoolTable`` and every slot reserves them in one array
+pass over the slot's reservation points.  A teleportation session's points
+are fixed at admission (``tele.session_points``) and its transfer runs per
 session.  Tell-and-go hops are rows of one ``tag.HopTable``, whose
-``step`` reserves at points built from its columns and runs the whole
-slot for all hops as array passes.  A pool keeps only its reserved total,
-for one slot; what tell-and-go state outlives it lives in the hop table.
-The loop writes only trace rows, which ``metrics.summarize`` turns into
-the run summary.  A run is a pure function of its configuration, seed
-included.
+``step`` reserves at points built from its columns and runs the whole slot
+for all hops as array passes.  A pool keeps only its reserved total, for
+one slot; what tell-and-go state outlives it lives in the hop table.  The
+loop writes only trace rows, which ``metrics.summarize`` turns into the
+run summary.
 """
 
 from __future__ import annotations
@@ -237,8 +237,11 @@ class Engine:
                                   f"{cfg.network.value} network needs "
                                   f"{infra_kind.value}s")
         self.pools = build_pools(self.topology, cfg.network)
-        # Pool rows share these int objects rather than hold one per row.
+        # Pool rows share these objects rather than hold one per row.
+        self._pool_nodes = self.pools.node.tolist()
+        self._pool_kinds = [kind for _, kind in self.pools.keys]
         self._capacities = self.pools.capacity.tolist()
+        self._node_capacity = np.array([n.capacity for n in self.topology.nodes])
         self.channel = ChannelModel(cfg.p)
         self._channel_rng = stream(cfg.seed, CHANNEL_STREAM)
         self._reserve_tele = {
@@ -269,7 +272,7 @@ class Engine:
         if isinstance(requested, int):
             requested = [SessionSpec()] * requested
         schedule: dict[int, list[tuple[int, SessionSpec]]] = {}
-        rng = None
+        rng = stream(cfg.seed, SESSION_STREAM)
         for index, spec in enumerate(requested):
             for end in (spec.src, spec.dst):
                 if end is not None and end not in host_ids:
@@ -282,8 +285,6 @@ class Engine:
             if spec.src is None:
                 if len(hosts) < 2:
                     raise ConfigError("need at least two hosts to sample sessions")
-                if rng is None:
-                    rng = stream(cfg.seed, SESSION_STREAM)
                 i = int(rng.integers(len(hosts)))
                 j = int(rng.integers(len(hosts) - 1))
                 if j >= i:
@@ -297,10 +298,8 @@ class Engine:
 
     def _admit(self) -> None:
         for sid, spec in self._schedule.pop(self.slot, ()):
-            path = compute_path(
-                self.topology, spec.src, spec.dst, self._load,
-                self.cfg.congestion_weight,
-            )
+            path = compute_path(self.topology, spec.src, spec.dst, self._load,
+                                self.cfg.congestion_weight)
             self.paths[sid] = path.nodes
             if spec.qubits == 0:
                 continue
@@ -360,18 +359,15 @@ class Engine:
 
     def _snapshot_pools(self) -> None:
         """Append this slot's pool rows and rebuild the load table."""
-        occupancy: dict[int, int] = {}
-        pools, slot, rows = self.pools, self.slot, self.pool_rows
-        for (node, kind), reserved, capacity in zip(
-                pools.keys, pools.reserved.tolist(), self._capacities):
-            occupancy[node] = occupancy.get(node, 0) + reserved
-            rows.append(PoolRow(slot=slot, node=node, pool=kind,
-                                reserved=reserved, capacity=capacity))
-        topology = self.topology
-        self._load = {
-            node: min(1.0, reserved / topology.node(node).capacity)
-            for node, reserved in occupancy.items() if reserved > 0
-        }
+        self.pool_rows.extend(map(PoolRow._make, zip(
+            repeat(self.slot), self._pool_nodes, self._pool_kinds,
+            self.pools.reserved.tolist(), self._capacities)))
+        # Node totals are exact float sums (see memory.MAX_UNITS).
+        occupancy = np.bincount(self.pools.node, self.pools.reserved,
+                                len(self._node_capacity))
+        held = np.flatnonzero(occupancy)
+        self._load = dict(zip(held.tolist(), np.minimum(
+            1.0, occupancy[held] / self._node_capacity[held]).tolist()))
 
     # -- whole run ------------------------------------------------------
 

@@ -11,16 +11,16 @@ and ``MemoryPool`` one pool's running total; both are the scalar reference
 the array pass is tested against.
 
 A run keeps its pools in a ``PoolTable``: sorted ``(node, kind)`` keys and
-int64 ``capacity`` and ``reserved`` columns.  A slot's requests (sessions
-or hops) reserve at points, one ``Incidence`` row each: pool index,
-request rank, tie id, unit cost as an integer numerator and denominator,
-and floor.  ``reserve`` runs both transports' two passes over all points
-at once.  Pass 1 applies ``assign_memory``'s rule at every pool and marks
-a request iff some pool cuts it; pass 2, ``PoolTable.hold``, adds the cost
-of each granted window at each point, so a request is halved at most once
-per slot.  Reservations last one slot: the engine clears the table after
-its snapshot, and the floors come from session state (the tell-and-go hop
-counters), not from what a pool held the slot before.
+int64 ``node``, ``capacity`` and ``reserved`` columns.  A slot's requests
+(sessions or hops) reserve at points, one ``Incidence`` row each: pool
+index, request rank, tie id, unit cost as an integer numerator and
+denominator, and floor.  ``reserve`` runs both transports' two passes over
+all points at once.  Pass 1 applies ``assign_memory``'s rule at every pool
+and marks a request iff some pool cuts it; pass 2, ``PoolTable.hold``,
+adds the cost of each granted window at each point, so a request is halved
+at most once per slot.  Reservations last one slot: the engine clears the
+table after its snapshot, and the floors come from session state (the
+tell-and-go hop counters), not from what a pool held the slot before.
 
 Pool totals are ``np.bincount`` sums, exact while below 2**53.  The run
 configuration bounds capacities and initial windows by ``MAX_UNITS`` and
@@ -193,15 +193,16 @@ def _running(segments: np.ndarray, values: np.ndarray) -> np.ndarray:
 class PoolTable:
     """Every pool of a run, in sorted ``(node, kind)`` key order.
 
-    ``capacity`` and ``reserved`` are int64 columns; ``reserved`` is the
-    current slot's total per pool and stays within ``[0, capacity]``:
-    ``hold`` raises instead of overcommitting.
+    ``node``, ``capacity`` and ``reserved`` are int64 columns.
+    ``reserved`` is the current slot's total per pool and stays within
+    ``[0, capacity]``: ``hold`` raises instead of overcommitting.
     """
 
     def __init__(self, pools: Iterable[MemoryPool]):
         pools = sorted(pools, key=lambda pool: (pool.node, pool.kind))
         self.keys = [(pool.node, pool.kind) for pool in pools]
         self.index = {key: i for i, key in enumerate(self.keys)}
+        self.node = np.array([pool.node for pool in pools], dtype=np.int64)
         self.capacity = np.array([pool.capacity for pool in pools],
                                  dtype=np.int64)
         self.reserved = np.zeros_like(self.capacity)

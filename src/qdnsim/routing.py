@@ -9,8 +9,8 @@ makes the choice deterministic.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import NoRouteError
 from .topology import NodeKind, Topology
@@ -38,31 +38,35 @@ def compute_path(
     load: dict[int, float] | None = None,
     congestion_weight: float = DEFAULT_CONGESTION_WEIGHT,
 ) -> Path:
-    """Minimal-cost path under edge cost 1 + weight * load(downstream node)."""
+    """Minimal-cost path under edge cost 1 + weight * load(downstream node).
+
+    Dijkstra's search over entries ``(cost, hops, prefix, node)``, where
+    ``prefix + (node,)`` is built only when the node is first popped: equal
+    hops mean equal prefix lengths, so entries order as whole sequences
+    would.  A node of degree 1 other than ``dst`` is never pushed: its one
+    neighbour is done, so popping it would push nothing.
+    """
     if src == dst:
         raise ValueError("source and destination must differ")
     for endpoint in (src, dst):
-        if topology.node(endpoint).kind is not NodeKind.HOST:
+        if not (0 <= endpoint < len(topology.nodes)
+                and topology.node(endpoint).kind is NodeKind.HOST):
             raise ValueError(f"node {endpoint} is not a host")
     load = load or {}
     adj = topology.adjacency()
-
-    # Heap entries order by (cost, hops, node sequence); a prefix that is
-    # minimal in this order extends to a minimal full path, so plain
-    # Dijkstra finalization per node stays correct.
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (src,))]
+    heap: list[tuple[float, int, tuple[int, ...], int]] = [(0.0, 0, (), src)]
     done: set[int] = set()
     while heap:
-        cost, hops, nodes = heapq.heappop(heap)
-        current = nodes[-1]
+        cost, hops, prefix, current = heappop(heap)
         if current == dst:
-            return Path(nodes)
+            return Path(prefix + (dst,))
         if current in done:
             continue
         done.add(current)
-        for neighbour in adj[current]:
-            if neighbour in done:
+        path = prefix + (current,)
+        for node in adj[current]:
+            if node in done or (len(adj[node]) == 1 and node != dst):
                 continue
-            step = 1.0 + congestion_weight * load.get(neighbour, 0.0)
-            heapq.heappush(heap, (cost + step, hops + 1, nodes + (neighbour,)))
+            step = 1.0 + congestion_weight * load.get(node, 0.0)
+            heappush(heap, (cost + step, hops + 1, path, node))
     raise NoRouteError(f"no route from {src} to {dst}")

@@ -126,8 +126,7 @@ def _fair_shares(points: Incidence, pools: PoolTable) -> np.ndarray:
     able to play either role, so the smaller of its send and receive
     pools, each at its own price, limits it.
     """
-    nodes = np.array([node for node, _ in pools.keys], dtype=np.int64)
-    firsts = np.r_[True, nodes[1:] != nodes[:-1]]
+    firsts = np.r_[True, pools.node[1:] != pools.node[:-1]]
     slot = np.cumsum(firsts) - 1  # each pool's node, numbered densely
     prices = np.array([RECEIVE_COST if kind == "receive" else TELE_SEND_COST
                        for _, kind in pools.keys], dtype=np.int64)

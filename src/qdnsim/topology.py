@@ -5,10 +5,11 @@ on the network kind) are placed uniformly in a square and wired with the
 Waxman model; the edge-density parameter is calibrated by bisection until
 the realized average infrastructure degree matches a target.  One table of
 infrastructure pairs, each with its distance and Waxman weight computed
-once, serves every bisection step and then the connectivity repair, which
-joins components along the shortest pairs.  One union-find counts
-components, both there and in ``validate``.  One end host is attached to
-every infrastructure node so any node can terminate a session.
+once, serves every bisection step (one array comparison) and then the
+connectivity repair, which joins components along the shortest pairs.  One
+union-find counts components, both there and in ``validate``.  One end
+host is attached to every infrastructure node so any node can terminate a
+session.
 """
 
 from __future__ import annotations
@@ -159,29 +160,28 @@ def generate_waxman(
     ys = (rng.random(n_infra) * area_side).tolist()
     # Only the draws above the diagonal are read; ``triu_indices`` lists
     # them in the pair order below.
-    draws = rng.random((n_infra, n_infra))[np.triu_indices(n_infra, 1)].tolist()
+    draws = rng.random((n_infra, n_infra))[np.triu_indices(n_infra, 1)]
 
     # One (distance, i, j) row per infrastructure pair, i < j, with its
     # Waxman weight; the bisection and the repair both read this table.
+    # ``math.exp``, not ``np.exp``: the two may differ in the last place.
     pairs = [(math.hypot(xs[i] - xs[j], ys[i] - ys[j]), i, j)
              for i in range(n_infra) for j in range(i + 1, n_infra)]
     d_max = max(d for d, _, _ in pairs)
-    weights = ([math.exp(-d / (alpha * d_max)) for d, _, _ in pairs]
-               if d_max > 0 else [1.0] * len(pairs))
+    weights = np.array([math.exp(-d / (alpha * d_max)) for d, _, _ in pairs]
+                       if d_max > 0 else [1.0] * len(pairs))
 
-    def edges_for(beta: float) -> list[tuple[int, int]]:
-        return [(i, j) for (_, i, j), w, draw in zip(pairs, weights, draws)
-                if draw < min(1.0, beta * w)]
+    def wired(beta: float) -> np.ndarray:  # draw < min(1, beta * weight)
+        return draws < np.minimum(1.0, beta * weights)
+
+    def avg_degree(beta: float) -> float:
+        return 2.0 * int(np.count_nonzero(wired(beta))) / n_infra
 
     # Realized degree is a monotone step function of beta; bisect on it.
-    beta_hi = math.exp(1.0 / alpha)
-
-    def avg_degree(edges: list[tuple[int, int]]) -> float:
-        return 2.0 * len(edges) / n_infra
-
-    best_edges = edges_for(beta_hi)
-    best_gap = abs(avg_degree(best_edges) - target_avg_degree)
-    if avg_degree(best_edges) < target_avg_degree - _DEGREE_TOLERANCE:
+    beta_hi = best_beta = math.exp(1.0 / alpha)
+    degree = avg_degree(beta_hi)
+    best_gap = abs(degree - target_avg_degree)
+    if degree < target_avg_degree - _DEGREE_TOLERANCE:
         raise GenerationError(
             f"cannot reach degree {target_avg_degree} with {n_infra} nodes"
         )
@@ -190,11 +190,11 @@ def generate_waxman(
         if best_gap <= _CALIBRATION_SLACK:
             break
         mid = (lo + hi) / 2.0
-        edges = edges_for(mid)
-        gap = abs(avg_degree(edges) - target_avg_degree)
+        degree = avg_degree(mid)
+        gap = abs(degree - target_avg_degree)
         if gap < best_gap:
-            best_edges, best_gap = edges, gap
-        if avg_degree(edges) < target_avg_degree:
+            best_beta, best_gap = mid, gap
+        if degree < target_avg_degree:
             lo = mid
         else:
             hi = mid
@@ -203,11 +203,11 @@ def generate_waxman(
             f"degree calibration failed: best average "
             f"{target_avg_degree + best_gap:.2f} vs target {target_avg_degree}"
         )
+    edges = [pairs[k][1:] for k in np.flatnonzero(wired(best_beta)).tolist()]
 
     # Repair connectivity with the shortest pairs joining distinct
     # components; a pair already wired never joins two.
-    uf, components = _join(n_infra, best_edges)
-    edges = list(best_edges)
+    uf, components = _join(n_infra, edges)
     if components > 1:
         for _, i, j in sorted(pairs):
             if uf.union(i, j):
@@ -216,7 +216,7 @@ def generate_waxman(
                 if components == 1:
                     break
 
-    if abs(avg_degree(edges) - target_avg_degree) > _DEGREE_TOLERANCE:
+    if abs(2.0 * len(edges) / n_infra - target_avg_degree) > _DEGREE_TOLERANCE:
         raise GenerationError("connectivity repair pushed degree out of range")
 
     infra_kind = INFRA_KIND[network]

@@ -89,6 +89,16 @@ class TestComputePath:
         assert short.nodes == (hosts[0], 0, 1, 3, hosts[3])
 
 
+class TestEndpoints:
+    @pytest.mark.parametrize("src, dst", [(-1, 4), (4, -2), (4, 99), (99, 4),
+                                          (-1, -2)])
+    def test_out_of_range_endpoint_rejected(self, src, dst):
+        topology, hosts = diamond()
+        assert sorted(hosts.values()) == [4, 5]
+        with pytest.raises(ValueError, match="is not a host"):
+            compute_path(topology, src, dst, {})
+
+
 #: SHA-256 of ``oracle/routing.py``.  The oracle is the one reference the
 #: search is diffed against, so an edit to it must also change this pin.
 ORACLE_SHA256 = (

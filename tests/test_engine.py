@@ -285,6 +285,35 @@ class TestReservationLifetime:
         assert any(row.reserved for row in engine.pool_rows)
         assert protocol is not Protocol.TAG or carried > 0
 
+    @pytest.mark.parametrize("protocol, network", [
+        (Protocol.TELE, NetworkKind.TELE),
+        (Protocol.FRA, NetworkKind.TELE),
+        (Protocol.TAG, NetworkKind.TAG_RELAY),
+    ], ids=["tele", "fra", "tag_relay"])
+    def test_load_table_is_each_nodes_reserved_fraction(self, protocol,
+                                                        network):
+        """After every slot, routing's load table holds each node with a
+        reservation, at its pools' total over its capacity as Python
+        divides them, and no other node."""
+        engine = Engine(RunConfig(
+            seed=3, protocol=protocol, network=network,
+            topology=WaxmanSpec(n_infra=8, target_avg_degree=3.0,
+                                area_side=40.0),
+            sessions=6, n_slots=15, capacity=60,
+        ))
+        for _ in range(engine.cfg.n_slots):
+            start = len(engine.pool_rows)
+            engine.step()
+            totals = {}
+            for row in engine.pool_rows[start:]:
+                totals[row.node] = totals.get(row.node, 0) + row.reserved
+            capacity = {node.id: node.capacity for node in engine.topology.nodes}
+            expected = {node: min(1.0, total / capacity[node])
+                        for node, total in totals.items() if total > 0}
+            assert engine._load == expected
+            assert all(type(value) is float for value in engine._load.values())
+        assert any(0 < value < 1 for value in engine._load.values())
+
 
 class TestDeterminism:
     def test_identical_configs_identical_traces(self):

@@ -10,7 +10,8 @@ import pytest
 from oracle import routing as oracle
 from qdnsim.errors import GenerationError, NoRouteError
 from qdnsim.routing import compute_path
-from qdnsim.topology import NetworkKind, Node, NodeKind, Topology, generate_waxman
+from qdnsim.topology import (NetworkKind, Node, NodeKind, Topology,
+                             generate_waxman)
 
 
 def topology_with_hosts(infra_edges, n_infra, host_of):
@@ -187,9 +188,12 @@ def test_generator_reaches_every_case():
         topology = case(index)
         adj = topology.adjacency()
         host = [node.kind is NodeKind.HOST for node in topology.nodes]
+        reversed_adj = {node: neighbours[::-1]
+                        for node, neighbours in adj.items()}
         seen["leaf"] += any(len(adj[node]) == 1 and not host[node]
                             for node in adj)
-        seen["host_link"] += any(host[u] and host[v] for u, v in topology.edges)
+        seen["host_link"] += any(host[u] and host[v]
+                                 for u, v in topology.edges)
         for topology, src, dst, load, weight in draws(index):
             result = outcome(oracle.compute_path, topology, src, dst, load,
                              weight)
@@ -205,8 +209,6 @@ def test_generator_reaches_every_case():
             cost = 0.0
             for node in result[1:]:
                 cost += costs[node]
-            reversed_adj = {node: neighbours[::-1]
-                            for node, neighbours in adj.items()}
             other = _first_found(reversed_adj, costs, src, dst)
             assert other[:2] == (cost, len(result) - 1)
             seen["tie"] += other[2] != result

@@ -1,19 +1,19 @@
 """Slot-synchronous simulation loop.
 
 Each slot runs a fixed phase order: admit the sessions the start-slot
-schedule lists for it, routed under the load table; reserve memory for the
-announced windows; transfer, record and advance the windows, retiring the
-flows that finish; snapshot pool occupancy, whose ``np.bincount`` by node
-over node capacity is the next load table; clear every pool.  The pools
-live in one ``memory.PoolTable`` and every slot reserves them in one array
-pass over the slot's reservation points.  A teleportation session's points
-are fixed at admission (``tele.session_points``) and its transfer runs per
-session.  Tell-and-go hops are rows of one ``tag.HopTable``, whose
-``step`` reserves at points built from its columns and runs the whole slot
-for all hops as array passes.  A pool keeps only its reserved total, for
-one slot; what tell-and-go state outlives it lives in the hop table.  The
-loop writes only trace rows, which ``metrics.summarize`` turns into the
-run summary.
+schedule lists for it, routed under the load table; step the flow table,
+which reserves memory for the announced windows, transfers, advances the
+windows and retires the flows that finish; record the rows it returns;
+snapshot pool occupancy, whose ``np.bincount`` by node over node capacity
+is the next load table; clear every pool.  The pools live in one
+``memory.PoolTable`` and every slot reserves them in one array pass over
+the slot's reservation points.  The flow table is a ``tele.SessionTable``
+of teleportation sessions, whose points are fixed at admission, or a
+``tag.HopTable`` of tell-and-go hops, whose points are built from its
+columns; either runs the whole slot for all its rows as array passes.  A
+pool keeps only its reserved total, for one slot; what transport state
+outlives it lives in the table.  The loop writes only trace rows, which
+``metrics.summarize`` turns into the run summary.
 """
 
 from __future__ import annotations
@@ -31,13 +31,16 @@ from .memory import (MAX_SESSIONS, MAX_UNITS, TAG_SPLIT, TELE_SPLIT,
                      MemoryPool, PoolTable, partition)
 from .metrics import summarize
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
-from .routing import DEFAULT_CONGESTION_WEIGHT, compute_path
-from .tag import ChannelModel, HopTable, TagFlow
-from .tele import INITIAL_WINDOW as TELE_INITIAL_WINDOW
-from .tele import (TeleSession, incidence, release_surplus, reserve_explicit,
-                   reserve_fair, reserve_teleport, session_points)
+from .routing import DEFAULT_CONGESTION_WEIGHT, Path, compute_path
+from .tag import ChannelModel, HopTable
+from .tele import (SessionTable, reserve_explicit, reserve_fair,
+                   reserve_teleport)
 from .topology import (DEFAULT_CAPACITY, INFRA_KIND, MIN_ALPHA, NetworkKind,
                        NodeKind, Topology, generate_waxman)
+
+
+#: Largest session size a run accepts: qubit counts are int64 columns.
+_MAX_QUBITS = np.iinfo(np.int64).max
 
 
 class Protocol(Enum):
@@ -135,6 +138,9 @@ class RunConfig:
                 if spec.qubits is not None and spec.qubits < 0:
                     raise ConfigError(
                         f"session {index}: qubits must be non-negative")
+                if spec.qubits is not None and spec.qubits > _MAX_QUBITS:
+                    raise ConfigError(
+                        f"session {index}: qubits must be at most {_MAX_QUBITS}")
                 if spec.initial_window is not None and spec.initial_window < 1:
                     raise ConfigError(
                         f"session {index}: initial_window must be at least 1")
@@ -242,18 +248,21 @@ class Engine:
         self._pool_kinds = [kind for _, kind in self.pools.keys]
         self._capacities = self.pools.capacity.tolist()
         self._node_capacity = np.array([n.capacity for n in self.topology.nodes])
-        self.channel = ChannelModel(cfg.p)
         self._channel_rng = stream(cfg.seed, CHANNEL_STREAM)
-        self._reserve_tele = {
-            Protocol.TELE: reserve_teleport,
-            Protocol.EW: reserve_explicit,
-            Protocol.FRA: reserve_fair,
-        }.get(cfg.protocol)
         self._schedule = self._resolve_sessions()
-        # Live flows in admission order; every admitted session's path.
-        self.flows: dict[int, TeleSession | TagFlow] = {}
-        # The live flows' tell-and-go hops.
-        self.hops = HopTable(self.pools)
+        # The live flows, in admission order.
+        self.table: SessionTable | HopTable
+        if cfg.protocol is Protocol.TAG:
+            self.table = HopTable(
+                self.pools, ChannelModel(cfg.p), self._channel_rng,
+                switched=cfg.network is NetworkKind.TAG_SWITCH)
+        else:
+            self.table = SessionTable(self.pools, {
+                Protocol.TELE: reserve_teleport,
+                Protocol.EW: reserve_explicit,
+                Protocol.FRA: reserve_fair,
+            }[cfg.protocol], explicit=cfg.protocol is Protocol.EW)
+        # Every admitted session's path.
         self.paths: dict[int, tuple[int, ...]] = {}
         self.session_rows: list[SessionRow] = []
         self.pool_rows: list[PoolRow] = []
@@ -296,66 +305,28 @@ class Engine:
             schedule.setdefault(spec.start_slot, []).append((index, spec))
         return schedule
 
-    def _admit(self) -> None:
+    def _admit(self) -> list[tuple[int, Path, int | None, int | None]]:
+        """Route this slot's sessions; returns those with qubits to send,
+        as the flow table admits them."""
+        admitted = []
         for sid, spec in self._schedule.pop(self.slot, ()):
             path = compute_path(self.topology, spec.src, spec.dst, self._load,
                                 self.cfg.congestion_weight)
             self.paths[sid] = path.nodes
-            if spec.qubits == 0:
-                continue
-            if self.cfg.protocol is Protocol.TAG:
-                self.flows[sid] = self.hops.admit(
-                    sid, path, spec.qubits, spec.initial_window,
-                    switched=self.cfg.network is NetworkKind.TAG_SWITCH)
-            else:
-                self.flows[sid] = TeleSession(
-                    id=sid, remaining=spec.qubits,
-                    window=spec.initial_window or TELE_INITIAL_WINDOW,
-                    points=session_points(path, self.pools),
-                )
+            if spec.qubits != 0:
+                admitted.append((sid, path, spec.qubits, spec.initial_window))
+        return admitted
 
     # -- per-slot phases ------------------------------------------------
 
     def step(self) -> None:
-        self._admit()
-        active = list(self.flows.values())
-        if self.cfg.protocol is Protocol.TAG:
-            self._step_tag()
-        else:
-            self._step_tele(active)
-        self.flows = {flow.id: flow for flow in active if not flow.finished}
+        self.table.admit(self._admit())
+        self.session_rows.extend(map(SessionRow._make, zip(
+            repeat(self.slot), *(column.tolist()
+                                 for column in self.table.step()))))
         self._snapshot_pools()
         self.pools.clear()
         self.slot += 1
-
-    def _step_tele(self, active: list[TeleSession]) -> None:
-        points = incidence(active)
-        granted, congested = self._reserve_tele(active, points, self.pools)
-        explicit = self.cfg.protocol is Protocol.EW
-        delivered = []
-        for session, window_granted, cut in zip(active, granted.tolist(),
-                                                congested.tolist()):
-            sent = session.transfer(window_granted)
-            delivered.append(sent)
-            if explicit:
-                window, phase = window_granted, "-"
-            else:
-                window, phase = session.window, session.phase.value
-            self.session_rows.append(SessionRow(
-                slot=self.slot, session=session.id, hop=0, window=window,
-                congested=int(cut), granted=window_granted,
-                delivered=sent, phase=phase,
-                firsts=0, seconds=0, losses=0, stored=0,
-            ))
-            if not explicit:
-                session.advance_window(cut)
-        release_surplus(points, granted, np.array(delivered, dtype=np.int64),
-                        self.pools)
-
-    def _step_tag(self) -> None:
-        record = self.hops.step(self.channel, self._channel_rng)
-        self.session_rows.extend(map(SessionRow._make, zip(
-            repeat(self.slot), *(column.tolist() for column in record))))
 
     def _snapshot_pools(self) -> None:
         """Append this slot's pool rows and rebuild the load table."""

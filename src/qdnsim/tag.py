@@ -23,9 +23,11 @@ A run keeps every live hop as one row of a ``HopTable``, whose columns are
 matrices.  A slot is a chain of passes over such columns: ``_reserve``
 states every per-hop memory rule, ``_plan`` the scheduler's rule, ``_runs``
 and ``_hits`` lay out and count a plan's channel outcomes, and ``_send``
-applies them.  ``HopTable.step`` runs the chain for every hop at once;
-``reserve_sharing``, ``plan_transfers`` and ``HopSession.send`` run its
-links for hops given one at a time, each hop as a one-row table.
+applies them.  ``HopTable.step`` runs the chain for every hop at once and
+steps the windows by ``tele.advance_windows``, the rule teleportation
+sessions share; ``reserve_sharing``, ``plan_transfers`` and
+``HopSession.send`` run its links for hops given one at a time, each hop
+as a one-row table.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -41,12 +43,9 @@ from .errors import DeadlockError
 from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST, Incidence,
                      PoolTable, reserve)
 from .routing import Path
-from .tele import Phase
+from .tele import PHASE_WORDS, UNBOUNDED, Phase, advance_windows
 
 INITIAL_WINDOW = 2
-
-#: ``HopTable.unminted`` of an ingress hop that mints without end.
-UNBOUNDED = -1
 
 #: A relay queue cap that never binds, for a hop that forwards nowhere.
 _NEVER = np.iinfo(np.int64).max
@@ -239,18 +238,6 @@ class HopSession:
                             else self.unminted]], dtype=np.int64))
 
 
-@dataclass
-class TagFlow:
-    """End-to-end tell-and-go session; its hops are rows of a ``HopTable``."""
-
-    id: int
-    remaining: int | None  # qubits yet to deliver; None for a stream
-
-    @property
-    def finished(self) -> bool:
-        return self.remaining == 0
-
-
 def reserve_sharing(hops: list[HopSession], pools: PoolTable
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reserve one slot's memory for ``hops`` by ``_reserve``'s rules;
@@ -441,114 +428,78 @@ def _bins(counts: list[int]) -> dict[int, int]:
     return {round_: n for round_, n in enumerate(counts) if n}
 
 
-#: A ``HopTable`` row's phase code indexes these; rows print their words.
-_PHASES = (Phase.SLOW_START, Phase.AVOIDANCE)
-_PHASE_WORDS = np.array([phase.value for phase in _PHASES], dtype=object)
-
-
-class HopRecord(NamedTuple):
-    """One slot's trace columns, one entry per hop in table order, in
-    ``SessionRow`` field order: the window and phase announced, the grant,
-    the sharings sent and lost, and the first sharings stored after it."""
-
-    session: np.ndarray
-    hop: np.ndarray
-    window: np.ndarray
-    congested: np.ndarray
-    granted: np.ndarray
-    delivered: np.ndarray
-    phase: np.ndarray  # words, as Python str objects
-    firsts: np.ndarray
-    seconds: np.ndarray
-    losses: np.ndarray
-    stored: np.ndarray
-
-
 class HopTable:
     """Every live tell-and-go hop of a run: one ``HopSession`` per row, held
-    as columns, in flow admission then hop order.
+    as columns, in session admission then hop order.
 
     ``send`` and ``receive`` are pool indices and ``phase`` indexes
-    ``_PHASES``.  ``unminted`` is ``UNBOUNDED`` for an unbounded stream, and
-    ``queue_bound`` counts only on relay hops (``hop`` > 0).  ``forwards``
-    marks a row whose deliveries go to the next row's relay queue.
-    ``firsts[:, r]`` and ``seconds[:, r]`` count the in-flight qubits of
-    round ``r`` due a first or a second sharing; a column is added when a
-    lost second moves past the last round.  ``stored`` counts the first
-    sharings each receiver holds.  ``flows`` are the live flows, one per
-    egress row, in the same order.
+    ``tele.PHASES``.  ``unminted`` is ``UNBOUNDED`` for an unbounded
+    stream, and ``queue_bound`` counts only on relay hops (``hop`` > 0).
+    ``forwards`` marks a row whose deliveries go to the next row's relay
+    queue; the other rows are egress hops, whose ``remaining`` counts the
+    qubits their session has yet to deliver (``UNBOUNDED`` on every other
+    row and for a stream).  ``firsts[:, r]`` and ``seconds[:, r]`` count
+    the in-flight qubits of round ``r`` due a first or a second sharing; a
+    column is added when a lost second moves past the last round.
+    ``stored`` counts the first sharings each receiver holds.  Sharings
+    succeed by ``channel``, drawn from ``rng``.
     """
 
     _COLUMNS = ("session", "hop", "send", "receive", "window", "phase",
-                "backlog", "unminted", "queue_bound", "stored", "forwards",
-                "firsts", "seconds")
+                "backlog", "unminted", "remaining", "queue_bound", "stored",
+                "forwards", "firsts", "seconds")
 
-    def __init__(self, pools: PoolTable):
-        self.pools = pools
-        self.flows: list[TagFlow] = []
+    def __init__(self, pools: PoolTable, channel: ChannelModel,
+                 rng: np.random.Generator, switched: bool):
+        self.pools, self.channel, self.rng = pools, channel, rng
+        self.switched = switched
         for name in self._COLUMNS:
             setattr(self, name, np.zeros(0, dtype=np.int64))
         self.forwards = self.forwards.astype(bool)
         self.firsts = self.seconds = np.zeros((0, 1), dtype=np.int64)
 
-    def admit(self, sid: int, path: Path, qubits: int | None,
-              initial_window: int | None, switched: bool) -> TagFlow:
-        """Append session ``sid`` along ``path``: one hop per link over
-        relays, one end-to-end hop when ``switched``.  The ingress hop mints
-        ``qubits``; a relay hop queues what its sender's send pool can hold
-        in flight.  Returns the flow."""
-        nodes = (path.src, path.dst) if switched else path.nodes
-        index, count = self.pools.index, len(nodes) - 1
-        send = np.array([index[node, "send"] for node in nodes[:-1]],
-                        dtype=np.int64)
-        blank = np.zeros(count, dtype=np.int64)
-        rows = {
-            "session": blank + sid,
-            "hop": np.arange(count, dtype=np.int64),
-            "send": send,
-            "receive": np.array([index[node, "receive"] for node in nodes[1:]],
-                                dtype=np.int64),
-            "window": blank + (initial_window or INITIAL_WINDOW),
-            "unminted": np.r_[UNBOUNDED if qubits is None else qubits,
-                              blank[1:]],
-            "queue_bound": np.r_[0, self.pools.capacity[send[1:]]
-                                 // TAG_QUBIT_UNITS],
-            "forwards": np.arange(count) < count - 1,
-            "firsts": np.zeros((count, self.firsts.shape[1]), dtype=np.int64),
-        }
-        rows["seconds"] = rows["firsts"]
+    def admit(self, sessions: list[tuple[int, Path, int | None, int | None]]
+              ) -> None:
+        """Append one slot's sessions, each ``(id, path, qubits, initial
+        window)``, in order: one hop per link over relays, one end-to-end
+        hop when ``switched``.  The ingress hop mints ``qubits`` and the
+        egress hop counts them down; a relay hop queues what its sender's
+        send pool can hold in flight."""
+        if not sessions:
+            return
+        index, rows = self.pools.index, []
+        for sid, path, qubits, initial_window in sessions:
+            nodes = (path.src, path.dst) if self.switched else path.nodes
+            supply = UNBOUNDED if qubits is None else qubits
+            last = len(nodes) - 2
+            rows.extend(
+                (sid, hop, index[sender, "send"], index[receiver, "receive"],
+                 initial_window or INITIAL_WINDOW, supply if hop == 0 else 0,
+                 supply if hop == last else UNBOUNDED, hop < last)
+                for hop, (sender, receiver) in enumerate(zip(nodes, nodes[1:])))
+        names = ("session", "hop", "send", "receive", "window", "unminted",
+                 "remaining", "forwards")
+        new = dict(zip(names, np.array(rows, dtype=np.int64).T))
+        new["forwards"] = new["forwards"].astype(bool)
+        new["queue_bound"] = (self.pools.capacity[new["send"]]
+                              // TAG_QUBIT_UNITS)
+        blank = np.zeros(len(rows), dtype=np.int64)
+        new["firsts"] = new["seconds"] = np.zeros(
+            (len(rows), self.firsts.shape[1]), dtype=np.int64)
         for name in self._COLUMNS:
             setattr(self, name, np.concatenate(
-                [getattr(self, name), rows.get(name, blank)]))
-        flow = TagFlow(id=sid, remaining=qubits)
-        self.flows.append(flow)
-        return flow
+                [getattr(self, name), new.get(name, blank)]))
 
-    def hops(self) -> list[HopSession]:
-        """A copy of every row as a ``HopSession``."""
-        keys, hops = self.pools.keys, []
-        for (session, hop, send, receive, window, phase, backlog, unminted,
-             bound, stored, _, firsts, seconds) in zip(*(
-                getattr(self, name).tolist() for name in self._COLUMNS)):
-            copy = HopSession(
-                session=session, hop=hop, sender=keys[send][0],
-                receiver=keys[receive][0], window=window,
-                phase=_PHASES[phase], backlog=backlog,
-                unminted=None if unminted == UNBOUNDED else unminted,
-                queue_bound=bound if hop else None)
-            copy.firsts, copy.seconds = _bins(firsts), _bins(seconds)
-            copy.stored_firsts = stored
-            hops.append(copy)
-        return hops
-
-    def step(self, channel: ChannelModel,
-             rng: np.random.Generator) -> HopRecord:
+    def step(self) -> tuple[np.ndarray, ...]:
         """One slot for every hop: reserve by ``_reserve``, plan by
         ``_plan``, draw every planned sharing at once by
         ``ChannelModel.successes``, send by ``_send``, advance the windows
         and hand relayed qubits downstream.  A plan reads the next hop's
-        relay queue as it stood at the start of the slot.  Finished flows
-        leave the table.  Returns the slot's trace columns."""
+        relay queue as it stood at the start of the slot.  Finished
+        sessions leave the table.  Returns the slot's trace columns in
+        ``SessionRow`` field order after ``slot``: the window and phase
+        announced, the grant, the sharings sent and lost, and the first
+        sharings stored after it."""
         granted, congested, receiver_free = _reserve(
             self.pools, self.send, self.receive, self.window,
             self.firsts.sum(axis=1) + self.seconds.sum(axis=1), self.stored,
@@ -559,32 +510,24 @@ class HopTable:
             self.stored, self.firsts, self.seconds, self.backlog,
             self.unminted)
         runs = _runs(take_seconds, take_firsts, encodes)
-        ok = channel.successes(rng, runs)
+        ok = self.channel.successes(self.rng, runs)
         (self.firsts, self.seconds, self.stored, self.backlog, self.unminted,
          delivered) = _send(self.firsts, self.seconds, self.stored,
                             self.backlog, self.unminted, runs, ok)
-        record = HopRecord(
-            session=self.session, hop=self.hop, window=self.window,
-            congested=congested.astype(np.int64), granted=granted,
-            delivered=delivered, phase=_PHASE_WORDS[self.phase],
-            firsts=take_firsts.sum(axis=1) + encodes,
-            seconds=take_seconds.sum(axis=1),
-            losses=runs.sum(axis=1) - ok.sum(axis=1), stored=self.stored)
-        self._advance_windows(congested)
+        record = (self.session, self.hop, self.window,
+                  congested.astype(np.int64), granted, delivered,
+                  PHASE_WORDS[self.phase],
+                  take_firsts.sum(axis=1) + encodes,
+                  take_seconds.sum(axis=1),
+                  runs.sum(axis=1) - ok.sum(axis=1), self.stored)
+        self.window, self.phase = advance_windows(self.window, self.phase,
+                                                  congested)
         self._hand_over(delivered)
         return record
 
-    def _advance_windows(self, congested: np.ndarray) -> None:
-        """``tele.next_window`` for every row."""
-        window = np.where(congested, self.window // 2, self.window)
-        self.phase = np.where(congested, _PHASES.index(Phase.AVOIDANCE),
-                              self.phase)
-        slow = self.phase == _PHASES.index(Phase.SLOW_START)
-        self.window = np.maximum(1, np.where(slow, 2 * window, window + 1))
-
     def _hand_over(self, delivered: np.ndarray) -> None:
-        """Relay deliveries into the next hop's queue, count what each flow's
-        egress hop delivered, and retire the flows that are done."""
+        """Relay deliveries into the next hop's queue, count down what each
+        egress hop delivered, and retire the sessions that are done."""
         arriving = np.r_[0, np.where(self.forwards, delivered, 0)[:-1]]
         full = np.flatnonzero(arriving > self.queue_bound - self.backlog)
         if len(full):
@@ -592,15 +535,10 @@ class HopTable:
             raise OverflowError(f"relay queue full on hop {self.hop[row]} of "
                                 f"session {self.session[row]}")
         self.backlog = self.backlog + arriving
-        egress = delivered[~self.forwards]
-        for position in np.flatnonzero(egress).tolist():
-            flow = self.flows[position]
-            if flow.remaining is not None:
-                flow.remaining -= int(egress[position])
-        if any(flow.finished for flow in self.flows):
-            done = [flow.id for flow in self.flows if flow.finished]
-            live = ~np.isin(self.session, done)
+        self.remaining = np.where(self.remaining == UNBOUNDED, UNBOUNDED,
+                                  self.remaining - delivered)
+        done = self.remaining == 0
+        if done.any():
+            live = ~np.isin(self.session, self.session[done])
             for name in self._COLUMNS:
                 setattr(self, name, getattr(self, name)[live])
-            self.flows = [flow for flow in self.flows if not flow.finished]
-

@@ -5,16 +5,23 @@ announced demand against its pool, and the window is halved exactly once
 if any node reports congestion.  Windows then grow again: doubling in slow
 start, plus one in congestion avoidance.  Two variants are provided: an
 explicit per-node fair share (EW) and a fair-share threshold check that
-keeps the halving dynamics (FRA).  A session's reservation points are
-fixed at admission (``session_points``); each scheme reserves over the
-``incidence`` of one slot's sessions and returns the granted windows and
-halved flags in session order.
+keeps the halving dynamics (FRA).  ``next_window`` states the window rule
+for one session and ``advance_windows`` for columns of them; both
+transports' tables step their windows by it.
+
+A run keeps every live session as one row of a ``SessionTable``.  A
+session's reservation points are fixed at admission (``session_points``)
+and the table holds them concatenated; each scheme reserves over one
+slot's ``memory.Incidence`` of them and returns the granted windows and
+halved flags in session order.  ``TeleSession`` is one row as fields, the
+scalar reference the table is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -25,10 +32,18 @@ from .routing import Path
 #: Window a session announces in its first slot unless it asks otherwise.
 INITIAL_WINDOW = 1
 
+#: A table's ``remaining`` (or ``unminted``) entry for an unbounded stream.
+UNBOUNDED = -1
+
 
 class Phase(Enum):
     SLOW_START = "SS"
     AVOIDANCE = "CA"
+
+
+#: A table row's phase code indexes these; rows print their words.
+PHASES = (Phase.SLOW_START, Phase.AVOIDANCE)
+PHASE_WORDS = np.array([phase.value for phase in PHASES], dtype=object)
 
 
 def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, Phase]:
@@ -50,6 +65,15 @@ def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, Phase]
     return max(1, upcoming), phase
 
 
+def advance_windows(window: np.ndarray, phase: np.ndarray,
+                    congested: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``next_window`` for every row of window and phase-code columns."""
+    window = np.where(congested, window // 2, window)
+    phase = np.where(congested, PHASES.index(Phase.AVOIDANCE), phase)
+    slow = phase == PHASES.index(Phase.SLOW_START)
+    return np.maximum(1, np.where(slow, 2 * window, window + 1)), phase
+
+
 def session_points(path: Path, pools: PoolTable) -> np.ndarray:
     """A session's reservation points, fixed by its path: pool indices
     over unit costs.  The source's send pool, transit at each intermediate
@@ -64,18 +88,13 @@ def session_points(path: Path, pools: PoolTable) -> np.ndarray:
 
 @dataclass
 class TeleSession:
-    """One end-to-end flow with its sending-window state.
-
-    ``points`` are its ``session_points``, set at admission and kept for
-    the session's life; a finished session leaves the engine's flow table.
-    """
+    """One end-to-end flow with its sending-window state: one
+    ``SessionTable`` row as fields."""
 
     id: int
     remaining: int | None  # None means an unbounded stream
     window: int = INITIAL_WINDOW
     phase: Phase = Phase.SLOW_START
-    points: np.ndarray | None = field(default=None, repr=False,
-                                      compare=False)
 
     @property
     def finished(self) -> bool:
@@ -94,27 +113,10 @@ class TeleSession:
         return delivered
 
 
-def incidence(sessions: list[TeleSession]) -> Incidence:
-    """The points of ``sessions``, in session order; ties go to the lower
-    session id."""
-    pool, num = np.concatenate(
-        [np.zeros((2, 0), dtype=np.int64)]
-        + [session.points for session in sessions], axis=1)
-    rank = np.repeat(np.arange(len(sessions)),
-                     [session.points.shape[1] for session in sessions])
-    ids = np.array([session.id for session in sessions], dtype=np.int64)
-    return Incidence(pool, rank, ids[rank], num, np.ones_like(num),
-                     np.zeros_like(num))
-
-
-def _windows(sessions: list[TeleSession]) -> np.ndarray:
-    return np.array([session.window for session in sessions], dtype=np.int64)
-
-
-def reserve_teleport(sessions: list[TeleSession], points: Incidence,
+def reserve_teleport(windows: np.ndarray, points: Incidence,
                      pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
     """Announced-window reservation, by ``memory.reserve``."""
-    return reserve(pools, points, _windows(sessions))
+    return reserve(pools, points, windows)
 
 
 def _fair_shares(points: Incidence, pools: PoolTable) -> np.ndarray:
@@ -138,7 +140,7 @@ def _fair_shares(points: Incidence, pools: PoolTable) -> np.ndarray:
         share, np.flatnonzero(np.diff(points.rank, prepend=-1)))
 
 
-def reserve_explicit(sessions: list[TeleSession], points: Incidence,
+def reserve_explicit(windows: np.ndarray, points: Incidence,
                      pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
     """Explicit-window variant: every node splits evenly among its sessions.
 
@@ -148,13 +150,12 @@ def reserve_explicit(sessions: list[TeleSession], points: Incidence,
     """
     granted = _fair_shares(points, pools)
     pools.hold(points, granted)
-    return granted, np.zeros(len(sessions), dtype=bool)
+    return granted, np.zeros(len(windows), dtype=bool)
 
 
-def reserve_fair(sessions: list[TeleSession], points: Incidence,
+def reserve_fair(windows: np.ndarray, points: Incidence,
                  pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
     """Fair-share threshold variant: halve whenever a request exceeds C/N."""
-    windows = _windows(sessions)
     congested = windows > _fair_shares(points, pools)
     granted = np.where(congested, windows // 2, windows)
     pools.hold(points, granted)
@@ -166,3 +167,72 @@ def release_surplus(points: Incidence, granted: np.ndarray,
     """Give back ``cost(granted) - cost(delivered)`` at every point."""
     pools.reserved -= pools.sums(
         points.pool, points.costs(granted) - points.costs(delivered))
+
+
+class SessionTable:
+    """Every live teleportation session of a run: one ``TeleSession`` per
+    row, held as columns, in admission order.
+
+    ``phase`` indexes ``PHASES`` and ``remaining`` is ``UNBOUNDED`` for an
+    unbounded stream.  ``pool`` and ``num`` are the rows'
+    ``session_points`` concatenated, ``length`` of them per row.  Each slot
+    reserves by ``scheme``; under the ``explicit`` (EW) rule a row
+    announces its grant, prints ``-`` as its phase and keeps its window.
+    """
+
+    _COLUMNS = ("session", "window", "phase", "remaining", "length")
+
+    def __init__(self, pools: PoolTable, scheme: Callable, explicit: bool):
+        self.pools, self.scheme, self.explicit = pools, scheme, explicit
+        for name in (*self._COLUMNS, "pool", "num"):
+            setattr(self, name, np.zeros(0, dtype=np.int64))
+
+    def admit(self, sessions: list[tuple[int, Path, int | None, int | None]]
+              ) -> None:
+        """Append one slot's sessions, each ``(id, path, qubits, initial
+        window)``, in order."""
+        if not sessions:
+            return
+        points = [session_points(path, self.pools) for _, path, _, _ in sessions]
+        rows = np.array([
+            (sid, window or INITIAL_WINDOW, 0,
+             UNBOUNDED if qubits is None else qubits, point.shape[1])
+            for (sid, _, qubits, window), point in zip(sessions, points)],
+            dtype=np.int64)
+        for name, column in zip(self._COLUMNS, rows.T):
+            setattr(self, name, np.concatenate([getattr(self, name), column]))
+        self.pool, self.num = np.concatenate([[self.pool, self.num], *points],
+                                             axis=1)
+
+    def step(self) -> tuple[np.ndarray, ...]:
+        """One slot for every session: reserve, transfer up to the grant,
+        give back what the grant did not carry, advance the windows and
+        retire the sessions that are done.  Returns the slot's trace
+        columns in ``SessionRow`` field order after ``slot``; ties go to
+        the lower session id."""
+        n = len(self.session)
+        rank = np.repeat(np.arange(n), self.length)
+        points = Incidence(self.pool, rank, self.session[rank], self.num,
+                           np.ones_like(self.num), np.zeros_like(self.num))
+        granted, congested = self.scheme(self.window, points, self.pools)
+        stream = self.remaining == UNBOUNDED
+        delivered = np.where(stream, granted,
+                             np.minimum(granted, self.remaining))
+        release_surplus(points, granted, delivered, self.pools)
+        zeros = np.zeros(n, dtype=np.int64)
+        if self.explicit:
+            window, phase = granted, np.full(n, "-", dtype=object)
+        else:
+            window, phase = self.window, PHASE_WORDS[self.phase]
+            self.window, self.phase = advance_windows(self.window, self.phase,
+                                                      congested)
+        record = (self.session, zeros, window, congested.astype(np.int64),
+                  granted, delivered, phase, zeros, zeros, zeros, zeros)
+        self.remaining = np.where(stream, UNBOUNDED, self.remaining - delivered)
+        live = self.remaining != 0
+        if not live.all():
+            kept = np.repeat(live, self.length)
+            self.pool, self.num = self.pool[kept], self.num[kept]
+            for name in self._COLUMNS:
+                setattr(self, name, getattr(self, name)[live])
+        return record

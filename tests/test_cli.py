@@ -162,6 +162,11 @@ class TestParseConfig:
         ({"topology": waxman(alpha=0.001)}, "waxman: alpha"),
         ({"topology": waxman(alpha=1e-300)}, "waxman: alpha"),
         ({"topology": waxman(alpha=1e-310)}, "waxman: alpha"),
+        ({"protocol": "tag", "network": "tag_relay",
+          "sessions": [{"qubits": 1}, {"qubits": 2**63}]},
+         "session 1: qubits must be at most 9223372036854775807"),
+        ({"sessions": [{"qubits": 1}, {"qubits": 2**63}]},
+         "session 1: qubits must be at most 9223372036854775807"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -305,6 +310,9 @@ class TestMain:
         {"topology": waxman(alpha=0.0014)},
         {"topology": waxman(alpha=0.001)},
         {"topology": waxman(alpha=1e-300)},
+        {"protocol": "tag", "network": "tag_relay",
+         "sessions": [{"qubits": 2**63}]},
+        {"sessions": [{"qubits": 2**63}]},
     ])
     def test_bad_session_or_waxman_is_an_error_record(self, tmp_path, capsys,
                                                      overrides):
@@ -314,6 +322,17 @@ class TestMain:
         assert code == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("protocol, network", [("tag", "tag_relay"),
+                                                   ("tele", "tele")])
+    def test_largest_session_runs(self, tmp_path, capsys, protocol, network):
+        # Qubit counts are int64 columns: 2**63 - 1 qubits is the largest
+        # session a run accepts.
+        doc = minimal_doc(protocol=protocol, network=network,
+                          sessions=[{"qubits": 2**63 - 1}])
+        code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("second", [
         {"src": 10},

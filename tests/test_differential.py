@@ -14,12 +14,14 @@ import hashlib
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracle import tag_loop
 from qdnsim.engine import (Engine, Protocol, RunConfig, SessionSpec,
                            WaxmanSpec, run)
 from qdnsim.errors import QdnError
+from qdnsim.tele import UNBOUNDED
 from qdnsim.topology import NetworkKind
 
 CONFIG_COUNT = 96
@@ -153,19 +155,21 @@ def test_invariants_hold_after_every_step(index):
             if row.hop == (len(engine.paths[row.session]) - 2 if relay else 0):
                 delivered[row.session] = (delivered.get(row.session, 0)
                                           + row.delivered)
-        held = dict.fromkeys(engine.flows, 0)
-        minted = {}
-        for hop in engine.hops.hops():
-            assert hop.stored_firsts == (
-                sum(round_ * n for round_, n in hop.firsts.items())
-                + sum((round_ + 1) * n for round_, n in hop.seconds.items())
-            ), hop
-            held[hop.session] += hop.in_flight_count + hop.backlog
-            if hop.hop == 0 and hop.unminted is not None:
-                minted[hop.session] = (cfg.sessions[hop.session].qubits
-                                       - hop.unminted)
-        for sid, qubits in minted.items():
-            assert qubits == delivered.get(sid, 0) + held[sid], sid
+        table = engine.table
+        rounds = np.arange(table.firsts.shape[1])
+        assert (table.stored == table.firsts @ rounds
+                + table.seconds @ (rounds + 1)).all(), table.stored
+        live = table.session.tolist()
+        held = dict.fromkeys(live, 0)
+        for sid, count in zip(live, (table.firsts.sum(axis=1)
+                                     + table.seconds.sum(axis=1)
+                                     + table.backlog).tolist()):
+            held[sid] += count
+        for sid, hop, unminted in zip(live, table.hop.tolist(),
+                                      table.unminted.tolist()):
+            if hop == 0 and unminted != UNBOUNDED:
+                minted = cfg.sessions[sid].qubits - unminted
+                assert minted == delivered.get(sid, 0) + held[sid], sid
         for sid, spec in enumerate(cfg.sessions):
-            if sid in engine.paths and sid not in engine.flows:
+            if sid in engine.paths and sid not in held:
                 assert delivered.get(sid, 0) == spec.qubits

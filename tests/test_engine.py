@@ -76,8 +76,11 @@ class TestTeleRuns:
         engine = Engine(star_config(Protocol.TELE, NetworkKind.TELE,
                                     [(3, 5), (None, None)], n_slots=2))
         engine.step()
-        assert list(engine.flows) == [1]
-        assert engine.flows[1].points.shape == (2, 3)
+        index = engine.pools.index
+        assert engine.table.session.tolist() == [1]
+        assert engine.table.length.tolist() == [3]
+        assert engine.table.pool.tolist() == [
+            index[2, "send"], index[0, "transit"], index[3, "receive"]]
         assert engine.paths == {0: (1, 0, 3), 1: (2, 0, 3)}
         assert engine.run().paths == engine.paths
 
@@ -279,7 +282,7 @@ class TestReservationLifetime:
             engine.step()
             assert not engine.pools.reserved.any()
             if protocol is Protocol.TAG:
-                hops = engine.hops
+                hops = engine.table
                 carried += int(hops.firsts.sum() + hops.seconds.sum()
                                + hops.stored.sum())
         assert any(row.reserved for row in engine.pool_rows)
@@ -670,9 +673,9 @@ def test_summary_cases_reach_every_edge():
                                   "golden/tag_relay_staggered",
                                   "late_and_empty/tag/tag_relay"])
 def test_flows_hold_only_live_sessions(name):
-    """After every slot, ``flows`` holds the admitted sessions that have
-    not delivered all their qubits, in admission order, and ``paths`` every
-    admitted session, one with no qubits included."""
+    """After every slot, the flow table holds the admitted sessions that
+    have not delivered all their qubits, in admission order, and ``paths``
+    every admitted session, one with no qubits included."""
     engine = Engine(SUMMARY_CASES[name]())
     specs = engine.cfg.sessions
     relay = engine.cfg.network is NetworkKind.TAG_RELAY
@@ -688,10 +691,27 @@ def test_flows_hold_only_live_sessions(name):
             if row.hop == (len(engine.paths[row.session]) - 2 if relay else 0):
                 delivered[row.session] += row.delivered
         live = [sid for sid in admitted if delivered[sid] != specs[sid].qubits]
-        assert list(engine.flows) == live
-        assert [flow.id for flow in engine.flows.values()] == live
-        if engine.cfg.protocol is Protocol.TAG:
-            assert list(dict.fromkeys(engine.hops.session.tolist())) == live
+        assert list(dict.fromkeys(engine.table.session.tolist())) == live
         retired.update(set(admitted) - set(live))
     assert retired  # each case retires at least one session
 
+
+
+@pytest.mark.parametrize("protocol, network", [
+    (Protocol.TELE, NetworkKind.TELE),
+    (Protocol.TAG, NetworkKind.TAG_RELAY),
+], ids=["tele", "tag_relay"])
+def test_admitting_nothing_leaves_the_table_unchanged(protocol, network):
+    """A slot that admits no session leaves every column of the flow table
+    as it was, the very same arrays."""
+    engine = Engine(RunConfig(
+        seed=1, protocol=protocol, network=network,
+        topology=WaxmanSpec(n_infra=8, target_avg_degree=3.0, area_side=40.0),
+        sessions=4, n_slots=3))
+    engine.step()
+    before = dict(vars(engine.table))
+    assert len(engine.table.session)
+    engine.table.admit([])
+    after = vars(engine.table)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())

@@ -7,12 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qdnsim.memory import (MAX_UNITS, RECEIVE_COST, TAG_QUBIT_UNITS,
+from qdnsim.memory import (RECEIVE_COST, TAG_QUBIT_UNITS,
                            TAG_SEND_COST, MemoryPool, PoolTable, cost)
 from qdnsim.rng import stream
 from qdnsim.routing import Path
 from qdnsim.tag import (
-    _PHASES,
     ChannelModel,
     HopSession,
     HopTable,
@@ -23,7 +22,7 @@ from qdnsim.tag import (
     plan_transfers,
     reserve_sharing,
 )
-from qdnsim.tele import Phase, next_window
+from qdnsim.tele import UNBOUNDED, Phase, next_window
 
 
 def hop_with(in_flight=(), queued=0, window=2):
@@ -424,52 +423,74 @@ class TestTagFlowAdmit:
                        for kind in ("send", "receive")])
 
     def admit(self, sid, qubits, initial_window, switched):
-        """The admitted flow and its rows of a fresh hop table."""
-        table = HopTable(self.pools)
-        flow = table.admit(sid, self.path, qubits, initial_window, switched)
-        return flow, table.hops()
+        """A fresh hop table with the flow admitted."""
+        table = HopTable(self.pools, ChannelModel(1.0), stream(0, "channel"),
+                         switched)
+        table.admit([(sid, self.path, qubits, initial_window)])
+        return table
 
-    def hops(self, hops):
-        return [(hop.session, hop.hop, hop.sender, hop.receiver, hop.unminted,
-                 hop.queue_bound) for hop in hops]
+    def hops(self, table):
+        """Each row as (session, hop, sender, receiver, unminted, queue
+        bound, remaining), with None for an unbounded count or no bound."""
+        keys = self.pools.keys
+        return [(session, hop, keys[send][0], keys[receive][0],
+                 None if unminted == UNBOUNDED else unminted,
+                 bound if hop else None,
+                 None if remaining == UNBOUNDED else remaining)
+                for session, hop, send, receive, unminted, bound, remaining
+                in zip(*(getattr(table, name).tolist() for name in (
+                    "session", "hop", "send", "receive", "unminted",
+                    "queue_bound", "remaining")))]
 
     def test_switch_flow_is_one_end_to_end_hop(self):
-        flow, hops = self.admit(4, 7, None, switched=True)
-        assert (flow.id, flow.remaining) == (4, 7)
-        assert self.hops(hops) == [(4, 0, 1, 2, 7, None)]
+        table = self.admit(4, 7, None, switched=True)
+        assert self.hops(table) == [(4, 0, 1, 2, 7, None, 7)]
+        assert table.forwards.tolist() == [False]
 
     def test_relay_flow_has_one_hop_per_link(self):
-        flow, hops = self.admit(4, 7, None, switched=False)
-        assert (flow.id, flow.remaining) == (4, 7)
-        # Only the ingress hop mints qubits; each relay hop's queue is
-        # bounded by its sender's send pool // 3.
-        assert self.hops(hops) == [(4, 0, 1, 0, 7, None),
-                                   (4, 1, 0, 5, 0, 11 // TAG_QUBIT_UNITS),
-                                   (4, 2, 5, 2, 0, 12 // TAG_QUBIT_UNITS)]
+        table = self.admit(4, 7, None, switched=False)
+        # Only the ingress hop mints qubits and only the egress hop counts
+        # what is left to deliver; each relay hop's queue is bounded by its
+        # sender's send pool // 3.
+        assert self.hops(table) == [
+            (4, 0, 1, 0, 7, None, None),
+            (4, 1, 0, 5, 0, 11 // TAG_QUBIT_UNITS, None),
+            (4, 2, 5, 2, 0, 12 // TAG_QUBIT_UNITS, 7)]
+        assert table.forwards.tolist() == [True, True, False]
 
     def test_unbounded_stream_mints_without_end(self):
-        flow, hops = self.admit(0, None, None, switched=False)
-        assert flow.remaining is None and not flow.finished
-        assert [hop.unminted for hop in hops] == [None, 0, 0]
+        table = self.admit(0, None, None, switched=False)
+        assert [hop[4] for hop in self.hops(table)] == [None, 0, 0]
+        assert [hop[6] for hop in self.hops(table)] == [None] * 3
 
     @pytest.mark.parametrize("switched", [True, False])
     def test_initial_window(self, switched):
-        _, absent = self.admit(0, 3, None, switched)
-        assert {hop.window for hop in absent} == {2}
-        _, kept = self.admit(0, 3, 9, switched)
-        assert {hop.window for hop in kept} == {9}
+        assert set(self.admit(0, 3, None, switched).window.tolist()) == {2}
+        assert set(self.admit(0, 3, 9, switched).window.tolist()) == {9}
 
     def test_relay_queue_overflow_is_an_error(self):
         # Relay 0's queue holds 11 // 3 = 3 qubits: a third delivery fills
         # it, a fourth overflows it.
-        table = HopTable(self.pools)
-        table.admit(4, self.path, 7, None, switched=False)
+        table = self.admit(4, 7, None, switched=False)
         table.backlog[1] = 2
         table._hand_over(np.array([1, 0, 0]))
         assert table.backlog.tolist() == [0, 3, 0]
         with pytest.raises(OverflowError, match=(
                 "^relay queue full on hop 1 of session 4$")):
             table._hand_over(np.array([1, 0, 0]))
+
+    def test_one_slot_admits_flows_in_order(self):
+        # Two flows admitted together: rows by flow, then by hop, and a
+        # finished flow's rows leave together.
+        table = HopTable(self.pools, ChannelModel(1.0), stream(0, "channel"),
+                         switched=False)
+        table.admit([(4, self.path, 7, None),
+                     (2, Path((2, 5, 1)), 1, None)])
+        assert list(zip(table.session.tolist(), table.hop.tolist())) == [
+            (4, 0), (4, 1), (4, 2), (2, 0), (2, 1)]
+        table._hand_over(np.array([0, 0, 0, 0, 1]))
+        assert table.session.tolist() == [4, 4, 4]
+        assert table.remaining.tolist() == [UNBOUNDED, UNBOUNDED, 7]
 
 
 class TestPipeline:
@@ -567,21 +588,3 @@ class TestWindowRules:
                          phase=Phase.AVOIDANCE)
         hop.window, hop.phase = next_window(hop.window, hop.phase, True)
         assert hop.window == 5
-
-    def test_table_steps_windows_by_next_window(self):
-        """``HopTable._advance_windows`` is ``next_window`` on every row, from
-        window 1 to windows past ``MAX_UNITS``, in both phases, congested
-        or not."""
-        windows = [*range(1, 10), 15, 16, 17, MAX_UNITS - 1, MAX_UNITS,
-                   MAX_UNITS + 1, 2 * MAX_UNITS + 1]
-        grid = [(window, phase, congested) for window in windows
-                for phase in _PHASES for congested in (False, True)]
-        table = HopTable(PoolTable([]))
-        table.window = np.array([window for window, _, _ in grid],
-                                dtype=np.int64)
-        table.phase = np.array([_PHASES.index(phase) for _, phase, _ in grid],
-                               dtype=np.int64)
-        table._advance_windows(np.array([cut for _, _, cut in grid]))
-        got = list(zip(table.window.tolist(),
-                       (_PHASES[code] for code in table.phase.tolist())))
-        assert got == [next_window(*row) for row in grid]

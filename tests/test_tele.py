@@ -1,17 +1,23 @@
-"""Window control and the three teleportation reservation schemes."""
+"""Window control, the three teleportation reservation schemes and the
+session table that runs them."""
+
+import random
 
 import numpy as np
+import pytest
 
-from qdnsim.memory import (RECEIVE_COST, TELE_SEND_COST, MemoryPool,
-                           PoolTable)
+from qdnsim.memory import (MAX_UNITS, RECEIVE_COST, TELE_SEND_COST,
+                           MemoryPool, PoolTable)
 from qdnsim.routing import Path
 from qdnsim.tele import (
+    INITIAL_WINDOW,
+    PHASES,
     Phase,
+    SessionTable,
     TeleSession,
-    incidence,
+    advance_windows,
     next_window,
     reserve_explicit,
-    release_surplus,
     reserve_fair,
     reserve_teleport,
     session_points,
@@ -33,16 +39,15 @@ def star_pools(n_sessions, egress_receive, ingress_send=10**6, hub_transit=10**6
     return PoolTable(pools), egress
 
 
-def star_sessions(windows, egress, pools, remaining=None):
-    paths = [Path((i + 1, 0, egress)) for i in range(len(windows))]
-    return [
-        TeleSession(id=i, remaining=remaining, window=w,
-                    points=session_points(path, pools))
-        for i, (path, w) in enumerate(zip(paths, windows))
-    ]
+def star_sessions(windows, egress):
+    """Admissions of unbounded sessions 0..n-1, from hosts 1..n through
+    hub 0 to ``egress``, announcing ``windows``."""
+    return [(i, Path((i + 1, 0, egress)), None, w)
+            for i, w in enumerate(windows)]
 
 
-def unsorted_star(windows, send_capacities, egress_receive=10**6):
+def unsorted_star(windows, send_capacities, egress_receive=10**6,
+                  qubits=(None, None, None)):
     """Sessions 7, 3 and 5, in that order, from hosts 1..3 through hub 0 to
     host 4; each host's send pool has its own capacity."""
     pools = [MemoryPool(0, "transit", 10**6), MemoryPool(4, "send", 10**6),
@@ -50,13 +55,10 @@ def unsorted_star(windows, send_capacities, egress_receive=10**6):
     for host, send in enumerate(send_capacities, start=1):
         pools.append(MemoryPool(host, "send", send))
         pools.append(MemoryPool(host, "receive", 10**6))
-    pools = PoolTable(pools)
-    sessions = [
-        TeleSession(id=sid, remaining=None, window=window,
-                    points=session_points(Path((host, 0, 4)), pools))
-        for host, (sid, window) in enumerate(zip([7, 3, 5], windows), start=1)
-    ]
-    return sessions, pools
+    sessions = [(sid, Path((host, 0, 4)), size, window)
+                for host, (sid, window, size)
+                in enumerate(zip([7, 3, 5], windows, qubits), start=1)]
+    return sessions, PoolTable(pools)
 
 
 def held(pools, key):
@@ -64,11 +66,18 @@ def held(pools, key):
     return int(pools.reserved[pools.index[key]])
 
 
+def table_of(scheme, sessions, pools):
+    """A session table reserving by ``scheme`` with ``sessions`` admitted."""
+    table = SessionTable(pools, scheme, explicit=False)
+    table.admit(sessions)
+    return table
+
+
 def grants(scheme, sessions, pools):
-    """``scheme``'s grants as ``(window, congested)`` pairs of plain
-    values, in session order."""
-    granted, congested = scheme(sessions, incidence(sessions), pools)
-    return list(zip(granted.tolist(), congested.tolist()))
+    """``scheme``'s grants in one table step, as ``(window, congested)``
+    pairs of plain values, in session order."""
+    _, _, _, congested, granted, *_ = table_of(scheme, sessions, pools).step()
+    return list(zip(granted.tolist(), congested.astype(bool).tolist()))
 
 
 class TestNextWindow:
@@ -104,7 +113,6 @@ class TestTeleSession:
         assert session.transfer(6) == 6
         assert not session.finished
 
-
     def test_points_fixed_by_path(self):
         pools = PoolTable([MemoryPool(node, kind, 10)
                            for node in range(6)
@@ -119,14 +127,14 @@ class TestTeleSession:
 class TestReserveTeleport:
     def test_single_session_full_grant(self):
         pools, egress = star_pools(1, egress_receive=10**6)
-        sessions = star_sessions([5], egress, pools)
+        sessions = star_sessions([5], egress)
         assert grants(reserve_teleport, sessions, pools) == [(5, False)]
 
     def test_bottleneck_halves_largest_until_fit(self):
         # Five windows totalling 103 against a 100-unit receive pool:
         # halving the largest (25, smallest id among ties) releases 13.
         pools, egress = star_pools(5, egress_receive=100)
-        sessions = star_sessions([25, 25, 25, 20, 8], egress, pools)
+        sessions = star_sessions([25, 25, 25, 20, 8], egress)
         assert grants(reserve_teleport, sessions, pools) == [
             (12, True), (25, False), (25, False), (20, False), (8, False)]
         assert held(pools, (egress, "receive")) == 90
@@ -135,17 +143,16 @@ class TestReserveTeleport:
         # Ingress send pool and egress receive pool both too small: the
         # window is halved once, not twice.
         pools, egress = star_pools(1, egress_receive=9, ingress_send=19)
-        sessions = star_sessions([10], egress, pools)
+        sessions = star_sessions([10], egress)
         assert grants(reserve_teleport, sessions, pools) == [(5, True)]
 
     def test_reservations_cover_every_hop(self):
         pools, egress = star_pools(1, egress_receive=100)
-        sessions = star_sessions([4], egress, pools)
+        sessions = star_sessions([4], egress)
         grants(reserve_teleport, sessions, pools)
         assert held(pools, (1, "send")) == 8      # 2 units per circuit
         assert held(pools, (0, "transit")) == 8
         assert held(pools, (egress, "receive")) == 4
-
 
     def test_grants_in_session_order(self):
         # 14 receive units asked of 10 at the egress: session 7's window of
@@ -164,20 +171,19 @@ class TestReserveTeleport:
 class TestReserveExplicit:
     def test_even_split_of_capacity(self):
         pools, egress = star_pools(10, egress_receive=100)
-        sessions = star_sessions([1] * 10, egress, pools)
+        sessions = star_sessions([1] * 10, egress)
         assert grants(reserve_explicit, sessions, pools) == [(10, False)] * 10
 
     def test_window_is_path_minimum(self):
         # Egress supports 4 per session, hub supports far more.
         pools, egress = star_pools(5, egress_receive=20)
-        sessions = star_sessions([1] * 5, egress, pools)
+        sessions = star_sessions([1] * 5, egress)
         assert grants(reserve_explicit, sessions, pools) == [(4, False)] * 5
 
     def test_single_session_takes_smallest_capacity(self):
         pools, egress = star_pools(1, egress_receive=50)
-        sessions = star_sessions([1], egress, pools)
+        sessions = star_sessions([1], egress)
         assert grants(reserve_explicit, sessions, pools) == [(50, False)]
-
 
     def test_grants_in_session_order(self):
         # Each session's share is its own host's send pool at 2 units each.
@@ -197,8 +203,7 @@ class TestReserveExplicit:
                              for host in (1, 2)
                              for kind, price in (("send", 3),
                                                  ("receive", 1))])
-        sessions = [TeleSession(id=i, remaining=None,
-                                points=session_points(Path(nodes), pools))
+        sessions = [(i, Path(nodes), None, None)
                     for i, nodes in enumerate([(1, 0, 2), (2, 0, 1)])]
         assert grants(reserve_explicit, sessions, pools) == [(10, False)] * 2
 
@@ -206,23 +211,22 @@ class TestReserveExplicit:
 class TestReserveFair:
     def test_request_at_fair_share_passes(self):
         pools, egress = star_pools(10, egress_receive=100)
-        sessions = star_sessions([10] * 10, egress, pools)
+        sessions = star_sessions([10] * 10, egress)
         assert grants(reserve_fair, sessions, pools) == [(10, False)] * 10
 
     def test_request_above_fair_share_is_halved(self):
         pools, egress = star_pools(10, egress_receive=100)
-        sessions = star_sessions([11] + [1] * 9, egress, pools)
+        sessions = star_sessions([11] + [1] * 9, egress)
         assert grants(reserve_fair, sessions, pools)[0] == (5, True)
 
     def test_sawtooth_caps_near_fair_share(self):
         # One session against a fair share of 8, driven for 50 slots.
         pools, egress = star_pools(1, egress_receive=8)
-        session = star_sessions([1], egress, pools)[0]
+        table = table_of(reserve_fair, star_sessions([1], egress), pools)
         announced = []
         for _ in range(50):
-            announced.append(session.window)
-            [(_, congested)] = grants(reserve_fair, [session], pools)
-            session.advance_window(congested)
+            _, _, [window], *_ = table.step()
+            announced.append(int(window))
             pools.clear()
         steady = announced[10:]
         assert max(steady) <= 2 * 8 + 1
@@ -241,21 +245,19 @@ class TestReserveFair:
 
 class TestReleaseSurplus:
     def test_returns_unused_cost_at_each_point(self):
-        # Session 7 is granted 10 and delivers 3: its send and transit
-        # points drop from 20 to 6 units, its receive point from 10 to 3.
-        sessions, pools = unsorted_star([10, 2, 4], [10**6] * 3)
-        points = incidence(sessions)
-        granted, _ = reserve_teleport(sessions, points, pools)
-        release_surplus(points, granted, np.array([3, 2, 4]), pools)
+        # Session 7 is granted 10 and delivers its last 3 qubits: its send
+        # and transit points drop from 20 to 6 units, its receive point
+        # from 10 to 3.
+        sessions, pools = unsorted_star([10, 2, 4], [10**6] * 3,
+                                        qubits=(3, 2, 4))
+        table_of(reserve_teleport, sessions, pools).step()
         assert held(pools, (1, "send")) == 6
         assert held(pools, (0, "transit")) == 6 + 4 + 8
         assert held(pools, (4, "receive")) == 3 + 2 + 4
 
     def test_full_delivery_keeps_reservation(self):
         sessions, pools = unsorted_star([10, 2, 4], [10**6] * 3)
-        points = incidence(sessions)
-        granted, _ = reserve_teleport(sessions, points, pools)
-        release_surplus(points, granted, granted, pools)
+        table_of(reserve_teleport, sessions, pools).step()
         assert held(pools, (2, "send")) == 4
         assert held(pools, (4, "receive")) == 10 + 2 + 4
 
@@ -274,3 +276,96 @@ class TestWindowTrajectory:
         steady = seen[10:]
         assert max(steady) <= 41
         assert min(steady) >= 10
+
+
+class TestWindowRules:
+    def test_table_steps_windows_by_next_window(self):
+        """``advance_windows`` is ``next_window`` on every row, from window
+        1 to windows past ``MAX_UNITS``, in both phases, congested or
+        not."""
+        windows = [*range(1, 10), 15, 16, 17, MAX_UNITS - 1, MAX_UNITS,
+                   MAX_UNITS + 1, 2 * MAX_UNITS + 1]
+        grid = [(window, phase, congested) for window in windows
+                for phase in PHASES for congested in (False, True)]
+        window, phase = advance_windows(
+            np.array([window for window, _, _ in grid], dtype=np.int64),
+            np.array([PHASES.index(phase) for _, phase, _ in grid],
+                     dtype=np.int64),
+            np.array([cut for _, _, cut in grid]))
+        got = list(zip(window.tolist(),
+                       (PHASES[code] for code in phase.tolist())))
+        assert got == [next_window(*row) for row in grid]
+
+
+def forced(draw, explicit, decisions):
+    """A scheme whose cuts (or, under ``explicit``, grants) are drawn from
+    ``draw`` rather than from the pools; it holds what it grants and
+    appends each slot's windows, grants and cuts to ``decisions``."""
+    def scheme(windows, points, pools):
+        n = len(windows)
+        if explicit:
+            congested = np.zeros(n, dtype=bool)
+            granted = np.array([draw.randint(0, 2**20) for _ in range(n)],
+                               dtype=np.int64)
+        else:
+            congested = np.array([draw.random() < 0.4 for _ in range(n)],
+                                 dtype=bool)
+            granted = np.where(congested, windows // 2, windows)
+        pools.hold(points, granted)
+        decisions.append((windows.tolist(), granted.tolist(),
+                          congested.tolist()))
+        return granted, congested
+    return scheme
+
+
+class TestSessionTable:
+    @pytest.mark.parametrize("seed, explicit", [(1, False), (2, False),
+                                                (3, True)])
+    def test_rows_match_scalar_sessions(self, seed, explicit):
+        """``step`` row by row against ``TeleSession.transfer`` and
+        ``next_window``, over sessions admitted in batches: finite and
+        unbounded, announcing from 1 to near ``MAX_UNITS``, with cuts
+        forced at random; under the EW rule a row announces its grant, as
+        ``-`` phase, and the window never advances."""
+        draw = random.Random(seed)
+        pools = PoolTable([MemoryPool(node, kind, 2**62) for node in range(8)
+                           for kind in ("send", "receive", "transit")])
+        decisions = []
+        table = SessionTable(pools, forced(draw, explicit, decisions),
+                             explicit)
+        reference, admitted, finished = [], 0, 0
+        for _ in range(16):
+            batch = []
+            for _ in range(draw.choice([0, 1, 2, 3])):
+                window = draw.choice([None, 1, draw.randint(2, 64),
+                                      draw.randint(MAX_UNITS - 64, MAX_UNITS)])
+                qubits = draw.choice([None, draw.randint(1, 40),
+                                      draw.randint(1, 2**40)])
+                nodes = tuple(draw.sample(range(8), draw.randint(2, 5)))
+                batch.append((admitted, Path(nodes), qubits, window))
+                reference.append(TeleSession(
+                    id=admitted, remaining=qubits,
+                    window=window or INITIAL_WINDOW))
+                admitted += 1
+            table.admit(batch)
+            record = table.step()
+            windows, granted, congested = decisions[-1]
+            assert len(windows) == len(reference)
+            expected = []
+            for session, announced, grant, cut in zip(reference, windows,
+                                                      granted, congested):
+                assert announced == session.window
+                if explicit:
+                    window, phase = grant, "-"
+                else:
+                    window, phase = session.window, session.phase.value
+                    session.advance_window(cut)
+                expected.append((session.id, 0, window, int(cut), grant,
+                                 session.transfer(grant), phase, 0, 0, 0, 0))
+            assert list(zip(*(column.tolist() for column in record))) == expected
+            finished += sum(session.finished for session in reference)
+            reference = [session for session in reference
+                         if not session.finished]
+            assert table.session.tolist() == [s.id for s in reference]
+            pools.clear()
+        assert admitted > 10 and finished > 0

@@ -3,7 +3,8 @@
 Output is byte-stable for fixed inputs: tabular files use 6 significant
 digits, record files are sorted-key JSON lines, and all rows appear in a
 fixed order.  Session and pool rows hold only ints and fixed ASCII words,
-so each of their lines is filled from one ``%``-template per format and
+so each of their lines is filled from one ``%``-template per format with
+the values of the trace's column blocks, in that format's field order, and
 streamed to the file.
 """
 
@@ -15,7 +16,6 @@ import json
 import sys
 from collections.abc import Sequence
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path as FsPath
 from typing import get_type_hints
 
@@ -24,6 +24,7 @@ from .engine import (PoolRow, Protocol, RunConfig, RunResult, SessionRow,
                      SessionSpec, WaxmanSpec, run)
 from .errors import ConfigError, QdnError
 from .topology import NetworkKind, Topology, from_document, number
+from .trace import Rows
 
 #: Number fields of a run, a Waxman spec and a listed session, by type.
 #: Defaults for the fields a document leaves out come from the dataclasses.
@@ -143,45 +144,58 @@ def _fmt(value) -> str:
 #: ``pool``: ``send``/``receive``/``transit``) that neither format escapes.
 _CELLS = {int: ("%d", "%d"), str: ("%s", '"%s"')}
 
+#: Stands for the slot in a trace line template; each block writes its own
+#: slot in once.
+_SLOT = "\0"
 
-def _line_templates(row_type) -> tuple[str, str, itemgetter]:
-    """A trace table's CSV line template, its sorted-key ndjson line
-    template, and the getter that orders a row's values for the latter.
-    ``%d`` prints ``True`` as ``1`` where ``csv`` and ``json`` would not, so
-    every int field must hold exactly an ``int``."""
+
+def _line_templates(row_type) -> tuple[tuple[str, list[str]], ...]:
+    """A trace table's CSV line template and its sorted-key ndjson line
+    template, each with the order of the fields after ``slot`` that fill
+    it.  ``%d`` prints ``True`` as ``1`` where ``csv`` and ``json`` would
+    not, so every int field must hold exactly an ``int``."""
     types = get_type_hints(row_type)
-    fields = row_type._fields
-    keys = sorted(fields)
-    csv_line = ",".join(_CELLS[types[f]][0] for f in fields) + "\n"
+    cells = {field: (_SLOT, _SLOT) if field == "slot" else _CELLS[types[field]]
+             for field in row_type._fields}
+    fields, keys = row_type._fields, sorted(row_type._fields)
+    csv_line = ",".join(cells[field][0] for field in fields) + "\n"
     ndjson_line = "{%s}\n" % ", ".join(
-        f'"{key}": {_CELLS[types[key]][1]}' for key in keys)
-    return csv_line, ndjson_line, itemgetter(*map(fields.index, keys))
+        f'"{key}": {cells[key][1]}' for key in keys)
+    return ((csv_line, [f for f in fields if f != "slot"]),
+            (ndjson_line, [key for key in keys if key != "slot"]))
 
 
 _TEMPLATES = {row_type: _line_templates(row_type)
               for row_type in (SessionRow, PoolRow)}
 
 
-def _write_csv(path: FsPath, header: Sequence[str], rows,
-               line: str | None = None) -> None:
-    """Write ``header`` and ``rows``: each row fills the ``line`` template
-    when one is given, and otherwise goes through ``_fmt`` and ``csv``."""
+def _text(rows: Rows, form: int):
+    """A trace table's lines filled from ``_TEMPLATES`` form 0 (CSV) or 1
+    (ndjson), one string per block."""
+    line, fields = _TEMPLATES[rows.row_type][form]
+    for slot, values in rows.slots(fields):
+        yield "".join(map(line.replace(_SLOT, str(slot)).__mod__, values))
+
+
+def _write_csv(path: FsPath, header: Sequence[str], rows) -> None:
+    """Write ``header`` and ``rows``: a trace's ``Rows`` fill their line
+    template, and other rows go through ``_fmt`` and ``csv``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        if line is not None:
-            handle.writelines(map(line.__mod__, rows))
+        if isinstance(rows, Rows):
+            handle.writelines(_text(rows, 0))
             return
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_records(path: FsPath, records, line: str | None = None) -> None:
-    """Write one line per record: value tuples fill the ``line`` template
-    when one is given, and dicts go through sorted-key ``json.dumps``."""
+def _write_records(path: FsPath, records) -> None:
+    """Write one line per record: a trace's ``Rows`` fill their line
+    template, and dicts go through sorted-key ``json.dumps``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if line is not None:
-            handle.writelines(map(line.__mod__, records))
+        if isinstance(records, Rows):
+            handle.writelines(_text(records, 1))
             return
         for record in records:
             handle.write(json.dumps(record, sort_keys=True))
@@ -200,29 +214,25 @@ def _summary_rows(result: RunResult) -> list[tuple]:
 
 
 def _write_table(out: FsPath, name: str, header: Sequence[str], rows,
-                 formats: list[str], trailer: dict | None = None,
-                 row_type=None) -> list[FsPath]:
-    """Write ``rows``, a sequence of value tuples in ``header`` order, as
-    ``name.csv`` and/or ``name.ndjson``; ``trailer`` is a last line of
-    records only.  Rows of a ``row_type`` from ``_TEMPLATES`` fill its line
-    templates; other records are built one at a time as they are written."""
+                 formats: list[str], trailer: dict | None = None
+                 ) -> list[FsPath]:
+    """Write ``rows``, a trace's ``Rows`` or a sequence of value tuples in
+    ``header`` order, as ``name.csv`` and/or ``name.ndjson``; ``trailer`` is
+    a last line of records only.  Records other than ``Rows`` are built one
+    at a time as they are written."""
     out.mkdir(parents=True, exist_ok=True)
-    csv_line = ndjson_line = None
-    if row_type is not None:
-        csv_line, ndjson_line, getter = _TEMPLATES[row_type]
     written = []
     if "tabular" in formats:
         written.append(out / f"{name}.csv")
-        _write_csv(written[-1], header, rows, csv_line)
+        _write_csv(written[-1], header, rows)
     if "records" in formats:
         written.append(out / f"{name}.ndjson")
-        if row_type is not None:
-            records = map(getter, rows)
-        else:
+        records = rows
+        if not isinstance(rows, Rows):
             records = (dict(zip(header, row)) for row in rows)
         if trailer is not None:
             records = chain(records, [trailer])
-        _write_records(written[-1], records, ndjson_line)
+        _write_records(written[-1], records)
     return written
 
 
@@ -237,9 +247,9 @@ def emit(result: RunResult, out_dir: str | FsPath, name: str,
     totals.update(protocol=result.protocol, seed=result.seed)
     written = [
         *_write_table(out, f"{name}_sessions", SessionRow._fields,
-                      result.session_rows, formats, row_type=SessionRow),
+                      Rows.of(SessionRow, result.session_rows), formats),
         *_write_table(out, f"{name}_pools", PoolRow._fields,
-                      result.pool_rows, formats, row_type=PoolRow),
+                      Rows.of(PoolRow, result.pool_rows), formats),
         *_write_table(out, f"{name}_summary", _SUMMARY_HEADER,
                       _summary_rows(result), formats, totals),
     ]

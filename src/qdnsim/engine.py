@@ -12,17 +12,18 @@ of teleportation sessions, whose points are fixed at admission, or a
 ``tag.HopTable`` of tell-and-go hops, whose points are built from its
 columns; either runs the whole slot for all its rows as array passes.  A
 pool keeps only its reserved total, for one slot; what transport state
-outlives it lives in the table.  The loop writes only trace rows, which
-``metrics.summarize`` turns into the run summary.
+outlives it lives in the table.  The loop keeps the trace as column
+blocks (see ``trace``): the columns the table returns, and the pool totals
+copied into one row of a matrix, per slot.  It builds no row objects;
+``metrics.summarize`` reads the columns into the run summary.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .tele import (SessionTable, reserve_explicit, reserve_fair,
                    reserve_teleport)
 from .topology import (DEFAULT_CAPACITY, INFRA_KIND, MIN_ALPHA, NetworkKind,
                        NodeKind, Topology, generate_waxman)
+from .trace import PoolRow, Rows, SessionRow
 
 
 #: Largest session size a run accepts: qubit counts are int64 columns.
@@ -123,6 +125,9 @@ class RunConfig:
                     raise ConfigError(f"waxman: {field} must be positive and finite")
         else:
             for node in spec.nodes:
+                if node.capacity < 0:
+                    raise ConfigError(
+                        f"node {node.id}: capacity must be non-negative")
                 if node.capacity > MAX_UNITS:
                     raise ConfigError(
                         f"node {node.id}: capacity must be at most {MAX_UNITS}")
@@ -153,39 +158,20 @@ class RunConfig:
                         f"session {index}: start_slot must be non-negative")
 
 
-class SessionRow(NamedTuple):
-    slot: int
-    session: int
-    hop: int
-    window: int
-    congested: int
-    granted: int
-    delivered: int
-    phase: str
-    firsts: int
-    seconds: int
-    losses: int
-    stored: int
-
-
-class PoolRow(NamedTuple):
-    slot: int
-    node: int
-    pool: str
-    reserved: int
-    capacity: int
-
-
 @dataclass
 class RunResult:
+    """One run's trace and summary.  ``session_rows`` and ``pool_rows``
+    are read-only ``trace.Rows`` over the engine's column blocks; a
+    hand-built result may hold row lists instead."""
+
     protocol: str
     network: str
     seed: int
     n_slots: int
     slot_length: float
     paths: dict[int, tuple[int, ...]]
-    session_rows: list[SessionRow]
-    pool_rows: list[PoolRow]
+    session_rows: Sequence[SessionRow]
+    pool_rows: Sequence[PoolRow]
     summary: dict
 
 
@@ -243,10 +229,13 @@ class Engine:
                                   f"{cfg.network.value} network needs "
                                   f"{infra_kind.value}s")
         self.pools = build_pools(self.topology, cfg.network)
-        # Pool rows share these objects rather than hold one per row.
+        # Every slot's pool block shares these columns; only the reserved
+        # totals, one row of ``_reserved`` per slot, are its own.
         self._pool_nodes = self.pools.node.tolist()
         self._pool_kinds = [kind for _, kind in self.pools.keys]
         self._capacities = self.pools.capacity.tolist()
+        self._reserved = np.zeros((cfg.n_slots, len(self._capacities)),
+                                  dtype=np.int64)
         self._node_capacity = np.array([n.capacity for n in self.topology.nodes])
         self._channel_rng = stream(cfg.seed, CHANNEL_STREAM)
         self._schedule = self._resolve_sessions()
@@ -264,8 +253,9 @@ class Engine:
             }[cfg.protocol], explicit=cfg.protocol is Protocol.EW)
         # Every admitted session's path.
         self.paths: dict[int, tuple[int, ...]] = {}
-        self.session_rows: list[SessionRow] = []
-        self.pool_rows: list[PoolRow] = []
+        # The trace so far: one block of columns per slot.
+        self.session_rows = Rows(SessionRow, [])
+        self.pool_rows = Rows(PoolRow, [])
         # Reserved fraction per node as of the last snapshot; routing reads it.
         self._load: dict[int, float] = {}
         self.slot = 0
@@ -321,18 +311,20 @@ class Engine:
 
     def step(self) -> None:
         self.table.admit(self._admit())
-        self.session_rows.extend(map(SessionRow._make, zip(
-            repeat(self.slot), *(column.tolist()
-                                 for column in self.table.step()))))
+        self.session_rows.blocks.append((self.slot, self.table.step()))
         self._snapshot_pools()
         self.pools.clear()
         self.slot += 1
 
     def _snapshot_pools(self) -> None:
-        """Append this slot's pool rows and rebuild the load table."""
-        self.pool_rows.extend(map(PoolRow._make, zip(
-            repeat(self.slot), self._pool_nodes, self._pool_kinds,
-            self.pools.reserved.tolist(), self._capacities)))
+        """Append this slot's pool block and rebuild the load table."""
+        if self.slot < len(self._reserved):
+            self._reserved[self.slot] = self.pools.reserved
+        else:  # stepped past n_slots
+            self._reserved = np.vstack([self._reserved, self.pools.reserved])
+        self.pool_rows.blocks.append((self.slot, (
+            self._pool_nodes, self._pool_kinds, self._reserved[self.slot],
+            self._capacities)))
         # Node totals are exact float sums (see memory.MAX_UNITS).
         occupancy = np.bincount(self.pools.node, self.pools.reserved,
                                 len(self._node_capacity))

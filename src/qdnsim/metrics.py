@@ -2,24 +2,29 @@
 statistics over finished traces.
 
 ``summarize`` builds ``RunResult.summary``; the engine calls it once, at
-the end of a run.  A finished trace is indexed once: the first call groups
-its session rows by session and its nonzero-capacity pool rows by
-``(node, pool)``, and every call then reads only its own group, in row
-order.  The groups hold row offsets, not rows.  They live on the result
-outside its dataclass fields, so they take no part in ``==`` or ``repr``,
-and are rebuilt whenever a row list is a different object or has a
-different length than when they were built.
+the end of a run.  The metrics read the trace's column blocks (see
+``trace``); a row list, as a hand-built ``RunResult`` may hold, is read as
+blocks first.  Each table of a finished trace is indexed once, by one
+sort of its columns: the session rows by session and slot, with each
+(session, slot) group's minimum window and each session's summary totals,
+and the nonzero-capacity pool rows by ``(node, pool)``, in row order.
+Every call then reads one slice of an index.  An index drops each
+temporary column as soon as it is read: it is built when the trace is
+largest, so its peak is the run's.  The index lives on the result outside
+its dataclass fields, so it takes no part in ``==`` or ``repr``, and is
+rebuilt whenever a row sequence is a different object or has a different
+length than when it was built.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import MetricUndefinedError
+from .trace import PoolRow, Rows, SessionRow
 
 if TYPE_CHECKING:
     from .engine import RunResult
@@ -37,64 +42,153 @@ def jain(values: list[float]) -> float:
     return total ** 2 / (len(values) * sum(v * v for v in values))
 
 
-def _rows(result: RunResult, rows: list, group, key) -> list:
-    """The rows of ``group(rows)[key]`` in row order; the grouping is kept
-    on ``result`` while ``rows`` stays the same list object of the same
-    length."""
+def _column(rows: Rows, field: str, convert=np.asarray) -> np.ndarray:
+    """One int64 column of every row; a column object that several blocks
+    share is converted once."""
+    if field == "slot":
+        return np.repeat(np.array([slot for slot, _ in rows.blocks],
+                                  dtype=np.int64),
+                         [len(columns[0]) for _, columns in rows.blocks])
+    at = rows.row_type._fields.index(field) - 1
+    converted: dict[int, np.ndarray] = {}
+    parts = [np.zeros(0, dtype=np.int64)]
+    for _, columns in rows.blocks:
+        column = columns[at]
+        if id(column) not in converted:
+            converted[id(column)] = convert(column)
+        parts.append(converted[id(column)])
+    return np.concatenate(parts)
+
+
+def _runs(n: int, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the runs of equal ``keys`` over ``n`` rows."""
+    change = np.zeros(n, dtype=bool)
+    change[:1] = True
+    for key in keys:
+        change[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(change)
+    return starts, np.r_[starts[1:], n]
+
+
+class _SessionIndex:
+    """Session rows sorted by session, then slot, then row order.
+
+    ``rows[sid]`` and ``groups[sid]`` are a session's slices of the sorted
+    rows and of ``mins``, the minimum window of each of its active slots.
+    ``totals[sid]`` is what its egress (highest) hop delivered, the sum of
+    ``mins`` and their count.
+    """
+
+    def __init__(self, rows: Rows):
+        slot, session = _column(rows, "slot"), _column(rows, "session")
+        self.order = order = np.lexsort((slot, session))
+        slot, session, n = slot[order], session[order], len(order)
+        starts, ends = _runs(n, session)
+        group_starts, _ = _runs(n, session, slot)
+        ids = session[starts].tolist()
+        del slot, session
+        first_group = np.searchsorted(group_starts, starts)
+        last_group = np.r_[first_group[1:], len(group_starts)]
+        self.rows = dict(zip(ids, zip(starts.tolist(), ends.tolist())))
+        self.groups = dict(zip(ids, zip(first_group.tolist(),
+                                        last_group.tolist())))
+        self.hop = _column(rows, "hop")[order]
+        self.window = _column(rows, "window")[order]
+        if not n:
+            self.mins, self.totals = [], {}
+            return
+        mins = np.minimum.reduceat(self.window, group_starts)
+        delivered = _column(rows, "delivered")[order]
+        delivered[self.hop != np.repeat(np.maximum.reduceat(self.hop, starts),
+                                        ends - starts)] = 0
+        # A grant fits its pools (at most MAX_UNITS) and a window is at most
+        # twice the last grant, so these int64 sums over slots are exact.
+        self.totals = dict(zip(ids, zip(
+            np.add.reduceat(delivered, starts).tolist(),
+            np.add.reduceat(mins, first_group).tolist(),
+            (last_group - first_group).tolist())))
+        self.mins = mins.tolist()
+
+
+class _PoolIndex:
+    """Nonzero-capacity pool rows grouped by ``(node, pool)``, in row
+    order; ``groups[node, pool]`` is a pool's slice of ``reserved`` and
+    ``capacity``."""
+
+    def __init__(self, rows: Rows):
+        codes: dict[str, int] = {}
+        kind = _column(rows, "pool", lambda words: np.array(
+            [codes.setdefault(word, len(codes)) for word in words],
+            dtype=np.int64))
+        kinds = max(1, len(codes))
+        key = _column(rows, "node") * kinds + kind
+        del kind
+        capacity = _column(rows, "capacity")
+        held = np.flatnonzero(capacity > 0)
+        key = key[held]
+        by_key = np.argsort(key, kind="stable")
+        key, order = key[by_key], held[by_key]
+        del held, by_key
+        self.capacity = capacity[order]
+        del capacity
+        self.reserved = _column(rows, "reserved")[order]
+        starts, ends = _runs(len(order), key)
+        node, kind = np.divmod(key[starts], kinds)
+        words = list(codes)
+        self.groups = dict(zip(
+            zip(node.tolist(), [words[code] for code in kind.tolist()]),
+            zip(starts.tolist(), ends.tolist())))
+
+
+def _index(result: RunResult, field: str, row_type: type, build):
+    """``build`` over ``result``'s ``field`` rows, kept on ``result`` while
+    they stay the same object of the same length."""
+    rows = getattr(result, field)
     cache = vars(result).setdefault("_metrics_index", {})
-    entry = cache.get(group)
+    entry = cache.get(field)
     if entry is None or entry[0] is not rows or entry[1] != len(rows):
-        entry = cache[group] = (rows, len(rows), group(rows))
+        entry = cache[field] = (rows, len(rows),
+                                build(Rows.of(row_type, rows)))
+    return entry[2]
+
+
+def _slice(groups: dict, key) -> tuple[int, int]:
     try:
-        offsets = entry[2].get(key, ())
+        return groups.get(key, (0, 0))
     except TypeError:  # an unhashable id matches no row
-        offsets = ()
-    return [rows[i] for i in offsets]
-
-
-def _by_session(rows: list) -> dict:
-    groups = defaultdict(partial(array, "I"))
-    for i, row in enumerate(rows):
-        groups[row.session].append(i)
-    return dict(groups)
-
-
-def _by_pool(rows: list) -> dict:
-    groups = defaultdict(partial(array, "I"))
-    for i, row in enumerate(rows):
-        if row.capacity > 0:
-            groups[row.node, row.pool].append(i)
-    return dict(groups)
+        return 0, 0
 
 
 def utilization(result: RunResult, node: int, pool: str) -> list[float]:
     """Per-slot reserved/capacity for one pool, in [0, 1]."""
-    rows = _rows(result, result.pool_rows, _by_pool, (node, pool))
-    if not rows:
+    index = _index(result, "pool_rows", PoolRow, _PoolIndex)
+    start, end = _slice(index.groups, (node, pool))
+    if start == end:
         raise MetricUndefinedError(
             f"no recorded occupancy for a nonzero-capacity {pool} pool at "
             f"node {node}"
         )
-    return [row.reserved / row.capacity for row in rows]
+    return [reserved / capacity for reserved, capacity in zip(
+        index.reserved[start:end].tolist(), index.capacity[start:end].tolist())]
 
 
-def _session_rows(result: RunResult, session: int) -> list:
-    return _rows(result, result.session_rows, _by_session, session)
+def _sessions(result: RunResult) -> _SessionIndex:
+    return _index(result, "session_rows", SessionRow, _SessionIndex)
 
 
 def effective_window(result: RunResult, session: int) -> list[int]:
     """Per-slot minimum window across a flow's hop sessions."""
-    per_slot: dict[int, int] = {}
-    for row in _session_rows(result, session):
-        if row.slot not in per_slot or row.window < per_slot[row.slot]:
-            per_slot[row.slot] = row.window
-    return [per_slot[slot] for slot in sorted(per_slot)]
+    index = _sessions(result)
+    start, end = _slice(index.groups, session)
+    return index.mins[start:end]
 
 
 def window_series(result: RunResult, session: int, hop: int = 0) -> list[int]:
     """Announced window per slot for one session (one hop of a flow)."""
-    return [row.window for row in _session_rows(result, session)
-            if row.hop == hop]
+    index = _sessions(result)
+    start, end = _slice(index.rows, session)
+    at = np.flatnonzero(index.hop[start:end] == hop) + start
+    return index.window[at[np.argsort(index.order[at])]].tolist()
 
 
 @dataclass(frozen=True)
@@ -168,14 +262,13 @@ def summarize(result: RunResult) -> dict:
     """``RunResult.summary``: per admitted session, what its egress (highest)
     hop delivered, its mean effective window and its hop count; then their
     total and rates, and the Jain index of the means (None if all are 0)."""
+    totals = _sessions(result).totals
     sessions = {}
     for sid, path in sorted(result.paths.items()):
-        rows = _session_rows(result, sid)
-        egress = max((row.hop for row in rows), default=0)
-        windows = effective_window(result, sid)
+        delivered, window_sum, active = totals.get(sid, (0, 0, 0))
         sessions[sid] = {
-            "delivered": sum(r.delivered for r in rows if r.hop == egress),
-            "mean_window": sum(windows) / len(windows) if windows else 0.0,
+            "delivered": delivered,
+            "mean_window": window_sum / active if active else 0.0,
             "hops": len(path) - 1,
         }
     rates = _throughput(result, sum(info["delivered"] for info in sessions.values()))

@@ -1,0 +1,133 @@
+"""The run trace: its row types, and read-only row sequences over column
+blocks.
+
+A run keeps its trace as columns, one block per slot: the slot, then one
+column per field after ``slot``, all of one length.  A column is an int64
+or object array, or a list; blocks may share a column object, as every
+pool block shares the pool nodes, kinds and capacities.  A column is never
+written once its block is kept: the flow tables build new arrays each slot
+rather than write into the ones they returned.  ``Rows`` reads the blocks
+as a sequence of row tuples, built only when asked for.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import chain, groupby, islice, repeat
+from operator import eq, index as as_index, itemgetter
+from typing import NamedTuple
+
+
+class SessionRow(NamedTuple):
+    slot: int
+    session: int
+    hop: int
+    window: int
+    congested: int
+    granted: int
+    delivered: int
+    phase: str
+    firsts: int
+    seconds: int
+    losses: int
+    stored: int
+
+
+class PoolRow(NamedTuple):
+    slot: int
+    node: int
+    pool: str
+    reserved: int
+    capacity: int
+
+
+def _values(column) -> list:
+    """A block column as a list of Python ints and strs."""
+    return column if isinstance(column, list) else column.tolist()
+
+
+class Rows(Sequence):
+    """Trace rows of ``row_type`` over a list of ``(slot, columns)``
+    blocks, in block then column order.  The list may grow (a running
+    engine appends a block per slot); rows are built on access, with
+    Python ``int`` and ``str`` fields.  Indexing and slicing follow
+    ``list``, a slice is a list, and a ``Rows`` equals a list or another
+    ``Rows`` that holds equal rows in the same order."""
+
+    def __init__(self, row_type: type, blocks: list):
+        self.row_type = row_type
+        self.blocks = blocks
+        self._ends: list[int] = []
+
+    @classmethod
+    def of(cls, row_type: type, rows) -> Rows:
+        """``rows`` itself if it is a ``Rows``; else its rows, any sequence
+        of ``row_type`` tuples, as blocks of consecutive rows of one slot."""
+        if isinstance(rows, Rows):
+            return rows
+        return cls(row_type, [
+            (slot, [list(column) for column in list(zip(*group))[1:]])
+            for slot, group in groupby(rows, itemgetter(0))])
+
+    def slots(self, fields: Sequence[str]):
+        """Each block's slot, with its rows' values of ``fields`` (fields
+        after ``slot``), in that order, as an iterator of plain tuples."""
+        at = [self.row_type._fields.index(field) - 1 for field in fields]
+        for slot, lists in self._lists():
+            yield slot, zip(*[lists[i] for i in at])
+
+    def _lists(self):
+        """Each block's slot and columns, as lists; a column object held
+        more than once in a block, or also by the block before, is
+        converted once."""
+        lists: dict[int, list] = {}
+        for slot, columns in self.blocks:
+            lists = {key: lists[key] for key in map(id, columns) if key in lists}
+            for column in columns:
+                if id(column) not in lists:
+                    lists[id(column)] = _values(column)
+            yield slot, [lists[id(column)] for column in columns]
+
+    def _offsets(self) -> list[int]:
+        """Each block's end as a row offset."""
+        ends = self._ends
+        for _, columns in self.blocks[len(ends):]:
+            ends.append((ends[-1] if ends else 0) + len(columns[0]))
+        return ends
+
+    def __len__(self) -> int:
+        ends = self._offsets()
+        return ends[-1] if ends else 0
+
+    def __iter__(self):
+        return chain.from_iterable(
+            map(self.row_type._make, zip(repeat(slot), *lists))
+            for slot, lists in self._lists())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return [self[i] for i in range(start, stop, step)]
+            first = bisect_right(self._ends, start)
+            skip = start - (self._ends[first - 1] if first else 0)
+            rows = Rows(self.row_type, self.blocks[first:])
+            return list(islice(rows, skip, skip + max(0, stop - start)))
+        n, position = len(self), as_index(index)
+        position += n if position < 0 else 0
+        if not 0 <= position < n:
+            raise IndexError("trace row index out of range")
+        block = bisect_right(self._ends, position)
+        slot, columns = self.blocks[block]
+        at = position - (self._ends[block - 1] if block else 0)
+        return self.row_type(slot, *(_values(column[at:at + 1])[0]
+                                     for column in columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Rows, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))

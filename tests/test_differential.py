@@ -38,6 +38,34 @@ def test_oracle_is_frozen():
     assert hashlib.sha256(source).hexdigest() == ORACLE_SHA256
 
 
+#: Pool totals are float64 ``np.bincount`` sums, exact only below this
+#: (see ``qdnsim.memory``); the load table divides them as floats too.
+EXACT_TOTALS = 2**53
+
+
+def watch_pool_totals(engine: Engine) -> list[int]:
+    """A one-item list kept at the largest pool total ``engine`` has
+    formed: every ``PoolTable.sums`` result, demand totals included, and
+    every total ``engine.pools.reserved`` holds when a slot clears it."""
+    largest, pools = [0], engine.pools
+    sums, clear = pools.sums, pools.clear
+
+    def record(totals: np.ndarray) -> None:
+        largest[0] = max(largest[0], int(totals.max(initial=0)))
+
+    def watched_sums(pool, units):
+        totals = sums(pool, units)
+        record(totals)
+        return totals
+
+    def watched_clear():
+        record(pools.reserved)
+        clear()
+
+    pools.sums, pools.clear = watched_sums, watched_clear
+    return largest
+
+
 def generate(count: int, seed: int) -> list[RunConfig]:
     """``count`` small tell-and-go configs drawn from ``seed``."""
     draw = random.Random(seed)
@@ -134,11 +162,12 @@ def test_generator_reaches_every_case():
 
 @pytest.mark.parametrize("index", range(CONFIG_COUNT))
 def test_invariants_hold_after_every_step(index):
-    """Pools within capacity, halving by the rule, stored first sharings
-    matching the rounds in flight, and every minted qubit delivered, in
-    flight or queued at a relay."""
+    """Pool totals below 2**53, pools within capacity, halving by the rule,
+    stored first sharings matching the rounds in flight, and every minted
+    qubit delivered, in flight or queued at a relay."""
     cfg = CONFIGS[index]
     engine = Engine(cfg)
+    largest = watch_pool_totals(engine)
     relay = cfg.network is NetworkKind.TAG_RELAY
     delivered = {}
     for _ in range(cfg.n_slots):
@@ -147,6 +176,7 @@ def test_invariants_hold_after_every_step(index):
             engine.step()
         except QdnError:  # a rejected config; the run above compares it
             return
+        assert largest[0] < EXACT_TOTALS, largest
         assert all(row.reserved <= row.capacity
                    for row in engine.pool_rows[pool_rows:])
         for row in engine.session_rows[rows:]:

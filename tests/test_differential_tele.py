@@ -23,7 +23,8 @@ from qdnsim.engine import (Engine, Protocol, RunConfig, SessionSpec,
 from qdnsim.errors import (CapacityExceededError, InfeasibleReservationError,
                            QdnError)
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
-from test_differential import first_difference, outcome
+from test_differential import (EXACT_TOTALS, first_difference, outcome,
+                               watch_pool_totals)
 
 CONFIG_COUNT = 96
 GENERATOR_SEED = 23
@@ -139,10 +140,12 @@ def test_generator_reaches_every_case():
 
 @pytest.mark.parametrize("index", range(CONFIG_COUNT))
 def test_invariants_hold_after_every_step(index):
-    """Pools within capacity, halving by the rule (EW announces its grant),
-    and a session stepped until it has delivered exactly its qubits."""
+    """Pool totals below 2**53, pools within capacity, halving by the rule
+    (EW announces its grant), and a session stepped until it has delivered
+    exactly its qubits."""
     cfg = CONFIGS[index]
     engine = Engine(cfg)
+    largest = watch_pool_totals(engine)
     delivered, live = {}, set()
     for _ in range(cfg.n_slots):
         rows, pool_rows = len(engine.session_rows), len(engine.pool_rows)
@@ -150,6 +153,7 @@ def test_invariants_hold_after_every_step(index):
             engine.step()
         except QdnError:  # a rejected config; the run above compares it
             return
+        assert largest[0] < EXACT_TOTALS, largest
         assert all(row.reserved <= row.capacity
                    for row in engine.pool_rows[pool_rows:])
         stepped = set()

@@ -540,6 +540,16 @@ class TestIntegerRange:
                            match=f"^{match} must be at most {MAX_UNITS}$"):
             self.base(**{field: value(MAX_UNITS + 1)}).validate()
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("capacity", lambda n: n, "capacity"),
+        ("topology", lambda n: star_topology(1, hub_capacity=n)[0],
+         "node 0: capacity"),
+    ], ids=["capacity", "repeater_capacity"])
+    def test_negative_units_rejected(self, field, value, match):
+        self.base(**{field: value(0)}).validate()
+        with pytest.raises(ConfigError, match=f"^{match} must be non-negative$"):
+            run(self.base(**{field: value(-4)}))
+
     @pytest.mark.parametrize("sessions", [
         lambda n: n, lambda n: [SessionSpec()] * n], ids=["count", "list"])
     def test_sessions_past_the_bound_rejected(self, sessions):

@@ -310,6 +310,9 @@ class Engine:
     # -- per-slot phases ------------------------------------------------
 
     def step(self) -> None:
+        if self.slot >= self.cfg.n_slots:
+            raise RuntimeError(f"slot {self.slot}: the run has only "
+                               f"{self.cfg.n_slots} slots")
         self.table.admit(self._admit())
         self.session_rows.blocks.append((self.slot, self.table.step()))
         self._snapshot_pools()
@@ -318,10 +321,7 @@ class Engine:
 
     def _snapshot_pools(self) -> None:
         """Append this slot's pool block and rebuild the load table."""
-        if self.slot < len(self._reserved):
-            self._reserved[self.slot] = self.pools.reserved
-        else:  # stepped past n_slots
-            self._reserved = np.vstack([self._reserved, self.pools.reserved])
+        self._reserved[self.slot] = self.pools.reserved
         self.pool_rows.blocks.append((self.slot, (
             self._pool_nodes, self._pool_kinds, self._reserved[self.slot],
             self._capacities)))
@@ -335,7 +335,8 @@ class Engine:
     # -- whole run ------------------------------------------------------
 
     def run(self) -> RunResult:
-        for _ in range(self.cfg.n_slots):
+        """Step the slots left, then summarize the whole run."""
+        while self.slot < self.cfg.n_slots:
             self.step()
         result = RunResult(
             protocol=self.cfg.protocol.value,

@@ -5,6 +5,14 @@ penalty proportional to the reserved fraction of the hop's downstream
 node, so new sessions drift around already-loaded nodes.  Ties are broken
 by hop count, then by lexicographically smallest node sequence, which
 makes the choice deterministic.
+
+The search is A* (Hart, Nilsson & Raphael 1968) under the hop-distance
+bound ``h(v) = c * hops(v, dst)`` with ``c = 1 - 2**-10``: every hop costs
+at least 1, so no path from ``v`` costs less.  ``Topology.hops_to`` finds
+the hop distances by one breadth-first search per destination and caches
+them on the topology, so a run walks its graph once for each destination
+it routes to.  ``compute_path`` argues why A* returns the very path that
+Dijkstra's search under the same tie-break returns.
 """
 
 from __future__ import annotations
@@ -16,6 +24,13 @@ from .errors import NoRouteError
 from .topology import NodeKind, Topology
 
 DEFAULT_CONGESTION_WEIGHT = 4.0
+
+#: ``c`` of the bound ``c * hops``.  It has 10 significant bits, so
+#: ``c * hops`` is exact, and it leaves each hop a margin of ``2**-10``
+#: over the rounding of a path cost below ``_EXACT_COST``.
+_HOP_COST = 1.0 - 2.0 ** -10
+#: Floats below this are at most ``2**-11`` apart.
+_EXACT_COST = 2.0 ** 42
 
 
 @dataclass(frozen=True)
@@ -40,11 +55,50 @@ def compute_path(
 ) -> Path:
     """Minimal-cost path under edge cost 1 + weight * load(downstream node).
 
-    Dijkstra's search over entries ``(cost, hops, prefix, node)``, where
-    ``prefix + (node,)`` is built only when the node is first popped: equal
-    hops mean equal prefix lengths, so entries order as whole sequences
-    would.  A node of degree 1 other than ``dst`` is never pushed: its one
-    neighbour is done, so popping it would push nothing.
+    The path is the one Dijkstra's search returns when it pops entries in
+    the order ``(g, hops, prefix, node)``: cost so far, hops so far, and the
+    path before ``node``, which is built only when the node is first
+    popped (equal hops mean equal prefix lengths, so entries order as
+    whole sequences would).  This search pops the same entries by
+    ``(g + h(node), g, hops, prefix, node)``, where ``g`` is summed step by
+    step exactly as there and ``h = c * hops_to(dst)``.  Two facts make it
+    return Dijkstra's path:
+
+    - Entries for one node share ``h(node)``, and rounding is monotone, so
+      they order among themselves as Dijkstra orders them.
+    - Along every push from ``u`` to a neighbour ``v`` the key grows.  The
+      step ``s = 1.0 + weight * load`` is at least 1, and ``g' = g + s``
+      rounds by at most half a unit in the last place, at most ``2**-12``
+      below ``_EXACT_COST``, so ``g' - g >= 1 - 2**-12 > c``.  Hop
+      distances differ by at most 1 across an edge, so
+      ``h(u) - h(v) <= c`` exactly.  Hence ``g' + h(v) > g + h(u)`` as real
+      numbers, their rounded sums keep that order or tie, and ``g' > g``
+      breaks the tie.
+
+    So pops come in key order.  By induction over the pops, each node's
+    first popped entry, ``dst``'s included, is the one Dijkstra pops for
+    it.  It is no better: it extends Dijkstra's entry for a node popped
+    before, and Dijkstra's entry is the least such extension.  It is no
+    worse: until Dijkstra's entry for the node pops, the first node on
+    Dijkstra's path to it that is still open has its Dijkstra entry in the
+    heap, and keys grow from there along the path, so the popped entry
+    keys no higher than Dijkstra's entry for the node.
+
+    With ``c = 1`` the argument fails: ``g + s`` can round below ``g + 1``
+    where the sum crosses a power of two, and then ``g' + h(v)`` can fall
+    below ``g + h(u)`` and a worse entry can pop first.
+
+    The argument needs every step to cost at least 1 and every path less
+    than ``_EXACT_COST``.  That holds for loads in [0, 1], which the
+    engine's reserved fractions are, and a weight from 0 up to about
+    ``2**42`` over the node count.  For any other weight ``c`` is 0, and
+    the search is Dijkstra's own.
+
+    A node that cannot reach ``dst`` is never pushed: if ``src`` cannot,
+    ``NoRouteError`` is raised at once, and otherwise nothing reached from
+    ``src`` is cut off from ``dst``.  A node of degree 1 other than ``dst``
+    is never pushed either (``Topology.onward``): its one neighbour is
+    done, so popping it would push nothing.
     """
     if src == dst:
         raise ValueError("source and destination must differ")
@@ -52,21 +106,35 @@ def compute_path(
         if not (0 <= endpoint < len(topology.nodes)
                 and topology.node(endpoint).kind is NodeKind.HOST):
             raise ValueError(f"node {endpoint} is not a host")
+    hops_to = topology.hops_to(dst)
+    if hops_to[src] < 0:
+        raise NoRouteError(f"no route from {src} to {dst}")
     load = load or {}
-    adj = topology.adjacency()
-    heap: list[tuple[float, int, tuple[int, ...], int]] = [(0.0, 0, (), src)]
+    onward = topology.onward()
+    # No path with loads of at most 1 costs more than this.
+    costliest = len(topology.nodes) * (1.0 + congestion_weight)
+    exact = 0 <= congestion_weight and costliest < _EXACT_COST
+    c = _HOP_COST if exact else 0.0
+    # A ``dst`` of degree 1 is pushed from its one neighbour.
+    ends = topology.adjacency()[dst]
+    before_dst = ends[0] if len(ends) == 1 else -1
+    heap: list[tuple[float, float, int, tuple[int, ...], int]] = [
+        (c * hops_to[src], 0.0, 0, (), src)]
     done: set[int] = set()
-    while heap:
-        cost, hops, prefix, current = heappop(heap)
+    # ``dst`` is reachable, so it is popped before the heap runs dry.
+    while True:
+        _, cost, hops, prefix, current = heappop(heap)
         if current == dst:
             return Path(prefix + (dst,))
         if current in done:
             continue
         done.add(current)
         path = prefix + (current,)
-        for node in adj[current]:
-            if node in done or (len(adj[node]) == 1 and node != dst):
-                continue
-            step = 1.0 + congestion_weight * load.get(node, 0.0)
-            heappush(heap, (cost + step, hops + 1, path, node))
-    raise NoRouteError(f"no route from {src} to {dst}")
+        hops += 1
+        for node in onward[current]:
+            if node not in done:
+                g = cost + (1.0 + congestion_weight * load.get(node, 0.0))
+                heappush(heap, (g + c * hops_to[node], g, hops, path, node))
+        if current == before_dst:
+            g = cost + (1.0 + congestion_weight * load.get(dst, 0.0))
+            heappush(heap, (g, g, hops, path, dst))

@@ -77,6 +77,8 @@ class Topology:
     def __post_init__(self) -> None:
         self.edges = sorted(tuple(sorted(e)) for e in self.edges)
         self._adjacency: dict[int, list[int]] | None = None
+        self._onward: list[tuple[int, ...]] | None = None
+        self._hops: dict[int, list[int]] = {}
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -91,6 +93,38 @@ class Topology:
                 neighbours.sort()
             self._adjacency = adj
         return self._adjacency
+
+    def onward(self) -> list[tuple[int, ...]]:
+        """Each node's neighbours of degree above 1, in adjacency order and
+        indexed by node id: a path enters a node of degree 1 only to end
+        there."""
+        if self._onward is None:
+            adj = self.adjacency()
+            self._onward = [tuple(m for m in adj[n.id] if len(adj[m]) > 1)
+                            for n in self.nodes]
+        return self._onward
+
+    def hops_to(self, dst: int) -> list[int]:
+        """Hop distance from every node to ``dst``, indexed by node id, and
+        -1 where ``dst`` is unreachable: one breadth-first search over the
+        adjacency, run on the first call for ``dst`` and then cached."""
+        hops = self._hops.get(dst)
+        if hops is None:
+            adj = self.adjacency()
+            hops = [-1] * len(self.nodes)
+            hops[dst] = 0
+            frontier, distance = [dst], 0
+            while frontier:
+                distance += 1
+                reached = []
+                for node in frontier:
+                    for neighbour in adj[node]:
+                        if hops[neighbour] < 0:
+                            hops[neighbour] = distance
+                            reached.append(neighbour)
+                frontier = reached
+            self._hops[dst] = hops
+        return hops
 
     def hosts(self) -> list[Node]:
         return [n for n in self.nodes if n.kind is NodeKind.HOST]

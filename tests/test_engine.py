@@ -84,6 +84,28 @@ class TestTeleRuns:
         assert engine.paths == {0: (1, 0, 3), 1: (2, 0, 3)}
         assert engine.run().paths == engine.paths
 
+    def test_run_after_step_steps_only_the_slots_left(self):
+        cfg = star_config(Protocol.TELE, NetworkKind.TELE, [(None, None)],
+                          n_slots=2)
+        engine = Engine(cfg)
+        engine.step()
+        result = engine.run()
+        assert result.session_rows == run(cfg).session_rows
+        assert [row.slot for row in result.session_rows] == [0, 1]
+        assert {row.slot for row in result.pool_rows} == {0, 1}
+        assert result.n_slots == 2
+        assert result.summary["throughput_per_slot"] == 3 / 2
+        assert engine.run().session_rows == result.session_rows
+
+    def test_step_past_the_last_slot_is_an_error(self):
+        engine = Engine(star_config(Protocol.TELE, NetworkKind.TELE,
+                                    [(None, None)], n_slots=1))
+        engine.run()
+        with pytest.raises(RuntimeError, match="slot 1: the run has only 1 "
+                                               "slots"):
+            engine.step()
+        assert len(engine.session_rows) == 1
+
     def test_zero_slots(self):
         cfg = star_config(Protocol.TELE, NetworkKind.TELE, [(None, None)],
                           n_slots=0)

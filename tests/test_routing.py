@@ -232,3 +232,136 @@ def _first_found(adj, costs, src, dst):
                     frontier.append(neighbour)
                 best[neighbour] = entry
     return best[dst]
+
+
+# Cases built to break an A* search: grids have many routes of equal hops,
+# uniform and two-valued loads make their costs tie exactly, and loads
+# whose sums round make costs that differ in the last place only.
+
+#: Reserved fractions with no exact binary form.
+ROUNDING_LOADS = (1 / 3, 1 / 7, 0.1, 0.7)
+TIE_WEIGHTS = (0.0, 0.1, 1.0, 3.3, 4.0)
+GRIDS = ((2, 2), (2, 5), (3, 3), (4, 4), (3, 6), (5, 5), (7, 7))
+
+
+def grid(rows: int, cols: int) -> Topology:
+    """A ``rows`` x ``cols`` grid of repeaters, with a host on each corner,
+    on one middle cell and on one edge cell."""
+    infra = rows * cols
+    cells = sorted({0, cols - 1, infra - cols, infra - 1,
+                    (rows // 2) * cols + cols // 2, cols // 2})
+    edges = [(r * cols + c, r * cols + c + 1)
+             for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c)
+              for r in range(rows - 1) for c in range(cols)]
+    topology, _ = topology_with_hosts(edges, infra, cells)
+    return topology
+
+
+def tie_loads(topology: Topology, draw: random.Random):
+    """No load; each rounding load on every node; 1/3 and 1/7 on
+    alternate node ids; two drawn loads on drawn nodes; a rounding load
+    drawn per node."""
+    nodes = range(len(topology.nodes))
+    yield {}
+    for value in ROUNDING_LOADS:
+        yield dict.fromkeys(nodes, value)
+    yield {node: (1 / 3 if node % 2 else 1 / 7) for node in nodes}
+    low, high = draw.sample(ROUNDING_LOADS, 2)
+    yield {node: draw.choice((low, high)) for node in nodes}
+    yield {node: draw.choice(ROUNDING_LOADS) for node in nodes}
+
+
+@pytest.mark.parametrize("rows, cols", GRIDS)
+def test_ties_match_frozen_search(rows, cols):
+    topology = grid(rows, cols)
+    hosts = [node.id for node in topology.hosts()]
+    draw = random.Random(rows * 100 + cols)
+    for load in tie_loads(topology, draw):
+        for weight in TIE_WEIGHTS:
+            for src in hosts:
+                for dst in hosts:
+                    if src == dst:
+                        continue
+                    got = compute_path(topology, src, dst, load, weight)
+                    want = oracle.compute_path(topology, src, dst, load,
+                                               weight)
+                    assert got == want, (rows, cols, src, dst, load, weight)
+
+
+@pytest.mark.parametrize("rows, cols", [(6, 2), (4, 5), (5, 5), (6, 6)])
+def test_weights_past_the_bound_match_frozen_search(rows, cols):
+    """A negative weight makes steps cheaper than a hop, and at weights
+    near 2**52 path costs reach the floats a unit step no longer changes:
+    no hop bound keeps entries in order, and the search must still return
+    Dijkstra's path."""
+    topology = grid(rows, cols)
+    hosts = [node.id for node in topology.hosts()]
+    draw = random.Random(rows * 100 + cols)
+    for _ in range(8):
+        load = {node: draw.choice((0.0, 1 / 3, 0.5, 1.0))
+                for node in range(len(topology.nodes)) if draw.random() < 0.5}
+        for weight in (-0.5, 2.0 ** 52, 2.0 ** 55):
+            for src in hosts:
+                for dst in hosts:
+                    if src != dst:
+                        got = compute_path(topology, src, dst, load, weight)
+                        assert got == oracle.compute_path(
+                            topology, src, dst, load, weight), (load, weight)
+
+
+@pytest.mark.parametrize("topology", [grid(rows, cols) for rows, cols in GRIDS]
+                         + [case(index) for index in range(CASE_COUNT)])
+def test_hops_to_is_the_hop_distance(topology):
+    """``hops_to(dst)`` is 0 at ``dst``, changes by at most 1 across an
+    edge, and every other node it reaches has a neighbour one hop closer:
+    so it is the breadth-first hop distance, -1 off ``dst``'s component."""
+    adj = topology.adjacency()
+    for dst in range(len(topology.nodes)):
+        hops = topology.hops_to(dst)
+        assert len(hops) == len(topology.nodes)
+        assert hops[dst] == 0
+        for u, v in topology.edges:
+            assert hops[u] <= hops[v] + 1 and hops[v] <= hops[u] + 1
+            assert (hops[u] < 0) == (hops[v] < 0)
+        for node, distance in enumerate(hops):
+            if distance > 0:
+                assert any(hops[m] == distance - 1 for m in adj[node])
+        reached = {node for node, distance in enumerate(hops) if distance >= 0}
+        assert topology.hops_to(dst) is hops
+        assert reached == _component(adj, dst)
+
+
+def _component(adj, start):
+    seen, stack = {start}, [start]
+    while stack:
+        for neighbour in adj[stack.pop()]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                stack.append(neighbour)
+    return seen
+
+
+def test_tie_a_unit_bound_breaks():
+    """A tie that a bound of exactly 1 per hop gets wrong.  At weight 1,
+    routes 18-0-1-2 and 18-3-4-5 pay loads 1/3, 1/3, 0 and 1/3, 0, 1/3:
+    costs one unit in the last place apart that round to the same cost at
+    6, where Dijkstra keeps the lexicographically smaller route.  Node 6 is
+    12 hops from host 19.  Under ``h = hops`` the cheaper route's entry
+    for 6 keys ``fl(fl(x5 + 1) + 12)``, below node 2's ``fl(x2 + 13)``, so
+    it pops before 2 and the search keeps the other route to 6."""
+    chain = list(range(6, 18))
+    nodes = [Node(i, NodeKind.REPEATER, 0.0, 0.0, 100) for i in range(18)]
+    nodes += [Node(i, NodeKind.HOST, 0.0, 0.0, 100) for i in (18, 19)]
+    edges = [(18, 0), (0, 1), (1, 2), (2, 6), (18, 3), (3, 4), (4, 5),
+             (5, 6), *zip(chain, chain[1:]), (17, 19)]
+    topology = Topology(NetworkKind.TELE, nodes, edges)
+    load = {0: 1 / 3, 1: 1 / 3, 3: 1 / 3, 5: 1 / 3}
+    step = 1.0 + 1 / 3
+    x2, x5 = (step + step) + 1.0, (step + 1.0) + step
+    assert x5 < x2 and x5 + 1.0 == x2 + 1.0
+    assert (x5 + 1.0) + 12.0 < x2 + 13.0
+    assert topology.hops_to(19)[6] == 12
+    want = (18, 0, 1, 2) + tuple(chain) + (19,)
+    assert oracle.compute_path(topology, 18, 19, load, 1.0).nodes == want
+    assert compute_path(topology, 18, 19, load, 1.0).nodes == want

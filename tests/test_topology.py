@@ -107,6 +107,19 @@ class TestGenerateWaxman:
         with pytest.raises(OverflowError):
             math.exp(1 / math.nextafter(MIN_ALPHA, 0))
 
+    def test_calibration_keeps_the_first_of_equal_gaps(self):
+        # At alpha 0.01 the bisection's steps are coarser than the spacing
+        # of some edges' thresholds, so degrees jump by two edges.  On this
+        # seed it visits degree 22/7 and later 18/7, the same float gap
+        # from the target 20/7 and above the calibration slack; the first
+        # visited stays the best.
+        gap = abs(2.0 * 11 / 7 - 20 / 7)
+        assert gap == abs(2.0 * 9 / 7 - 20 / 7) > 0.25
+        topology = generate_waxman(7, 20 / 7, 100.0, 0.01, seed=29)
+        assert [edge for edge in topology.edges if max(edge) < 7] == [
+            (0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4),
+            (2, 6), (3, 5), (3, 6)]
+
     def test_hosts_have_degree_one(self):
         topology = generate_waxman(20, 4.0, 100.0, 0.4, seed=5)
         adj = topology.adjacency()

@@ -3,9 +3,15 @@
 Output is byte-stable for fixed inputs: tabular files use 6 significant
 digits, record files are sorted-key JSON lines, and all rows appear in a
 fixed order.  Session and pool rows hold only ints and fixed ASCII words,
-so each of their lines is filled from one ``%``-template per format with
-the values of the trace's column blocks, in that format's field order, and
-streamed to the file.
+so their files are rendered by a numpy byte kernel rather than by ``csv``
+and ``json``, a chunk of rows at a time.  Each column of a chunk becomes
+a NUL-padded uint8 matrix of its text: a non-negative int64 column by a
+digit pass (one table lookup per three digits), and any other column
+(the words, ints outside int64, negative ints) by ``str``.  Between the
+literal bytes of the format's line, the columns make one matrix of the
+chunk's lines; dropping every NUL from it gives their bytes, which are
+streamed to the file.  The summary table goes through ``csv`` and
+``json``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path as FsPath
 from typing import get_type_hints
+
+import numpy as np
 
 from . import presets as preset_mod
 from .engine import (PoolRow, Protocol, RunConfig, RunResult, SessionRow,
@@ -139,64 +147,186 @@ def _fmt(value) -> str:
     return str(value)
 
 
-#: Each trace field's cell in a CSV line and in a JSON record, by type.
-#: The ``str`` fields hold short ASCII words (``phase``: ``-``/``SS``/``CA``;
-#: ``pool``: ``send``/``receive``/``transit``) that neither format escapes.
-_CELLS = {int: ("%d", "%d"), str: ("%s", '"%s"')}
+#: Bytes of line matrix a trace table is rendered in at a time, counting
+#: every field at the widest int64 width (see ``_render``).
+_CHUNK_BYTES = 1 << 19
 
-#: Stands for the slot in a trace line template; each block writes its own
-#: slot in once.
-_SLOT = "\0"
+_WIDEST = len(str(np.iinfo(np.int64).max))
+_TENS = 10 ** np.arange(_WIDEST, dtype=np.int64)
+#: Column ``i`` is ``i`` as three ASCII digits, zero-padded.
+_DIGITS = np.array([list(b"%03d" % i) for i in range(1000)],
+                   dtype=np.uint8).T.copy()
 
 
-def _line_templates(row_type) -> tuple[tuple[str, list[str]], ...]:
-    """A trace table's CSV line template and its sorted-key ndjson line
-    template, each with the order of the fields after ``slot`` that fill
-    it.  ``%d`` prints ``True`` as ``1`` where ``csv`` and ``json`` would
-    not, so every int field must hold exactly an ``int``."""
+def _line_templates(row_type) -> tuple[tuple[list[bytes], list[str]], ...]:
+    """A trace table's CSV line and its sorted-key ndjson line, each as the
+    literal bytes around its fields and the order of those fields: field
+    ``i`` goes between literals ``i`` and ``i + 1``.  The ``str`` fields
+    hold short ASCII words (``phase``: ``-``/``SS``/``CA``; ``pool``:
+    ``send``/``receive``/``transit``) that neither format escapes, so the
+    ndjson line quotes them in its literals."""
     types = get_type_hints(row_type)
-    cells = {field: (_SLOT, _SLOT) if field == "slot" else _CELLS[types[field]]
-             for field in row_type._fields}
-    fields, keys = row_type._fields, sorted(row_type._fields)
-    csv_line = ",".join(cells[field][0] for field in fields) + "\n"
-    ndjson_line = "{%s}\n" % ", ".join(
-        f'"{key}": {cells[key][1]}' for key in keys)
-    return ((csv_line, [f for f in fields if f != "slot"]),
-            (ndjson_line, [key for key in keys if key != "slot"]))
+    fields, keys = list(row_type._fields), sorted(row_type._fields)
+    quote = {field: '"' if types[field] is str else "" for field in fields}
+    csv_literals = ["", *[","] * (len(fields) - 1), "\n"]
+    ndjson_literals = ["{", *[", "] * (len(keys) - 1), "}\n"]
+    for i, key in enumerate(keys):
+        ndjson_literals[i] += f'"{key}": {quote[key]}'
+        ndjson_literals[i + 1] = quote[key] + ndjson_literals[i + 1]
+    return tuple(([literal.encode() for literal in literals], order)
+                 for literals, order in ((csv_literals, fields),
+                                         (ndjson_literals, keys)))
 
 
 _TEMPLATES = {row_type: _line_templates(row_type)
               for row_type in (SessionRow, PoolRow)}
 
 
-def _text(rows: Rows, form: int):
-    """A trace table's lines filled from ``_TEMPLATES`` form 0 (CSV) or 1
-    (ndjson), one string per block."""
-    line, fields = _TEMPLATES[rows.row_type][form]
-    for slot, values in rows.slots(fields):
-        yield "".join(map(line.replace(_SLOT, str(slot)).__mod__, values))
+def _int64(values) -> np.ndarray | None:
+    """``values`` as an int64 array, or None if one is outside int64 or
+    their array's dtype does not cast to int64 safely."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if not np.can_cast(values.dtype, np.int64):
+            return None
+        return values.astype(np.int64, copy=False)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _digit_cells(values: np.ndarray) -> np.ndarray:
+    """Non-negative int64 ``values`` as a ``(w, n)`` uint8 matrix whose
+    row ``k`` holds every value's ``k``-th decimal digit, right-aligned, NUL
+    where it would be a leading zero.  One table lookup writes three rows."""
+    width = len(str(values.max()))
+    groups = -(-width // 3)
+    cells = np.empty((3 * groups, len(values)), dtype=np.uint8)
+    rest = values
+    for group in range(groups - 1, 0, -1):
+        rest, low = np.divmod(rest, 1000)
+        _DIGITS.take(low, axis=1, out=cells[3 * group:3 * group + 3])
+    _DIGITS.take(rest, axis=1, out=cells[:3])
+    cells = cells[3 * groups - width:]
+    cells[:-1] *= values >= _TENS[width - 1:0:-1, None]
+    return cells
+
+
+def _cells(values, words: bool) -> np.ndarray:
+    """A column's values as a ``(w, n)`` uint8 matrix of their text, one
+    value per column, NUL-padded: non-negative int64 values by
+    ``_digit_cells``, words and every other int by ``str``.  A bool in an
+    int column prints as ``1`` or ``0``, where ``csv`` and ``json`` would
+    not, so every int field must hold exactly an ``int``."""
+    if not words:
+        ints = _int64(values)
+        if ints is not None and ints.min() >= 0:
+            return _digit_cells(ints)
+        values = [str(value) for value in values]
+    text = np.asarray(values, dtype="S")
+    return text.view(np.uint8).reshape(len(text), text.itemsize).T
+
+
+def _chunk(literals, segments, fields, shared) -> np.ndarray:
+    """The lines of ``segments``, ``(slot, columns, start, stop)`` row
+    ranges of consecutive blocks, as one uint8 array.  A matrix holds a
+    line per column: the literals' bytes in every column, and between them
+    each field's cells; reading it by lines and dropping every NUL gives the
+    text.  ``fields`` holds each field's column index and whether it holds
+    words, or None for the slot.  A column that every segment holds, more
+    than once or from an earlier chunk, is converted whole once, kept in
+    ``shared`` by id and kind, and sliced."""
+    counts = [stop - start for *_, start, stop in segments]
+    cells = []
+    for field in fields:
+        if field is None:
+            slots = _cells([slot for slot, *_ in segments], False)
+            cells.append(np.repeat(slots, counts, axis=1))
+            continue
+        at, words = field
+        pieces = [(columns[at], start, stop)
+                  for _, columns, start, stop in segments]
+        column = pieces[0][0]
+        key = (id(column), words)
+        if ((len(pieces) > 1 or key in shared)
+                and all(c is column for c, *_ in pieces)):
+            if key not in shared:
+                shared[key] = _cells(column, words)
+            whole = shared[key]
+            cells.append(np.concatenate(
+                [whole[:, start:stop] for _, start, stop in pieces], axis=1))
+            continue
+        parts = [column[start:stop] for column, start, stop in pieces]
+        if all(isinstance(part, np.ndarray) for part in parts):
+            values = np.concatenate(parts)
+        else:
+            values = list(chain.from_iterable(parts))
+        cells.append(_cells(values, words))
+    parts = [*chain.from_iterable(zip(literals, cells)), literals[-1]]
+    line = np.empty((sum(map(len, parts)), sum(counts)), dtype=np.uint8)
+    row = 0
+    for part in parts:
+        line[row:row + len(part)] = part
+        row += len(part)
+    line = line.T
+    return line[line != 0]
+
+
+def _render(rows: Rows, form: int):
+    """A trace table's lines in form 0 (CSV) or 1 (ndjson) of
+    ``_TEMPLATES``, as one uint8 array per chunk of consecutive rows: as
+    many rows as ``_CHUNK_BYTES`` holds lines of, counting every field at
+    the widest int64 width.  Chunks cut across blocks."""
+    literals, order = _TEMPLATES[rows.row_type][form]
+    literals = [np.frombuffer(literal, np.uint8)[:, None]
+                for literal in literals]
+    types = get_type_hints(rows.row_type)
+    fields = [None if field == "slot" else
+              (rows.row_type._fields.index(field) - 1, types[field] is str)
+              for field in order]
+    chunk_rows = max(1, _CHUNK_BYTES // (
+        sum(map(len, literals)) + _WIDEST * len(order)))
+    shared: dict[tuple[int, bool], np.ndarray] = {}
+    segments, n = [], 0
+    for slot, columns in rows.blocks:
+        size, start = len(columns[0]), 0
+        while start < size:
+            stop = min(size, start + chunk_rows - n)
+            segments.append((slot, columns, start, stop))
+            n, start = n + stop - start, stop
+            if n == chunk_rows:
+                yield _chunk(literals, segments, fields, shared)
+                held = set(map(id, columns))
+                shared = {key: cells for key, cells in shared.items()
+                          if key[0] in held}
+                segments, n = [], 0
+    if segments:
+        yield _chunk(literals, segments, fields, shared)
 
 
 def _write_csv(path: FsPath, header: Sequence[str], rows) -> None:
-    """Write ``header`` and ``rows``: a trace's ``Rows`` fill their line
-    template, and other rows go through ``_fmt`` and ``csv``."""
+    """Write ``header`` and ``rows``: a trace's ``Rows`` by ``_render``,
+    and other rows through ``_fmt`` and ``csv``."""
+    if isinstance(rows, Rows):
+        with open(path, "wb") as handle:
+            handle.write(",".join(header).encode() + b"\n")
+            handle.writelines(_render(rows, 0))
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, Rows):
-            handle.writelines(_text(rows, 0))
-            return
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
 def _write_records(path: FsPath, records) -> None:
-    """Write one line per record: a trace's ``Rows`` fill their line
-    template, and dicts go through sorted-key ``json.dumps``."""
+    """Write one line per record: a trace's ``Rows`` by ``_render``, and
+    dicts through sorted-key ``json.dumps``."""
+    if isinstance(records, Rows):
+        with open(path, "wb") as handle:
+            handle.writelines(_render(records, 1))
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if isinstance(records, Rows):
-            handle.writelines(_text(records, 1))
-            return
         for record in records:
             handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")

@@ -70,12 +70,18 @@ class Node:
 
 @dataclass
 class Topology:
+    """A network graph.  ``nodes`` and ``edges`` are stored as tuples (edges
+    as sorted ``(low, high)`` pairs, in sorted order) and are not to be
+    replaced: the adjacency, ``onward`` and ``hops_to`` tables are built
+    from them on first use and cached for the topology's lifetime."""
+
     kind: NetworkKind
-    nodes: list[Node]
-    edges: list[tuple[int, int]]
+    nodes: tuple[Node, ...]
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        self.edges = sorted(tuple(sorted(e)) for e in self.edges)
+        self.nodes = tuple(self.nodes)
+        self.edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
         self._adjacency: dict[int, list[int]] | None = None
         self._onward: list[tuple[int, ...]] | None = None
         self._hops: dict[int, list[int]] = {}

@@ -70,13 +70,6 @@ class Rows(Sequence):
             (slot, [list(column) for column in list(zip(*group))[1:]])
             for slot, group in groupby(rows, itemgetter(0))])
 
-    def slots(self, fields: Sequence[str]):
-        """Each block's slot, with its rows' values of ``fields`` (fields
-        after ``slot``), in that order, as an iterator of plain tuples."""
-        at = [self.row_type._fields.index(field) - 1 for field in fields]
-        for slot, lists in self._lists():
-            yield slot, zip(*[lists[i] for i in at])
-
     def _lists(self):
         """Each block's slot and columns, as lists; a column object held
         more than once in a block, or also by the block before, is

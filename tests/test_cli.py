@@ -3,13 +3,17 @@
 import csv
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from qdnsim import cli
 from qdnsim.cli import _fmt, emit, emit_table, main, parse_config, run_preset
 from qdnsim.engine import PoolRow, Protocol, RunResult, SessionRow, run
 from qdnsim.errors import ConfigError
 from qdnsim.topology import generate_waxman, to_document
+from qdnsim.trace import Rows
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -233,6 +237,18 @@ def reference_records(path, header, rows):
 INTS = [0, 1, 7, 255, 10**6, 2**31, 2**63 + 5, 10**30]
 
 
+def result_of(session_rows, pool_rows):
+    """A run result over the given trace rows, with an empty summary."""
+    return RunResult(
+        protocol="tag", network="tag_relay", seed=0, n_slots=3,
+        slot_length=1.0, paths={}, session_rows=session_rows,
+        pool_rows=pool_rows,
+        summary={"delivered_total": 0, "throughput_per_slot": 0.0,
+                 "throughput_per_time": 0.0, "jain_mean_window": None,
+                 "sessions": {}},
+    )
+
+
 def hand_built_result(seed, n_rows):
     rng = random.Random(seed)
     session_rows = [
@@ -247,14 +263,60 @@ def hand_built_result(seed, n_rows):
                 rng.choice(INTS), rng.choice(INTS))
         for _ in range(n_rows)
     ]
-    return RunResult(
-        protocol="tag", network="tag_relay", seed=seed, n_slots=3,
-        slot_length=1.0, paths={}, session_rows=session_rows,
-        pool_rows=pool_rows,
-        summary={"delivered_total": 0, "throughput_per_slot": 0.0,
-                 "throughput_per_time": 0.0, "jain_mean_window": None,
-                 "sessions": {}},
-    )
+    return result_of(session_rows, pool_rows)
+
+
+#: Values that fit int64, from zero to its largest.
+INT64S = [0, 1, 9, 10, 99, 100, 999, 1000, 10**6, 2**31, 2**63 - 1]
+
+
+def session_blocks(rng, sizes, values=INT64S, first_slot=0):
+    """Session blocks of ``sizes`` rows laid out as the engine keeps them:
+    int64 columns, and the phase as an object array of words.  ``rng`` is
+    a ``numpy.random.Generator``."""
+    values = np.array(values, dtype=np.int64)
+    blocks = []
+    for slot, size in enumerate(sizes, first_slot):
+        ints = rng.choice(values, (10, size))
+        phase = rng.choice(["-", "SS", "CA"], size).astype(object)
+        blocks.append((slot, (*ints[:6], phase, *ints[6:])))
+    return Rows(SessionRow, blocks)
+
+
+def pool_blocks(rng, n_pools, n_slots, values=INT64S):
+    """Pool blocks as the engine keeps them: every block shares one list
+    each of nodes, kinds and capacities (any ``values``), and holds its own
+    int64 reserved row."""
+    nodes, capacities = rng.choice(np.array(values, dtype=object),
+                                   (2, n_pools)).tolist()
+    kinds = rng.choice(["send", "receive", "transit"], n_pools).tolist()
+    reserved = rng.choice(np.array(INT64S, dtype=np.int64),
+                          (n_slots, n_pools))
+    return Rows(PoolRow, [(slot, (nodes, kinds, reserved[slot], capacities))
+                          for slot in range(n_slots)])
+
+
+def assert_matches_reference_writers(tmp_path, result):
+    emit(result, tmp_path / "new", "t", ["tabular", "records"])
+    old = tmp_path / "old"
+    old.mkdir()
+    for table, row_type, rows in (
+            ("sessions", SessionRow, result.session_rows),
+            ("pools", PoolRow, result.pool_rows)):
+        rows = list(rows)
+        reference_csv(old / f"t_{table}.csv", row_type._fields, rows)
+        reference_records(old / f"t_{table}.ndjson", row_type._fields, rows)
+        for suffix in (".csv", ".ndjson"):
+            name = f"t_{table}{suffix}"
+            assert (tmp_path / "new" / name).read_bytes() == \
+                (old / name).read_bytes(), name
+
+
+def chunk_edges(rows, form):
+    """Row offsets at which ``cli._render`` ends its chunks."""
+    edges = np.cumsum([np.count_nonzero(chunk == ord("\n"))
+                       for chunk in cli._render(rows, form)])
+    return edges.tolist()
 
 
 class TestTemplatedEmission:
@@ -262,20 +324,113 @@ class TestTemplatedEmission:
                                               (3, 300)])
     def test_trace_tables_match_reference_writers(self, tmp_path, seed,
                                                   n_rows):
-        result = hand_built_result(seed, n_rows)
-        emit(result, tmp_path / "new", "t", ["tabular", "records"])
-        old = tmp_path / "old"
-        old.mkdir()
-        for table, row_type, rows in (
-                ("sessions", SessionRow, result.session_rows),
-                ("pools", PoolRow, result.pool_rows)):
-            reference_csv(old / f"t_{table}.csv", row_type._fields, rows)
-            reference_records(old / f"t_{table}.ndjson", row_type._fields,
-                              rows)
-            for suffix in (".csv", ".ndjson"):
-                name = f"t_{table}{suffix}"
-                assert (tmp_path / "new" / name).read_bytes() == \
-                    (old / name).read_bytes(), name
+        assert_matches_reference_writers(tmp_path,
+                                         hand_built_result(seed, n_rows))
+
+    @pytest.mark.parametrize("budget, size, n_blocks", [
+        (None, 1000, 7), (1, 5, 3), (2000, 40, 3)],
+        ids=["default", "row_per_chunk", "few_rows"])
+    def test_chunks_cut_across_blocks(self, tmp_path, monkeypatch, budget,
+                                      size, n_blocks):
+        if budget is not None:
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(size)
+        result = result_of(session_blocks(rng, [size] * n_blocks),
+                           pool_blocks(rng, size, n_blocks))
+        for rows in (result.session_rows, result.pool_rows):
+            for form in (0, 1):
+                edges = chunk_edges(rows, form)
+                assert edges[-1] == len(rows)
+                assert len(edges) >= 2
+                assert any(edge % size for edge in edges[:-1])
+        assert_matches_reference_writers(tmp_path, result)
+
+    def test_zero_row_blocks(self, tmp_path, monkeypatch):
+        # The engine keeps a block for a slot with no live session; such
+        # blocks lead, trail, run in a row, and fall on a chunk's edge.
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 1500)
+        rng = np.random.default_rng(5)
+        sizes = [0, 3, 0, 0, 4, 0, 1, 5, 0, 2, 0]
+        result = result_of(session_blocks(rng, sizes),
+                           pool_blocks(rng, 0, 4))
+        assert chunk_edges(result.session_rows, 1)[0] == 3
+        assert len(result.pool_rows) == 0
+        assert_matches_reference_writers(tmp_path, result)
+
+    def test_only_zero_row_blocks(self, tmp_path):
+        rng = np.random.default_rng(6)
+        result = result_of(session_blocks(rng, [0, 0]),
+                           pool_blocks(rng, 0, 2))
+        assert_matches_reference_writers(tmp_path, result)
+        assert (tmp_path / "new" / "t_sessions.csv").read_text() == \
+            ",".join(SessionRow._fields) + "\n"
+        assert (tmp_path / "new" / "t_sessions.ndjson").read_bytes() == b""
+
+    def test_negative_ints(self, tmp_path):
+        rng = np.random.default_rng(7)
+        values = [-(2**63), -10**6, -1000, -1, *INT64S]
+        result = result_of(session_blocks(rng, [6, 9, 1], values, -2),
+                           pool_blocks(rng, 5, 3, values))
+        assert_matches_reference_writers(tmp_path, result)
+
+    @pytest.mark.parametrize("column", ["list", "object_array"])
+    def test_ints_beyond_int64(self, tmp_path, column):
+        # A column that mixes small ints with ones no int64 holds is
+        # written through str, whatever holds it.
+        rng = np.random.default_rng(8)
+        values = [0, 3, 2**63 + 5, 10**30, -(2**63) - 1]
+        rows = session_blocks(rng, [4, 7])
+        _, columns = rows.blocks[1]
+        wide = rng.choice(np.array(values, dtype=object), 7)
+        wide = wide.tolist() if column == "list" else wide
+        rows.blocks[1] = (10**30, (*columns[:3], wide, *columns[4:]))
+        assert_matches_reference_writers(
+            tmp_path, result_of(rows, pool_blocks(rng, 3, 2, values)))
+
+    def test_one_row_table(self, tmp_path):
+        rng = np.random.default_rng(9)
+        result = result_of(session_blocks(rng, [0, 1, 0], first_slot=12),
+                           pool_blocks(rng, 1, 1))
+        assert len(result.session_rows) == len(result.pool_rows) == 1
+        assert_matches_reference_writers(tmp_path, result)
+
+    @pytest.mark.parametrize("protocol, network", [
+        ("tele", "tele"), ("ew", "tele"), ("fra", "tele"),
+        ("tag", "tag_relay"), ("tag", "tag_switch")])
+    def test_engine_run_matches_reference_writers(self, tmp_path, protocol,
+                                                  network):
+        doc = minimal_doc(protocol=protocol, network=network, sessions=6,
+                          n_slots=30)
+        result = run(parse_config(write_config(tmp_path, doc)))
+        assert isinstance(result.session_rows.blocks[0][1][0], np.ndarray)
+        assert_matches_reference_writers(tmp_path, result)
+
+
+class TestEmitMemory:
+    #: Bytes numpy and Python may hold at once while emit writes a trace,
+    #: whatever its length, and how much more they may hold for a trace
+    #: four times as long.  Rendering a whole file at once needs over 50 MB
+    #: here, and chunks eight times the size about 12 MB; bookkeeping kept
+    #: per block grows with the trace.
+    PEAK_BYTES = 4 * 2**20
+    GROWTH_BYTES = 2**18
+
+    def test_peak_does_not_grow_with_the_trace(self, tmp_path):
+        peaks = []
+        for n_blocks in (250, 1000):
+            rng = np.random.default_rng(n_blocks)
+            # 200-row blocks: N = 50,000 and 4N rows in each table.
+            result = result_of(session_blocks(rng, [200] * n_blocks),
+                               pool_blocks(rng, 200, n_blocks))
+            tracemalloc.start()
+            try:
+                emit(result, tmp_path / str(n_blocks), "m",
+                     ["tabular", "records"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < self.PEAK_BYTES, peaks
+        assert peaks[1] - peaks[0] < self.GROWTH_BYTES, peaks
 
 
 class TestMain:

@@ -89,6 +89,23 @@ class TestComputePath:
         short = compute_path(topology, hosts[0], hosts[3], {1: 0.2})
         assert short.nodes == (hosts[0], 0, 1, 3, hosts[3])
 
+    def test_graph_cannot_be_edited_under_its_caches(self):
+        # Routing caches the adjacency, onward lists and hop distances on
+        # the topology; an edge appended after the first search would be
+        # invisible to them, so the graph is stored as tuples.
+        topology, hosts = topology_with_hosts([(0, 1), (1, 2), (2, 3)], 4,
+                                              [0, 3])
+        assert hosts == {0: 4, 3: 5}
+        assert compute_path(topology, 4, 5, {}).nodes == (4, 0, 1, 2, 3, 5)
+        with pytest.raises(AttributeError):
+            topology.edges.append((0, 3))
+        with pytest.raises(AttributeError):
+            topology.nodes.append(topology.nodes[0])
+        assert compute_path(topology, 4, 5, {}).nodes == (4, 0, 1, 2, 3, 5)
+        edited = Topology(topology.kind, topology.nodes,
+                          [*topology.edges, (0, 3)])
+        assert compute_path(edited, 4, 5, {}).nodes == (4, 0, 3, 5)
+
 
 class TestEndpoints:
     @pytest.mark.parametrize("src, dst", [(-1, 4), (4, -2), (4, 99), (99, 4),

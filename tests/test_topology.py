@@ -208,6 +208,15 @@ class TestSerialization:
         assert again.nodes == topology.nodes
         assert json.dumps(to_document(again), sort_keys=True) == text
 
+    def test_graph_is_stored_as_tuples_and_written_as_lists(self):
+        topology = Topology(NetworkKind.TELE, list(path_topology(3).nodes),
+                            [[2, 1], (0, 1)])
+        assert topology.nodes == path_topology(3).nodes
+        assert topology.edges == ((0, 1), (1, 2))
+        doc = to_document(topology)
+        assert doc["edges"] == [[0, 1], [1, 2]]
+        assert isinstance(doc["nodes"], list)
+
     def test_rejects_duplicate_edges(self):
         doc = {
             "kind": "tele",

@@ -4,14 +4,15 @@ Output is byte-stable for fixed inputs: tabular files use 6 significant
 digits, record files are sorted-key JSON lines, and all rows appear in a
 fixed order.  Session and pool rows hold only ints and fixed ASCII words,
 so their files are rendered by a numpy byte kernel rather than by ``csv``
-and ``json``, a chunk of rows at a time.  Each column of a chunk becomes
-a NUL-padded uint8 matrix of its text: a non-negative int64 column by a
-digit pass (one table lookup per three digits), and any other column
-(the words, ints outside int64, negative ints) by ``str``.  Between the
-literal bytes of the format's line, the columns make one matrix of the
-chunk's lines; dropping every NUL from it gives their bytes, which are
-streamed to the file.  The summary table goes through ``csv`` and
-``json``.
+and ``json``, a chunk of rows at a time and both formats in one pass.
+Each column of a chunk becomes a NUL-padded uint8 matrix of its text,
+once for every format: a phase code column by one lookup of its words, a
+non-negative int64 column by a digit pass (one table lookup per three
+digits), and any other column (words, ints outside int64, negative ints)
+by ``str``.  Between the literal bytes of a format's line, in its field
+order, the columns make one matrix of the chunk's lines; dropping every
+NUL from it gives their bytes, which are streamed to that format's file.
+The summary table goes through ``csv`` and ``json``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import json
 import sys
 from collections.abc import Sequence
+from contextlib import ExitStack
 from itertools import chain
 from pathlib import Path as FsPath
 from typing import get_type_hints
@@ -32,7 +34,7 @@ from .engine import (PoolRow, Protocol, RunConfig, RunResult, SessionRow,
                      SessionSpec, WaxmanSpec, run)
 from .errors import ConfigError, QdnError
 from .topology import NetworkKind, Topology, from_document, number
-from .trace import Rows
+from .trace import PHASE_WORDS, Rows, holds_codes
 
 #: Number fields of a run, a Waxman spec and a listed session, by type.
 #: Defaults for the fields a document leaves out come from the dataclasses.
@@ -148,7 +150,8 @@ def _fmt(value) -> str:
 
 
 #: Bytes of line matrix a trace table is rendered in at a time, counting
-#: every field at the widest int64 width (see ``_render``).
+#: every field of the widest requested line at the widest int64 width (see
+#: ``_render``).
 _CHUNK_BYTES = 1 << 19
 
 _WIDEST = len(str(np.iinfo(np.int64).max))
@@ -156,15 +159,20 @@ _TENS = 10 ** np.arange(_WIDEST, dtype=np.int64)
 #: Column ``i`` is ``i`` as three ASCII digits, zero-padded.
 _DIGITS = np.array([list(b"%03d" % i) for i in range(1000)],
                    dtype=np.uint8).T.copy()
+#: Column ``i`` is the word of phase code ``i``, NUL-padded.
+_PHASE_CELLS = (np.array(PHASE_WORDS, dtype="S")[:, None]
+                .view(np.uint8).T.copy())
 
 
-def _line_templates(row_type) -> tuple[tuple[list[bytes], list[str]], ...]:
+def _line_templates(row_type) -> tuple[tuple[list[np.ndarray], list[int]],
+                                       ...]:
     """A trace table's CSV line and its sorted-key ndjson line, each as the
-    literal bytes around its fields and the order of those fields: field
-    ``i`` goes between literals ``i`` and ``i + 1``.  The ``str`` fields
-    hold short ASCII words (``phase``: ``-``/``SS``/``CA``; ``pool``:
-    ``send``/``receive``/``transit``) that neither format escapes, so the
-    ndjson line quotes them in its literals."""
+    literal bytes around its fields, as uint8 columns, and the indices in
+    ``row_type._fields`` of those fields: field ``i`` goes between literals
+    ``i`` and ``i + 1``.  The ``str`` fields hold short ASCII words
+    (``phase``: ``-``/``SS``/``CA``; ``pool``: ``send``/``receive``/
+    ``transit``) that neither format escapes, so the ndjson line quotes them
+    in its literals."""
     types = get_type_hints(row_type)
     fields, keys = list(row_type._fields), sorted(row_type._fields)
     quote = {field: '"' if types[field] is str else "" for field in fields}
@@ -173,7 +181,8 @@ def _line_templates(row_type) -> tuple[tuple[list[bytes], list[str]], ...]:
     for i, key in enumerate(keys):
         ndjson_literals[i] += f'"{key}": {quote[key]}'
         ndjson_literals[i + 1] = quote[key] + ndjson_literals[i + 1]
-    return tuple(([literal.encode() for literal in literals], order)
+    return tuple(([np.frombuffer(literal.encode(), np.uint8)[:, None]
+                   for literal in literals], list(map(fields.index, order)))
                  for literals, order in ((csv_literals, fields),
                                          (ndjson_literals, keys)))
 
@@ -212,12 +221,15 @@ def _digit_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _cells(values, words: bool) -> np.ndarray:
+def _cells(field: str, values, words: bool) -> np.ndarray:
     """A column's values as a ``(w, n)`` uint8 matrix of their text, one
-    value per column, NUL-padded: non-negative int64 values by
-    ``_digit_cells``, words and every other int by ``str``.  A bool in an
-    int column prints as ``1`` or ``0``, where ``csv`` and ``json`` would
-    not, so every int field must hold exactly an ``int``."""
+    value per column, NUL-padded: phase codes by one ``_PHASE_CELLS``
+    lookup, non-negative int64 values by ``_digit_cells``, and words and
+    every other int by ``str``.  A bool in an int column prints as ``1`` or
+    ``0``, where ``csv`` and ``json`` would not, so every int field must
+    hold exactly an ``int``."""
+    if holds_codes(field, values):
+        return _PHASE_CELLS.take(values, axis=1)
     if not words:
         ints = _int64(values)
         if ints is not None and ints.min() >= 0:
@@ -227,43 +239,55 @@ def _cells(values, words: bool) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), text.itemsize).T
 
 
-def _chunk(literals, segments, fields, shared) -> np.ndarray:
-    """The lines of ``segments``, ``(slot, columns, start, stop)`` row
-    ranges of consecutive blocks, as one uint8 array.  A matrix holds a
-    line per column: the literals' bytes in every column, and between them
-    each field's cells; reading it by lines and dropping every NUL gives the
-    text.  ``fields`` holds each field's column index and whether it holds
-    words, or None for the slot.  A column that every segment holds, more
-    than once or from an earlier chunk, is converted whole once, kept in
-    ``shared`` by id and kind, and sliced."""
+def _field_cells(segments, fields, shared) -> list[np.ndarray]:
+    """Every field's cells over ``segments``, ``(slot, columns, start,
+    stop)`` row ranges of consecutive blocks.  ``fields`` holds each field
+    after ``slot`` as its name and whether it holds words; the slot's cells
+    come first.  A column that every segment holds, more than once or from
+    an earlier chunk, is converted whole once, kept in ``shared`` by id and
+    field, and sliced.  Pieces of one field that are not all code columns
+    or all not are converted one by one and padded to one width."""
     counts = [stop - start for *_, start, stop in segments]
-    cells = []
-    for field in fields:
-        if field is None:
-            slots = _cells([slot for slot, *_ in segments], False)
-            cells.append(np.repeat(slots, counts, axis=1))
-            continue
-        at, words = field
+    slots = _cells("slot", [slot for slot, *_ in segments], False)
+    cells = [np.repeat(slots, counts, axis=1)]
+    for at, (field, words) in enumerate(fields):
         pieces = [(columns[at], start, stop)
                   for _, columns, start, stop in segments]
         column = pieces[0][0]
-        key = (id(column), words)
+        key = (id(column), field)
         if ((len(pieces) > 1 or key in shared)
                 and all(c is column for c, *_ in pieces)):
             if key not in shared:
-                shared[key] = _cells(column, words)
+                shared[key] = _cells(field, column, words)
             whole = shared[key]
             cells.append(np.concatenate(
                 [whole[:, start:stop] for _, start, stop in pieces], axis=1))
             continue
         parts = [column[start:stop] for column, start, stop in pieces]
+        codes = {holds_codes(field, part) for part in parts}
+        if len(codes) > 1:
+            parts = [_cells(field, part, words) for part in parts]
+            width = max(len(part) for part in parts)
+            cells.append(np.concatenate(
+                [np.pad(part, ((0, width - len(part)), (0, 0)))
+                 for part in parts], axis=1))
+            continue
         if all(isinstance(part, np.ndarray) for part in parts):
             values = np.concatenate(parts)
         else:
             values = list(chain.from_iterable(parts))
-        cells.append(_cells(values, words))
+        cells.append(_cells(field, values, words))
+    return cells
+
+
+def _lay_out(literals, cells) -> np.ndarray:
+    """One form's lines as one uint8 array.  A matrix holds a line per
+    column: the literals' bytes in every column, and between them each
+    field's cells; reading it by lines and dropping every NUL gives the
+    text."""
     parts = [*chain.from_iterable(zip(literals, cells)), literals[-1]]
-    line = np.empty((sum(map(len, parts)), sum(counts)), dtype=np.uint8)
+    line = np.empty((sum(map(len, parts)), cells[0].shape[1]),
+                    dtype=np.uint8)
     row = 0
     for part in parts:
         line[row:row + len(part)] = part
@@ -272,46 +296,65 @@ def _chunk(literals, segments, fields, shared) -> np.ndarray:
     return line[line != 0]
 
 
-def _render(rows: Rows, form: int):
-    """A trace table's lines in form 0 (CSV) or 1 (ndjson) of
-    ``_TEMPLATES``, as one uint8 array per chunk of consecutive rows: as
-    many rows as ``_CHUNK_BYTES`` holds lines of, counting every field at
-    the widest int64 width.  Chunks cut across blocks."""
-    literals, order = _TEMPLATES[rows.row_type][form]
-    literals = [np.frombuffer(literal, np.uint8)[:, None]
-                for literal in literals]
-    types = get_type_hints(rows.row_type)
-    fields = [None if field == "slot" else
-              (rows.row_type._fields.index(field) - 1, types[field] is str)
-              for field in order]
-    chunk_rows = max(1, _CHUNK_BYTES // (
-        sum(map(len, literals)) + _WIDEST * len(order)))
-    shared: dict[tuple[int, bool], np.ndarray] = {}
+def _chunks(blocks, chunk_rows: int):
+    """``blocks`` as chunks of ``chunk_rows`` consecutive rows, the last
+    one shorter: lists of ``(slot, columns, start, stop)`` row ranges of
+    consecutive blocks.  Chunks cut across blocks."""
     segments, n = [], 0
-    for slot, columns in rows.blocks:
+    for slot, columns in blocks:
         size, start = len(columns[0]), 0
         while start < size:
             stop = min(size, start + chunk_rows - n)
             segments.append((slot, columns, start, stop))
             n, start = n + stop - start, stop
             if n == chunk_rows:
-                yield _chunk(literals, segments, fields, shared)
-                held = set(map(id, columns))
-                shared = {key: cells for key, cells in shared.items()
-                          if key[0] in held}
+                yield segments
                 segments, n = [], 0
     if segments:
-        yield _chunk(literals, segments, fields, shared)
+        yield segments
+
+
+def _render(rows: Rows, outputs) -> None:
+    """Render a trace table's lines for each of ``outputs``, ``(form,
+    write)`` pairs of a form, 0 (CSV) or 1 (ndjson) of ``_TEMPLATES``, and
+    the callable that takes its text: one uint8 array per chunk of
+    consecutive rows.  A chunk holds as many rows as ``_CHUNK_BYTES`` holds
+    of the widest of those lines, counting every field at the widest int64
+    width.  Each field's cells are built once a chunk and laid out in every
+    form's field order, and each form's text is handed on before the next
+    is laid out."""
+    templates = [(*_TEMPLATES[rows.row_type][form], write)
+                 for form, write in outputs]
+    types = get_type_hints(rows.row_type)
+    fields = [(field, types[field] is str)
+              for field in rows.row_type._fields[1:]]
+    chunk_rows = max(1, _CHUNK_BYTES // max(
+        sum(map(len, literals)) + _WIDEST * len(order)
+        for literals, order, _ in templates))
+    shared: dict[tuple[int, str], np.ndarray] = {}
+    for segments in _chunks(rows.blocks, chunk_rows):
+        cells = _field_cells(segments, fields, shared)
+        for literals, order, write in templates:
+            write(_lay_out(literals, [cells[at] for at in order]))
+        held = set(map(id, segments[-1][1]))
+        shared = {key: whole for key, whole in shared.items()
+                  if key[0] in held}
+
+
+def _write_trace(paths: list[FsPath], rows: Rows) -> None:
+    """Write a trace's ``Rows`` to ``paths``, a CSV file and/or an ndjson
+    file in that order, by one ``_render`` pass."""
+    forms = [int(path.suffix == ".ndjson") for path in paths]
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "wb")) for path in paths]
+        if forms[0] == 0:
+            handles[0].write(",".join(rows.row_type._fields).encode() + b"\n")
+        _render(rows, [(form, handle.write)
+                       for form, handle in zip(forms, handles)])
 
 
 def _write_csv(path: FsPath, header: Sequence[str], rows) -> None:
-    """Write ``header`` and ``rows``: a trace's ``Rows`` by ``_render``,
-    and other rows through ``_fmt`` and ``csv``."""
-    if isinstance(rows, Rows):
-        with open(path, "wb") as handle:
-            handle.write(",".join(header).encode() + b"\n")
-            handle.writelines(_render(rows, 0))
-        return
+    """Write ``header`` and ``rows`` through ``_fmt`` and ``csv``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -320,12 +363,7 @@ def _write_csv(path: FsPath, header: Sequence[str], rows) -> None:
 
 
 def _write_records(path: FsPath, records) -> None:
-    """Write one line per record: a trace's ``Rows`` by ``_render``, and
-    dicts through sorted-key ``json.dumps``."""
-    if isinstance(records, Rows):
-        with open(path, "wb") as handle:
-            handle.writelines(_render(records, 1))
-        return
+    """Write one line per record dict through sorted-key ``json.dumps``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True))
@@ -346,20 +384,22 @@ def _summary_rows(result: RunResult) -> list[tuple]:
 def _write_table(out: FsPath, name: str, header: Sequence[str], rows,
                  formats: list[str], trailer: dict | None = None
                  ) -> list[FsPath]:
-    """Write ``rows``, a trace's ``Rows`` or a sequence of value tuples in
-    ``header`` order, as ``name.csv`` and/or ``name.ndjson``; ``trailer`` is
-    a last line of records only.  Records other than ``Rows`` are built one
-    at a time as they are written."""
+    """Write ``rows``, a trace's ``Rows`` in its row type's field order or a
+    sequence of value tuples in ``header`` order, as ``name.csv`` and/or
+    ``name.ndjson``; ``trailer`` is a last line of records only.  A trace
+    goes through ``_write_trace``, other rows through ``csv`` and ``json``,
+    with records built one at a time as they are written."""
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = [out / f"{name}{suffix}" for form, suffix in (
+        ("tabular", ".csv"), ("records", ".ndjson")) if form in formats]
+    if isinstance(rows, Rows):
+        if written:
+            _write_trace(written, rows)
+        return written
     if "tabular" in formats:
-        written.append(out / f"{name}.csv")
-        _write_csv(written[-1], header, rows)
+        _write_csv(written[0], header, rows)
     if "records" in formats:
-        written.append(out / f"{name}.ndjson")
-        records = rows
-        if not isinstance(rows, Rows):
-            records = (dict(zip(header, row)) for row in rows)
+        records = (dict(zip(header, row)) for row in rows)
         if trailer is not None:
             records = chain(records, [trailer])
         _write_records(written[-1], records)

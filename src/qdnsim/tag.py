@@ -43,7 +43,7 @@ from .errors import DeadlockError
 from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST, Incidence,
                      PoolTable, reserve)
 from .routing import Path
-from .tele import PHASE_WORDS, UNBOUNDED, Phase, advance_windows
+from .tele import UNBOUNDED, Phase, advance_windows
 
 INITIAL_WINDOW = 2
 
@@ -498,7 +498,7 @@ class HopTable:
         relay queue as it stood at the start of the slot.  Finished
         sessions leave the table.  Returns the slot's trace columns in
         ``SessionRow`` field order after ``slot``: the window and phase
-        announced, the grant, the sharings sent and lost, and the first
+        code announced, the grant, the sharings sent and lost, and the first
         sharings stored after it."""
         granted, congested, receiver_free = _reserve(
             self.pools, self.send, self.receive, self.window,
@@ -515,8 +515,7 @@ class HopTable:
          delivered) = _send(self.firsts, self.seconds, self.stored,
                             self.backlog, self.unminted, runs, ok)
         record = (self.session, self.hop, self.window,
-                  congested.astype(np.int64), granted, delivered,
-                  PHASE_WORDS[self.phase],
+                  congested.astype(np.int64), granted, delivered, self.phase,
                   take_firsts.sum(axis=1) + encodes,
                   take_seconds.sum(axis=1),
                   runs.sum(axis=1) - ok.sum(axis=1), self.stored)

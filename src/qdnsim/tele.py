@@ -28,6 +28,7 @@ import numpy as np
 from .memory import (RECEIVE_COST, TELE_SEND_COST, Incidence, PoolTable,
                      reserve)
 from .routing import Path
+from .trace import PHASE_WORDS
 
 #: Window a session announces in its first slot unless it asks otherwise.
 INITIAL_WINDOW = 1
@@ -41,9 +42,10 @@ class Phase(Enum):
     AVOIDANCE = "CA"
 
 
-#: A table row's phase code indexes these; rows print their words.
+#: A table row's phase code indexes these; ``trace.PHASE_WORDS`` holds
+#: their words, and the code ``NO_PHASE`` for an EW row's ``-`` after them.
 PHASES = (Phase.SLOW_START, Phase.AVOIDANCE)
-PHASE_WORDS = np.array([phase.value for phase in PHASES], dtype=object)
+NO_PHASE = PHASE_WORDS.index("-")
 
 
 def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, Phase]:
@@ -177,7 +179,7 @@ class SessionTable:
     unbounded stream.  ``pool`` and ``num`` are the rows'
     ``session_points`` concatenated, ``length`` of them per row.  Each slot
     reserves by ``scheme``; under the ``explicit`` (EW) rule a row
-    announces its grant, prints ``-`` as its phase and keeps its window.
+    announces its grant, records ``NO_PHASE`` and keeps its window.
     """
 
     _COLUMNS = ("session", "window", "phase", "remaining", "length")
@@ -208,8 +210,8 @@ class SessionTable:
         """One slot for every session: reserve, transfer up to the grant,
         give back what the grant did not carry, advance the windows and
         retire the sessions that are done.  Returns the slot's trace
-        columns in ``SessionRow`` field order after ``slot``; ties go to
-        the lower session id."""
+        columns in ``SessionRow`` field order after ``slot``, the phase as
+        its code; ties go to the lower session id."""
         n = len(self.session)
         rank = np.repeat(np.arange(n), self.length)
         points = Incidence(self.pool, rank, self.session[rank], self.num,
@@ -221,9 +223,9 @@ class SessionTable:
         release_surplus(points, granted, delivered, self.pools)
         zeros = np.zeros(n, dtype=np.int64)
         if self.explicit:
-            window, phase = granted, np.full(n, "-", dtype=object)
+            window, phase = granted, np.full(n, NO_PHASE, dtype=np.int64)
         else:
-            window, phase = self.window, PHASE_WORDS[self.phase]
+            window, phase = self.window, self.phase
             self.window, self.phase = advance_windows(self.window, self.phase,
                                                       congested)
         record = (self.session, zeros, window, congested.astype(np.int64),

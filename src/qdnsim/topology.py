@@ -68,23 +68,23 @@ class Node:
     capacity: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    """A network graph.  ``nodes`` and ``edges`` are stored as tuples (edges
-    as sorted ``(low, high)`` pairs, in sorted order) and are not to be
-    replaced: the adjacency, ``onward`` and ``hops_to`` tables are built
-    from them on first use and cached for the topology's lifetime."""
+    """A network graph, frozen.  ``nodes`` and ``edges`` are stored as
+    tuples (edges as sorted ``(low, high)`` pairs, in sorted order): the
+    adjacency, ``onward`` and ``hops_to`` tables are built from them on
+    first use and cached for the topology's lifetime."""
 
     kind: NetworkKind
     nodes: tuple[Node, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        self.nodes = tuple(self.nodes)
-        self.edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        self._adjacency: dict[int, list[int]] | None = None
-        self._onward: list[tuple[int, ...]] | None = None
-        self._hops: dict[int, list[int]] = {}
+        edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
+        for name, value in (("nodes", tuple(self.nodes)), ("edges", edges),
+                            ("_adjacency", None), ("_onward", None),
+                            ("_hops", {})):
+            object.__setattr__(self, name, value)
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -97,7 +97,7 @@ class Topology:
                 adj[v].append(u)
             for neighbours in adj.values():
                 neighbours.sort()
-            self._adjacency = adj
+            object.__setattr__(self, "_adjacency", adj)
         return self._adjacency
 
     def onward(self) -> list[tuple[int, ...]]:
@@ -106,8 +106,9 @@ class Topology:
         there."""
         if self._onward is None:
             adj = self.adjacency()
-            self._onward = [tuple(m for m in adj[n.id] if len(adj[m]) > 1)
-                            for n in self.nodes]
+            object.__setattr__(self, "_onward", [
+                tuple(m for m in adj[n.id] if len(adj[m]) > 1)
+                for n in self.nodes])
         return self._onward
 
     def hops_to(self, dst: int) -> list[int]:

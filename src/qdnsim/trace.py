@@ -2,12 +2,16 @@
 blocks.
 
 A run keeps its trace as columns, one block per slot: the slot, then one
-column per field after ``slot``, all of one length.  A column is an int64
-or object array, or a list; blocks may share a column object, as every
-pool block shares the pool nodes, kinds and capacities.  A column is never
-written once its block is kept: the flow tables build new arrays each slot
-rather than write into the ones they returned.  ``Rows`` reads the blocks
-as a sequence of row tuples, built only when asked for.
+column per field after ``slot``, all of one length.  An ``int`` field's
+column is an int64 or object array, or a list, of ints.  A ``str`` field's
+column is an object array or a list of its words, or, for ``phase`` only,
+a code column: an integer array whose code ``i`` stands for the word
+``PHASE_WORDS[i]``, as the flow tables record it.  Blocks may share a
+column object, as every pool block shares the pool nodes, kinds and
+capacities.  A column is never written once its block is kept: the flow
+tables build new arrays each slot rather than write into the ones they
+returned.  ``Rows`` reads the blocks as a sequence of row tuples, built
+only when asked for, with every code as its word.
 """
 
 from __future__ import annotations
@@ -17,6 +21,13 @@ from collections.abc import Sequence
 from itertools import chain, groupby, islice, repeat
 from operator import eq, index as as_index, itemgetter
 from typing import NamedTuple
+
+import numpy as np
+
+#: The word each ``phase`` code stands for: the teleportation phases by
+#: ``tele.PHASES`` index, then ``-``, the phase of a row that has none.
+PHASE_WORDS = ("SS", "CA", "-")
+_PHASE_OBJECTS = np.array(PHASE_WORDS, dtype=object)
 
 
 class SessionRow(NamedTuple):
@@ -42,8 +53,16 @@ class PoolRow(NamedTuple):
     capacity: int
 
 
-def _values(column) -> list:
-    """A block column as a list of Python ints and strs."""
+def holds_codes(field: str, column) -> bool:
+    """Whether ``column``, a block column of ``field``, is a code column."""
+    return (field == "phase" and isinstance(column, np.ndarray)
+            and column.dtype.kind in "iu")
+
+
+def _values(field: str, column) -> list:
+    """A block column of ``field`` as a list of Python ints and strs."""
+    if holds_codes(field, column):
+        return _PHASE_OBJECTS[column].tolist()
     return column if isinstance(column, list) else column.tolist()
 
 
@@ -73,14 +92,16 @@ class Rows(Sequence):
     def _lists(self):
         """Each block's slot and columns, as lists; a column object held
         more than once in a block, or also by the block before, is
-        converted once."""
-        lists: dict[int, list] = {}
+        converted once for each field that holds it."""
+        fields = self.row_type._fields[1:]
+        lists: dict[tuple[int, str], list] = {}
         for slot, columns in self.blocks:
-            lists = {key: lists[key] for key in map(id, columns) if key in lists}
-            for column in columns:
-                if id(column) not in lists:
-                    lists[id(column)] = _values(column)
-            yield slot, [lists[id(column)] for column in columns]
+            keys = list(zip(map(id, columns), fields))
+            lists = {key: lists[key] for key in keys if key in lists}
+            for key, field, column in zip(keys, fields, columns):
+                if key not in lists:
+                    lists[key] = _values(field, column)
+            yield slot, [lists[key] for key in keys]
 
     def _offsets(self) -> list[int]:
         """Each block's end as a row offset."""
@@ -114,8 +135,9 @@ class Rows(Sequence):
         block = bisect_right(self._ends, position)
         slot, columns = self.blocks[block]
         at = position - (self._ends[block - 1] if block else 0)
-        return self.row_type(slot, *(_values(column[at:at + 1])[0]
-                                     for column in columns))
+        return self.row_type(slot, *(
+            _values(field, column[at:at + 1])[0]
+            for field, column in zip(self.row_type._fields[1:], columns)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Rows, list)):

@@ -13,7 +13,7 @@ from qdnsim.cli import _fmt, emit, emit_table, main, parse_config, run_preset
 from qdnsim.engine import PoolRow, Protocol, RunResult, SessionRow, run
 from qdnsim.errors import ConfigError
 from qdnsim.topology import generate_waxman, to_document
-from qdnsim.trace import Rows
+from qdnsim.trace import PHASE_WORDS, Rows
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -271,15 +271,42 @@ INT64S = [0, 1, 9, 10, 99, 100, 999, 1000, 10**6, 2**31, 2**63 - 1]
 
 
 def session_blocks(rng, sizes, values=INT64S, first_slot=0):
-    """Session blocks of ``sizes`` rows laid out as the engine keeps them:
-    int64 columns, and the phase as an object array of words.  ``rng`` is
-    a ``numpy.random.Generator``."""
+    """Session blocks of ``sizes`` rows: int64 columns, as the engine keeps
+    them, and the phase as an object array of words, where the engine
+    keeps codes.  ``rng`` is a ``numpy.random.Generator``."""
     values = np.array(values, dtype=np.int64)
     blocks = []
     for slot, size in enumerate(sizes, first_slot):
         ints = rng.choice(values, (10, size))
         phase = rng.choice(["-", "SS", "CA"], size).astype(object)
         blocks.append((slot, (*ints[:6], phase, *ints[6:])))
+    return Rows(SessionRow, blocks)
+
+
+#: Ints of every width: negative, int64 and beyond it both ways.
+WIDE_INTS = [-(2**63) - 1, -(2**63), -1000, -1, 0, 7, 10**6, 2**63 - 1,
+             2**63 + 5, 10**30]
+
+
+def hand_built_blocks(rng, sizes, phase):
+    """Session blocks of ``sizes`` rows, from slot -2, whose int columns
+    take turns as lists and object arrays of ``WIDE_INTS`` and int64 arrays
+    of the ones int64 holds.  ``phase`` is ``"list"`` or ``"object_array"``
+    of words, or ``"codes_and_words"``: int64 codes in even blocks and a
+    list of words in odd ones."""
+    wide = np.array(WIDE_INTS, dtype=object)
+    narrow = np.array([v for v in WIDE_INTS if -2**63 <= v < 2**63],
+                      dtype=np.int64)
+    blocks = []
+    for slot, size in enumerate(sizes, -2):
+        ints = [rng.choice(wide, size).tolist(), rng.choice(wide, size),
+                rng.choice(narrow, size)] * 4
+        codes = rng.integers(0, len(PHASE_WORDS), size)
+        words = [PHASE_WORDS[code] for code in codes.tolist()]
+        column = {"list": words,
+                  "object_array": np.array(words, dtype=object),
+                  "codes_and_words": words if slot % 2 else codes}[phase]
+        blocks.append((slot, (*ints[:6], column, *ints[6:10])))
     return Rows(SessionRow, blocks)
 
 
@@ -314,8 +341,10 @@ def assert_matches_reference_writers(tmp_path, result):
 
 def chunk_edges(rows, form):
     """Row offsets at which ``cli._render`` ends its chunks."""
+    chunks = []
+    cli._render(rows, [(form, chunks.append)])
     edges = np.cumsum([np.count_nonzero(chunk == ord("\n"))
-                       for chunk in cli._render(rows, form)])
+                       for chunk in chunks])
     return edges.tolist()
 
 
@@ -404,6 +433,69 @@ class TestTemplatedEmission:
         result = run(parse_config(write_config(tmp_path, doc)))
         assert isinstance(result.session_rows.blocks[0][1][0], np.ndarray)
         assert_matches_reference_writers(tmp_path, result)
+
+
+#: Every format subset ``emit`` accepts.
+SUBSETS = (["tabular"], ["records"], ["tabular", "records"])
+
+
+def assert_subsets_match_reference_writers(tmp_path, result):
+    """Each file is written the same bytes by every ``SUBSETS`` call that
+    writes it; a trace file's bytes are those ``csv.writer`` or sorted-key
+    ``json.dumps`` writes for its rows."""
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    for table, row_type, rows in (
+            ("sessions", SessionRow, result.session_rows),
+            ("pools", PoolRow, result.pool_rows)):
+        rows = list(rows)
+        reference_csv(reference / f"t_{table}.csv", row_type._fields, rows)
+        reference_records(reference / f"t_{table}.ndjson", row_type._fields,
+                          rows)
+    written = {}
+    for formats in SUBSETS:
+        for path in emit(result, tmp_path / "+".join(formats), "t", formats):
+            written.setdefault(path.name, []).append(path.read_bytes())
+    assert sorted(written) == sorted(
+        f"t_{table}{suffix}" for table in ("sessions", "pools", "summary")
+        for suffix in (".csv", ".ndjson"))
+    for name, texts in written.items():
+        assert len(texts) == 2 and texts[0] == texts[1], name
+        if "summary" not in name:
+            assert texts[0] == (reference / name).read_bytes(), name
+
+
+class TestFormatSubsets:
+    @pytest.mark.parametrize("budget", [None, 3000])
+    @pytest.mark.parametrize("protocol, network", [
+        ("tele", "tele"), ("ew", "tele"), ("fra", "tele"),
+        ("tag", "tag_relay"), ("tag", "tag_switch")])
+    def test_engine_runs(self, tmp_path, monkeypatch, protocol, network,
+                         budget):
+        if budget is not None:
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", budget)
+        doc = minimal_doc(protocol=protocol, network=network, sessions=6,
+                          n_slots=30)
+        result = run(parse_config(write_config(tmp_path, doc)))
+        at = SessionRow._fields.index("phase") - 1
+        assert all(columns[at].dtype == np.int64
+                   for _, columns in result.session_rows.blocks)
+        assert_subsets_match_reference_writers(tmp_path, result)
+
+    @pytest.mark.parametrize("budget", [None, 1500])
+    @pytest.mark.parametrize("phase", ["list", "object_array",
+                                       "codes_and_words"])
+    def test_hand_built_traces(self, tmp_path, monkeypatch, phase, budget):
+        if budget is not None:
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(11)
+        result = result_of(hand_built_blocks(rng, [3, 5, 0, 2, 7, 1], phase),
+                           pool_blocks(rng, 4, 3, WIDE_INTS))
+        assert_subsets_match_reference_writers(tmp_path, result)
+
+    def test_hand_built_rows(self, tmp_path):
+        assert_subsets_match_reference_writers(tmp_path,
+                                               hand_built_result(12, 60))
 
 
 class TestEmitMemory:

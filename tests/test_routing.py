@@ -1,6 +1,7 @@
 """Load-balanced path computation, and its search diffed against the
 frozen full-path search in ``oracle.routing``."""
 
+import dataclasses
 import hashlib
 import random
 from pathlib import Path
@@ -91,8 +92,9 @@ class TestComputePath:
 
     def test_graph_cannot_be_edited_under_its_caches(self):
         # Routing caches the adjacency, onward lists and hop distances on
-        # the topology; an edge appended after the first search would be
-        # invisible to them, so the graph is stored as tuples.
+        # the topology; an edge added after the first search would be
+        # invisible to them, so the graph is stored as tuples and the
+        # topology is frozen.
         topology, hosts = topology_with_hosts([(0, 1), (1, 2), (2, 3)], 4,
                                               [0, 3])
         assert hosts == {0: 4, 3: 5}
@@ -101,6 +103,11 @@ class TestComputePath:
             topology.edges.append((0, 3))
         with pytest.raises(AttributeError):
             topology.nodes.append(topology.nodes[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            topology.edges = topology.edges + ((0, 3),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            topology.nodes = topology.nodes[:-1]
+        assert len(topology.nodes) == 6 and (0, 3) not in topology.edges
         assert compute_path(topology, 4, 5, {}).nodes == (4, 0, 1, 2, 3, 5)
         edited = Topology(topology.kind, topology.nodes,
                           [*topology.edges, (0, 3)])

@@ -11,6 +11,7 @@ from qdnsim.memory import (MAX_UNITS, RECEIVE_COST, TELE_SEND_COST,
 from qdnsim.routing import Path
 from qdnsim.tele import (
     INITIAL_WINDOW,
+    NO_PHASE,
     PHASES,
     Phase,
     SessionTable,
@@ -325,8 +326,8 @@ class TestSessionTable:
         """``step`` row by row against ``TeleSession.transfer`` and
         ``next_window``, over sessions admitted in batches: finite and
         unbounded, announcing from 1 to near ``MAX_UNITS``, with cuts
-        forced at random; under the EW rule a row announces its grant, as
-        ``-`` phase, and the window never advances."""
+        forced at random; under the EW rule a row announces its grant, with
+        the ``-`` phase code, and the window never advances."""
         draw = random.Random(seed)
         pools = PoolTable([MemoryPool(node, kind, 2**62) for node in range(8)
                            for kind in ("send", "receive", "transit")])
@@ -356,9 +357,9 @@ class TestSessionTable:
                                                       granted, congested):
                 assert announced == session.window
                 if explicit:
-                    window, phase = grant, "-"
+                    window, phase = grant, NO_PHASE
                 else:
-                    window, phase = session.window, session.phase.value
+                    window, phase = session.window, PHASES.index(session.phase)
                     session.advance_window(cut)
                 expected.append((session.id, 0, window, int(cut), grant,
                                  session.transfer(grant), phase, 0, 0, 0, 0))

@@ -6,13 +6,16 @@ bytes."""
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from qdnsim import metrics
 from qdnsim.cli import emit
 from qdnsim.engine import PoolRow, Protocol, SessionRow, run
 from qdnsim.errors import MetricUndefinedError
+from qdnsim.tele import NO_PHASE, PHASES
 from qdnsim.topology import NetworkKind
+from qdnsim.trace import PHASE_WORDS, Rows
 
 from test_engine import star_config
 from test_golden import CONFIGS
@@ -21,6 +24,9 @@ RUNS = {
     # A stream, a session that finishes and one that starts with a window.
     "tele": lambda: star_config(Protocol.TELE, NetworkKind.TELE,
                                 [(None, None), (7, 3), (2, None)], n_slots=8),
+    # Explicit windows: every row records the ``-`` phase code.
+    "ew": lambda: star_config(Protocol.EW, NetworkKind.TELE,
+                              [(None, None), (9, 2)], n_slots=6),
     "tag": CONFIGS["tag_relay"],
     "zero_slots": lambda: star_config(Protocol.TELE, NetworkKind.TELE,
                                       [(None, None)], n_slots=0),
@@ -78,6 +84,7 @@ def test_rows_read_as_a_list(name, field, row_type):
         assert type(rows[cut]) is list
     assert list(iter(rows)) == listed
     assert rows == listed and listed == rows
+    assert Rows.of(row_type, listed) == rows
     assert not rows != listed
     again = getattr(run(RUNS[name]()), field)
     assert again is not rows and again == rows
@@ -97,6 +104,38 @@ def test_fields_are_plain_ints_and_strs(name):
             for field, value in zip(row._fields, row):
                 assert type(value) is (str if field in words else int), (
                     field, row)
+
+
+def test_phase_words_follow_the_phases():
+    assert PHASE_WORDS == (*(phase.value for phase in PHASES), "-")
+    assert PHASE_WORDS[NO_PHASE] == "-"
+
+
+def test_phase_codes_read_as_words():
+    codes = np.array([2, 0, 1, 1, 0, 2], dtype=np.int64)
+    ints = np.arange(6, dtype=np.int64)
+    rows = Rows(SessionRow, [
+        (slot, (*[ints[cut]] * 6, codes[cut], *[ints[cut]] * 4))
+        for slot, cut in ((4, slice(4)), (5, slice(4, None)))])
+    words = ["-", "SS", "CA", "CA", "SS", "-"]
+    assert [row.phase for row in rows] == words
+    assert [rows[i].phase for i in range(-6, 6)] == words * 2
+    assert [row.phase for row in rows[1:5]] == words[1:5]
+    assert {type(row.phase) for row in [*rows, rows[3], *rows[2:]]} == {str}
+    # An int field's column is never read as codes.
+    assert [row.session for row in rows] == [0, 1, 2, 3, 4, 5]
+    assert rows == Rows.of(SessionRow, list(rows))
+
+
+@pytest.mark.parametrize("name", ["tele", "ew", "tag"])
+def test_engine_records_phase_codes(name):
+    rows = result_of(name).session_rows
+    at = SessionRow._fields.index("phase") - 1
+    codes = np.concatenate([columns[at] for _, columns in rows.blocks])
+    assert codes.dtype == np.int64
+    assert [row.phase for row in rows] == [PHASE_WORDS[code]
+                                           for code in codes.tolist()]
+    assert (set(codes.tolist()) == {NO_PHASE}) == (name == "ew")
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

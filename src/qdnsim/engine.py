@@ -8,14 +8,15 @@ snapshot pool occupancy, whose ``np.bincount`` by node over node capacity
 is the next load table; clear every pool.  The pools live in one
 ``memory.PoolTable`` and every slot reserves them in one array pass over
 the slot's reservation points.  The flow table is a ``tele.SessionTable``
-of teleportation sessions, whose points are fixed at admission, or a
-``tag.HopTable`` of tell-and-go hops, whose points are built from its
-columns; either runs the whole slot for all its rows as array passes.  A
-pool keeps only its reserved total, for one slot; what transport state
-outlives it lives in the table.  The loop keeps the trace as column
-blocks (see ``trace``): the columns the table returns, and the pool totals
-copied into one row of a matrix, per slot.  It builds no row objects;
-``metrics.summarize`` reads the columns into the run summary.
+of teleportation sessions or a ``tag.HopTable`` of tell-and-go hops, both
+``memory.FlowColumns``: a flow's points are fixed when it is admitted, and
+only the tell-and-go floors are built per slot.  Either table runs the
+whole slot for all its rows as array passes.  A pool keeps only its
+reserved total, for one slot; what transport state outlives it lives in
+the table.  The loop keeps the trace as column blocks (see ``trace``): the
+columns the table returns, and a copy of the pool totals, per slot
+stepped, so nothing is allocated by the slot count up front.  It builds no
+row objects; ``metrics.summarize`` reads the columns into the run summary.
 """
 
 from __future__ import annotations
@@ -230,12 +231,10 @@ class Engine:
                                   f"{infra_kind.value}s")
         self.pools = build_pools(self.topology, cfg.network)
         # Every slot's pool block shares these columns; only the reserved
-        # totals, one row of ``_reserved`` per slot, are its own.
+        # totals are its own.
         self._pool_nodes = self.pools.node.tolist()
         self._pool_kinds = [kind for _, kind in self.pools.keys]
         self._capacities = self.pools.capacity.tolist()
-        self._reserved = np.zeros((cfg.n_slots, len(self._capacities)),
-                                  dtype=np.int64)
         self._node_capacity = np.array([n.capacity for n in self.topology.nodes])
         self._channel_rng = stream(cfg.seed, CHANNEL_STREAM)
         self._schedule = self._resolve_sessions()
@@ -321,9 +320,9 @@ class Engine:
 
     def _snapshot_pools(self) -> None:
         """Append this slot's pool block and rebuild the load table."""
-        self._reserved[self.slot] = self.pools.reserved
+        # A copy: surplus releases and ``clear`` write the totals in place.
         self.pool_rows.blocks.append((self.slot, (
-            self._pool_nodes, self._pool_kinds, self._reserved[self.slot],
+            self._pool_nodes, self._pool_kinds, self.pools.reserved.copy(),
             self._capacities)))
         # Node totals are exact float sums (see memory.MAX_UNITS).
         occupancy = np.bincount(self.pools.node, self.pools.reserved,

@@ -14,7 +14,9 @@ A run keeps its pools in a ``PoolTable``: sorted ``(node, kind)`` keys and
 int64 ``node``, ``capacity`` and ``reserved`` columns.  A slot's requests
 (sessions or hops) reserve at points, one ``Incidence`` row each: pool
 index, request rank, tie id, unit cost as an integer numerator and
-denominator, and floor.  ``reserve`` runs both transports' two passes over
+denominator, and floor.  Both transports keep their flows in
+``FlowColumns``, which holds every point but a per-slot floor from the
+flow's admission on.  ``reserve`` runs both transports' two passes over
 all points at once.  Pass 1 applies ``assign_memory``'s rule at every pool
 and marks a request iff some pool cuts it; pass 2, ``PoolTable.hold``,
 adds the cost of each granted window at each point, so a request is halved
@@ -179,6 +181,57 @@ class Incidence(NamedTuple):
         """``cost`` at every point of its request's entry in ``windows``."""
         return np.maximum(-(-self.num * windows[self.rank] // self.den),
                           self.floor)
+
+
+#: The reservation point columns of ``FlowColumns``, in admit order.
+POINT_COLUMNS = ("pool", "tie", "num", "den", "floor")
+
+
+class FlowColumns:
+    """A flow table's live rows as named columns, 1-D or rows x rounds,
+    and each row's reservation points, fixed when the row is admitted.
+
+    ``length`` counts each row's points and ``rank`` gives each point's
+    row.  The points are held in row order as the ``POINT_COLUMNS``: pool
+    index, tie id, unit cost numerator and denominator, and a standing
+    floor.
+    """
+
+    def __init__(self, *names: str, **columns: np.ndarray):
+        """No rows: empty int64 columns ``names``, and the empty
+        ``columns`` given."""
+        self._rows = (*names, *columns, "length")
+        for name in (*names, "length", "rank", *POINT_COLUMNS):
+            setattr(self, name, np.zeros(0, dtype=np.int64))
+        vars(self).update(columns)
+
+    def admit(self, points: Iterable[np.ndarray], **rows: np.ndarray) -> None:
+        """Append rows given as columns, ``length`` among them and any
+        column left out zero, and their points as the ``POINT_COLUMNS``."""
+        n = len(rows["length"])
+        for name in self._rows:
+            column = getattr(self, name)
+            new = rows.get(name, np.zeros((n, *column.shape[1:]), column.dtype))
+            setattr(self, name, np.concatenate(
+                [column, np.asarray(new, dtype=column.dtype)]))
+        for name, new in zip(POINT_COLUMNS, points):
+            setattr(self, name, np.concatenate([getattr(self, name), new]))
+        self.rank = np.repeat(np.arange(len(self.length)), self.length)
+
+    def retire(self, live: np.ndarray) -> None:
+        """Keep the rows ``live`` marks, and their points."""
+        kept = np.repeat(live, self.length)
+        for name in self._rows:
+            setattr(self, name, getattr(self, name)[live])
+        for name in POINT_COLUMNS:
+            setattr(self, name, getattr(self, name)[kept])
+        self.rank = np.repeat(np.arange(len(self.length)), self.length)
+
+    def incidence(self, floor: np.ndarray | None = None) -> Incidence:
+        """The points as a slot's ``Incidence``; ``floor``, one entry per
+        point, replaces the standing floor."""
+        return Incidence(self.pool, self.rank, self.tie, self.num, self.den,
+                         self.floor if floor is None else floor)
 
 
 def _running(segments: np.ndarray, values: np.ndarray) -> np.ndarray:

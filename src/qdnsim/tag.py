@@ -18,16 +18,18 @@ are interchangeable and the per-qubit chain lumps into these counts
 whichever qubit takes which outcome.  ``SharingTransfer`` and ``advance``
 remain the single-qubit state machine that the counts lump.
 
-A run keeps every live hop as one row of a ``HopTable``, whose columns are
-``HopSession``'s fields and whose per-round counts are two hops x rounds
-matrices.  A slot is a chain of passes over such columns: ``_reserve``
-states every per-hop memory rule, ``_plan`` the scheduler's rule, ``_runs``
-and ``_hits`` lay out and count a plan's channel outcomes, and ``_send``
-applies them.  ``HopTable.step`` runs the chain for every hop at once and
-steps the windows by ``tele.advance_windows``, the rule teleportation
-sessions share; ``reserve_sharing``, ``plan_transfers`` and
-``HopSession.send`` run its links for hops given one at a time, each hop
-as a one-row table.
+A run keeps every live hop as one row of a ``HopTable``, a
+``memory.FlowColumns`` whose columns are ``HopSession``'s fields, whose
+per-round counts are two hops x rounds matrices, and which holds each
+hop's reservation points from its admission on (``_hop_points``); only
+their floors, the hop's in-flight and stored counts, are built per slot.
+A slot is a chain of passes over such columns: ``_reserve`` reserves at
+the points, ``_plan`` states the scheduler's rule, ``_runs`` and ``_hits``
+lay out and count a plan's channel outcomes, and ``_send`` applies them.
+``HopTable.step`` runs the chain for every hop at once and steps the
+windows by ``tele.advance_windows``, the rule teleportation sessions
+share; ``reserve_sharing``, ``plan_transfers`` and ``HopSession.send`` run
+its links for hops given one at a time, each hop as a one-row table.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DeadlockError
-from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST, Incidence,
-                     PoolTable, reserve)
+from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST,
+                     FlowColumns, Incidence, PoolTable, reserve)
 from .routing import Path
 from .tele import UNBOUNDED, Phase, advance_windows
 
@@ -243,45 +245,54 @@ def reserve_sharing(hops: list[HopSession], pools: PoolTable
     """Reserve one slot's memory for ``hops`` by ``_reserve``'s rules;
     returns grants, halved flags and receive units free, in hop order."""
     index = pools.index
-    return _reserve(pools, *np.array([
+    send, receive, session, hop, window, in_flight, stored = np.array([
         (index[hop.sender, "send"], index[hop.receiver, "receive"],
-         hop.window, hop.in_flight_count, hop.stored_firsts,
-         hop.session, hop.hop)
-        for hop in hops], dtype=np.int64).reshape(-1, 7).T)
+         hop.session, hop.hop, hop.window, hop.in_flight_count,
+         hop.stored_firsts)
+        for hop in hops], dtype=np.int64).reshape(-1, 7).T
+    table = FlowColumns()
+    table.admit(_hop_points(pools, send, receive, session, hop),
+                length=np.full(len(hops), 2))
+    floor = np.stack([TAG_QUBIT_UNITS * in_flight, stored], axis=1)
+    return _reserve(pools, table.incidence(floor.ravel()), window)
 
 
-def _reserve(pools: PoolTable, send: np.ndarray, receive: np.ndarray,
-             window: np.ndarray, in_flight: np.ndarray, stored: np.ndarray,
-             session: np.ndarray, hop: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reserve one slot's memory for hops given as columns.
+def _hop_points(pools: PoolTable, send: np.ndarray, receive: np.ndarray,
+                session: np.ndarray, hop: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Hops' reservation points as the ``memory.POINT_COLUMNS``, two a hop.
 
-    Each hop reserves first at its sender's send pool, at 9/4 units per
+    A hop reserves first at its sender's send pool, at 9/4 units per
     window unit (three sharings for at most three quarters of the window),
-    then at its receiver's receive pool at one unit.  Their floors cannot
-    be evicted: ``TAG_QUBIT_UNITS`` per qubit in flight, and the stored
-    first sharings.  Ties go to the lower ``(session, hop)``.  Returns
-    grants, halved flags and, as a plan's receiver budget, the receive
-    units held above the stored firsts, in hop order.  Raises
+    then at its receiver's receive pool at one unit.  Ties go to the lower
+    ``(session, hop)``: a path never visits a node twice and each hop's
+    sender holds a send pool, so a hop index is below the pool count.
+    """
+    n = len(send)
+    return (np.stack([send, receive], axis=1).ravel(),
+            np.repeat(session * len(pools.keys) + hop, 2),
+            np.tile([TAG_SEND_COST.numerator, RECEIVE_COST], n),
+            np.tile([TAG_SEND_COST.denominator, 1], n),
+            np.zeros(2 * n, dtype=np.int64))
+
+
+def _reserve(pools: PoolTable, points: Incidence, window: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reserve one slot's memory for hops at their ``_hop_points``, whose
+    floors cannot be evicted: ``TAG_QUBIT_UNITS`` per qubit in flight, and
+    the stored first sharings.
+
+    Returns grants, halved flags and, as a plan's receiver budget, the
+    receive units held above the stored firsts, in hop order.  Raises
     DeadlockError, for the first receive pool in node order, when the
     stored first sharings alone overfill it.
     """
-    held = pools.sums(receive, stored)
+    stored = points.floor[1::2]
+    held = pools.sums(points.pool[1::2], stored)
     over = np.flatnonzero(held > pools.capacity)
     if len(over):
         raise DeadlockError(
             f"stored sharings ({int(held[over[0]])}) exceed receive pool at "
             f"node {pools.keys[over[0]][0]}")
-    tie = session * (hop.max(initial=0) + 1) + hop
-    n = len(window)
-    points = Incidence(
-        pool=np.stack([send, receive], axis=1).ravel(),
-        rank=np.repeat(np.arange(n), 2),
-        tie=np.repeat(tie, 2),
-        num=np.tile([TAG_SEND_COST.numerator, RECEIVE_COST], n),
-        den=np.tile([TAG_SEND_COST.denominator, 1], n),
-        floor=np.stack([TAG_QUBIT_UNITS * in_flight, stored], axis=1).ravel(),
-    )
     granted, congested = reserve(pools, points, window)
     return granted, congested, points.costs(granted)[1::2] - stored
 
@@ -428,9 +439,9 @@ def _bins(counts: list[int]) -> dict[int, int]:
     return {round_: n for round_, n in enumerate(counts) if n}
 
 
-class HopTable:
+class HopTable(FlowColumns):
     """Every live tell-and-go hop of a run: one ``HopSession`` per row, held
-    as columns, in session admission then hop order.
+    as ``FlowColumns``, in session admission then hop order.
 
     ``send`` and ``receive`` are pool indices and ``phase`` indexes
     ``tele.PHASES``.  ``unminted`` is ``UNBOUNDED`` for an unbounded
@@ -441,22 +452,20 @@ class HopTable:
     row and for a stream).  ``firsts[:, r]`` and ``seconds[:, r]`` count
     the in-flight qubits of round ``r`` due a first or a second sharing; a
     column is added when a lost second moves past the last round.
-    ``stored`` counts the first sharings each receiver holds.  Sharings
-    succeed by ``channel``, drawn from ``rng``.
+    ``stored`` counts the first sharings each receiver holds.  A row's
+    points are its ``_hop_points``.  Sharings succeed by ``channel``, drawn
+    from ``rng``.
     """
-
-    _COLUMNS = ("session", "hop", "send", "receive", "window", "phase",
-                "backlog", "unminted", "remaining", "queue_bound", "stored",
-                "forwards", "firsts", "seconds")
 
     def __init__(self, pools: PoolTable, channel: ChannelModel,
                  rng: np.random.Generator, switched: bool):
+        rounds = np.zeros((0, 1), dtype=np.int64)
+        super().__init__(
+            "session", "hop", "send", "receive", "window", "phase", "backlog",
+            "unminted", "remaining", "queue_bound", "stored",
+            forwards=np.zeros(0, dtype=bool), firsts=rounds, seconds=rounds)
         self.pools, self.channel, self.rng = pools, channel, rng
         self.switched = switched
-        for name in self._COLUMNS:
-            setattr(self, name, np.zeros(0, dtype=np.int64))
-        self.forwards = self.forwards.astype(bool)
-        self.firsts = self.seconds = np.zeros((0, 1), dtype=np.int64)
 
     def admit(self, sessions: list[tuple[int, Path, int | None, int | None]]
               ) -> None:
@@ -477,18 +486,14 @@ class HopTable:
                  initial_window or INITIAL_WINDOW, supply if hop == 0 else 0,
                  supply if hop == last else UNBOUNDED, hop < last)
                 for hop, (sender, receiver) in enumerate(zip(nodes, nodes[1:])))
-        names = ("session", "hop", "send", "receive", "window", "unminted",
-                 "remaining", "forwards")
-        new = dict(zip(names, np.array(rows, dtype=np.int64).T))
-        new["forwards"] = new["forwards"].astype(bool)
-        new["queue_bound"] = (self.pools.capacity[new["send"]]
-                              // TAG_QUBIT_UNITS)
-        blank = np.zeros(len(rows), dtype=np.int64)
-        new["firsts"] = new["seconds"] = np.zeros(
-            (len(rows), self.firsts.shape[1]), dtype=np.int64)
-        for name in self._COLUMNS:
-            setattr(self, name, np.concatenate(
-                [getattr(self, name), new.get(name, blank)]))
+        (session, hop, send, receive, window, unminted, remaining,
+         forwards) = np.array(rows, dtype=np.int64).T
+        super().admit(
+            _hop_points(self.pools, send, receive, session, hop),
+            length=np.full(len(rows), 2), session=session, hop=hop,
+            send=send, receive=receive, window=window, unminted=unminted,
+            remaining=remaining, forwards=forwards,
+            queue_bound=self.pools.capacity[send] // TAG_QUBIT_UNITS)
 
     def step(self) -> tuple[np.ndarray, ...]:
         """One slot for every hop: reserve by ``_reserve``, plan by
@@ -500,10 +505,10 @@ class HopTable:
         ``SessionRow`` field order after ``slot``: the window and phase
         code announced, the grant, the sharings sent and lost, and the first
         sharings stored after it."""
+        in_flight = self.firsts.sum(axis=1) + self.seconds.sum(axis=1)
+        floor = np.stack([TAG_QUBIT_UNITS * in_flight, self.stored], axis=1)
         granted, congested, receiver_free = _reserve(
-            self.pools, self.send, self.receive, self.window,
-            self.firsts.sum(axis=1) + self.seconds.sum(axis=1), self.stored,
-            self.session, self.hop)
+            self.pools, self.incidence(floor.ravel()), self.window)
         queue = np.r_[self.queue_bound[1:] - self.backlog[1:], 0]
         take_seconds, take_firsts, encodes = _plan(
             granted, receiver_free, np.where(self.forwards, queue, _NEVER),
@@ -538,6 +543,4 @@ class HopTable:
                                   self.remaining - delivered)
         done = self.remaining == 0
         if done.any():
-            live = ~np.isin(self.session, self.session[done])
-            for name in self._COLUMNS:
-                setattr(self, name, getattr(self, name)[live])
+            self.retire(~np.isin(self.session, self.session[done]))

@@ -9,12 +9,12 @@ keeps the halving dynamics (FRA).  ``next_window`` states the window rule
 for one session and ``advance_windows`` for columns of them; both
 transports' tables step their windows by it.
 
-A run keeps every live session as one row of a ``SessionTable``.  A
-session's reservation points are fixed at admission (``session_points``)
-and the table holds them concatenated; each scheme reserves over one
-slot's ``memory.Incidence`` of them and returns the granted windows and
-halved flags in session order.  ``TeleSession`` is one row as fields, the
-scalar reference the table is tested against.
+A run keeps every live session as one row of a ``SessionTable``, a
+``memory.FlowColumns`` that holds each session's reservation points from
+its admission on (``session_points``, tied by session id, with no floor);
+each scheme reserves over the table's ``memory.Incidence`` and returns the
+granted windows and halved flags in session order.  ``TeleSession`` is one
+row as fields, the scalar reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .memory import (RECEIVE_COST, TELE_SEND_COST, Incidence, PoolTable,
-                     reserve)
+from .memory import (RECEIVE_COST, TELE_SEND_COST, FlowColumns, Incidence,
+                     PoolTable, reserve)
 from .routing import Path
 from .trace import PHASE_WORDS
 
@@ -171,23 +171,20 @@ def release_surplus(points: Incidence, granted: np.ndarray,
         points.pool, points.costs(granted) - points.costs(delivered))
 
 
-class SessionTable:
+class SessionTable(FlowColumns):
     """Every live teleportation session of a run: one ``TeleSession`` per
-    row, held as columns, in admission order.
+    row, held as ``FlowColumns``, in admission order.
 
     ``phase`` indexes ``PHASES`` and ``remaining`` is ``UNBOUNDED`` for an
-    unbounded stream.  ``pool`` and ``num`` are the rows'
-    ``session_points`` concatenated, ``length`` of them per row.  Each slot
-    reserves by ``scheme``; under the ``explicit`` (EW) rule a row
-    announces its grant, records ``NO_PHASE`` and keeps its window.
+    unbounded stream.  A row's points are its ``session_points``, tied by
+    its session id and with no floor.  Each slot reserves by ``scheme``;
+    under the ``explicit`` (EW) rule a row announces its grant, records
+    ``NO_PHASE`` and keeps its window.
     """
 
-    _COLUMNS = ("session", "window", "phase", "remaining", "length")
-
     def __init__(self, pools: PoolTable, scheme: Callable, explicit: bool):
+        super().__init__("session", "window", "phase", "remaining")
         self.pools, self.scheme, self.explicit = pools, scheme, explicit
-        for name in (*self._COLUMNS, "pool", "num"):
-            setattr(self, name, np.zeros(0, dtype=np.int64))
 
     def admit(self, sessions: list[tuple[int, Path, int | None, int | None]]
               ) -> None:
@@ -196,15 +193,15 @@ class SessionTable:
         if not sessions:
             return
         points = [session_points(path, self.pools) for _, path, _, _ in sessions]
-        rows = np.array([
-            (sid, window or INITIAL_WINDOW, 0,
-             UNBOUNDED if qubits is None else qubits, point.shape[1])
-            for (sid, _, qubits, window), point in zip(sessions, points)],
-            dtype=np.int64)
-        for name, column in zip(self._COLUMNS, rows.T):
-            setattr(self, name, np.concatenate([getattr(self, name), column]))
-        self.pool, self.num = np.concatenate([[self.pool, self.num], *points],
-                                             axis=1)
+        length = [point.shape[1] for point in points]
+        session, _, qubits, window = zip(*sessions)
+        pool, num = np.concatenate(points, axis=1)
+        super().admit(
+            (pool, np.repeat(session, length), num, np.ones_like(num),
+             np.zeros_like(num)),
+            session=session, length=length,
+            window=[each or INITIAL_WINDOW for each in window],
+            remaining=[UNBOUNDED if each is None else each for each in qubits])
 
     def step(self) -> tuple[np.ndarray, ...]:
         """One slot for every session: reserve, transfer up to the grant,
@@ -213,9 +210,7 @@ class SessionTable:
         columns in ``SessionRow`` field order after ``slot``, the phase as
         its code; ties go to the lower session id."""
         n = len(self.session)
-        rank = np.repeat(np.arange(n), self.length)
-        points = Incidence(self.pool, rank, self.session[rank], self.num,
-                           np.ones_like(self.num), np.zeros_like(self.num))
+        points = self.incidence()
         granted, congested = self.scheme(self.window, points, self.pools)
         stream = self.remaining == UNBOUNDED
         delivered = np.where(stream, granted,
@@ -233,8 +228,5 @@ class SessionTable:
         self.remaining = np.where(stream, UNBOUNDED, self.remaining - delivered)
         live = self.remaining != 0
         if not live.all():
-            kept = np.repeat(live, self.length)
-            self.pool, self.num = self.pool[kept], self.num[kept]
-            for name in self._COLUMNS:
-                setattr(self, name, getattr(self, name)[live])
+            self.retire(live)
         return record

@@ -3,6 +3,7 @@
 from dataclasses import replace
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from qdnsim import metrics
@@ -16,7 +17,8 @@ from qdnsim.engine import (
 )
 from qdnsim.errors import (ConfigError, DeadlockError,
                            InfeasibleReservationError)
-from qdnsim.memory import MAX_SESSIONS, MAX_UNITS, MemoryPool, PoolTable
+from qdnsim.memory import (MAX_SESSIONS, MAX_UNITS, Incidence, MemoryPool,
+                           PoolTable)
 from qdnsim.presets import get_preset
 from qdnsim.rng import CHANNEL_STREAM, stream
 from qdnsim.tag import (ChannelModel, HopSession, SharingTransfer, Stage,
@@ -105,6 +107,21 @@ class TestTeleRuns:
                                                "slots"):
             engine.step()
         assert len(engine.session_rows) == 1
+
+    def test_slot_count_allocates_nothing_up_front(self):
+        # A trillion slots would need a 175 TiB pool matrix allocated in
+        # advance; the run keeps one pool block per slot stepped instead.
+        def config(n_slots):
+            return RunConfig(
+                seed=1, protocol=Protocol.TELE, network=NetworkKind.TELE,
+                topology=WaxmanSpec(n_infra=8, target_avg_degree=3.0,
+                                    area_side=40.0),
+                sessions=4, n_slots=n_slots)
+        engine = Engine(config(10**12))
+        for _ in range(3):
+            engine.step()
+        assert engine.pool_rows == run(config(3)).pool_rows
+        assert any(row.reserved for row in engine.pool_rows)
 
     def test_zero_slots(self):
         cfg = star_config(Protocol.TELE, NetworkKind.TELE, [(None, None)],
@@ -727,6 +744,44 @@ def test_flows_hold_only_live_sessions(name):
         retired.update(set(admitted) - set(live))
     assert retired  # each case retires at least one session
 
+
+
+@pytest.mark.parametrize("name", ["golden/tele_staggered",
+                                  "golden/tag_relay_staggered"])
+def test_standing_points_match_a_per_slot_build(name):
+    """After every slot, the points the flow table holds from admission
+    on are those a per-slot build from its row columns gives: for tele, a
+    session's points tied by its id with unit denominators and no floor;
+    for tag, each hop's send then receive pool at 9/4 and 1 units, tied in
+    ``(session, hop)`` order."""
+    engine = Engine(SUMMARY_CASES[name]())
+    table, checked = engine.table, 0
+    for _ in range(engine.cfg.n_slots):
+        engine.step()
+        n = len(table.session)
+        checked += n
+        points = table.incidence()
+        if engine.cfg.protocol is Protocol.TAG:
+            rank = np.repeat(np.arange(n), 2)
+            tie = np.repeat(table.session * (table.hop.max(initial=0) + 1)
+                            + table.hop, 2)
+            expected = Incidence(
+                pool=np.stack([table.send, table.receive], axis=1).ravel(),
+                rank=rank, tie=tie, num=np.tile([9, 1], n),
+                den=np.tile([4, 1], n), floor=np.zeros(2 * n, dtype=np.int64))
+        else:
+            rank = np.repeat(np.arange(n), table.length)
+            expected = Incidence(table.pool, rank, table.session[rank],
+                                 table.num, np.ones_like(table.num),
+                                 np.zeros_like(table.num))
+        # Any tie ids in the same order cut the same points.
+        order = [np.unique(tie, return_inverse=True)[1]
+                 for tie in (points.tie, expected.tie)]
+        assert order[0].tolist() == order[1].tolist()
+        for field in ("pool", "rank", "num", "den", "floor"):
+            assert (getattr(points, field).tolist()
+                    == getattr(expected, field).tolist()), field
+    assert checked
 
 
 @pytest.mark.parametrize("protocol, network", [

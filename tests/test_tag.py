@@ -492,6 +492,30 @@ class TestTagFlowAdmit:
         assert table.session.tolist() == [4, 4, 4]
         assert table.remaining.tolist() == [UNBOUNDED, UNBOUNDED, 7]
 
+    def test_ties_stay_in_session_then_hop_order_across_slots(self):
+        # Session 5 (hops 0-1 on 0-1-2) is admitted a slot before session
+        # 3 (hops 0-3 on 3-4-5-1-2), whose last hop index is above every
+        # earlier row's.  Both last hops then announce window 4 into node
+        # 2's 7-unit receive pool: one cut fits, and it falls on the lower
+        # (session, hop), (3, 3).
+        pools = PoolTable([MemoryPool(node, kind, 7 if node == 2 and
+                                      kind == "receive" else 10**6)
+                           for node in range(6)
+                           for kind in ("send", "receive")])
+        table = HopTable(pools, ChannelModel(1.0), stream(0, "channel"),
+                         switched=False)
+        table.admit([(5, Path((0, 1, 2)), None, None)])
+        table.step()
+        pools.clear()
+        table.admit([(3, Path((3, 4, 5, 1, 2)), None, 4)])
+        session, hop, window, congested, *_ = table.step()
+        rows = {(s, h): (w, c) for s, h, w, c in zip(
+            session.tolist(), hop.tolist(), window.tolist(),
+            congested.tolist())}
+        assert rows[5, 1] == (4, 0)
+        assert rows[3, 3] == (4, 1)
+        assert sum(c for _, c in rows.values()) == 1
+
 
 class TestPipeline:
     def drive(self, hop, slots, granted, p=1.0, receiver_capacity=10**6):

@@ -5,13 +5,13 @@ digits, record files are sorted-key JSON lines, and all rows appear in a
 fixed order.  Session and pool rows hold only ints and fixed ASCII words,
 so their files are rendered by a numpy byte kernel rather than by ``csv``
 and ``json``, a chunk of rows at a time and both formats in one pass.
-Each column of a chunk becomes a NUL-padded uint8 matrix of its text,
-once for every format: a phase code column by one lookup of its words, a
-non-negative int64 column by a digit pass (one table lookup per three
-digits), and any other column (words, ints outside int64, negative ints)
-by ``str``.  Between the literal bytes of a format's line, in its field
-order, the columns make one matrix of the chunk's lines; dropping every
-NUL from it gives their bytes, which are streamed to that format's file.
+Each int64 column of a chunk (see ``trace``) becomes a NUL-padded uint8
+matrix of its text, once for every format: a ``str`` field's codes by
+one lookup of its words, an ``int`` field's values by a digit pass (one
+table lookup per three digits), and a negative value raises ValueError.
+Between the literal bytes of a format's line, in its field order, the
+columns make one matrix of the chunk's lines; dropping every NUL from it
+gives their bytes, which are streamed to that format's file.
 The summary table goes through ``csv`` and ``json``.
 """
 
@@ -25,7 +25,6 @@ from collections.abc import Sequence
 from contextlib import ExitStack
 from itertools import chain
 from pathlib import Path as FsPath
-from typing import get_type_hints
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .engine import (PoolRow, Protocol, RunConfig, RunResult, SessionRow,
                      SessionSpec, WaxmanSpec, run)
 from .errors import ConfigError, QdnError
 from .topology import NetworkKind, Topology, from_document, number
-from .trace import PHASE_WORDS, Rows, holds_codes
+from .trace import WORDS, Rows
 
 #: Number fields of a run, a Waxman spec and a listed session, by type.
 #: Defaults for the fields a document leaves out come from the dataclasses.
@@ -159,9 +158,9 @@ _TENS = 10 ** np.arange(_WIDEST, dtype=np.int64)
 #: Column ``i`` is ``i`` as three ASCII digits, zero-padded.
 _DIGITS = np.array([list(b"%03d" % i) for i in range(1000)],
                    dtype=np.uint8).T.copy()
-#: Column ``i`` is the word of phase code ``i``, NUL-padded.
-_PHASE_CELLS = (np.array(PHASE_WORDS, dtype="S")[:, None]
-                .view(np.uint8).T.copy())
+#: Per ``str`` field, column ``i`` is the word of code ``i``, NUL-padded.
+_WORD_CELLS = {field: np.array(words, dtype="S")[:, None].view(np.uint8).T
+               for field, words in WORDS.items()}
 
 
 def _line_templates(row_type) -> tuple[tuple[list[np.ndarray], list[int]],
@@ -169,13 +168,11 @@ def _line_templates(row_type) -> tuple[tuple[list[np.ndarray], list[int]],
     """A trace table's CSV line and its sorted-key ndjson line, each as the
     literal bytes around its fields, as uint8 columns, and the indices in
     ``row_type._fields`` of those fields: field ``i`` goes between literals
-    ``i`` and ``i + 1``.  The ``str`` fields hold short ASCII words
-    (``phase``: ``-``/``SS``/``CA``; ``pool``: ``send``/``receive``/
-    ``transit``) that neither format escapes, so the ndjson line quotes them
-    in its literals."""
-    types = get_type_hints(row_type)
+    ``i`` and ``i + 1``.  The ``WORDS`` fields hold short ASCII words that
+    neither format escapes, so the ndjson line quotes them in its
+    literals."""
     fields, keys = list(row_type._fields), sorted(row_type._fields)
-    quote = {field: '"' if types[field] is str else "" for field in fields}
+    quote = {field: '"' if field in WORDS else "" for field in fields}
     csv_literals = ["", *[","] * (len(fields) - 1), "\n"]
     ndjson_literals = ["{", *[", "] * (len(keys) - 1), "}\n"]
     for i, key in enumerate(keys):
@@ -189,19 +186,6 @@ def _line_templates(row_type) -> tuple[tuple[list[np.ndarray], list[int]],
 
 _TEMPLATES = {row_type: _line_templates(row_type)
               for row_type in (SessionRow, PoolRow)}
-
-
-def _int64(values) -> np.ndarray | None:
-    """``values`` as an int64 array, or None if one is outside int64 or
-    their array's dtype does not cast to int64 safely."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        if not np.can_cast(values.dtype, np.int64):
-            return None
-        return values.astype(np.int64, copy=False)
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return None
 
 
 def _digit_cells(values: np.ndarray) -> np.ndarray:
@@ -221,36 +205,29 @@ def _digit_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _cells(field: str, values, words: bool) -> np.ndarray:
-    """A column's values as a ``(w, n)`` uint8 matrix of their text, one
-    value per column, NUL-padded: phase codes by one ``_PHASE_CELLS``
-    lookup, non-negative int64 values by ``_digit_cells``, and words and
-    every other int by ``str``.  A bool in an int column prints as ``1`` or
-    ``0``, where ``csv`` and ``json`` would not, so every int field must
-    hold exactly an ``int``."""
-    if holds_codes(field, values):
-        return _PHASE_CELLS.take(values, axis=1)
-    if not words:
-        ints = _int64(values)
-        if ints is not None and ints.min() >= 0:
-            return _digit_cells(ints)
-        values = [str(value) for value in values]
-    text = np.asarray(values, dtype="S")
-    return text.view(np.uint8).reshape(len(text), text.itemsize).T
+def _cells(field: str, values: np.ndarray) -> np.ndarray:
+    """An int64 column's values as a ``(w, n)`` uint8 matrix of their text,
+    one value per column, NUL-padded: a ``WORDS`` field's codes by one
+    ``_WORD_CELLS`` lookup, and an int field's by ``_digit_cells``.  Raises
+    ValueError, naming the field, for a negative int."""
+    if field in WORDS:
+        return _WORD_CELLS[field].take(values, axis=1)
+    if values.min() < 0:
+        raise ValueError(f"trace {field}: a negative int")
+    return _digit_cells(values)
 
 
 def _field_cells(segments, fields, shared) -> list[np.ndarray]:
     """Every field's cells over ``segments``, ``(slot, columns, start,
-    stop)`` row ranges of consecutive blocks.  ``fields`` holds each field
-    after ``slot`` as its name and whether it holds words; the slot's cells
-    come first.  A column that every segment holds, more than once or from
-    an earlier chunk, is converted whole once, kept in ``shared`` by id and
-    field, and sliced.  Pieces of one field that are not all code columns
-    or all not are converted one by one and padded to one width."""
+    stop)`` row ranges of consecutive blocks; ``fields`` names each field
+    after ``slot``, and the slot's cells come first.  A column that every
+    segment holds, more than once or from an earlier chunk, is converted
+    whole once, kept in ``shared`` by id and field, and sliced."""
     counts = [stop - start for *_, start, stop in segments]
-    slots = _cells("slot", [slot for slot, *_ in segments], False)
+    slots = _cells("slot", np.array([slot for slot, *_ in segments],
+                                    dtype=np.int64))
     cells = [np.repeat(slots, counts, axis=1)]
-    for at, (field, words) in enumerate(fields):
+    for at, field in enumerate(fields):
         pieces = [(columns[at], start, stop)
                   for _, columns, start, stop in segments]
         column = pieces[0][0]
@@ -258,25 +235,13 @@ def _field_cells(segments, fields, shared) -> list[np.ndarray]:
         if ((len(pieces) > 1 or key in shared)
                 and all(c is column for c, *_ in pieces)):
             if key not in shared:
-                shared[key] = _cells(field, column, words)
+                shared[key] = _cells(field, column)
             whole = shared[key]
             cells.append(np.concatenate(
                 [whole[:, start:stop] for _, start, stop in pieces], axis=1))
             continue
-        parts = [column[start:stop] for column, start, stop in pieces]
-        codes = {holds_codes(field, part) for part in parts}
-        if len(codes) > 1:
-            parts = [_cells(field, part, words) for part in parts]
-            width = max(len(part) for part in parts)
-            cells.append(np.concatenate(
-                [np.pad(part, ((0, width - len(part)), (0, 0)))
-                 for part in parts], axis=1))
-            continue
-        if all(isinstance(part, np.ndarray) for part in parts):
-            values = np.concatenate(parts)
-        else:
-            values = list(chain.from_iterable(parts))
-        cells.append(_cells(field, values, words))
+        cells.append(_cells(field, np.concatenate(
+            [column[start:stop] for column, start, stop in pieces])))
     return cells
 
 
@@ -325,15 +290,12 @@ def _render(rows: Rows, outputs) -> None:
     is laid out."""
     templates = [(*_TEMPLATES[rows.row_type][form], write)
                  for form, write in outputs]
-    types = get_type_hints(rows.row_type)
-    fields = [(field, types[field] is str)
-              for field in rows.row_type._fields[1:]]
     chunk_rows = max(1, _CHUNK_BYTES // max(
         sum(map(len, literals)) + _WIDEST * len(order)
         for literals, order, _ in templates))
     shared: dict[tuple[int, str], np.ndarray] = {}
     for segments in _chunks(rows.blocks, chunk_rows):
-        cells = _field_cells(segments, fields, shared)
+        cells = _field_cells(segments, rows.row_type._fields[1:], shared)
         for literals, order, write in templates:
             write(_lay_out(literals, [cells[at] for at in order]))
         held = set(map(id, segments[-1][1]))

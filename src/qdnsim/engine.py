@@ -13,10 +13,12 @@ of teleportation sessions or a ``tag.HopTable`` of tell-and-go hops, both
 only the tell-and-go floors are built per slot.  Either table runs the
 whole slot for all its rows as array passes.  A pool keeps only its
 reserved total, for one slot; what transport state outlives it lives in
-the table.  The loop keeps the trace as column blocks (see ``trace``): the
-columns the table returns, and a copy of the pool totals, per slot
-stepped, so nothing is allocated by the slot count up front.  It builds no
-row objects; ``metrics.summarize`` reads the columns into the run summary.
+the table.  The loop keeps the trace as int64 column blocks (see
+``trace``): the columns the table returns, and a copy of the pool totals
+beside the shared pool nodes, kind codes and capacities, per slot
+stepped, so nothing is allocated by the slot count up front.  It builds
+no row objects; ``metrics.summarize`` reads the columns into the run
+summary.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ from .memory import (MAX_SESSIONS, MAX_UNITS, TAG_SPLIT, TELE_SPLIT,
                      MemoryPool, PoolTable, partition)
 from .metrics import summarize
 from .rng import CHANNEL_STREAM, SESSION_STREAM, stream
-from .routing import DEFAULT_CONGESTION_WEIGHT, Path, compute_path
+from .routing import (DEFAULT_CONGESTION_WEIGHT, MAX_CONGESTION_WEIGHT,
+                      Path, compute_path)
 from .tag import ChannelModel, HopTable
 from .tele import (SessionTable, reserve_explicit, reserve_fair,
                    reserve_teleport)
 from .topology import (DEFAULT_CAPACITY, INFRA_KIND, MIN_ALPHA, NetworkKind,
                        NodeKind, Topology, generate_waxman)
-from .trace import PoolRow, Rows, SessionRow
+from .trace import WORDS, PoolRow, Rows, SessionRow
 
 
 #: Largest session size a run accepts: qubit counts are int64 columns.
@@ -112,9 +115,9 @@ class RunConfig:
             raise ConfigError("capacity must be non-negative")
         if self.capacity > MAX_UNITS:
             raise ConfigError(f"capacity must be at most {MAX_UNITS}")
-        if not (math.isfinite(self.congestion_weight)
-                and self.congestion_weight >= 0):
-            raise ConfigError("congestion_weight must be non-negative and finite")
+        if not 0 <= self.congestion_weight <= MAX_CONGESTION_WEIGHT:
+            raise ConfigError("congestion_weight must be in "
+                              f"[0, {MAX_CONGESTION_WEIGHT}]")
         spec = self.topology
         if isinstance(spec, WaxmanSpec):
             if spec.n_infra < 2:
@@ -162,7 +165,7 @@ class RunConfig:
 @dataclass
 class RunResult:
     """One run's trace and summary.  ``session_rows`` and ``pool_rows``
-    are read-only ``trace.Rows`` over the engine's column blocks; a
+    are read-only ``trace.Rows`` over the engine's int64 column blocks; a
     hand-built result may hold row lists instead."""
 
     protocol: str
@@ -230,11 +233,10 @@ class Engine:
                                   f"{cfg.network.value} network needs "
                                   f"{infra_kind.value}s")
         self.pools = build_pools(self.topology, cfg.network)
-        # Every slot's pool block shares these columns; only the reserved
-        # totals are its own.
-        self._pool_nodes = self.pools.node.tolist()
-        self._pool_kinds = [kind for _, kind in self.pools.keys]
-        self._capacities = self.pools.capacity.tolist()
+        # Every pool block shares the nodes, these kind codes and capacities.
+        self._pool_kinds = np.array(
+            [WORDS["pool"].index(kind) for _, kind in self.pools.keys],
+            dtype=np.int64)
         self._node_capacity = np.array([n.capacity for n in self.topology.nodes])
         self._channel_rng = stream(cfg.seed, CHANNEL_STREAM)
         self._schedule = self._resolve_sessions()
@@ -322,8 +324,8 @@ class Engine:
         """Append this slot's pool block and rebuild the load table."""
         # A copy: surplus releases and ``clear`` write the totals in place.
         self.pool_rows.blocks.append((self.slot, (
-            self._pool_nodes, self._pool_kinds, self.pools.reserved.copy(),
-            self._capacities)))
+            self.pools.node, self._pool_kinds, self.pools.reserved.copy(),
+            self.pools.capacity)))
         # Node totals are exact float sums (see memory.MAX_UNITS).
         occupancy = np.bincount(self.pools.node, self.pools.reserved,
                                 len(self._node_capacity))

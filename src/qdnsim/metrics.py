@@ -2,18 +2,18 @@
 statistics over finished traces.
 
 ``summarize`` builds ``RunResult.summary``; the engine calls it once, at
-the end of a run.  The metrics read the trace's column blocks (see
-``trace``); a row list, as a hand-built ``RunResult`` may hold, is read as
-blocks first.  Each table of a finished trace is indexed once, by one
-sort of its columns: the session rows by session and slot, with each
-(session, slot) group's minimum window and each session's summary totals,
-and the nonzero-capacity pool rows by ``(node, pool)``, in row order.
-Every call then reads one slice of an index.  An index drops each
-temporary column as soon as it is read: it is built when the trace is
-largest, so its peak is the run's.  The index lives on the result outside
-its dataclass fields, so it takes no part in ``==`` or ``repr``, and is
-rebuilt whenever a row sequence is a different object or has a different
-length than when it was built.
+the end of a run.  The metrics read the trace's int64 column blocks (see
+``trace``); a row list, as a hand-built ``RunResult`` may hold, goes
+through ``Rows.of`` first.  Each table of a finished trace is indexed
+once, by one sort of its columns: the session rows by session and slot,
+with each (session, slot) group's minimum window and each session's
+summary totals, and the nonzero-capacity pool rows by ``(node, pool)``,
+in row order.  Every call then reads one slice of an index.  An index
+drops each temporary column as soon as it is read: it is built when the
+trace is largest, so its peak is the run's.  The index lives on the
+result outside its dataclass fields, so it takes no part in ``==`` or
+``repr``, and is rebuilt whenever a row sequence is a different object
+or has a different length than when it was built.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import MetricUndefinedError
-from .trace import PoolRow, Rows, SessionRow
+from .trace import WORDS, PoolRow, Rows, SessionRow
 
 if TYPE_CHECKING:
     from .engine import RunResult
@@ -42,22 +42,15 @@ def jain(values: list[float]) -> float:
     return total ** 2 / (len(values) * sum(v * v for v in values))
 
 
-def _column(rows: Rows, field: str, convert=np.asarray) -> np.ndarray:
-    """One int64 column of every row; a column object that several blocks
-    share is converted once."""
+def _column(rows: Rows, field: str) -> np.ndarray:
+    """One int64 column of every row: a ``str`` field's codes."""
     if field == "slot":
         return np.repeat(np.array([slot for slot, _ in rows.blocks],
                                   dtype=np.int64),
                          [len(columns[0]) for _, columns in rows.blocks])
     at = rows.row_type._fields.index(field) - 1
-    converted: dict[int, np.ndarray] = {}
-    parts = [np.zeros(0, dtype=np.int64)]
-    for _, columns in rows.blocks:
-        column = columns[at]
-        if id(column) not in converted:
-            converted[id(column)] = convert(column)
-        parts.append(converted[id(column)])
-    return np.concatenate(parts)
+    return np.concatenate([np.zeros(0, dtype=np.int64),
+                           *(columns[at] for _, columns in rows.blocks)])
 
 
 def _runs(n: int, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,13 +109,8 @@ class _PoolIndex:
     ``capacity``."""
 
     def __init__(self, rows: Rows):
-        codes: dict[str, int] = {}
-        kind = _column(rows, "pool", lambda words: np.array(
-            [codes.setdefault(word, len(codes)) for word in words],
-            dtype=np.int64))
-        kinds = max(1, len(codes))
-        key = _column(rows, "node") * kinds + kind
-        del kind
+        words = WORDS["pool"]
+        key = _column(rows, "node") * len(words) + _column(rows, "pool")
         capacity = _column(rows, "capacity")
         held = np.flatnonzero(capacity > 0)
         key = key[held]
@@ -133,8 +121,7 @@ class _PoolIndex:
         del capacity
         self.reserved = _column(rows, "reserved")[order]
         starts, ends = _runs(len(order), key)
-        node, kind = np.divmod(key[starts], kinds)
-        words = list(codes)
+        node, kind = np.divmod(key[starts], len(words))
         self.groups = dict(zip(
             zip(node.tolist(), [words[code] for code in kind.tolist()]),
             zip(starts.tolist(), ends.tolist())))

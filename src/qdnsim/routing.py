@@ -31,6 +31,9 @@ DEFAULT_CONGESTION_WEIGHT = 4.0
 _HOP_COST = 1.0 - 2.0 ** -10
 #: Floats below this are at most ``2**-11`` apart.
 _EXACT_COST = 2.0 ** 42
+#: Largest congestion weight a run accepts: under it, every path of a
+#: topology of fewer than ``2**21`` nodes costs less than ``_EXACT_COST``.
+MAX_CONGESTION_WEIGHT = 2 ** 20
 
 
 @dataclass(frozen=True)

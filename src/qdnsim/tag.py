@@ -443,26 +443,26 @@ class HopTable(FlowColumns):
     """Every live tell-and-go hop of a run: one ``HopSession`` per row, held
     as ``FlowColumns``, in session admission then hop order.
 
-    ``send`` and ``receive`` are pool indices and ``phase`` indexes
-    ``tele.PHASES``.  ``unminted`` is ``UNBOUNDED`` for an unbounded
-    stream, and ``queue_bound`` counts only on relay hops (``hop`` > 0).
-    ``forwards`` marks a row whose deliveries go to the next row's relay
-    queue; the other rows are egress hops, whose ``remaining`` counts the
-    qubits their session has yet to deliver (``UNBOUNDED`` on every other
-    row and for a stream).  ``firsts[:, r]`` and ``seconds[:, r]`` count
-    the in-flight qubits of round ``r`` due a first or a second sharing; a
-    column is added when a lost second moves past the last round.
-    ``stored`` counts the first sharings each receiver holds.  A row's
-    points are its ``_hop_points``.  Sharings succeed by ``channel``, drawn
-    from ``rng``.
+    ``phase`` indexes ``tele.PHASES``.  ``unminted`` is ``UNBOUNDED`` for
+    an unbounded stream, and ``queue_bound`` counts only on relay hops
+    (``hop`` > 0).  ``forwards`` marks a row whose deliveries go to the
+    next row's relay queue; the other rows are egress hops, whose
+    ``remaining`` counts the qubits their session has yet to deliver
+    (``UNBOUNDED`` on every other row and for a stream).  ``firsts[:, r]``
+    and ``seconds[:, r]`` count the in-flight qubits of round ``r`` due a
+    first or a second sharing; a column is added when a lost second moves
+    past the last round.  ``stored`` counts the first sharings each
+    receiver holds.  A row's points are its ``_hop_points``, the only
+    place its pools are held.  Sharings succeed by ``channel``, drawn from
+    ``rng``.
     """
 
     def __init__(self, pools: PoolTable, channel: ChannelModel,
                  rng: np.random.Generator, switched: bool):
         rounds = np.zeros((0, 1), dtype=np.int64)
         super().__init__(
-            "session", "hop", "send", "receive", "window", "phase", "backlog",
-            "unminted", "remaining", "queue_bound", "stored",
+            "session", "hop", "window", "phase", "backlog", "unminted",
+            "remaining", "queue_bound", "stored",
             forwards=np.zeros(0, dtype=bool), firsts=rounds, seconds=rounds)
         self.pools, self.channel, self.rng = pools, channel, rng
         self.switched = switched
@@ -491,8 +491,8 @@ class HopTable(FlowColumns):
         super().admit(
             _hop_points(self.pools, send, receive, session, hop),
             length=np.full(len(rows), 2), session=session, hop=hop,
-            send=send, receive=receive, window=window, unminted=unminted,
-            remaining=remaining, forwards=forwards,
+            window=window, unminted=unminted, remaining=remaining,
+            forwards=forwards,
             queue_bound=self.pools.capacity[send] // TAG_QUBIT_UNITS)
 
     def step(self) -> tuple[np.ndarray, ...]:

@@ -2,16 +2,15 @@
 blocks.
 
 A run keeps its trace as columns, one block per slot: the slot, then one
-column per field after ``slot``, all of one length.  An ``int`` field's
-column is an int64 or object array, or a list, of ints.  A ``str`` field's
-column is an object array or a list of its words, or, for ``phase`` only,
-a code column: an integer array whose code ``i`` stands for the word
-``PHASE_WORDS[i]``, as the flow tables record it.  Blocks may share a
-column object, as every pool block shares the pool nodes, kinds and
-capacities.  A column is never written once its block is kept: the flow
-tables build new arrays each slot rather than write into the ones they
-returned.  ``Rows`` reads the blocks as a sequence of row tuples, built
-only when asked for, with every code as its word.
+column per field after ``slot``, all of one length.  Every column is a
+1-D int64 array.  An ``int`` field's column holds non-negative values; a
+``str`` field's column holds codes, code ``i`` standing for the word
+``WORDS[field][i]``.  Blocks may share a column object, as every pool
+block shares the pool nodes, kinds and capacities.  A column is never
+written once its block is kept: the flow tables build new arrays each
+slot rather than write into the ones they returned.  ``Rows`` reads the
+blocks as a sequence of row tuples, built only when asked for, with every
+code as its word; ``Rows.of`` turns a list of rows into such blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +26,10 @@ import numpy as np
 #: The word each ``phase`` code stands for: the teleportation phases by
 #: ``tele.PHASES`` index, then ``-``, the phase of a row that has none.
 PHASE_WORDS = ("SS", "CA", "-")
-_PHASE_OBJECTS = np.array(PHASE_WORDS, dtype=object)
+#: The words of each ``str`` field, by code.
+WORDS = {"phase": PHASE_WORDS, "pool": ("send", "receive", "transit")}
+_WORD_OBJECTS = {field: np.array(words, dtype=object)
+                 for field, words in WORDS.items()}
 
 
 class SessionRow(NamedTuple):
@@ -53,17 +55,25 @@ class PoolRow(NamedTuple):
     capacity: int
 
 
-def holds_codes(field: str, column) -> bool:
-    """Whether ``column``, a block column of ``field``, is a code column."""
-    return (field == "phase" and isinstance(column, np.ndarray)
-            and column.dtype.kind in "iu")
+def _values(field: str, column: np.ndarray) -> list:
+    """A block column of ``field`` as a list of Python ints or words."""
+    words = _WORD_OBJECTS.get(field)
+    return (column if words is None else words[column]).tolist()
 
 
-def _values(field: str, column) -> list:
-    """A block column of ``field`` as a list of Python ints and strs."""
-    if holds_codes(field, column):
-        return _PHASE_OBJECTS[column].tolist()
-    return column if isinstance(column, list) else column.tolist()
+def _column(field: str, values) -> np.ndarray:
+    """``values`` of ``field`` as a block column: ints as they are, words
+    as their codes.  Raises ValueError, naming the field, for an int
+    outside int64, a negative int or a word the field does not have."""
+    words = WORDS.get(field)
+    try:
+        column = np.array(values if words is None else
+                          [*map(words.index, values)], dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        column = None
+    if column is None or not (column >= 0).all():
+        raise ValueError(f"trace {field}: outside {words or '[0, 2**63)'}")
+    return column
 
 
 class Rows(Sequence):
@@ -82,11 +92,12 @@ class Rows(Sequence):
     @classmethod
     def of(cls, row_type: type, rows) -> Rows:
         """``rows`` itself if it is a ``Rows``; else its rows, any sequence
-        of ``row_type`` tuples, as blocks of consecutive rows of one slot."""
+        of ``row_type`` tuples, as blocks of consecutive rows of one slot,
+        every field converted (the slot too) by ``_column``."""
         if isinstance(rows, Rows):
             return rows
         return cls(row_type, [
-            (slot, [list(column) for column in list(zip(*group))[1:]])
+            (slot, list(map(_column, row_type._fields, zip(*group)))[1:])
             for slot, group in groupby(rows, itemgetter(0))])
 
     def _lists(self):

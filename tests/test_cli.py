@@ -13,7 +13,7 @@ from qdnsim.cli import _fmt, emit, emit_table, main, parse_config, run_preset
 from qdnsim.engine import PoolRow, Protocol, RunResult, SessionRow, run
 from qdnsim.errors import ConfigError
 from qdnsim.topology import generate_waxman, to_document
-from qdnsim.trace import PHASE_WORDS, Rows
+from qdnsim.trace import WORDS, Rows
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -171,6 +171,7 @@ class TestParseConfig:
          "session 1: qubits must be at most 9223372036854775807"),
         ({"sessions": [{"qubits": 1}, {"qubits": 2**63}]},
          "session 1: qubits must be at most 9223372036854775807"),
+        ({"congestion_weight": 2.0**21}, "congestion_weight"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -233,8 +234,8 @@ def reference_records(path, header, rows):
             handle.write("\n")
 
 
-#: Zero, small and large values for every int field.
-INTS = [0, 1, 7, 255, 10**6, 2**31, 2**63 + 5, 10**30]
+#: Zero, small and large values for every int field, up to int64's largest.
+INTS = [0, 1, 7, 255, 10**6, 2**31, 2**63 - 1]
 
 
 def result_of(session_rows, pool_rows):
@@ -270,57 +271,42 @@ def hand_built_result(seed, n_rows):
 INT64S = [0, 1, 9, 10, 99, 100, 999, 1000, 10**6, 2**31, 2**63 - 1]
 
 
-def session_blocks(rng, sizes, values=INT64S, first_slot=0):
-    """Session blocks of ``sizes`` rows: int64 columns, as the engine keeps
-    them, and the phase as an object array of words, where the engine
-    keeps codes.  ``rng`` is a ``numpy.random.Generator``."""
-    values = np.array(values, dtype=np.int64)
+def session_blocks(rng, sizes, first_slot=0):
+    """Session blocks of ``sizes`` rows as the engine keeps them: int64
+    columns of ``INT64S``, and int64 phase codes.  ``rng`` is a
+    ``numpy.random.Generator``."""
+    values = np.array(INT64S, dtype=np.int64)
     blocks = []
     for slot, size in enumerate(sizes, first_slot):
         ints = rng.choice(values, (10, size))
-        phase = rng.choice(["-", "SS", "CA"], size).astype(object)
+        phase = rng.integers(0, len(WORDS["phase"]), size)
         blocks.append((slot, (*ints[:6], phase, *ints[6:])))
     return Rows(SessionRow, blocks)
 
 
-#: Ints of every width: negative, int64 and beyond it both ways.
-WIDE_INTS = [-(2**63) - 1, -(2**63), -1000, -1, 0, 7, 10**6, 2**63 - 1,
-             2**63 + 5, 10**30]
-
-
-def hand_built_blocks(rng, sizes, phase):
-    """Session blocks of ``sizes`` rows, from slot -2, whose int columns
-    take turns as lists and object arrays of ``WIDE_INTS`` and int64 arrays
-    of the ones int64 holds.  ``phase`` is ``"list"`` or ``"object_array"``
-    of words, or ``"codes_and_words"``: int64 codes in even blocks and a
-    list of words in odd ones."""
-    wide = np.array(WIDE_INTS, dtype=object)
-    narrow = np.array([v for v in WIDE_INTS if -2**63 <= v < 2**63],
-                      dtype=np.int64)
-    blocks = []
-    for slot, size in enumerate(sizes, -2):
-        ints = [rng.choice(wide, size).tolist(), rng.choice(wide, size),
-                rng.choice(narrow, size)] * 4
-        codes = rng.integers(0, len(PHASE_WORDS), size)
-        words = [PHASE_WORDS[code] for code in codes.tolist()]
-        column = {"list": words,
-                  "object_array": np.array(words, dtype=object),
-                  "codes_and_words": words if slot % 2 else codes}[phase]
-        blocks.append((slot, (*ints[:6], column, *ints[6:10])))
-    return Rows(SessionRow, blocks)
-
-
-def pool_blocks(rng, n_pools, n_slots, values=INT64S):
-    """Pool blocks as the engine keeps them: every block shares one list
-    each of nodes, kinds and capacities (any ``values``), and holds its own
-    int64 reserved row."""
-    nodes, capacities = rng.choice(np.array(values, dtype=object),
-                                   (2, n_pools)).tolist()
-    kinds = rng.choice(["send", "receive", "transit"], n_pools).tolist()
-    reserved = rng.choice(np.array(INT64S, dtype=np.int64),
-                          (n_slots, n_pools))
+def pool_blocks(rng, n_pools, n_slots):
+    """Pool blocks as the engine keeps them: every block shares one int64
+    array each of nodes, kind codes and capacities, and holds its own int64
+    reserved row; the ints are ``INT64S``."""
+    values = np.array(INT64S, dtype=np.int64)
+    nodes, capacities = rng.choice(values, (2, n_pools))
+    kinds = rng.integers(0, len(WORDS["pool"]), n_pools)
+    reserved = rng.choice(values, (n_slots, n_pools))
     return Rows(PoolRow, [(slot, (nodes, kinds, reserved[slot], capacities))
                           for slot in range(n_slots)])
+
+
+def assert_rejected(tmp_path, field, value):
+    """A hand-built row list with ``value`` in ``field`` of its second row
+    is refused by ``Rows.of`` and by ``emit``, with the field named."""
+    result = hand_built_result(13, 3)
+    table = "pool_rows" if field in PoolRow._fields else "session_rows"
+    rows = getattr(result, table)
+    rows[1] = rows[1]._replace(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        Rows.of(type(rows[1]), rows)
+    with pytest.raises(ValueError, match=field):
+        emit(result, tmp_path / "rejected", "t", ["tabular", "records"])
 
 
 def assert_matches_reference_writers(tmp_path, result):
@@ -396,25 +382,28 @@ class TestTemplatedEmission:
         assert (tmp_path / "new" / "t_sessions.ndjson").read_bytes() == b""
 
     def test_negative_ints(self, tmp_path):
+        for value in (-1, -2**63):
+            for field in ("slot", "window", "reserved"):
+                assert_rejected(tmp_path, field, value)
+        # A directly built Rows is not checked until it is written: a
+        # negative column raises before its chunk is written as text.
         rng = np.random.default_rng(7)
-        values = [-(2**63), -10**6, -1000, -1, *INT64S]
-        result = result_of(session_blocks(rng, [6, 9, 1], values, -2),
-                           pool_blocks(rng, 5, 3, values))
-        assert_matches_reference_writers(tmp_path, result)
+        rows = session_blocks(rng, [3])
+        _, columns = rows.blocks[0]
+        rows.blocks[0] = (0, (*columns[:2], np.array([4, -1, 5]),
+                              *columns[3:]))
+        result = result_of(rows, pool_blocks(rng, 2, 1))
+        with pytest.raises(ValueError, match="window"):
+            emit(result, tmp_path / "direct", "t", ["tabular", "records"])
+        assert (tmp_path / "direct" / "t_sessions.csv").read_text() == \
+            ",".join(SessionRow._fields) + "\n"
+        assert (tmp_path / "direct" / "t_sessions.ndjson").read_bytes() == b""
 
-    @pytest.mark.parametrize("column", ["list", "object_array"])
-    def test_ints_beyond_int64(self, tmp_path, column):
-        # A column that mixes small ints with ones no int64 holds is
-        # written through str, whatever holds it.
-        rng = np.random.default_rng(8)
-        values = [0, 3, 2**63 + 5, 10**30, -(2**63) - 1]
-        rows = session_blocks(rng, [4, 7])
-        _, columns = rows.blocks[1]
-        wide = rng.choice(np.array(values, dtype=object), 7)
-        wide = wide.tolist() if column == "list" else wide
-        rows.blocks[1] = (10**30, (*columns[:3], wide, *columns[4:]))
-        assert_matches_reference_writers(
-            tmp_path, result_of(rows, pool_blocks(rng, 3, 2, values)))
+    @pytest.mark.parametrize("value", [2**63 + 5, 10**30],
+                             ids=["2**63+5", "10**30"])
+    def test_ints_beyond_int64(self, tmp_path, value):
+        assert_rejected(tmp_path, "delivered", value)
+        assert_rejected(tmp_path, "capacity", value)
 
     def test_one_row_table(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -482,16 +471,11 @@ class TestFormatSubsets:
                    for _, columns in result.session_rows.blocks)
         assert_subsets_match_reference_writers(tmp_path, result)
 
-    @pytest.mark.parametrize("budget", [None, 1500])
-    @pytest.mark.parametrize("phase", ["list", "object_array",
-                                       "codes_and_words"])
-    def test_hand_built_traces(self, tmp_path, monkeypatch, phase, budget):
-        if budget is not None:
-            monkeypatch.setattr(cli, "_CHUNK_BYTES", budget)
-        rng = np.random.default_rng(11)
-        result = result_of(hand_built_blocks(rng, [3, 5, 0, 2, 7, 1], phase),
-                           pool_blocks(rng, 4, 3, WIDE_INTS))
-        assert_subsets_match_reference_writers(tmp_path, result)
+    @pytest.mark.parametrize("field", ["phase", "pool"])
+    def test_hand_built_traces(self, tmp_path, field):
+        # A word a str field does not have, or a code in its place.
+        for word in ("XX", "Send", 0):
+            assert_rejected(tmp_path, field, word)
 
     def test_hand_built_rows(self, tmp_path):
         assert_subsets_match_reference_writers(tmp_path,
@@ -602,6 +586,7 @@ class TestMain:
         ({"congestion_weight": -50}, "congestion_weight"),
         ({"congestion_weight": float("nan")}, "congestion_weight"),
         ({"capacity": -5}, "capacity"),
+        ({"congestion_weight": 2.0**21}, "congestion_weight"),
     ])
     def test_bad_run_number_is_an_error_record(self, tmp_path, capsys,
                                                overrides, field):

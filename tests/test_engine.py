@@ -752,8 +752,9 @@ def test_standing_points_match_a_per_slot_build(name):
     """After every slot, the points the flow table holds from admission
     on are those a per-slot build from its row columns gives: for tele, a
     session's points tied by its id with unit denominators and no floor;
-    for tag, each hop's send then receive pool at 9/4 and 1 units, tied in
-    ``(session, hop)`` order."""
+    for tag, each hop's send then receive pool, at its sender and receiver
+    on the session's path, at 9/4 and 1 units, tied in ``(session, hop)``
+    order."""
     engine = Engine(SUMMARY_CASES[name]())
     table, checked = engine.table, 0
     for _ in range(engine.cfg.n_slots):
@@ -765,8 +766,13 @@ def test_standing_points_match_a_per_slot_build(name):
             rank = np.repeat(np.arange(n), 2)
             tie = np.repeat(table.session * (table.hop.max(initial=0) + 1)
                             + table.hop, 2)
+            paths, index = engine.paths, engine.pools.index
             expected = Incidence(
-                pool=np.stack([table.send, table.receive], axis=1).ravel(),
+                pool=np.array([
+                    index[key] for sid, hop in zip(table.session.tolist(),
+                                                   table.hop.tolist())
+                    for key in ((paths[sid][hop], "send"),
+                                (paths[sid][hop + 1], "receive"))]),
                 rank=rank, tie=tie, num=np.tile([9, 1], n),
                 den=np.tile([4, 1], n), floor=np.zeros(2 * n, dtype=np.int64))
         else:

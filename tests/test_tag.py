@@ -433,14 +433,15 @@ class TestTagFlowAdmit:
         """Each row as (session, hop, sender, receiver, unminted, queue
         bound, remaining), with None for an unbounded count or no bound."""
         keys = self.pools.keys
+        columns = [getattr(table, name).tolist() for name in (
+            "session", "hop", "unminted", "queue_bound", "remaining")]
         return [(session, hop, keys[send][0], keys[receive][0],
                  None if unminted == UNBOUNDED else unminted,
                  bound if hop else None,
                  None if remaining == UNBOUNDED else remaining)
-                for session, hop, send, receive, unminted, bound, remaining
-                in zip(*(getattr(table, name).tolist() for name in (
-                    "session", "hop", "send", "receive", "unminted",
-                    "queue_bound", "remaining")))]
+                for session, hop, unminted, bound, remaining, send, receive
+                in zip(*columns, table.pool[0::2].tolist(),
+                       table.pool[1::2].tolist())]
 
     def test_switch_flow_is_one_end_to_end_hop(self):
         table = self.admit(4, 7, None, switched=True)

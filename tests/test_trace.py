@@ -15,7 +15,7 @@ from qdnsim.engine import PoolRow, Protocol, SessionRow, run
 from qdnsim.errors import MetricUndefinedError
 from qdnsim.tele import NO_PHASE, PHASES
 from qdnsim.topology import NetworkKind
-from qdnsim.trace import PHASE_WORDS, Rows
+from qdnsim.trace import PHASE_WORDS, WORDS, Rows
 
 from test_engine import star_config
 from test_golden import CONFIGS
@@ -136,6 +136,23 @@ def test_engine_records_phase_codes(name):
     assert [row.phase for row in rows] == [PHASE_WORDS[code]
                                            for code in codes.tolist()]
     assert (set(codes.tolist()) == {NO_PHASE}) == (name == "ew")
+
+
+@pytest.mark.parametrize("name", ["tele", "ew", "fra", "tag_relay",
+                                  "tag_switch_lossy"])
+def test_engine_blocks_hold_int64_columns(name):
+    result = run(CONFIGS[name]())
+    for rows in (result.session_rows, result.pool_rows):
+        fields = rows.row_type._fields[1:]
+        assert rows.blocks
+        for _, columns in rows.blocks:
+            assert len(columns) == len(fields)
+            for field, column in zip(fields, columns):
+                assert isinstance(column, np.ndarray), field
+                assert column.ndim == 1 and column.dtype == np.int64, field
+                if field in WORDS and len(column):
+                    assert 0 <= column.min(), field
+                    assert column.max() < len(WORDS[field]), field
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -209,8 +209,12 @@ def _cells(field: str, values: np.ndarray) -> np.ndarray:
     """An int64 column's values as a ``(w, n)`` uint8 matrix of their text,
     one value per column, NUL-padded: a ``WORDS`` field's codes by one
     ``_WORD_CELLS`` lookup, and an int field's by ``_digit_cells``.  Raises
-    ValueError, naming the field, for a negative int."""
+    ValueError, naming the field, for a negative int or a code with no
+    word."""
     if field in WORDS:
+        if not 0 <= values.min() <= values.max() < len(WORDS[field]):
+            raise ValueError(f"trace {field}: a code outside "
+                             f"[0, {len(WORDS[field])})")
         return _WORD_CELLS[field].take(values, axis=1)
     if values.min() < 0:
         raise ValueError(f"trace {field}: a negative int")

@@ -28,16 +28,14 @@ the points, ``_plan`` states the scheduler's rule, ``_runs`` and ``_hits``
 lay out and count a plan's channel outcomes, and ``_send`` applies them.
 ``HopTable.step`` runs the chain for every hop at once and steps the
 windows by ``tele.advance_windows``, the rule teleportation sessions
-share; ``reserve_sharing``, ``plan_transfers`` and ``HopSession.send`` run
-its links for hops given one at a time, each hop as a one-row table.
+share; ``plan_transfers`` runs ``_plan`` for one ``HopSession``, as a
+one-row table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -113,19 +111,12 @@ class ChannelModel:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"success probability must be in [0, 1], got {self.p}")
 
-    def draw(self, rng: np.random.Generator, n: int) -> list[bool]:
-        """Outcomes of ``n`` sharings, in order; one uniform draw each,
-        except at p = 0 or 1, whose outcomes are certain and use no draw."""
-        if self.p in (0.0, 1.0):
-            return [self.p == 1.0] * n
-        return (rng.random(n) < self.p).tolist()
-
     def successes(self, rng: np.random.Generator,
                   counts: np.ndarray) -> np.ndarray:
         """Successes in each entry of ``counts``, an int64 array of runs of
         sharings: one ``rng.random(counts.sum())`` draw, taken in row-major
-        order, gives each run the outcomes ``draw`` would give it, called
-        run by run.  At p = 0 or 1 nothing is drawn."""
+        order, a sharing succeeding where its draw is below ``p``.  At p = 0
+        or 1 nothing is drawn."""
         if self.p in (0.0, 1.0):
             return counts if self.p == 1.0 else np.zeros_like(counts)
         return _hits(counts, rng.random(int(counts.sum())) < self.p)
@@ -137,7 +128,6 @@ class Plan:
 
     ``seconds`` and ``firsts`` each run from the highest round down;
     ``encodes`` freshly encoded qubits send their first sharing after them.
-    A plan is fixed before ``HopSession.send`` applies any outcome to it.
     """
 
     seconds: list[tuple[int, int]]
@@ -167,10 +157,7 @@ class HopSession:
     In-flight qubits are counts per stage and round: ``firsts[r]`` qubits
     of round ``r`` are due a first sharing and ``seconds[r]`` a second,
     and ``stored_firsts`` counts the first sharings the receiver holds for
-    them.  ``send`` keeps all of them up to date.
-
-    A hop reserves at its sender's send pool and its receiver's receive
-    pool (``reserve_sharing``).
+    them.
     """
 
     session: int
@@ -195,66 +182,17 @@ class HopSession:
         """Write-only: ``in_flight[q] = transfer`` adds a qubit to its bin."""
         return _Seed(self)
 
-    @property
-    def queued(self) -> int | float:
-        """Qubits available to encode; ``math.inf`` for unbounded supply."""
-        if self.unminted is None:
-            return math.inf
-        return self.backlog + self.unminted
-
-    def send(self, plan: Plan, outcomes: list[bool]) -> int:
-        """Apply one slot's outcomes to ``plan`` by ``_send``; returns qubits
-        delivered.
-
-        ``outcomes`` has one entry per planned sharing, in plan order:
-        seconds, firsts, then the ``plan.encodes`` fresh qubits.
-        """
-        planned = plan.first_count + plan.second_count
-        if len(outcomes) != planned:
-            raise ValueError(f"{len(outcomes)} outcomes, {planned} planned")
-        if plan.encodes > self.queued:
-            raise ValueError("nothing queued to encode")
-        firsts, seconds, *counts = self._columns(
-            *(round_ for round_, _ in (*plan.seconds, *plan.firsts)))
-        width = firsts.shape[1]
-        runs = _runs(_row(plan.seconds, width), _row(plan.firsts, width),
-                     np.array([plan.encodes]))
-        (firsts, seconds, stored, backlog, unminted, delivered) = _send(
-            firsts, seconds, *counts, runs,
-            _hits(runs, np.array(outcomes, dtype=bool)))
-        self.firsts, self.seconds = map(_bins, np.r_[firsts, seconds].tolist())
-        self.stored_firsts, self.backlog = int(stored[0]), int(backlog[0])
-        if self.unminted is not None:
-            self.unminted = int(unminted[0])
-        return int(delivered[0])
-
-    def _columns(self, *rounds: int) -> tuple[np.ndarray, ...]:
-        """This hop as a one-row table: its firsts and seconds as rows that
-        also reach ``rounds``, then its stored, backlog and unminted
-        columns."""
-        width = 1 + max((*self.firsts, *self.seconds, *rounds), default=0)
-        return (_row(self.firsts.items(), width),
-                _row(self.seconds.items(), width),
-                *np.array([[self.stored_firsts], [self.backlog],
-                           [UNBOUNDED if self.unminted is None
-                            else self.unminted]], dtype=np.int64))
-
-
-def reserve_sharing(hops: list[HopSession], pools: PoolTable
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reserve one slot's memory for ``hops`` by ``_reserve``'s rules;
-    returns grants, halved flags and receive units free, in hop order."""
-    index = pools.index
-    send, receive, session, hop, window, in_flight, stored = np.array([
-        (index[hop.sender, "send"], index[hop.receiver, "receive"],
-         hop.session, hop.hop, hop.window, hop.in_flight_count,
-         hop.stored_firsts)
-        for hop in hops], dtype=np.int64).reshape(-1, 7).T
-    table = FlowColumns()
-    table.admit(_hop_points(pools, send, receive, session, hop),
-                length=np.full(len(hops), 2))
-    floor = np.stack([TAG_QUBIT_UNITS * in_flight, stored], axis=1)
-    return _reserve(pools, table.incidence(floor.ravel()), window)
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """This hop as a one-row table: its firsts and seconds as rows,
+        then its stored, backlog and unminted columns."""
+        rounds = np.zeros((2, 1 + max((*self.firsts, *self.seconds),
+                                      default=0)), dtype=np.int64)
+        for row, bins in zip(rounds, (self.firsts, self.seconds)):
+            row[list(bins)] = list(bins.values())
+        return (rounds[:1], rounds[1:], *np.array(
+            [[self.stored_firsts], [self.backlog],
+             [UNBOUNDED if self.unminted is None else self.unminted]],
+            dtype=np.int64))
 
 
 def _hop_points(pools: PoolTable, send: np.ndarray, receive: np.ndarray,
@@ -424,14 +362,6 @@ def _send(firsts: np.ndarray, seconds: np.ndarray, stored: np.ndarray,
     firsts[:, 0] += encodes - ok_encodes
     seconds[:, 0] += ok_encodes
     return firsts, seconds, stored, backlog - from_backlog, unminted, delivered
-
-
-def _row(pairs: Iterable[tuple[int, int]], width: int) -> np.ndarray:
-    """``(round, n)`` pairs as a 1 x ``width`` row of counts per round."""
-    row = np.zeros((1, width), dtype=np.int64)
-    for round_, n in pairs:
-        row[0, round_] += n
-    return row
 
 
 def _bins(counts: list[int]) -> dict[int, int]:

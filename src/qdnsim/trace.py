@@ -64,11 +64,16 @@ def _values(field: str, column: np.ndarray) -> list:
 def _column(field: str, values) -> np.ndarray:
     """``values`` of ``field`` as a block column: ints as they are, words
     as their codes.  Raises ValueError, naming the field, for an int
-    outside int64, a negative int or a word the field does not have."""
+    outside int64, a negative int, a value that is not an int (a bool, a
+    float or a string among them) or a word the field does not have."""
     words = WORDS.get(field)
     try:
-        column = np.array(values if words is None else
-                          [*map(words.index, values)], dtype=np.int64)
+        if words is not None:
+            values = [*map(words.index, values)]
+        elif (np.asarray(values).dtype.kind not in "iu"
+              or any(isinstance(value, (bool, np.bool_)) for value in values)):
+            raise TypeError
+        column = np.array(values, dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
         column = None
     if column is None or not (column >= 0).all():

@@ -405,6 +405,34 @@ class TestTemplatedEmission:
         assert_rejected(tmp_path, "delivered", value)
         assert_rejected(tmp_path, "capacity", value)
 
+    def test_values_that_are_not_ints(self, tmp_path):
+        # Floats, digit strings and bools are refused, not read as ints,
+        # also where numpy would read the whole column as ints.
+        with pytest.raises(ValueError, match="^trace reserved: "):
+            Rows.of(PoolRow, [PoolRow(0, 1, "send", 2.5, True),
+                              PoolRow(0, 2, "send", "7", 4)])
+        for field, value in [("reserved", 2.5), ("reserved", "7"),
+                             ("capacity", True), ("window", 3.0),
+                             ("window", np.True_)]:
+            assert_rejected(tmp_path, field, value)
+
+    @pytest.mark.parametrize("code", [-1, 3])
+    def test_word_codes_without_a_word(self, tmp_path, code):
+        # A directly built pool block whose kind code names no pool kind
+        # raises, naming the field, before its chunk is written as text.
+        rng = np.random.default_rng(8)
+        rows = pool_blocks(rng, 3, 1)
+        slot, (nodes, _, reserved, capacities) = rows.blocks[0]
+        rows.blocks[0] = (slot, (nodes, np.array([0, code, 1]), reserved,
+                                 capacities))
+        result = result_of(session_blocks(rng, [2]), rows)
+        with pytest.raises(ValueError, match=(
+                r"^trace pool: a code outside \[0, 3\)$")):
+            emit(result, tmp_path / "direct", "t", ["tabular", "records"])
+        assert (tmp_path / "direct" / "t_pools.csv").read_text() == \
+            ",".join(PoolRow._fields) + "\n"
+        assert (tmp_path / "direct" / "t_pools.ndjson").read_bytes() == b""
+
     def test_one_row_table(self, tmp_path):
         rng = np.random.default_rng(9)
         result = result_of(session_blocks(rng, [0, 1, 0], first_slot=12),

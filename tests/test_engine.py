@@ -17,12 +17,11 @@ from qdnsim.engine import (
 )
 from qdnsim.errors import (ConfigError, DeadlockError,
                            InfeasibleReservationError)
-from qdnsim.memory import (MAX_SESSIONS, MAX_UNITS, Incidence, MemoryPool,
-                           PoolTable)
+from qdnsim.memory import (MAX_SESSIONS, MAX_UNITS, TAG_QUBIT_UNITS,
+                           FlowColumns, Incidence, MemoryPool, PoolTable)
 from qdnsim.presets import get_preset
 from qdnsim.rng import CHANNEL_STREAM, stream
-from qdnsim.tag import (ChannelModel, HopSession, SharingTransfer, Stage,
-                        reserve_sharing)
+from qdnsim.tag import ChannelModel, _hop_points, _reserve
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -217,8 +216,22 @@ def held(pools, key):
     return int(pools.reserved[pools.index[key]])
 
 
-def hop_grants(hops, pools):
-    granted, congested, _ = reserve_sharing(hops, pools)
+def hop_points(pools, hops):
+    """``(session, hop, sender, receiver)`` hops as ``FlowColumns`` rows at
+    their ``_hop_points``."""
+    index = pools.index
+    session, hop, send, receive = np.array(
+        [(sid, at, index[sender, "send"], index[receiver, "receive"])
+         for sid, at, sender, receiver in hops]).T
+    table = FlowColumns()
+    table.admit(_hop_points(pools, send, receive, session, hop),
+                length=np.full(len(hops), 2))
+    return table
+
+
+def hop_grants(reserved):
+    """``_reserve``'s grants and halved flags as pairs, in hop order."""
+    granted, congested, _ = reserved
     return list(zip(granted.tolist(), congested.tolist()))
 
 
@@ -226,27 +239,29 @@ class TestReserveSharing:
     def test_fresh_hop_costs(self):
         # A window of 2 costs ceil(9*2/4) = 5 send units and 2 receive units.
         pools = hop_pools((0, "send", 100), (1, "receive", 100))
-        hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
-        assert hop_grants([hop], pools) == [(2, False)]
+        points = hop_points(pools, [(0, 0, 0, 1)]).incidence()
+        assert hop_grants(_reserve(pools, points, np.array([2]))) == [
+            (2, False)]
         assert held(pools, (0, "send")) == 5
         assert held(pools, (1, "receive")) == 2
 
     def test_receive_reservation_floored_by_stored_firsts(self):
         # Stored first sharings cannot be evicted: a halved grant below the
-        # backlog still reserves the backlog.
+        # backlog still reserves the backlog.  Three qubits await their
+        # second sharing, so the receiver stores three firsts.
+        floor = np.array([TAG_QUBIT_UNITS * 3, 3])
         pools = hop_pools((0, "send", 1000), (1, "receive", 10))
-        hop = HopSession(session=0, hop=0, sender=0, receiver=1, window=14,
-                         unminted=None)
-        for qubit in range(3):
-            hop.in_flight[qubit] = SharingTransfer(qubit, 0, Stage.SECOND)
-        assert hop_grants([hop], pools) == [(7, True)]
+        points = hop_points(pools, [(0, 0, 0, 1)]).incidence(floor)
+        assert hop_grants(_reserve(pools, points, np.array([14]))) == [
+            (7, True)]
         assert held(pools, (1, "receive")) == 7  # max(grant, stored)
 
         # Window 4 against a 3-unit receive pool: the halved grant of 2
         # sits below the backlog, and the reservation stays at 3.
-        hop.window = 4
         pools = hop_pools((0, "send", 1000), (1, "receive", 3))
-        assert hop_grants([hop], pools) == [(2, True)]
+        points = hop_points(pools, [(0, 0, 0, 1)]).incidence(floor)
+        assert hop_grants(_reserve(pools, points, np.array([4]))) == [
+            (2, True)]
         assert held(pools, (1, "receive")) == 3
 
     def test_grants_in_hop_order(self):
@@ -254,10 +269,10 @@ class TestReserveSharing:
         # cannot hold all three windows: the largest, session 7's, is cut.
         pools = hop_pools((4, "receive", 10),
                           *((sender, "send", 100) for sender in range(3)))
-        hops = [HopSession(session=sid, hop=0, sender=sender, receiver=4,
-                           window=window, unminted=None)
-                for sender, (sid, window) in enumerate([(7, 8), (3, 2), (5, 4)])]
-        assert hop_grants(hops, pools) == [(4, True), (2, False), (4, False)]
+        points = hop_points(pools, [(7, 0, 0, 4), (3, 0, 1, 4),
+                                    (5, 0, 2, 4)]).incidence()
+        assert hop_grants(_reserve(pools, points, np.array([8, 2, 4]))) == [
+            (4, True), (2, False), (4, False)]
         # Each sender's pool holds its own hop's cost; receiver 4 holds
         # the sum of the three grants.
         assert [held(pools, (sender, "send")) for sender in range(3)] == [
@@ -267,36 +282,31 @@ class TestReserveSharing:
     def test_equal_windows_cut_lower_session_then_hop_first(self):
         # Four hops of window 4 into a 14-unit receive pool: one cut frees
         # the 2 units needed, and (session 1, hop 0) is the lowest pair.
+        # Hops 0 and 1 of session 1 share a receiver, which no path gives.
         pools = hop_pools((9, "receive", 14),
                           *((sender, "send", 100) for sender in range(4)))
-        hops = [HopSession(session=sid, hop=index, sender=sender, receiver=9,
-                           window=4, unminted=None)
-                for sender, (sid, index) in enumerate(
-                    [(2, 0), (1, 1), (1, 0), (3, 0)])]
-        assert hop_grants(hops, pools) == [
+        points = hop_points(pools, [(2, 0, 0, 9), (1, 1, 1, 9), (1, 0, 2, 9),
+                                    (3, 0, 3, 9)]).incidence()
+        assert hop_grants(_reserve(pools, points, np.full(4, 4))) == [
             (4, False), (4, False), (2, True), (4, False)]
 
     def test_stored_firsts_over_receive_pool_deadlock(self):
+        # Four qubits await their second sharing: four firsts stored.
         pools = hop_pools((0, "send", 1000), (1, "receive", 3))
-        hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
-        for qubit in range(4):
-            hop.in_flight[qubit] = SharingTransfer(qubit, 0, Stage.SECOND)
+        points = hop_points(pools, [(0, 0, 0, 1)]).incidence(
+            np.array([TAG_QUBIT_UNITS * 4, 4]))
         with pytest.raises(DeadlockError, match=(
                 r"^stored sharings \(4\) exceed receive pool at node 1$")):
-            reserve_sharing([hop], pools)
+            _reserve(pools, points, np.array([2]))
 
     def test_deadlock_names_the_first_receive_pool_in_node_order(self):
+        # Each hop's receiver stores two firsts, one more than it holds.
         pools = hop_pools((0, "send", 1000), (5, "receive", 1),
                           (2, "receive", 1))
-        hops = []
-        for receiver in (5, 2):
-            hop = HopSession(session=receiver, hop=0, sender=0,
-                             receiver=receiver, unminted=None)
-            hop.in_flight[0] = SharingTransfer(0, 0, Stage.SECOND)
-            hop.in_flight[1] = SharingTransfer(1, 0, Stage.SECOND)
-            hops.append(hop)
+        points = hop_points(pools, [(5, 0, 0, 5), (2, 0, 0, 2)]).incidence(
+            np.tile([TAG_QUBIT_UNITS * 2, 2], 2))
         with pytest.raises(DeadlockError, match="at node 2$"):
-            reserve_sharing(hops, pools)
+            _reserve(pools, points, np.array([2, 2]))
 
 
 class TestReservationLifetime:
@@ -408,10 +418,10 @@ class TestDeterminism:
         assert batched.random(n).tolist() == [
             sequential.random() for _ in range(n)]
         assert batched.random() == sequential.random()
-        channel = ChannelModel(0.7)
-        outcomes = channel.draw(batched, n)
-        assert outcomes == [channel.draw(sequential, 1)[0] for _ in range(n)]
-        assert all(type(success) is bool for success in outcomes)
+        hits = ChannelModel(0.7).successes(batched, np.array([[n]]))
+        assert hits.tolist() == [[sum(sequential.random() < 0.7
+                                      for _ in range(n))]]
+        assert hits.dtype == np.int64
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_chunked_draws_equal_one_sliced_draw(self, seed):

@@ -1,6 +1,5 @@
 """Threshold-sharing delivery state machine and per-slot scheduling."""
 
-import math
 import random
 from collections import Counter
 
@@ -12,15 +11,19 @@ from qdnsim.memory import (RECEIVE_COST, TAG_QUBIT_UNITS,
 from qdnsim.rng import stream
 from qdnsim.routing import Path
 from qdnsim.tag import (
+    _NEVER,
     ChannelModel,
     HopSession,
     HopTable,
-    Plan,
     SharingTransfer,
     Stage,
+    _hits,
+    _plan,
+    _reserve,
+    _runs,
+    _send,
     advance,
     plan_transfers,
-    reserve_sharing,
 )
 from qdnsim.tele import UNBOUNDED, Phase, next_window
 
@@ -35,8 +38,33 @@ def hop_with(in_flight=(), queued=0, window=2):
     return hop
 
 
+def hop_table(pools, flows, p=1.0, rng=None):
+    """A ``HopTable`` of one-hop flows from node 0 to node 1 of ``pools``,
+    each ``(session, qubits, initial window)``, whose sharings succeed with
+    probability ``p``."""
+    table = HopTable(pools, ChannelModel(p), rng or stream(0, "channel"),
+                     switched=True)
+    table.admit([(sid, Path((0, 1)), qubits, window)
+                 for sid, qubits, window in flows])
+    return table
+
+
+def one_hop_pools(capacity=10**6):
+    return PoolTable([MemoryPool(0, "send", capacity),
+                      MemoryPool(1, "receive", capacity)])
+
+
+def fresh_hop(unminted):
+    """One hop's columns with nothing in flight: firsts, seconds, stored,
+    backlog and unminted (``UNBOUNDED`` for None)."""
+    rounds = np.zeros((1, 1), dtype=np.int64)
+    return (rounds, rounds, np.zeros(1, dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+            np.array([UNBOUNDED if unminted is None else unminted]))
+
+
 class ReferenceHop:
-    """The per-qubit hop that the counted ``HopSession`` lumps: one
+    """The per-qubit hop that a hop's counted columns lump: one
     ``SharingTransfer`` per in-flight qubit, advanced one outcome at a
     time, picked by ``(-round, qubit)``."""
 
@@ -67,14 +95,15 @@ class ReferenceHop:
         self.flying[qubit] = SharingTransfer(qubit)
         return self.flying[qubit]
 
-    def step(self, plan, outcomes):
-        """Sends what ``plan`` counts; returns (seconds, firsts, delivered,
-        losses), the first two as the rounds picked."""
-        seconds = self.pick(Stage.SECOND, plan.second_count)
-        firsts = self.pick(Stage.FIRST, plan.first_count - plan.encodes)
+    def step(self, n_seconds, n_firsts, encodes, outcomes):
+        """Sends ``n_seconds`` seconds, ``n_firsts`` firsts and ``encodes``
+        fresh qubits' firsts; returns (seconds, firsts, delivered, losses),
+        the first two as the rounds picked."""
+        seconds = self.pick(Stage.SECOND, n_seconds)
+        firsts = self.pick(Stage.FIRST, n_firsts)
         picked = ([t.round for t in seconds], [t.round for t in firsts])
         transfers = seconds + firsts
-        transfers += [self.encode() for _ in range(plan.encodes)]
+        transfers += [self.encode() for _ in range(encodes)]
         assert len(transfers) == len(outcomes)
         delivered = 0
         for transfer, success in zip(transfers, outcomes):
@@ -89,14 +118,16 @@ class ReferenceHop:
         return Counter((t.stage, t.round) for t in self.flying.values())
 
 
-def census(hop):
-    """Qubits per (stage, round) of a counted hop."""
-    return Counter({**{(Stage.FIRST, r): n for r, n in hop.firsts.items()},
-                    **{(Stage.SECOND, r): n for r, n in hop.seconds.items()}})
+def census(firsts, seconds):
+    """Qubits per (stage, round) of one hop's firsts and seconds rows."""
+    rows = {Stage.FIRST: firsts[0], Stage.SECOND: seconds[0]}
+    return Counter({(stage, r): n for stage, row in rows.items()
+                    for r, n in enumerate(row.tolist()) if n})
 
 
-def rounds(bins):
-    return [round_ for round_, n in bins for _ in range(n)]
+def rounds(row):
+    """A row of counts per round as the rounds it counts, highest first."""
+    return np.repeat(np.arange(len(row)), row)[::-1].tolist()
 
 
 class TestAdvance:
@@ -154,71 +185,59 @@ class TestAdvance:
 
 class TestEncode:
     def test_encode_initial_state(self):
-        hop = hop_with(queued=1)
-        hop.send(Plan([], [], encodes=1), [False])
-        assert hop.firsts == {0: 1} and not hop.seconds  # round 0, stage FIRST
-        assert hop.in_flight_count == 1
-
-    def test_encode_exhausts_supply(self):
-        hop = hop_with(queued=2)
-        hop.send(Plan([], [], encodes=1), [False])
-        hop.send(Plan([], [], encodes=1), [False])
-        assert hop.queued == 0
-        with pytest.raises(ValueError):
-            hop.send(Plan([], [], encodes=1), [False])
+        # A window of 2 sends one sharing: a fresh qubit's first, here lost.
+        table = hop_table(one_hop_pools(), [(0, 1, None)], p=0.0)
+        table.step()
+        assert table.firsts.tolist() == [[1]]  # round 0, stage FIRST
+        assert table.seconds.tolist() == [[0]]
+        assert table.unminted.tolist() == [0]
 
     def test_infinite_supply(self):
-        hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
-        hop.send(Plan([], [], encodes=5), [False] * 5)
-        assert hop.in_flight_count == 5
-        assert hop.queued == math.inf
-
-    @pytest.mark.parametrize("outcomes", [[True, True, True], []])
-    def test_send_takes_one_outcome_per_planned_sharing(self, outcomes):
-        # Three outcomes for one sharing would store three firsts for one
-        # qubit in flight; none would count the sharing as lost.
-        hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
-        with pytest.raises(ValueError, match="^[03] outcomes, 1 planned$"):
-            hop.send(Plan([], [], encodes=1), outcomes)
-        assert hop.in_flight_count == hop.stored_firsts == 0
+        # A window of 10 encodes 10 // 2 fresh qubits; the stream mints on.
+        table = hop_table(one_hop_pools(), [(0, None, 10)], p=0.0)
+        table.step()
+        assert table.firsts.tolist() == [[5]]
+        assert table.unminted.tolist() == [UNBOUNDED]
 
 
 class TestIncrementalState:
     @pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
     def test_random_steps_keep_count_and_buckets_exact(self, p):
-        # A counted hop and the per-qubit reference take the same plans and
-        # outcomes; after every slot they agree on everything a trace reads.
+        # One hop's columns, stepped by the passes ``HopTable.step`` chains,
+        # and the per-qubit reference take the same plans and outcomes;
+        # after every slot they agree on everything a trace reads.
         rng = random.Random(int(p * 10))
         for _ in range(200):
             unminted = rng.choice([None, 0, 5, 40])
             bound = rng.choice([None, 3, 8])
-            hop = HopSession(session=0, hop=1, sender=0, receiver=1,
-                             unminted=unminted, queue_bound=bound)
+            firsts, seconds, stored, backlog, supply = fresh_hop(unminted)
             reference = ReferenceHop(unminted)
             for _ in range(rng.randint(0, 30)):
                 handed = rng.randint(0, 3)
-                if bound is None or hop.backlog + handed <= bound:
-                    hop.backlog += handed
+                if bound is None or backlog[0] + handed <= bound:
+                    backlog = backlog + handed
                     reference.accept(handed)
-                window = rng.randint(0, 24)
-                plan = plan_transfers(
-                    hop, window, receiver_free=rng.randint(0, 24),
-                    encode_blocks_free=rng.randint(0, 12),
-                    downstream_free=rng.choice([None, rng.randint(0, 6)]))
-                outcomes = [rng.random() < p for _ in
-                            range(plan.first_count + plan.second_count)]
-                seconds, firsts, delivered, losses = reference.step(
-                    plan, outcomes)
-                assert rounds(plan.seconds) == seconds
-                assert rounds(plan.firsts) == firsts
-                assert hop.send(plan, outcomes) == delivered
+                budgets = np.array([[rng.randint(0, 24)], [rng.randint(0, 24)],
+                                    [rng.choice([_NEVER, rng.randint(0, 6)])]])
+                take_seconds, take_firsts, encodes = _plan(
+                    *budgets, stored, firsts, seconds, backlog, supply)
+                runs = _runs(take_seconds, take_firsts, encodes)
+                outcomes = [rng.random() < p for _ in range(runs.sum())]
+                picked_seconds, picked_firsts, delivered, losses = \
+                    reference.step(take_seconds.sum(), take_firsts.sum(),
+                                   encodes[0], outcomes)
+                assert rounds(take_seconds[0]) == picked_seconds
+                assert rounds(take_firsts[0]) == picked_firsts
+                firsts, seconds, stored, backlog, supply, sent = _send(
+                    firsts, seconds, stored, backlog, supply, runs,
+                    _hits(runs, np.array(outcomes, dtype=bool)))
+                assert sent.tolist() == [delivered]
                 assert outcomes.count(False) == losses
-                assert plan.second_count == len(seconds)
-                assert plan.first_count == len(firsts) + plan.encodes
-                assert hop.stored_firsts == reference.stored_firsts
-                assert census(hop) == reference.census()
-                assert hop.backlog == len(reference.queue)
-                assert hop.unminted == reference.unminted
+                assert stored.tolist() == [reference.stored_firsts]
+                assert census(firsts, seconds) == reference.census()
+                assert backlog.tolist() == [len(reference.queue)]
+                assert supply.tolist() == [
+                    UNBOUNDED if unminted is None else reference.unminted]
 
     def test_in_flight_writes_keep_count_exact(self):
         hop = hop_with(queued=0)
@@ -240,11 +259,13 @@ class TestIncrementalState:
         hop.in_flight[0] = SharingTransfer(0, round=1, stage=Stage.SECOND)
         hop.in_flight[1] = SharingTransfer(1, round=1)
         hop.in_flight[2] = SharingTransfer(2, round=0, stage=Stage.SECOND)
+        floor = np.array([TAG_QUBIT_UNITS * hop.in_flight_count,
+                          hop.stored_firsts])
         for window, send, receive in [(2, 9, 4), (8, 18, 8)]:
-            hop.window = window
-            pools = PoolTable([MemoryPool(0, "send", 100),
-                               MemoryPool(1, "receive", 100)])
-            granted, congested, _ = reserve_sharing([hop], pools)
+            pools = one_hop_pools(100)
+            granted, congested, _ = _reserve(
+                pools, hop_table(pools, [(0, None, None)]).incidence(floor),
+                np.array([window]))
             assert granted.tolist() == [window]
             assert congested.tolist() == [False]
             assert send == max(cost(TAG_SEND_COST, window),
@@ -272,13 +293,16 @@ class TestIncrementalState:
                     rng.choice([Stage.FIRST, Stage.SECOND]))
         assert any(3 * each.in_flight_count > cost(TAG_SEND_COST, 19)
                    and each.stored_firsts > 19 for each in hops)
+        pools = one_hop_pools()
+        points = hop_table(pools, [(session, None, None)
+                                   for session in range(len(hops))])
+        floor = np.ravel([(TAG_QUBIT_UNITS * each.in_flight_count,
+                           each.stored_firsts) for each in hops])
         budgets = {}
         for granted in range(20):
-            for each in hops:
-                each.window = granted
-            pools = PoolTable([MemoryPool(0, "send", 10**6),
-                               MemoryPool(1, "receive", 10**6)])
-            windows, _, receive = reserve_sharing(hops, pools)
+            pools.clear()
+            windows, _, receive = _reserve(pools, points.incidence(floor),
+                                           np.full(len(hops), granted))
             assert windows.tolist() == [granted] * len(hops)
             budgets[granted] = receive.tolist()
             assert budgets[granted] == [
@@ -519,76 +543,69 @@ class TestTagFlowAdmit:
 
 
 class TestPipeline:
-    def drive(self, hop, slots, granted, p=1.0, receiver_capacity=10**6):
-        rng = stream(7, "channel")
-        channel = ChannelModel(p)
-        delivered = 0
-        for _ in range(slots):
-            free = receiver_capacity - hop.stored_firsts
-            blocks = 10**6
-            plan = plan_transfers(hop, granted, free, blocks)
-            sent = plan.first_count + plan.second_count
-            delivered += hop.send(plan, channel.draw(rng, sent))
-        return delivered
-
     def test_lossless_pipeline_delivers_one_per_two_slots(self):
-        hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=None)
-        delivered = self.drive(hop, slots=20, granted=2)
+        # A grant of 2 sends one sharing a slot, a first then its second.
+        firsts, seconds, stored, backlog, unminted = fresh_hop(None)
+        delivered = 0
+        for _ in range(20):
+            runs = _runs(*_plan(np.array([2]), 10**6 - stored,
+                                np.array([_NEVER]), stored, firsts, seconds,
+                                backlog, unminted))
+            firsts, seconds, stored, backlog, unminted, sent = _send(
+                firsts, seconds, stored, backlog, unminted, runs, runs)
+            delivered += sent[0]
         assert delivered == 10
 
     def test_lossy_pipeline_eventually_delivers_everything(self):
         # A failed second sharing freezes the first-sharing budget until the
         # window outgrows the stored backlog, so the window rules must run.
-        hop = HopSession(session=0, hop=0, sender=0, receiver=1, unminted=3)
-        rng = stream(7, "channel")
-        channel = ChannelModel(0.4)
-        delivered = 0
-        for _ in range(400):
-            granted = hop.window
-            plan = plan_transfers(hop, granted, 10**6 - hop.stored_firsts, 10**6)
-            sent = plan.first_count + plan.second_count
-            delivered += hop.send(plan, channel.draw(rng, sent))
-            hop.window, hop.phase = next_window(hop.window, hop.phase, False)
+        table = hop_table(one_hop_pools(), [(0, 3, None)], p=0.4,
+                          rng=stream(7, "channel"))
+        delivered = sum(table.step()[5].sum() for _ in range(400))
         assert delivered == 3
-        assert hop.in_flight_count == 0
+        assert len(table.session) == 0  # retired with nothing in flight
 
 
 class TestChannelModel:
     def test_certain_success(self):
         rng = stream(0, "channel")
         channel = ChannelModel(1.0)
-        assert all(channel.draw(rng, 100))
+        assert channel.successes(rng, np.array([[100]])).tolist() == [[100]]
 
     def test_certain_failure(self):
         rng = stream(0, "channel")
         channel = ChannelModel(0.0)
-        assert not any(channel.draw(rng, 100))
+        assert channel.successes(rng, np.array([[100]])).tolist() == [[0]]
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_certain_outcomes_leave_the_generator_alone(self, p):
         rng = stream(0, "channel")
-        assert ChannelModel(p).draw(rng, 100) == [p == 1.0] * 100
+        counts = np.array([[100, 0], [7, 3]])
+        assert ChannelModel(p).successes(rng, counts).tolist() == (
+            counts * (p == 1.0)).tolist()
         assert (rng.random(5) == stream(0, "channel").random(5)).all()
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.65, 1.0])
     def test_successes_match_draw_run_by_run(self, p):
         # One draw for a hops x runs matrix gives each run, in row-major
-        # order, the successes one draw per run would.
+        # order, the successes one draw per run would; at p = 0 or 1 those
+        # are certain, and nothing is drawn.
         counts = np.array([[3, 0, 5, 0], [0, 0, 1, 0], [17, 4, 0, 9]])
         channel = ChannelModel(p)
         table, loop = stream(3, "channel"), stream(3, "channel")
         got = channel.successes(table, counts)
-        assert got.tolist() == [[sum(channel.draw(loop, n)) for n in row]
+        assert got.tolist() == [[int((loop.random(n) < p).sum()) for n in row]
                                 for row in counts.tolist()]
-        assert repr(table.bit_generator.state) == repr(
-            loop.bit_generator.state)
+        if 0.0 < p < 1.0:
+            assert repr(table.bit_generator.state) == repr(
+                loop.bit_generator.state)
         empty = np.zeros((0, 3), dtype=np.int64)
         assert channel.successes(table, empty).shape == (0, 3)
 
     def test_half_probability_concentrates(self):
         rng = stream(0, "channel")
         channel = ChannelModel(0.5)
-        hits = sum(channel.draw(rng, 100_000))
+        hits = channel.successes(rng, np.array([[100_000]]))[0, 0]
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     def test_out_of_range_rejected(self):

@@ -3,22 +3,23 @@
 Each slot runs a fixed phase order: admit the sessions the start-slot
 schedule lists for it, routed under the load table; step the flow table,
 which reserves memory for the announced windows, transfers, advances the
-windows and retires the flows that finish; record the rows it returns;
-snapshot pool occupancy, whose ``np.bincount`` by node over node capacity
-is the next load table; clear every pool.  The pools live in one
-``memory.PoolTable`` and every slot reserves them in one array pass over
-the slot's reservation points.  The flow table is a ``tele.SessionTable``
-of teleportation sessions or a ``tag.HopTable`` of tell-and-go hops, both
-``memory.FlowColumns``: a flow's points are fixed when it is admitted, and
-only the tell-and-go floors are built per slot.  Either table runs the
-whole slot for all its rows as array passes.  A pool keeps only its
-reserved total, for one slot; what transport state outlives it lives in
-the table.  The loop keeps the trace as int64 column blocks (see
-``trace``): the columns the table returns, and a copy of the pool totals
-beside the shared pool nodes, kind codes and capacities, per slot
-stepped, so nothing is allocated by the slot count up front.  It builds
-no row objects; ``metrics.summarize`` reads the columns into the run
-summary.
+windows and retires the flows that finish; record the rows it returns and
+the pool totals; clear every pool.  Only a slot that admits builds the
+load table, from the last pool block: its ``np.bincount`` by node over
+node capacity.  The pools live in one ``memory.PoolTable`` and every slot
+reserves them in one array pass over the slot's reservation points.  The
+flow table is a ``tele.SessionTable`` of teleportation sessions or a
+``tag.HopTable`` of tell-and-go hops, both ``memory.FlowColumns``: a
+flow's points are fixed when it is admitted, and only the tell-and-go
+floors are built per slot.  Either table runs the whole slot for all its
+rows as array passes.  A pool keeps only its reserved total, for one slot;
+what transport state outlives it lives in the table.  The loop keeps the
+trace as int64 column blocks (see ``trace``): the columns the table
+returns, and a copy of the pool totals beside the pool nodes, kind codes
+and capacities every block shares (``PoolTable.node``, ``kind`` and
+``capacity``), per slot stepped, so nothing is allocated by the slot count
+up front.  It builds no row objects; ``metrics.summarize`` reads the
+columns into the run summary.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .tele import (SessionTable, reserve_explicit, reserve_fair,
                    reserve_teleport)
 from .topology import (DEFAULT_CAPACITY, INFRA_KIND, MIN_ALPHA, NetworkKind,
                        NodeKind, Topology, generate_waxman)
-from .trace import WORDS, PoolRow, Rows, SessionRow
+from .trace import PoolRow, Rows, SessionRow
 
 
 #: Largest session size a run accepts: qubit counts are int64 columns.
@@ -233,10 +234,6 @@ class Engine:
                                   f"{cfg.network.value} network needs "
                                   f"{infra_kind.value}s")
         self.pools = build_pools(self.topology, cfg.network)
-        # Every pool block shares the nodes, these kind codes and capacities.
-        self._pool_kinds = np.array(
-            [WORDS["pool"].index(kind) for _, kind in self.pools.keys],
-            dtype=np.int64)
         self._node_capacity = np.array([n.capacity for n in self.topology.nodes])
         self._channel_rng = stream(cfg.seed, CHANNEL_STREAM)
         self._schedule = self._resolve_sessions()
@@ -257,8 +254,6 @@ class Engine:
         # The trace so far: one block of columns per slot.
         self.session_rows = Rows(SessionRow, [])
         self.pool_rows = Rows(PoolRow, [])
-        # Reserved fraction per node as of the last snapshot; routing reads it.
-        self._load: dict[int, float] = {}
         self.slot = 0
 
     # -- setup ---------------------------------------------------------
@@ -299,9 +294,10 @@ class Engine:
     def _admit(self) -> list[tuple[int, Path, int | None, int | None]]:
         """Route this slot's sessions; returns those with qubits to send,
         as the flow table admits them."""
-        admitted = []
-        for sid, spec in self._schedule.pop(self.slot, ()):
-            path = compute_path(self.topology, spec.src, spec.dst, self._load,
+        admitted, scheduled = [], self._schedule.pop(self.slot, ())
+        load = self._load if scheduled else {}
+        for sid, spec in scheduled:
+            path = compute_path(self.topology, spec.src, spec.dst, load,
                                 self.cfg.congestion_weight)
             self.paths[sid] = path.nodes
             if spec.qubits != 0:
@@ -316,21 +312,24 @@ class Engine:
                                f"{self.cfg.n_slots} slots")
         self.table.admit(self._admit())
         self.session_rows.blocks.append((self.slot, self.table.step()))
-        self._snapshot_pools()
+        # A copy: surplus releases and ``clear`` write the totals in place.
+        self.pool_rows.blocks.append((self.slot, (
+            self.pools.node, self.pools.kind, self.pools.reserved.copy(),
+            self.pools.capacity)))
         self.pools.clear()
         self.slot += 1
 
-    def _snapshot_pools(self) -> None:
-        """Append this slot's pool block and rebuild the load table."""
-        # A copy: surplus releases and ``clear`` write the totals in place.
-        self.pool_rows.blocks.append((self.slot, (
-            self.pools.node, self._pool_kinds, self.pools.reserved.copy(),
-            self.pools.capacity)))
+    @property
+    def _load(self) -> dict[int, float]:
+        """Reserved fraction per node with a reservation in the last pool
+        block; routing reads it in a slot that admits."""
+        if not self.pool_rows.blocks:
+            return {}
+        node, _, reserved, _ = self.pool_rows.blocks[-1][1]
         # Node totals are exact float sums (see memory.MAX_UNITS).
-        occupancy = np.bincount(self.pools.node, self.pools.reserved,
-                                len(self._node_capacity))
+        occupancy = np.bincount(node, reserved, len(self._node_capacity))
         held = np.flatnonzero(occupancy)
-        self._load = dict(zip(held.tolist(), np.minimum(
+        return dict(zip(held.tolist(), np.minimum(
             1.0, occupancy[held] / self._node_capacity[held]).tolist()))
 
     # -- whole run ------------------------------------------------------

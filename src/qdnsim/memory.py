@@ -11,16 +11,17 @@ and ``MemoryPool`` one pool's running total; both are the scalar reference
 the array pass is tested against.
 
 A run keeps its pools in a ``PoolTable``: sorted ``(node, kind)`` keys and
-int64 ``node``, ``capacity`` and ``reserved`` columns.  A slot's requests
-(sessions or hops) reserve at points, one ``Incidence`` row each: pool
-index, request rank, tie id, unit cost as an integer numerator and
+int64 ``node``, ``kind``, ``capacity`` and ``reserved`` columns.  A slot's
+requests (sessions or hops) reserve at points, one ``Incidence`` row each:
+pool index, request rank, tie id, unit cost as an integer numerator and
 denominator, and floor.  Both transports keep their flows in
 ``FlowColumns``, which holds every point but a per-slot floor from the
 flow's admission on.  ``reserve`` runs both transports' two passes over
-all points at once.  Pass 1 applies ``assign_memory``'s rule at every pool
-and marks a request iff some pool cuts it; pass 2, ``PoolTable.hold``,
-adds the cost of each granted window at each point, so a request is halved
-at most once per slot.  Reservations last one slot: the engine clears the
+all points at once.  Pass 1 prices each point's window, and its half only
+if some pool is over capacity; it applies ``assign_memory``'s rule at each
+such pool and marks a request iff some pool cuts it.  Pass 2 holds the
+costs pass 1 priced for the granted windows, so a request is halved at
+most once per slot.  Reservations last one slot: the engine clears the
 table after its snapshot, and the floors come from session state (the
 tell-and-go hop counters), not from what a pool held the slot before.
 
@@ -29,7 +30,8 @@ configuration bounds capacities and initial windows by ``MAX_UNITS`` and
 sessions by ``MAX_SESSIONS``.  A window then stays at most
 ``2 * MAX_UNITS + 1`` (an unhalved window fits a pool, and the next one
 at most doubles it), so a point costs below 2**32 units, floors included,
-and a pool, crossed at most once per session, totals below 2**52.
+a pool, crossed at most once per session, totals below 2**52, and pass 1
+orders its cuts by one exact int64 key, ``pool * 2**31 - window``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import CapacityExceededError, InfeasibleReservationError
+from .trace import WORDS
 
 #: Quantum computers split memory between sending and receiving roles.
 TELE_SPLIT = Fraction(2, 3)
@@ -238,17 +241,19 @@ def _running(segments: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Inclusive sums of ``values`` that restart wherever ``segments``, a
     sorted key per value, changes."""
     total = np.cumsum(values)
-    starts = np.flatnonzero(np.r_[True, segments[1:] != segments[:-1]])
-    lengths = np.diff(np.r_[starts, len(values)])
-    return total - np.repeat(total[starts] - values[starts], lengths)
+    start = np.arange(len(values))
+    start[1:][segments[1:] == segments[:-1]] = 0
+    return total - (total - values)[np.maximum.accumulate(start)]
 
 
 class PoolTable:
     """Every pool of a run, in sorted ``(node, kind)`` key order.
 
-    ``node``, ``capacity`` and ``reserved`` are int64 columns.
-    ``reserved`` is the current slot's total per pool and stays within
-    ``[0, capacity]``: ``hold`` raises instead of overcommitting.
+    ``node``, ``kind`` (a ``trace.WORDS`` code), ``capacity``, ``reserved``
+    and, numbering each pool's node densely, ``site`` are int64 columns;
+    ``site_start`` holds each such node's first pool.  ``reserved`` is the
+    current slot's total per pool and stays within ``[0, capacity]``:
+    ``hold`` raises instead of overcommitting.
     """
 
     def __init__(self, pools: Iterable[MemoryPool]):
@@ -256,9 +261,12 @@ class PoolTable:
         self.keys = [(pool.node, pool.kind) for pool in pools]
         self.index = {key: i for i, key in enumerate(self.keys)}
         self.node = np.array([pool.node for pool in pools], dtype=np.int64)
-        self.capacity = np.array([pool.capacity for pool in pools],
-                                 dtype=np.int64)
+        self.kind = np.array([WORDS["pool"].index(kind) for _, kind in self.keys],
+                             dtype=np.int64)
+        self.capacity = np.array([pool.capacity for pool in pools], dtype=np.int64)
         self.reserved = np.zeros_like(self.capacity)
+        _, self.site_start, self.site = np.unique(
+            self.node, return_index=True, return_inverse=True)
 
     def sums(self, pool: np.ndarray, units: np.ndarray) -> np.ndarray:
         """``units`` summed per pool index ``pool``, over the whole table."""
@@ -269,15 +277,18 @@ class PoolTable:
         its points.  An overcommit raises for the first point, in hold
         order, whose pool's running total passes capacity, as
         ``MemoryPool.require`` would, and leaves the table unchanged."""
-        units = points.costs(granted)
-        reserved = self.reserved + self.sums(points.pool, units)
+        self._add(points.pool, points.costs(granted))
+
+    def _add(self, pool: np.ndarray, units: np.ndarray) -> None:
+        """``hold`` of ``units`` at the points at pools ``pool``."""
+        reserved = self.reserved + self.sums(pool, units)
         if (reserved > self.capacity).any():
-            order = np.argsort(points.pool, kind="stable")
-            pool = points.pool[order]
+            order = np.argsort(pool, kind="stable")
             after = np.empty_like(units)
-            after[order] = self.reserved[pool] + _running(pool, units[order])
-            first = np.flatnonzero(after > self.capacity[points.pool])[0]
-            index, units = points.pool[first], int(units[first])
+            after[order] = self.reserved[pool[order]] + _running(
+                pool[order], units[order])
+            first = np.flatnonzero(after > self.capacity[pool])[0]
+            index, units = pool[first], int(units[first])
             capacity = int(self.capacity[index])
             raise _overcommit(*self.keys[index], units,
                               capacity - int(after[first]) + units, capacity)
@@ -296,30 +307,33 @@ def reserve(pools: PoolTable, points: Incidence,
     savings of the points cut before it, still exceeds capacity; a pool
     still over after cutting every point raises, the first in key order.
     A request is halved iff any of its points was cut.  Pass 2 holds the
-    final windows.  Returns the granted windows and the halved flags, in
-    request order.
+    costs of the final windows, as pass 1 priced them.  Returns the
+    granted windows (``windows`` itself when no pool is over) and the
+    halved flags, in request order.
     """
     full = points.costs(windows)
     total = pools.sums(points.pool, full)
     congested = np.zeros(len(windows), dtype=bool)
     over = np.flatnonzero((total > pools.capacity)[points.pool])
-    if len(over):
-        saving = full - points.costs(windows // 2)
-        over = over[np.lexsort((points.tie[over], -windows[points.rank[over]],
-                                points.pool[over]))]
-        pool, saving = points.pool[over], saving[over]
-        left = total[pool] - _running(pool, saving)  # after this cut
-        cut = left + saving > pools.capacity[pool]
-        last = np.r_[pool[1:] != pool[:-1], True]
-        short = np.flatnonzero(last & (left > pools.capacity[pool]))
-        if len(short):
-            first = short[0]
-            node, kind = pools.keys[pool[first]]
-            raise InfeasibleReservationError(
-                f"pool {kind}@{node}: demand {int(left[first])} exceeds "
-                f"capacity {int(pools.capacity[pool[first]])} after cutting "
-                f"all")
-        congested[points.rank[over[cut]]] = True
-    granted = np.where(congested, windows // 2, windows)
-    pools.hold(points, granted)
-    return granted, congested
+    if not len(over):
+        pools._add(points.pool, full)
+        return windows, congested
+    half = points.costs(windows // 2)
+    # Pool, window descending, then tie; windows stay below 2**31 (above).
+    over = over[np.argsort(points.tie[over], kind="stable")]
+    key = points.pool[over] * 2**31 - windows[points.rank[over]]
+    over = over[np.argsort(key, kind="stable")]
+    pool, saving = points.pool[over], full[over] - half[over]
+    left = total[pool] - _running(pool, saving)  # after this cut
+    cut = left + saving > pools.capacity[pool]
+    last = np.concatenate((pool[1:] != pool[:-1], [True]))
+    short = np.flatnonzero(last & (left > pools.capacity[pool]))
+    if len(short):
+        first = short[0]
+        node, kind = pools.keys[pool[first]]
+        raise InfeasibleReservationError(
+            f"pool {kind}@{node}: demand {int(left[first])} exceeds "
+            f"capacity {int(pools.capacity[pool[first]])} after cutting all")
+    congested[points.rank[over[cut]]] = True
+    pools._add(points.pool, np.where(congested[points.rank], half, full))
+    return np.where(congested, windows // 2, windows), congested

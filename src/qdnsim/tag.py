@@ -232,7 +232,7 @@ def _reserve(pools: PoolTable, points: Incidence, window: np.ndarray
             f"stored sharings ({int(held[over[0]])}) exceed receive pool at "
             f"node {pools.keys[over[0]][0]}")
     granted, congested = reserve(pools, points, window)
-    return granted, congested, points.costs(granted)[1::2] - stored
+    return granted, congested, np.maximum(granted - stored, 0)
 
 
 @dataclass
@@ -439,7 +439,7 @@ class HopTable(FlowColumns):
         floor = np.stack([TAG_QUBIT_UNITS * in_flight, self.stored], axis=1)
         granted, congested, receiver_free = _reserve(
             self.pools, self.incidence(floor.ravel()), self.window)
-        queue = np.r_[self.queue_bound[1:] - self.backlog[1:], 0]
+        queue = np.concatenate((self.queue_bound[1:] - self.backlog[1:], [0]))
         take_seconds, take_firsts, encodes = _plan(
             granted, receiver_free, np.where(self.forwards, queue, _NEVER),
             self.stored, self.firsts, self.seconds, self.backlog,
@@ -462,7 +462,7 @@ class HopTable(FlowColumns):
     def _hand_over(self, delivered: np.ndarray) -> None:
         """Relay deliveries into the next hop's queue, count down what each
         egress hop delivered, and retire the sessions that are done."""
-        arriving = np.r_[0, np.where(self.forwards, delivered, 0)[:-1]]
+        arriving = np.concatenate(([0], np.where(self.forwards, delivered, 0)[:-1]))
         full = np.flatnonzero(arriving > self.queue_bound - self.backlog)
         if len(full):
             row = full[0]

@@ -28,7 +28,7 @@ import numpy as np
 from .memory import (RECEIVE_COST, TELE_SEND_COST, FlowColumns, Incidence,
                      PoolTable, reserve)
 from .routing import Path
-from .trace import PHASE_WORDS
+from .trace import PHASE_WORDS, WORDS
 
 #: Window a session announces in its first slot unless it asks otherwise.
 INITIAL_WINDOW = 1
@@ -121,25 +121,23 @@ def reserve_teleport(windows: np.ndarray, points: Incidence,
     return reserve(pools, points, windows)
 
 
-def _fair_shares(points: Incidence, pools: PoolTable) -> np.ndarray:
+def _fair_shares(points: Incidence, pools: PoolTable, n: int) -> np.ndarray:
     """Per-session floor(C/N) minimum over path nodes, N counted per node,
-    in session order.
+    for ``n`` sessions of at least one point each, in session order.
 
     C is the largest window a node supports for one session: a repeater
     backs it with transit units at the send price; an end host must be
     able to play either role, so the smaller of its send and receive
-    pools, each at its own price, limits it.
+    pools, each at its own price, limits it.  Only N is counted per slot:
+    prices go by the pools' kind codes, and nodes by ``PoolTable.site``.
     """
-    firsts = np.r_[True, pools.node[1:] != pools.node[:-1]]
-    slot = np.cumsum(firsts) - 1  # each pool's node, numbered densely
-    prices = np.array([RECEIVE_COST if kind == "receive" else TELE_SEND_COST
-                       for _, kind in pools.keys], dtype=np.int64)
-    capacity = np.minimum.reduceat(pools.capacity // prices,
-                                   np.flatnonzero(firsts))
-    node = slot[points.pool]
-    share = capacity[node] // np.bincount(node)[node]
-    return np.minimum.reduceat(
-        share, np.flatnonzero(np.diff(points.rank, prepend=-1)))
+    price = np.where(pools.kind == WORDS["pool"].index("receive"),
+                     RECEIVE_COST, TELE_SEND_COST)
+    capacity = np.minimum.reduceat(pools.capacity // price, pools.site_start)
+    node = pools.site[points.pool]
+    count = np.maximum(np.bincount(node, minlength=len(capacity)), 1)
+    return np.minimum.reduceat((capacity // count)[node],
+                               np.searchsorted(points.rank, np.arange(n)))
 
 
 def reserve_explicit(windows: np.ndarray, points: Incidence,
@@ -150,7 +148,7 @@ def reserve_explicit(windows: np.ndarray, points: Incidence,
     each of its N traversing sessions and a session uses the smallest
     grant along its path.
     """
-    granted = _fair_shares(points, pools)
+    granted = _fair_shares(points, pools, len(windows))
     pools.hold(points, granted)
     return granted, np.zeros(len(windows), dtype=bool)
 
@@ -158,7 +156,7 @@ def reserve_explicit(windows: np.ndarray, points: Incidence,
 def reserve_fair(windows: np.ndarray, points: Incidence,
                  pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
     """Fair-share threshold variant: halve whenever a request exceeds C/N."""
-    congested = windows > _fair_shares(points, pools)
+    congested = windows > _fair_shares(points, pools, len(windows))
     granted = np.where(congested, windows // 2, windows)
     pools.hold(points, granted)
     return granted, congested
@@ -166,9 +164,13 @@ def reserve_fair(windows: np.ndarray, points: Incidence,
 
 def release_surplus(points: Incidence, granted: np.ndarray,
                     delivered: np.ndarray, pools: PoolTable) -> None:
-    """Give back ``cost(granted) - cost(delivered)`` at every point."""
-    pools.reserved -= pools.sums(
-        points.pool, points.costs(granted) - points.costs(delivered))
+    """Give back ``cost(granted) - cost(delivered)`` at every point: its
+    price times the units not delivered, as ``session_points`` have whole
+    prices and no floor."""
+    surplus = granted - delivered
+    if surplus.any():
+        pools.reserved -= pools.sums(points.pool,
+                                     points.num * surplus[points.rank])
 
 
 class SessionTable(FlowColumns):

@@ -21,6 +21,7 @@ from qdnsim.memory import (MAX_SESSIONS, MAX_UNITS, TAG_QUBIT_UNITS,
                            FlowColumns, Incidence, MemoryPool, PoolTable)
 from qdnsim.presets import get_preset
 from qdnsim.rng import CHANNEL_STREAM, stream
+from qdnsim.routing import compute_path
 from qdnsim.tag import ChannelModel, _hop_points, _reserve
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -365,6 +366,44 @@ class TestReservationLifetime:
             assert engine._load == expected
             assert all(type(value) is float for value in engine._load.values())
         assert any(0 < value < 1 for value in engine._load.values())
+
+    def test_routing_reads_the_previous_slots_load(self, monkeypatch):
+        """The load each admission is routed under is every node's reserved
+        fraction in the previous slot's pool rows, also for a session that
+        starts after slots that admitted nothing; slot 0 routes unloaded."""
+        calls = []
+
+        def recording(topology, src, dst, load, weight):
+            calls.append((engine.slot, dict(load)))
+            return compute_path(topology, src, dst, load, weight)
+
+        engine = Engine(RunConfig(
+            seed=3, protocol=Protocol.TELE, network=NetworkKind.TELE,
+            topology=WaxmanSpec(n_infra=8, target_avg_degree=3.0,
+                                area_side=40.0),
+            sessions=[SessionSpec(), SessionSpec(qubits=40), SessionSpec(),
+                      SessionSpec(start_slot=6), SessionSpec(start_slot=6)],
+            n_slots=10, capacity=60))
+        monkeypatch.setattr("qdnsim.engine.compute_path", recording)
+        engine.run()
+        capacity = {node.id: node.capacity for node in engine.topology.nodes}
+
+        def load_after(slot):
+            totals = {}
+            for row in engine.pool_rows:
+                if row.slot == slot:
+                    totals[row.node] = totals.get(row.node, 0) + row.reserved
+            return {node: min(1.0, total / capacity[node])
+                    for node, total in totals.items() if total > 0}
+
+        assert [slot for slot, _ in calls] == [0, 0, 0, 6, 6]
+        for slot, load in calls:
+            assert load == load_after(slot - 1)
+        assert calls[0][1] == {}
+        assert any(0 < value < 1 for value in calls[-1][1].values())
+        # The slot before differs from the ones before it: slow start grows
+        # every window, so an older pool block would route differently.
+        assert load_after(5) != load_after(4)
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ import pytest
 
 from qdnsim.errors import CapacityExceededError, InfeasibleReservationError
 from qdnsim.memory import (
+    MAX_UNITS,
     Demand,
     Incidence,
     MemoryPool,
@@ -245,6 +246,69 @@ def random_instance(rng):
     return pools, requests
 
 
+def full_demand(requests):
+    """Each pool key's total cost of the requests' full windows."""
+    demand = {}
+    for _, window, points in requests:
+        for key, price, floor in points:
+            demand[key] = demand.get(key, 0) + cost(price, window, floor)
+    return demand
+
+
+def wide_instance(rng):
+    """Up to 60 pools and 12 sessions whose windows come from a few
+    values up to ``2 * MAX_UNITS + 1`` (equal windows under different
+    ties), with capacities near each pool's full demand, or all of it."""
+    keys = [(node, kind) for node in rng.sample(range(40), rng.randint(1, 30))
+            for kind in rng.sample(["send", "receive", "transit"],
+                                   rng.randint(1, 2))]
+    bound = 2 * MAX_UNITS + 1
+    palette = [rng.choice([bound, bound - 1, MAX_UNITS, 1, 0,
+                           rng.randint(0, bound)]) for _ in range(3)]
+    requests = []
+    for session in rng.sample(range(10**6), rng.randint(1, 12)):
+        points = [(key, rng.choice([1, 2, TAG_SEND_COST]),
+                   rng.choice([0, 0, rng.randint(0, MAX_UNITS)]))
+                  for key in rng.sample(keys, rng.randint(1, min(6, len(keys))))]
+        requests.append((session, rng.choice(palette), points))
+    demand, roomy = full_demand(requests), rng.random() < 0.2
+    pools = []
+    for key in keys:
+        total = demand.get(key, 0)
+        pools.append(MemoryPool(*key, total if roomy else max(0, rng.choice(
+            [total, total - 1, total * 3 // 4, total * 5 // 8]))))
+    return pools, requests
+
+
+def check_reserve(pools, requests, outcomes):
+    """``reserve`` against ``reference_reserve``: the same grants and
+    totals, or the same error text; counts the outcome in ``outcomes``."""
+    expected = reference_reserve(pools, requests)
+    table, points, windows = table_and_points(pools, requests)
+    if isinstance(expected, str):
+        outcomes["infeasible"] += 1
+        with pytest.raises(InfeasibleReservationError) as info:
+            reserve(table, points, windows)
+        assert str(info.value) == expected
+        return
+    outcomes["feasible"] += 1
+    grants, totals = expected
+    granted, congested = reserve(table, points, windows)
+    assert list(zip(granted.tolist(), congested.tolist())) == grants
+    assert dict(zip(table.keys, table.reserved.tolist())) == totals
+    assert (table.reserved <= table.capacity).all()
+    demand = full_demand(requests)
+    outcomes["no_pool_over"] += all(
+        demand.get((pool.node, pool.kind), 0) <= pool.capacity
+        for pool in pools)
+    cut = {window for (_, window, _), (_, halved)
+           in zip(requests, grants) if halved}
+    outcomes["halved"] += len(cut) > 0
+    outcomes["tie_cut"] += any(
+        window in cut and not halved
+        for (_, window, _), (_, halved) in zip(requests, grants))
+
+
 class TestPoolTable:
     def test_keys_sorted_with_their_capacities(self):
         table = PoolTable([MemoryPool(3, "send", 5), MemoryPool(1, "send", 7),
@@ -285,35 +349,32 @@ class TestReserveTwoPassFuzz:
         rng = random.Random(20261018)
         outcomes = dict.fromkeys(
             ["feasible", "infeasible", "halved", "tie_cut", "floor_over_cost",
-             "zero_window"], 0)
+             "zero_window", "no_pool_over"], 0)
         for _ in range(600):
             pools, requests = random_instance(rng)
-            expected = reference_reserve(pools, requests)
-            table, points, windows = table_and_points(pools, requests)
-            if isinstance(expected, str):
-                outcomes["infeasible"] += 1
-                with pytest.raises(InfeasibleReservationError) as info:
-                    reserve(table, points, windows)
-                assert str(info.value) == expected
-                continue
-            outcomes["feasible"] += 1
-            grants, totals = expected
-            granted, congested = reserve(table, points, windows)
-            assert list(zip(granted.tolist(), congested.tolist())) == grants
-            assert dict(zip(table.keys, table.reserved.tolist())) == totals
-            assert (table.reserved <= table.capacity).all()
-            cut = {window for (_, window, _), (_, halved)
-                   in zip(requests, grants) if halved}
-            outcomes["halved"] += len(cut) > 0
-            outcomes["tie_cut"] += any(
-                window in cut and not halved
-                for (_, window, _), (_, halved) in zip(requests, grants))
+            check_reserve(pools, requests, outcomes)
             outcomes["floor_over_cost"] += any(
                 floor > cost(price, window)
                 for _, window, points in requests
                 for _, price, floor in points)
             outcomes["zero_window"] += any(
                 window == 0 for _, window, _ in requests)
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_cut_order_at_the_window_bound(self):
+        # Windows up to the largest a run reaches, 2 * MAX_UNITS + 1, some
+        # equal across ties, over up to 60 pools: pass 1's one int64 sort
+        # key must order the cuts as assign_memory does.
+        rng = random.Random(29)
+        outcomes = dict.fromkeys(
+            ["feasible", "infeasible", "halved", "tie_cut", "no_pool_over",
+             "bound_window", "many_pools"], 0)
+        for _ in range(300):
+            pools, requests = wide_instance(rng)
+            check_reserve(pools, requests, outcomes)
+            outcomes["bound_window"] += any(
+                window == 2 * MAX_UNITS + 1 for _, window, _ in requests)
+            outcomes["many_pools"] += len(pools) > 8
         assert min(outcomes.values()) > 0, outcomes
 
     def test_hold_matches_replayed_requires(self):

@@ -16,6 +16,7 @@ from qdnsim.tele import (
     Phase,
     SessionTable,
     TeleSession,
+    _fair_shares,
     advance_windows,
     next_window,
     reserve_explicit,
@@ -207,6 +208,75 @@ class TestReserveExplicit:
         sessions = [(i, Path(nodes), None, None)
                     for i, nodes in enumerate([(1, 0, 2), (2, 0, 1)])]
         assert grants(reserve_explicit, sessions, pools) == [(10, False)] * 2
+
+
+def fair_instance(draw):
+    """Hosts with send and receive pools and transit-only repeaters, any
+    pool possibly of zero capacity, and up to 12 sessions between hosts
+    through distinct repeaters, as pools and paths."""
+    nodes = draw.sample(range(40), draw.randint(2, 14))
+    cut = draw.randint(2, len(nodes))
+    hosts, repeaters = nodes[:cut], nodes[cut:]
+
+    def capacity():
+        return draw.choice([0] + [draw.randint(1, 6), draw.randint(0, 300),
+                                  draw.randint(0, MAX_UNITS)] * 3)
+    pools = [MemoryPool(node, kind, capacity())
+             for node in hosts for kind in ("send", "receive")]
+    pools += [MemoryPool(node, "transit", capacity()) for node in repeaters]
+    paths = []
+    for _ in range(draw.randint(0, 12)):
+        src, dst = draw.sample(hosts, 2)
+        middle = draw.sample(repeaters, draw.randint(0, min(3, len(repeaters))))
+        paths.append(Path((src, *middle, dst)))
+    return pools, paths
+
+
+def scalar_fair_shares(pools, paths):
+    """Each node's floor(C/N), node by node, and each path's minimum of
+    them: C the node's smallest pool over its price, N the paths that
+    cross the node."""
+    window_capacity, crossing = {}, {}
+    for pool in pools:
+        price = RECEIVE_COST if pool.kind == "receive" else TELE_SEND_COST
+        window_capacity[pool.node] = min(
+            window_capacity.get(pool.node, pool.capacity // price),
+            pool.capacity // price)
+    for path in paths:
+        for node in path.nodes:
+            crossing[node] = crossing.get(node, 0) + 1
+    return [min(window_capacity[node] // crossing[node] for node in path.nodes)
+            for path in paths]
+
+
+class TestFairSharesDifferential:
+    def test_matches_scalar_per_node_shares(self):
+        # The array pass against floor(C/N) node by node, over random pool
+        # tables and session paths.
+        draw = random.Random(2029)
+        outcomes = dict.fromkeys(
+            ["transit", "zero_capacity", "single_crossing", "both_roles",
+             "zero_share", "large_share", "no_sessions"], 0)
+        for _ in range(400):
+            pools, paths = fair_instance(draw)
+            table = SessionTable(PoolTable(pools), reserve_explicit,
+                                 explicit=True)
+            table.admit([(i, path, None, None) for i, path in enumerate(paths)])
+            expected = scalar_fair_shares(pools, paths)
+            assert _fair_shares(table.incidence(), table.pools,
+                                len(paths)).tolist() == expected
+            crossed = [node for path in paths for node in path.nodes]
+            empty = {pool.node for pool in pools if pool.capacity == 0}
+            outcomes["transit"] += any(len(path.nodes) > 2 for path in paths)
+            outcomes["zero_capacity"] += any(node in empty for node in crossed)
+            outcomes["single_crossing"] += any(crossed.count(node) == 1
+                                               for node in crossed)
+            outcomes["both_roles"] += bool(
+                {path.src for path in paths} & {path.dst for path in paths})
+            outcomes["zero_share"] += 0 in expected
+            outcomes["large_share"] += any(share > 10**6 for share in expected)
+            outcomes["no_sessions"] += not paths
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestReserveFair:

@@ -10,9 +10,12 @@ matrix of its text, once for every format: a ``str`` field's codes by
 one lookup of its words, an ``int`` field's values by a digit pass (one
 table lookup per three digits), and a negative value raises ValueError.
 Between the literal bytes of a format's line, in its field order, the
-columns make one matrix of the chunk's lines; dropping every NUL from it
-gives their bytes, which are streamed to that format's file.
-The summary table goes through ``csv`` and ``json``.
+columns make one matrix of the chunk's lines; dropping every NUL from it,
+in one ``bytes.translate`` pass, gives their bytes, which are streamed to
+that format's file.  The per-session summary is written from two fixed
+line templates, one ``%`` format per session and format; only its totals
+trailer goes through ``json``.  The preset tables go through ``csv`` and
+``json``.
 """
 
 from __future__ import annotations
@@ -261,8 +264,7 @@ def _lay_out(literals, cells) -> np.ndarray:
     for part in parts:
         line[row:row + len(part)] = part
         row += len(part)
-    line = line.T
-    return line[line != 0]
+    return np.frombuffer(line.T.tobytes().translate(None, b"\0"), np.uint8)
 
 
 def _chunks(blocks, chunk_rows: int):
@@ -336,25 +338,13 @@ def _write_records(path: FsPath, records) -> None:
             handle.write("\n")
 
 
-_SUMMARY_HEADER = ("session", "delivered", "mean_window", "hops", "path")
-
-
-def _summary_rows(result: RunResult) -> list[tuple]:
-    return [
-        (sid, info["delivered"], info["mean_window"], info["hops"],
-         "-".join(str(n) for n in result.paths[sid]))
-        for sid, info in sorted(result.summary["sessions"].items())
-    ]
-
-
 def _write_table(out: FsPath, name: str, header: Sequence[str], rows,
-                 formats: list[str], trailer: dict | None = None
-                 ) -> list[FsPath]:
+                 formats: list[str]) -> list[FsPath]:
     """Write ``rows``, a trace's ``Rows`` in its row type's field order or a
     sequence of value tuples in ``header`` order, as ``name.csv`` and/or
-    ``name.ndjson``; ``trailer`` is a last line of records only.  A trace
-    goes through ``_write_trace``, other rows through ``csv`` and ``json``,
-    with records built one at a time as they are written."""
+    ``name.ndjson``.  A trace goes through ``_write_trace``, other rows
+    through ``csv`` and ``json``, with records built one at a time as they
+    are written."""
     out.mkdir(parents=True, exist_ok=True)
     written = [out / f"{name}{suffix}" for form, suffix in (
         ("tabular", ".csv"), ("records", ".ndjson")) if form in formats]
@@ -365,10 +355,49 @@ def _write_table(out: FsPath, name: str, header: Sequence[str], rows,
     if "tabular" in formats:
         _write_csv(written[0], header, rows)
     if "records" in formats:
-        records = (dict(zip(header, row)) for row in rows)
-        if trailer is not None:
-            records = chain(records, [trailer])
-        _write_records(written[-1], records)
+        _write_records(written[-1], (dict(zip(header, row)) for row in rows))
+    return written
+
+
+_SUMMARY_HEADER = ("session", "delivered", "mean_window", "hops", "path")
+
+#: A summary row's CSV line, in ``_SUMMARY_HEADER`` order, and its
+#: sorted-key ndjson line.  ``metrics.summarize`` gives int counts and a
+#: float mean, and a path holds only digits and ``-``, which neither format
+#: quotes or escapes: ``%d`` is an int's ``str``, ``%.6g`` is ``_fmt``'s
+#: float format and ``%r`` the float text ``json`` writes.
+_SUMMARY_CSV = "%d,%d,%.6g,%d,%s\n"
+_SUMMARY_NDJSON = ('{"delivered": %d, "hops": %d, "mean_window": %r, '
+                   '"path": "%s", "session": %d}\n')
+
+
+def _write_summary(out: FsPath, name: str, result: RunResult,
+                   formats: list[str]) -> list[FsPath]:
+    """Write ``result``'s per-session summary as ``name.csv`` and/or
+    ``name.ndjson``, a line per session in id order from ``_SUMMARY_CSV``
+    and ``_SUMMARY_NDJSON``, each file by one write; the records end with
+    the run's totals, by sorted-key ``json.dumps``."""
+    rows = [(sid, info["delivered"], info["mean_window"], info["hops"],
+             "-".join(map(str, result.paths[sid])))
+            for sid, info in sorted(result.summary["sessions"].items())]
+    written = []
+    if "tabular" in formats:
+        written.append(out / f"{name}.csv")
+        written[-1].write_text(
+            "".join([",".join(_SUMMARY_HEADER) + "\n",
+                     *[_SUMMARY_CSV % row for row in rows]]),
+            encoding="utf-8", newline="\n")
+    if "records" in formats:
+        totals = {key: result.summary[key] for key in (
+            "delivered_total", "throughput_per_slot", "throughput_per_time",
+            "jain_mean_window")}
+        totals.update(protocol=result.protocol, seed=result.seed)
+        written.append(out / f"{name}.ndjson")
+        written[-1].write_text(
+            "".join([*[_SUMMARY_NDJSON % (delivered, hops, mean, path, sid)
+                       for sid, delivered, mean, hops, path in rows],
+                     json.dumps(totals, sort_keys=True), "\n"]),
+            encoding="utf-8", newline="\n")
     return written
 
 
@@ -377,17 +406,12 @@ def emit(result: RunResult, out_dir: str | FsPath, name: str,
     """Write one run's trace and summary files; returns the paths, every
     tabular file before every records file."""
     out = FsPath(out_dir)
-    totals = {key: result.summary[key] for key in (
-        "delivered_total", "throughput_per_slot", "throughput_per_time",
-        "jain_mean_window")}
-    totals.update(protocol=result.protocol, seed=result.seed)
     written = [
         *_write_table(out, f"{name}_sessions", SessionRow._fields,
                       Rows.of(SessionRow, result.session_rows), formats),
         *_write_table(out, f"{name}_pools", PoolRow._fields,
                       Rows.of(PoolRow, result.pool_rows), formats),
-        *_write_table(out, f"{name}_summary", _SUMMARY_HEADER,
-                      _summary_rows(result), formats, totals),
+        *_write_summary(out, f"{name}_summary", result, formats),
     ]
     return sorted(written, key=lambda path: path.suffix == ".ndjson")
 

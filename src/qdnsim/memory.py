@@ -277,10 +277,11 @@ class PoolTable:
         its points.  An overcommit raises for the first point, in hold
         order, whose pool's running total passes capacity, as
         ``MemoryPool.require`` would, and leaves the table unchanged."""
-        self._add(points.pool, points.costs(granted))
+        self.add(points.pool, points.costs(granted))
 
-    def _add(self, pool: np.ndarray, units: np.ndarray) -> None:
-        """``hold`` of ``units`` at the points at pools ``pool``."""
+    def add(self, pool: np.ndarray, units: np.ndarray) -> None:
+        """``hold`` of ``units``, already priced, at the points at pools
+        ``pool``."""
         reserved = self.reserved + self.sums(pool, units)
         if (reserved > self.capacity).any():
             order = np.argsort(pool, kind="stable")
@@ -316,7 +317,7 @@ def reserve(pools: PoolTable, points: Incidence,
     congested = np.zeros(len(windows), dtype=bool)
     over = np.flatnonzero((total > pools.capacity)[points.pool])
     if not len(over):
-        pools._add(points.pool, full)
+        pools.add(points.pool, full)
         return windows, congested
     half = points.costs(windows // 2)
     # Pool, window descending, then tie; windows stay below 2**31 (above).
@@ -335,5 +336,5 @@ def reserve(pools: PoolTable, points: Incidence,
             f"pool {kind}@{node}: demand {int(left[first])} exceeds "
             f"capacity {int(pools.capacity[pool[first]])} after cutting all")
     congested[points.rank[over[cut]]] = True
-    pools._add(points.pool, np.where(congested[points.rank], half, full))
+    pools.add(points.pool, np.where(congested[points.rank], half, full))
     return np.where(congested, windows // 2, windows), congested

@@ -147,7 +147,11 @@ def _slice(groups: dict, key) -> tuple[int, int]:
 
 
 def utilization(result: RunResult, node: int, pool: str) -> list[float]:
-    """Per-slot reserved/capacity for one pool, in [0, 1]."""
+    """Per-slot reserved/capacity for one pool, in [0, 1].
+
+    One float64 division of the int64 columns: it equals Python's
+    ``int / int`` while both are below 2**53, which the engine's are (at
+    most ``memory.MAX_UNITS``)."""
     index = _index(result, "pool_rows", PoolRow, _PoolIndex)
     start, end = _slice(index.groups, (node, pool))
     if start == end:
@@ -155,8 +159,7 @@ def utilization(result: RunResult, node: int, pool: str) -> list[float]:
             f"no recorded occupancy for a nonzero-capacity {pool} pool at "
             f"node {node}"
         )
-    return [reserved / capacity for reserved, capacity in zip(
-        index.reserved[start:end].tolist(), index.capacity[start:end].tolist())]
+    return (index.reserved[start:end] / index.capacity[start:end]).tolist()
 
 
 def _sessions(result: RunResult) -> _SessionIndex:

@@ -140,6 +140,13 @@ def _fair_shares(points: Incidence, pools: PoolTable, n: int) -> np.ndarray:
                                np.searchsorted(points.rank, np.arange(n)))
 
 
+def _hold(points: Incidence, granted: np.ndarray, pools: PoolTable) -> None:
+    """``PoolTable.hold`` of ``granted`` at ``session_points``, priced as
+    each point's price times its session's grant: the prices are whole and
+    there is no floor."""
+    pools.add(points.pool, points.num * granted[points.rank])
+
+
 def reserve_explicit(windows: np.ndarray, points: Incidence,
                      pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
     """Explicit-window variant: every node splits evenly among its sessions.
@@ -149,7 +156,7 @@ def reserve_explicit(windows: np.ndarray, points: Incidence,
     grant along its path.
     """
     granted = _fair_shares(points, pools, len(windows))
-    pools.hold(points, granted)
+    _hold(points, granted, pools)
     return granted, np.zeros(len(windows), dtype=bool)
 
 
@@ -158,7 +165,7 @@ def reserve_fair(windows: np.ndarray, points: Incidence,
     """Fair-share threshold variant: halve whenever a request exceeds C/N."""
     congested = windows > _fair_shares(points, pools, len(windows))
     granted = np.where(congested, windows // 2, windows)
-    pools.hold(points, granted)
+    _hold(points, granted, pools)
     return granted, congested
 
 

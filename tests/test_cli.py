@@ -226,12 +226,32 @@ def reference_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def reference_records(path, header, rows):
-    """``emit``'s ndjson writer before trace rows were templated."""
+def reference_records(path, header, rows, trailer=None):
+    """``emit``'s ndjson writer before trace rows were templated; a
+    ``trailer`` record is written last."""
+    records = [dict(zip(header, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for row in rows:
-            handle.write(json.dumps(dict(zip(header, row)), sort_keys=True))
+        for record in records + ([] if trailer is None else [trailer]):
+            handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")
+
+
+SUMMARY_HEADER = ("session", "delivered", "mean_window", "hops", "path")
+
+
+def reference_summary(out, result):
+    """``t_summary.csv`` and ``t_summary.ndjson`` as ``emit`` wrote them
+    before the summary was templated: ``csv.writer`` over ``_fmt`` cells,
+    and sorted-key ``json.dumps`` per session, then the run's totals."""
+    rows = [(sid, info["delivered"], info["mean_window"], info["hops"],
+             "-".join(str(node) for node in result.paths[sid]))
+            for sid, info in sorted(result.summary["sessions"].items())]
+    totals = {key: result.summary[key] for key in (
+        "delivered_total", "throughput_per_slot", "throughput_per_time",
+        "jain_mean_window")}
+    totals.update(protocol=result.protocol, seed=result.seed)
+    reference_csv(out / "t_summary.csv", SUMMARY_HEADER, rows)
+    reference_records(out / "t_summary.ndjson", SUMMARY_HEADER, rows, totals)
 
 
 #: Zero, small and large values for every int field, up to int64's largest.
@@ -250,7 +270,16 @@ def result_of(session_rows, pool_rows):
     )
 
 
+#: Session means: zero, whole, fractional, repeating, and from 1e6 on,
+#: where ``%.6g`` writes an exponent (999999.5 rounds up to ``1e+06``).
+MEANS = [0.0, 1.0, 2.5, 1 / 3, 999999.5, 1e6, 1234567.0, 2.0**40 / 3]
+
+
 def hand_built_result(seed, n_rows):
+    """``n_rows`` random rows of each trace table, and as many summary
+    sessions under random ids: the ``i``-th delivers ``INTS[i]`` at mean
+    ``MEANS[i]``, cyclically, so the first delivers 0 at a 0.0 mean, over
+    a path of 2, 3 or 80 nodes of ``INTS`` ids."""
     rng = random.Random(seed)
     session_rows = [
         SessionRow(*(rng.choice(INTS) for _ in range(7)),
@@ -264,7 +293,16 @@ def hand_built_result(seed, n_rows):
                 rng.choice(INTS), rng.choice(INTS))
         for _ in range(n_rows)
     ]
-    return result_of(session_rows, pool_rows)
+    result = result_of(session_rows, pool_rows)
+    for i, sid in enumerate(rng.sample(range(10**6), n_rows)):
+        result.paths[sid] = tuple(rng.choice(INTS)
+                                  for _ in range([2, 3, 80][i % 3]))
+        result.summary["sessions"][sid] = {
+            "delivered": INTS[i % len(INTS)],
+            "mean_window": MEANS[i % len(MEANS)],
+            "hops": len(result.paths[sid]) - 1}
+    result.summary["jain_mean_window"] = 0.75 if n_rows else None
+    return result
 
 
 #: Values that fit int64, from zero to its largest.
@@ -309,20 +347,26 @@ def assert_rejected(tmp_path, field, value):
         emit(result, tmp_path / "rejected", "t", ["tabular", "records"])
 
 
-def assert_matches_reference_writers(tmp_path, result):
-    emit(result, tmp_path / "new", "t", ["tabular", "records"])
-    old = tmp_path / "old"
-    old.mkdir()
+def write_references(out, result):
+    """Every file ``emit`` writes for ``result`` under the name ``t``, as
+    ``csv.writer`` or sorted-key ``json.dumps`` writes it."""
+    out.mkdir()
     for table, row_type, rows in (
             ("sessions", SessionRow, result.session_rows),
             ("pools", PoolRow, result.pool_rows)):
         rows = list(rows)
-        reference_csv(old / f"t_{table}.csv", row_type._fields, rows)
-        reference_records(old / f"t_{table}.ndjson", row_type._fields, rows)
-        for suffix in (".csv", ".ndjson"):
-            name = f"t_{table}{suffix}"
-            assert (tmp_path / "new" / name).read_bytes() == \
-                (old / name).read_bytes(), name
+        reference_csv(out / f"t_{table}.csv", row_type._fields, rows)
+        reference_records(out / f"t_{table}.ndjson", row_type._fields, rows)
+    reference_summary(out, result)
+
+
+def assert_matches_reference_writers(tmp_path, result):
+    written = emit(result, tmp_path / "new", "t", ["tabular", "records"])
+    write_references(tmp_path / "old", result)
+    assert len(written) == 6
+    for path in written:
+        reference = tmp_path / "old" / path.name
+        assert path.read_bytes() == reference.read_bytes(), path.name
 
 
 def chunk_edges(rows, form):
@@ -332,6 +376,16 @@ def chunk_edges(rows, form):
     edges = np.cumsum([np.count_nonzero(chunk == ord("\n"))
                        for chunk in chunks])
     return edges.tolist()
+
+
+#: Every protocol on its network.
+ENGINE_RUNS = [("tele", "tele"), ("ew", "tele"), ("fra", "tele"),
+               ("tag", "tag_relay"), ("tag", "tag_switch")]
+
+#: Finite sessions admitted over the first seven slots; every fourth asks
+#: for no qubits.
+STAGGERED = [{"qubits": 0 if i % 4 == 0 else 3 + 5 * i, "start_slot": i % 7}
+             for i in range(16)]
 
 
 class TestTemplatedEmission:
@@ -440,9 +494,7 @@ class TestTemplatedEmission:
         assert len(result.session_rows) == len(result.pool_rows) == 1
         assert_matches_reference_writers(tmp_path, result)
 
-    @pytest.mark.parametrize("protocol, network", [
-        ("tele", "tele"), ("ew", "tele"), ("fra", "tele"),
-        ("tag", "tag_relay"), ("tag", "tag_switch")])
+    @pytest.mark.parametrize("protocol, network", ENGINE_RUNS)
     def test_engine_run_matches_reference_writers(self, tmp_path, protocol,
                                                   network):
         doc = minimal_doc(protocol=protocol, network=network, sessions=6,
@@ -451,6 +503,29 @@ class TestTemplatedEmission:
         assert isinstance(result.session_rows.blocks[0][1][0], np.ndarray)
         assert_matches_reference_writers(tmp_path, result)
 
+    @pytest.mark.parametrize("protocol, network", ENGINE_RUNS)
+    def test_staggered_run_matches_reference_writers(self, tmp_path,
+                                                     protocol, network):
+        # Zero-qubit sessions are routed but never admitted: summary rows
+        # with nothing delivered and a 0.0 mean among finished ones.
+        doc = minimal_doc(protocol=protocol, network=network,
+                          sessions=STAGGERED, n_slots=30)
+        result = run(parse_config(write_config(tmp_path, doc)))
+        idle = [result.summary["sessions"][sid]
+                for sid, spec in enumerate(STAGGERED) if spec["qubits"] == 0]
+        assert idle and all(info["delivered"] == 0 and info["hops"] >= 1
+                            and info["mean_window"] == 0.0 for info in idle)
+        assert_matches_reference_writers(tmp_path, result)
+
+    def test_hand_built_summary_rows_of_every_kind(self, tmp_path):
+        # A session delivers nothing at a 0.0 mean; some means are written
+        # by %.6g with an exponent, and some paths have 80 nodes.
+        emit(hand_built_result(2, 40), tmp_path, "t", ["tabular"])
+        lines = (tmp_path / "t_summary.csv").read_text().splitlines()
+        assert ["0", "0"] in [line.split(",")[1:3] for line in lines]
+        assert any("e+06" in line for line in lines)
+        assert max(line.count("-") for line in lines) == 79
+
 
 #: Every format subset ``emit`` accepts.
 SUBSETS = (["tabular"], ["records"], ["tabular", "records"])
@@ -458,17 +533,10 @@ SUBSETS = (["tabular"], ["records"], ["tabular", "records"])
 
 def assert_subsets_match_reference_writers(tmp_path, result):
     """Each file is written the same bytes by every ``SUBSETS`` call that
-    writes it; a trace file's bytes are those ``csv.writer`` or sorted-key
-    ``json.dumps`` writes for its rows."""
+    writes it, those ``csv.writer`` or sorted-key ``json.dumps`` writes for
+    its rows."""
     reference = tmp_path / "reference"
-    reference.mkdir()
-    for table, row_type, rows in (
-            ("sessions", SessionRow, result.session_rows),
-            ("pools", PoolRow, result.pool_rows)):
-        rows = list(rows)
-        reference_csv(reference / f"t_{table}.csv", row_type._fields, rows)
-        reference_records(reference / f"t_{table}.ndjson", row_type._fields,
-                          rows)
+    write_references(reference, result)
     written = {}
     for formats in SUBSETS:
         for path in emit(result, tmp_path / "+".join(formats), "t", formats):
@@ -478,15 +546,12 @@ def assert_subsets_match_reference_writers(tmp_path, result):
         for suffix in (".csv", ".ndjson"))
     for name, texts in written.items():
         assert len(texts) == 2 and texts[0] == texts[1], name
-        if "summary" not in name:
-            assert texts[0] == (reference / name).read_bytes(), name
+        assert texts[0] == (reference / name).read_bytes(), name
 
 
 class TestFormatSubsets:
     @pytest.mark.parametrize("budget", [None, 3000])
-    @pytest.mark.parametrize("protocol, network", [
-        ("tele", "tele"), ("ew", "tele"), ("fra", "tele"),
-        ("tag", "tag_relay"), ("tag", "tag_switch")])
+    @pytest.mark.parametrize("protocol, network", ENGINE_RUNS)
     def test_engine_runs(self, tmp_path, monkeypatch, protocol, network,
                          budget):
         if budget is not None:

@@ -258,6 +258,23 @@ class TestIndexedMetrics:
     def test_empty_result_matches_scan(self):
         assert_matches_scan(result_with(), ALL_SESSIONS, ALL_HOPS, ALL_POOLS)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quotients_up_to_2_53(self, seed):
+        # utilization divides int64 columns in float64; every value below
+        # 2**53 converts exactly, so each quotient is Python's int / int.
+        rng = random.Random(seed)
+
+        def value():
+            return rng.choice([rng.randint(0, 2**53), 2**53 - rng.randint(0, 9),
+                               rng.randint(0, 2**20), 2**53, 0])
+        pool_rows = [PoolRow(slot, node, kind, value(), value())
+                     for node in range(rng.randint(1, 5))
+                     for kind in rng.sample(POOL_KINDS, rng.randint(1, 3))
+                     for slot in range(12)]
+        rng.shuffle(pool_rows)
+        assert_matches_scan(result_with(pool_rows=pool_rows), [], [],
+                            ALL_POOLS)
+
     def test_zero_capacity_pool_is_undefined(self):
         rows = [PoolRow(s, 3, "receive", 0, 0) for s in range(4)]
         rows += [PoolRow(s, 3, "send", 2, 4 if s % 2 else 0) for s in range(4)]

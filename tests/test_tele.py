@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from qdnsim.errors import CapacityExceededError
 from qdnsim.memory import (MAX_UNITS, RECEIVE_COST, TELE_SEND_COST,
                            MemoryPool, PoolTable)
 from qdnsim.routing import Path
@@ -277,6 +278,46 @@ class TestFairSharesDifferential:
             outcomes["large_share"] += any(share > 10**6 for share in expected)
             outcomes["no_sessions"] += not paths
         assert min(outcomes.values()) > 0, outcomes
+
+
+def held_or_refused(hold, pools):
+    """The totals ``hold()`` leaves in ``pools``, or the overcommit it
+    raises."""
+    try:
+        hold()
+    except CapacityExceededError as exc:
+        return str(exc)
+    return pools.reserved.tolist()
+
+
+class TestSchemesHoldGrants:
+    @pytest.mark.parametrize("scheme, overcommits", [
+        (reserve_explicit, False), (reserve_fair, True)])
+    def test_pool_totals_match_hold(self, scheme, overcommits):
+        # EW and FRA price their grants at session points directly; holding
+        # the same grants through PoolTable.hold must leave the same totals,
+        # or raise the same overcommit.  An EW share always fits.
+        draw = random.Random(2030)
+        refused = 0
+        for _ in range(300):
+            pools, paths = fair_instance(draw)
+            table = SessionTable(PoolTable(pools), scheme,
+                                 explicit=scheme is reserve_explicit)
+            table.admit([(i, path, None, draw.choice(
+                [1, draw.randint(1, 300), draw.randint(1, MAX_UNITS)]))
+                for i, path in enumerate(paths)])
+            windows, points = table.window, table.incidence()
+            shares = _fair_shares(points, table.pools, len(paths))
+            granted = shares if scheme is reserve_explicit else np.where(
+                windows > shares, windows // 2, windows)
+            reference = PoolTable(pools)
+            expected = held_or_refused(
+                lambda: reference.hold(points, granted), reference)
+            assert held_or_refused(
+                lambda: scheme(windows, points, table.pools),
+                table.pools) == expected
+            refused += isinstance(expected, str)
+        assert 0 < refused < 300 if overcommits else refused == 0, refused
 
 
 class TestReserveFair:

@@ -2,9 +2,11 @@
 
 Output is byte-stable for fixed inputs: tabular files use 6 significant
 digits, record files are sorted-key JSON lines, and all rows appear in a
-fixed order.  Session and pool rows hold only ints and fixed ASCII words,
-so their files are rendered by a numpy byte kernel rather than by ``csv``
-and ``json``, a chunk of rows at a time and both formats in one pass.
+fixed order.  Each kind of file has one writer, which writes the files of
+the requested formats that ``_outputs`` lists, CSV first.  Session and
+pool rows hold only ints and fixed ASCII words, so ``_write_trace``
+renders their files by a numpy byte kernel rather than by ``csv`` and
+``json``, a chunk of rows at a time and both formats in one pass.
 Each int64 column of a chunk (see ``trace``) becomes a NUL-padded uint8
 matrix of its text, once for every format: a ``str`` field's codes by
 one lookup of its words, an ``int`` field's values by a digit pass (one
@@ -12,10 +14,10 @@ table lookup per three digits), and a negative value raises ValueError.
 Between the literal bytes of a format's line, in its field order, the
 columns make one matrix of the chunk's lines; dropping every NUL from it,
 in one ``bytes.translate`` pass, gives their bytes, which are streamed to
-that format's file.  The per-session summary is written from two fixed
-line templates, one ``%`` format per session and format; only its totals
-trailer goes through ``json``.  The preset tables go through ``csv`` and
-``json``.
+that format's file.  ``_write_summary`` writes the per-session summary
+from two fixed line templates, one ``%`` format per session and format;
+only its totals trailer goes through ``json``.  ``emit_table`` writes the
+preset tables through ``csv`` and ``json``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import argparse
 import csv
 import json
 import sys
-from collections.abc import Sequence
 from contextlib import ExitStack
 from itertools import chain
 from pathlib import Path as FsPath
@@ -93,7 +94,7 @@ def _topology(path, doc) -> Topology | WaxmanSpec:
     if "inline" in doc:
         try:
             return from_document(doc["inline"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad inline topology: {exc}") from exc
     raise ConfigError(f"{path}: topology must be 'waxman' or 'inline'")
 
@@ -309,63 +310,42 @@ def _render(rows: Rows, outputs) -> None:
                   if key[0] in held}
 
 
-def _write_trace(paths: list[FsPath], rows: Rows) -> None:
-    """Write a trace's ``Rows`` to ``paths``, a CSV file and/or an ndjson
-    file in that order, by one ``_render`` pass."""
-    forms = [int(path.suffix == ".ndjson") for path in paths]
-    with ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "wb")) for path in paths]
-        if forms[0] == 0:
-            handles[0].write(",".join(rows.row_type._fields).encode() + b"\n")
-        _render(rows, [(form, handle.write)
-                       for form, handle in zip(forms, handles)])
+#: Each output format's form, its line template in ``_TEMPLATES`` (CSV 0,
+#: ndjson 1), and its file suffix.
+_FORMS = {"tabular": (0, ".csv"), "records": (1, ".ndjson")}
 
 
-def _write_csv(path: FsPath, header: Sequence[str], rows) -> None:
-    """Write ``header`` and ``rows`` through ``_fmt`` and ``csv``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_records(path: FsPath, records) -> None:
-    """Write one line per record dict through sorted-key ``json.dumps``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-
-
-def _write_table(out: FsPath, name: str, header: Sequence[str], rows,
-                 formats: list[str]) -> list[FsPath]:
-    """Write ``rows``, a trace's ``Rows`` in its row type's field order or a
-    sequence of value tuples in ``header`` order, as ``name.csv`` and/or
-    ``name.ndjson``.  A trace goes through ``_write_trace``, other rows
-    through ``csv`` and ``json``, with records built one at a time as they
-    are written."""
+def _outputs(out: FsPath, name: str,
+             formats: list[str]) -> list[tuple[int, FsPath]]:
+    """Make ``out`` and return the form and path of each of ``name``'s
+    files in ``formats``, CSV first."""
     out.mkdir(parents=True, exist_ok=True)
-    written = [out / f"{name}{suffix}" for form, suffix in (
-        ("tabular", ".csv"), ("records", ".ndjson")) if form in formats]
-    if isinstance(rows, Rows):
-        if written:
-            _write_trace(written, rows)
-        return written
-    if "tabular" in formats:
-        _write_csv(written[0], header, rows)
-    if "records" in formats:
-        _write_records(written[-1], (dict(zip(header, row)) for row in rows))
-    return written
+    return [(form, out / f"{name}{suffix}")
+            for key, (form, suffix) in _FORMS.items() if key in formats]
 
 
-_SUMMARY_HEADER = ("session", "delivered", "mean_window", "hops", "path")
+def _write_trace(out: FsPath, name: str, rows: Rows,
+                 formats: list[str]) -> list[FsPath]:
+    """Write a trace's ``Rows`` as ``name.csv`` and/or ``name.ndjson``, by
+    one ``_render`` pass over both."""
+    outputs = _outputs(out, name, formats)
+    with ExitStack() as stack:
+        writes = [(form, stack.enter_context(open(path, "wb")).write)
+                  for form, path in outputs]
+        for form, write in writes:
+            if form == 0:
+                write(",".join(rows.row_type._fields).encode() + b"\n")
+        if writes:
+            _render(rows, writes)
+    return [path for _, path in outputs]
 
-#: A summary row's CSV line, in ``_SUMMARY_HEADER`` order, and its
-#: sorted-key ndjson line.  ``metrics.summarize`` gives int counts and a
+
+#: A summary row's CSV line, in ``_SUMMARY_CSV_HEADER`` order, and its
+#: sorted-key ndjson line.  ``_write_summary`` takes only int counts and a
 #: float mean, and a path holds only digits and ``-``, which neither format
 #: quotes or escapes: ``%d`` is an int's ``str``, ``%.6g`` is ``_fmt``'s
 #: float format and ``%r`` the float text ``json`` writes.
+_SUMMARY_CSV_HEADER = "session,delivered,mean_window,hops,path\n"
 _SUMMARY_CSV = "%d,%d,%.6g,%d,%s\n"
 _SUMMARY_NDJSON = ('{"delivered": %d, "hops": %d, "mean_window": %r, '
                    '"path": "%s", "session": %d}\n')
@@ -374,31 +354,32 @@ _SUMMARY_NDJSON = ('{"delivered": %d, "hops": %d, "mean_window": %r, '
 def _write_summary(out: FsPath, name: str, result: RunResult,
                    formats: list[str]) -> list[FsPath]:
     """Write ``result``'s per-session summary as ``name.csv`` and/or
-    ``name.ndjson``, a line per session in id order from ``_SUMMARY_CSV``
-    and ``_SUMMARY_NDJSON``, each file by one write; the records end with
-    the run's totals, by sorted-key ``json.dumps``."""
+    ``name.ndjson``, a line per session in id order from the templates,
+    each file by one write; the records end with the run's totals, by
+    sorted-key ``json.dumps``.  Raises ValueError, naming the session, for
+    counts that are not ``int`` or a mean that is not ``float``."""
     rows = [(sid, info["delivered"], info["mean_window"], info["hops"],
              "-".join(map(str, result.paths[sid])))
             for sid, info in sorted(result.summary["sessions"].items())]
-    written = []
-    if "tabular" in formats:
-        written.append(out / f"{name}.csv")
-        written[-1].write_text(
-            "".join([",".join(_SUMMARY_HEADER) + "\n",
-                     *[_SUMMARY_CSV % row for row in rows]]),
-            encoding="utf-8", newline="\n")
-    if "records" in formats:
-        totals = {key: result.summary[key] for key in (
-            "delivered_total", "throughput_per_slot", "throughput_per_time",
-            "jain_mean_window")}
-        totals.update(protocol=result.protocol, seed=result.seed)
-        written.append(out / f"{name}.ndjson")
-        written[-1].write_text(
-            "".join([*[_SUMMARY_NDJSON % (delivered, hops, mean, path, sid)
+    for sid, delivered, mean, hops, _ in rows:
+        if not type(delivered) is type(hops) is int or type(mean) is not float:
+            raise ValueError(f"summary session {sid}: delivered and hops "
+                             "must be ints and mean_window a float")
+    outputs = _outputs(out, name, formats)
+    for form, path in outputs:
+        if form == 0:
+            lines = [_SUMMARY_CSV_HEADER,
+                     *[_SUMMARY_CSV % row for row in rows]]
+        else:
+            totals = {key: result.summary[key] for key in (
+                "delivered_total", "throughput_per_slot",
+                "throughput_per_time", "jain_mean_window")}
+            totals.update(protocol=result.protocol, seed=result.seed)
+            lines = [*[_SUMMARY_NDJSON % (delivered, hops, mean, path, sid)
                        for sid, delivered, mean, hops, path in rows],
-                     json.dumps(totals, sort_keys=True), "\n"]),
-            encoding="utf-8", newline="\n")
-    return written
+                     json.dumps(totals, sort_keys=True), "\n"]
+        path.write_text("".join(lines), encoding="utf-8", newline="\n")
+    return [path for _, path in outputs]
 
 
 def emit(result: RunResult, out_dir: str | FsPath, name: str,
@@ -407,9 +388,9 @@ def emit(result: RunResult, out_dir: str | FsPath, name: str,
     tabular file before every records file."""
     out = FsPath(out_dir)
     written = [
-        *_write_table(out, f"{name}_sessions", SessionRow._fields,
+        *_write_trace(out, f"{name}_sessions",
                       Rows.of(SessionRow, result.session_rows), formats),
-        *_write_table(out, f"{name}_pools", PoolRow._fields,
+        *_write_trace(out, f"{name}_pools",
                       Rows.of(PoolRow, result.pool_rows), formats),
         *_write_summary(out, f"{name}_summary", result, formats),
     ]
@@ -418,10 +399,20 @@ def emit(result: RunResult, out_dir: str | FsPath, name: str,
 
 def emit_table(rows: list[dict], out_dir: str | FsPath, name: str,
                formats: list[str]) -> list[FsPath]:
-    """Write one flat table under both requested formats."""
+    """Write one flat table of dict rows under the first row's keys: CSV by
+    ``csv`` over ``_fmt`` cells, records by sorted-key ``json.dumps``."""
     header = list(rows[0]) if rows else []
-    return _write_table(FsPath(out_dir), name, header,
-                        [[row[k] for k in header] for row in rows], formats)
+    records = [{key: row[key] for key in header} for row in rows]
+    outputs = _outputs(FsPath(out_dir), name, formats)
+    for form, path in outputs:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            if form == 0:
+                csv.writer(handle, lineterminator="\n").writerows([
+                    header, *(map(_fmt, r.values()) for r in records)])
+            else:
+                handle.writelines(json.dumps(record, sort_keys=True) + "\n"
+                                  for record in records)
+    return [path for _, path in outputs]
 
 
 def run_preset(name: str, seeds: list[int], out_dir: str | FsPath,

@@ -106,23 +106,18 @@ class RunConfig:
                 f"protocol {self.protocol.value} cannot run on a "
                 f"{self.network.value} network"
             )
-        if self.n_slots < 0:
-            raise ConfigError("n_slots must be non-negative")
+        _within("n_slots", self.n_slots, 0)
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("per-sharing success probability must be in [0, 1]")
         if not (math.isfinite(self.slot_length) and self.slot_length > 0):
             raise ConfigError("slot_length must be positive and finite")
-        if self.capacity < 0:
-            raise ConfigError("capacity must be non-negative")
-        if self.capacity > MAX_UNITS:
-            raise ConfigError(f"capacity must be at most {MAX_UNITS}")
+        _within("capacity", self.capacity, 0, MAX_UNITS)
         if not 0 <= self.congestion_weight <= MAX_CONGESTION_WEIGHT:
             raise ConfigError("congestion_weight must be in "
                               f"[0, {MAX_CONGESTION_WEIGHT}]")
         spec = self.topology
         if isinstance(spec, WaxmanSpec):
-            if spec.n_infra < 2:
-                raise ConfigError("waxman: n_infra must be at least 2")
+            _within("waxman: n_infra", spec.n_infra, 2)
             if not MIN_ALPHA <= spec.alpha <= 1:
                 raise ConfigError(f"waxman: alpha must be in [{MIN_ALPHA!r}, 1]")
             for field in ("target_avg_degree", "area_side"):
@@ -130,37 +125,30 @@ class RunConfig:
                     raise ConfigError(f"waxman: {field} must be positive and finite")
         else:
             for node in spec.nodes:
-                if node.capacity < 0:
-                    raise ConfigError(
-                        f"node {node.id}: capacity must be non-negative")
-                if node.capacity > MAX_UNITS:
-                    raise ConfigError(
-                        f"node {node.id}: capacity must be at most {MAX_UNITS}")
-        count = (self.sessions if isinstance(self.sessions, int)
-                 else len(self.sessions))
-        if count > MAX_SESSIONS:
-            raise ConfigError(f"session count must be at most {MAX_SESSIONS}")
+                _within(f"node {node.id}: capacity", node.capacity, 0,
+                        MAX_UNITS)
         if isinstance(self.sessions, int):
-            if self.sessions < 0:
-                raise ConfigError("session count must be non-negative")
-        else:
-            for index, spec in enumerate(self.sessions):
-                if spec.qubits is not None and spec.qubits < 0:
-                    raise ConfigError(
-                        f"session {index}: qubits must be non-negative")
-                if spec.qubits is not None and spec.qubits > _MAX_QUBITS:
-                    raise ConfigError(
-                        f"session {index}: qubits must be at most {_MAX_QUBITS}")
-                if spec.initial_window is not None and spec.initial_window < 1:
-                    raise ConfigError(
-                        f"session {index}: initial_window must be at least 1")
-                if spec.initial_window is not None and (
-                        spec.initial_window > MAX_UNITS):
-                    raise ConfigError(f"session {index}: initial_window must "
-                                      f"be at most {MAX_UNITS}")
-                if spec.start_slot < 0:
-                    raise ConfigError(
-                        f"session {index}: start_slot must be non-negative")
+            _within("session count", self.sessions, 0, MAX_SESSIONS)
+            return
+        _within("session count", len(self.sessions), 0, MAX_SESSIONS)
+        for index, spec in enumerate(self.sessions):
+            where = f"session {index}: "
+            if spec.qubits is not None:
+                _within(where + "qubits", spec.qubits, 0, _MAX_QUBITS)
+            if spec.initial_window is not None:
+                _within(where + "initial_window", spec.initial_window, 1,
+                        MAX_UNITS)
+            _within(where + "start_slot", spec.start_slot, 0)
+
+
+def _within(what: str, value: int, low: int,
+            high: int | None = None) -> None:
+    """Raise ConfigError, naming ``what``, unless ``low <= value <= high``."""
+    if value < low:
+        raise ConfigError(f"{what} must be " + (
+            "non-negative" if low == 0 else f"at least {low}"))
+    if high is not None and value > high:
+        raise ConfigError(f"{what} must be at most {high}")
 
 
 @dataclass

@@ -5,12 +5,14 @@ A run keeps its trace as columns, one block per slot: the slot, then one
 column per field after ``slot``, all of one length.  Every column is a
 1-D int64 array.  An ``int`` field's column holds non-negative values; a
 ``str`` field's column holds codes, code ``i`` standing for the word
-``WORDS[field][i]``.  Blocks may share a column object, as every pool
-block shares the pool nodes, kinds and capacities.  A column is never
-written once its block is kept: the flow tables build new arrays each
-slot rather than write into the ones they returned.  ``Rows`` reads the
-blocks as a sequence of row tuples, built only when asked for, with every
-code as its word; ``Rows.of`` turns a list of rows into such blocks.
+``WORDS[field][i]``.  Blocks may share a column object: the engine's
+pool blocks share the pool nodes, kinds and capacities, and only
+``cli._field_cells`` relies on that, converting such a column to text
+once.  A column is never written once its block is kept: the flow tables
+build new arrays each slot rather than write into the ones they returned.
+``Rows`` reads the blocks as a sequence of row tuples, built only when
+asked for, with every code as its word; ``Rows.of`` turns a list of rows
+into such blocks.
 """
 
 from __future__ import annotations
@@ -105,20 +107,6 @@ class Rows(Sequence):
             (slot, list(map(_column, row_type._fields, zip(*group)))[1:])
             for slot, group in groupby(rows, itemgetter(0))])
 
-    def _lists(self):
-        """Each block's slot and columns, as lists; a column object held
-        more than once in a block, or also by the block before, is
-        converted once for each field that holds it."""
-        fields = self.row_type._fields[1:]
-        lists: dict[tuple[int, str], list] = {}
-        for slot, columns in self.blocks:
-            keys = list(zip(map(id, columns), fields))
-            lists = {key: lists[key] for key in keys if key in lists}
-            for key, field, column in zip(keys, fields, columns):
-                if key not in lists:
-                    lists[key] = _values(field, column)
-            yield slot, [lists[key] for key in keys]
-
     def _offsets(self) -> list[int]:
         """Each block's end as a row offset."""
         ends = self._ends
@@ -131,9 +119,11 @@ class Rows(Sequence):
         return ends[-1] if ends else 0
 
     def __iter__(self):
+        fields = self.row_type._fields[1:]
         return chain.from_iterable(
-            map(self.row_type._make, zip(repeat(slot), *lists))
-            for slot, lists in self._lists())
+            map(self.row_type._make,
+                zip(repeat(slot), *map(_values, fields, columns)))
+            for slot, columns in self.blocks)
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -12,7 +12,7 @@ from qdnsim import cli
 from qdnsim.cli import _fmt, emit, emit_table, main, parse_config, run_preset
 from qdnsim.engine import PoolRow, Protocol, RunResult, SessionRow, run
 from qdnsim.errors import ConfigError
-from qdnsim.topology import generate_waxman, to_document
+from qdnsim.topology import NetworkKind, generate_waxman, to_document
 from qdnsim.trace import WORDS, Rows
 
 
@@ -172,6 +172,8 @@ class TestParseConfig:
         ({"sessions": [{"qubits": 1}, {"qubits": 2**63}]},
          "session 1: qubits must be at most 9223372036854775807"),
         ({"congestion_weight": 2.0**21}, "congestion_weight"),
+        ({"topology": inline_topology(x=10**400)},
+         "bad inline topology: int too large to convert to float"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -388,6 +390,10 @@ STAGGERED = [{"qubits": 0 if i % 4 == 0 else 3 + 5 * i, "start_slot": i % 7}
              for i in range(16)]
 
 
+#: Every format subset ``emit`` accepts.
+SUBSETS = (["tabular"], ["records"], ["tabular", "records"])
+
+
 class TestTemplatedEmission:
     @pytest.mark.parametrize("seed, n_rows", [(0, 0), (1, 1), (2, 40),
                                               (3, 300)])
@@ -526,9 +532,21 @@ class TestTemplatedEmission:
         assert any("e+06" in line for line in lines)
         assert max(line.count("-") for line in lines) == 79
 
-
-#: Every format subset ``emit`` accepts.
-SUBSETS = (["tabular"], ["records"], ["tabular", "records"])
+    @pytest.mark.parametrize("field, value", [
+        ("delivered", 2.5), ("delivered", True), ("delivered", np.int64(2)),
+        ("hops", 2.0), ("hops", False), ("mean_window", np.float64(1.5)),
+        ("mean_window", 1), ("mean_window", None)])
+    @pytest.mark.parametrize("formats", SUBSETS, ids="+".join)
+    def test_summary_values_of_another_type(self, tmp_path, field, value,
+                                            formats):
+        # %d would write a delivered of 2.5 as 2, and %r a numpy mean as
+        # np.float64(1.5): such a summary is refused before it is written.
+        result = hand_built_result(4, 3)
+        sid = sorted(result.summary["sessions"])[1]
+        result.summary["sessions"][sid][field] = value
+        with pytest.raises(ValueError, match=f"^summary session {sid}: "):
+            emit(result, tmp_path, "t", formats)
+        assert not list(tmp_path.glob("t_summary.*"))
 
 
 def assert_subsets_match_reference_writers(tmp_path, result):
@@ -573,6 +591,43 @@ class TestFormatSubsets:
     def test_hand_built_rows(self, tmp_path):
         assert_subsets_match_reference_writers(tmp_path,
                                                hand_built_result(12, 60))
+
+
+#: Preset table rows with every kind of value a cell can hold: ints and
+#: bools, floats (a sum with a long repr, values from 1e6 on, where
+#: ``%.6g`` writes an exponent, NaN and both infinities), None, and strings
+#: that CSV must quote.  The last row has a key the first lacks, which
+#: neither file writes: the header is the first row's keys.
+TABLE_ROWS = [
+    {"label": "tele", "n": 3, "ok": True, "mean": 0.1 + 0.2, "gap": None},
+    {"label": "a,b", "n": 0, "ok": False, "mean": 1e6, "gap": float("nan")},
+    {"label": 'say "hi"', "n": 2**63, "ok": True, "mean": 1234567.0,
+     "gap": float("inf")},
+    {"label": "two\nlines", "n": -7, "ok": False, "mean": -float("inf"),
+     "gap": 2.5e-7},
+    {"label": "", "n": 10**6, "ok": None, "mean": 999999.5, "gap": 1e300,
+     "extra": "not written"},
+]
+
+
+class TestEmitTable:
+    @pytest.mark.parametrize("formats", SUBSETS, ids="+".join)
+    def test_matches_reference_writers(self, tmp_path, formats):
+        header = list(TABLE_ROWS[0])
+        values = [[row[key] for key in header] for row in TABLE_ROWS]
+        reference_csv(tmp_path / "t.csv", header, values)
+        reference_records(tmp_path / "t.ndjson", header, values)
+        written = emit_table(TABLE_ROWS, tmp_path / "out", "t", formats)
+        assert [path.name for path in written] == [
+            name for form, name in (("tabular", "t.csv"),
+                                    ("records", "t.ndjson"))
+            if form in formats]
+        for path in written:
+            assert path.read_bytes() == (tmp_path / path.name).read_bytes()
+
+    def test_empty_table(self, tmp_path):
+        written = emit_table([], tmp_path, "empty", ["tabular", "records"])
+        assert [path.read_bytes() for path in written] == [b"\n", b""]
 
 
 class TestEmitMemory:
@@ -818,3 +873,123 @@ class TestRunPreset:
         for path in sorted(base.rglob("*.csv")):
             twin = tmp_path / "y" / path.relative_to(base)
             assert path.read_bytes() == twin.read_bytes(), path.name
+
+
+# -- generated documents ---------------------------------------------------
+
+#: Values of the wrong type for most fields, or out of their range:
+#: strings (``"5"`` reads as a number), null, containers, bools, NaN and
+#: the infinities, a fraction, zero and negative ints.  ``HUGE`` values
+#: are never drawn for the ``GROWING`` fields, which accept them and build
+#: a run or a graph that large.
+BAD = ["5", "x", "", None, [], {}, [1], True, False, float("nan"),
+       float("inf"), -float("inf"), 0.5, -1, 0, -2**70, -1e308]
+HUGE = [2**70, 10**400, 1e308]
+GROWING = {"n_slots", "n_infra"}
+RUN_FIELDS = [*cli._RUN_NUMBERS, "protocol", "network", "topology",
+              "sessions"]
+NODE_FIELDS = ["id", "kind", "x", "y", "capacity"]
+BAD_EDGES = [[0, 0], [0, 99], [0, 1, 2], [0], ["0", "1"], [0, True],
+             [0.5, 1]]
+DOCUMENT_COUNT = 300
+
+
+def bad_value(draw, key=None):
+    return draw.choice(BAD if key in GROWING else BAD + HUGE)
+
+
+def base_document(draw):
+    """A small run that is accepted: few slots, sessions and nodes."""
+    protocol, network = draw.choice(ENGINE_RUNS)
+    if draw.random() < 0.5:
+        topology = {"waxman": {"n_infra": draw.randint(2, 8)}}
+    else:
+        topology = {"inline": to_document(generate_waxman(
+            4, 2.0, 10.0, 0.4, seed=1, network=NetworkKind(network)))}
+    return {"seed": draw.randint(0, 9), "protocol": protocol,
+            "network": network, "topology": topology,
+            "sessions": draw.choice([2, [{}, {"qubits": 5}],
+                                     [{"start_slot": 1, "initial_window": 2}]]),
+            "n_slots": draw.randint(0, 4)}
+
+
+def break_document(draw, doc):
+    """Break one field of ``doc``: a number, a structural field, a
+    missing or unknown key, or a part of an inline topology."""
+    topology, sessions = doc["topology"], doc["sessions"]
+    inline = topology.get("inline")
+    kind = draw.randrange(6)
+    if kind == 0:
+        key = draw.choice(RUN_FIELDS)
+        doc[key] = bad_value(draw, key)
+    elif kind == 1 and "waxman" in topology:
+        key = draw.choice(list(cli._WAXMAN_NUMBERS))
+        topology["waxman"][key] = bad_value(draw, key)
+    elif kind == 1:
+        node = draw.choice(inline["nodes"])
+        node[draw.choice(NODE_FIELDS)] = draw.choice(
+            BAD + HUGE + ["host", "switch", "repeater", "relay"])
+    elif kind == 2:
+        if not isinstance(sessions, list) or not sessions:
+            sessions = doc["sessions"] = [{}]
+        key = draw.choice(list(cli._SESSION_NUMBERS))
+        draw.choice(sessions)[key] = bad_value(draw, key)
+    elif kind == 3:
+        where = draw.choice([doc, topology, *topology.values(),
+                             *(sessions if isinstance(sessions, list) else [])])
+        if draw.random() < 0.5 and where:
+            del where[draw.choice(sorted(where))]
+        else:
+            where[draw.choice(["extra", "Seed", "n slots"])] = 1
+    elif kind == 4 and inline is not None:
+        part = draw.choice(["edge", "nodes", "edges", "kind", "inline"])
+        if part == "edge":
+            inline["edges"][0] = draw.choice(BAD + HUGE + BAD_EDGES)
+        elif part == "inline":
+            topology["inline"] = bad_value(draw)
+        else:
+            inline[part] = bad_value(draw)
+    else:
+        doc[draw.choice(["topology", "sessions"])] = draw.choice([
+            *BAD, *HUGE, [None], [[]], 2**20 + 1,
+            {"waxman": {"n_infra": 3}, "inline": {}}, {"other": 1}])
+
+
+def generate_documents(count, seed):
+    """``count`` run documents, each an accepted base with none to three of
+    its fields broken, drawn from ``seed``.  A break whose part an earlier
+    one already replaced by a value of another type is skipped."""
+    draw = random.Random(seed)
+    documents = []
+    for _ in range(count):
+        doc = base_document(draw)
+        for _ in range(draw.choice([0, 1, 1, 2, 3])):
+            try:
+                break_document(draw, doc)
+            except (AttributeError, IndexError, KeyError, TypeError):
+                pass
+        documents.append(doc)
+    return documents
+
+
+def test_generated_documents_run_or_are_refused(tmp_path, capsys):
+    """Every document either runs, printing the three files it wrote, or
+    ends in one JSON error record on stderr and exit code 2."""
+    codes = []
+    for index, doc in enumerate(generate_documents(DOCUMENT_COUNT, 2)):
+        config = write_config(tmp_path, doc, f"doc{index}.json")
+        try:
+            codes.append(main(["run", "--config", str(config),
+                               "--out", str(tmp_path / "out")]))
+        except Exception as exc:
+            raise AssertionError(f"document {index}: {json.dumps(doc)}") \
+                from exc
+        out, err = capsys.readouterr()
+        if codes[-1] == 0:
+            assert len(out.splitlines()) == 3 and err == "", index
+        else:
+            assert codes[-1] == 2 and out == "", index
+            (line,) = err.splitlines()
+            assert json.loads(line).keys() == {"error", "message"}, index
+    assert codes.count(0) >= DOCUMENT_COUNT // 10
+    assert codes.count(2) >= DOCUMENT_COUNT // 2

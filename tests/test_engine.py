@@ -646,6 +646,47 @@ class TestIntegerRange:
                 f"^session count must be at most {MAX_SESSIONS}$")):
             self.base(sessions=sessions(MAX_SESSIONS + 1)).validate()
 
+    @pytest.mark.parametrize("change, edge, message", [
+        ({"n_slots": -1}, {"n_slots": 0}, "n_slots must be non-negative"),
+        ({"capacity": -1}, {"capacity": 0}, "capacity must be non-negative"),
+        ({"capacity": 2**29 + 1}, {"capacity": 2**29},
+         "capacity must be at most 536870912"),
+        ({"topology": WaxmanSpec(1)}, {"topology": WaxmanSpec(2)},
+         "waxman: n_infra must be at least 2"),
+        ({"topology": star_topology(1, hub_capacity=-1)[0]},
+         {"topology": star_topology(1, hub_capacity=0)[0]},
+         "node 0: capacity must be non-negative"),
+        ({"topology": star_topology(1, hub_capacity=2**29 + 1)[0]},
+         {"topology": star_topology(1, hub_capacity=2**29)[0]},
+         "node 0: capacity must be at most 536870912"),
+        ({"sessions": -1}, {"sessions": 0},
+         "session count must be non-negative"),
+        ({"sessions": 2**20 + 1}, {"sessions": 2**20},
+         "session count must be at most 1048576"),
+        ({"sessions": [SessionSpec(), SessionSpec(qubits=-1)]},
+         {"sessions": [SessionSpec(), SessionSpec(qubits=0)]},
+         "session 1: qubits must be non-negative"),
+        ({"sessions": [SessionSpec(), SessionSpec(qubits=2**63)]},
+         {"sessions": [SessionSpec(), SessionSpec(qubits=2**63 - 1)]},
+         "session 1: qubits must be at most 9223372036854775807"),
+        ({"sessions": [SessionSpec(), SessionSpec(initial_window=0)]},
+         {"sessions": [SessionSpec(), SessionSpec(initial_window=1)]},
+         "session 1: initial_window must be at least 1"),
+        ({"sessions": [SessionSpec(), SessionSpec(initial_window=2**29 + 1)]},
+         {"sessions": [SessionSpec(), SessionSpec(initial_window=2**29)]},
+         "session 1: initial_window must be at most 536870912"),
+        ({"sessions": [SessionSpec(), SessionSpec(start_slot=-1)]},
+         {"sessions": [SessionSpec(), SessionSpec(start_slot=0)]},
+         "session 1: start_slot must be non-negative"),
+    ])
+    def test_every_bound_message(self, change, edge, message):
+        # Each integer field's range, with the exact message for each
+        # bound; the bound itself is inside the range.
+        self.base(**edge).validate()
+        with pytest.raises(ConfigError) as raised:
+            self.base(**change).validate()
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("protocol", [Protocol.TELE, Protocol.EW])
     def test_totals_exact_at_the_bound(self, protocol):
         # Two unbounded sessions grow their windows into pools of up to

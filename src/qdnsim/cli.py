@@ -358,8 +358,9 @@ def _write_summary(out: FsPath, name: str, result: RunResult,
     each file by one write; the records end with the run's totals, by
     sorted-key ``json.dumps``.  Raises ValueError, naming the session, for
     counts that are not ``int`` or a mean that is not ``float``."""
+    paths = result.paths
     rows = [(sid, info["delivered"], info["mean_window"], info["hops"],
-             "-".join(map(str, result.paths[sid])))
+             "-".join(["%s"] * len(paths[sid])) % tuple(paths[sid]))
             for sid, info in sorted(result.summary["sessions"].items())]
     for sid, delivered, mean, hops, _ in rows:
         if not type(delivered) is type(hops) is int or type(mean) is not float:

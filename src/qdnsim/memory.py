@@ -320,21 +320,25 @@ def reserve(pools: PoolTable, points: Incidence,
         pools.add(points.pool, full)
         return windows, congested
     half = points.costs(windows // 2)
+    least = pools.sums(points.pool, half)  # after cutting every point
+    short = np.flatnonzero(least > pools.capacity)
+    if len(short):
+        first = short[0]
+        node, kind = pools.keys[first]
+        raise InfeasibleReservationError(
+            f"pool {kind}@{node}: demand {int(least[first])} exceeds "
+            f"capacity {int(pools.capacity[first])} after cutting all")
     # Pool, window descending, then tie; windows stay below 2**31 (above).
     over = over[np.argsort(points.tie[over], kind="stable")]
     key = points.pool[over] * 2**31 - windows[points.rank[over]]
     over = over[np.argsort(key, kind="stable")]
-    pool, saving = points.pool[over], full[over] - half[over]
-    left = total[pool] - _running(pool, saving)  # after this cut
-    cut = left + saving > pools.capacity[pool]
-    last = np.concatenate((pool[1:] != pool[:-1], [True]))
-    short = np.flatnonzero(last & (left > pools.capacity[pool]))
-    if len(short):
-        first = short[0]
-        node, kind = pools.keys[pool[first]]
-        raise InfeasibleReservationError(
-            f"pool {kind}@{node}: demand {int(left[first])} exceeds "
-            f"capacity {int(pools.capacity[pool[first]])} after cutting all")
+    # A point is cut iff the savings cut before it at its pool are below
+    # the pool's excess; ``before`` sums the savings at lower pools.
+    excess = total - pools.capacity
+    saved = np.where(excess > 0, total - least, 0)
+    before = np.cumsum(saved) - saved
+    saving = full[over] - half[over]
+    cut = np.cumsum(saving) - saving < (before + excess)[points.pool[over]]
     congested[points.rank[over[cut]]] = True
     pools.add(points.pool, np.where(congested[points.rank], half, full))
     return np.where(congested, windows // 2, windows), congested

@@ -26,6 +26,11 @@ their floors, the hop's in-flight and stored counts, are built per slot.
 A slot is a chain of passes over such columns: ``_reserve`` reserves at
 the points, ``_plan`` states the scheduler's rule, ``_runs`` and ``_hits``
 lay out and count a plan's channel outcomes, and ``_send`` applies them.
+Each pass returns the counts it has at hand, so no pass re-sums the round
+matrices: ``_plan`` the first (encodes included) and second sharings it
+sends, ``_send`` the qubits delivered and the first sharings that landed.
+The sharings lost are those sent less both, and the table keeps its
+in-flight count as a column, moved by the encodes less the deliveries.
 ``HopTable.step`` runs the chain for every hop at once and steps the
 windows by ``tele.advance_windows``, the rule teleportation sessions
 share; ``plan_transfers`` runs ``_plan`` for one ``HopSession``, as a
@@ -39,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DeadlockError
+from .errors import DeadlockError, InfeasibleReservationError
 from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST,
                      FlowColumns, Incidence, PoolTable, reserve)
 from .routing import Path
@@ -222,16 +227,20 @@ def _reserve(pools: PoolTable, points: Incidence, window: np.ndarray
     Returns grants, halved flags and, as a plan's receiver budget, the
     receive units held above the stored firsts, in hop order.  Raises
     DeadlockError, for the first receive pool in node order, when the
-    stored first sharings alone overfill it.
+    stored first sharings alone overfill it.  Such a pool is over whatever
+    ``reserve`` cuts, so it is looked for only when ``reserve`` raises.
     """
     stored = points.floor[1::2]
-    held = pools.sums(points.pool[1::2], stored)
-    over = np.flatnonzero(held > pools.capacity)
-    if len(over):
-        raise DeadlockError(
-            f"stored sharings ({int(held[over[0]])}) exceed receive pool at "
-            f"node {pools.keys[over[0]][0]}")
-    granted, congested = reserve(pools, points, window)
+    try:
+        granted, congested = reserve(pools, points, window)
+    except InfeasibleReservationError:
+        held = pools.sums(points.pool[1::2], stored)
+        over = np.flatnonzero(held > pools.capacity)
+        if len(over):
+            raise DeadlockError(
+                f"stored sharings ({int(held[over[0]])}) exceed receive pool "
+                f"at node {pools.keys[over[0]][0]}") from None
+        raise
     return granted, congested, np.maximum(granted - stored, 0)
 
 
@@ -260,7 +269,7 @@ def plan_transfers(
     ``encode_blocks_free``."""
     firsts, seconds, stored, backlog, unminted = hop._columns()
     # Left to infer a dtype, numpy keeps a budget past int64 as a Python int.
-    take_seconds, take_firsts, encodes = _plan(*np.array(
+    take_seconds, take_firsts, encodes, _, _ = _plan(*np.array(
         [[granted], [receiver_free],
          [_NEVER if downstream_free is None else downstream_free]]),
         stored, firsts, seconds, backlog, unminted)
@@ -273,10 +282,10 @@ def plan_transfers(
 def _plan(granted: np.ndarray, receiver_free: np.ndarray,
           downstream_free: np.ndarray, stored: np.ndarray,
           firsts: np.ndarray, seconds: np.ndarray, backlog: np.ndarray,
-          unminted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+          unminted: np.ndarray) -> tuple[np.ndarray, ...]:
     """Choose each hop's sharings for one slot under the window and memory
-    budgets; returns the seconds and firsts taken per round and the fresh
-    encodes.
+    budgets; returns the seconds and firsts taken per round, the fresh
+    encodes, and the first (encodes included) and second sharings sent.
 
     Second sharings go first (they release receiver memory), picked from
     the highest-round qubits; then first sharings, also highest round
@@ -294,22 +303,25 @@ def _plan(granted: np.ndarray, receiver_free: np.ndarray,
     second_cap = np.where(receiver_free >= 1,
                           np.minimum(seconds.sum(axis=1), budget), 0)
     second_count = np.maximum(0, np.minimum(second_cap, downstream_free))
-    first_cap = np.maximum(0, np.minimum(np.minimum(
-        np.maximum(0, granted // 2 + second_count - stored),
-        budget - second_count), np.minimum(
-        receiver_free, np.maximum(0, granted - stored - second_count))))
+    first_cap = np.maximum(0, np.minimum(
+        np.minimum(granted // 2 + second_count - stored, budget - second_count),
+        np.minimum(receiver_free, granted - stored - second_count)))
     take_firsts = _take_rounds(firsts, first_cap)
-    encodes = first_cap - take_firsts.sum(axis=1)
+    first_count = take_firsts.sum(axis=1)
+    encodes = first_cap - first_count
     encodes = np.where(unminted == UNBOUNDED, encodes,
                        np.minimum(encodes, backlog + unminted))
-    return _take_rounds(seconds, second_count), take_firsts, encodes
+    # A hop holds at least ``second_count`` seconds, so all are taken.
+    return (_take_rounds(seconds, second_count), take_firsts, encodes,
+            first_count + encodes, second_count)
 
 
 def _take_rounds(bins: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Up to ``count`` qubits of each row of ``bins``, highest round first,
     as counts per round."""
-    above = np.cumsum(bins[:, ::-1], axis=1)[:, ::-1] - bins
-    return np.clip(count[:, None] - above, 0, bins)
+    through = np.cumsum(bins, axis=1)  # qubits up to each round
+    above = through[:, -1:] - through
+    return np.minimum(np.maximum(count[:, None] - above, 0), bins)
 
 
 def _runs(seconds: np.ndarray, firsts: np.ndarray,
@@ -335,7 +347,8 @@ def _send(firsts: np.ndarray, seconds: np.ndarray, stored: np.ndarray,
           ok: np.ndarray) -> tuple[np.ndarray, ...]:
     """Apply each hop's outcomes to its plan, laid out by ``_runs``, with
     ``ok`` successes per run; returns the new firsts, seconds, stored,
-    backlog and unminted columns and the qubits each hop delivered.
+    backlog and unminted columns, the qubits each hop delivered and the
+    first sharings that landed (encodes included).
 
     Fresh encodes come from the backlog before the unminted supply.  At
     round ``r``, a delivered second releases its ``r + 1`` stored firsts
@@ -349,7 +362,8 @@ def _send(firsts: np.ndarray, seconds: np.ndarray, stored: np.ndarray,
     ok_encodes = ok[:, -1]
     delivered = ok_seconds.sum(axis=1)
     released = ok_seconds @ np.arange(1, rounds + 1)
-    stored = stored + ok_firsts.sum(axis=1) + ok_encodes - released
+    landed = ok_firsts.sum(axis=1) + ok_encodes
+    stored = stored + landed - released
     from_backlog = np.minimum(encodes, backlog)
     unminted = np.where(unminted == UNBOUNDED, UNBOUNDED,
                         unminted - (encodes - from_backlog))
@@ -361,7 +375,8 @@ def _send(firsts: np.ndarray, seconds: np.ndarray, stored: np.ndarray,
     firsts[:, 1:] += lost[:, :firsts.shape[1] - 1]
     firsts[:, 0] += encodes - ok_encodes
     seconds[:, 0] += ok_encodes
-    return firsts, seconds, stored, backlog - from_backlog, unminted, delivered
+    return (firsts, seconds, stored, backlog - from_backlog, unminted,
+            delivered, landed)
 
 
 def _bins(counts: list[int]) -> dict[int, int]:
@@ -381,10 +396,12 @@ class HopTable(FlowColumns):
     (``UNBOUNDED`` on every other row and for a stream).  ``firsts[:, r]``
     and ``seconds[:, r]`` count the in-flight qubits of round ``r`` due a
     first or a second sharing; a column is added when a lost second moves
-    past the last round.  ``stored`` counts the first sharings each
-    receiver holds.  A row's points are its ``_hop_points``, the only
-    place its pools are held.  Sharings succeed by ``channel``, drawn from
-    ``rng``.
+    past the last round.  ``in_flight`` is their row sum, kept up to date
+    by each slot's encodes and deliveries rather than recounted, and
+    ``stored`` counts the first sharings each receiver holds; the two are
+    the floors of a row's points.  A row's points are its ``_hop_points``,
+    the only place its pools are held.  Sharings succeed by ``channel``,
+    drawn from ``rng``.
     """
 
     def __init__(self, pools: PoolTable, channel: ChannelModel,
@@ -392,7 +409,7 @@ class HopTable(FlowColumns):
         rounds = np.zeros((0, 1), dtype=np.int64)
         super().__init__(
             "session", "hop", "window", "phase", "backlog", "unminted",
-            "remaining", "queue_bound", "stored",
+            "remaining", "queue_bound", "stored", "in_flight",
             forwards=np.zeros(0, dtype=bool), firsts=rounds, seconds=rounds)
         self.pools, self.channel, self.rng = pools, channel, rng
         self.switched = switched
@@ -435,25 +452,26 @@ class HopTable(FlowColumns):
         ``SessionRow`` field order after ``slot``: the window and phase
         code announced, the grant, the sharings sent and lost, and the first
         sharings stored after it."""
-        in_flight = self.firsts.sum(axis=1) + self.seconds.sum(axis=1)
-        floor = np.stack([TAG_QUBIT_UNITS * in_flight, self.stored], axis=1)
+        floor = np.empty(2 * len(self.stored), dtype=np.int64)
+        floor[0::2] = TAG_QUBIT_UNITS * self.in_flight
+        floor[1::2] = self.stored
         granted, congested, receiver_free = _reserve(
-            self.pools, self.incidence(floor.ravel()), self.window)
+            self.pools, self.incidence(floor), self.window)
         queue = np.concatenate((self.queue_bound[1:] - self.backlog[1:], [0]))
-        take_seconds, take_firsts, encodes = _plan(
+        take_seconds, take_firsts, encodes, firsts_sent, seconds_sent = _plan(
             granted, receiver_free, np.where(self.forwards, queue, _NEVER),
             self.stored, self.firsts, self.seconds, self.backlog,
             self.unminted)
         runs = _runs(take_seconds, take_firsts, encodes)
         ok = self.channel.successes(self.rng, runs)
         (self.firsts, self.seconds, self.stored, self.backlog, self.unminted,
-         delivered) = _send(self.firsts, self.seconds, self.stored,
-                            self.backlog, self.unminted, runs, ok)
+         delivered, landed) = _send(self.firsts, self.seconds, self.stored,
+                                    self.backlog, self.unminted, runs, ok)
+        self.in_flight = self.in_flight + encodes - delivered
         record = (self.session, self.hop, self.window,
                   congested.astype(np.int64), granted, delivered, self.phase,
-                  take_firsts.sum(axis=1) + encodes,
-                  take_seconds.sum(axis=1),
-                  runs.sum(axis=1) - ok.sum(axis=1), self.stored)
+                  firsts_sent, seconds_sent,
+                  firsts_sent + seconds_sent - delivered - landed, self.stored)
         self.window, self.phase = advance_windows(self.window, self.phase,
                                                   congested)
         self._hand_over(delivered)
@@ -461,14 +479,17 @@ class HopTable(FlowColumns):
 
     def _hand_over(self, delivered: np.ndarray) -> None:
         """Relay deliveries into the next hop's queue, count down what each
-        egress hop delivered, and retire the sessions that are done."""
-        arriving = np.concatenate(([0], np.where(self.forwards, delivered, 0)[:-1]))
-        full = np.flatnonzero(arriving > self.queue_bound - self.backlog)
-        if len(full):
-            row = full[0]
-            raise OverflowError(f"relay queue full on hop {self.hop[row]} of "
-                                f"session {self.session[row]}")
-        self.backlog = self.backlog + arriving
+        egress hop delivered, and retire the sessions that are done.  A
+        switched table has no relay hop."""
+        if not self.switched:
+            arriving = np.concatenate(
+                ([0], np.where(self.forwards, delivered, 0)[:-1]))
+            full = np.flatnonzero(arriving > self.queue_bound - self.backlog)
+            if len(full):
+                row = full[0]
+                raise OverflowError(f"relay queue full on hop {self.hop[row]} "
+                                    f"of session {self.session[row]}")
+            self.backlog = self.backlog + arriving
         self.remaining = np.where(self.remaining == UNBOUNDED, UNBOUNDED,
                                   self.remaining - delivered)
         done = self.remaining == 0

@@ -69,11 +69,13 @@ def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, Phase]
 
 def advance_windows(window: np.ndarray, phase: np.ndarray,
                     congested: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``next_window`` for every row of window and phase-code columns."""
-    window = np.where(congested, window // 2, window)
-    phase = np.where(congested, PHASES.index(Phase.AVOIDANCE), phase)
-    slow = phase == PHASES.index(Phase.SLOW_START)
-    return np.maximum(1, np.where(slow, 2 * window, window + 1)), phase
+    """``next_window`` for every row of window and phase-code columns: a
+    congested row's window shifts right by one and its code becomes 1, the
+    ``AVOIDANCE`` code; then a window adds itself in slow start (code 0) or
+    one in avoidance."""
+    window = window >> congested
+    phase = phase | congested
+    return np.maximum(1, window + np.where(phase, 1, window)), phase
 
 
 def session_points(path: Path, pools: PoolTable) -> np.ndarray:

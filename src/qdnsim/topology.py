@@ -331,9 +331,14 @@ def number(value, kind: type, where: str):
 
 def _node(index: int, d: dict) -> Node:
     """Document node ``index``.  Its id and capacity are whole ``number``s
-    (``5.0`` and ``"5"`` read as 5), and the capacity is non-negative."""
+    (``5.0`` and ``"5"`` read as 5), and the capacity is non-negative; its
+    coordinates are finite float ``number``s."""
     node_id = number(d["id"], int, f"node {index}: id")
-    kind, x, y = NodeKind(d["kind"]), float(d["x"]), float(d["y"])
+    kind = NodeKind(d["kind"])
+    x, y = (number(d[axis], float, f"node {node_id}: {axis}") for axis in "xy")
+    for axis, value in zip("xy", (x, y)):
+        if not math.isfinite(value):
+            raise ValueError(f"node {node_id}: {axis} must be finite, got {value}")
     where = f"node {node_id}: capacity"
     capacity = number(d["capacity"], int, where)
     if capacity < 0:

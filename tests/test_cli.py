@@ -173,7 +173,16 @@ class TestParseConfig:
          "session 1: qubits must be at most 9223372036854775807"),
         ({"congestion_weight": 2.0**21}, "congestion_weight"),
         ({"topology": inline_topology(x=10**400)},
-         "bad inline topology: int too large to convert to float"),
+         "bad inline topology: node 0: x: int too large to convert to float"),
+        ({"topology": inline_topology(x=True)},
+         "node 0: x: expected a number, got True"),
+        ({"topology": inline_topology(x="east")}, "node 0: x: could not"),
+        ({"topology": inline_topology(x=float("nan"))},
+         "node 0: x must be finite, got nan"),
+        ({"topology": inline_topology(y=float("inf"))},
+         "node 0: y must be finite, got inf"),
+        ({"topology": inline_topology(y=-float("inf"))},
+         "node 0: y must be finite, got -inf"),
     ])
     def test_malformed_value_rejected(self, tmp_path, overrides, match):
         path = write_config(tmp_path, minimal_doc(**overrides))
@@ -521,6 +530,12 @@ class TestTemplatedEmission:
                 for sid, spec in enumerate(STAGGERED) if spec["qubits"] == 0]
         assert idle and all(info["delivered"] == 0 and info["hops"] >= 1
                             and info["mean_window"] == 0.0 for info in idle)
+        assert_matches_reference_writers(tmp_path, result)
+
+    def test_summary_path_nodes_are_written_by_str(self, tmp_path):
+        # ``%d`` would write a 2.5 node as 2 and True as 1.
+        result = hand_built_result(5, 3)
+        result.paths[sorted(result.paths)[0]] = (np.int64(3), 2.5, True, "x")
         assert_matches_reference_writers(tmp_path, result)
 
     def test_hand_built_summary_rows_of_every_kind(self, tmp_path):
@@ -972,11 +987,20 @@ def generate_documents(count, seed):
     return documents
 
 
+#: Inline node coordinates that are not finite numbers, each refused.
+BAD_COORDINATES = [("x", True), ("x", float("nan")), ("y", float("inf")),
+                   ("x", -float("inf")), ("y", False)]
+
+
 def test_generated_documents_run_or_are_refused(tmp_path, capsys):
     """Every document either runs, printing the three files it wrote, or
-    ends in one JSON error record on stderr and exit code 2."""
+    ends in one JSON error record on stderr and exit code 2.  Last come
+    documents whose only fault is a ``BAD_COORDINATES`` entry."""
     codes = []
-    for index, doc in enumerate(generate_documents(DOCUMENT_COUNT, 2)):
+    documents = generate_documents(DOCUMENT_COUNT, 2) + [
+        minimal_doc(topology=inline_topology(**{axis: value}))
+        for axis, value in BAD_COORDINATES]
+    for index, doc in enumerate(documents):
         config = write_config(tmp_path, doc, f"doc{index}.json")
         try:
             codes.append(main(["run", "--config", str(config),
@@ -991,5 +1015,9 @@ def test_generated_documents_run_or_are_refused(tmp_path, capsys):
             assert codes[-1] == 2 and out == "", index
             (line,) = err.splitlines()
             assert json.loads(line).keys() == {"error", "message"}, index
+            if index >= DOCUMENT_COUNT:
+                axis, _ = BAD_COORDINATES[index - DOCUMENT_COUNT]
+                assert f"node 0: {axis}" in json.loads(line)["message"]
+    assert codes[DOCUMENT_COUNT:] == [2] * len(BAD_COORDINATES)
     assert codes.count(0) >= DOCUMENT_COUNT // 10
     assert codes.count(2) >= DOCUMENT_COUNT // 2

@@ -300,6 +300,31 @@ class TestReserveSharing:
                 r"^stored sharings \(4\) exceed receive pool at node 1$")):
             _reserve(pools, points, np.array([2]))
 
+    def test_deadlock_over_an_earlier_infeasible_send_pool(self):
+        # Four qubits in flight need 12 send units of 10, and their four
+        # stored firsts overfill the 3-unit receive pool: the deadlock is
+        # reported, though the send pool comes first in key order.
+        pools = hop_pools((0, "send", 10), (1, "receive", 3))
+        points = hop_points(pools, [(0, 0, 0, 1)]).incidence(
+            np.array([TAG_QUBIT_UNITS * 4, 4]))
+        with pytest.raises(DeadlockError, match=(
+                r"^stored sharings \(4\) exceed receive pool at node 1$")
+                ) as info:
+            _reserve(pools, points, np.array([2]))
+        assert info.value.__cause__ is None
+        assert pools.reserved.tolist() == [0, 0]
+
+    def test_infeasible_send_pool_without_deadlock(self):
+        # The same hop with room for its stored firsts: the send pool's
+        # reservation error stands.
+        pools = hop_pools((0, "send", 10), (1, "receive", 4))
+        points = hop_points(pools, [(0, 0, 0, 1)]).incidence(
+            np.array([TAG_QUBIT_UNITS * 4, 4]))
+        with pytest.raises(InfeasibleReservationError, match=(
+                r"^pool send@0: demand 12 exceeds capacity 10 after cutting "
+                r"all$")):
+            _reserve(pools, points, np.array([2]))
+
     def test_deadlock_names_the_first_receive_pool_in_node_order(self):
         # Each hop's receiver stores two firsts, one more than it holds.
         pools = hop_pools((0, "send", 1000), (5, "receive", 1),

@@ -205,12 +205,14 @@ class TestIncrementalState:
     def test_random_steps_keep_count_and_buckets_exact(self, p):
         # One hop's columns, stepped by the passes ``HopTable.step`` chains,
         # and the per-qubit reference take the same plans and outcomes;
-        # after every slot they agree on everything a trace reads.
+        # after every slot they agree on everything a trace reads, and the
+        # counts the passes return equal the sums they stand for.
         rng = random.Random(int(p * 10))
         for _ in range(200):
             unminted = rng.choice([None, 0, 5, 40])
             bound = rng.choice([None, 3, 8])
             firsts, seconds, stored, backlog, supply = fresh_hop(unminted)
+            in_flight = np.zeros(1, dtype=np.int64)
             reference = ReferenceHop(unminted)
             for _ in range(rng.randint(0, 30)):
                 handed = rng.randint(0, 3)
@@ -219,8 +221,12 @@ class TestIncrementalState:
                     reference.accept(handed)
                 budgets = np.array([[rng.randint(0, 24)], [rng.randint(0, 24)],
                                     [rng.choice([_NEVER, rng.randint(0, 6)])]])
-                take_seconds, take_firsts, encodes = _plan(
-                    *budgets, stored, firsts, seconds, backlog, supply)
+                (take_seconds, take_firsts, encodes, firsts_sent,
+                 seconds_sent) = _plan(*budgets, stored, firsts, seconds,
+                                       backlog, supply)
+                assert firsts_sent.tolist() == (
+                    take_firsts.sum(axis=1) + encodes).tolist()
+                assert seconds_sent.tolist() == take_seconds.sum(axis=1).tolist()
                 runs = _runs(take_seconds, take_firsts, encodes)
                 outcomes = [rng.random() < p for _ in range(runs.sum())]
                 picked_seconds, picked_firsts, delivered, losses = \
@@ -228,16 +234,40 @@ class TestIncrementalState:
                                    encodes[0], outcomes)
                 assert rounds(take_seconds[0]) == picked_seconds
                 assert rounds(take_firsts[0]) == picked_firsts
-                firsts, seconds, stored, backlog, supply, sent = _send(
-                    firsts, seconds, stored, backlog, supply, runs,
-                    _hits(runs, np.array(outcomes, dtype=bool)))
+                ok = _hits(runs, np.array(outcomes, dtype=bool))
+                (firsts, seconds, stored, backlog, supply, sent,
+                 landed) = _send(firsts, seconds, stored, backlog, supply,
+                                 runs, ok)
                 assert sent.tolist() == [delivered]
+                assert landed.tolist() == [ok[0, take_seconds.shape[1]:].sum()]
                 assert outcomes.count(False) == losses
+                assert (firsts_sent + seconds_sent - sent - landed).tolist() == [
+                    runs.sum() - ok.sum()]
+                in_flight = in_flight + encodes - sent
+                assert in_flight.tolist() == (
+                    firsts.sum(axis=1) + seconds.sum(axis=1)).tolist()
                 assert stored.tolist() == [reference.stored_firsts]
                 assert census(firsts, seconds) == reference.census()
                 assert backlog.tolist() == [len(reference.queue)]
                 assert supply.tolist() == [
                     UNBOUNDED if unminted is None else reference.unminted]
+
+    def test_kept_in_flight_column_matches_the_round_counts(self):
+        # Lossy relay hops whose finite sessions retire: after every slot
+        # the table's kept in-flight column equals its round counts' sum.
+        pools = PoolTable([MemoryPool(node, kind, 60) for node in range(4)
+                           for kind in ("send", "receive")])
+        table = HopTable(pools, ChannelModel(0.6), stream(3, "channel"),
+                         switched=False)
+        table.admit([(0, Path((0, 1, 2, 3)), 12, None),
+                     (1, Path((3, 2, 1)), None, 4), (2, Path((1, 2)), 5, 8)])
+        assert table.in_flight.tolist() == [0] * 6
+        for _ in range(150):
+            table.step()
+            pools.clear()
+            assert table.in_flight.tolist() == (
+                table.firsts.sum(axis=1) + table.seconds.sum(axis=1)).tolist()
+        assert table.session.tolist() == [1, 1]  # the finite flows retired
 
     def test_in_flight_writes_keep_count_exact(self):
         hop = hop_with(queued=0)
@@ -548,11 +578,13 @@ class TestPipeline:
         firsts, seconds, stored, backlog, unminted = fresh_hop(None)
         delivered = 0
         for _ in range(20):
-            runs = _runs(*_plan(np.array([2]), 10**6 - stored,
-                                np.array([_NEVER]), stored, firsts, seconds,
-                                backlog, unminted))
-            firsts, seconds, stored, backlog, unminted, sent = _send(
+            plan = _plan(np.array([2]), 10**6 - stored, np.array([_NEVER]),
+                         stored, firsts, seconds, backlog, unminted)
+            runs = _runs(*plan[:3])
+            firsts, seconds, stored, backlog, unminted, sent, landed = _send(
                 firsts, seconds, stored, backlog, unminted, runs, runs)
+            assert (plan[3] + plan[4]).tolist() == [1]
+            assert (landed + sent).tolist() == [1]
             delivered += sent[0]
         assert delivered == 10
 

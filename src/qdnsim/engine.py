@@ -247,7 +247,9 @@ class Engine:
     # -- setup ---------------------------------------------------------
 
     def _resolve_sessions(self) -> dict[int, list[tuple[int, SessionSpec]]]:
-        """Session ids and resolved specs by start slot, in id order."""
+        """Session ids and resolved specs by start slot, in id order.  One
+        ``integers`` call over the bounds ``[h, h - 1]`` per sampled session
+        (``h`` hosts) draws what one scalar call per bound would."""
         cfg = self.cfg
         hosts = sorted(n.id for n in self.topology.hosts())
         host_ids = set(hosts)
@@ -255,7 +257,10 @@ class Engine:
         if isinstance(requested, int):
             requested = [SessionSpec()] * requested
         schedule: dict[int, list[tuple[int, SessionSpec]]] = {}
+        h = len(hosts)
+        sampled = sum(spec.src is None for spec in requested) if h >= 2 else 0
         rng = stream(cfg.seed, SESSION_STREAM)
+        ends = iter(rng.integers(np.tile([h, h - 1], sampled)).tolist())
         for index, spec in enumerate(requested):
             for end in (spec.src, spec.dst):
                 if end is not None and end not in host_ids:
@@ -266,10 +271,9 @@ class Engine:
             if spec.src is not None and spec.src == spec.dst:
                 raise ConfigError(f"session {index}: src and dst must differ")
             if spec.src is None:
-                if len(hosts) < 2:
+                if h < 2:
                     raise ConfigError("need at least two hosts to sample sessions")
-                i = int(rng.integers(len(hosts)))
-                j = int(rng.integers(len(hosts) - 1))
+                i, j = next(ends), next(ends)
                 if j >= i:
                     j += 1
                 spec = SessionSpec(

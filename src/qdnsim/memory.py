@@ -36,7 +36,6 @@ orders its cuts by one exact int64 key, ``pool * 2**31 - window``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -66,10 +65,11 @@ MAX_SESSIONS = 2**20
 
 
 def partition(total: int, send_fraction: Fraction) -> tuple[int, int]:
-    """Split a capacity into (send, receive) pools; send takes the floor."""
+    """Split a capacity into (send, receive) pools; send takes the floor,
+    in integer arithmetic."""
     if total < 0:
         raise ValueError("capacity must be non-negative")
-    send = math.floor(send_fraction * total)
+    send = send_fraction.numerator * total // send_fraction.denominator
     return send, total - send
 
 

@@ -280,7 +280,7 @@ def plan_transfers(
 
 
 def _plan(granted: np.ndarray, receiver_free: np.ndarray,
-          downstream_free: np.ndarray, stored: np.ndarray,
+          downstream_free: np.ndarray | int, stored: np.ndarray,
           firsts: np.ndarray, seconds: np.ndarray, backlog: np.ndarray,
           unminted: np.ndarray) -> tuple[np.ndarray, ...]:
     """Choose each hop's sharings for one slot under the window and memory
@@ -297,7 +297,8 @@ def _plan(granted: np.ndarray, receiver_free: np.ndarray,
     the receiver's free units; seconds only require one free unit in
     total, because a lost second never lands and a delivered one releases
     its whole chain.  Seconds also fit into ``downstream_free``, the free
-    relay queue of the hop their qubits go to.
+    relay queue of the hop their qubits go to (one bound for every hop
+    when none forwards).
     """
     budget = (3 * granted) // 4
     second_cap = np.where(receiver_free >= 1,
@@ -413,6 +414,8 @@ class HopTable(FlowColumns):
             forwards=np.zeros(0, dtype=bool), firsts=rounds, seconds=rounds)
         self.pools, self.channel, self.rng = pools, channel, rng
         self.switched = switched
+        # Whether some row counts down a finite ``remaining``.
+        self.bounded = False
 
     def admit(self, sessions: list[tuple[int, Path, int | None, int | None]]
               ) -> None:
@@ -441,6 +444,7 @@ class HopTable(FlowColumns):
             window=window, unminted=unminted, remaining=remaining,
             forwards=forwards,
             queue_bound=self.pools.capacity[send] // TAG_QUBIT_UNITS)
+        self.bounded = self.bounded or bool((remaining != UNBOUNDED).any())
 
     def step(self) -> tuple[np.ndarray, ...]:
         """One slot for every hop: reserve by ``_reserve``, plan by
@@ -457,11 +461,13 @@ class HopTable(FlowColumns):
         floor[1::2] = self.stored
         granted, congested, receiver_free = _reserve(
             self.pools, self.incidence(floor), self.window)
-        queue = np.concatenate((self.queue_bound[1:] - self.backlog[1:], [0]))
+        # No row of a switched table forwards.
+        downstream = _NEVER if self.switched else np.where(
+            self.forwards, np.concatenate(
+                (self.queue_bound[1:] - self.backlog[1:], [0])), _NEVER)
         take_seconds, take_firsts, encodes, firsts_sent, seconds_sent = _plan(
-            granted, receiver_free, np.where(self.forwards, queue, _NEVER),
-            self.stored, self.firsts, self.seconds, self.backlog,
-            self.unminted)
+            granted, receiver_free, downstream, self.stored, self.firsts,
+            self.seconds, self.backlog, self.unminted)
         runs = _runs(take_seconds, take_firsts, encodes)
         ok = self.channel.successes(self.rng, runs)
         (self.firsts, self.seconds, self.stored, self.backlog, self.unminted,
@@ -480,7 +486,8 @@ class HopTable(FlowColumns):
     def _hand_over(self, delivered: np.ndarray) -> None:
         """Relay deliveries into the next hop's queue, count down what each
         egress hop delivered, and retire the sessions that are done.  A
-        switched table has no relay hop."""
+        switched table has no relay hop, and a table of unbounded streams
+        counts nothing down."""
         if not self.switched:
             arriving = np.concatenate(
                 ([0], np.where(self.forwards, delivered, 0)[:-1]))
@@ -490,8 +497,11 @@ class HopTable(FlowColumns):
                 raise OverflowError(f"relay queue full on hop {self.hop[row]} "
                                     f"of session {self.session[row]}")
             self.backlog = self.backlog + arriving
+        if not self.bounded:
+            return
         self.remaining = np.where(self.remaining == UNBOUNDED, UNBOUNDED,
                                   self.remaining - delivered)
         done = self.remaining == 0
         if done.any():
             self.retire(~np.isin(self.session, self.session[done]))
+            self.bounded = bool((self.remaining != UNBOUNDED).any())

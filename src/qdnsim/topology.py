@@ -4,12 +4,12 @@ Infrastructure nodes (repeaters, relays, or all-optical switches depending
 on the network kind) are placed uniformly in a square and wired with the
 Waxman model; the edge-density parameter is calibrated by bisection until
 the realized average infrastructure degree matches a target.  One table of
-infrastructure pairs, each with its distance and Waxman weight computed
-once, serves every bisection step (one array comparison) and then the
-connectivity repair, which joins components along the shortest pairs.  One
-union-find counts components, both there and in ``validate``.  One end
-host is attached to every infrastructure node so any node can terminate a
-session.
+infrastructure pairs, numpy columns of each pair's ends, draw, distance and
+Waxman weight computed once, serves every bisection step (one array
+comparison) and then the connectivity repair, which joins components along
+the shortest pairs.  One union-find counts components, both there and in
+``validate``.  One end host is attached to every infrastructure node so any
+node can terminate a session.
 """
 
 from __future__ import annotations
@@ -173,6 +173,35 @@ def _join(n: int, edges) -> tuple[_UnionFind, int]:
     return uf, n - sum(uf.union(u, v) for u, v in edges)
 
 
+def _pair_table(x: np.ndarray, y: np.ndarray, first: np.ndarray,
+                second: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
+    """Distance and Waxman weight of each pair ``(first, second)`` of the
+    points ``(x, y)``, as float64 columns.
+
+    The coordinate differences and the weights' exponents are numpy
+    subtractions, negations and divisions, which round as Python's float
+    operators do.  The distances and weights themselves are ``math.hypot``
+    and ``math.exp`` of those doubles, one call per pair: ``np.hypot`` and
+    ``np.exp`` may differ from them in the last place, and one such ulp can
+    move an edge across its draw.
+    """
+    n = len(first)
+    dist = np.fromiter(map(math.hypot, (x[first] - x[second]).tolist(),
+                           (y[first] - y[second]).tolist()), float, n)
+    d_max = dist.max()
+    if d_max == 0:
+        return dist, np.ones(n)
+    return dist, np.fromiter(
+        map(math.exp, (-dist / (alpha * d_max)).tolist()), float, n)
+
+
+def _shortest_first(first: np.ndarray, second: np.ndarray,
+                    dist: np.ndarray) -> np.ndarray:
+    """Pair indices ordered by distance, then ``first``, then ``second``:
+    the order ``sorted`` gives the ``(dist, first, second)`` tuples."""
+    return np.lexsort((second, first, dist))
+
+
 def generate_waxman(
     n_infra: int,
     target_avg_degree: float,
@@ -187,7 +216,10 @@ def generate_waxman(
     Edge (u, v) appears with probability ``beta * exp(-d(u,v)/(alpha*d_max))``
     where beta is bisected until the average infrastructure degree lands
     within +-0.5 of ``target_avg_degree``.  Disconnected samples are repaired
-    by adding the shortest candidate edges joining components.
+    by adding the shortest candidate edges joining components, ties broken
+    by the lower ends.  The pairs are numpy columns, but their doubles and
+    repair order are those of a per-pair loop over ``(distance, i, j)``
+    tuples (see ``_pair_table`` and ``_shortest_first``).
     """
     if n_infra < 2:
         raise ValueError(f"need at least 2 infrastructure nodes, got {n_infra}")
@@ -197,23 +229,17 @@ def generate_waxman(
         raise ValueError("target_avg_degree and area_side must be positive and finite")
 
     rng = stream(seed, TOPOLOGY_STREAM)
-    xs = (rng.random(n_infra) * area_side).tolist()
-    ys = (rng.random(n_infra) * area_side).tolist()
-    # Only the draws above the diagonal are read; ``triu_indices`` lists
-    # them in the pair order below.
-    draws = rng.random((n_infra, n_infra))[np.triu_indices(n_infra, 1)]
+    x = rng.random(n_infra) * area_side
+    y = rng.random(n_infra) * area_side
+    # One row per infrastructure pair i < j, in ``triu_indices`` order;
+    # only the draws above the diagonal are read.
+    first, second = np.triu_indices(n_infra, 1)
+    draws = rng.random((n_infra, n_infra))[first, second]
+    dist, weights = _pair_table(x, y, first, second, alpha)
 
-    # One (distance, i, j) row per infrastructure pair, i < j, with its
-    # Waxman weight; the bisection and the repair both read this table.
-    # ``math.exp``, not ``np.exp``: the two may differ in the last place.
-    pairs = [(math.hypot(xs[i] - xs[j], ys[i] - ys[j]), i, j)
-             for i in range(n_infra) for j in range(i + 1, n_infra)]
-    d_max = max(d for d, _, _ in pairs)
-    weights = np.array([math.exp(-d / (alpha * d_max)) for d, _, _ in pairs]
-                       if d_max > 0 else [1.0] * len(pairs))
-
-    def wired(beta: float) -> np.ndarray:  # draw < min(1, beta * weight)
-        return draws < np.minimum(1.0, beta * weights)
+    # draw < min(1, beta * weight); every draw is below 1.
+    def wired(beta: float) -> np.ndarray:
+        return draws < beta * weights
 
     def avg_degree(beta: float) -> float:
         return 2.0 * int(np.count_nonzero(wired(beta))) / n_infra
@@ -244,13 +270,19 @@ def generate_waxman(
             f"degree calibration failed: best average "
             f"{target_avg_degree + best_gap:.2f} vs target {target_avg_degree}"
         )
-    edges = [pairs[k][1:] for k in np.flatnonzero(wired(best_beta)).tolist()]
+    chosen = np.flatnonzero(wired(best_beta))
+    edges = list(zip(first[chosen].tolist(), second[chosen].tolist()))
 
     # Repair connectivity with the shortest pairs joining distinct
-    # components; a pair already wired never joins two.
+    # components.  Only pairs across the components of the sample can ever
+    # join two, so the others are dropped before the sort.
     uf, components = _join(n_infra, edges)
     if components > 1:
-        for _, i, j in sorted(pairs):
+        root = np.array([uf.find(i) for i in range(n_infra)])
+        cross = np.flatnonzero(root[first] != root[second])
+        ends = first[cross], second[cross]
+        order = _shortest_first(*ends, dist[cross])
+        for i, j in zip(*(end[order].tolist() for end in ends)):
             if uf.union(i, j):
                 edges.append((i, j))
                 components -= 1
@@ -262,6 +294,7 @@ def generate_waxman(
 
     infra_kind = INFRA_KIND[network]
     infra_capacity = 0 if infra_kind is NodeKind.SWITCH else capacity
+    xs, ys = x.tolist(), y.tolist()
     nodes = [
         Node(i, infra_kind, xs[i], ys[i], infra_capacity) for i in range(n_infra)
     ]

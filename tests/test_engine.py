@@ -20,7 +20,7 @@ from qdnsim.errors import (ConfigError, DeadlockError,
 from qdnsim.memory import (MAX_SESSIONS, MAX_UNITS, TAG_QUBIT_UNITS,
                            FlowColumns, Incidence, MemoryPool, PoolTable)
 from qdnsim.presets import get_preset
-from qdnsim.rng import CHANNEL_STREAM, stream
+from qdnsim.rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from qdnsim.routing import compute_path
 from qdnsim.tag import ChannelModel, _hop_points, _reserve
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
@@ -517,6 +517,53 @@ class TestDeterminism:
         assert repr(engine._channel_rng.bit_generator.state) == before
 
 
+def scalar_schedule(cfg, hosts):
+    """The start-slot schedule of ``cfg``'s sessions on ``hosts``, drawing
+    each sampled session's two host indices with one scalar ``integers``
+    call per index."""
+    rng = stream(cfg.seed, SESSION_STREAM)
+    requested = cfg.sessions
+    if isinstance(requested, int):
+        requested = [SessionSpec()] * requested
+    schedule = {}
+    for index, spec in enumerate(requested):
+        if spec.src is None:
+            i = int(rng.integers(len(hosts)))
+            j = int(rng.integers(len(hosts) - 1))
+            if j >= i:
+                j += 1
+            spec = replace(spec, src=hosts[i], dst=hosts[j])
+        schedule.setdefault(spec.start_slot, []).append((index, spec))
+    return schedule
+
+
+class TestSessionSampling:
+    MIXED = [
+        SessionSpec(qubits=5, start_slot=2),
+        SessionSpec(src=12, dst=15),
+        SessionSpec(),
+        SessionSpec(src=20, dst=13, qubits=0, start_slot=2),
+        *(SessionSpec(start_slot=k % 4, initial_window=1 + k)
+          for k in range(40)),
+        SessionSpec(src=23, dst=12, start_slot=1),
+        SessionSpec(qubits=7),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+    @pytest.mark.parametrize("sessions", [MIXED, 1, 300],
+                             ids=["mixed", "one", "count"])
+    def test_one_draw_equals_scalar_draws(self, seed, sessions):
+        cfg = RunConfig(
+            seed=seed, protocol=Protocol.TELE, network=NetworkKind.TELE,
+            topology=WaxmanSpec(n_infra=12), sessions=sessions, n_slots=1,
+        )
+        engine = Engine(cfg)
+        hosts = [node.id for node in engine.topology.hosts()]
+        assert hosts == list(range(12, 24))
+        want = scalar_schedule(cfg, hosts)
+        assert list(engine._schedule.items()) == list(want.items())
+
+
 class TestConfigValidation:
     def test_tag_protocol_needs_tag_network(self):
         topology, egress = star_topology(1)
@@ -566,6 +613,24 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match="two hosts"):
             run(cfg)
+
+    @pytest.mark.parametrize("first, second, match", [
+        (SessionSpec(), SessionSpec(src=999, dst=1), "two hosts"),
+        (SessionSpec(src=999, dst=1), SessionSpec(), "session 0: endpoint 999"),
+        (SessionSpec(dst=1), SessionSpec(), "session 0: name both"),
+        (SessionSpec(src=1, dst=1), SessionSpec(), "session 0: src and dst"),
+    ], ids=["sampled_first", "bad_endpoint_first", "dst_alone_first",
+            "src_is_dst_first"])
+    def test_first_failing_session_names_the_error(self, first, second, match):
+        # The hub and one host: sampling fails only when a session samples,
+        # so an earlier session's own error is raised first.
+        topology, _ = star_topology(0)
+        cfg = RunConfig(
+            seed=0, protocol=Protocol.TELE, network=NetworkKind.TELE,
+            topology=topology, sessions=[first, second], n_slots=1,
+        )
+        with pytest.raises(ConfigError, match=match):
+            Engine(cfg)
 
     @pytest.mark.parametrize("src", [999, 0])  # unknown node, repeater hub
     def test_explicit_endpoint_must_be_host(self, src):

@@ -1,5 +1,6 @@
 """Memory assignment, partitioning, and pool accounting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -45,6 +46,13 @@ class TestPartition:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             partition(-1, TELE_SPLIT)
+
+    @pytest.mark.parametrize("split", [TELE_SPLIT, TAG_SPLIT])
+    def test_send_share_is_the_floor_of_the_exact_product(self, split):
+        totals = [*range(10_001), *range(MAX_UNITS - 1_000, MAX_UNITS + 1_001)]
+        for total in totals:
+            send = math.floor(split * total)
+            assert partition(total, split) == (send, total - send), total
 
 
 class TestAssignMemory:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qdnsim.topology import (
@@ -12,6 +13,8 @@ from qdnsim.topology import (
     Node,
     NodeKind,
     Topology,
+    _pair_table,
+    _shortest_first,
     from_document,
     generate_waxman,
     to_document,
@@ -160,6 +163,14 @@ PINNED_TOPOLOGIES = [
      "e83e1896b6b91134580264400f65bd35da139ef15484eafefc7d349a0b4e2926"),
     ((10, 4.0, 30.0, 0.4, 6, NetworkKind.TAG_SWITCH),
      "3dab705ca00debcf5217f23e3c2b6afb68d22d5ccc907da596baefa96e3c4b7b"),
+    # The benchmark recipe at 800 nodes: 18 and 21 components before repair.
+    ((800, 4.0, 100.0, 0.06, 1, NetworkKind.TELE),
+     "3ff3521b5b4ee54151698e24bacc680eee2c838266a7b7c9cc932c2164846e80"),
+    ((800, 4.0, 100.0, 0.06, 2, NetworkKind.TELE),
+     "37c8a9f0ba6a38c4a8756e0c4ca45374e5f342aa2e3bd928661e315dcd96c0c0"),
+    # Alpha 0.01, where repair joins 2 components.
+    ((9, 3.0, 100.0, 0.01, 7, NetworkKind.TELE),
+     "8f468d572706743abe3652c7951a2dadeba5f9d3de0c1f357d3579df42b1a02d"),
 ]
 
 
@@ -170,6 +181,39 @@ def test_pinned_topology_digest(args, digest):
                                network=network)
     text = json.dumps(to_document(topology), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_pair_table_is_math_hypot_and_math_exp_per_pair():
+    # At n = 200 np.hypot differs from math.hypot on 112 of the 19,900
+    # pairs and np.exp from math.exp on 920, so either one in their place
+    # fails here.
+    n, alpha = 200, 0.06
+    infra = generate_waxman(n, 4.0, 100.0, alpha, seed=1).infra()
+    x, y = (np.array([getattr(node, axis) for node in infra]) for axis in "xy")
+    first, second = np.triu_indices(n, 1)
+    dist, weight = _pair_table(x, y, first, second, alpha)
+    pairs = [(math.hypot(infra[i].x - infra[j].x, infra[i].y - infra[j].y),
+              i, j) for i in range(n) for j in range(i + 1, n)]
+    d_max = max(d for d, _, _ in pairs)
+    assert dist.tolist() == [d for d, _, _ in pairs]
+    assert weight.tolist() == [math.exp(-d / (alpha * d_max))
+                               for d, _, _ in pairs]
+    order = _shortest_first(first, second, dist).tolist()
+    assert [(dist[k], first[k], second[k]) for k in order] == sorted(pairs)
+
+
+
+def test_repair_order_breaks_distance_ties_by_the_ends():
+    # On a 5 x 5 grid most distances are shared by many pairs.
+    n = 25
+    x, y = np.arange(n) % 5 * 1.0, np.arange(n) // 5 * 1.0
+    first, second = np.triu_indices(n, 1)
+    dist, _ = _pair_table(x, y, first, second, 0.4)
+    order = _shortest_first(first, second, dist).tolist()
+    pairs = [(d, i, j) for d, i, j in zip(dist.tolist(), first.tolist(),
+                                          second.tolist())]
+    assert len(set(dist.tolist())) < len(pairs) // 10
+    assert [pairs[k] for k in order] == sorted(pairs)
 
 
 class TestValidate:

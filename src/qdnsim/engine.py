@@ -5,9 +5,11 @@ schedule lists for it, routed under the load table; step the flow table,
 which reserves memory for the announced windows, transfers, advances the
 windows and retires the flows that finish; record the rows it returns and
 the pool totals; clear every pool.  Only a slot that admits builds the
-load table, from the last pool block: its ``np.bincount`` by node over
-node capacity.  The pools live in one ``memory.PoolTable`` and every slot
-reserves them in one array pass over the slot's reservation points.  The
+load table, from the last pool block: a list of every node's reserved
+fraction, indexed by node id, from its ``np.bincount`` by node over node
+capacity (0.0 where nothing is held, and in slot 0).  The pools live in
+one ``memory.PoolTable`` and every slot reserves them in one array pass
+over the slot's reservation points.  The
 flow table is a ``tele.SessionTable`` of teleportation sessions or a
 ``tag.HopTable`` of tell-and-go hops, both ``memory.FlowColumns``: a
 flow's points are fixed when it is admitted, and only the tell-and-go
@@ -287,7 +289,7 @@ class Engine:
         """Route this slot's sessions; returns those with qubits to send,
         as the flow table admits them."""
         admitted, scheduled = [], self._schedule.pop(self.slot, ())
-        load = self._load if scheduled else {}
+        load = self._load if scheduled else None
         for sid, spec in scheduled:
             path = compute_path(self.topology, spec.src, spec.dst, load,
                                 self.cfg.congestion_weight)
@@ -312,17 +314,19 @@ class Engine:
         self.slot += 1
 
     @property
-    def _load(self) -> dict[int, float]:
-        """Reserved fraction per node with a reservation in the last pool
-        block; routing reads it in a slot that admits."""
+    def _load(self) -> list[float]:
+        """Reserved fraction per node, indexed by node id, in the last pool
+        block (all 0.0 before the first); routing reads it in a slot that
+        admits."""
+        capacity = self._node_capacity
         if not self.pool_rows.blocks:
-            return {}
+            return [0.0] * len(capacity)
         node, _, reserved, _ = self.pool_rows.blocks[-1][1]
         # Node totals are exact float sums (see memory.MAX_UNITS).
-        occupancy = np.bincount(node, reserved, len(self._node_capacity))
+        occupancy = np.bincount(node, reserved, len(capacity))
         held = np.flatnonzero(occupancy)
-        return dict(zip(held.tolist(), np.minimum(
-            1.0, occupancy[held] / self._node_capacity[held]).tolist()))
+        occupancy[held] = np.minimum(1.0, occupancy[held] / capacity[held])
+        return occupancy.tolist()
 
     # -- whole run ------------------------------------------------------
 

@@ -13,10 +13,19 @@ the hop distances by one breadth-first search per destination and caches
 them on the topology, so a run walks its graph once for each destination
 it routes to.  ``compute_path`` argues why A* returns the very path that
 Dijkstra's search under the same tie-break returns.
+
+The load is read as a dense table, one reserved fraction per node id,
+which is how the engine builds it; a mapping (or ``None``, no load) is
+expanded to that table once per call.  A step is pushed only if its cost
+so far is no worse than the least pushed for its node: a costlier entry
+can never be the node's first pop, so it would only be popped and
+skipped.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -34,6 +43,8 @@ _EXACT_COST = 2.0 ** 42
 #: Largest congestion weight a run accepts: under it, every path of a
 #: topology of fewer than ``2**21`` nodes costs less than ``_EXACT_COST``.
 MAX_CONGESTION_WEIGHT = 2 ** 20
+#: ``best`` of a popped node: no step cost pushes it again.
+_DONE = -math.inf
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ def compute_path(
     topology: Topology,
     src: int,
     dst: int,
-    load: dict[int, float] | None = None,
+    load: Sequence[float] | Mapping[int, float] | None = None,
     congestion_weight: float = DEFAULT_CONGESTION_WEIGHT,
 ) -> Path:
     """Minimal-cost path under edge cost 1 + weight * load(downstream node).
@@ -87,6 +98,16 @@ def compute_path(
     heap, and keys grow from there along the path, so the popped entry
     keys no higher than Dijkstra's entry for the node.
 
+    An entry is pushed only if its ``g`` is at most ``best[node]``, the
+    least ``g`` pushed for the node so far, and ``best`` of a popped node
+    is ``-inf``, which no entry is pushed under.  No first pop is lost:
+    the entry holding ``best[node]`` is still in the heap and has the same
+    ``h``, so its key is no larger, and a tie on key is broken by the
+    smaller ``g``.  A dropped entry would pop after it and find the node
+    done, so the search expands what it would expand without the cut.
+    Entries of equal ``g`` are all kept: hops and prefix decide between
+    them.
+
     With ``c = 1`` the argument fails: ``g + s`` can round below ``g + 1``
     where the sum crosses a power of two, and then ``g' + h(v)`` can fall
     below ``g + h(u)`` and a worse entry can pop first.
@@ -102,20 +123,29 @@ def compute_path(
     ``src`` is cut off from ``dst``.  A node of degree 1 other than ``dst``
     is never pushed either (``Topology.onward``): its one neighbour is
     done, so popping it would push nothing.
+
+    ``load`` is a sequence indexed by node id, or a mapping from node id
+    to load, where a node it lacks has load 0.0; ``None`` is no load.
     """
     if src == dst:
         raise ValueError("source and destination must differ")
+    n = len(topology.nodes)
     for endpoint in (src, dst):
-        if not (0 <= endpoint < len(topology.nodes)
+        if not (0 <= endpoint < n
                 and topology.node(endpoint).kind is NodeKind.HOST):
             raise ValueError(f"node {endpoint} is not a host")
     hops_to = topology.hops_to(dst)
     if hops_to[src] < 0:
         raise NoRouteError(f"no route from {src} to {dst}")
-    load = load or {}
+    if load is None:
+        load = [0.0] * n
+    elif isinstance(load, Mapping):
+        load = [load.get(node, 0.0) for node in range(n)]
+    elif len(load) != n:
+        raise ValueError(f"load has {len(load)} entries for {n} nodes")
     onward = topology.onward()
     # No path with loads of at most 1 costs more than this.
-    costliest = len(topology.nodes) * (1.0 + congestion_weight)
+    costliest = n * (1.0 + congestion_weight)
     exact = 0 <= congestion_weight and costliest < _EXACT_COST
     c = _HOP_COST if exact else 0.0
     # A ``dst`` of degree 1 is pushed from its one neighbour.
@@ -123,21 +153,24 @@ def compute_path(
     before_dst = ends[0] if len(ends) == 1 else -1
     heap: list[tuple[float, float, int, tuple[int, ...], int]] = [
         (c * hops_to[src], 0.0, 0, (), src)]
-    done: set[int] = set()
+    # Least ``g`` pushed per node, and ``_DONE`` once the node is popped.
+    best = [math.inf] * n
+    best[src] = 0.0
     # ``dst`` is reachable, so it is popped before the heap runs dry.
     while True:
         _, cost, hops, prefix, current = heappop(heap)
         if current == dst:
             return Path(prefix + (dst,))
-        if current in done:
+        if best[current] == _DONE:
             continue
-        done.add(current)
+        best[current] = _DONE
         path = prefix + (current,)
         hops += 1
         for node in onward[current]:
-            if node not in done:
-                g = cost + (1.0 + congestion_weight * load.get(node, 0.0))
+            g = cost + (1.0 + congestion_weight * load[node])
+            if g <= best[node]:
+                best[node] = g
                 heappush(heap, (g + c * hops_to[node], g, hops, path, node))
         if current == before_dst:
-            g = cost + (1.0 + congestion_weight * load.get(dst, 0.0))
+            g = cost + (1.0 + congestion_weight * load[dst])
             heappush(heap, (g, g, hops, path, dst))

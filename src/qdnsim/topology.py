@@ -253,10 +253,12 @@ def generate_waxman(
             f"cannot reach degree {target_avg_degree} with {n_infra} nodes"
         )
     lo, hi = 0.0, beta_hi
+    lowest = beta_hi  # the smallest beta tried
     for _ in range(_MAX_BISECTION_STEPS):
         if best_gap <= _CALIBRATION_SLACK:
             break
         mid = (lo + hi) / 2.0
+        lowest = min(lowest, mid)
         degree = avg_degree(mid)
         gap = abs(degree - target_avg_degree)
         if gap < best_gap:
@@ -267,8 +269,10 @@ def generate_waxman(
             hi = mid
     if best_gap > _DEGREE_TOLERANCE:
         raise GenerationError(
-            f"degree calibration failed: best average "
-            f"{target_avg_degree + best_gap:.2f} vs target {target_avg_degree}"
+            f"degree calibration failed at n_infra {n_infra}, alpha {alpha}: "
+            f"best average {target_avg_degree + best_gap:.2f} vs target "
+            f"{target_avg_degree}; the bisection from beta = exp(1 / alpha) = "
+            f"{beta_hi:.3g} reached no beta below {lowest:.3g}"
         )
     chosen = np.flatnonzero(wired(best_beta))
     edges = list(zip(first[chosen].tolist(), second[chosen].tolist()))

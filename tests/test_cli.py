@@ -717,6 +717,19 @@ class TestMain:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
 
+    def test_failed_calibration_is_an_error_record(self, tmp_path, capsys):
+        doc = minimal_doc(seed=1, topology=waxman(n_infra=50, alpha=0.01))
+        code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "GenerationError"
+        assert record["message"].startswith(
+            "degree calibration failed at n_infra 50, alpha 0.01: ")
+        assert "reached no beta below 1.46e+24" in record["message"]
+
     @pytest.mark.parametrize("protocol, network", [("tag", "tag_relay"),
                                                    ("tele", "tele")])
     def test_largest_session_runs(self, tmp_path, capsys, protocol, network):

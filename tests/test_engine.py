@@ -370,36 +370,43 @@ class TestReservationLifetime:
     ], ids=["tele", "fra", "tag_relay"])
     def test_load_table_is_each_nodes_reserved_fraction(self, protocol,
                                                         network):
-        """After every slot, routing's load table holds each node with a
-        reservation, at its pools' total over its capacity as Python
-        divides them, and no other node."""
+        """After every slot, routing's load table holds, at each node's id,
+        its pools' total over its capacity as Python divides them, capped at
+        1, and exactly 0.0 at every node with nothing reserved; before the
+        first slot it is all 0.0."""
         engine = Engine(RunConfig(
             seed=3, protocol=protocol, network=network,
             topology=WaxmanSpec(n_infra=8, target_avg_degree=3.0,
                                 area_side=40.0),
             sessions=6, n_slots=15, capacity=60,
         ))
+        capacity = [node.capacity for node in engine.topology.nodes]
+        assert engine._load == [0.0] * len(capacity)
         for _ in range(engine.cfg.n_slots):
             start = len(engine.pool_rows)
             engine.step()
-            totals = {}
+            totals = [0] * len(capacity)
             for row in engine.pool_rows[start:]:
-                totals[row.node] = totals.get(row.node, 0) + row.reserved
-            capacity = {node.id: node.capacity for node in engine.topology.nodes}
-            expected = {node: min(1.0, total / capacity[node])
-                        for node, total in totals.items() if total > 0}
-            assert engine._load == expected
-            assert all(type(value) is float for value in engine._load.values())
-        assert any(0 < value < 1 for value in engine._load.values())
+                totals[row.node] += row.reserved
+            expected = [min(1.0, total / capacity[node]) if total > 0 else 0.0
+                        for node, total in enumerate(totals)]
+            load = engine._load
+            assert type(load) is list and load == expected
+            assert all(type(value) is float for value in load)
+            assert all(repr(value) == "0.0"
+                       for value, total in zip(load, totals) if total == 0)
+        assert any(0 < value < 1 for value in engine._load)
+        assert 0.0 in engine._load
 
     def test_routing_reads_the_previous_slots_load(self, monkeypatch):
         """The load each admission is routed under is every node's reserved
-        fraction in the previous slot's pool rows, also for a session that
-        starts after slots that admitted nothing; slot 0 routes unloaded."""
+        fraction in the previous slot's pool rows, indexed by node id, also
+        for a session that starts after slots that admitted nothing; slot 0
+        routes unloaded."""
         calls = []
 
         def recording(topology, src, dst, load, weight):
-            calls.append((engine.slot, dict(load)))
+            calls.append((engine.slot, list(load)))
             return compute_path(topology, src, dst, load, weight)
 
         engine = Engine(RunConfig(
@@ -411,21 +418,21 @@ class TestReservationLifetime:
             n_slots=10, capacity=60))
         monkeypatch.setattr("qdnsim.engine.compute_path", recording)
         engine.run()
-        capacity = {node.id: node.capacity for node in engine.topology.nodes}
+        capacity = [node.capacity for node in engine.topology.nodes]
 
         def load_after(slot):
-            totals = {}
+            totals = [0] * len(capacity)
             for row in engine.pool_rows:
                 if row.slot == slot:
-                    totals[row.node] = totals.get(row.node, 0) + row.reserved
-            return {node: min(1.0, total / capacity[node])
-                    for node, total in totals.items() if total > 0}
+                    totals[row.node] += row.reserved
+            return [min(1.0, total / capacity[node]) if total > 0 else 0.0
+                    for node, total in enumerate(totals)]
 
         assert [slot for slot, _ in calls] == [0, 0, 0, 6, 6]
         for slot, load in calls:
             assert load == load_after(slot - 1)
-        assert calls[0][1] == {}
-        assert any(0 < value < 1 for value in calls[-1][1].values())
+        assert calls[0][1] == [0.0] * len(capacity)
+        assert any(0 < value < 1 for value in calls[-1][1])
         # The slot before differs from the ones before it: slow start grows
         # every window, so an older pool block would route differently.
         assert load_after(5) != load_after(4)

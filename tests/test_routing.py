@@ -4,13 +4,15 @@ frozen full-path search in ``oracle.routing``."""
 import dataclasses
 import hashlib
 import random
+from heapq import heappush
 from pathlib import Path
 
 import pytest
 
 from oracle import routing as oracle
+from qdnsim import routing
 from qdnsim.errors import GenerationError, NoRouteError
-from qdnsim.routing import compute_path
+from qdnsim.routing import MAX_CONGESTION_WEIGHT, compute_path
 from qdnsim.topology import (NetworkKind, Node, NodeKind, Topology,
                              generate_waxman)
 
@@ -113,6 +115,12 @@ class TestComputePath:
                           [*topology.edges, (0, 3)])
         assert compute_path(edited, 4, 5, {}).nodes == (4, 0, 3, 5)
 
+    @pytest.mark.parametrize("size", [0, 5, 7])
+    def test_load_table_of_another_size_rejected(self, size):
+        topology, hosts = diamond()
+        with pytest.raises(ValueError, match=f"load has {size} entries for 6"):
+            compute_path(topology, hosts[0], hosts[3], [0.0] * size)
+
 
 class TestEndpoints:
     @pytest.mark.parametrize("src, dst", [(-1, 4), (4, -2), (4, 99), (99, 4),
@@ -178,28 +186,52 @@ def outcome(search, topology, src, dst, load, weight):
         return type(error), str(error)
 
 
-def draws(index: int):
-    """The case's topology and its calls: two load tables, each at
-    congestion weights 0 and 4, for every ordered pair of distinct nodes
-    (non-host endpoints included), plus each node to itself."""
+def draws(index: int, weights=(0.0, 4.0)):
+    """The case's topology and its calls: two load tables, each at every
+    congestion weight of ``weights``, for every ordered pair of distinct
+    nodes (non-host endpoints included), plus each node to itself."""
     topology = case(index)
     draw = random.Random(index)
     n = len(topology.nodes)
     for _ in range(2):
         load = {node: value for node in range(n)
                 if (value := draw.choice(LOADS)) is not None}
-        for weight in (0.0, 4.0):
+        for weight in weights:
             for src in range(n):
                 for dst in range(n):
                     yield topology, src, dst, load, weight
 
 
+#: Weights the search is diffed at: none, the default, the largest a run
+#: accepts, and one at which every case's costliest path reaches
+#: ``_EXACT_COST``, so the search runs with no hop bound.
+DIFF_WEIGHTS = (0.0, 4.0, MAX_CONGESTION_WEIGHT, 2.0 ** 52)
+
+
+def dense(topology, load):
+    """``load`` as the engine passes it: a value per node id, 0.0 where the
+    mapping has none."""
+    return [load.get(node, 0.0) for node in range(len(topology.nodes))]
+
+
 @pytest.mark.parametrize("index", range(CASE_COUNT))
 def test_search_matches_frozen_search(index):
-    for topology, src, dst, load, weight in draws(index):
-        got = outcome(compute_path, topology, src, dst, load, weight)
+    """Routed under the sparse load and under its dense table, the search
+    returns the frozen search's path, or raises what it raises."""
+    for topology, src, dst, load, weight in draws(index, DIFF_WEIGHTS):
         want = outcome(oracle.compute_path, topology, src, dst, load, weight)
-        assert got == want, (topology, src, dst, load, weight)
+        for table in (load, dense(topology, load)):
+            got = outcome(compute_path, topology, src, dst, table, weight)
+            assert got == want, (topology, src, dst, table, weight)
+
+
+def test_diff_weights_reach_both_searches():
+    """The hop bound is on at every diffed weight but the last, and off at
+    the last, for every case."""
+    for index in range(CASE_COUNT):
+        n = len(case(index).nodes)
+        costliest = [n * (1.0 + weight) for weight in DIFF_WEIGHTS]
+        assert max(costliest[:-1]) < routing._EXACT_COST <= costliest[-1]
 
 
 def test_generator_reaches_every_case():
@@ -389,3 +421,34 @@ def test_tie_a_unit_bound_breaks():
     want = (18, 0, 1, 2) + tuple(chain) + (19,)
     assert oracle.compute_path(topology, 18, 19, load, 1.0).nodes == want
     assert compute_path(topology, 18, 19, load, 1.0).nodes == want
+
+
+def test_smaller_prefix_reaching_a_node_second_wins(monkeypatch):
+    """Routes 6-0-2 and 6-1-2 reach node 2 at equal cost and hops, and
+    6-0-2-4-5-7 is Dijkstra's path.  Node 1 is two hops from host 7 and
+    node 0 four, so 1 pops before 0 and pushes 2 first, under the larger
+    prefix.  The search must keep the second push, which only ties the
+    node's best ``g``."""
+    nodes = [Node(i, NodeKind.REPEATER, 0.0, 0.0, 100) for i in range(6)]
+    nodes += [Node(i, NodeKind.HOST, 0.0, 0.0, 100) for i in (6, 7)]
+    edges = [(6, 0), (6, 1), (0, 2), (1, 2), (1, 3), (3, 7), (2, 4), (4, 5),
+             (5, 7)]
+    topology = Topology(NetworkKind.TELE, nodes, edges)
+    # Node 3 is loaded, so the three-hop route 6-1-3-7 costs 7, more than
+    # the 5 of the five-hop routes.
+    load = {3: 1.0}
+    assert [topology.hops_to(7)[node] for node in (0, 1, 2)] == [4, 2, 3]
+    want = (6, 0, 2, 4, 5, 7)
+    assert oracle.compute_path(topology, 6, 7, load, 4.0).nodes == want
+    pushed = []
+
+    def recording(heap, entry):
+        if entry[-1] == 2:
+            pushed.append(entry[1:4])
+        heappush(heap, entry)
+
+    monkeypatch.setattr(routing, "heappush", recording)
+    for table in (load, dense(topology, load)):
+        pushed.clear()
+        assert compute_path(topology, 6, 7, table, 4.0).nodes == want
+        assert pushed == [(2.0, 2, (6, 1)), (2.0, 2, (6, 0))]

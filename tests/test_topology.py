@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qdnsim.errors import GenerationError
 from qdnsim.topology import (
     MIN_ALPHA,
     NetworkKind,
@@ -122,6 +123,17 @@ class TestGenerateWaxman:
         assert [edge for edge in topology.edges if max(edge) < 7] == [
             (0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4),
             (2, 6), (3, 5), (3, 6)]
+
+    def test_failed_calibration_names_its_cause(self):
+        # At alpha 0.01 the bisection starts from beta = exp(100) and its 64
+        # halvings stop near 1.5e24, far above the betas that wire 50 nodes
+        # at degree 4, so the error names the size, alpha and that beta.
+        with pytest.raises(GenerationError) as caught:
+            generate_waxman(50, 4.0, 100.0, 0.01, seed=1)
+        assert str(caught.value) == (
+            "degree calibration failed at n_infra 50, alpha 0.01: best "
+            "average 33.24 vs target 4.0; the bisection from beta = "
+            "exp(1 / alpha) = 2.69e+43 reached no beta below 1.46e+24")
 
     def test_hosts_have_degree_one(self):
         topology = generate_waxman(20, 4.0, 100.0, 0.4, seed=5)

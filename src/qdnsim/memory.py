@@ -17,13 +17,14 @@ pool index, request rank, tie id, unit cost as an integer numerator and
 denominator, and floor.  Both transports keep their flows in
 ``FlowColumns``, which holds every point but a per-slot floor from the
 flow's admission on.  ``reserve`` runs both transports' two passes over
-all points at once.  Pass 1 prices each point's window, and its half only
-if some pool is over capacity; it applies ``assign_memory``'s rule at each
-such pool and marks a request iff some pool cuts it.  Pass 2 holds the
-costs pass 1 priced for the granted windows, so a request is halved at
-most once per slot.  Reservations last one slot: the engine clears the
-table after its snapshot, and the floors come from session state (the
-tell-and-go hop counters), not from what a pool held the slot before.
+all points at once.  Pass 1 prices and sums each point's window once, and
+holds those sums if no pool is over capacity; else it prices the halves,
+sums the savings at over pools, applies ``assign_memory``'s rule at each
+and marks a request iff some pool cuts it.  Pass 2 holds the costs pass 1
+priced for the granted windows, so a request is halved at most once per
+slot.  Reservations last one slot: the engine clears the table after its
+snapshot, and the floors come from session state (the tell-and-go hop
+counters), not from what a pool held the slot before.
 
 Pool totals are ``np.bincount`` sums, exact while below 2**53.  The run
 configuration bounds capacities and initial windows by ``MAX_UNITS`` and
@@ -315,30 +316,32 @@ def reserve(pools: PoolTable, points: Incidence,
     full = points.costs(windows)
     total = pools.sums(points.pool, full)
     congested = np.zeros(len(windows), dtype=bool)
-    over = np.flatnonzero((total > pools.capacity)[points.pool])
+    excess = total - pools.capacity
+    over = np.flatnonzero((excess > 0)[points.pool])
     if not len(over):
-        pools.add(points.pool, full)
+        reserved = pools.reserved + total
+        if (reserved > pools.capacity).any():
+            pools.add(points.pool, full)  # raises for the first point
+        pools.reserved = reserved
         return windows, congested
     half = points.costs(windows // 2)
-    least = pools.sums(points.pool, half)  # after cutting every point
-    short = np.flatnonzero(least > pools.capacity)
+    pool, saving = points.pool[over], full[over] - half[over]
+    saved = pools.sums(pool, saving)  # if every point at an over pool is cut
+    short = np.flatnonzero(saved < excess)
     if len(short):
         first = short[0]
         node, kind = pools.keys[first]
         raise InfeasibleReservationError(
-            f"pool {kind}@{node}: demand {int(least[first])} exceeds "
-            f"capacity {int(pools.capacity[first])} after cutting all")
+            f"pool {kind}@{node}: demand {int(total[first] - saved[first])} "
+            f"exceeds capacity {int(pools.capacity[first])} after cutting all")
     # Pool, window descending, then tie; windows stay below 2**31 (above).
-    over = over[np.argsort(points.tie[over], kind="stable")]
-    key = points.pool[over] * 2**31 - windows[points.rank[over]]
-    over = over[np.argsort(key, kind="stable")]
+    order = np.lexsort((points.tie[over],
+                        pool * 2**31 - windows[points.rank[over]]))
+    over, pool, saving = over[order], pool[order], saving[order]
     # A point is cut iff the savings cut before it at its pool are below
     # the pool's excess; ``before`` sums the savings at lower pools.
-    excess = total - pools.capacity
-    saved = np.where(excess > 0, total - least, 0)
     before = np.cumsum(saved) - saved
-    saving = full[over] - half[over]
-    cut = np.cumsum(saving) - saving < (before + excess)[points.pool[over]]
+    cut = np.cumsum(saving) - saving < (before + excess)[pool]
     congested[points.rank[over[cut]]] = True
     pools.add(points.pool, np.where(congested[points.rank], half, full))
     return np.where(congested, windows // 2, windows), congested

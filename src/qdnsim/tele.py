@@ -13,8 +13,9 @@ A run keeps every live session as one row of a ``SessionTable``, a
 ``memory.FlowColumns`` that holds each session's reservation points from
 its admission on (``session_points``, tied by session id, with no floor);
 each scheme reserves over the table's ``memory.Incidence`` and returns the
-granted windows and halved flags in session order.  ``TeleSession`` is one
-row as fields, the scalar reference the table is tested against.
+granted windows and halved flags in session order, EW and FRA from the
+fair shares the table holds per set of rows.  ``TeleSession`` is one row
+as fields, the scalar reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -117,9 +118,9 @@ class TeleSession:
         return delivered
 
 
-def reserve_teleport(windows: np.ndarray, points: Incidence,
-                     pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
-    """Announced-window reservation, by ``memory.reserve``."""
+def reserve_teleport(windows: np.ndarray, points: Incidence, pools: PoolTable,
+                     shares: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Announced-window reservation, by ``memory.reserve``; no ``shares``."""
     return reserve(pools, points, windows)
 
 
@@ -130,7 +131,7 @@ def _fair_shares(points: Incidence, pools: PoolTable, n: int) -> np.ndarray:
     C is the largest window a node supports for one session: a repeater
     backs it with transit units at the send price; an end host must be
     able to play either role, so the smaller of its send and receive
-    pools, each at its own price, limits it.  Only N is counted per slot:
+    pools, each at its own price, limits it.  Only N is counted per call:
     prices go by the pools' kind codes, and nodes by ``PoolTable.site``.
     """
     price = np.where(pools.kind == WORDS["pool"].index("receive"),
@@ -149,23 +150,23 @@ def _hold(points: Incidence, granted: np.ndarray, pools: PoolTable) -> None:
     pools.add(points.pool, points.num * granted[points.rank])
 
 
-def reserve_explicit(windows: np.ndarray, points: Incidence,
-                     pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
+def reserve_explicit(windows: np.ndarray, points: Incidence, pools: PoolTable,
+                     shares: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Explicit-window variant: every node splits evenly among its sessions.
 
     No window is announced; each node grants floor(C/N) window units to
     each of its N traversing sessions and a session uses the smallest
-    grant along its path.
+    grant along its path: ``shares()``, the ``_fair_shares`` of the rows.
     """
-    granted = _fair_shares(points, pools, len(windows))
+    granted = shares()
     _hold(points, granted, pools)
     return granted, np.zeros(len(windows), dtype=bool)
 
 
-def reserve_fair(windows: np.ndarray, points: Incidence,
-                 pools: PoolTable) -> tuple[np.ndarray, np.ndarray]:
-    """Fair-share threshold variant: halve whenever a request exceeds C/N."""
-    congested = windows > _fair_shares(points, pools, len(windows))
+def reserve_fair(windows: np.ndarray, points: Incidence, pools: PoolTable,
+                 shares: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Fair-share threshold variant: halve a request above ``shares()``."""
+    congested = windows > shares()
     granted = np.where(congested, windows // 2, windows)
     _hold(points, granted, pools)
     return granted, congested
@@ -188,14 +189,22 @@ class SessionTable(FlowColumns):
 
     ``phase`` indexes ``PHASES`` and ``remaining`` is ``UNBOUNDED`` for an
     unbounded stream.  A row's points are its ``session_points``, tied by
-    its session id and with no floor.  Each slot reserves by ``scheme``;
-    under the ``explicit`` (EW) rule a row announces its grant, records
-    ``NO_PHASE`` and keeps its window.
+    its session id and with no floor.  Each slot reserves by ``scheme``,
+    which may ask for ``shares``; under the ``explicit`` (EW) rule a row
+    announces its grant, records ``NO_PHASE`` and keeps its window.
     """
 
     def __init__(self, pools: PoolTable, scheme: Callable, explicit: bool):
         super().__init__("session", "window", "phase", "remaining")
         self.pools, self.scheme, self.explicit = pools, scheme, explicit
+        self._shares: np.ndarray | None = None
+
+    def shares(self) -> np.ndarray:
+        """The rows' ``_fair_shares``, held until the rows change."""
+        if self._shares is None:
+            self._shares = _fair_shares(self.incidence(), self.pools,
+                                        len(self.session))
+        return self._shares
 
     def admit(self, sessions: list[tuple[int, Path, int | None, int | None]]
               ) -> None:
@@ -213,6 +222,7 @@ class SessionTable(FlowColumns):
             session=session, length=length,
             window=[each or INITIAL_WINDOW for each in window],
             remaining=[UNBOUNDED if each is None else each for each in qubits])
+        self._shares = None
 
     def step(self) -> tuple[np.ndarray, ...]:
         """One slot for every session: reserve, transfer up to the grant,
@@ -222,7 +232,7 @@ class SessionTable(FlowColumns):
         its code; ties go to the lower session id."""
         n = len(self.session)
         points = self.incidence()
-        granted, congested = self.scheme(self.window, points, self.pools)
+        granted, congested = self.scheme(self.window, points, self.pools, self.shares)
         stream = self.remaining == UNBOUNDED
         delivered = np.where(stream, granted,
                              np.minimum(granted, self.remaining))
@@ -240,4 +250,5 @@ class SessionTable(FlowColumns):
         live = self.remaining != 0
         if not live.all():
             self.retire(live)
+            self._shares = None
         return record

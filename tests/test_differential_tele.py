@@ -114,9 +114,13 @@ def test_engine_matches_frozen_loop(index):
 def test_generator_reaches_every_case():
     """The configs reach what a rewrite is likely to get wrong: every
     protocol on both kinds of topology, infeasible reservations, FRA's
-    overcommit, halved windows, unbounded streams and finished sessions."""
+    overcommit, halved windows, unbounded streams and finished sessions,
+    and, under EW and FRA, a run whose session set changes after slot 0
+    both ways (a session admitted after slot 0, and one that finishes
+    while another stays live), so that the fair shares a session table
+    holds must be refreshed."""
     seen = {"infeasible": 0, "overcommit": 0, "halved": 0, "stream": 0,
-            "finished": 0, "runs": set()}
+            "finished": 0, "runs": set(), "set_changes": set()}
     for cfg in CONFIGS:
         try:
             result = tele_loop.run(cfg)
@@ -129,12 +133,20 @@ def test_generator_reaches_every_case():
             continue
         seen["runs"].add((cfg.protocol, isinstance(cfg.topology, WaxmanSpec)))
         seen["halved"] += any(row.congested for row in result.session_rows)
-        last = {row.session: row.slot for row in result.session_rows}
-        seen["finished"] += any(slot < cfg.n_slots - 1
-                                and cfg.sessions[sid].qubits is not None
-                                for sid, slot in last.items())
+        first, last = {}, {}
+        for row in result.session_rows:
+            first.setdefault(row.session, row.slot)
+            last[row.session] = row.slot
+        finished = [slot for sid, slot in last.items()
+                    if slot < cfg.n_slots - 1
+                    and cfg.sessions[sid].qubits is not None]
+        seen["finished"] += bool(finished)
         seen["stream"] += any(cfg.sessions[sid].qubits is None for sid in last)
+        if (max(first.values(), default=0) > 0
+                and any(slot < max(last.values()) for slot in finished)):
+            seen["set_changes"].add(cfg.protocol)
     assert len(seen.pop("runs")) == 6
+    assert seen.pop("set_changes") >= {Protocol.EW, Protocol.FRA}
     assert min(seen.values()) > 0, seen
 
 

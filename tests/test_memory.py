@@ -413,3 +413,89 @@ class TestReserveTwoPassFuzz:
             table.hold(points, np.array(granted, dtype=np.int64))
             assert dict(zip(table.keys, table.reserved.tolist())) == expected
         assert overcommits > 20
+
+
+def reserve_outcome(table, points, windows):
+    """``reserve``'s grants and the totals it leaves, or its error's type
+    and text; on an error the table must hold what it held before."""
+    before = table.reserved.tolist()
+    try:
+        granted, congested = reserve(table, points, windows)
+    except (CapacityExceededError, InfeasibleReservationError) as exc:
+        assert table.reserved.tolist() == before
+        return type(exc), str(exc)
+    return (list(zip(granted.tolist(), congested.tolist())),
+            table.reserved.tolist())
+
+
+class TestReserveOnHeldTable:
+    # Pass 1 decides on the slot's demand alone; pass 2 holds on top of
+    # what the table already holds, so a request set that fits its pools
+    # may still overcommit them, and must then leave the table unchanged.
+
+    def test_no_pool_over(self):
+        # Both sessions' 6 + 4 send units fit the 12-unit send pool: with
+        # 2 held they fill it, and with 3 held the first point past
+        # capacity is session 2's.
+        pools = [MemoryPool(0, "send", 12), MemoryPool(1, "receive", 10)]
+        requests = [(1, 3, [((0, "send"), 2, 0), ((1, "receive"), 1, 0)]),
+                    (2, 2, [((0, "send"), 2, 0), ((1, "receive"), 1, 0)])]
+        for held, expected in [
+                (2, ([(3, False), (2, False)], [12, 5])),
+                (3, (CapacityExceededError,
+                     "pool send@0: reserving 4 with only 3 of 12 free"))]:
+            table, points, windows = table_and_points(pools, requests)
+            table.reserved[0] = held
+            assert reserve_outcome(table, points, windows) == expected
+
+    def test_some_pools_over(self):
+        # Receive@0 is asked for 14 of 10 and cuts session 1 (8 -> 4);
+        # receive@1 is asked for 8 of 8.  With 3 held at receive@1 the
+        # grants fit; with 1 held at receive@0 and 5 at receive@1, session
+        # 1's second point is the first in hold order past capacity, though
+        # receive@0, earlier in key order, would overfill too.
+        pools = [MemoryPool(0, "receive", 10), MemoryPool(1, "receive", 8)]
+        requests = [(1, 8, [((0, "receive"), 1, 0), ((1, "receive"), 1, 0)]),
+                    (2, 6, [((0, "receive"), 1, 0)])]
+        for held, expected in [
+                ([0, 3], ([(4, True), (6, False)], [10, 7])),
+                ([1, 5], (CapacityExceededError,
+                          "pool receive@1: reserving 4 with only 3 of 8 "
+                          "free"))]:
+            table, points, windows = table_and_points(pools, requests)
+            table.reserved[:] = held
+            assert reserve_outcome(table, points, windows) == expected
+
+    def test_matches_replay_from_held_totals(self):
+        # Random holds, then reserve: the grants of each pool's
+        # assign_memory and the totals of MemoryPool.require replayed from
+        # the held totals in hold order, or the first error either raises.
+        rng = random.Random(35)
+        outcomes = dict.fromkeys(
+            ["fits", "overcommit", "over_fits", "over_overcommit",
+             "infeasible"], 0)
+        for _ in range(600):
+            pools, requests = random_instance(rng)
+            table, points, windows = table_and_points(pools, requests)
+            first = [rng.randint(0, window) for window in windows.tolist()]
+            if isinstance(replay_holds(pools, requests, first), str):
+                continue
+            table.hold(points, np.array(first, dtype=np.int64))
+            over = any(full_demand(requests).get((pool.node, pool.kind), 0)
+                       > pool.capacity for pool in pools)
+            # The replay carries on from the totals the first one left.
+            expected = reference_reserve(pools, requests)
+            got = reserve_outcome(table, points, windows)
+            if isinstance(expected, str):
+                outcomes["infeasible"] += 1
+                assert got == (InfeasibleReservationError, expected)
+                continue
+            grants, totals = expected
+            prefix = "over_" if over else ""
+            if isinstance(totals, str):
+                outcomes[prefix + "overcommit"] += 1
+                assert got == (CapacityExceededError, totals)
+            else:
+                outcomes[prefix + "fits"] += 1
+                assert got == (grants, [totals[key] for key in table.keys])
+        assert min(outcomes.values()) > 0, outcomes

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from qdnsim import tele
 from qdnsim.errors import CapacityExceededError
 from qdnsim.memory import (MAX_UNITS, RECEIVE_COST, TELE_SEND_COST,
                            MemoryPool, PoolTable)
@@ -314,7 +315,7 @@ class TestSchemesHoldGrants:
             expected = held_or_refused(
                 lambda: reference.hold(points, granted), reference)
             assert held_or_refused(
-                lambda: scheme(windows, points, table.pools),
+                lambda: scheme(windows, points, table.pools, table.shares),
                 table.pools) == expected
             refused += isinstance(expected, str)
         assert 0 < refused < 300 if overcommits else refused == 0, refused
@@ -413,7 +414,7 @@ def forced(draw, explicit, decisions):
     """A scheme whose cuts (or, under ``explicit``, grants) are drawn from
     ``draw`` rather than from the pools; it holds what it grants and
     appends each slot's windows, grants and cuts to ``decisions``."""
-    def scheme(windows, points, pools):
+    def scheme(windows, points, pools, shares):
         n = len(windows)
         if explicit:
             congested = np.zeros(n, dtype=bool)
@@ -481,3 +482,70 @@ class TestSessionTable:
             assert table.session.tolist() == [s.id for s in reference]
             pools.clear()
         assert admitted > 10 and finished > 0
+
+
+def session_set_plan(draw):
+    """Per slot, the finite sessions a table admits over 40 slots: batches
+    of up to four in the first 25 slots and none after, so that finished
+    sessions retire while others stay live and the table ends empty."""
+    plan, admitted = [], 0
+    for slot in range(40):
+        batch = []
+        for _ in range(draw.choice([0, 0, 1, 2, 4]) if slot < 25 else 0):
+            nodes = tuple(draw.sample(range(8), draw.randint(2, 4)))
+            batch.append((admitted, Path(nodes), draw.randint(1, 30),
+                          draw.choice([None, draw.randint(1, 12)])))
+            admitted += 1
+        plan.append(batch)
+    return plan
+
+
+class TestSharesHeldPerSessionSet:
+    @pytest.mark.parametrize("scheme", [reserve_explicit, reserve_fair,
+                                        reserve_teleport])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shares_refresh_once_per_session_set(self, scheme, seed,
+                                                  monkeypatch):
+        """A table's grants against ``_fair_shares`` recomputed on the
+        slot's incidence, while sessions are admitted in batches, finish,
+        retire and are followed by admissions, down to an empty table; EW
+        and FRA compute the shares once per change of the session set, a
+        ``reserve_teleport`` table never."""
+        calls = []
+        monkeypatch.setattr(tele, "_fair_shares",
+                            lambda *args: calls.append(1) or _fair_shares(*args))
+        pools = PoolTable([MemoryPool(node, kind, 90) for node in range(8)
+                           for kind in ("send", "receive", "transit")])
+        table = SessionTable(pools, scheme,
+                             explicit=scheme is reserve_explicit)
+        seen = dict.fromkeys(["batch", "finished_beside_live",
+                              "admitted_after_retire", "empty", "cut"], 0)
+        changes, last, retired = 0, None, False
+        for batch in session_set_plan(random.Random(seed)):
+            table.admit(batch)
+            rows = table.session.tolist()
+            changes += rows != last
+            seen["batch"] += len(batch) > 1
+            seen["admitted_after_retire"] += retired and bool(batch)
+            seen["empty"] += last is not None and not rows
+            windows = table.window.copy()
+            shares = _fair_shares(table.incidence(), pools, len(rows))
+            _, _, _, congested, granted, *_ = table.step()
+            if scheme is reserve_explicit:
+                assert granted.tolist() == shares.tolist()
+                assert not congested.any()
+            elif scheme is reserve_fair:
+                assert congested.tolist() == (windows > shares).tolist()
+                assert granted.tolist() == np.where(
+                    windows > shares, windows // 2, windows).tolist()
+            left = table.session.tolist()
+            retired = len(left) < len(rows)
+            seen["finished_beside_live"] += retired and bool(left)
+            seen["cut"] += bool(congested.any())
+            last = rows
+            pools.clear()
+        assert len(calls) == (0 if scheme is reserve_teleport else changes)
+        assert 0 < changes < 40
+        if scheme is not reserve_fair:
+            seen.pop("cut")
+        assert min(seen.values()) > 0, seen

@@ -7,7 +7,8 @@ windows and retires the flows that finish; record the rows it returns and
 the pool totals; clear every pool.  Only a slot that admits builds the
 load table, from the last pool block: a list of every node's reserved
 fraction, indexed by node id, from its ``np.bincount`` by node over node
-capacity (0.0 where nothing is held, and in slot 0).  The pools live in
+capacity (0.0 where nothing is held, and in slot 0).  The last slot
+that admits drops the topology's hop cache.  The pools live in
 one ``memory.PoolTable`` and every slot reserves them in one array pass
 over the slot's reservation points.  The
 flow table is a ``tele.SessionTable`` of teleportation sessions or a
@@ -296,6 +297,9 @@ class Engine:
             self.paths[sid] = path.nodes
             if spec.qubits != 0:
                 admitted.append((sid, path, spec.qubits, spec.initial_window))
+        if scheduled and not self._schedule:
+            # No later slot routes: free the hop lists for the rest of the run.
+            self.topology.drop_hops()
         return admitted
 
     # -- per-slot phases ------------------------------------------------

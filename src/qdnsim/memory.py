@@ -252,9 +252,11 @@ class PoolTable:
 
     ``node``, ``kind`` (a ``trace.WORDS`` code), ``capacity``, ``reserved``
     and, numbering each pool's node densely, ``site`` are int64 columns;
-    ``site_start`` holds each such node's first pool.  ``reserved`` is the
-    current slot's total per pool and stays within ``[0, capacity]``:
-    ``hold`` raises instead of overcommitting.
+    ``site_start`` holds each such node's first pool.  ``by_node[kind]``
+    is that kind's pool index per node id, -1 where the node has none, up
+    to one column past the last pool's node.
+    ``reserved`` is the current slot's total per pool and stays within
+    ``[0, capacity]``: ``hold`` raises instead of overcommitting.
     """
 
     def __init__(self, pools: Iterable[MemoryPool]):
@@ -268,6 +270,9 @@ class PoolTable:
         self.reserved = np.zeros_like(self.capacity)
         _, self.site_start, self.site = np.unique(
             self.node, return_index=True, return_inverse=True)
+        width = self.node.max(initial=-1) + 2
+        self.by_node = np.full((len(WORDS["pool"]), width), -1, dtype=np.int64)
+        self.by_node[self.kind, self.node] = np.arange(len(self.keys))
 
     def sums(self, pool: np.ndarray, units: np.ndarray) -> np.ndarray:
         """``units`` summed per pool index ``pool``, over the whole table."""

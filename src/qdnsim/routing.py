@@ -9,17 +9,17 @@ makes the choice deterministic.
 The search is A* (Hart, Nilsson & Raphael 1968) under the hop-distance
 bound ``h(v) = c * hops(v, dst)`` with ``c = 1 - 2**-10``: every hop costs
 at least 1, so no path from ``v`` costs less.  ``Topology.hops_to`` finds
-the hop distances by one breadth-first search per destination and caches
-them on the topology, so a run walks its graph once for each destination
-it routes to.  ``compute_path`` argues why A* returns the very path that
-Dijkstra's search under the same tie-break returns.
+the hop distances by one bit-parallel breadth-first search per block of
+64 hosts and caches them on the topology, so a run walks its graph once
+for every 64 destinations.  ``compute_path`` argues why A* returns the
+very path that Dijkstra's search under the same tie-break returns.
 
 The load is read as a dense table, one reserved fraction per node id,
 which is how the engine builds it; a mapping (or ``None``, no load) is
-expanded to that table once per call.  A step is pushed only if its cost
-so far is no worse than the least pushed for its node: a costlier entry
-can never be the node's first pop, so it would only be popped and
-skipped.
+expanded to that table once per call.  A step is pushed only if it can
+still be a node's first pop before ``dst``'s: its cost so far is no worse
+than the least pushed for its node, and its key no worse than the cost of
+one fewest-hop path, walked down the hop distances before the search.
 """
 
 from __future__ import annotations
@@ -108,6 +108,18 @@ def compute_path(
     Entries of equal ``g`` are all kept: hops and prefix decide between
     them.
 
+    Nor is an entry pushed whose key exceeds ``U``, the cost of one
+    fewest-hop path (from ``src``, the first adjacency neighbour one hop
+    closer to ``dst``, each time) summed step by step as ``g`` is; its
+    ``best`` is not lowered.  Rounded addition is monotone, so Dijkstra's
+    ``g`` at ``dst``, the least such sum over all paths, is at most ``U``,
+    and it is ``dst``'s key.  Keys pop in non-decreasing order, so a
+    dropped entry would pop after ``dst``.  A later entry for its node
+    that the cut on ``best`` would then have dropped, one of no smaller
+    ``g``, keys no lower and is dropped here too.  The bound needs only
+    steps of at least 0, so with loads in [0, 1] it holds under ``c = 0``
+    as well, for finite weights from -1 up; at any other weight it is off.
+
     With ``c = 1`` the argument fails: ``g + s`` can round below ``g + 1``
     where the sum crosses a power of two, and then ``g' + h(v)`` can fall
     below ``g + h(u)`` and a worse entry can pop first.
@@ -143,13 +155,23 @@ def compute_path(
         load = [load.get(node, 0.0) for node in range(n)]
     elif len(load) != n:
         raise ValueError(f"load has {len(load)} entries for {n} nodes")
-    onward = topology.onward()
+    onward, adj = topology.onward(), topology.adjacency()
     # No path with loads of at most 1 costs more than this.
     costliest = n * (1.0 + congestion_weight)
     exact = 0 <= congestion_weight and costliest < _EXACT_COST
     c = _HOP_COST if exact else 0.0
+    # The cost of one fewest-hop path, summed as ``g`` is; no key above
+    # it is pushed.  A weight below -1 can make steps negative.
+    bound, node = 0.0, src
+    for closer in range(hops_to[src] - 1, -1, -1):
+        for node in adj[node]:
+            if hops_to[node] == closer:
+                break
+        bound = bound + (1.0 + congestion_weight * load[node])
+    if not -1 <= congestion_weight < math.inf:
+        bound = math.inf
     # A ``dst`` of degree 1 is pushed from its one neighbour.
-    ends = topology.adjacency()[dst]
+    ends = adj[dst]
     before_dst = ends[0] if len(ends) == 1 else -1
     heap: list[tuple[float, float, int, tuple[int, ...], int]] = [
         (c * hops_to[src], 0.0, 0, (), src)]
@@ -169,8 +191,11 @@ def compute_path(
         for node in onward[current]:
             g = cost + (1.0 + congestion_weight * load[node])
             if g <= best[node]:
-                best[node] = g
-                heappush(heap, (g + c * hops_to[node], g, hops, path, node))
+                key = g + c * hops_to[node]
+                if key <= bound:
+                    best[node] = g
+                    heappush(heap, (key, g, hops, path, node))
         if current == before_dst:
             g = cost + (1.0 + congestion_weight * load[dst])
-            heappush(heap, (g, g, hops, path, dst))
+            if g <= bound:
+                heappush(heap, (g, g, hops, path, dst))

@@ -20,12 +20,15 @@ as fields, the scalar reference the table is tested against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
 from .memory import (RECEIVE_COST, TELE_SEND_COST, FlowColumns, Incidence,
                      PoolTable, reserve)
 from .routing import Path
@@ -47,6 +50,9 @@ class Phase(Enum):
 #: their words, and the code ``NO_PHASE`` for an EW row's ``-`` after them.
 PHASES = (Phase.SLOW_START, Phase.AVOIDANCE)
 NO_PHASE = PHASE_WORDS.index("-")
+
+_SEND, _RECEIVE, _TRANSIT = map(WORDS["pool"].index,
+                                ("send", "receive", "transit"))
 
 
 def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, Phase]:
@@ -79,16 +85,30 @@ def advance_windows(window: np.ndarray, phase: np.ndarray,
     return np.maximum(1, window + np.where(phase, 1, window)), phase
 
 
-def session_points(path: Path, pools: PoolTable) -> np.ndarray:
-    """A session's reservation points, fixed by its path: pool indices
-    over unit costs.  The source's send pool, transit at each intermediate
-    node (for both its entanglement links) and the destination's receive
-    pool, none with a floor."""
-    keys = [(path.src, "send"), *((node, "transit") for node in path.nodes[1:-1]),
-            (path.dst, "receive")]
-    prices = [TELE_SEND_COST] * (len(keys) - 1) + [RECEIVE_COST]
-    return np.array([[pools.index[key] for key in keys], prices],
-                    dtype=np.int64)
+def session_points(ids: Sequence[int], paths: Sequence[Path],
+                   pools: PoolTable) -> np.ndarray:
+    """Sessions' reservation points, fixed by their paths: pool indices
+    over unit costs, session after session.  A session's points are its
+    source's send pool, transit at each intermediate node (for both its
+    entanglement links) and its destination's receive pool, none with a
+    floor.  Every path node must have the pool its role needs: a
+    ``ConfigError`` names the first node that lacks it and the node's
+    session, by its ``ids`` entry."""
+    length = np.array([len(path.nodes) for path in paths], dtype=np.int64)
+    node = np.fromiter(chain.from_iterable(path.nodes for path in paths),
+                       np.int64, length.sum())
+    last = np.cumsum(length) - 1
+    kind = np.full(len(node), _TRANSIT)
+    kind[last - length + 1] = _SEND
+    kind[last] = _RECEIVE
+    pool = pools.by_node[kind, np.minimum(node, pools.by_node.shape[1] - 1)]
+    if (pool < 0).any():
+        at = np.flatnonzero(pool < 0)[0]
+        raise ConfigError(
+            f"session {ids[np.searchsorted(last, at)]}: node {node[at]} has "
+            f"no {WORDS['pool'][kind[at]]} pool")
+    return np.array([pool, np.where(kind == _RECEIVE, RECEIVE_COST,
+                                    TELE_SEND_COST)])
 
 
 @dataclass
@@ -134,8 +154,7 @@ def _fair_shares(points: Incidence, pools: PoolTable, n: int) -> np.ndarray:
     pools, each at its own price, limits it.  Only N is counted per call:
     prices go by the pools' kind codes, and nodes by ``PoolTable.site``.
     """
-    price = np.where(pools.kind == WORDS["pool"].index("receive"),
-                     RECEIVE_COST, TELE_SEND_COST)
+    price = np.where(pools.kind == _RECEIVE, RECEIVE_COST, TELE_SEND_COST)
     capacity = np.minimum.reduceat(pools.capacity // price, pools.site_start)
     node = pools.site[points.pool]
     count = np.maximum(np.bincount(node, minlength=len(capacity)), 1)
@@ -212,10 +231,9 @@ class SessionTable(FlowColumns):
         window)``, in order."""
         if not sessions:
             return
-        points = [session_points(path, self.pools) for _, path, _, _ in sessions]
-        length = [point.shape[1] for point in points]
-        session, _, qubits, window = zip(*sessions)
-        pool, num = np.concatenate(points, axis=1)
+        session, paths, qubits, window = zip(*sessions)
+        pool, num = session_points(session, paths, self.pools)
+        length = [len(path.nodes) for path in paths]
         super().admit(
             (pool, np.repeat(session, length), num, np.ones_like(num),
              np.zeros_like(num)),

@@ -35,6 +35,9 @@ _CALIBRATION_SLACK = 0.25
 _DEGREE_TOLERANCE = 0.5
 _MAX_BISECTION_STEPS = 64
 
+# Destinations per ``_hop_lists`` pass: one bit each of a uint64 word.
+_BLOCK = 64
+
 
 class NodeKind(Enum):
     REPEATER = "repeater"
@@ -73,7 +76,10 @@ class Topology:
     """A network graph, frozen.  ``nodes`` and ``edges`` are stored as
     tuples (edges as sorted ``(low, high)`` pairs, in sorted order): the
     adjacency, ``onward`` and ``hops_to`` tables are built from them on
-    first use and cached for the topology's lifetime."""
+    first use and cached for the topology's lifetime, the hop lists until
+    ``drop_hops``.  ``hops_to`` fills its cache 64 hosts at a time, by one
+    bit-parallel breadth-first search over a CSR copy of the adjacency
+    (``_hop_lists``)."""
 
     kind: NetworkKind
     nodes: tuple[Node, ...]
@@ -83,6 +89,7 @@ class Topology:
         edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
         for name, value in (("nodes", tuple(self.nodes)), ("edges", edges),
                             ("_adjacency", None), ("_onward", None),
+                            ("_csr", None), ("_blocks", None),
                             ("_hops", {})):
             object.__setattr__(self, name, value)
 
@@ -113,31 +120,92 @@ class Topology:
 
     def hops_to(self, dst: int) -> list[int]:
         """Hop distance from every node to ``dst``, indexed by node id, and
-        -1 where ``dst`` is unreachable: one breadth-first search over the
-        adjacency, run on the first call for ``dst`` and then cached."""
+        -1 where ``dst`` is unreachable; cached, so a later call returns
+        the same list.  The hosts, in id order, fall into blocks of 64, and
+        the first call for a host fills the cache for its whole block with
+        one ``_hop_lists`` pass; any other node is a block of its own."""
         hops = self._hops.get(dst)
         if hops is None:
-            adj = self.adjacency()
-            hops = [-1] * len(self.nodes)
-            hops[dst] = 0
-            frontier, distance = [dst], 0
-            while frontier:
-                distance += 1
-                reached = []
-                for node in frontier:
-                    for neighbour in adj[node]:
-                        if hops[neighbour] < 0:
-                            hops[neighbour] = distance
-                            reached.append(neighbour)
-                frontier = reached
-            self._hops[dst] = hops
+            if self._csr is None:
+                self._index_blocks()
+            block = self._blocks.get(dst, [dst])
+            self._hops.update(zip(block, _hop_lists(*self._csr, block)))
+            hops = self._hops[dst]
         return hops
+
+    def drop_hops(self) -> None:
+        """Free the ``hops_to`` cache; a later call builds its block anew."""
+        self._hops.clear()
+
+    def _index_blocks(self) -> None:
+        """Build ``hops_to``'s CSR adjacency and its host blocks."""
+        adj = self.adjacency()
+        degree = np.array([len(adj[n.id]) for n in self.nodes], dtype=np.intp)
+        neighbours = np.array([m for n in self.nodes for m in adj[n.id]],
+                              dtype=np.intp)
+        has = np.flatnonzero(degree)
+        starts = (np.cumsum(degree) - degree)[has]
+        hosts = [n.id for n in self.nodes if n.kind is NodeKind.HOST]
+        blocks = [hosts[i:i + _BLOCK] for i in range(0, len(hosts), _BLOCK)]
+        object.__setattr__(self, "_csr",
+                           (len(self.nodes), has, starts, neighbours))
+        object.__setattr__(self, "_blocks",
+                           {host: block for block in blocks for host in block})
 
     def hosts(self) -> list[Node]:
         return [n for n in self.nodes if n.kind is NodeKind.HOST]
 
     def infra(self) -> list[Node]:
         return [n for n in self.nodes if n.kind is not NodeKind.HOST]
+
+
+def _hop_lists(n: int, nodes: np.ndarray, starts: np.ndarray,
+               neighbours: np.ndarray, sources: list[int]) -> list[list[int]]:
+    """Hop distance from each of up to 64 distinct ``sources`` to all ``n``
+    nodes, one list per source, -1 where unreachable.
+
+    A multi-source bit-parallel breadth-first search (Then et al., PVLDB
+    2014): bit ``i`` of a node's uint64 word stands for ``sources[i]``.  The
+    graph is in CSR form: ``neighbours[starts[j]:starts[j + 1]]`` are the
+    neighbours of ``nodes[j]``, the nodes of nonzero degree (``reduceat``
+    would return an element, not 0, for an empty run).  Each level ORs the
+    frontier words of every node's neighbours in one gather, and a node's
+    new bits are those it has not seen.  The distances are kept bit-sliced
+    (bit ``j`` of the distance to ``sources[i]`` is bit ``i`` of
+    ``digits[j]``) and unpacked once at the end.
+    """
+    frontier = np.zeros(n, dtype=np.uint64)
+    frontier[sources] = np.left_shift(np.uint64(1),
+                                      np.arange(len(sources), dtype=np.uint64))
+    seen = frontier.copy()
+    digits: list[np.ndarray] = []
+    level = 0
+    while len(nodes) and frontier.any():
+        level += 1
+        reached = np.zeros(n, dtype=np.uint64)
+        reached[nodes] = np.bitwise_or.reduceat(frontier[neighbours], starts)
+        frontier = reached & ~seen
+        seen |= frontier
+        if level.bit_length() > len(digits):
+            digits.append(np.zeros(n, dtype=np.uint64))
+        for j, digit in enumerate(digits):
+            if level >> j & 1:
+                digit |= frontier
+    k = len(sources)
+    # No distance reaches ``n``: the narrowest type that holds -n keeps
+    # this transient small.
+    hops = np.zeros((k, n), dtype=np.min_scalar_type(-n))
+    for j, digit in enumerate(digits):
+        hops += _unpack(digit, k) * hops.dtype.type(1 << j)
+    hops[_unpack(~seen, k).view(bool)] = -1
+    return hops.tolist()
+
+
+def _unpack(words: np.ndarray, k: int) -> np.ndarray:
+    """The low ``k`` bits of uint64 ``words`` as 0/1 uint8 rows: row ``i``
+    holds bit ``i`` of each word."""
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T
+    return np.unpackbits(octets, axis=0, count=k, bitorder="little")
 
 
 @dataclass(frozen=True)

@@ -592,6 +592,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run(cfg)
 
+    def test_route_through_a_host_names_session_and_node(self):
+        # Host 1 joins repeaters 0 and 2, so session 0's only route from
+        # host 3 to host 4 runs through a node with no transit pool.
+        kinds = [NodeKind.REPEATER, NodeKind.HOST, NodeKind.REPEATER,
+                 NodeKind.HOST, NodeKind.HOST]
+        topology = Topology(
+            NetworkKind.TELE,
+            [Node(i, kind, 0.0, 0.0, 100) for i, kind in enumerate(kinds)],
+            [(0, 1), (1, 2), (0, 3), (2, 4)])
+        cfg = RunConfig(
+            seed=0, protocol=Protocol.TELE, network=NetworkKind.TELE,
+            topology=topology, sessions=[SessionSpec(src=3, dst=4)],
+            n_slots=1,
+        )
+        with pytest.raises(ConfigError,
+                           match="session 0: node 1 has no transit pool"):
+            run(cfg)
+
     def test_bad_probability(self):
         cfg = star_config(Protocol.TELE, NetworkKind.TELE, [(None, None)], 1)
         cfg.p = 1.5

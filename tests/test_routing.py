@@ -4,13 +4,14 @@ frozen full-path search in ``oracle.routing``."""
 import dataclasses
 import hashlib
 import random
-from heapq import heappush
+from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
 
 from oracle import routing as oracle
 from qdnsim import routing
+from qdnsim.engine import Protocol, RunConfig, SessionSpec, WaxmanSpec, run
 from qdnsim.errors import GenerationError, NoRouteError
 from qdnsim.routing import MAX_CONGESTION_WEIGHT, compute_path
 from qdnsim.topology import (NetworkKind, Node, NodeKind, Topology,
@@ -452,3 +453,60 @@ def test_smaller_prefix_reaching_a_node_second_wins(monkeypatch):
         pushed.clear()
         assert compute_path(topology, 6, 7, table, 4.0).nodes == want
         assert pushed == [(2.0, 2, (6, 1)), (2.0, 2, (6, 0))]
+
+
+#: SHA-256 of the ``(node, hops)`` of every entry the search pops over the
+#: admissions of the ``tele_churn`` benchmark recipe cut to 200 sessions
+#: (seed 1), pinned before pushes were cut at a fewest-hop path's cost;
+#: the search then pushed 6,404 entries there, and now pushes 2,442.
+POPS_SHA256 = (
+    "6a8fd5b900dc992cf981556fb3f16330ab5df32786840c204e08eb705ed86301")
+POPS, PUSHES = 2214, 2442
+
+
+def test_push_bound_keeps_every_pop(monkeypatch):
+    """The cut at ``U`` drops only entries that would never pop: over a
+    fixed run's admissions, the popped sequence is the one pinned before
+    the cut, and fewer entries are pushed."""
+    popped, pushed = [], []
+
+    def popping(heap):
+        entry = heappop(heap)
+        popped.append((entry[-1], entry[2]))
+        return entry
+
+    def pushing(heap, entry):
+        pushed.append(entry[-1])
+        heappush(heap, entry)
+
+    monkeypatch.setattr(routing, "heappop", popping)
+    monkeypatch.setattr(routing, "heappush", pushing)
+    draw = random.Random(1)
+    sessions = [SessionSpec(qubits=round(2 ** draw.uniform(5, 10)),
+                            start_slot=draw.randint(0, 179))
+                for _ in range(200)]
+    run(RunConfig(seed=1, protocol=Protocol.TELE, network=NetworkKind.TELE,
+                  topology=WaxmanSpec(n_infra=200, alpha=0.06),
+                  sessions=sessions, n_slots=200))
+    assert len(popped) == POPS
+    assert hashlib.sha256(repr(popped).encode()).hexdigest() == POPS_SHA256
+    assert len(pushed) <= PUSHES
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 5), (5, 5)])
+def test_weights_below_minus_one_match_frozen_search(rows, cols):
+    """Below weight -1 a loaded step costs less than 0, a fewest-hop path
+    bounds no key, and the search must still return Dijkstra's path."""
+    topology = grid(rows, cols)
+    hosts = [node.id for node in topology.hosts()]
+    draw = random.Random(rows * 10 + cols)
+    for _ in range(6):
+        load = {node: draw.choice((0.5, 1.0))
+                for node in range(len(topology.nodes)) if draw.random() < 0.5}
+        for weight in (-1.0, -1.5, -3.0):
+            for src in hosts:
+                for dst in hosts:
+                    if src != dst:
+                        got = compute_path(topology, src, dst, load, weight)
+                        assert got == oracle.compute_path(
+                            topology, src, dst, load, weight), (load, weight)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qdnsim import tele
-from qdnsim.errors import CapacityExceededError
+from qdnsim.errors import CapacityExceededError, ConfigError
 from qdnsim.memory import (MAX_UNITS, RECEIVE_COST, TELE_SEND_COST,
                            MemoryPool, PoolTable)
 from qdnsim.routing import Path
@@ -121,11 +121,38 @@ class TestTeleSession:
         pools = PoolTable([MemoryPool(node, kind, 10)
                            for node in range(6)
                            for kind in ("send", "receive", "transit")])
-        points = session_points(Path((4, 0, 1, 5)), pools)
+        points = session_points([7], [Path((4, 0, 1, 5))], pools)
         keys = [(4, "send"), (0, "transit"), (1, "transit"), (5, "receive")]
         assert points.tolist() == [
             [pools.index[key] for key in keys],
             [TELE_SEND_COST, TELE_SEND_COST, TELE_SEND_COST, RECEIVE_COST]]
+        # Several sessions' points follow one another, in order.
+        points = session_points([3, 1], [Path((4, 0, 1, 5)), Path((2, 3))],
+                                pools)
+        keys += [(2, "send"), (3, "receive")]
+        assert points.tolist() == [
+            [pools.index[key] for key in keys],
+            [TELE_SEND_COST] * 3 + [RECEIVE_COST, TELE_SEND_COST, RECEIVE_COST]]
+
+    @pytest.mark.parametrize("path, node, kind", [
+        ((4, 2, 5), 2, "transit"),    # a host has no transit pool
+        ((4, 0, 9), 9, "receive"),    # a node past every pool's node
+        ((0, 2, 5), 0, "send"),       # a repeater has no send pool
+    ])
+    def test_missing_pool_names_session_and_node(self, path, node, kind):
+        """A path node without the pool its role needs is refused, not
+        read as pool -1: hosts 2, 4 and 5 have send and receive pools
+        only, repeaters 0 and 1 transit only."""
+        pools = PoolTable(
+            [MemoryPool(host, kind, 10) for host in (2, 4, 5)
+             for kind in ("send", "receive")]
+            + [MemoryPool(repeater, "transit", 10) for repeater in (0, 1)])
+        table = SessionTable(pools, reserve_teleport, explicit=False)
+        with pytest.raises(ConfigError,
+                           match=f"session 12: node {node} has no {kind} pool"):
+            table.admit([(11, Path((4, 0, 1, 5)), 8, None),
+                         (12, Path(path), 8, None)])
+        assert len(table.session) == 0
 
 
 class TestReserveTeleport:

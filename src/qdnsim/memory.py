@@ -16,7 +16,8 @@ requests (sessions or hops) reserve at points, one ``Incidence`` row each:
 pool index, request rank, tie id, unit cost as an integer numerator and
 denominator, and floor.  Both transports keep their flows in
 ``FlowColumns``, which holds every point but a per-slot floor from the
-flow's admission on.  ``reserve`` runs both transports' two passes over
+flow's admission on, as ``path_points`` lays them out by the transport's
+price table.  ``reserve`` runs both transports' two passes over
 all points at once.  Pass 1 prices and sums each point's window once, and
 holds those sums if no pool is over capacity; else it prices the halves,
 sums the savings at over pools, applies ``assign_memory``'s rule at each
@@ -37,13 +38,16 @@ orders its cuts by one exact int64 key, ``pool * 2**31 - window``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityExceededError, InfeasibleReservationError
+from .errors import (CapacityExceededError, ConfigError,
+                     InfeasibleReservationError)
 from .trace import WORDS
 
 #: Quantum computers split memory between sending and receiving roles.
@@ -55,6 +59,15 @@ TAG_SPLIT = Fraction(9, 13)
 RECEIVE_COST = 1
 TELE_SEND_COST = 2   # also transit at repeaters
 TAG_SEND_COST = Fraction(9, 4)
+
+#: Each transport's unit costs by pool kind code (send, receive, transit)
+#: as int numerator and denominator rows.  Tell-and-go never transits.
+TELE_PRICES, TAG_PRICES = (
+    np.array([cost.as_integer_ratio() for cost in costs]).T
+    for costs in ((TELE_SEND_COST, RECEIVE_COST, TELE_SEND_COST),
+                  (TAG_SEND_COST, RECEIVE_COST, TAG_SEND_COST)))
+_SEND, _RECEIVE, _TRANSIT = map(WORDS["pool"].index,
+                                ("send", "receive", "transit"))
 
 #: Send units a tell-and-go sender holds per in-flight qubit: 3 sharings.
 TAG_QUBIT_UNITS = 3
@@ -187,8 +200,32 @@ class Incidence(NamedTuple):
                           self.floor)
 
 
+def path_points(pools: PoolTable, ids: Sequence[int],
+                paths: Sequence[Sequence[int]],
+                prices: np.ndarray) -> np.ndarray:
+    """Node sequences' reservation points, path after path: pool indices,
+    then unit cost numerators and denominators, each its pool kind's
+    column of ``prices``.  A path's first node sends, its last receives
+    and each between transits (for both its entanglement links).  Every
+    node must have the pool its role needs: a ``ConfigError`` names the
+    first node that lacks it and its path's ``ids`` entry as a session."""
+    length = np.array([len(path) for path in paths], dtype=np.int64)
+    node = np.fromiter(chain.from_iterable(paths), np.int64, length.sum())
+    last = np.cumsum(length) - 1
+    kind = np.full(len(node), _TRANSIT)
+    kind[last - length + 1] = _SEND
+    kind[last] = _RECEIVE
+    pool = pools.by_node[kind, np.minimum(node, pools.by_node.shape[1] - 1)]
+    if (pool < 0).any():
+        at = np.flatnonzero(pool < 0)[0]
+        raise ConfigError(
+            f"session {ids[np.searchsorted(last, at)]}: node {node[at]} has "
+            f"no {WORDS['pool'][kind[at]]} pool")
+    return np.array([pool, *prices[:, kind]])
+
+
 #: The reservation point columns of ``FlowColumns``, in admit order.
-POINT_COLUMNS = ("pool", "tie", "num", "den", "floor")
+POINT_COLUMNS = ("pool", "num", "den", "tie")
 
 
 class FlowColumns:
@@ -197,8 +234,8 @@ class FlowColumns:
 
     ``length`` counts each row's points and ``rank`` gives each point's
     row.  The points are held in row order as the ``POINT_COLUMNS``: pool
-    index, tie id, unit cost numerator and denominator, and a standing
-    floor.
+    index, unit cost numerator and denominator (``path_points``), and tie
+    id.
     """
 
     def __init__(self, *names: str, **columns: np.ndarray):
@@ -232,10 +269,10 @@ class FlowColumns:
         self.rank = np.repeat(np.arange(len(self.length)), self.length)
 
     def incidence(self, floor: np.ndarray | None = None) -> Incidence:
-        """The points as a slot's ``Incidence``; ``floor``, one entry per
-        point, replaces the standing floor."""
+        """The points as a slot's ``Incidence``, floored by ``floor``, one
+        entry per point, or by 0."""
         return Incidence(self.pool, self.rank, self.tie, self.num, self.den,
-                         self.floor if floor is None else floor)
+                         np.zeros_like(self.pool) if floor is None else floor)
 
 
 def _running(segments: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -250,11 +287,10 @@ def _running(segments: np.ndarray, values: np.ndarray) -> np.ndarray:
 class PoolTable:
     """Every pool of a run, in sorted ``(node, kind)`` key order.
 
-    ``node``, ``kind`` (a ``trace.WORDS`` code), ``capacity``, ``reserved``
-    and, numbering each pool's node densely, ``site`` are int64 columns;
-    ``site_start`` holds each such node's first pool.  ``by_node[kind]``
-    is that kind's pool index per node id, -1 where the node has none, up
-    to one column past the last pool's node.
+    ``node``, ``kind`` (a ``trace.WORDS`` code), ``capacity`` and
+    ``reserved`` are int64 columns.  ``by_node[kind]`` is that kind's pool
+    index per node id, -1 where the node has none, up to one column past
+    the last pool's node.
     ``reserved`` is the current slot's total per pool and stays within
     ``[0, capacity]``: ``hold`` raises instead of overcommitting.
     """
@@ -268,8 +304,6 @@ class PoolTable:
                              dtype=np.int64)
         self.capacity = np.array([pool.capacity for pool in pools], dtype=np.int64)
         self.reserved = np.zeros_like(self.capacity)
-        _, self.site_start, self.site = np.unique(
-            self.node, return_index=True, return_inverse=True)
         width = self.node.max(initial=-1) + 2
         self.by_node = np.full((len(WORDS["pool"]), width), -1, dtype=np.int64)
         self.by_node[self.kind, self.node] = np.arange(len(self.keys))

@@ -21,8 +21,9 @@ remain the single-qubit state machine that the counts lump.
 A run keeps every live hop as one row of a ``HopTable``, a
 ``memory.FlowColumns`` whose columns are ``HopSession``'s fields, whose
 per-round counts are two hops x rounds matrices, and which holds each
-hop's reservation points from its admission on (``_hop_points``); only
-their floors, the hop's in-flight and stored counts, are built per slot.
+hop's reservation points from its admission on (``memory.path_points`` of
+its sender and receiver at ``memory.TAG_PRICES``); only their floors, the
+hop's in-flight and stored counts, are built per slot.
 A slot is a chain of passes over such columns: ``_reserve`` reserves at
 the points, ``_plan`` states the scheduler's rule, ``_runs`` and ``_hits``
 lay out and count a plan's channel outcomes, and ``_send`` applies them.
@@ -45,8 +46,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DeadlockError, InfeasibleReservationError
-from .memory import (RECEIVE_COST, TAG_QUBIT_UNITS, TAG_SEND_COST,
-                     FlowColumns, Incidence, PoolTable, reserve)
+from .memory import (TAG_PRICES, TAG_QUBIT_UNITS, FlowColumns, Incidence,
+                     PoolTable, path_points, reserve)
 from .routing import Path
 from .tele import UNBOUNDED, Phase, advance_windows
 
@@ -200,29 +201,11 @@ class HopSession:
             dtype=np.int64))
 
 
-def _hop_points(pools: PoolTable, send: np.ndarray, receive: np.ndarray,
-                session: np.ndarray, hop: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Hops' reservation points as the ``memory.POINT_COLUMNS``, two a hop.
-
-    A hop reserves first at its sender's send pool, at 9/4 units per
-    window unit (three sharings for at most three quarters of the window),
-    then at its receiver's receive pool at one unit.  Ties go to the lower
-    ``(session, hop)``: a path never visits a node twice and each hop's
-    sender holds a send pool, so a hop index is below the pool count.
-    """
-    n = len(send)
-    return (np.stack([send, receive], axis=1).ravel(),
-            np.repeat(session * len(pools.keys) + hop, 2),
-            np.tile([TAG_SEND_COST.numerator, RECEIVE_COST], n),
-            np.tile([TAG_SEND_COST.denominator, 1], n),
-            np.zeros(2 * n, dtype=np.int64))
-
-
 def _reserve(pools: PoolTable, points: Incidence, window: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reserve one slot's memory for hops at their ``_hop_points``, whose
-    floors cannot be evicted: ``TAG_QUBIT_UNITS`` per qubit in flight, and
-    the stored first sharings.
+    """Reserve one slot's memory for hops at their points, each hop's send
+    then receive point, whose floors cannot be evicted: ``TAG_QUBIT_UNITS``
+    per qubit in flight, and the stored first sharings.
 
     Returns grants, halved flags and, as a plan's receiver budget, the
     receive units held above the stored firsts, in hop order.  Raises
@@ -400,8 +383,10 @@ class HopTable(FlowColumns):
     past the last round.  ``in_flight`` is their row sum, kept up to date
     by each slot's encodes and deliveries rather than recounted, and
     ``stored`` counts the first sharings each receiver holds; the two are
-    the floors of a row's points.  A row's points are its ``_hop_points``,
-    the only place its pools are held.  Sharings succeed by ``channel``,
+    the floors of a row's points: its sender's send pool at 9/4 units per
+    window unit (three sharings for at most three quarters of the window),
+    then its receiver's receive pool, the only place its pools are held,
+    tied in ``(session, hop)`` order.  Sharings succeed by ``channel``,
     drawn from ``rng``.
     """
 
@@ -426,24 +411,29 @@ class HopTable(FlowColumns):
         send pool can hold in flight."""
         if not sessions:
             return
-        index, rows = self.pools.index, []
+        rows, pairs = [], []
         for sid, path, qubits, initial_window in sessions:
             nodes = (path.src, path.dst) if self.switched else path.nodes
             supply = UNBOUNDED if qubits is None else qubits
             last = len(nodes) - 2
+            pairs.extend(zip(nodes, nodes[1:]))
             rows.extend(
-                (sid, hop, index[sender, "send"], index[receiver, "receive"],
-                 initial_window or INITIAL_WINDOW, supply if hop == 0 else 0,
+                (sid, hop, initial_window or INITIAL_WINDOW,
+                 supply if hop == 0 else 0,
                  supply if hop == last else UNBOUNDED, hop < last)
-                for hop, (sender, receiver) in enumerate(zip(nodes, nodes[1:])))
-        (session, hop, send, receive, window, unminted, remaining,
-         forwards) = np.array(rows, dtype=np.int64).T
+                for hop in range(last + 1))
+        session, hop, window, unminted, remaining, forwards = np.array(
+            rows, dtype=np.int64).T
+        pool, num, den = path_points(self.pools, session, pairs, TAG_PRICES)
+        # A path never visits a node twice and each of its senders holds a
+        # send pool, so a hop index is below the pool count.
         super().admit(
-            _hop_points(self.pools, send, receive, session, hop),
+            (pool, num, den,
+             np.repeat(session * len(self.pools.keys) + hop, 2)),
             length=np.full(len(rows), 2), session=session, hop=hop,
             window=window, unminted=unminted, remaining=remaining,
             forwards=forwards,
-            queue_bound=self.pools.capacity[send] // TAG_QUBIT_UNITS)
+            queue_bound=self.pools.capacity[pool[::2]] // TAG_QUBIT_UNITS)
         self.bounded = self.bounded or bool((remaining != UNBOUNDED).any())
 
     def step(self) -> tuple[np.ndarray, ...]:

@@ -11,28 +11,26 @@ transports' tables step their windows by it.
 
 A run keeps every live session as one row of a ``SessionTable``, a
 ``memory.FlowColumns`` that holds each session's reservation points from
-its admission on (``session_points``, tied by session id, with no floor);
-each scheme reserves over the table's ``memory.Incidence`` and returns the
-granted windows and halved flags in session order, EW and FRA from the
-fair shares the table holds per set of rows.  ``TeleSession`` is one row
+its admission on (``memory.path_points`` of its path at
+``memory.TELE_PRICES``, tied by session id, with no floor); each scheme
+reserves over the table's ``memory.Incidence`` and returns the granted
+windows and halved flags in session order, EW and FRA from the fair
+shares the table holds per set of rows.  ``TeleSession`` is one row
 as fields, the scalar reference the table is tested against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
-from .memory import (RECEIVE_COST, TELE_SEND_COST, FlowColumns, Incidence,
-                     PoolTable, reserve)
+from .memory import (TELE_PRICES, FlowColumns, Incidence, PoolTable,
+                     path_points, reserve)
 from .routing import Path
-from .trace import PHASE_WORDS, WORDS
+from .trace import PHASE_WORDS
 
 #: Window a session announces in its first slot unless it asks otherwise.
 INITIAL_WINDOW = 1
@@ -50,9 +48,6 @@ class Phase(Enum):
 #: their words, and the code ``NO_PHASE`` for an EW row's ``-`` after them.
 PHASES = (Phase.SLOW_START, Phase.AVOIDANCE)
 NO_PHASE = PHASE_WORDS.index("-")
-
-_SEND, _RECEIVE, _TRANSIT = map(WORDS["pool"].index,
-                                ("send", "receive", "transit"))
 
 
 def next_window(window: int, phase: Phase, congested: bool) -> tuple[int, Phase]:
@@ -83,32 +78,6 @@ def advance_windows(window: np.ndarray, phase: np.ndarray,
     window = window >> congested
     phase = phase | congested
     return np.maximum(1, window + np.where(phase, 1, window)), phase
-
-
-def session_points(ids: Sequence[int], paths: Sequence[Path],
-                   pools: PoolTable) -> np.ndarray:
-    """Sessions' reservation points, fixed by their paths: pool indices
-    over unit costs, session after session.  A session's points are its
-    source's send pool, transit at each intermediate node (for both its
-    entanglement links) and its destination's receive pool, none with a
-    floor.  Every path node must have the pool its role needs: a
-    ``ConfigError`` names the first node that lacks it and the node's
-    session, by its ``ids`` entry."""
-    length = np.array([len(path.nodes) for path in paths], dtype=np.int64)
-    node = np.fromiter(chain.from_iterable(path.nodes for path in paths),
-                       np.int64, length.sum())
-    last = np.cumsum(length) - 1
-    kind = np.full(len(node), _TRANSIT)
-    kind[last - length + 1] = _SEND
-    kind[last] = _RECEIVE
-    pool = pools.by_node[kind, np.minimum(node, pools.by_node.shape[1] - 1)]
-    if (pool < 0).any():
-        at = np.flatnonzero(pool < 0)[0]
-        raise ConfigError(
-            f"session {ids[np.searchsorted(last, at)]}: node {node[at]} has "
-            f"no {WORDS['pool'][kind[at]]} pool")
-    return np.array([pool, np.where(kind == _RECEIVE, RECEIVE_COST,
-                                    TELE_SEND_COST)])
 
 
 @dataclass
@@ -151,21 +120,22 @@ def _fair_shares(points: Incidence, pools: PoolTable, n: int) -> np.ndarray:
     C is the largest window a node supports for one session: a repeater
     backs it with transit units at the send price; an end host must be
     able to play either role, so the smaller of its send and receive
-    pools, each at its own price, limits it.  Only N is counted per call:
-    prices go by the pools' kind codes, and nodes by ``PoolTable.site``.
+    pools, each at its ``TELE_PRICES`` price, limits it.  Nodes are found
+    by ``PoolTable.by_node``, where a kind a node lacks (-1) sets no limit.
     """
-    price = np.where(pools.kind == _RECEIVE, RECEIVE_COST, TELE_SEND_COST)
-    capacity = np.minimum.reduceat(pools.capacity // price, pools.site_start)
-    node = pools.site[points.pool]
+    num, den = TELE_PRICES[:, pools.kind]
+    room = np.append(pools.capacity * den // num, np.iinfo(np.int64).max)
+    capacity = room[pools.by_node].min(axis=0)
+    node = pools.node[points.pool]
     count = np.maximum(np.bincount(node, minlength=len(capacity)), 1)
     return np.minimum.reduceat((capacity // count)[node],
                                np.searchsorted(points.rank, np.arange(n)))
 
 
 def _hold(points: Incidence, granted: np.ndarray, pools: PoolTable) -> None:
-    """``PoolTable.hold`` of ``granted`` at ``session_points``, priced as
-    each point's price times its session's grant: the prices are whole and
-    there is no floor."""
+    """``PoolTable.hold`` of ``granted`` at a session table's points,
+    priced as each point's price times its session's grant: the
+    ``TELE_PRICES`` are whole and there is no floor."""
     pools.add(points.pool, points.num * granted[points.rank])
 
 
@@ -194,8 +164,8 @@ def reserve_fair(windows: np.ndarray, points: Incidence, pools: PoolTable,
 def release_surplus(points: Incidence, granted: np.ndarray,
                     delivered: np.ndarray, pools: PoolTable) -> None:
     """Give back ``cost(granted) - cost(delivered)`` at every point: its
-    price times the units not delivered, as ``session_points`` have whole
-    prices and no floor."""
+    price times the units not delivered, as a session table's points have
+    whole prices and no floor."""
     surplus = granted - delivered
     if surplus.any():
         pools.reserved -= pools.sums(points.pool,
@@ -207,8 +177,8 @@ class SessionTable(FlowColumns):
     row, held as ``FlowColumns``, in admission order.
 
     ``phase`` indexes ``PHASES`` and ``remaining`` is ``UNBOUNDED`` for an
-    unbounded stream.  A row's points are its ``session_points``, tied by
-    its session id and with no floor.  Each slot reserves by ``scheme``,
+    unbounded stream.  A row's points are its path's ``path_points``, tied
+    by its session id and with no floor.  Each slot reserves by ``scheme``,
     which may ask for ``shares``; under the ``explicit`` (EW) rule a row
     announces its grant, records ``NO_PHASE`` and keeps its window.
     """
@@ -232,11 +202,11 @@ class SessionTable(FlowColumns):
         if not sessions:
             return
         session, paths, qubits, window = zip(*sessions)
-        pool, num = session_points(session, paths, self.pools)
-        length = [len(path.nodes) for path in paths]
+        nodes = [path.nodes for path in paths]
+        length = [len(each) for each in nodes]
         super().admit(
-            (pool, np.repeat(session, length), num, np.ones_like(num),
-             np.zeros_like(num)),
+            (*path_points(self.pools, session, nodes, TELE_PRICES),
+             np.repeat(session, length)),
             session=session, length=length,
             window=[each or INITIAL_WINDOW for each in window],
             remaining=[UNBOUNDED if each is None else each for each in qubits])

@@ -313,34 +313,37 @@ def generate_waxman(
         return 2.0 * int(np.count_nonzero(wired(beta))) / n_infra
 
     # Realized degree is a monotone step function of beta; bisect on it.
-    beta_hi = best_beta = math.exp(1.0 / alpha)
+    beta_hi = math.exp(1.0 / alpha)
     degree = avg_degree(beta_hi)
-    best_gap = abs(degree - target_avg_degree)
     if degree < target_avg_degree - _DEGREE_TOLERANCE:
         raise GenerationError(
             f"cannot reach degree {target_avg_degree} with {n_infra} nodes"
         )
-    lo, hi = 0.0, beta_hi
-    lowest = beta_hi  # the smallest beta tried
-    for _ in range(_MAX_BISECTION_STEPS):
-        if best_gap <= _CALIBRATION_SLACK:
+    best_beta, best_gap = beta_hi, abs(degree - target_avg_degree)
+    # Halving beta from exp(1 / alpha), 64 steps reach none below about
+    # 2**-64 of it, too dense a graph at a small alpha; only then bisect
+    # again over log(beta), up from the smallest normal float.
+    for lo, hi, beta in ((0.0, beta_hi, float),
+                         (math.log(sys.float_info.min), 1.0 / alpha, math.exp)):
+        for _ in range(_MAX_BISECTION_STEPS):
+            if best_gap <= _CALIBRATION_SLACK:
+                break
+            mid = (lo + hi) / 2.0
+            degree = avg_degree(beta(mid))
+            gap = abs(degree - target_avg_degree)
+            if gap < best_gap:
+                best_beta, best_gap = beta(mid), gap
+            if degree < target_avg_degree:
+                lo = mid
+            else:
+                hi = mid
+        if best_gap <= _DEGREE_TOLERANCE:
             break
-        mid = (lo + hi) / 2.0
-        lowest = min(lowest, mid)
-        degree = avg_degree(mid)
-        gap = abs(degree - target_avg_degree)
-        if gap < best_gap:
-            best_beta, best_gap = mid, gap
-        if degree < target_avg_degree:
-            lo = mid
-        else:
-            hi = mid
     if best_gap > _DEGREE_TOLERANCE:
         raise GenerationError(
             f"degree calibration failed at n_infra {n_infra}, alpha {alpha}: "
-            f"best average {target_avg_degree + best_gap:.2f} vs target "
-            f"{target_avg_degree}; the bisection from beta = exp(1 / alpha) = "
-            f"{beta_hi:.3g} reached no beta below {lowest:.3g}"
+            f"no beta tried came within {_DEGREE_TOLERANCE} of degree "
+            f"{target_avg_degree}; the closest was {best_gap:.2f} away"
         )
     chosen = np.flatnonzero(wired(best_beta))
     edges = list(zip(first[chosen].tolist(), second[chosen].tolist()))

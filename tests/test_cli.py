@@ -718,7 +718,9 @@ class TestMain:
         assert record["error"] == "ConfigError"
 
     def test_failed_calibration_is_an_error_record(self, tmp_path, capsys):
-        doc = minimal_doc(seed=1, topology=waxman(n_infra=50, alpha=0.01))
+        # Degree 8 needs more neighbours than 8 nodes have.
+        doc = minimal_doc(seed=1, topology=waxman(n_infra=8,
+                                                  target_avg_degree=8.0))
         code = main(["run", "--config", str(write_config(tmp_path, doc)),
                      "--out", str(tmp_path / "out")])
         assert code == 2
@@ -726,9 +728,7 @@ class TestMain:
         assert captured.out == ""
         record = json.loads(captured.err)
         assert record["error"] == "GenerationError"
-        assert record["message"].startswith(
-            "degree calibration failed at n_infra 50, alpha 0.01: ")
-        assert "reached no beta below 1.46e+24" in record["message"]
+        assert record["message"] == "cannot reach degree 8.0 with 8 nodes"
 
     @pytest.mark.parametrize("protocol, network", [("tag", "tag_relay"),
                                                    ("tele", "tele")])

@@ -17,12 +17,13 @@ from qdnsim.engine import (
 )
 from qdnsim.errors import (ConfigError, DeadlockError,
                            InfeasibleReservationError)
-from qdnsim.memory import (MAX_SESSIONS, MAX_UNITS, TAG_QUBIT_UNITS,
-                           FlowColumns, Incidence, MemoryPool, PoolTable)
+from qdnsim.memory import (MAX_SESSIONS, MAX_UNITS, TAG_PRICES,
+                           TAG_QUBIT_UNITS, FlowColumns, Incidence,
+                           MemoryPool, PoolTable, path_points)
 from qdnsim.presets import get_preset
 from qdnsim.rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from qdnsim.routing import compute_path
-from qdnsim.tag import ChannelModel, _hop_points, _reserve
+from qdnsim.tag import ChannelModel, _reserve
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -219,13 +220,13 @@ def held(pools, key):
 
 def hop_points(pools, hops):
     """``(session, hop, sender, receiver)`` hops as ``FlowColumns`` rows at
-    their ``_hop_points``."""
-    index = pools.index
-    session, hop, send, receive = np.array(
-        [(sid, at, index[sender, "send"], index[receiver, "receive"])
-         for sid, at, sender, receiver in hops]).T
+    the points ``HopTable.admit`` gives them: the ``path_points`` of each
+    sender and receiver at ``TAG_PRICES``, tied in (session, hop) order."""
+    session, hop, sender, receiver = np.array(hops).T
     table = FlowColumns()
-    table.admit(_hop_points(pools, send, receive, session, hop),
+    table.admit((*path_points(pools, session, list(zip(sender, receiver)),
+                              TAG_PRICES),
+                 np.repeat(session * len(pools.keys) + hop, 2)),
                 length=np.full(len(hops), 2))
     return table
 

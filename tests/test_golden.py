@@ -2,10 +2,11 @@
 
 Each config below is run end to end and written with ``cli.emit`` in both
 formats; the SHA-256 of every file must match the digest pinned here.  The
-``appendix_e`` preset (seeds 0 and 1, both formats) is pinned the same way.  A
-refactor is checked against these pins, not against a rerun of itself, so
-a change that moves a digest must say why.  To print the digests of the
-current code (for instance after an intended trace change)::
+``appendix_e`` preset (seeds 0 and 1, both formats) is pinned the same way,
+and every other preset at seed 1, in ``preset_digests.json``.  A refactor
+is checked against these pins, not against a rerun of itself, so a change
+that moves a digest must say why.  To print the digests of the current
+code (for instance after an intended trace change)::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,6 +15,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -323,11 +325,16 @@ def digests(name):
         }
 
 
-def appendix_e_digests():
-    """SHA-256 of every file ``qdnsim preset appendix_e --seeds 0,1`` writes
-    in both formats, keyed by path under the output directory."""
+#: Pinned from the code before pools and prices came from one builder.
+PRESET_GOLDEN = json.loads(
+    (Path(__file__).with_name("preset_digests.json")).read_text())
+
+
+def preset_digests(name, seeds):
+    """SHA-256 of every file ``qdnsim preset name --seeds seeds`` writes in
+    both formats, keyed by path under the output directory."""
     with tempfile.TemporaryDirectory() as out:
-        paths = run_preset("appendix_e", [0, 1], out, ["tabular", "records"])
+        paths = run_preset(name, seeds, out, ["tabular", "records"])
         return {
             path.relative_to(out).as_posix():
                 hashlib.sha256(path.read_bytes()).hexdigest()
@@ -387,11 +394,18 @@ def test_row_type_faults_flags_bools_numpy_ints_and_unknown_words():
 
 
 def test_appendix_e_preset_matches_pinned_digests():
-    assert appendix_e_digests() == APPENDIX_E_GOLDEN
+    assert preset_digests("appendix_e", [0, 1]) == APPENDIX_E_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_GOLDEN))
+def test_preset_matches_pinned_digests(name):
+    assert preset_digests(name, [1]) == PRESET_GOLDEN[name]
 
 
 if __name__ == "__main__":
     current = {name: digests(name) for name in sorted(CONFIGS)}
-    current["appendix_e"] = appendix_e_digests()
+    current["appendix_e"] = preset_digests("appendix_e", [0, 1])
+    current.update((name, preset_digests(name, [1]))
+                   for name in sorted(PRESET_GOLDEN))
     json.dump(current, sys.stdout, indent=4, sort_keys=True)
     print()

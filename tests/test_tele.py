@@ -8,9 +8,10 @@ import pytest
 
 from qdnsim import tele
 from qdnsim.errors import CapacityExceededError, ConfigError
-from qdnsim.memory import (MAX_UNITS, RECEIVE_COST, TELE_SEND_COST,
-                           MemoryPool, PoolTable)
+from qdnsim.memory import (MAX_UNITS, RECEIVE_COST, TELE_PRICES,
+                           TELE_SEND_COST, MemoryPool, PoolTable, path_points)
 from qdnsim.routing import Path
+from qdnsim.tag import ChannelModel, HopTable
 from qdnsim.tele import (
     INITIAL_WINDOW,
     NO_PHASE,
@@ -24,7 +25,6 @@ from qdnsim.tele import (
     reserve_explicit,
     reserve_fair,
     reserve_teleport,
-    session_points,
 )
 
 
@@ -121,36 +121,57 @@ class TestTeleSession:
         pools = PoolTable([MemoryPool(node, kind, 10)
                            for node in range(6)
                            for kind in ("send", "receive", "transit")])
-        points = session_points([7], [Path((4, 0, 1, 5))], pools)
+        points = path_points(pools, [7], [(4, 0, 1, 5)], TELE_PRICES)
         keys = [(4, "send"), (0, "transit"), (1, "transit"), (5, "receive")]
         assert points.tolist() == [
             [pools.index[key] for key in keys],
-            [TELE_SEND_COST, TELE_SEND_COST, TELE_SEND_COST, RECEIVE_COST]]
+            [TELE_SEND_COST, TELE_SEND_COST, TELE_SEND_COST, RECEIVE_COST],
+            [1] * 4]
         # Several sessions' points follow one another, in order.
-        points = session_points([3, 1], [Path((4, 0, 1, 5)), Path((2, 3))],
-                                pools)
+        points = path_points(pools, [3, 1], [(4, 0, 1, 5), (2, 3)],
+                             TELE_PRICES)
         keys += [(2, "send"), (3, "receive")]
         assert points.tolist() == [
             [pools.index[key] for key in keys],
-            [TELE_SEND_COST] * 3 + [RECEIVE_COST, TELE_SEND_COST, RECEIVE_COST]]
+            [TELE_SEND_COST] * 3 + [RECEIVE_COST, TELE_SEND_COST, RECEIVE_COST],
+            [1] * 6]
 
-    @pytest.mark.parametrize("path, node, kind", [
-        ((4, 2, 5), 2, "transit"),    # a host has no transit pool
-        ((4, 0, 9), 9, "receive"),    # a node past every pool's node
-        ((0, 2, 5), 0, "send"),       # a repeater has no send pool
-    ])
-    def test_missing_pool_names_session_and_node(self, path, node, kind):
+    @pytest.mark.parametrize("table, path, node, kind", [
+        ("tele", (4, 2, 5), 2, "transit"),    # a host has no transit pool
+        ("tele", (4, 0, 9), 9, "receive"),    # a node past every pool's node
+        ("tele", (0, 2, 5), 0, "send"),       # a repeater has no send pool
+        # Tell-and-go hops: over relays one per link, over switches one
+        # from source to destination.
+        ("relay", (4, 0, 1, 5), 0, "receive"),
+        ("relay", (1, 2, 5), 1, "send"),
+        ("switch", (0, 2, 5), 0, "send"),
+        ("switch", (4, 2, 9), 9, "receive"),
+    ], ids=["path0-2-transit", "path1-9-receive", "path2-0-send",
+            "relay-0-receive", "relay-1-send", "switch-0-send",
+            "switch-9-receive"])
+    def test_missing_pool_names_session_and_node(self, table, path, node,
+                                                 kind):
         """A path node without the pool its role needs is refused, not
         read as pool -1: hosts 2, 4 and 5 have send and receive pools
-        only, repeaters 0 and 1 transit only."""
+        only, repeaters 0 and 1 transit only.  Session 11's path has
+        every pool each table needs."""
         pools = PoolTable(
             [MemoryPool(host, kind, 10) for host in (2, 4, 5)
              for kind in ("send", "receive")]
             + [MemoryPool(repeater, "transit", 10) for repeater in (0, 1)])
-        table = SessionTable(pools, reserve_teleport, explicit=False)
+        table, first = {
+            "tele": (SessionTable(pools, reserve_teleport, explicit=False),
+                     (4, 0, 1, 5)),
+            "relay": (HopTable(pools, ChannelModel(1.0),
+                               np.random.default_rng(0), switched=False),
+                      (4, 2, 5)),
+            "switch": (HopTable(pools, ChannelModel(1.0),
+                                np.random.default_rng(0), switched=True),
+                       (4, 0, 1, 5)),
+        }[table]
         with pytest.raises(ConfigError,
                            match=f"session 12: node {node} has no {kind} pool"):
-            table.admit([(11, Path((4, 0, 1, 5)), 8, None),
+            table.admit([(11, Path(first), 8, None),
                          (12, Path(path), 8, None)])
         assert len(table.session) == 0
 

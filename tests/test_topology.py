@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import qdnsim.topology as topology_mod
 from qdnsim.errors import GenerationError
 from qdnsim.topology import (
     MIN_ALPHA,
@@ -124,16 +125,36 @@ class TestGenerateWaxman:
             (0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4),
             (2, 6), (3, 5), (3, 6)]
 
-    def test_failed_calibration_names_its_cause(self):
-        # At alpha 0.01 the bisection starts from beta = exp(100) and its 64
-        # halvings stop near 1.5e24, far above the betas that wire 50 nodes
-        # at degree 4, so the error names the size, alpha and that beta.
+    def test_failed_calibration_names_its_cause(self, monkeypatch):
+        # With no bisection step, only beta = exp(1 / alpha) is tried: at
+        # alpha 0.01 it wires 50 nodes at average degree 49.
+        monkeypatch.setattr(topology_mod, "_MAX_BISECTION_STEPS", 0)
         with pytest.raises(GenerationError) as caught:
             generate_waxman(50, 4.0, 100.0, 0.01, seed=1)
         assert str(caught.value) == (
-            "degree calibration failed at n_infra 50, alpha 0.01: best "
-            "average 33.24 vs target 4.0; the bisection from beta = "
-            "exp(1 / alpha) = 2.69e+43 reached no beta below 1.46e+24")
+            "degree calibration failed at n_infra 50, alpha 0.01: no beta "
+            "tried came within 0.5 of degree 4.0; the closest was 45.00 away")
+
+    @pytest.mark.parametrize("n_infra", [50, 200])
+    def test_small_alpha_generates_or_names_an_unreachable_target(
+            self, n_infra):
+        # Halving beta from exp(1 / alpha) stops far above the betas that
+        # wire a sparse graph below alpha 0.025; the bisection over
+        # log(beta) reaches them.
+        alphas = [MIN_ALPHA, 0.002, 0.003, 0.005, 0.0075, 0.01, 0.0125,
+                  0.015, 0.02, 0.025, 0.03, 0.04, 0.05]
+        for alpha in alphas:
+            for seed in (1, 2, 3):
+                topology = generate_waxman(n_infra, 4.0, 100.0, alpha, seed)
+                infra = [edge for edge in topology.edges
+                         if max(edge) < n_infra]
+                assert abs(2 * len(infra) / n_infra - 4.0) <= 0.5
+                assert bfs_connected(topology)
+            # A degree above n_infra - 1 is out of reach of every beta.
+            with pytest.raises(GenerationError, match=(
+                    f"^cannot reach degree {n_infra}.0 with {n_infra} "
+                    f"nodes$")):
+                generate_waxman(n_infra, float(n_infra), 100.0, alpha, 1)
 
     def test_hosts_have_degree_one(self):
         topology = generate_waxman(20, 4.0, 100.0, 0.4, seed=5)

@@ -418,24 +418,26 @@ def emit_table(rows: list[dict], out_dir: str | FsPath, name: str,
 
 def run_preset(name: str, seeds: list[int], out_dir: str | FsPath,
                formats: list[str]) -> list[FsPath]:
-    """Execute every run of a preset and write traces plus summary tables."""
+    """Execute every run of a preset, writing its traces and keeping only
+    its table row, then write the summary tables from the rows."""
     if not seeds:
         raise ConfigError("at least one seed is required")
     for index, seed in enumerate(seeds):
         if seed in seeds[:index]:
             raise ConfigError(f"seed {seed} is listed more than once")
     preset = preset_mod.get_preset(name)
-    runs = preset.build(seeds)
-    results: dict[str, RunResult] = {}
     written: list[FsPath] = []
+    rows: list[dict] = []
     run_dir = FsPath(out_dir) / name
-    for preset_run in runs:
+    for preset_run in preset.build(seeds):
         result = run(preset_run.config)
-        results[preset_run.label] = result
         written.extend(emit(result, run_dir, preset_run.label, formats))
-    for table_name, rows in preset.summarize(results).items():
+        rows.append(preset.row(preset_run, result))
+        # Drop the trace before the next run makes its own.
+        del result
+    for table_name, table in preset.summarize(rows).items():
         written.extend(
-            emit_table(rows, out_dir, f"{name}_{table_name}", formats)
+            emit_table(table, out_dir, f"{name}_{table_name}", formats)
         )
     return written
 

@@ -1,12 +1,16 @@
 """Experiment presets: canned configuration sweeps with summary tables.
 
-Each preset is a pure generator of run configurations plus a summarizer
-that reduces the finished runs to flat tables (one per output file).
+Each preset is a pure generator of run configurations, a reduction of a
+finished run to one flat row (its label as ``run``, the fields its builder
+knows and a few numbers), and a summarizer that combines the rows into flat
+tables, one per output file.  A run is dropped once reduced, so a preset
+holds about one run's trace at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from .engine import Protocol, RunConfig, RunResult, SessionSpec, WaxmanSpec
@@ -40,13 +44,20 @@ TELE_PROTOCOLS = [Protocol.TELE, Protocol.EW, Protocol.FRA]
 class PresetRun:
     label: str
     config: RunConfig
+    #: Row fields the builder knows, such as the swept axis's value.
+    key: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Preset:
     name: str
     build: Callable[[list[int]], list[PresetRun]]
-    summarize: Callable[[dict[str, RunResult]], dict[str, list[dict]]]
+    reduce: Callable[[RunResult], dict]
+    summarize: Callable[[list[dict]], dict[str, list[dict]]]
+
+    def row(self, run: PresetRun, result: RunResult) -> dict:
+        """``run``'s label, key and reduction, in that column order."""
+        return {"run": run.label, **run.key, **self.reduce(result)}
 
 
 def many_to_one_topology(
@@ -152,21 +163,11 @@ def micro_metrics(result: RunResult) -> dict:
     }
 
 
-def _summarize_micro(results: dict[str, RunResult]) -> dict[str, list[dict]]:
-    rows = []
-    for label in sorted(results):
-        result = results[label]
-        metrics = micro_metrics(result)
-        rows.append({
-            "run": label,
-            "protocol": result.protocol,
-            "seed": result.seed,
-            "jain_first_100": metrics["jain_first_100"],
-            "min_utilization_after_10": metrics["min_utilization_after_10"],
-            "max_idle_after_10": metrics["max_idle_after_10"],
-            "delivered_total": result.summary["delivered_total"],
-        })
-    return {"summary": rows}
+def _micro_row(result: RunResult) -> dict:
+    metrics = micro_metrics(result)
+    del metrics["mean_windows"]
+    return {"protocol": result.protocol, "seed": result.seed, **metrics,
+            "delivered_total": result.summary["delivered_total"]}
 
 
 # -- wide-area sweeps ----------------------------------------------------
@@ -185,39 +186,27 @@ def _build_sweep(seeds: list[int], prefix: str, axis_name: str,
                 runs.append(PresetRun(
                     f"{prefix}{value}_{protocol.value}_seed{seed}",
                     _sweep_config(seed, protocol, **sizes),
+                    {axis_name: value},
                 ))
     return runs
 
 
-def _sweep_rows(results: dict[str, RunResult],
-                axis_name: str) -> dict[str, list[dict]]:
-    rows = []
-    for label in sorted(results):
-        result = results[label]
-        rows.append({
-            "run": label,
-            axis_name: int(label.split("_")[0][1:]),
-            "protocol": result.protocol,
-            "seed": result.seed,
-            "delivered_total": result.summary["delivered_total"],
-            "throughput_per_slot": result.summary["throughput_per_slot"],
-            "jain_mean_window": result.summary["jain_mean_window"],
-        })
+def _totals_row(result: RunResult) -> dict:
+    return {"protocol": result.protocol, "seed": result.seed,
+            **{name: result.summary[name] for name in (
+                "delivered_total", "throughput_per_slot", "jain_mean_window")}}
+
+
+def _sweep_rows(rows: list[dict], axis_name: str) -> dict[str, list[dict]]:
+    rows = sorted(rows, key=itemgetter("run"))
     means: dict[tuple, list[int]] = {}
     for row in rows:
         means.setdefault((row[axis_name], row["protocol"]), []).append(
-            row["delivered_total"]
-        )
-    mean_rows = [
-        {
-            axis_name: axis,
-            "protocol": protocol,
-            "seeds": len(values),
-            "mean_delivered": sum(values) / len(values),
-        }
-        for (axis, protocol), values in sorted(means.items())
-    ]
-    return {"runs": rows, "means": mean_rows}
+            row["delivered_total"])
+    return {"runs": rows, "means": [
+        {axis_name: axis, "protocol": protocol, "seeds": len(values),
+         "mean_delivered": sum(values) / len(values)}
+        for (axis, protocol), values in sorted(means.items())]}
 
 
 # -- teleportation vs switched tell-and-go tradeoffs ---------------------
@@ -231,10 +220,10 @@ def _tele_runs(seeds: list[int]) -> list[PresetRun]:
     ]
 
 
-def _mean_delivered(results: dict[str, RunResult], prefix: str) -> float:
-    """Mean delivered total over the runs whose label starts with ``prefix``."""
-    totals = [r.summary["delivered_total"] for label, r in results.items()
-              if label.startswith(prefix)]
+def _mean_delivered(rows: list[dict], **match) -> float:
+    """Mean delivered total over the rows whose fields hold ``match``."""
+    totals = [row["delivered_total"] for row in rows
+              if match.items() <= row.items()]
     return sum(totals) / len(totals)
 
 
@@ -244,7 +233,7 @@ def _build_tradeoff_prob(seeds: list[int]) -> list[PresetRun]:
         for seed in seeds:
             runs.append(PresetRun(
                 f"tag_p{int(round(p * 100)):03d}_seed{seed}",
-                _switch_config(seed, p),
+                _switch_config(seed, p), {"p": p},
             ))
     return runs
 
@@ -276,11 +265,11 @@ def _tradeoff_tables(rows: list[dict], axis: str, metric: str,
     }
 
 
-def _summarize_tradeoff_prob(results):
-    tele_mean = _mean_delivered(results, "tele_")
+def _summarize_tradeoff_prob(runs: list[dict]) -> dict[str, list[dict]]:
+    tele_mean = _mean_delivered(runs, protocol=Protocol.TELE.value)
     rows = []
     for p in PROB_GRID:
-        tag_mean = _mean_delivered(results, f"tag_p{int(round(p * 100)):03d}_")
+        tag_mean = _mean_delivered(runs, protocol=Protocol.TAG.value, p=p)
         rows.append({
             "p": p,
             "tag_mean_delivered": tag_mean,
@@ -298,9 +287,9 @@ def _build_tradeoff_slot(seeds: list[int]) -> list[PresetRun]:
     ]
 
 
-def _summarize_tradeoff_slot(results):
-    tele_mean = _mean_delivered(results, "tele_")
-    tag_mean = _mean_delivered(results, "tag_")
+def _summarize_tradeoff_slot(runs: list[dict]) -> dict[str, list[dict]]:
+    tele_mean = _mean_delivered(runs, protocol=Protocol.TELE.value)
+    tag_mean = _mean_delivered(runs, protocol=Protocol.TAG.value)
     rows = []
     for ratio in RATIO_GRID:
         # Teleportation slots are `ratio` times longer; throughputs are
@@ -318,21 +307,23 @@ def _summarize_tradeoff_slot(results):
 
 
 PRESETS: dict[str, Preset] = {
-    "appendix_e": Preset("appendix_e", _build_micro, _summarize_micro),
+    "appendix_e": Preset("appendix_e", _build_micro, _micro_row,
+                         lambda rows: {"summary": sorted(
+                             rows, key=itemgetter("run"))}),
     "net_size_sweep": Preset(
         "net_size_sweep",
         lambda seeds: _build_sweep(seeds, "n", "n_infra", NET_SIZES),
-        lambda results: _sweep_rows(results, "n_infra"),
+        _totals_row, lambda rows: _sweep_rows(rows, "n_infra"),
     ),
     "workload_sweep": Preset(
         "workload_sweep",
         lambda seeds: _build_sweep(seeds, "s", "n_sessions", WORKLOADS),
-        lambda results: _sweep_rows(results, "n_sessions"),
+        _totals_row, lambda rows: _sweep_rows(rows, "n_sessions"),
     ),
     "tradeoff_prob": Preset("tradeoff_prob", _build_tradeoff_prob,
-                            _summarize_tradeoff_prob),
+                            _totals_row, _summarize_tradeoff_prob),
     "tradeoff_slot": Preset("tradeoff_slot", _build_tradeoff_slot,
-                            _summarize_tradeoff_slot),
+                            _totals_row, _summarize_tradeoff_slot),
 }
 
 

@@ -364,8 +364,14 @@ def generate_waxman(
                 if components == 1:
                     break
 
-    if abs(2.0 * len(edges) / n_infra - target_avg_degree) > _DEGREE_TOLERANCE:
-        raise GenerationError("connectivity repair pushed degree out of range")
+    # The repair added one edge per component past the first.
+    degree = 2.0 * len(edges) / n_infra
+    if abs(degree - target_avg_degree) > _DEGREE_TOLERANCE:
+        raise GenerationError(
+            "connectivity repair pushed degree out of range: joining "
+            f"{len(edges) - len(chosen) + 1} components took the average "
+            f"degree to {degree:.2f}, not within {_DEGREE_TOLERANCE} of "
+            f"degree {target_avg_degree}")
 
     infra_kind = INFRA_KIND[network]
     infra_capacity = 0 if infra_kind is NodeKind.SWITCH else capacity

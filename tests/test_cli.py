@@ -1,9 +1,11 @@
 """Config parsing, file emission, and the command-line entry points."""
 
 import csv
+import gc
 import json
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -893,6 +895,24 @@ class TestRunPreset:
         with pytest.raises(ConfigError, match=match):
             run_preset("tradeoff_prob", seeds, tmp_path, ["tabular"])
         assert not any(tmp_path.iterdir())
+
+    def test_no_result_outlives_its_row(self, tmp_path, monkeypatch):
+        # A preset keeps each run's table row, not its trace: when a run
+        # starts, every earlier run's result is gone, and so is the last
+        # one once the tables are written.
+        made = []
+
+        def tracked(config):
+            gc.collect()
+            assert [ref() for ref in made] == [None] * len(made)
+            result = run(config)
+            made.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli, "run", tracked)
+        run_preset("tradeoff_slot", [1], tmp_path, ["tabular"])
+        gc.collect()
+        assert len(made) == 2 and [ref() for ref in made] == [None, None]
 
     def test_byte_identical_reruns(self, tmp_path):
         for attempt in ("x", "y"):

@@ -126,6 +126,18 @@ class TestGenerateWaxman:
             (2, 6), (3, 5), (3, 6)]
 
     def test_failed_calibration_names_its_cause(self, monkeypatch):
+        # Calibrated within the tolerance of degree 3, these samples fall
+        # apart into components, and one repair edge per extra component
+        # takes the degree past it.
+        for args, components, degree in [((10, 0.015, 1), 3, "3.60"),
+                                         ((50, MIN_ALPHA, 3), 8, "3.52")]:
+            n_infra, alpha, seed = args
+            with pytest.raises(GenerationError) as caught:
+                generate_waxman(n_infra, 3.0, 100.0, alpha, seed)
+            assert str(caught.value) == (
+                "connectivity repair pushed degree out of range: joining "
+                f"{components} components took the average degree to "
+                f"{degree}, not within 0.5 of degree 3.0")
         # With no bisection step, only beta = exp(1 / alpha) is tried: at
         # alpha 0.01 it wires 50 nodes at average degree 49.
         monkeypatch.setattr(topology_mod, "_MAX_BISECTION_STEPS", 0)

@@ -3,11 +3,11 @@
 Each slot runs a fixed phase order: admit the sessions the start-slot
 schedule lists for it, routed under the load table; step the flow table,
 which reserves memory for the announced windows, transfers, advances the
-windows and retires the flows that finish; record the rows it returns and
-the pool totals; clear every pool.  Only a slot that admits builds the
-load table, from the last pool block: a list of every node's reserved
-fraction, indexed by node id, from its ``np.bincount`` by node over node
-capacity (0.0 where nothing is held, and in slot 0).  The last slot
+windows and retires the flows that finish; copy the pool totals; clear
+every pool.  Only a slot that admits builds the load table, from the last
+slot's copy: a list of every node's reserved fraction, indexed by node
+id, from its ``np.bincount`` by node over node capacity (0.0 where
+nothing is held, and in slot 0).  The last slot
 that admits drops the topology's hop cache.  The pools live in
 one ``memory.PoolTable`` and every slot reserves them in one array pass
 over the slot's reservation points.  The
@@ -16,13 +16,13 @@ flow table is a ``tele.SessionTable`` of teleportation sessions or a
 flow's points are fixed when it is admitted, and only the tell-and-go
 floors are built per slot.  Either table runs the whole slot for all its
 rows as array passes.  A pool keeps only its reserved total, for one slot;
-what transport state outlives it lives in the table.  The loop keeps the
-trace as int64 column blocks (see ``trace``): the columns the table
-returns, and a copy of the pool totals beside the pool nodes, kind codes
-and capacities every block shares (``PoolTable.node``, ``kind`` and
-``capacity``), per slot stepped, so nothing is allocated by the slot count
-up front.  It builds no row objects; ``metrics.summarize`` reads the
-columns into the run summary.
+what transport state outlives it lives in the table.  The engine keeps no
+trace: ``Engine.step`` returns the slot's int64 column blocks (see
+``trace``), the columns the table returns and the copy of the pool totals
+beside the pool nodes, kind codes and capacities every block shares
+(``PoolTable.node``, ``kind`` and ``capacity``).  ``Engine.run`` wraps
+every slot's blocks as the run's two ``trace.Rows``.  It builds no row
+objects; ``metrics.summarize`` reads the columns into the run summary.
 """
 
 from __future__ import annotations
@@ -157,8 +157,9 @@ def _within(what: str, value: int, low: int,
 @dataclass
 class RunResult:
     """One run's trace and summary.  ``session_rows`` and ``pool_rows``
-    are read-only ``trace.Rows`` over the engine's int64 column blocks; a
-    hand-built result may hold row lists instead."""
+    are read-only ``trace.Rows`` over the int64 column blocks of every
+    slot ``Engine.step`` ran; a hand-built result may hold row lists
+    instead."""
 
     protocol: str
     network: str
@@ -242,9 +243,8 @@ class Engine:
             }[cfg.protocol], explicit=cfg.protocol is Protocol.EW)
         # Every admitted session's path.
         self.paths: dict[int, tuple[int, ...]] = {}
-        # The trace so far: one block of columns per slot.
-        self.session_rows = Rows(SessionRow, [])
-        self.pool_rows = Rows(PoolRow, [])
+        # The last slot's pool totals, which routing's load table reads.
+        self._reserved = self.pools.reserved.copy()
         self.slot = 0
 
     # -- setup ---------------------------------------------------------
@@ -304,30 +304,30 @@ class Engine:
 
     # -- per-slot phases ------------------------------------------------
 
-    def step(self) -> None:
+    def step(self) -> tuple[int, tuple, tuple]:
+        """Run the next slot; returns its ``(slot, session columns, pool
+        columns)``, the blocks ``run`` wraps as ``trace.Rows``."""
         if self.slot >= self.cfg.n_slots:
             raise RuntimeError(f"slot {self.slot}: the run has only "
                                f"{self.cfg.n_slots} slots")
         self.table.admit(self._admit())
-        self.session_rows.blocks.append((self.slot, self.table.step()))
+        sessions = self.table.step()
         # A copy: surplus releases and ``clear`` write the totals in place.
-        self.pool_rows.blocks.append((self.slot, (
-            self.pools.node, self.pools.kind, self.pools.reserved.copy(),
-            self.pools.capacity)))
+        self._reserved = self.pools.reserved.copy()
         self.pools.clear()
-        self.slot += 1
+        slot, self.slot = self.slot, self.slot + 1
+        return slot, sessions, (self.pools.node, self.pools.kind,
+                                self._reserved, self.pools.capacity)
 
     @property
     def _load(self) -> list[float]:
-        """Reserved fraction per node, indexed by node id, in the last pool
-        block (all 0.0 before the first); routing reads it in a slot that
+        """Reserved fraction per node, indexed by node id, in the last slot
+        stepped (all 0.0 before the first); routing reads it in a slot that
         admits."""
         capacity = self._node_capacity
-        if not self.pool_rows.blocks:
-            return [0.0] * len(capacity)
-        node, _, reserved, _ = self.pool_rows.blocks[-1][1]
         # Node totals are exact float sums (see memory.MAX_UNITS).
-        occupancy = np.bincount(node, reserved, len(capacity))
+        occupancy = np.bincount(self.pools.node, self._reserved,
+                                len(capacity))
         held = np.flatnonzero(occupancy)
         occupancy[held] = np.minimum(1.0, occupancy[held] / capacity[held])
         return occupancy.tolist()
@@ -335,9 +335,12 @@ class Engine:
     # -- whole run ------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Step the slots left, then summarize the whole run."""
-        while self.slot < self.cfg.n_slots:
-            self.step()
+        """Step every slot of a fresh engine, then summarize the whole run;
+        raises RuntimeError, naming the slot, if the engine was stepped."""
+        if self.slot:
+            raise RuntimeError(f"slot {self.slot}: run() needs an engine "
+                               "that was never stepped")
+        blocks = [self.step() for _ in range(self.cfg.n_slots)]
         result = RunResult(
             protocol=self.cfg.protocol.value,
             network=self.cfg.network.value,
@@ -345,8 +348,10 @@ class Engine:
             n_slots=self.cfg.n_slots,
             slot_length=self.cfg.slot_length,
             paths=dict(sorted(self.paths.items())),
-            session_rows=self.session_rows,
-            pool_rows=self.pool_rows,
+            session_rows=Rows(SessionRow, [(slot, columns)
+                                           for slot, columns, _ in blocks]),
+            pool_rows=Rows(PoolRow, [(slot, columns)
+                                     for slot, _, columns in blocks]),
             summary={},
         )
         result.summary = summarize(result)

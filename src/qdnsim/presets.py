@@ -198,7 +198,7 @@ def _totals_row(result: RunResult) -> dict:
 
 
 def _sweep_rows(rows: list[dict], axis_name: str) -> dict[str, list[dict]]:
-    rows = sorted(rows, key=itemgetter("run"))
+    rows = sorted(rows, key=itemgetter(axis_name, "protocol", "seed"))
     means: dict[tuple, list[int]] = {}
     for row in rows:
         means.setdefault((row[axis_name], row["protocol"]), []).append(
@@ -309,7 +309,7 @@ def _summarize_tradeoff_slot(runs: list[dict]) -> dict[str, list[dict]]:
 PRESETS: dict[str, Preset] = {
     "appendix_e": Preset("appendix_e", _build_micro, _micro_row,
                          lambda rows: {"summary": sorted(
-                             rows, key=itemgetter("run"))}),
+                             rows, key=itemgetter("protocol", "seed"))}),
     "net_size_sweep": Preset(
         "net_size_sweep",
         lambda seeds: _build_sweep(seeds, "n", "n_infra", NET_SIZES),

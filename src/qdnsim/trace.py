@@ -5,11 +5,13 @@ A run keeps its trace as columns, one block per slot: the slot, then one
 column per field after ``slot``, all of one length.  Every column is a
 1-D int64 array.  An ``int`` field's column holds non-negative values; a
 ``str`` field's column holds codes, code ``i`` standing for the word
-``WORDS[field][i]``.  Blocks may share a column object: the engine's
-pool blocks share the pool nodes, kinds and capacities, and only
+``WORDS[field][i]``.  ``Engine.step`` returns one slot's session and
+pool blocks.  Blocks may share a column object: the engine's pool blocks
+share the pool nodes, kinds and capacities, and only
 ``cli._field_cells`` relies on that, converting such a column to text
-once.  A column is never written once its block is kept: the flow tables
-build new arrays each slot rather than write into the ones they returned.
+once.  A column is never written once its block is returned: the flow
+tables build new arrays each slot rather than write into the ones they
+returned.
 ``Rows`` reads the blocks as a sequence of row tuples, built only when
 asked for, with every code as its word; ``Rows.of`` turns a list of rows
 into such blocks.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain, groupby, islice, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import eq, index as as_index, itemgetter
 from typing import NamedTuple
 
@@ -85,16 +87,17 @@ def _column(field: str, values) -> np.ndarray:
 
 class Rows(Sequence):
     """Trace rows of ``row_type`` over a list of ``(slot, columns)``
-    blocks, in block then column order.  The list may grow (a running
-    engine appends a block per slot); rows are built on access, with
-    Python ``int`` and ``str`` fields.  Indexing and slicing follow
-    ``list``, a slice is a list, and a ``Rows`` equals a list or another
-    ``Rows`` that holds equal rows in the same order."""
+    blocks, in block then column order.  The list does not grow once the
+    ``Rows`` is built; rows are built on access, with Python ``int`` and
+    ``str`` fields.  Indexing and slicing follow ``list``, a slice is a list, and
+    a ``Rows`` equals a list or another ``Rows`` that holds equal rows in
+    the same order."""
 
     def __init__(self, row_type: type, blocks: list):
         self.row_type = row_type
         self.blocks = blocks
-        self._ends: list[int] = []
+        # Each block's end as a row offset.
+        self._ends = list(accumulate(len(columns[0]) for _, columns in blocks))
 
     @classmethod
     def of(cls, row_type: type, rows) -> Rows:
@@ -107,16 +110,8 @@ class Rows(Sequence):
             (slot, list(map(_column, row_type._fields, zip(*group)))[1:])
             for slot, group in groupby(rows, itemgetter(0))])
 
-    def _offsets(self) -> list[int]:
-        """Each block's end as a row offset."""
-        ends = self._ends
-        for _, columns in self.blocks[len(ends):]:
-            ends.append((ends[-1] if ends else 0) + len(columns[0]))
-        return ends
-
     def __len__(self) -> int:
-        ends = self._offsets()
-        return ends[-1] if ends else 0
+        return self._ends[-1] if self._ends else 0
 
     def __iter__(self):
         fields = self.row_type._fields[1:]

@@ -23,6 +23,7 @@ from qdnsim.engine import (Engine, Protocol, RunConfig, SessionSpec,
 from qdnsim.errors import QdnError
 from qdnsim.tele import UNBOUNDED
 from qdnsim.topology import NetworkKind
+from qdnsim.trace import PoolRow, Rows, SessionRow
 
 CONFIG_COUNT = 96
 GENERATOR_SEED = 17
@@ -64,6 +65,13 @@ def watch_pool_totals(engine: Engine) -> list[int]:
 
     pools.sums, pools.clear = watched_sums, watched_clear
     return largest
+
+
+def step_rows(engine: Engine) -> tuple[Rows, Rows]:
+    """Step ``engine`` one slot; the blocks it returns as session and pool
+    ``Rows``."""
+    slot, sessions, pools = engine.step()
+    return Rows(SessionRow, [(slot, sessions)]), Rows(PoolRow, [(slot, pools)])
 
 
 def generate(count: int, seed: int) -> list[RunConfig]:
@@ -171,15 +179,13 @@ def test_invariants_hold_after_every_step(index):
     relay = cfg.network is NetworkKind.TAG_RELAY
     delivered = {}
     for _ in range(cfg.n_slots):
-        rows, pool_rows = len(engine.session_rows), len(engine.pool_rows)
         try:
-            engine.step()
+            session_rows, pool_rows = step_rows(engine)
         except QdnError:  # a rejected config; the run above compares it
             return
         assert largest[0] < EXACT_TOTALS, largest
-        assert all(row.reserved <= row.capacity
-                   for row in engine.pool_rows[pool_rows:])
-        for row in engine.session_rows[rows:]:
+        assert all(row.reserved <= row.capacity for row in pool_rows)
+        for row in session_rows:
             assert row.granted == (row.window // 2 if row.congested
                                    else row.window), row
             if row.hop == (len(engine.paths[row.session]) - 2 if relay else 0):

@@ -1,5 +1,6 @@
 """Slot loop: phase ordering, determinism, conservation."""
 
+import tracemalloc
 from dataclasses import replace
 from itertools import accumulate
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qdnsim import metrics
+from qdnsim.cli import emit
 from qdnsim.engine import (
     Engine,
     Protocol,
@@ -25,6 +27,8 @@ from qdnsim.rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from qdnsim.routing import compute_path
 from qdnsim.tag import ChannelModel, _reserve
 from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
+from qdnsim.trace import PoolRow, Rows, SessionRow
+from test_differential import step_rows
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -76,8 +80,9 @@ class TestTeleRuns:
     def test_finished_session_leaves_flows_and_keeps_its_path(self):
         # Session 0 delivers its 3 qubits in the first slot; session 1
         # streams on and keeps its reservation points.
-        engine = Engine(star_config(Protocol.TELE, NetworkKind.TELE,
-                                    [(3, 5), (None, None)], n_slots=2))
+        cfg = star_config(Protocol.TELE, NetworkKind.TELE,
+                          [(3, 5), (None, None)], n_slots=2)
+        engine = Engine(cfg)
         engine.step()
         index = engine.pools.index
         assert engine.table.session.tolist() == [1]
@@ -85,33 +90,34 @@ class TestTeleRuns:
         assert engine.table.pool.tolist() == [
             index[2, "send"], index[0, "transit"], index[3, "receive"]]
         assert engine.paths == {0: (1, 0, 3), 1: (2, 0, 3)}
-        assert engine.run().paths == engine.paths
+        assert run(cfg).paths == engine.paths
 
-    def test_run_after_step_steps_only_the_slots_left(self):
+    def test_run_needs_an_engine_never_stepped(self):
+        # run() steps every slot itself: after step(), or a second time,
+        # it raises, naming the slot the engine is at.
         cfg = star_config(Protocol.TELE, NetworkKind.TELE, [(None, None)],
                           n_slots=2)
         engine = Engine(cfg)
         engine.step()
-        result = engine.run()
-        assert result.session_rows == run(cfg).session_rows
-        assert [row.slot for row in result.session_rows] == [0, 1]
-        assert {row.slot for row in result.pool_rows} == {0, 1}
-        assert result.n_slots == 2
-        assert result.summary["throughput_per_slot"] == 3 / 2
-        assert engine.run().session_rows == result.session_rows
+        with pytest.raises(RuntimeError, match="^slot 1: run"):
+            engine.run()
+        engine = Engine(cfg)
+        engine.run()
+        with pytest.raises(RuntimeError, match="^slot 2: run"):
+            engine.run()
 
     def test_step_past_the_last_slot_is_an_error(self):
         engine = Engine(star_config(Protocol.TELE, NetworkKind.TELE,
                                     [(None, None)], n_slots=1))
-        engine.run()
+        result = engine.run()
         with pytest.raises(RuntimeError, match="slot 1: the run has only 1 "
                                                "slots"):
             engine.step()
-        assert len(engine.session_rows) == 1
+        assert len(result.session_rows) == 1
 
     def test_slot_count_allocates_nothing_up_front(self):
         # A trillion slots would need a 175 TiB pool matrix allocated in
-        # advance; the run keeps one pool block per slot stepped instead.
+        # advance; each step returns its slot's pool block instead.
         def config(n_slots):
             return RunConfig(
                 seed=1, protocol=Protocol.TELE, network=NetworkKind.TELE,
@@ -119,10 +125,9 @@ class TestTeleRuns:
                                     area_side=40.0),
                 sessions=4, n_slots=n_slots)
         engine = Engine(config(10**12))
-        for _ in range(3):
-            engine.step()
-        assert engine.pool_rows == run(config(3)).pool_rows
-        assert any(row.reserved for row in engine.pool_rows)
+        pool_rows = [row for _ in range(3) for row in step_rows(engine)[1]]
+        assert pool_rows == run(config(3)).pool_rows
+        assert any(row.reserved for row in pool_rows)
 
     def test_zero_slots(self):
         cfg = star_config(Protocol.TELE, NetworkKind.TELE, [(None, None)],
@@ -166,6 +171,36 @@ class TestTeleRuns:
         for row in result.session_rows:
             first_slots.setdefault(row.session, row.slot)
         assert first_slots == {0: 0, 1: 3}
+
+
+class TestStepMemory:
+    #: Bytes stepping may leave held after 800 slots beyond what it held
+    #: after 200 when the caller drops every block: the engine keeps only
+    #: its live state and the last slot's pool totals.  Keeping a block per
+    #: slot held 0.8 MB (tele) and 1.5 MB (tag relay) more.
+    GROWTH_BYTES = 2**16
+
+    @pytest.mark.parametrize("protocol, network", [
+        (Protocol.TELE, NetworkKind.TELE),
+        (Protocol.TAG, NetworkKind.TAG_RELAY),
+    ], ids=["tele", "tag_relay"])
+    def test_held_memory_does_not_grow_with_the_slot_count(self, protocol,
+                                                            network):
+        held = []
+        for n_slots in (200, 800):
+            engine = Engine(RunConfig(
+                seed=1, protocol=protocol, network=network,
+                topology=WaxmanSpec(n_infra=8, target_avg_degree=3.0,
+                                    area_side=40.0),
+                sessions=4, n_slots=n_slots))
+            tracemalloc.start()
+            try:
+                for _ in range(n_slots):
+                    engine.step()
+                held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        assert held[1] - held[0] < self.GROWTH_BYTES, held
 
 
 class TestTagRuns:
@@ -353,15 +388,15 @@ class TestReservationLifetime:
                                 area_side=40.0),
             sessions=4, n_slots=20, p=p,
         ))
-        carried = 0
+        carried, pool_rows = 0, []
         for _ in range(engine.cfg.n_slots):
-            engine.step()
+            pool_rows += step_rows(engine)[1]
             assert not engine.pools.reserved.any()
             if protocol is Protocol.TAG:
                 hops = engine.table
                 carried += int(hops.firsts.sum() + hops.seconds.sum()
                                + hops.stored.sum())
-        assert any(row.reserved for row in engine.pool_rows)
+        assert any(row.reserved for row in pool_rows)
         assert protocol is not Protocol.TAG or carried > 0
 
     @pytest.mark.parametrize("protocol, network", [
@@ -384,10 +419,8 @@ class TestReservationLifetime:
         capacity = [node.capacity for node in engine.topology.nodes]
         assert engine._load == [0.0] * len(capacity)
         for _ in range(engine.cfg.n_slots):
-            start = len(engine.pool_rows)
-            engine.step()
             totals = [0] * len(capacity)
-            for row in engine.pool_rows[start:]:
+            for row in step_rows(engine)[1]:
                 totals[row.node] += row.reserved
             expected = [min(1.0, total / capacity[node]) if total > 0 else 0.0
                         for node, total in enumerate(totals)]
@@ -418,12 +451,12 @@ class TestReservationLifetime:
                       SessionSpec(start_slot=6), SessionSpec(start_slot=6)],
             n_slots=10, capacity=60))
         monkeypatch.setattr("qdnsim.engine.compute_path", recording)
-        engine.run()
+        result = engine.run()
         capacity = [node.capacity for node in engine.topology.nodes]
 
         def load_after(slot):
             totals = [0] * len(capacity)
-            for row in engine.pool_rows:
+            for row in result.pool_rows:
                 if row.slot == slot:
                     totals[row.node] += row.reserved
             return [min(1.0, total / capacity[node]) if total > 0 else 0.0
@@ -826,16 +859,17 @@ class TestIntegerRange:
 # -- the run summary against the engine's old summary pass -----------------
 
 
-def reference_summary(engine):
+def reference_summary(engine, session_rows):
     """The summary the engine computed from its own flow table before
-    ``metrics.summarize`` took it over, kept frozen as the reference."""
+    ``metrics.summarize`` took it over, kept frozen as the reference, of
+    ``engine``'s run and its ``session_rows``."""
     per_session_windows = {}
     delivered = {}
     egress_hop = {
         sid: len(path) - 2 for sid, path in engine.paths.items()
         if engine.cfg.network is NetworkKind.TAG_RELAY
     }
-    for row in engine.session_rows:
+    for row in session_rows:
         if row.hop == egress_hop.get(row.session, 0):
             delivered[row.session] = delivered.get(row.session, 0) + row.delivered
         slots = per_session_windows.setdefault(row.session, {})
@@ -907,7 +941,7 @@ SUMMARY_CASES = _summary_cases()
 def test_summary_matches_frozen_reference(name):
     engine = Engine(SUMMARY_CASES[name]())
     result = engine.run()
-    expected = reference_summary(engine)
+    expected = reference_summary(engine, result.session_rows)
     # repr pins key order and every float bit for bit.
     assert repr(metrics.summarize(result)) == repr(expected)
     assert repr(result.summary) == repr(expected)
@@ -924,6 +958,35 @@ def test_summary_cases_reach_every_edge():
     assert run(SUMMARY_CASES["no_slots"]()).summary["jain_mean_window"] is None
 
 
+@pytest.mark.parametrize("name", sorted(SUMMARY_CASES))
+def test_stepped_blocks_are_the_run_trace(name, tmp_path):
+    """The blocks successive ``step()`` calls return, wrapped as ``Rows``,
+    are ``run()``'s session and pool rows, summarize to its summary, and
+    ``cli.emit`` writes the same bytes from them; ``no_slots`` is a
+    zero-slot run."""
+    engine = Engine(SUMMARY_CASES[name]())
+    blocks = [engine.step() for _ in range(engine.cfg.n_slots)]
+    result = run(SUMMARY_CASES[name]())
+    stepped = replace(
+        result, paths=dict(sorted(engine.paths.items())),
+        session_rows=Rows(SessionRow, [(slot, columns)
+                                       for slot, columns, _ in blocks]),
+        pool_rows=Rows(PoolRow, [(slot, columns)
+                                 for slot, _, columns in blocks]),
+        summary={})
+    stepped.summary = metrics.summarize(stepped)
+    assert stepped.session_rows == result.session_rows
+    assert stepped.pool_rows == result.pool_rows
+    assert repr(stepped.summary) == repr(result.summary)
+    formats = ["tabular", "records"]
+    written = [emit(each, tmp_path / label, "run", formats)
+               for label, each in (("run", result), ("stepped", stepped))]
+    assert [path.name for path in written[0]] == [
+        path.name for path in written[1]]
+    for ran, step in zip(*written):
+        assert ran.read_bytes() == step.read_bytes(), ran.name
+
+
 @pytest.mark.parametrize("name", ["golden/tele_staggered",
                                   "golden/tag_relay_staggered",
                                   "late_and_empty/tag/tag_relay"])
@@ -938,11 +1001,10 @@ def test_flows_hold_only_live_sessions(name):
     delivered = dict.fromkeys(range(len(specs)), 0)
     retired = set()
     for slot in range(engine.cfg.n_slots):
-        start = len(engine.session_rows)
-        engine.step()
+        session_rows, _ = step_rows(engine)
         admitted = [sid for sid in admission if specs[sid].start_slot <= slot]
         assert sorted(engine.paths) == sorted(admitted)
-        for row in engine.session_rows[start:]:
+        for row in session_rows:
             if row.hop == (len(engine.paths[row.session]) - 2 if relay else 0):
                 delivered[row.session] += row.delivered
         live = [sid for sid in admitted if delivered[sid] != specs[sid].qubits]

@@ -26,6 +26,30 @@ class TestBuilders:
             get_preset("bogus")
 
 
+class TestRowOrder:
+    @pytest.mark.parametrize("name, table, axis", [
+        ("appendix_e", "summary", None),
+        ("net_size_sweep", "runs", "n_infra"),
+        ("workload_sweep", "runs", "n_sessions"),
+    ])
+    def test_runs_order_by_their_fields_with_numeric_seeds(self, name, table,
+                                                           axis):
+        # Labels order seed 10 before seed 2; the row fields do not.
+        preset = PRESETS[name]
+        rows = [{"run": run.label, **run.key,
+                 "protocol": run.config.protocol.value,
+                 "seed": run.config.seed, "delivered_total": 1}
+                for run in preset.build([10, 2])]
+        ordered = preset.summarize(rows)[table]
+        keys = [(row.get(axis), row["protocol"], row["seed"])
+                for row in ordered]
+        assert keys == sorted(keys)
+        assert len(ordered) == len(rows)
+        if name == "appendix_e":
+            assert [row["run"] for row in ordered] == [
+                "tag_seed2", "tag_seed10", "tele_seed2", "tele_seed10"]
+
+
 class TestCrossover:
     def test_interpolates_between_samples(self):
         assert interpolate_crossover([1, 2, 3], [-2, 0, 2]) == 2

@@ -512,8 +512,13 @@ def main(argv: list[str] | None = None) -> int:
             seeds = [_convert("preset", "--seeds", int, s)
                      for s in args.seeds.split(",") if s.strip()]
             written = run_preset(args.name, seeds, args.out, formats)
-    except (QdnError, OSError, ValueError) as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
+    except (QdnError, OSError, ValueError, MemoryError) as exc:
+        name, message = type(exc).__name__, str(exc)
+        if isinstance(exc, MemoryError):
+            # The last resort, for a run within every bound that still
+            # outgrows the host; numpy raises a private subclass.
+            name, message = "MemoryError", message or "out of memory"
+        record = {"error": name, "message": message}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2
     for path in written:

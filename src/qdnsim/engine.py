@@ -44,8 +44,8 @@ from .routing import (DEFAULT_CONGESTION_WEIGHT, MAX_CONGESTION_WEIGHT,
 from .tag import ChannelModel, HopTable
 from .tele import (SessionTable, reserve_explicit, reserve_fair,
                    reserve_teleport)
-from .topology import (DEFAULT_CAPACITY, INFRA_KIND, MIN_ALPHA, NetworkKind,
-                       NodeKind, Topology, generate_waxman)
+from .topology import (DEFAULT_CAPACITY, INFRA_KIND, MAX_INFRA, MIN_ALPHA,
+                       NetworkKind, NodeKind, Topology, generate_waxman)
 from .trace import PoolRow, Rows, SessionRow
 
 
@@ -102,6 +102,18 @@ class RunConfig:
     congestion_weight: float = DEFAULT_CONGESTION_WEIGHT
 
     def validate(self) -> None:
+        """Raise ConfigError, naming the field, for a config outside its
+        bounds.
+
+        ``generate_waxman`` holds an ``n_infra``-square matrix of draws and
+        tables of its ``n_infra**2 / 2`` pairs: its traced peak is 48 bytes
+        per ``n_infra**2`` (measured at 800, 1,600 and 3,200 nodes; 3,200
+        peak at 469 MiB).  So ``MAX_INFRA``, 4,096, bounds setup at
+        48 * 4,096**2 bytes = 768 MiB, under a tenth of an 8 GiB host, and
+        a config above it is refused before anything is allocated.  An
+        inline topology may hold as many nodes as a Waxman one at the
+        bound: ``MAX_INFRA`` infrastructure nodes and a host on each.
+        """
         if self.seed is None:
             raise ConfigError("a seed is mandatory for reproducibility")
         if self.network not in _COMPATIBLE[self.protocol]:
@@ -120,13 +132,15 @@ class RunConfig:
                               f"[0, {MAX_CONGESTION_WEIGHT}]")
         spec = self.topology
         if isinstance(spec, WaxmanSpec):
-            _within("waxman: n_infra", spec.n_infra, 2)
+            _within("waxman: n_infra", spec.n_infra, 2, MAX_INFRA)
             if not MIN_ALPHA <= spec.alpha <= 1:
                 raise ConfigError(f"waxman: alpha must be in [{MIN_ALPHA!r}, 1]")
             for field in ("target_avg_degree", "area_side"):
                 if not 0 < getattr(spec, field) < math.inf:
                     raise ConfigError(f"waxman: {field} must be positive and finite")
         else:
+            _within("inline topology: node count", len(spec.nodes), 0,
+                    2 * MAX_INFRA)
             for node in spec.nodes:
                 _within(f"node {node.id}: capacity", node.capacity, 0,
                         MAX_UNITS)

@@ -8,7 +8,10 @@ through ``Rows.of`` first.  Each table of a finished trace is indexed
 once, by one sort of its columns: the session rows by session and slot,
 with each (session, slot) group's minimum window and each session's
 summary totals, and the nonzero-capacity pool rows by ``(node, pool)``,
-in row order.  Every call then reads one slice of an index.  An index
+in row order.  Every call then reads one slice of an index.  A window
+series is one slice when the rows are in slot order, as every engine
+trace's are (one block per slot); rows out of slot order, as a hand-built
+trace may hold, are sorted back into row order per call.  An index
 drops each temporary column as soon as it is read: it is built when the
 trace is largest, so its peak is the run's.  The index lives on the
 result outside its dataclass fields, so it takes no part in ``==`` or
@@ -19,6 +22,7 @@ or has a different length than when it was built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,10 +73,15 @@ class _SessionIndex:
     ``rows[sid]`` and ``groups[sid]`` are a session's slices of the sorted
     rows and of ``mins``, the minimum window of each of its active slots.
     ``totals[sid]`` is what its egress (highest) hop delivered, the sum of
-    ``mins`` and their count.
+    ``mins`` and their count.  ``in_order`` is whether the blocks' slots
+    never decrease.
     """
 
     def __init__(self, rows: Rows):
+        slots = [slot for slot, _ in rows.blocks]
+        # The sort is stable, so each session's rows keep their row order
+        # when the slots never decrease from block to block.
+        self.in_order = all(map(le, slots, slots[1:]))
         slot, session = _column(rows, "slot"), _column(rows, "session")
         self.order = order = np.lexsort((slot, session))
         slot, session, n = slot[order], session[order], len(order)
@@ -174,10 +183,15 @@ def effective_window(result: RunResult, session: int) -> list[int]:
 
 
 def window_series(result: RunResult, session: int, hop: int = 0) -> list[int]:
-    """Announced window per slot for one session (one hop of a flow)."""
+    """Announced window per slot for one session (one hop of a flow), in
+    row order: one slice of the index when the rows are in slot order, as
+    every engine trace's are; otherwise sorted back into row order."""
     index = _sessions(result)
     start, end = _slice(index.rows, session)
-    at = np.flatnonzero(index.hop[start:end] == hop) + start
+    on_hop = index.hop[start:end] == hop
+    if index.in_order:
+        return index.window[start:end][on_hop].tolist()
+    at = np.flatnonzero(on_hop) + start
     return index.window[at[np.argsort(index.order[at])]].tolist()
 
 

@@ -29,6 +29,10 @@ DEFAULT_CAPACITY = 1000
 #: Smallest Waxman alpha whose bisection bound, exp(1 / alpha), is finite.
 MIN_ALPHA = 1 / math.log(sys.float_info.max)
 
+#: Largest Waxman ``n_infra`` a run accepts; ``engine.RunConfig.validate``
+#: derives it from the generation's peak memory.
+MAX_INFRA = 4096
+
 # Bisection stops early once the realized degree is this close to target,
 # leaving headroom for connectivity-repair edges within the +-0.5 contract.
 _CALIBRATION_SLACK = 0.25

@@ -15,7 +15,8 @@ from qdnsim import cli
 from qdnsim.cli import _fmt, emit, emit_table, main, parse_config, run_preset
 from qdnsim.engine import PoolRow, Protocol, RunResult, SessionRow, run
 from qdnsim.errors import ConfigError
-from qdnsim.topology import NetworkKind, generate_waxman, to_document
+from qdnsim.topology import (MAX_INFRA, NetworkKind, generate_waxman,
+                             to_document)
 from qdnsim.trace import WORDS, Rows
 
 
@@ -863,6 +864,47 @@ class TestMain:
         record = json.loads(captured.err)
         assert record["error"] == "GenerationError"
         assert record["message"] == "cannot reach degree 8.0 with 8 nodes"
+
+    @pytest.mark.parametrize("n_infra", [MAX_INFRA + 1, 10**7])
+    def test_too_many_nodes_refused_before_allocating(self, tmp_path, capsys,
+                                                      n_infra):
+        # Generation would hold 48 bytes per n_infra**2: 90 TiB at 10**7.
+        config = write_config(tmp_path, minimal_doc(
+            topology=waxman(n_infra=n_infra)))
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ConfigError",
+            "message": f"waxman: n_infra must be at most {MAX_INFRA}",
+        }
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "out of memory"),
+        (type("_ArrayMemoryError", (MemoryError,), {})("Unable to allocate"),
+         "Unable to allocate"),
+    ], ids=["bare", "subclass"])
+    def test_memory_error_is_an_error_record(self, tmp_path, capsys,
+                                             monkeypatch, error, message):
+        def run(cfg):
+            raise error
+        monkeypatch.setattr(cli, "run", run)
+        code = main(["run", "--config", str(write_config(tmp_path,
+                                                         minimal_doc())),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "MemoryError",
+                                            "message": message}
 
     @pytest.mark.parametrize("protocol, network", [("tag", "tag_relay"),
                                                    ("tele", "tele")])

@@ -26,7 +26,7 @@ from qdnsim.presets import get_preset
 from qdnsim.rng import CHANNEL_STREAM, SESSION_STREAM, stream
 from qdnsim.routing import compute_path
 from qdnsim.tag import ChannelModel, _reserve
-from qdnsim.topology import NetworkKind, Node, NodeKind, Topology
+from qdnsim.topology import MAX_INFRA, NetworkKind, Node, NodeKind, Topology
 from qdnsim.trace import PoolRow, Rows, SessionRow
 from test_differential import step_rows
 from test_golden import CONFIGS as GOLDEN_CONFIGS
@@ -754,9 +754,16 @@ class TestConfigValidation:
             run(cfg)
 
 
+def host_topology(n):
+    """A tele topology of ``n`` unconnected hosts."""
+    return Topology(NetworkKind.TELE,
+                    [Node(i, NodeKind.HOST, 0.0, 0.0, 0) for i in range(n)], [])
+
+
 class TestIntegerRange:
     """Pool totals are float64 sums, exact below 2**53: capacities and
-    initial windows are bounded by MAX_UNITS, sessions by MAX_SESSIONS."""
+    initial windows are bounded by MAX_UNITS, sessions by MAX_SESSIONS.
+    Topologies are bounded by MAX_INFRA, for setup memory."""
 
     def base(self, **change):
         return replace(RunConfig(
@@ -802,6 +809,12 @@ class TestIntegerRange:
          "capacity must be at most 536870912"),
         ({"topology": WaxmanSpec(1)}, {"topology": WaxmanSpec(2)},
          "waxman: n_infra must be at least 2"),
+        ({"topology": WaxmanSpec(MAX_INFRA + 1)},
+         {"topology": WaxmanSpec(MAX_INFRA)},
+         "waxman: n_infra must be at most 4096"),
+        ({"topology": host_topology(2 * MAX_INFRA + 1)},
+         {"topology": host_topology(2 * MAX_INFRA)},
+         "inline topology: node count must be at most 8192"),
         ({"topology": star_topology(1, hub_capacity=-1)[0]},
          {"topology": star_topology(1, hub_capacity=0)[0]},
          "node 0: capacity must be non-negative"),

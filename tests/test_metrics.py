@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qdnsim.engine import PoolRow, Protocol, RunResult, SessionRow
+from qdnsim import metrics
 from qdnsim.errors import MetricUndefinedError
 from qdnsim.metrics import (
     effective_window,
@@ -248,6 +249,14 @@ ALL_POOLS = [(node, kind) for node in [*range(-1, 7), [0]]
              for kind in [*POOL_KINDS, ["send"]]]
 
 
+@pytest.fixture
+def no_argsort(monkeypatch):
+    """Make ``np.argsort``, as ``metrics`` sees it, raise."""
+    def argsort(*args, **kwargs):
+        raise AssertionError("np.argsort called")
+    monkeypatch.setattr(metrics.np, "argsort", argsort)
+
+
 class TestIndexedMetrics:
     @pytest.mark.parametrize("seed", range(12))
     def test_shuffled_traces_match_scan(self, seed):
@@ -324,3 +333,44 @@ class TestIndexedMetrics:
         pools = {(row.node, row.pool) for row in result.pool_rows}
         assert_matches_scan(result, [*result.paths, max(result.paths) + 1],
                             range(max(hops) + 2), sorted(pools) + [(-1, "send")])
+
+    @pytest.mark.parametrize("name", ["tag_relay", "tag_relay_staggered"])
+    def test_engine_window_series_are_slices(self, name, no_argsort):
+        # Engine rows are in slot order, so a window series is one slice of
+        # the session index, with no per-call sort back into row order.
+        from qdnsim.engine import run
+        from test_golden import CONFIGS
+
+        result = run(CONFIGS[name]())
+        hops = range(max(row.hop for row in result.session_rows) + 2)
+        assert len(hops) >= 4
+        for sid in [*result.paths, max(result.paths) + 1]:
+            for hop in hops:
+                assert window_series(result, sid, hop) == \
+                    scan_window_series(result, sid, hop)
+
+    def test_rows_out_of_slot_order_are_sorted(self, no_argsort):
+        # So the shuffled traces above check the per-call sort.
+        result = result_with(shuffled_trace(0)[0])
+        with pytest.raises(AssertionError, match="argsort"):
+            window_series(result, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hand_built_rows_in_slot_order_match_scan(self, seed, no_argsort):
+        # Sessions start late and finish early, hops may skip slots, and
+        # each slot lists its sessions in a shuffled order.
+        rng = random.Random(seed)
+        n_slots = 12
+        spans = {sid: sorted(rng.sample(range(n_slots + 1), 2))
+                 for sid in range(rng.randint(2, 6))}
+        hops = {sid: rng.randint(1, 3) for sid in spans}
+        session_rows = []
+        for slot in range(n_slots):
+            rows = [session_row(slot, rng.randint(0, 40), hop=hop, session=sid)
+                    for sid, (first, end) in spans.items()
+                    if first <= slot < end
+                    for hop in range(hops[sid]) if rng.random() < 0.9]
+            rng.shuffle(rows)
+            session_rows += rows
+        assert_matches_scan(result_with(session_rows), ALL_SESSIONS, ALL_HOPS,
+                            [])

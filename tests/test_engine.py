@@ -809,12 +809,6 @@ class TestIntegerRange:
          "capacity must be at most 536870912"),
         ({"topology": WaxmanSpec(1)}, {"topology": WaxmanSpec(2)},
          "waxman: n_infra must be at least 2"),
-        ({"topology": WaxmanSpec(MAX_INFRA + 1)},
-         {"topology": WaxmanSpec(MAX_INFRA)},
-         "waxman: n_infra must be at most 4096"),
-        ({"topology": host_topology(2 * MAX_INFRA + 1)},
-         {"topology": host_topology(2 * MAX_INFRA)},
-         "inline topology: node count must be at most 8192"),
         ({"topology": star_topology(1, hub_capacity=-1)[0]},
          {"topology": star_topology(1, hub_capacity=0)[0]},
          "node 0: capacity must be non-negative"),
@@ -840,6 +834,12 @@ class TestIntegerRange:
         ({"sessions": [SessionSpec(), SessionSpec(start_slot=-1)]},
          {"sessions": [SessionSpec(), SessionSpec(start_slot=0)]},
          "session 1: start_slot must be non-negative"),
+        ({"topology": WaxmanSpec(MAX_INFRA + 1)},
+         {"topology": WaxmanSpec(MAX_INFRA)},
+         "waxman: n_infra must be at most 4096"),
+        ({"topology": host_topology(2 * MAX_INFRA + 1)},
+         {"topology": host_topology(2 * MAX_INFRA)},
+         "inline topology: node count must be at most 8192"),
     ])
     def test_every_bound_message(self, change, edge, message):
         # Each integer field's range, with the exact message for each

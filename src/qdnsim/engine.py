@@ -3,9 +3,9 @@
 Each slot runs a fixed phase order: admit the sessions the start-slot
 schedule lists for it, routed under the load table; step the flow table,
 which reserves memory for the announced windows, transfers, advances the
-windows and retires the flows that finish; copy the pool totals; clear
+windows and retires the flows that finish; take the pool totals; clear
 every pool.  Only a slot that admits builds the load table, from the last
-slot's copy: a list of every node's reserved fraction, indexed by node
+slot's totals: a list of every node's reserved fraction, indexed by node
 id, from its ``np.bincount`` by node over node capacity (0.0 where
 nothing is held, and in slot 0).  The last slot
 that admits drops the topology's hop cache.  The pools live in
@@ -18,9 +18,11 @@ floors are built per slot.  Either table runs the whole slot for all its
 rows as array passes.  A pool keeps only its reserved total, for one slot;
 what transport state outlives it lives in the table.  The engine keeps no
 trace: ``Engine.step`` returns the slot's int64 column blocks (see
-``trace``), the columns the table returns and the copy of the pool totals
-beside the pool nodes, kind codes and capacities every block shares
-(``PoolTable.node``, ``kind`` and ``capacity``).  ``Engine.run`` wraps
+``trace``), the columns the table returns and the pool totals beside
+the pool nodes, kind codes and capacities every block shares
+(``PoolTable.node``, ``kind`` and ``capacity``).  The totals are
+``PoolTable.reserved`` itself, not a copy: its writers and ``clear``
+replace the array, never write into it.  ``Engine.run`` wraps
 every slot's blocks as the run's two ``trace.Rows``.  It builds no row
 objects; ``metrics.summarize`` reads the columns into the run summary.
 """
@@ -258,7 +260,7 @@ class Engine:
         # Every admitted session's path.
         self.paths: dict[int, tuple[int, ...]] = {}
         # The last slot's pool totals, which routing's load table reads.
-        self._reserved = self.pools.reserved.copy()
+        self._reserved = self.pools.reserved
         self.slot = 0
 
     # -- setup ---------------------------------------------------------
@@ -320,14 +322,15 @@ class Engine:
 
     def step(self) -> tuple[int, tuple, tuple]:
         """Run the next slot; returns its ``(slot, session columns, pool
-        columns)``, the blocks ``run`` wraps as ``trace.Rows``."""
+        columns)``, the blocks ``run`` wraps as ``trace.Rows``.  The pool
+        block holds the slot's ``PoolTable.reserved`` array, which
+        ``clear`` replaces."""
         if self.slot >= self.cfg.n_slots:
             raise RuntimeError(f"slot {self.slot}: the run has only "
                                f"{self.cfg.n_slots} slots")
         self.table.admit(self._admit())
         sessions = self.table.step()
-        # A copy: surplus releases and ``clear`` write the totals in place.
-        self._reserved = self.pools.reserved.copy()
+        self._reserved = self.pools.reserved
         self.pools.clear()
         slot, self.slot = self.slot, self.slot + 1
         return slot, sessions, (self.pools.node, self.pools.kind,

@@ -4,7 +4,9 @@ Reservation errors (CapacityExceededError, InfeasibleReservationError,
 DeadlockError) abort a run loudly and name the pool or node they fired
 at.  DeadlockError means a broken protocol invariant, and so does
 CapacityExceededError, except from FRA: a window above twice the fair
-share is halved to one still above it.  InfeasibleReservationError can
+share is halved to one still above it.  CapacityExceededError also
+names a tell-and-go relay queue filled past its bound, which the
+scheduler's downstream budget rules out.  InfeasibleReservationError can
 also mean a pool too small for its sessions with every window halved.
 """
 

@@ -17,15 +17,18 @@ pool index, request rank, tie id, unit cost as an integer numerator and
 denominator, and floor.  Both transports keep their flows in
 ``FlowColumns``, which holds every point but a per-slot floor from the
 flow's admission on, as ``path_points`` lays them out by the transport's
-price table.  ``reserve`` runs both transports' two passes over
-all points at once.  Pass 1 prices and sums each point's window once, and
-holds those sums if no pool is over capacity; else it prices the halves,
+price table; its ``count_down`` is the only way a finished flow's rows
+leave.  ``reserve`` runs both transports' two passes over all points at
+once.  Pass 1 prices and sums each point's window once, and holds
+those sums if no pool is over capacity; else it prices the halves,
 sums the savings at over pools, applies ``assign_memory``'s rule at each
 and marks a request iff some pool cuts it.  Pass 2 holds the costs pass 1
 priced for the granted windows, so a request is halved at most once per
-slot.  Reservations last one slot: the engine clears the table after its
-snapshot, and the floors come from session state (the tell-and-go hop
-counters), not from what a pool held the slot before.
+slot.  Reservations last one slot: the engine clears the table after it
+takes the slot's totals, and the floors come from session state (the
+tell-and-go hop counters), not from what a pool held the slot before.
+Every writer of the totals replaces the array rather than write into it,
+so the array the engine took keeps the slot's totals without a copy.
 
 Pool totals are ``np.bincount`` sums, exact while below 2**53.  The run
 configuration bounds capacities and initial windows by ``MAX_UNITS`` and
@@ -224,6 +227,10 @@ def path_points(pools: PoolTable, ids: Sequence[int],
     return np.array([pool, *prices[:, kind]])
 
 
+#: A flow table's ``remaining`` (or ``unminted``) entry for an unbounded
+#: stream.
+UNBOUNDED = -1
+
 #: The reservation point columns of ``FlowColumns``, in admit order.
 POINT_COLUMNS = ("pool", "num", "den", "tie")
 
@@ -235,7 +242,10 @@ class FlowColumns:
     ``length`` counts each row's points and ``rank`` gives each point's
     row.  The points are held in row order as the ``POINT_COLUMNS``: pool
     index, unit cost numerator and denominator (``path_points``), and tie
-    id.
+    id.  A table names its flows' rows by a ``session`` column, and its
+    ``remaining`` column counts what a row has yet to deliver, positive or
+    ``UNBOUNDED``; rows leave only through ``count_down``, a session's rows
+    together, once one of them reaches 0.
     """
 
     def __init__(self, *names: str, **columns: np.ndarray):
@@ -259,14 +269,28 @@ class FlowColumns:
             setattr(self, name, np.concatenate([getattr(self, name), new]))
         self.rank = np.repeat(np.arange(len(self.length)), self.length)
 
-    def retire(self, live: np.ndarray) -> None:
-        """Keep the rows ``live`` marks, and their points."""
-        kept = np.repeat(live, self.length)
-        for name in self._rows:
-            setattr(self, name, getattr(self, name)[live])
-        for name in POINT_COLUMNS:
-            setattr(self, name, getattr(self, name)[kept])
+    def count_down(self, delivered: np.ndarray) -> bool:
+        """Count each row's ``delivered`` off its finite ``remaining``, then
+        drop every row, and its points, of each session that has a row at
+        0.  Returns whether any rows left.  A live finite entry is
+        positive, so a table whose ``remaining`` peaks at ``UNBOUNDED``
+        holds only streams and skips the pass."""
+        if self.remaining.max(initial=UNBOUNDED) == UNBOUNDED:
+            return False
+        self.remaining = np.where(self.remaining == UNBOUNDED, UNBOUNDED,
+                                  self.remaining - delivered)
+        # Whether each session id has a row at 0.
+        finished = np.zeros(self.session.max() + 1, dtype=bool)
+        finished[self.session[self.remaining == 0]] = True
+        if not finished.any():
+            return False
+        live = ~finished[self.session]
+        for names, keep in ((self._rows, live),
+                            (POINT_COLUMNS, np.repeat(live, self.length))):
+            for name in names:
+                setattr(self, name, getattr(self, name)[keep])
         self.rank = np.repeat(np.arange(len(self.length)), self.length)
+        return True
 
     def incidence(self, floor: np.ndarray | None = None) -> Incidence:
         """The points as a slot's ``Incidence``, floored by ``floor``, one
@@ -292,7 +316,9 @@ class PoolTable:
     index per node id, -1 where the node has none, up to one column past
     the last pool's node.
     ``reserved`` is the current slot's total per pool and stays within
-    ``[0, capacity]``: ``hold`` raises instead of overcommitting.
+    ``[0, capacity]``: ``hold`` raises instead of overcommitting.  It is
+    replaced, never written in place, so an array read from it holds
+    those totals for good.
     """
 
     def __init__(self, pools: Iterable[MemoryPool]):
@@ -336,7 +362,7 @@ class PoolTable:
         self.reserved = reserved
 
     def clear(self) -> None:
-        self.reserved[:] = 0
+        self.reserved = np.zeros_like(self.capacity)
 
 
 def reserve(pools: PoolTable, points: Incidence,

@@ -73,17 +73,18 @@ class _SessionIndex:
     ``rows[sid]`` and ``groups[sid]`` are a session's slices of the sorted
     rows and of ``mins``, the minimum window of each of its active slots.
     ``totals[sid]`` is what its egress (highest) hop delivered, the sum of
-    ``mins`` and their count.  ``in_order`` is whether the blocks' slots
-    never decrease.
+    ``mins`` and their count.  ``order`` is the sort's permutation of the
+    rows when the blocks' slots decrease somewhere, and None when they
+    never do: the sorted rows then keep their row order per session.
     """
 
     def __init__(self, rows: Rows):
         slots = [slot for slot, _ in rows.blocks]
         # The sort is stable, so each session's rows keep their row order
         # when the slots never decrease from block to block.
-        self.in_order = all(map(le, slots, slots[1:]))
         slot, session = _column(rows, "slot"), _column(rows, "session")
-        self.order = order = np.lexsort((slot, session))
+        order = np.lexsort((slot, session))
+        self.order = None if all(map(le, slots, slots[1:])) else order
         slot, session, n = slot[order], session[order], len(order)
         starts, ends = _runs(n, session)
         group_starts, _ = _runs(n, session, slot)
@@ -189,7 +190,7 @@ def window_series(result: RunResult, session: int, hop: int = 0) -> list[int]:
     index = _sessions(result)
     start, end = _slice(index.rows, session)
     on_hop = index.hop[start:end] == hop
-    if index.in_order:
+    if index.order is None:
         return index.window[start:end][on_hop].tolist()
     at = np.flatnonzero(on_hop) + start
     return index.window[at[np.argsort(index.order[at])]].tolist()

@@ -32,10 +32,11 @@ matrices: ``_plan`` the first (encodes included) and second sharings it
 sends, ``_send`` the qubits delivered and the first sharings that landed.
 The sharings lost are those sent less both, and the table keeps its
 in-flight count as a column, moved by the encodes less the deliveries.
-``HopTable.step`` runs the chain for every hop at once and steps the
-windows by ``tele.advance_windows``, the rule teleportation sessions
-share; ``plan_transfers`` runs ``_plan`` for one ``HopSession``, as a
-one-row table.
+``HopTable.step`` runs the chain for every hop at once, steps the
+windows by ``tele.advance_windows`` and counts the egress deliveries down
+by ``FlowColumns.count_down``, the rules teleportation sessions share;
+``plan_transfers`` runs ``_plan`` for one ``HopSession``, as a one-row
+table.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DeadlockError, InfeasibleReservationError
-from .memory import (TAG_PRICES, TAG_QUBIT_UNITS, FlowColumns, Incidence,
-                     PoolTable, path_points, reserve)
+from .errors import (CapacityExceededError, DeadlockError,
+                     InfeasibleReservationError)
+from .memory import (TAG_PRICES, TAG_QUBIT_UNITS, UNBOUNDED, FlowColumns,
+                     Incidence, PoolTable, path_points, reserve)
 from .routing import Path
-from .tele import UNBOUNDED, Phase, advance_windows
+from .tele import Phase, advance_windows
 
 INITIAL_WINDOW = 2
 
@@ -377,10 +379,11 @@ class HopTable(FlowColumns):
     (``hop`` > 0).  ``forwards`` marks a row whose deliveries go to the
     next row's relay queue; the other rows are egress hops, whose
     ``remaining`` counts the qubits their session has yet to deliver
-    (``UNBOUNDED`` on every other row and for a stream).  ``firsts[:, r]``
-    and ``seconds[:, r]`` count the in-flight qubits of round ``r`` due a
-    first or a second sharing; a column is added when a lost second moves
-    past the last round.  ``in_flight`` is their row sum, kept up to date
+    (``UNBOUNDED`` on every other row and for a stream), so that
+    ``count_down`` drops a session's hops together once its egress hop
+    is done.  ``firsts[:, r]`` and ``seconds[:, r]`` count the in-flight
+    qubits of round ``r`` due a first or a second sharing; a column is
+    added when a lost second moves past the last round.  ``in_flight`` is their row sum, kept up to date
     by each slot's encodes and deliveries rather than recounted, and
     ``stored`` counts the first sharings each receiver holds; the two are
     the floors of a row's points: its sender's send pool at 9/4 units per
@@ -399,8 +402,6 @@ class HopTable(FlowColumns):
             forwards=np.zeros(0, dtype=bool), firsts=rounds, seconds=rounds)
         self.pools, self.channel, self.rng = pools, channel, rng
         self.switched = switched
-        # Whether some row counts down a finite ``remaining``.
-        self.bounded = False
 
     def admit(self, sessions: list[tuple[int, Path, int | None, int | None]]
               ) -> None:
@@ -434,7 +435,6 @@ class HopTable(FlowColumns):
             window=window, unminted=unminted, remaining=remaining,
             forwards=forwards,
             queue_bound=self.pools.capacity[pool[::2]] // TAG_QUBIT_UNITS)
-        self.bounded = self.bounded or bool((remaining != UNBOUNDED).any())
 
     def step(self) -> tuple[np.ndarray, ...]:
         """One slot for every hop: reserve by ``_reserve``, plan by
@@ -474,24 +474,18 @@ class HopTable(FlowColumns):
         return record
 
     def _hand_over(self, delivered: np.ndarray) -> None:
-        """Relay deliveries into the next hop's queue, count down what each
-        egress hop delivered, and retire the sessions that are done.  A
-        switched table has no relay hop, and a table of unbounded streams
-        counts nothing down."""
+        """Relay deliveries into the next hop's queue, then count down by
+        ``count_down`` what each egress hop delivered.  A switched table
+        has no relay hop.  A delivery past a relay queue's bound raises
+        CapacityExceededError."""
         if not self.switched:
             arriving = np.concatenate(
                 ([0], np.where(self.forwards, delivered, 0)[:-1]))
             full = np.flatnonzero(arriving > self.queue_bound - self.backlog)
             if len(full):
                 row = full[0]
-                raise OverflowError(f"relay queue full on hop {self.hop[row]} "
-                                    f"of session {self.session[row]}")
+                raise CapacityExceededError(
+                    f"relay queue full on hop {self.hop[row]} of session "
+                    f"{self.session[row]}")
             self.backlog = self.backlog + arriving
-        if not self.bounded:
-            return
-        self.remaining = np.where(self.remaining == UNBOUNDED, UNBOUNDED,
-                                  self.remaining - delivered)
-        done = self.remaining == 0
-        if done.any():
-            self.retire(~np.isin(self.session, self.session[done]))
-            self.bounded = bool((self.remaining != UNBOUNDED).any())
+        self.count_down(delivered)

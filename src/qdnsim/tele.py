@@ -15,7 +15,9 @@ its admission on (``memory.path_points`` of its path at
 ``memory.TELE_PRICES``, tied by session id, with no floor); each scheme
 reserves over the table's ``memory.Incidence`` and returns the granted
 windows and halved flags in session order, EW and FRA from the fair
-shares the table holds per set of rows.  ``TeleSession`` is one row
+shares the table holds per set of rows.  A finite session leaves by
+``FlowColumns.count_down`` in the slot it delivers its last qubit, the
+countdown tell-and-go flows share.  ``TeleSession`` is one row
 as fields, the scalar reference the table is tested against.
 """
 
@@ -27,16 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .memory import (TELE_PRICES, FlowColumns, Incidence, PoolTable,
-                     path_points, reserve)
+from .memory import (TELE_PRICES, UNBOUNDED, FlowColumns, Incidence,
+                     PoolTable, path_points, reserve)
 from .routing import Path
 from .trace import PHASE_WORDS
 
 #: Window a session announces in its first slot unless it asks otherwise.
 INITIAL_WINDOW = 1
-
-#: A table's ``remaining`` (or ``unminted``) entry for an unbounded stream.
-UNBOUNDED = -1
 
 
 class Phase(Enum):
@@ -168,8 +167,8 @@ def release_surplus(points: Incidence, granted: np.ndarray,
     whole prices and no floor."""
     surplus = granted - delivered
     if surplus.any():
-        pools.reserved -= pools.sums(points.pool,
-                                     points.num * surplus[points.rank])
+        pools.reserved = pools.reserved - pools.sums(
+            points.pool, points.num * surplus[points.rank])
 
 
 class SessionTable(FlowColumns):
@@ -215,14 +214,14 @@ class SessionTable(FlowColumns):
     def step(self) -> tuple[np.ndarray, ...]:
         """One slot for every session: reserve, transfer up to the grant,
         give back what the grant did not carry, advance the windows and
-        retire the sessions that are done.  Returns the slot's trace
-        columns in ``SessionRow`` field order after ``slot``, the phase as
-        its code; ties go to the lower session id."""
+        count the deliveries down by ``count_down``; the shares are
+        recomputed once sessions leave.  Returns the slot's trace columns
+        in ``SessionRow`` field order after ``slot``, the phase as its
+        code; ties go to the lower session id."""
         n = len(self.session)
         points = self.incidence()
         granted, congested = self.scheme(self.window, points, self.pools, self.shares)
-        stream = self.remaining == UNBOUNDED
-        delivered = np.where(stream, granted,
+        delivered = np.where(self.remaining == UNBOUNDED, granted,
                              np.minimum(granted, self.remaining))
         release_surplus(points, granted, delivered, self.pools)
         zeros = np.zeros(n, dtype=np.int64)
@@ -234,9 +233,6 @@ class SessionTable(FlowColumns):
                                                       congested)
         record = (self.session, zeros, window, congested.astype(np.int64),
                   granted, delivered, phase, zeros, zeros, zeros, zeros)
-        self.remaining = np.where(stream, UNBOUNDED, self.remaining - delivered)
-        live = self.remaining != 0
-        if not live.all():
-            self.retire(live)
+        if self.count_down(delivered):
             self._shares = None
         return record

@@ -10,8 +10,8 @@ pool blocks.  Blocks may share a column object: the engine's pool blocks
 share the pool nodes, kinds and capacities, and only
 ``cli._field_cells`` relies on that, converting such a column to text
 once.  A column is never written once its block is returned: the flow
-tables build new arrays each slot rather than write into the ones they
-returned.
+tables and the pool table build new arrays rather than write into ones
+they returned.
 ``Rows`` reads the blocks as a sequence of row tuples, built only when
 asked for, with every code as its word; ``Rows.of`` turns a list of rows
 into such blocks.

@@ -399,6 +399,31 @@ class TestReservationLifetime:
         assert any(row.reserved for row in pool_rows)
         assert protocol is not Protocol.TAG or carried > 0
 
+    @pytest.mark.parametrize("protocol, network, p", [
+        (Protocol.TELE, NetworkKind.TELE, 1.0),
+        (Protocol.EW, NetworkKind.TELE, 1.0),
+        (Protocol.FRA, NetworkKind.TELE, 1.0),
+        (Protocol.TAG, NetworkKind.TAG_RELAY, 0.7),
+        (Protocol.TAG, NetworkKind.TAG_SWITCH, 0.7),
+    ], ids=["tele", "ew", "fra", "tag_relay", "tag_switch"])
+    def test_pool_block_keeps_its_totals(self, protocol, network, p):
+        """Slot 0's pool block holds the pool totals themselves, not a
+        copy, and keeps its values while five more slots reserve, give
+        back surplus, retire finished sessions and clear."""
+        engine = Engine(RunConfig(
+            seed=1, protocol=protocol, network=network,
+            topology=WaxmanSpec(n_infra=8, target_avg_degree=3.0,
+                                area_side=40.0),
+            sessions=[SessionSpec(qubits=qubits) for qubits in (None, 1, 3, 9)],
+            n_slots=6, p=p,
+        ))
+        _, _, (_, _, reserved, _) = engine.step()
+        kept = reserved.tolist()
+        assert any(kept)
+        for _ in range(5):
+            engine.step()
+        assert reserved.tolist() == kept
+
     @pytest.mark.parametrize("protocol, network", [
         (Protocol.TELE, NetworkKind.TELE),
         (Protocol.FRA, NetworkKind.TELE),

@@ -342,6 +342,8 @@ class TestIndexedMetrics:
         from test_golden import CONFIGS
 
         result = run(CONFIGS[name]())
+        # Nor does the index keep the sort's permutation of the rows.
+        assert metrics._sessions(result).order is None
         hops = range(max(row.hop for row in result.session_rows) + 2)
         assert len(hops) >= 4
         for sid in [*result.paths, max(result.paths) + 1]:
@@ -354,6 +356,7 @@ class TestIndexedMetrics:
         result = result_with(shuffled_trace(0)[0])
         with pytest.raises(AssertionError, match="argsort"):
             window_series(result, 0)
+        assert len(metrics._sessions(result).order) == len(result.session_rows)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hand_built_rows_in_slot_order_match_scan(self, seed, no_argsort):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qdnsim.errors import CapacityExceededError, QdnError
 from qdnsim.memory import (RECEIVE_COST, TAG_QUBIT_UNITS,
                            TAG_SEND_COST, MemoryPool, PoolTable, cost)
 from qdnsim.rng import stream
@@ -26,6 +27,7 @@ from qdnsim.tag import (
     plan_transfers,
 )
 from qdnsim.tele import UNBOUNDED, Phase, next_window
+from test_tele import MIXED_PLAN, countdown_slots
 
 
 def hop_with(in_flight=(), queued=0, window=2):
@@ -530,9 +532,45 @@ class TestTagFlowAdmit:
         table.backlog[1] = 2
         table._hand_over(np.array([1, 0, 0]))
         assert table.backlog.tolist() == [0, 3, 0]
-        with pytest.raises(OverflowError, match=(
-                "^relay queue full on hop 1 of session 4$")):
+        with pytest.raises(CapacityExceededError, match=(
+                "^relay queue full on hop 1 of session 4$")) as raised:
             table._hand_over(np.array([1, 0, 0]))
+        assert isinstance(raised.value, QdnError)
+
+    @pytest.mark.parametrize("switched", [True, False])
+    def test_finite_sessions_leave_as_they_deliver_their_last_qubit(
+            self, switched):
+        """Each finite session of ``MIXED_PLAN`` leaves, every hop of it,
+        in the slot its egress hop delivers its last qubit, and each
+        stream stays."""
+        pools = PoolTable([MemoryPool(node, kind, 10**6) for node in range(10)
+                           for kind in ("send", "receive")])
+        table = HopTable(pools, ChannelModel(1.0), stream(0, "channel"),
+                         switched)
+        egress = {sid: 0 if switched else len(path.nodes) - 2
+                  for batch in MIXED_PLAN for sid, path, _, _ in batch}
+        last, left = countdown_slots(
+            table, MIXED_PLAN, egress,
+            lambda table: np.repeat(
+                table.session * len(pools.keys) + table.hop, 2))
+        assert left == last
+        assert sorted(left) == [0, 2, 7]
+        assert table.session.tolist() == ([3, 5] if switched
+                                          else [3, 5, 5])
+
+    @pytest.mark.parametrize("switched", [True, False])
+    def test_stream_only_table_skips_the_countdown(self, switched):
+        """A table of streams alone counts nothing down, and keeps its
+        ``remaining`` column as it is."""
+        table = self.admit(4, None, None, switched)
+        for _ in range(3):
+            remaining = table.remaining
+            table.step()
+            assert table.remaining is remaining
+            self.pools.clear()
+        assert table.count_down(np.ones(len(remaining), dtype=np.int64)) is False
+        assert table.remaining is remaining
+        assert set(table.session.tolist()) == {4}
 
     def test_one_slot_admits_flows_in_order(self):
         # Two flows admitted together: rows by flow, then by hop, and a

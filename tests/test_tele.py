@@ -531,6 +531,71 @@ class TestSessionTable:
             pools.clear()
         assert admitted > 10 and finished > 0
 
+    def test_finite_sessions_leave_as_they_deliver_their_last_qubit(self):
+        """Each finite session of ``MIXED_PLAN`` leaves in the slot it
+        delivers its last qubit, and each stream stays."""
+        pools = PoolTable([MemoryPool(node, kind, 10**6) for node in range(10)
+                           for kind in ("send", "receive", "transit")])
+        table = SessionTable(pools, reserve_teleport, explicit=False)
+        last, left = countdown_slots(
+            table, MIXED_PLAN, dict.fromkeys(range(8), 0),
+            lambda table: np.repeat(table.session, table.length))
+        assert left == last
+        assert sorted(left) == [0, 2, 7]
+        assert table.session.tolist() == [3, 5]
+
+    def test_stream_only_table_skips_the_countdown(self):
+        """A table of streams alone counts nothing down, and keeps its
+        ``remaining`` column as it is."""
+        pools, egress = star_pools(3, 10**6)
+        table = table_of(reserve_teleport, star_sessions([1, 4, 2], egress),
+                         pools)
+        for _ in range(3):
+            remaining = table.remaining
+            table.step()
+            assert table.remaining is remaining
+            pools.clear()
+        assert table.count_down(np.ones(3, dtype=np.int64)) is False
+        assert table.remaining is remaining
+        assert table.session.tolist() == [0, 1, 2]
+
+
+def countdown_slots(table, plan, egress, ties, n_slots=80):
+    """Step ``table`` for ``n_slots`` slots, admitting ``plan[slot]``'s
+    ``(id, path, qubits, initial window)`` flows first and clearing its
+    pools after.  Returns, per finite session, the slot in which the
+    ``egress`` hop of each session id delivered its last qubit, and, per
+    session, the slot in which its rows left.  After every slot the points
+    follow the live rows: ``rank`` numbers them and ``tie`` equals
+    ``ties(table)``."""
+    qubits = {sid: size for batch in plan for sid, _, size, _ in batch}
+    got, last, left = dict.fromkeys(qubits, 0), {}, {}
+    for slot in range(n_slots):
+        table.admit(plan[slot] if slot < len(plan) else [])
+        session, hop, _, _, _, delivered, *_ = table.step()
+        for sid, at, count in zip(session.tolist(), hop.tolist(),
+                                  delivered.tolist()):
+            if at == egress[sid]:
+                got[sid] += count
+                if got[sid] == qubits[sid]:
+                    last[sid] = slot
+        left.update(dict.fromkeys(
+            set(session.tolist()) - set(table.session.tolist()), slot))
+        assert table.rank.tolist() == np.repeat(
+            np.arange(len(table.length)), table.length).tolist()
+        assert table.tie.tolist() == ties(table).tolist()
+        table.pools.clear()
+    return last, left
+
+
+#: Flows admitted out of id order across slots, session 0 and the largest
+#: id 7 among them, finite and unbounded: per slot, ``(id, path, qubits,
+#: initial window)`` over nodes 0 to 9.
+MIXED_PLAN = [[(7, Path((1, 2, 3)), 5, None), (3, Path((4, 5)), None, None)],
+              [],
+              [(0, Path((6, 2, 4, 8)), 2, 3), (5, Path((8, 9, 1)), None, 2)],
+              [(2, Path((9, 0)), 9, None)]]
+
 
 def session_set_plan(draw):
     """Per slot, the finite sessions a table admits over 40 slots: batches

@@ -28,15 +28,40 @@ which made a rerun wait for its old bytes to reach the disk.  Nothing is
 fsynced, so a process killed mid-write can leave an older run's bytes past
 the kill point, at the older run's length: such a file cannot be told from
 a finished one by its size, and a fresh ``--out`` directory avoids it.
+
+From ``_SPLIT_ROWS`` session plus pool rows on, ``emit`` renders its trace
+tables in two processes (``_render_in_two``): for each table, the parent
+renders the rows before the block boundary nearest half its rows, and one
+forked child the rows after it, into the same files.  A line's length is
+its template's literal bytes plus each field's text length, so the child
+counts where its bytes start (``_part_bytes``) and writes them there by
+``os.pwrite``, never through the file objects, whose offsets it shares
+with the parent.  The bytes are those one process writes.  ``emit`` stays
+in one process below ``_SPLIT_ROWS``, where the fork costs more than it
+saves; where ``os.fork`` or ``os.sched_getaffinity`` is missing or fewer
+than 2 CPUs are usable; where an output exists and is not a regular file;
+and on Python 3.12 and later, which warns on forking a process with
+threads, and numpy's BLAS pool makes this one such a process.  Where the
+fork itself fails (a process limit, say, or no memory for the copy), the
+parent renders every row, through the files it has opened.  A
+two-process emit opens every trace file before it writes a row.  When it
+fails, in either process, or its child dies before it reports (killed,
+say, or out of memory: ChildProcessError, naming the child's status),
+every file it opened holds only new bytes, as in a fresh directory.  When
+both processes raise, the parent's error is raised, which for errors in
+both tables need not be the one a single process raises first.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
+import pickle
+import signal
 import stat
 import sys
 from contextlib import ExitStack, contextmanager
@@ -354,20 +379,234 @@ def _rewrite(path: FsPath):
                 handle.truncate()
 
 
+def _open_trace(stack: ExitStack, rows: Rows, outputs):
+    """A trace table's ``outputs``, ``(form, path)`` pairs, each opened by
+    ``_rewrite`` on ``stack``, as ``(form, handle)`` pairs; each CSV file
+    holds its header."""
+    opened = [(form, stack.enter_context(_rewrite(path)))
+              for form, path in outputs]
+    for form, handle in opened:
+        if form == 0:
+            handle.write(",".join(rows.row_type._fields).encode() + b"\n")
+    return opened
+
+
 def _write_trace(out: FsPath, name: str, rows: Rows,
                  formats: list[str]) -> list[FsPath]:
     """Write a trace's ``Rows`` as ``name.csv`` and/or ``name.ndjson``, by
     one ``_render`` pass over both."""
     outputs = _outputs(out, name, formats)
     with ExitStack() as stack:
-        writes = [(form, stack.enter_context(_rewrite(path)).write)
-                  for form, path in outputs]
-        for form, write in writes:
-            if form == 0:
-                write(",".join(rows.row_type._fields).encode() + b"\n")
+        writes = [(form, handle.write)
+                  for form, handle in _open_trace(stack, rows, outputs)]
         if writes:
             _render(rows, writes)
     return [path for _, path in outputs]
+
+
+#: Session plus pool rows from which ``emit`` renders its trace tables in
+#: two processes.  Below it, the fork, the child's byte count and the
+#: copy-on-write faults of both processes cost more than the half of the
+#: render the child takes over: on a 2-CPU host two processes won 14% of
+#: alternating pairs at 20,000 rows and 57-71% at 30,000.  That sweep is
+#: the only measure of the one-process side: every ``perfbench`` workload
+#: emits 40,000 rows or more.
+_SPLIT_ROWS = 25_000
+
+#: Per ``str`` field, the byte length of the word of each code.
+_WORD_BYTES = {field: np.array([len(word) for word in words], dtype=np.int64)
+               for field, words in WORDS.items()}
+
+
+def _text_bytes(field: str, values: np.ndarray) -> int:
+    """Bytes of the text ``_cells`` writes for int64 ``values`` of
+    ``field``: for a ``WORDS`` field, the word lengths weighted by their
+    codes' counts; for an int field, a digit per value and one more per
+    value at or above each power of ten up to the largest value."""
+    if field in WORDS:
+        lengths = _WORD_BYTES[field]
+        return int(np.bincount(values, minlength=len(lengths)) @ lengths)
+    if not len(values):
+        return 0
+    return len(values) + sum(int(np.count_nonzero(values >= ten))
+                             for ten in _TENS[1:len(str(values.max()))])
+
+
+def _part_bytes(row_type, blocks) -> list[int]:
+    """Bytes ``_render`` writes for ``blocks`` of a ``row_type`` trace
+    table in each form of ``_TEMPLATES`` (CSV, ndjson): each line's
+    literals, and each field's text, the same in both forms.  A field's
+    values are copied into one buffer of ``_CHUNK_BYTES`` and counted a
+    buffer at a time, so the count holds nothing that grows with the
+    table.  A whole column that the block before held too is counted once,
+    when the second block holds it, and that count reused."""
+    fields = row_type._fields[1:]
+    values = np.empty(_CHUNK_BYTES // 8, dtype=np.int64)
+    # Per field, the last column seen, and its text's bytes once counted.
+    last: list[tuple] = [(None, None)] * len(fields)
+    text = rows = 0
+    for segments in _chunks(blocks, len(values)):
+        for slot, _, start, stop in segments:
+            rows += stop - start
+            text += (stop - start) * len(str(slot))
+        for at, field in enumerate(fields):
+            n = 0
+            for _, columns, start, stop in segments:
+                column = columns[at]
+                if column is not last[at][0]:
+                    last[at] = (column, None)
+                elif stop - start == len(column):
+                    if last[at][1] is None:
+                        last[at] = (column, _text_bytes(field, column))
+                    text += last[at][1]
+                    continue
+                values[n:n + stop - start] = column[start:stop]
+                n += stop - start
+            text += _text_bytes(field, values[:n])
+    return [text + rows * sum(map(len, literals))
+            for literals, _ in _TEMPLATES[row_type]]
+
+
+def _two_processes(rows: int, paths: list[FsPath]) -> bool:
+    """Whether ``emit`` renders trace tables of ``rows`` rows in all into
+    ``paths`` in two processes (see the module docstring)."""
+    if (rows < _SPLIT_ROWS or not paths or sys.version_info >= (3, 12)
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return False
+    for path in paths:
+        try:
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                return False
+        except FileNotFoundError:
+            pass
+    return True
+
+
+def _pwriter(fd: int, ends: list[int], at: int):
+    """A ``_render`` writer that writes into ``fd`` by ``os.pwrite`` from
+    ``ends[at]`` on, and keeps ``ends[at]`` at the end of what it wrote."""
+    def write(data: np.ndarray) -> None:
+        view = memoryview(data)
+        while view:
+            written = os.pwrite(fd, view, ends[at])
+            ends[at] += written
+            view = view[written:]
+    return write
+
+
+def _render_child(parts, report_fd: int):
+    """The forked child of ``_render_in_two``: it counts where its part of
+    each file starts, renders the blocks from each ``cut`` on into the
+    files from there by ``_pwriter``, and pickles into ``report_fd`` the
+    exception it raised, or None, and each file's start and end offsets
+    (None if it raised before it counted them).  It never returns: it
+    leaves by ``os._exit``, 0 once the report is written, without
+    unwinding its caller's frames or flushing a buffer it inherited."""
+    status = 1
+    try:
+        # A collection could finalize a cycle the parent left for its own
+        # collector, flushing or deleting what the parent still owns.
+        gc.disable()
+        error = starts = ends = None
+        try:
+            starts = []
+            for rows, cut, files in parts:
+                sizes = _part_bytes(rows.row_type, rows.blocks[:cut])
+                starts += [start + sizes[form] for form, _, start in files]
+            ends = list(starts)
+            at = 0
+            for rows, cut, files in parts:
+                writes = [(form, _pwriter(handle.fileno(), ends, at + i))
+                          for i, (form, handle, _) in enumerate(files)]
+                at += len(files)
+                _render(Rows(rows.row_type, rows.blocks[cut:]), writes)
+        except BaseException as exc:  # reported to the parent, which raises it
+            error = exc
+        with open(report_fd, "wb") as report:
+            pickle.dump((error, starts, ends), report)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _render_in_two(parts) -> None:
+    """Render ``parts``, ``(rows, cut, files)`` per trace table with its
+    files as ``(form, handle, start)``, each handle open at ``start``: the
+    blocks before ``cut`` here, through each handle, and the rest in one
+    forked child, ``_render_child``.  The child is reaped before this
+    returns or raises, and killed first if this process raised.  Then each
+    file is sought to where the child's bytes end, and the child's
+    exception, if it raised one, is raised here.  A child that ends before
+    it reports raises ChildProcessError, naming its status.  If the fork
+    fails (OSError: EAGAIN at a process limit, say, or ENOMEM), every block
+    is rendered here."""
+    handles = [handle for *_, files in parts for _, handle, _ in files]
+    for handle in handles:
+        handle.flush()
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as report:
+        try:
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                _render_child(parts, write_fd)
+        finally:
+            os.close(write_fd)
+        if pid is None:
+            for rows, _, files in parts:
+                _render(rows,
+                        [(form, handle.write) for form, handle, _ in files])
+            return
+        data = None
+        try:
+            for rows, cut, files in parts:
+                _render(Rows(rows.row_type, rows.blocks[:cut]),
+                        [(form, handle.write) for form, handle, _ in files])
+            data = report.read()
+        finally:
+            if data is None:
+                os.kill(pid, signal.SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(
+            f"trace writer process ended by {how} before it reported")
+    error, starts, ends = pickle.loads(data)
+    if starts is not None:
+        for handle, start, end in zip(handles, starts, ends):
+            if handle.tell() != start:
+                raise RuntimeError(f"{handle.name}: the rows before the cut "
+                                   f"end at byte {handle.tell()}, not at the "
+                                   f"counted {start}")
+            handle.seek(end)
+    if error is not None:
+        raise error
+
+
+def _write_traces(out: FsPath, tables, formats: list[str]) -> list[FsPath]:
+    """Write each ``(name, rows)`` trace table of ``tables`` by
+    ``_write_trace``, or all of them by ``_render_in_two``, cut at the
+    block boundary nearest half each table's rows, where the module
+    docstring says ``emit`` uses two processes."""
+    outputs = [(rows, _outputs(out, name, formats)) for name, rows in tables]
+    paths = [path for _, files in outputs for _, path in files]
+    if not _two_processes(sum(len(rows) for rows, _ in outputs), paths):
+        return [path for name, rows in tables
+                for path in _write_trace(out, name, rows, formats)]
+    with ExitStack() as stack:
+        parts = []
+        for rows, files in outputs:
+            bounds = np.cumsum([0, *(len(columns[0])
+                                     for _, columns in rows.blocks)])
+            cut = int(np.abs(2 * bounds - bounds[-1]).argmin())
+            parts.append((rows, cut, [
+                (form, handle, handle.tell())
+                for form, handle in _open_trace(stack, rows, files)]))
+        _render_in_two(parts)
+    return paths
 
 
 #: A summary row's CSV line, in ``_SUMMARY_CSV_HEADER`` order, and its
@@ -416,14 +655,14 @@ def _write_summary(out: FsPath, name: str, result: RunResult,
 
 def emit(result: RunResult, out_dir: str | FsPath, name: str,
          formats: list[str]) -> list[FsPath]:
-    """Write one run's trace and summary files; returns the paths, every
-    tabular file before every records file."""
+    """Write one run's trace and summary files, the trace tables in two
+    processes from ``_SPLIT_ROWS`` rows on (see the module docstring);
+    returns the paths, every tabular file before every records file."""
     out = FsPath(out_dir)
     written = [
-        *_write_trace(out, f"{name}_sessions",
-                      Rows.of(SessionRow, result.session_rows), formats),
-        *_write_trace(out, f"{name}_pools",
-                      Rows.of(PoolRow, result.pool_rows), formats),
+        *_write_traces(out, [
+            (f"{name}_sessions", Rows.of(SessionRow, result.session_rows)),
+            (f"{name}_pools", Rows.of(PoolRow, result.pool_rows))], formats),
         *_write_summary(out, f"{name}_summary", result, formats),
     ]
     return sorted(written, key=lambda path: path.suffix == ".ndjson")

@@ -279,11 +279,12 @@ class FlowColumns:
             return False
         self.remaining = np.where(self.remaining == UNBOUNDED, UNBOUNDED,
                                   self.remaining - delivered)
+        done = self.session[self.remaining == 0]
+        if not len(done):
+            return False
         # Whether each session id has a row at 0.
         finished = np.zeros(self.session.max() + 1, dtype=bool)
-        finished[self.session[self.remaining == 0]] = True
-        if not finished.any():
-            return False
+        finished[done] = True
         live = ~finished[self.session]
         for names, keep in ((self._rows, live),
                             (POINT_COLUMNS, np.repeat(live, self.length))):

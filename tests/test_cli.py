@@ -1,10 +1,13 @@
 """Config parsing, file emission, and the command-line entry points."""
 
 import csv
+import errno
 import gc
 import json
 import os
 import random
+import signal
+import time
 import tracemalloc
 import weakref
 
@@ -18,6 +21,8 @@ from qdnsim.errors import ConfigError
 from qdnsim.topology import (MAX_INFRA, NetworkKind, generate_waxman,
                              to_document)
 from qdnsim.trace import WORDS, Rows
+from test_engine import SUMMARY_CASES
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -780,6 +785,260 @@ class TestRerun:
             assert (out / name).read_bytes() == fresh[name], name
 
 
+def rendered_bytes(rows, blocks, form):
+    """Bytes ``cli._render`` writes for ``blocks`` of ``rows``' table."""
+    chunks = []
+    cli._render(Rows(rows.row_type, blocks), [(form, chunks.append)])
+    return sum(map(len, chunks))
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN_CONFIGS), "hand_built"])
+def test_part_bytes_are_the_rendered_bytes(name):
+    # Cuts after no block, the first, the middle and the last: the count
+    # over none, one, some and all blocks.  The hand-built tables hold ints
+    # up to int64's largest, and their pool blocks share three columns, as
+    # the engine's do.
+    if name == "hand_built":
+        rng = np.random.default_rng(14)
+        tables = (session_blocks(rng, [30, 0, 17, 45, 2]),
+                  pool_blocks(rng, 25, 6))
+    else:
+        result = run(GOLDEN_CONFIGS[name]())
+        tables = (result.session_rows, result.pool_rows)
+    for rows in tables:
+        n_blocks = len(rows.blocks)
+        for cut in sorted({0, 1, n_blocks // 2, n_blocks}):
+            blocks = rows.blocks[:cut]
+            assert cli._part_bytes(rows.row_type, blocks) == [
+                rendered_bytes(rows, blocks, form) for form in (0, 1)]
+
+
+def test_part_bytes_count_across_chunks(monkeypatch):
+    # Seven-value count chunks cut across blocks and across the columns the
+    # pool blocks share.
+    rng = np.random.default_rng(16)
+    tables = (session_blocks(rng, [30, 0, 17, 45, 2]), pool_blocks(rng, 25, 6))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 7 * 8)
+    for rows in tables:
+        assert cli._part_bytes(rows.row_type, rows.blocks) == [
+            rendered_bytes(rows, rows.blocks, form) for form in (0, 1)]
+
+
+@pytest.fixture
+def forks(monkeypatch, tmp_path):
+    """Every emit renders its trace tables in two processes; the list of
+    the children forked, and no child is left once the test ends."""
+    if not cli._two_processes(cli._SPLIT_ROWS, [tmp_path / "absent"]):
+        pytest.skip("two-process emits need os.fork, 2 usable CPUs and "
+                    "Python before 3.12")
+    monkeypatch.setattr(cli, "_SPLIT_ROWS", 0)
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_one_process(monkeypatch, *args):
+    """``emit(*args)`` with its trace tables rendered in this process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_SPLIT_ROWS", 2**62)
+        return emit(*args)
+
+
+def with_negative_window(rows, block):
+    """``rows`` with the last window of ``block`` made -1."""
+    slot, columns = rows.blocks[block]
+    window = columns[2].copy()
+    window[-1] = -1
+    blocks = list(rows.blocks)
+    blocks[block] = (slot, (*columns[:2], window, *columns[3:]))
+    return Rows(SessionRow, blocks)
+
+
+class TestTwoProcesses:
+    """Trace tables rendered in two processes write the bytes one process
+    writes, and a failing emit leaves only new bytes and no child."""
+
+    def test_from_split_rows_on(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(cli, "_SPLIT_ROWS", 40)
+        rng = np.random.default_rng(15)
+        for sizes, n_forks in (([20, 19], 0), ([20, 20], 1)):
+            result = result_of(session_blocks(rng, sizes),
+                               pool_blocks(rng, 0, 2))
+            emit(result, tmp_path / str(sum(sizes)), "t", BOTH)
+            assert len(forks) == n_forks
+
+    @pytest.mark.parametrize("name", sorted(SUMMARY_CASES))
+    def test_summary_cases(self, tmp_path, monkeypatch, forks, name):
+        result = run(SUMMARY_CASES[name]())
+        in_one_process(monkeypatch, result, tmp_path / "one", "t", BOTH)
+        written = emit(result, tmp_path / "two", "t", BOTH)
+        assert len(forks) == 1 and len(written) == 6
+        assert tree_bytes(tmp_path / "two") == tree_bytes(tmp_path / "one")
+
+    @pytest.mark.parametrize("first, second", [(200, 20), (20, 200)],
+                             ids=["shorter", "longer"])
+    def test_rerun_keeps_each_files_inode_and_mode(self, tmp_path,
+                                                   monkeypatch, forks, first,
+                                                   second):
+        docs = [minimal_doc(n_slots=n_slots) for n_slots in (first, second)]
+        results = [run(parse_config(write_config(tmp_path, doc)))
+                   for doc in docs]
+        out = tmp_path / "rerun"
+        emit(results[0], out, "t", BOTH)
+        for path in out.iterdir():
+            path.chmod(0o640)
+        before = {path.name: path.stat() for path in out.iterdir()}
+        emit(results[1], out, "t", BOTH)
+        in_one_process(monkeypatch, results[1], tmp_path / "one", "t", BOTH)
+        assert len(forks) == 2
+        assert tree_bytes(out) == tree_bytes(tmp_path / "one")
+        for path in out.iterdir():
+            stat = path.stat()
+            assert stat.st_ino == before[path.name].st_ino, path.name
+            assert stat.st_mode == before[path.name].st_mode, path.name
+            assert (stat.st_size < before[path.name].st_size) \
+                == (first > second), path.name
+
+    @pytest.mark.parametrize("block", [0, 5], ids=["parent", "child"])
+    def test_negative_int(self, tmp_path, monkeypatch, forks, block):
+        # Six 40-row blocks are cut after the third: block 0 is the
+        # parent's, block 5 the child's, which writes chunks before it
+        # raises.  Each process raises what one process raises, and the
+        # trace files end where they end in a fresh directory, each the
+        # start of what the trace writes without the negative value.
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", 3000)
+        rng = np.random.default_rng(11)
+        older = result_of(session_blocks(rng, [40] * 9),
+                          pool_blocks(rng, 3, 9))
+        emit(older, tmp_path / "rerun", "t", BOTH)
+        before = tree_bytes(tmp_path / "rerun")
+        good = result_of(session_blocks(rng, [40] * 6), pool_blocks(rng, 3, 6))
+        failing = result_of(with_negative_window(good.session_rows, block),
+                            good.pool_rows)
+        with pytest.raises(ValueError) as one:
+            in_one_process(monkeypatch, failing, tmp_path / "one", "t", BOTH)
+        for out in ("rerun", "fresh"):
+            with pytest.raises(ValueError) as two:
+                emit(failing, tmp_path / out, "t", BOTH)
+            assert str(two.value) == str(one.value) == \
+                "trace window: a negative int"
+        assert len(forks) == 3
+        in_one_process(monkeypatch, good, tmp_path / "good", "t", BOTH)
+        fresh = tree_bytes(tmp_path / "fresh")
+        after = tree_bytes(tmp_path / "rerun")
+        full = tree_bytes(tmp_path / "good")
+        assert sorted(fresh) == [f"t_{table}{suffix}"
+                                 for table in ("pools", "sessions")
+                                 for suffix in (".csv", ".ndjson")]
+        assert {name: after[name] for name in fresh} == fresh
+        assert {name: after[name] for name in after if name not in fresh} \
+            == {name: before[name] for name in before if name not in fresh}
+        for name, text in fresh.items():
+            assert full[name].startswith(text), name
+        sessions = fresh["t_sessions.ndjson"].count(b"\n")
+        assert (sessions > 3 * 40) == (block == 5)
+        assert sessions < 6 * 40
+
+    def test_killed_child(self, tmp_path, monkeypatch, capsys, forks):
+        # A child that dies before it reports, as from SIGKILL or the OOM
+        # killer, is an error record naming its status; each trace file
+        # holds the parent's part, in a fresh directory and over a longer
+        # older trace alike.
+        config = write_config(tmp_path, minimal_doc(n_slots=30))
+        longer = write_config(tmp_path, minimal_doc(n_slots=60), "run_.json")
+        emit(run(parse_config(longer)), tmp_path / "rerun", "run", BOTH)
+        parent, render = os.getpid(), cli._render
+
+        def dying(rows, outputs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            render(rows, outputs)
+
+        monkeypatch.setattr(cli, "_render", dying)
+        for out in ("rerun", "fresh"):
+            code = main(["run", "--config", str(config), "--format",
+                         "tabular", "--format", "records", "--out",
+                         str(tmp_path / out)])
+            assert code == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "ChildProcessError",
+                "message": f"trace writer process ended by signal "
+                           f"{int(signal.SIGKILL)} before it reported"}
+        assert len(forks) == 3
+        fresh = tree_bytes(tmp_path / "fresh")
+        assert len(fresh) == 4
+        assert fresh == {name: text for name, text in
+                         tree_bytes(tmp_path / "rerun").items()
+                         if name in fresh}
+        in_one_process(monkeypatch, run(parse_config(config)),
+                       tmp_path / "whole", "run", BOTH)
+        whole = tree_bytes(tmp_path / "whole")
+        for name, text in fresh.items():
+            assert whole[name].startswith(text) and text != whole[name], name
+
+    def test_interrupted_parent_kills_its_child(self, tmp_path, monkeypatch,
+                                                forks):
+        # The child would sleep for a minute: the parent kills it.
+        parent = os.getpid()
+
+        def interrupted(rows, outputs):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_render", interrupted)
+        result = run(parse_config(write_config(tmp_path, minimal_doc())))
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            emit(result, tmp_path / "out", "t", BOTH)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+
+    def test_failed_fork_renders_in_this_process(self, tmp_path,
+                                                  monkeypatch, forks):
+        # EAGAIN at a process limit: the parent renders every row through
+        # the files it opened, over a longer older trace and in a fresh
+        # directory alike.
+        def refused():
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(os, "fork", refused)
+        results = [run(parse_config(write_config(
+            tmp_path, minimal_doc(n_slots=n_slots)))) for n_slots in (60, 30)]
+        in_one_process(monkeypatch, results[0], tmp_path / "rerun", "t",
+                       BOTH)
+        in_one_process(monkeypatch, results[1], tmp_path / "one", "t", BOTH)
+        for out in ("rerun", "fresh"):
+            assert len(emit(results[1], tmp_path / out, "t", BOTH)) == 6
+            assert tree_bytes(tmp_path / out) == tree_bytes(tmp_path / "one")
+        assert forks == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="needs /dev/null")
+    def test_outputs_linked_to_dev_null(self, tmp_path, forks):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "t_pools.ndjson").symlink_to("/dev/null")
+        result = run(parse_config(write_config(tmp_path, minimal_doc())))
+        emit(result, out, "t", BOTH)
+        assert forks == []
+        emit(result, tmp_path / "fresh", "t", BOTH)
+        assert len(forks) == 1
+        fresh = tree_bytes(tmp_path / "fresh")
+        assert (out / "t_pools.ndjson").read_bytes() == b""
+        for name in fresh.keys() - {"t_pools.ndjson"}:
+            assert (out / name).read_bytes() == fresh[name], name
+
+
 class TestEmitMemory:
     #: Bytes numpy and Python may hold at once while emit writes a trace,
     #: whatever its length, and how much more they may hold for a trace
@@ -789,22 +1048,41 @@ class TestEmitMemory:
     PEAK_BYTES = 4 * 2**20
     GROWTH_BYTES = 2**18
 
-    def test_peak_does_not_grow_with_the_trace(self, tmp_path):
-        peaks = []
+    @staticmethod
+    def results():
+        """Traces of N = 50,000 and 4N rows in each table, in 200-row
+        blocks."""
         for n_blocks in (250, 1000):
             rng = np.random.default_rng(n_blocks)
-            # 200-row blocks: N = 50,000 and 4N rows in each table.
-            result = result_of(session_blocks(rng, [200] * n_blocks),
-                               pool_blocks(rng, 200, n_blocks))
-            tracemalloc.start()
-            try:
-                emit(result, tmp_path / str(n_blocks), "m",
-                     ["tabular", "records"])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            yield n_blocks, result_of(session_blocks(rng, [200] * n_blocks),
+                                      pool_blocks(rng, 200, n_blocks))
+
+    @staticmethod
+    def peak(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_trace(self, tmp_path, monkeypatch):
+        # One process renders every row: tracemalloc sees no child's memory.
+        monkeypatch.setattr(cli, "_SPLIT_ROWS", 2**62)
+        peaks = [self.peak(emit, result, tmp_path / str(n_blocks), "m",
+                           ["tabular", "records"])
+                 for n_blocks, result in self.results()]
         assert max(peaks) < self.PEAK_BYTES, peaks
         assert peaks[1] - peaks[0] < self.GROWTH_BYTES, peaks
+
+    def test_part_bytes_peak_does_not_grow_with_the_trace(self):
+        # What a two-process emit's child counts before it renders.
+        peaks = [self.peak(cli._part_bytes, rows.row_type, rows.blocks)
+                 for _, result in self.results()
+                 for rows in (result.session_rows, result.pool_rows)]
+        assert max(peaks) < self.PEAK_BYTES, peaks
+        assert peaks[2] - peaks[0] < self.GROWTH_BYTES, peaks
+        assert peaks[3] - peaks[1] < self.GROWTH_BYTES, peaks
 
 
 class TestMain:
